@@ -1,0 +1,108 @@
+"""Behaviour lock: pinned model outputs and CLI payload digests.
+
+A change that only restructures the code must leave every value here
+unchanged. A change that alters behaviour on purpose updates the pinned
+values in the same commit and records why in CHANGES.md.
+
+The model values are (m_sys [kg], b [km], arcs) of one deterministic
+evaluation at the reference uncertain values, with the scenario margins,
+compared at a relative tolerance of 1e-12. The digests are sha256 of CLI
+payloads at tiny solver budgets. Both depend on the floating-point
+results of the platform they were pinned on (x86-64, CPython 3, numpy).
+"""
+import hashlib
+import json
+
+import pytest
+
+from neodeflect.cli import main, parse_design
+from neodeflect.mission import (
+    load_scenario,
+    make_model,
+    reference_scenario_path,
+    scenario_to_dict,
+)
+
+REL = 1e-12
+
+# (design, contamination) -> (m_sys, b, n_arcs)
+LOCKED_EVALUATIONS = {
+    ("20,10,8,3000", False): (23985.820596489633, 25704.366995741195, 594),
+    ("20,10,1,3000", False): (17893.530740347065, 509.8334800720398, 76),
+    ("12,4,3.5,2000", False): (3598.6783015856527, 2.5622384744550577, 250),
+    ("8,6,6,2500", False): (3249.536504610369, 95.38343030997399, 429),
+    ("2,1,1,1000", False): (80.56086217837202, 0.0, 69),
+    ("16,8,3,2800", False): (9808.653373524985, 1052.1643184019938, 218),
+    ("5,3,7.5,2600", False): (529.5951006525997, 6.756266755970942, 532),
+    ("14,7,5.25,2200", False): (9302.329003099374, 316.13660242549685, 380),
+    ("20,10,8,3000", True): (23985.820596489633, 92.91851963560485, 559),
+    ("20,10,1,3000", True): (17893.530740347065, 9.271277509320422, 73),
+    ("12,4,3.5,2000", True): (3598.6783015856527, 1.3356221291489543, 247),
+    ("8,6,6,2500", True): (3249.536504610369, 15.562451567015884, 416),
+    ("2,1,1,1000", True): (80.56086217837202, 0.0, 69),
+    ("16,8,3,2800", True): (9808.653373524985, 22.30366555403655, 208),
+    ("5,3,7.5,2600", True): (529.5951006525997, 4.18287694887949, 524),
+    ("14,7,5.25,2200", True): (9302.329003099374, 16.85299285534217, 369),
+}
+
+DETERMINISTIC_ARCHIVE_SHA256 = (
+    "ba0a0cf47e36aacc42099d8e1d7fdc1d7390407dc8f4456407296a2a53667aff"
+)
+TRAJECTORY_SHA256 = {
+    "off": "6f28488dbb8e68219875feeea15f6886ca504c2c5f2b8a3b7ee5191f054b0602",
+    "on": "ca3c187ce23f5b8a92d30c6e7bc59d8eed3d077d41cd23555aa63cfe4f3c3ec9",
+}
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return load_scenario(reference_scenario_path())
+
+
+@pytest.fixture()
+def tiny_scenario(scenario, tmp_path):
+    doc = scenario_to_dict(scenario)
+    doc["solver"] = {
+        "outer_budget": 24, "outer_pop": 6, "explorers": 1,
+        "inner_budget": 8, "inner_pop": 4, "archive_capacity": 50,
+    }
+    doc["expert_opinions_file"] = str(
+        reference_scenario_path().parent / "expert_opinions.json"
+    )
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("contamination", [False, True])
+def test_locked_model_evaluations(scenario, contamination):
+    model = make_model(scenario, "deterministic", contamination)
+    for (text, cont), (m_sys, b, n_arcs) in LOCKED_EVALUATIONS.items():
+        if cont != contamination:
+            continue
+        ev = model.evaluate(parse_design(text), scenario.fixed_uncertain)
+        assert abs(ev.m_sys - m_sys) <= REL * abs(m_sys), text
+        assert abs(ev.b - b) <= REL * abs(b), text
+        assert ev.n_arcs == n_arcs, text
+
+
+def test_locked_deterministic_archive(tiny_scenario, tmp_path):
+    out = tmp_path / "det"
+    code = main(["--mode", "deterministic", "--scenario", str(tiny_scenario),
+                 "--out", str(out), "--seed", "77"])
+    assert code == 0
+    assert sha256(out / "archive_deterministic.csv") == DETERMINISTIC_ARCHIVE_SHA256
+
+
+@pytest.mark.parametrize("contamination", ["off", "on"])
+def test_locked_propagate_trajectory(tiny_scenario, tmp_path, contamination):
+    out = tmp_path / contamination
+    code = main(["--mode", "propagate", "--scenario", str(tiny_scenario),
+                 "--out", str(out), "--design", "20,10,1,3000",
+                 "--contamination", contamination])
+    assert code == 0
+    assert sha256(out / "trajectory.csv") == TRAJECTORY_SHA256[contamination]
