@@ -16,7 +16,7 @@ per-cm absorption coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,6 +292,15 @@ def plume_density(
     return consts.j_c * (mdot / (vbar * a_spot)) * spread * directivity
 
 
+def _layer_growth_m_per_s(
+    rho_exp: float, vbar: float, psi_vf: float, consts: PhysicalConstants
+) -> float:
+    """Contamination layer growth [m/s]: twice the ejecta speed (vacuum
+    expansion doubles the incident speed) times the density ratio,
+    projected by the view factor."""
+    return (2.0 * vbar * rho_exp / consts.rho_layer) * math.cos(psi_vf)
+
+
 def contamination_step(
     plume: PlumeState,
     rho_exp: float,
@@ -303,14 +312,13 @@ def contamination_step(
 ) -> PlumeState:
     """Grow the contamination layer over a time step and update tau.
 
-    The layer grows at twice the ejecta speed times the density ratio
-    (vacuum expansion doubles the incident speed), projected by the view
-    factor, and only while the station is on the exposed (x > 0) side.
+    The layer grows only while the station is on the exposed (x > 0)
+    side.
     """
     if dt <= 0.0:
         raise ValueError("time step must be positive")
     if exposed and rho_exp > 0.0:
-        growth_m_per_s = (2.0 * vbar * rho_exp / consts.rho_layer) * math.cos(psi_vf)
+        growth_m_per_s = _layer_growth_m_per_s(rho_exp, vbar, psi_vf, consts)
         plume.h_cond += growth_m_per_s * dt * 100.0  # m -> cm
         plume.tau = math.exp(-2.0 * consts.eta_abs * plume.h_cond)
     return plume
@@ -338,6 +346,7 @@ class ThrustModel:
         t_reference: float = 0.0,
     ):
         self.design = design
+        self.tech = tech
         self.ast = ast
         self.geom = geom
         self.consts = consts
@@ -373,8 +382,9 @@ class ThrustModel:
             mdot, self.vbar, self.a_spot, self.d_spot, self.geom, self.ast,
             self.consts, t=elapsed,
         )
-        return (2.0 * self.vbar * rho / self.consts.rho_layer) \
-            * math.cos(self.geom.psi_vf) * 100.0
+        return _layer_growth_m_per_s(
+            rho, self.vbar, self.geom.psi_vf, self.consts
+        ) * 100.0
 
     def __call__(self, eq: EquinoctialState, t: float) -> ThrustRTN:
         elapsed = t - self.t_reference

@@ -20,9 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .constants import YEAR_S
-from .evidence import PartitionBudgetError, bel_pl_curve
-from .fpet import propagate_trajectory
+from .evidence import bel_pl_curve
 from .mission import (
     MODES,
     PHYSICAL_NAMES,
@@ -30,20 +28,16 @@ from .mission import (
     DeflectionModel,
     ScenarioError,
     Scenario,
-    apply_uncertain,
     deterministic_evaluator,
     evidence_evaluator,
     evidence_structure,
     load_scenario,
     make_model,
-    nominal_unit_image,
     reference_scenario_path,
     rk_impact_parameter,
     scenario_to_dict,
     uncertain_dict,
 )
-from .ablation import ThrustModel
-from .orbits import keplerian_to_equinoctial, propagate_keplerian
 from .search import extract_extremes, inner_bound_search, solve_moo
 from .sizing import DesignVector, UNIT_MARGINS
 
@@ -231,17 +225,8 @@ def run_sensitivity(scenario: Scenario, design: DesignVector, contamination: boo
 def run_propagate(scenario: Scenario, design: DesignVector, contamination: bool,
                   out: Path, oracle: bool):
     model = DeflectionModel(scenario, contamination, scenario.margins)
-    ast, tech = apply_uncertain(scenario, scenario.fixed_uncertain)
-    t_start = scenario.t_impact - design.t_warn * YEAR_S
-    eq0 = propagate_keplerian(
-        keplerian_to_equinoctial(scenario.asteroid), t_start, scenario.mu
-    )
-    thrust = ThrustModel(
-        design, tech, ast, scenario.station,
-        contamination_on=contamination, t_reference=t_start,
-    )
-    ctrl = replace(scenario.arc_control, eps_max_seen=0.0)
-    traj = propagate_trajectory(eq0, thrust, scenario.t_impact, ctrl, scenario.mu)
+    ev = model.evaluate(design, scenario.fixed_uncertain)
+    traj = ev.trajectory
     rows = []
     for k, state in enumerate(traj.states):
         eps = traj.eps_history[k - 1] if k > 0 else 0.0
@@ -250,7 +235,6 @@ def run_propagate(scenario: Scenario, design: DesignVector, contamination: bool,
     write_csv(out / "trajectory.csv",
               ["t_s", "a_km", "p1", "p2", "q1", "q2", "ell_rad", "eps_km_s2"],
               rows)
-    ev = model.evaluate(design, scenario.fixed_uncertain)
     budget = ev.budget
     budget_fields = ["m_c", "m_s", "m_m", "m_l", "m_r", "m_bus", "m_dry",
                      "m_p", "m_sc", "m_sys", "p_l", "a_s", "a_r", "a_m1",
@@ -333,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
                                     args.max_partitions)
         else:
             files = run_propagate(scenario, design, contamination, out, args.oracle)
-    except (PartitionBudgetError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

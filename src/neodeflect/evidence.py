@@ -11,8 +11,8 @@ For optimization the focal elements are collected through a per-dimension
 affine map into the unit hypercube, where they tile [0, 1]^d without
 overlap: dimension i is split into contiguous cells whose widths equal the
 interval BPAs. Belief and Plausibility of threshold propositions follow
-from per-box objective bounds, either by full enumeration or by the
-recursive binary partitioning of the hypercube.
+from per-box objective bounds by recursive binary partitioning of the
+hypercube.
 """
 from __future__ import annotations
 
@@ -30,10 +30,6 @@ BPA_SUM_TOL = 1e-9
 
 class FusionError(ValueError):
     """Raised when expert opinions cannot be fused into a valid structure."""
-
-
-class PartitionBudgetError(RuntimeError):
-    """The binary-tree refinement ran out of its partition budget."""
 
 
 @dataclass(frozen=True)
@@ -66,10 +62,6 @@ class ParameterBPA:
             raise ValueError(
                 f"BPAs of parameter {self.name} sum to {total}, expected 1"
             )
-
-    @property
-    def hull(self) -> tuple[float, float]:
-        return (min(iv.lo for iv in self.intervals), max(iv.hi for iv in self.intervals))
 
 
 @dataclass(frozen=True)
@@ -288,13 +280,6 @@ class FocalStructure:
         return out
 
 
-def build_focal_elements(
-    params: list[ParameterBPA], max_elements: int = 10**7
-) -> list[FocalElement]:
-    """Materialize the full Cartesian product of focal elements."""
-    return list(FocalStructure(params, max_elements).elements())
-
-
 # ---------------------------------------------------------------------------
 # Belief / Plausibility of threshold propositions
 # ---------------------------------------------------------------------------
@@ -308,91 +293,6 @@ def classify_box(vmin: float, vmax: float, v: float) -> tuple[bool, bool]:
     below = vmax <= v
     intersects = below or vmin < v
     return below, intersects
-
-
-def bel_pl_of_threshold(bounds_by_element, v: float) -> tuple[float, float]:
-    """Accumulate Belief and Plausibility from per-element objective bounds.
-
-    ``bounds_by_element`` yields (bpa, vmin, vmax) triples covering every
-    focal element exactly once.
-    """
-    bel_terms = []
-    pl_terms = []
-    for bpa, vmin, vmax in bounds_by_element:
-        below, intersects = classify_box(vmin, vmax, v)
-        if below:
-            bel_terms.append(bpa)
-        if intersects:
-            pl_terms.append(bpa)
-    return math.fsum(bel_terms), math.fsum(pl_terms)
-
-
-def enumerate_bel_pl(f_bounds, structure: FocalStructure, v: float) -> tuple[float, float]:
-    """Brute-force Bel/Pl by enumerating every focal element.
-
-    ``f_bounds(unit_box)`` must return (min, max) of the objective over a
-    unit-space box.
-    """
-    triples = (
-        (el.bpa, *f_bounds(el.unit_box)) for el in structure.elements()
-    )
-    return bel_pl_of_threshold(triples, v)
-
-
-@dataclass
-class DualityReport:
-    """Checks of the complementarity relations between Bel and Pl."""
-
-    bel_sum: float
-    pl_sum: float
-    bel_pl_sum: float
-    bel_subadditive: bool
-    pl_superadditive: bool
-    bel_pl_complementary: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return self.bel_subadditive and self.pl_superadditive and self.bel_pl_complementary
-
-    def failures(self) -> list[str]:
-        out = []
-        if not self.bel_subadditive:
-            out.append(f"Bel(A) + Bel(not A) = {self.bel_sum} > 1")
-        if not self.pl_superadditive:
-            out.append(f"Pl(A) + Pl(not A) = {self.pl_sum} < 1")
-        if not self.bel_pl_complementary:
-            out.append(f"Bel(A) + Pl(not A) = {self.bel_pl_sum} != 1")
-        return out
-
-
-def duality_check(
-    bel_a: float, pl_a: float, bel_not_a: float, pl_not_a: float, tol: float = 1e-9
-) -> DualityReport:
-    """Verify Bel/Pl complementarity for a proposition and its negation."""
-    bel_sum = bel_a + bel_not_a
-    pl_sum = pl_a + pl_not_a
-    bel_pl_sum = bel_a + pl_not_a
-    return DualityReport(
-        bel_sum=bel_sum,
-        pl_sum=pl_sum,
-        bel_pl_sum=bel_pl_sum,
-        bel_subadditive=bel_sum <= 1.0 + tol,
-        pl_superadditive=pl_sum >= 1.0 - tol,
-        bel_pl_complementary=abs(bel_pl_sum - 1.0) <= tol,
-    )
-
-
-def complement_bel_pl(f_bounds, structure: FocalStructure, v: float) -> tuple[float, float]:
-    """Bel/Pl of the complementary proposition y >= v by enumeration."""
-    bel_terms = []
-    pl_terms = []
-    for el in structure.elements():
-        vmin, vmax = f_bounds(el.unit_box)
-        if vmin >= v:
-            bel_terms.append(el.bpa)
-        if vmax >= v:
-            pl_terms.append(el.bpa)
-    return math.fsum(bel_terms), math.fsum(pl_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +357,6 @@ def bel_pl_curve(
     n_v: int,
     bpa_floor: float = 1e-4,
     max_partitions: int = 10**5,
-    on_budget_exhausted: str = "flag",
 ) -> BeliefCurve:
     """Reconstruct full Bel/Pl curves by optimizer-driven binary partitioning.
 
@@ -468,7 +367,8 @@ def bel_pl_curve(
     Plausibility over those intersecting, recursively splitting any
     straddling sub-box along focal boundaries. Solved boxes are cached, a
     box is never split below a single focal element, below ``bpa_floor``
-    (negligible contribution) or past ``max_partitions``.
+    (negligible contribution) or past ``max_partitions``; reaching that
+    budget stops the refinement and sets ``partial`` on the curve.
 
     ``f_bounds(unit_box)`` returns (min, max) of the objective over a box.
     """
@@ -512,10 +412,6 @@ def bel_pl_curve(
             if box.n_cells() <= 1 or box.bpa(structure) < bpa_floor:
                 continue
             if n_partitions >= max_partitions:
-                if on_budget_exhausted == "raise":
-                    raise PartitionBudgetError(
-                        f"partition budget of {max_partitions} exhausted"
-                    )
                 partial = True
                 break
             a, b = box.split()

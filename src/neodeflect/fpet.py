@@ -15,7 +15,7 @@ Truncation error per arc is O(eps^2) in the thrust modulus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,20 +53,19 @@ class ArcOverflowError(RuntimeError):
     """Propagation exceeded the configured arc-count safety cap."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArcControl:
-    """Adaptive arc-length law state.
+    """Constants of the adaptive arc-length law.
 
     dL = min(a_const * exp((-log10(eps) + log10(eps_max) + 1) / k_const),
     dl_max), where eps_max is the running maximum of the thrust modulus
-    seen so far. Short arcs while the thrust is near its historical peak,
-    capped arcs when it has decayed.
+    over one trajectory, kept by ``propagate_trajectory``. Short arcs while
+    the thrust is near its peak so far, capped arcs when it has decayed.
     """
 
     a_const: float = 0.05
     k_const: float = 2.0
     dl_max: float = 0.1
-    eps_max_seen: float = field(default=0.0)
 
     def __post_init__(self):
         if self.a_const <= 0.0 or self.k_const <= 0.0:
@@ -83,14 +82,6 @@ def arc_length_law(
         return dl_max
     exponent = (-math.log10(eps_now) + math.log10(eps_max) + 1.0) / k_const
     return min(a_const * math.exp(exponent), dl_max)
-
-
-def adaptive_arc_length(eps_now: float, ctrl: ArcControl) -> float:
-    """Arc length [rad] for the current thrust level; updates the running max."""
-    if eps_now < 0.0:
-        raise ValueError("thrust modulus must be non-negative")
-    ctrl.eps_max_seen = max(ctrl.eps_max_seen, eps_now)
-    return arc_length_law(eps_now, ctrl.eps_max_seen, ctrl.a_const, ctrl.k_const, ctrl.dl_max)
 
 
 def fpet_step(eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float) -> EquinoctialState:
@@ -218,56 +209,45 @@ def propagate_trajectory(
     t_end: float,
     ctrl: ArcControl,
     mu: float,
-    record: bool = True,
     max_arcs: int = 200000,
-    thrust_sample: str = "midpoint",
 ) -> Trajectory:
     """Propagate under a thrust law until the epoch reaches t_end.
 
-    ``thrust_callback(state, t)`` is evaluated once at the start of every
-    arc and the returned RTN acceleration is held constant across it. With
-    ``thrust_sample="midpoint"`` (the default) the callback receives the
-    Keplerian prediction of the mid-arc state, which represents the arc
-    far better than the left endpoint and keeps the thrust-profile
-    sampling error second order in the arc length; "start" evaluates at
-    the current state. Arc lengths follow the adaptive law in ``ctrl``;
-    the final arc is shortened by bisection to land on t_end within one
-    second.
+    ``thrust_callback(state, t)`` is evaluated once per arc at the
+    Keplerian prediction of the mid-arc state, and the returned RTN
+    acceleration is held constant across the arc; sampling at the midpoint
+    represents the arc far better than the left endpoint and keeps the
+    thrust-profile sampling error second order in the arc length. Arc
+    lengths follow the adaptive law in ``ctrl`` at the running maximum of
+    the thrust modulus, which starts from zero for every call: the same
+    inputs give the same trajectory however often ``ctrl`` is reused. The
+    final arc is shortened by bisection to land on t_end within one second.
     """
     if t_end <= eq0.t:
         raise ValueError("t_end must be later than the initial epoch")
-    if thrust_sample not in ("midpoint", "start"):
-        raise ValueError("thrust_sample must be 'midpoint' or 'start'")
-    midpoint = thrust_sample == "midpoint"
     states = [eq0]
     eps_history: list[float] = []
     eq = eq0
-    arcs = 0
+    eps_max = 0.0
     dl_guess = ctrl.dl_max
     while t_end - eq.t > 1.0:
-        if arcs >= max_arcs:
+        if len(eps_history) >= max_arcs:
             raise ArcOverflowError(f"exceeded {max_arcs} arcs before reaching t_end")
-        if midpoint:
-            probe = _midpoint_state(eq, dl_guess, mu)
+        probe = _midpoint_state(eq, dl_guess, mu)
+        f = thrust_callback(probe, probe.t)
+        eps_max = max(eps_max, f.eps)
+        dl = arc_length_law(f.eps, eps_max, ctrl.a_const, ctrl.k_const, ctrl.dl_max)
+        if not 0.5 <= dl / dl_guess <= 2.0:
+            # arc length moved a lot: re-sample at the corrected midpoint
+            probe = _midpoint_state(eq, dl, mu)
             f = thrust_callback(probe, probe.t)
-            dl = adaptive_arc_length(f.eps, ctrl)
-            if not 0.5 <= dl / dl_guess <= 2.0:
-                # arc length moved a lot: re-sample at the corrected midpoint
-                probe = _midpoint_state(eq, dl, mu)
-                f = thrust_callback(probe, probe.t)
-                dl = adaptive_arc_length(f.eps, ctrl)
-        else:
-            f = thrust_callback(eq, eq.t)
-            dl = adaptive_arc_length(f.eps, ctrl)
+            eps_max = max(eps_max, f.eps)
+            dl = arc_length_law(f.eps, eps_max, ctrl.a_const, ctrl.k_const, ctrl.dl_max)
         dl_guess = dl
         nxt = fpet_step(eq, dl, f, mu)
         if nxt.t > t_end:
             nxt = _land_on_epoch(eq, f, mu, dl, t_end)
         eq = nxt
-        arcs += 1
         eps_history.append(f.eps)
-        if record:
-            states.append(eq)
-    if not record:
         states.append(eq)
     return Trajectory(states=states, eps_history=eps_history)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +23,12 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from .ablation import AsteroidProperties, StationGeometry, ThrustModel
-from .constants import AU_KM, MU_SUN, YEAR_S, DEFAULT_CONSTANTS
+from .constants import AU_KM, YEAR_S, DEFAULT_CONSTANTS
 from .evidence import FocalStructure, fuse_all, load_expert_opinions
-from .fpet import ArcControl, propagate_trajectory
+from .fpet import ArcControl, Trajectory, propagate_trajectory
 from .orbits import (
     EquinoctialState,
     KeplerianElements,
-    ThrustRTN,
-    equinoctial_to_keplerian,
     earth_miss_distance,
     gauss_rhs,
     impact_parameter,
@@ -47,7 +45,6 @@ from .search import (
 from .sizing import (
     DesignVector,
     Margins,
-    TABLE_MARGINS,
     TechnologyParams,
     UNIT_MARGINS,
     size_spacecraft,
@@ -268,10 +265,6 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(doc, source_path=path)
 
 
-def save_scenario(s: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n")
-
-
 def reference_scenario_path() -> Path:
     return Path(__file__).parent / "data" / "reference_scenario.json"
 
@@ -363,7 +356,16 @@ class ModelEvaluation:
     m_sys: float
     b: float
     budget: object
-    n_arcs: int
+    trajectory: Trajectory
+
+    @property
+    def n_arcs(self) -> int:
+        return self.trajectory.n_arcs
+
+
+def _solar_flux(eq: EquinoctialState) -> float:
+    """Solar flux [W/m^2] at the heliocentric distance of a state."""
+    return DEFAULT_CONSTANTS.s0 * (AU_KM / eq.radius()) ** 2
 
 
 class DeflectionModel:
@@ -373,7 +375,9 @@ class DeflectionModel:
     before impact, pushed by the ablation thrust until the impact epoch,
     and the resulting b-plane deviation is measured against the
     unperturbed orbit. The formation is sized at the deflection-start
-    heliocentric distance.
+    heliocentric distance. ``deflection_start`` and ``impact_b`` are the
+    two ends of every deflected trajectory, whichever propagator runs in
+    between.
     """
 
     def __init__(self, scenario: Scenario, contamination: bool, margins: Margins):
@@ -395,8 +399,27 @@ class DeflectionModel:
         return propagate_keplerian(self.asteroid_eq, t_start, self.mu)
 
     def solar_flux_at_start(self, t_warn_years: float) -> float:
-        r_a = self.start_state(t_warn_years).radius()
-        return DEFAULT_CONSTANTS.s0 * (AU_KM / r_a) ** 2
+        return _solar_flux(self.start_state(t_warn_years))
+
+    def deflection_start(
+        self, design: DesignVector, u: dict
+    ) -> tuple[EquinoctialState, ThrustModel]:
+        """Asteroid state at the deflection start and the thrust model of
+        one trajectory from it (a fresh instance: it owns the plume state)."""
+        ast, tech = apply_uncertain(self.scenario, u)
+        eq_start = self.start_state(design.t_warn)
+        thrust = ThrustModel(
+            design, tech, ast, self.scenario.station,
+            contamination_on=self.contamination, t_reference=eq_start.t,
+        )
+        return eq_start, thrust
+
+    def impact_b(self, deviated: EquinoctialState) -> float:
+        """b [km] of a deviated asteroid state at the impact epoch."""
+        return impact_parameter(
+            deviated, self.nominal_at_impact, self.earth_at_impact,
+            self.scenario.t_impact, self.mu,
+        ).b
 
     def mass_only(self, design: DesignVector, u: dict) -> float:
         """Formation mass [kg]; no propagation involved."""
@@ -405,33 +428,21 @@ class DeflectionModel:
         return size_spacecraft(design, tech, self.margins, flux).m_sys
 
     def evaluate(self, design: DesignVector, u: dict) -> ModelEvaluation:
-        """Both objectives for one design and uncertain point."""
-        ast, tech = apply_uncertain(self.scenario, u)
-        t_start = self.scenario.t_impact - design.t_warn * YEAR_S
-        eq_start = propagate_keplerian(self.asteroid_eq, t_start, self.mu)
-        thrust = ThrustModel(
-            design, tech, ast, self.scenario.station,
-            contamination_on=self.contamination, t_reference=t_start,
-        )
-        ctrl = replace(self.scenario.arc_control, eps_max_seen=0.0)
+        """Both objectives for one design and uncertain point, with the
+        FPET trajectory they came from."""
+        eq_start, thrust = self.deflection_start(design, u)
         traj = propagate_trajectory(
-            eq_start, thrust, self.scenario.t_impact, ctrl, self.mu, record=False
+            eq_start, thrust, self.scenario.t_impact, self.scenario.arc_control,
+            self.mu,
         )
         # exact two-body coast closes the <= 1 s landing gap so the b-plane
         # difference is not polluted by along-track epoch error
         deviated = propagate_keplerian(traj.final, self.scenario.t_impact, self.mu)
-        res = impact_parameter(
-            deviated, self.nominal_at_impact, self.earth_at_impact,
-            self.scenario.t_impact, self.mu,
-        )
-        flux = self.solar_flux_at_start(design.t_warn)
-        budget = size_spacecraft(design, tech, self.margins, flux)
+        budget = size_spacecraft(design, thrust.tech, self.margins, _solar_flux(eq_start))
         return ModelEvaluation(
-            m_sys=budget.m_sys, b=res.b, budget=budget, n_arcs=traj.n_arcs
+            m_sys=budget.m_sys, b=self.impact_b(deviated), budget=budget,
+            trajectory=traj,
         )
-
-    def negb(self, design: DesignVector, u: dict) -> float:
-        return -self.evaluate(design, u).b
 
 
 def evidence_structure(scenario: Scenario) -> FocalStructure:
@@ -506,26 +517,6 @@ def evidence_evaluator(
     return evaluate
 
 
-def evaluate_minmax(
-    design: DesignVector,
-    model: DeflectionModel,
-    structure: FocalStructure,
-    config: SolverConfig,
-) -> Individual:
-    """Worst-case objectives of one design (two independent maximizations)."""
-    return evidence_evaluator(model, structure, config, "max")(design)
-
-
-def evaluate_minmin(
-    design: DesignVector,
-    model: DeflectionModel,
-    structure: FocalStructure,
-    config: SolverConfig,
-) -> Individual:
-    """Best-case objectives of one design (two independent minimizations)."""
-    return evidence_evaluator(model, structure, config, "min")(design)
-
-
 def make_model(scenario: Scenario, mode: str, contamination: bool) -> DeflectionModel:
     """Model with the margins policy the mode prescribes."""
     if mode in ("deterministic", "minmin-margins"):
@@ -541,29 +532,20 @@ def make_model(scenario: Scenario, mode: str, contamination: bool) -> Deflection
 # Runge-Kutta reference propagation (cross-check route)
 # ---------------------------------------------------------------------------
 
-def rk_propagate(
-    scenario: Scenario,
-    design: DesignVector,
-    u: dict,
-    contamination: bool,
+def rk_impact_parameter(
+    scenario: Scenario, design: DesignVector, u: dict, contamination: bool,
     rtol: float = 1e-10,
-) -> EquinoctialState:
-    """Numerically integrate the variational equations with the ablation
-    model evaluated continuously (the expensive reference the arc-wise
-    analytic propagation is benchmarked against).
+) -> float:
+    """b [km] from a numerical integration of the variational equations
+    with the ablation model evaluated continuously (the expensive reference
+    the arc-wise analytic propagation is benchmarked against).
 
     The contamination layer rides along as an extra state so adaptive
     stepping sees a smooth right-hand side.
     """
-    ast, tech = apply_uncertain(scenario, u)
-    t_start = scenario.t_impact - design.t_warn * YEAR_S
-    eq0 = propagate_keplerian(
-        keplerian_to_equinoctial(scenario.asteroid), t_start, scenario.mu
-    )
-    thrust_model = ThrustModel(
-        design, tech, ast, scenario.station,
-        contamination_on=contamination, t_reference=t_start,
-    )
+    model = DeflectionModel(scenario, contamination, scenario.margins)
+    eq0, thrust_model = model.deflection_start(design, u)
+    t_start = eq0.t
     mu = scenario.mu
 
     def rhs(t, y):
@@ -584,24 +566,7 @@ def rk_propagate(
     if not sol.success:
         raise RuntimeError(f"reference integration failed: {sol.message}")
     yf = sol.y[:, -1]
-    return EquinoctialState(
+    return model.impact_b(EquinoctialState(
         a=yf[0], p1=yf[1], p2=yf[2], q1=yf[3], q2=yf[4], ell=yf[5],
         t=scenario.t_impact,
-    )
-
-
-def rk_impact_parameter(
-    scenario: Scenario, design: DesignVector, u: dict, contamination: bool,
-    rtol: float = 1e-10,
-) -> float:
-    """b [km] of the deviated orbit from the reference integration route."""
-    deviated = rk_propagate(scenario, design, u, contamination, rtol)
-    nominal = propagate_keplerian(
-        keplerian_to_equinoctial(scenario.asteroid), scenario.t_impact, scenario.mu
-    )
-    earth = propagate_keplerian(
-        keplerian_to_equinoctial(scenario.earth), scenario.t_impact, scenario.mu
-    )
-    return impact_parameter(
-        deviated, nominal, earth, scenario.t_impact, scenario.mu
-    ).b
+    ))

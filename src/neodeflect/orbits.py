@@ -130,9 +130,6 @@ class ThrustRTN:
         )
 
 
-ZERO_THRUST = ThrustRTN(0.0, 0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class BPlaneResult:
     """Projected miss geometry on the plane normal to the incoming velocity.
@@ -304,16 +301,6 @@ def equinoctial_to_cartesian(eq: EquinoctialState, mu: float) -> tuple[np.ndarra
     pos = r * (cl * f_hat + sl * g_hat)
     vel = sqrt_mu_p * (-(eq.p1 + sl) * f_hat + (eq.p2 + cl) * g_hat)
     return pos, vel
-
-
-def velocity_rtn(eq: EquinoctialState, mu: float) -> tuple[float, float]:
-    """Radial and transversal velocity components [km/s]."""
-    p = eq.semi_latus()
-    h = math.sqrt(mu * p)
-    sl, cl = math.sin(eq.ell), math.cos(eq.ell)
-    v_r = (h / p) * (eq.p2 * sl - eq.p1 * cl)
-    v_t = (h / p) * (1.0 + eq.p1 * sl + eq.p2 * cl)
-    return v_r, v_t
 
 
 # ---------------------------------------------------------------------------

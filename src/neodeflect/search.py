@@ -15,7 +15,7 @@ objective index), so results do not depend on evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -3,15 +3,24 @@
 The Cartesian oracle propagates position/velocity under two-body gravity
 plus an RTN thrust without ever touching the equinoctial variational
 machinery, so it validates element conversions, the Gauss rates and the
-arc-wise analytic propagation through a completely separate route.
+arc-wise analytic propagation through a completely separate route. The
+evidence oracles compute Belief and Plausibility by enumerating every
+focal element, the brute-force reference of the partitioning curve builder.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from neodeflect.evidence import (
+    FocalElement,
+    FocalStructure,
+    ParameterBPA,
+    classify_box,
+)
 from neodeflect.orbits import (
     EquinoctialState,
     KeplerianElements,
@@ -128,3 +137,99 @@ def propagate_cartesian(
 def equinoctial_state_to_cartesian_classical(eq: EquinoctialState, mu: float):
     """Cartesian state via the classical-element route (independent check)."""
     return kep_to_cartesian_classical(equinoctial_to_keplerian(eq), mu)
+
+
+# ---------------------------------------------------------------------------
+# Evidence: Belief / Plausibility by full enumeration
+# ---------------------------------------------------------------------------
+
+def build_focal_elements(
+    params: list[ParameterBPA], max_elements: int = 10**7
+) -> list[FocalElement]:
+    """Materialize the full Cartesian product of focal elements."""
+    return list(FocalStructure(params, max_elements).elements())
+
+
+def bel_pl_of_threshold(bounds_by_element, v: float) -> tuple[float, float]:
+    """Accumulate Belief and Plausibility from per-element objective bounds.
+
+    ``bounds_by_element`` yields (bpa, vmin, vmax) triples covering every
+    focal element exactly once.
+    """
+    bel_terms = []
+    pl_terms = []
+    for bpa, vmin, vmax in bounds_by_element:
+        below, intersects = classify_box(vmin, vmax, v)
+        if below:
+            bel_terms.append(bpa)
+        if intersects:
+            pl_terms.append(bpa)
+    return math.fsum(bel_terms), math.fsum(pl_terms)
+
+
+def enumerate_bel_pl(f_bounds, structure: FocalStructure, v: float) -> tuple[float, float]:
+    """Brute-force Bel/Pl by enumerating every focal element.
+
+    ``f_bounds(unit_box)`` must return (min, max) of the objective over a
+    unit-space box.
+    """
+    triples = (
+        (el.bpa, *f_bounds(el.unit_box)) for el in structure.elements()
+    )
+    return bel_pl_of_threshold(triples, v)
+
+
+@dataclass
+class DualityReport:
+    """Checks of the complementarity relations between Bel and Pl."""
+
+    bel_sum: float
+    pl_sum: float
+    bel_pl_sum: float
+    bel_subadditive: bool
+    pl_superadditive: bool
+    bel_pl_complementary: bool
+
+    @property
+    def all_hold(self) -> bool:
+        return self.bel_subadditive and self.pl_superadditive and self.bel_pl_complementary
+
+    def failures(self) -> list[str]:
+        out = []
+        if not self.bel_subadditive:
+            out.append(f"Bel(A) + Bel(not A) = {self.bel_sum} > 1")
+        if not self.pl_superadditive:
+            out.append(f"Pl(A) + Pl(not A) = {self.pl_sum} < 1")
+        if not self.bel_pl_complementary:
+            out.append(f"Bel(A) + Pl(not A) = {self.bel_pl_sum} != 1")
+        return out
+
+
+def duality_check(
+    bel_a: float, pl_a: float, bel_not_a: float, pl_not_a: float, tol: float = 1e-9
+) -> DualityReport:
+    """Verify Bel/Pl complementarity for a proposition and its negation."""
+    bel_sum = bel_a + bel_not_a
+    pl_sum = pl_a + pl_not_a
+    bel_pl_sum = bel_a + pl_not_a
+    return DualityReport(
+        bel_sum=bel_sum,
+        pl_sum=pl_sum,
+        bel_pl_sum=bel_pl_sum,
+        bel_subadditive=bel_sum <= 1.0 + tol,
+        pl_superadditive=pl_sum >= 1.0 - tol,
+        bel_pl_complementary=abs(bel_pl_sum - 1.0) <= tol,
+    )
+
+
+def complement_bel_pl(f_bounds, structure: FocalStructure, v: float) -> tuple[float, float]:
+    """Bel/Pl of the complementary proposition y >= v by enumeration."""
+    bel_terms = []
+    pl_terms = []
+    for el in structure.elements():
+        vmin, vmax = f_bounds(el.unit_box)
+        if vmin >= v:
+            bel_terms.append(el.bpa)
+        if vmax >= v:
+            pl_terms.append(el.bpa)
+    return math.fsum(bel_terms), math.fsum(pl_terms)

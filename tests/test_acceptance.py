@@ -17,17 +17,14 @@ import pytest
 
 import oracles
 from conftest import record_criterion
+from oracles import complement_bel_pl, duality_check, enumerate_bel_pl
 
-from neodeflect.constants import AU_KM, MU_SUN, YEAR_S
-from neodeflect.ablation import ThrustModel
+from neodeflect.constants import AU_KM, MU_SUN
 from neodeflect.evidence import (
     FocalStructure,
     ParameterBPA,
     UncertainInterval,
     bel_pl_curve,
-    complement_bel_pl,
-    duality_check,
-    enumerate_bel_pl,
     fuse_all,
     fuse_experts,
     load_expert_opinions,
@@ -36,7 +33,7 @@ from neodeflect.fpet import ArcControl, fpet_step, propagate_trajectory
 from neodeflect.mission import (
     PHYSICAL_NAMES,
     UNCERTAIN_NAMES,
-    apply_uncertain,
+    DeflectionModel,
     deterministic_evaluator,
     evidence_evaluator,
     evidence_structure,
@@ -47,12 +44,7 @@ from neodeflect.mission import (
     rk_impact_parameter,
     uncertain_dict,
 )
-from neodeflect.orbits import (
-    ThrustRTN,
-    impact_parameter,
-    keplerian_to_equinoctial,
-    propagate_keplerian,
-)
+from neodeflect.orbits import ThrustRTN, keplerian_to_equinoctial
 from neodeflect.search import SolverConfig, inner_bound_search, solve_moo
 from neodeflect.sizing import (
     DesignVector,
@@ -74,16 +66,11 @@ def scenario():
 
 
 def cartesian_oracle_b(scenario, design, u, rtol):
-    """Impact parameter via the independent Cartesian propagation route."""
-    ast, tech = apply_uncertain(scenario, u)
-    t_start = scenario.t_impact - design.t_warn * YEAR_S
-    eq0 = propagate_keplerian(
-        keplerian_to_equinoctial(scenario.asteroid), t_start, scenario.mu
-    )
-    thrust_model = ThrustModel(
-        design, tech, ast, scenario.station, contamination_on=False,
-        t_reference=t_start,
-    )
+    """Impact parameter via the independent Cartesian propagation route,
+    between the model's own deflection start and b-plane ends."""
+    model = DeflectionModel(scenario, False, UNIT_MARGINS)
+    eq0, thrust_model = model.deflection_start(design, u)
+    t_start = eq0.t
     r0, v0 = oracles.equinoctial_state_to_cartesian_classical(eq0, scenario.mu)
 
     def thrust_rtn(t, r, v):
@@ -101,14 +88,7 @@ def cartesian_oracle_b(scenario, design, u, rtol):
     wall = time.perf_counter() - start
     kep_f = oracles.cartesian_to_keplerian(sol.y[:3, -1], sol.y[3:, -1], scenario.mu)
     eq_f = keplerian_to_equinoctial(kep_f, t=scenario.t_impact)
-    nominal = propagate_keplerian(
-        keplerian_to_equinoctial(scenario.asteroid), scenario.t_impact, scenario.mu
-    )
-    earth = propagate_keplerian(
-        keplerian_to_equinoctial(scenario.earth), scenario.t_impact, scenario.mu
-    )
-    b = impact_parameter(eq_f, nominal, earth, scenario.t_impact, scenario.mu).b
-    return b, wall
+    return model.impact_b(eq_f), wall
 
 
 def test_criterion_01_fpet_accuracy_and_cost(scenario):
@@ -146,10 +126,9 @@ def test_criterion_01_fpet_accuracy_and_cost(scenario):
 def test_criterion_02_zero_thrust_exactness(scenario):
     eq0 = keplerian_to_equinoctial(scenario.asteroid)
     period = 2 * math.pi * math.sqrt(eq0.a**3 / scenario.mu)
-    ctrl = replace(scenario.arc_control, eps_max_seen=0.0)
     traj = propagate_trajectory(
-        eq0, lambda s, t: ThrustRTN(0.0), eq0.t + 10 * period, ctrl,
-        scenario.mu, record=False,
+        eq0, lambda s, t: ThrustRTN(0.0), eq0.t + 10 * period,
+        scenario.arc_control, scenario.mu,
     )
     final = traj.final
     errs = [
@@ -249,17 +228,10 @@ def test_criterion_05_evidence_soundness():
 
 
 def test_criterion_06_contamination_signature(scenario):
-    ast, tech = apply_uncertain(scenario, scenario.fixed_uncertain)
-    t_start = scenario.t_impact - 8.0 * YEAR_S
-    eq0 = propagate_keplerian(
-        keplerian_to_equinoctial(scenario.asteroid), t_start, scenario.mu
-    )
-    thrust = ThrustModel(
-        REFERENCE_DESIGN, tech, ast, scenario.station,
-        contamination_on=True, t_reference=t_start,
-    )
-    ctrl = replace(scenario.arc_control, eps_max_seen=0.0)
-    traj = propagate_trajectory(eq0, thrust, scenario.t_impact, ctrl, scenario.mu)
+    model = DeflectionModel(scenario, True, UNIT_MARGINS)
+    traj = model.evaluate(REFERENCE_DESIGN, scenario.fixed_uncertain).trajectory
+    eq0 = traj.states[0]
+    t_start = eq0.t
     eps = np.array(traj.eps_history) * 1000.0  # m/s^2
     times = np.array([s.t for s in traj.states[:-1]]) - t_start
     period = 2 * math.pi * math.sqrt(eq0.a**3 / scenario.mu)

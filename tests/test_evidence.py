@@ -16,14 +16,16 @@ from neodeflect.evidence import (
     ParameterBPA,
     UncertainInterval,
     bel_pl_curve,
-    bel_pl_of_threshold,
+    fuse_all,
+    fuse_experts,
+    load_expert_opinions,
+)
+
+from oracles import (
     build_focal_elements,
     complement_bel_pl,
     duality_check,
     enumerate_bel_pl,
-    fuse_all,
-    fuse_experts,
-    load_expert_opinions,
 )
 
 DATA = Path(__file__).parent.parent / "src" / "neodeflect" / "data" / "expert_opinions.json"

@@ -1,4 +1,5 @@
 """Arc-wise analytic propagation: exactness, first-order scaling, arc law."""
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from neodeflect.fpet import (
     arc_length_law,
     ArcControl,
     ArcOverflowError,
-    adaptive_arc_length,
     fpet_step,
     propagate_trajectory,
 )
@@ -83,7 +83,7 @@ def test_zero_thrust_ten_revolutions_preserves_elements():
     period = 2 * math.pi * math.sqrt(eq.a**3 / MU)
     ctrl = ArcControl(a_const=0.1, k_const=2.0, dl_max=0.4)
     traj = propagate_trajectory(
-        eq, lambda s, t: ThrustRTN(0.0), eq.t + 10 * period, ctrl, MU, record=False
+        eq, lambda s, t: ThrustRTN(0.0), eq.t + 10 * period, ctrl, MU
     )
     final = traj.final
     assert final.a == pytest.approx(eq0.a, rel=1e-12)
@@ -149,20 +149,38 @@ def test_arc_law_examples():
     assert arc_length_law(1e-10, 1e-9, 1.0, 1.0, 10.0) == pytest.approx(math.e**2)
     assert arc_length_law(1e-15, 1e-9, 1.0, 1.0, 10.0) == 10.0
     assert arc_length_law(0.0, 1e-9, 1.0, 1.0, 10.0) == 10.0
-    ctrl = ArcControl(a_const=1.0, k_const=1.0, dl_max=6.0, eps_max_seen=1e-9)
-    assert adaptive_arc_length(1e-9, ctrl) == pytest.approx(math.e)
-    assert adaptive_arc_length(1e-15, ctrl) == 6.0
-    assert adaptive_arc_length(0.0, ctrl) == 6.0
+    assert arc_length_law(1e-9, 0.0, 1.0, 1.0, 10.0) == 10.0
+    # at a new peak, the law gives A*e again
+    assert arc_length_law(5e-9, 5e-9, 1.0, 1.0, 10.0) == pytest.approx(math.e)
+    assert arc_length_law(1e-15, 1e-9, 1.0, 1.0, 6.0) == 6.0
 
 
 def test_arc_law_updates_running_max():
-    ctrl = ArcControl(a_const=1.0, k_const=1.0, dl_max=6.0)
-    adaptive_arc_length(1e-9, ctrl)
-    assert ctrl.eps_max_seen == 1e-9
-    adaptive_arc_length(5e-9, ctrl)
-    assert ctrl.eps_max_seen == 5e-9
-    # at the new peak, the law gives A*e again
-    assert adaptive_arc_length(5e-9, ctrl) == pytest.approx(math.e)
+    """Arcs follow the law at the running maximum of the thrust modulus,
+    which every propagation starts afresh: reusing one ArcControl gives
+    the same trajectory twice."""
+    eq0 = keplerian_to_equinoctial(APOPHIS_LIKE)
+    year = 365.25 * 86400.0
+
+    def pulse(state, t):
+        # weak, strong, weak: the last third runs below an earlier peak
+        eps = 1e-10 if 0.3 * year <= t - eq0.t < 0.6 * year else 1e-11
+        return ThrustRTN(eps, alpha=math.pi / 2)
+
+    ctrl = ArcControl(a_const=0.05, k_const=2.0, dl_max=0.1)
+    first = propagate_trajectory(eq0, pulse, eq0.t + year, ctrl, MU)
+    second = propagate_trajectory(eq0, pulse, eq0.t + year, ctrl, MU)
+    assert second.states == first.states
+    assert second.eps_history == first.eps_history
+
+    eps = first.eps_history
+    dls = [b.ell - a.ell for a, b in zip(first.states, first.states[1:])]
+    for k, dl in enumerate(dls[:-1]):  # the last arc is cut to land on t_end
+        want = arc_length_law(eps[k], max(eps[: k + 1]), 0.05, 2.0, 0.1)
+        assert dl == pytest.approx(want, rel=1e-9)
+    # the weak tail runs at the capped length, below the peak
+    assert dls[-2] == pytest.approx(0.1, rel=1e-9)
+    assert dls[0] == pytest.approx(0.05 * math.exp(0.5), rel=1e-9)
 
 
 def test_arc_control_validation():
@@ -170,6 +188,11 @@ def test_arc_control_validation():
         ArcControl(a_const=0.0)
     with pytest.raises(ValueError):
         ArcControl(dl_max=7.0)
+    # configuration only: no per-run state to carry between trajectories
+    ctrl = ArcControl()
+    assert [f.name for f in dataclasses.fields(ctrl)] == ["a_const", "k_const", "dl_max"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctrl.dl_max = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +239,7 @@ def test_trajectory_arc_overflow():
     with pytest.raises(ArcOverflowError):
         propagate_trajectory(
             eq0, lambda s, t: ThrustRTN(0.0), eq0.t + 3.2e7, ctrl, MU,
-            record=False, max_arcs=1000,
+            max_arcs=1000,
         )
 
 
