@@ -120,8 +120,10 @@ class SolverConfig:
             raise ValueError("outer population must allow DE moves (>= 4)")
         if self.inner_pop < 4:
             raise ValueError("inner population must allow DE moves (>= 4)")
-        if self.explorers >= self.outer_pop:
-            raise ValueError("explorer count must be below the population size")
+        # explorer restarts are what guarantee fresh designs once the
+        # population has collapsed onto cached ones
+        if not 1 <= self.explorers < self.outer_pop:
+            raise ValueError("explorer count must lie in [1, outer_pop)")
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +284,7 @@ def solve_moo(evaluate, bounds: dict, config: SolverConfig) -> ParetoArchive:
                     progressed = True
                 else:
                     steps[i] *= 0.5
-                    if steps[i] < 1e-4:
+                    if steps[i] < 1e-4 and state["evals"] < config.outer_budget:
                         steps[i] = 0.25
                         pop[i] = rng.random(4)
                         inds[i] = run(pop[i])

@@ -70,6 +70,10 @@ def test_scenario_rejects_invalid_blocks():
     del doc2["fixed_uncertain"]["e_sub"]
     with pytest.raises(ScenarioError):
         scenario_from_dict(doc2)
+    doc3 = scenario_to_dict(load_scenario(reference_scenario_path()))
+    doc3["solver"]["explorers"] = 0
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(doc3)
 
 
 def test_reference_scenario_is_calibrated(scenario):

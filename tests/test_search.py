@@ -240,6 +240,27 @@ def test_solve_moo_respects_bounds_and_integrality():
         assert 1000.0 <= d.c_r <= 3000.0
 
 
+def test_solve_moo_evaluates_exactly_the_budget():
+    """No move ever dominates on a single front, so explorers keep
+    shrinking their step and restarting; a restart due after the budget
+    is spent must not evaluate one more design."""
+
+    def distinct_evaluations(budget, explorers):
+        evaluated = []
+
+        def one_front(design):
+            evaluated.append(design)
+            return Individual(design, Objectives(design.d_m, -design.d_m))
+
+        config = SolverConfig(outer_budget=budget, outer_pop=4,
+                              explorers=explorers, seed=budget)
+        solve_moo(one_front, DESIGN_BOUNDS, config)
+        return len(evaluated)
+
+    for budget, explorers in ((102, 1), (112, 1), (164, 2), (60, 1), (250, 2)):
+        assert distinct_evaluations(budget, explorers) == budget
+
+
 def test_extract_extremes_labels():
     archive = ParetoArchive()
     archive.add(ind(2, -5))
@@ -261,6 +282,8 @@ def test_solver_config_validation():
         SolverConfig(outer_pop=2)
     with pytest.raises(ValueError):
         SolverConfig(explorers=10, outer_pop=10)
+    with pytest.raises(ValueError):
+        SolverConfig(explorers=0)
 
 
 def test_inner_search_quadratic_endpoint_max():
