@@ -213,15 +213,16 @@ def propagate_trajectory(
 ) -> Trajectory:
     """Propagate under a thrust law until the epoch reaches t_end.
 
-    ``thrust_callback(state, t)`` is evaluated once per arc at the
-    Keplerian prediction of the mid-arc state, and the returned RTN
-    acceleration is held constant across the arc; sampling at the midpoint
-    represents the arc far better than the left endpoint and keeps the
-    thrust-profile sampling error second order in the arc length. Arc
-    lengths follow the adaptive law in ``ctrl`` at the running maximum of
-    the thrust modulus, which starts from zero for every call: the same
-    inputs give the same trajectory however often ``ctrl`` is reused. The
-    final arc is shortened by bisection to land on t_end within one second.
+    ``thrust_callback(state, t)`` receives the Keplerian prediction of the
+    mid-arc state (sampled again at the corrected midpoint when the arc
+    length moves by more than a factor of two), and the returned RTN
+    acceleration is held constant across the arc; the midpoint represents
+    the arc far better than the left endpoint and keeps the thrust-profile
+    sampling error second order in the arc length. Arc lengths follow the
+    adaptive law in ``ctrl`` at the running maximum of the thrust modulus
+    over this trajectory, which starts from zero on every call, so reusing
+    ``ctrl`` never changes a trajectory. The final arc is shortened by
+    bisection to land on t_end within one second.
     """
     if t_end <= eq0.t:
         raise ValueError("t_end must be later than the initial epoch")
