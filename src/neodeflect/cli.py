@@ -5,7 +5,9 @@ payloads plus a manifest with full provenance (seed, configuration hash,
 package version) under the output directory. Identical scenario and seed
 reproduce byte-identical payloads.
 
-Exit codes: 0 success, 2 scenario/schema errors, 3 solver budget errors.
+Exit codes: 0 success, 2 scenario/schema errors, 3 solver budget errors,
+4 numerical failure (the arc-count cap of a propagation, a Kepler solve that
+does not converge, or a failed reference integration).
 """
 from __future__ import annotations
 
@@ -21,11 +23,13 @@ import numpy as np
 
 from . import __version__
 from .evidence import bel_pl_curve
+from .fpet import ArcOverflowError
 from .mission import (
     MODES,
     PHYSICAL_NAMES,
     UNCERTAIN_NAMES,
     DeflectionModel,
+    ReferenceIntegrationError,
     ScenarioError,
     Scenario,
     deterministic_evaluator,
@@ -38,8 +42,12 @@ from .mission import (
     scenario_to_dict,
     uncertain_dict,
 )
+from .orbits import KeplerConvergenceError
 from .search import extract_extremes, inner_bound_search, solve_moo
 from .sizing import DesignVector, UNIT_MARGINS
+
+# failures of the numerics rather than of the inputs or the budgets: exit 4
+_NUMERICAL_ERRORS = (ArcOverflowError, KeplerConvergenceError, ReferenceIntegrationError)
 
 
 def fmt(x: float) -> str:
@@ -320,6 +328,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except _NUMERICAL_ERRORS as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 4
 
     manifest = {
         "package_version": __version__,

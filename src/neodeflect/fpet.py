@@ -11,6 +11,16 @@ term come from the Chebyshev antiderivative at the same nodes, so one
 rates evaluation per arc serves everything).
 
 Truncation error per arc is O(eps^2) in the thrust modulus.
+
+The integrands at the seven nodes are evaluated one node at a time in plain
+floats, in the operation order of the array form kept in the tests as the
+reference. Only the two contractions with the quadrature matrices, the
+antiderivative ``g @ _CHEB_CUM_T`` and the integral ``integrand @
+_CHEB_W``, stay in numpy: BLAS sums them with fused multiply-adds, which
+plain Python floats cannot reproduce, so these two products fix the bits of
+every arc. The Keplerian time of flight shares one solve of the arc's start
+mean longitude between the midpoint probes, the step and the landing
+bisection (``orbits.KeplerStart``).
 """
 from __future__ import annotations
 
@@ -45,8 +55,15 @@ _CHEB_X, _CHEB_CUM = _chebyshev_cumulative(6)
 _CHEB_W = _CHEB_CUM[-1]  # full-interval integral weights
 _CHEB_MAP = 0.5 * (_CHEB_X + 1.0)
 _CHEB_CUM_T = np.ascontiguousarray(_CHEB_CUM.T)
+_CHEB_MAP_NODES = _CHEB_MAP.tolist()
 
-from .orbits import EquinoctialState, ThrustRTN, kepler_time_of_flight  # noqa: E402
+from .orbits import (  # noqa: E402
+    EquinoctialState,
+    KeplerStart,
+    ThrustRTN,
+    kepler_start,
+    kepler_time_of_flight,
+)
 
 
 class ArcOverflowError(RuntimeError):
@@ -84,7 +101,66 @@ def arc_length_law(
     return min(a_const * math.exp(exponent), dl_max)
 
 
-def fpet_step(eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float) -> EquinoctialState:
+def _first_order_terms(
+    eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float
+) -> tuple[list[float], float]:
+    """First-order changes per unit eps over one arc: of the five slow
+    elements, and of the epoch."""
+    a, p1, p2, q1, q2, ell0 = eq0.a, eq0.p1, eq0.p2, eq0.q1, eq0.q2, eq0.ell
+    p = a * (1.0 - p1 * p1 - p2 * p2)
+    h = math.sqrt(mu * p)
+    half = 0.5 * dl
+    p_h = p / h
+    a_rate = 2.0 * a * a / h
+
+    cb = math.cos(f.beta)
+    f_r = cb * math.cos(f.alpha)
+    f_t = cb * math.sin(f.alpha)
+    f_n = math.sin(f.beta)
+    half_s2 = 0.5 * (1.0 + q1 * q1 + q2 * q2)
+
+    # element rates per unit eps, divided by the longitude rate (times w),
+    # one Chebyshev node at a time
+    g0, g1, g2, g3, g4, nodes = [], [], [], [], [], []
+    for x in _CHEB_MAP_NODES:
+        ell = ell0 + dl * x
+        sl = math.sin(ell)
+        cl = math.cos(ell)
+        phi = 1.0 + p1 * sl + p2 * cl
+        r_h = p_h / phi  # r / h
+        w = (p / phi) * r_h  # r^2/h = dt/dL on the Keplerian orbit
+        qterm = (q1 * cl - q2 * sl) * f_n
+        g0.append(a_rate * ((p2 * sl - p1 * cl) * f_r + phi * f_t) * w)
+        g1.append(r_h * (-phi * cl * f_r + (p1 + (1.0 + phi) * sl) * f_t - p2 * qterm) * w)
+        g2.append(r_h * (phi * sl * f_r + (p2 + (1.0 + phi) * cl) * f_t + p1 * qterm) * w)
+        half_rh_s2 = half_s2 * r_h * f_n
+        g3.append(half_rh_s2 * sl * w)
+        g4.append(half_rh_s2 * cl * w)
+        nodes.append((w, sl, cl, phi, r_h * qterm))
+
+    # running first-order element integrals y1 = half * y at every node via
+    # the spectral antiderivative; the last node is the end of the arc
+    g = np.array(g0 + g1 + g2 + g3 + g4).reshape(5, len(nodes))
+    y = (g @ _CHEB_CUM_T).tolist()
+
+    c_a = 1.5 / a
+    c_p1 = -3.0 * a * p1 / p
+    c_p2 = -3.0 * a * p2 / p
+    t11_integrand = [
+        c_a * w * (half * y0)
+        + w * (c_p1 - 2.0 * sl / phi) * (half * y1)
+        + w * (c_p2 - 2.0 * cl / phi) * (half * y2)
+        - rh_q * w * w
+        for (w, sl, cl, phi, rh_q), y0, y1, y2 in zip(nodes, *y[:3])
+    ]
+    t11 = half * float(np.array(t11_integrand) @ _CHEB_W)
+    return [half * row[-1] for row in y], t11
+
+
+def fpet_step(
+    eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float,
+    start: KeplerStart | None = None,
+) -> EquinoctialState:
     """Propagate one arc of true longitude with constant RTN thrust.
 
     Returns the state at eq0.ell + dl. The slow elements pick up eps times
@@ -92,65 +168,24 @@ def fpet_step(eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float) -> Equi
     by the exact Keplerian time of flight plus eps times the first-order
     time correction (which folds in both the normal-thrust perturbation of
     dL/dt and the drift of dt/dL through the perturbed elements).
+    ``start`` is ``kepler_start(eq0, mu)`` when the caller already has it.
     """
     if dl <= 0.0:
         raise ValueError("arc length must be positive")
-    t00 = kepler_time_of_flight(eq0, dl, mu)
+    t00 = kepler_time_of_flight(eq0, dl, mu, start)
     if f.eps == 0.0:
         return EquinoctialState(
             a=eq0.a, p1=eq0.p1, p2=eq0.p2, q1=eq0.q1, q2=eq0.q2,
             ell=eq0.ell + dl, t=eq0.t + t00,
         )
-
-    a, p1, p2, q1, q2 = eq0.a, eq0.p1, eq0.p2, eq0.q1, eq0.q2
-    p = a * (1.0 - p1 * p1 - p2 * p2)
-    h = math.sqrt(mu * p)
-    half = 0.5 * dl
-
-    ell = eq0.ell + dl * _CHEB_MAP
-    sl = np.sin(ell)
-    cl = np.cos(ell)
-    phi = 1.0 + p1 * sl + p2 * cl
-    r_h = (p / h) / phi  # r / h
-    w = (p / phi) * r_h  # r^2/h = dt/dL on the Keplerian orbit
-
-    cb = math.cos(f.beta)
-    f_r = cb * math.cos(f.alpha)
-    f_t = cb * math.sin(f.alpha)
-    f_n = math.sin(f.beta)
-    s2 = 1.0 + q1 * q1 + q2 * q2
-    qterm = (q1 * cl - q2 * sl) * f_n
-
-    # element rates per unit eps, divided by the longitude rate (times w)
-    g = np.empty((5, ell.size))
-    g[0] = (2.0 * a * a / h) * ((p2 * sl - p1 * cl) * f_r + phi * f_t)
-    g[1] = r_h * (-phi * cl * f_r + (p1 + (1.0 + phi) * sl) * f_t - p2 * qterm)
-    g[2] = r_h * (phi * sl * f_r + (p2 + (1.0 + phi) * cl) * f_t + p1 * qterm)
-    half_rh_s2 = (0.5 * s2) * r_h * f_n
-    g[3] = half_rh_s2 * sl
-    g[4] = half_rh_s2 * cl
-    g *= w
-
-    # running first-order element integrals y1 at every node via the
-    # spectral antiderivative; the last node is the end of the arc
-    y1_nodes = half * (g @ _CHEB_CUM_T)
-    y1 = y1_nodes[:, -1]
-
-    t11_integrand = (
-        (1.5 / a) * w * y1_nodes[0]
-        + w * ((-3.0 * a * p1 / p) - 2.0 * sl / phi) * y1_nodes[1]
-        + w * ((-3.0 * a * p2 / p) - 2.0 * cl / phi) * y1_nodes[2]
-        - r_h * qterm * w * w
-    )
-    t11 = half * float(t11_integrand @ _CHEB_W)
-
+    y1, t11 = _first_order_terms(eq0, dl, f, mu)
     eps = f.eps
     return EquinoctialState(
-        a=a + eps * y1[0],
-        p1=p1 + eps * y1[1],
-        p2=p2 + eps * y1[2],
-        q1=q1 + eps * y1[3],
-        q2=q2 + eps * y1[4],
+        a=eq0.a + eps * y1[0],
+        p1=eq0.p1 + eps * y1[1],
+        p2=eq0.p2 + eps * y1[2],
+        q1=eq0.q1 + eps * y1[3],
+        q2=eq0.q2 + eps * y1[4],
         ell=eq0.ell + dl,
         t=eq0.t + t00 + eps * t11,
     )
@@ -174,16 +209,16 @@ class Trajectory:
 
 def _land_on_epoch(
     eq: EquinoctialState, f: ThrustRTN, mu: float, dl_hi: float, t_end: float,
-    tol_s: float = 1.0, max_iter: int = 80,
+    start: KeplerStart, tol_s: float = 1.0, max_iter: int = 80,
 ) -> EquinoctialState:
     """Shorten the final arc by bisection on dL to land on t_end within tol_s."""
     lo, hi = 0.0, dl_hi
-    best = fpet_step(eq, dl_hi, f, mu)
+    best = fpet_step(eq, dl_hi, f, mu, start)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if mid <= 0.0:
             break
-        trial = fpet_step(eq, mid, f, mu)
+        trial = fpet_step(eq, mid, f, mu, start)
         if abs(trial.t - t_end) <= tol_s:
             return trial
         if trial.t > t_end:
@@ -194,12 +229,14 @@ def _land_on_epoch(
     return best
 
 
-def _midpoint_state(eq: EquinoctialState, dl: float, mu: float) -> EquinoctialState:
+def _midpoint_state(
+    eq: EquinoctialState, dl: float, mu: float, start: KeplerStart
+) -> EquinoctialState:
     """Zero-order Keplerian prediction of the state half an arc ahead."""
     half = 0.5 * dl
     return EquinoctialState(
         a=eq.a, p1=eq.p1, p2=eq.p2, q1=eq.q1, q2=eq.q2,
-        ell=eq.ell + half, t=eq.t + kepler_time_of_flight(eq, half, mu),
+        ell=eq.ell + half, t=eq.t + kepler_time_of_flight(eq, half, mu, start),
     )
 
 
@@ -231,24 +268,27 @@ def propagate_trajectory(
     eq = eq0
     eps_max = 0.0
     dl_guess = ctrl.dl_max
+    start = kepler_start(eq0, mu)
     while t_end - eq.t > 1.0:
         if len(eps_history) >= max_arcs:
             raise ArcOverflowError(f"exceeded {max_arcs} arcs before reaching t_end")
-        probe = _midpoint_state(eq, dl_guess, mu)
+        probe = _midpoint_state(eq, dl_guess, mu, start)
         f = thrust_callback(probe, probe.t)
         eps_max = max(eps_max, f.eps)
         dl = arc_length_law(f.eps, eps_max, ctrl.a_const, ctrl.k_const, ctrl.dl_max)
         if not 0.5 <= dl / dl_guess <= 2.0:
             # arc length moved a lot: re-sample at the corrected midpoint
-            probe = _midpoint_state(eq, dl, mu)
+            probe = _midpoint_state(eq, dl, mu, start)
             f = thrust_callback(probe, probe.t)
             eps_max = max(eps_max, f.eps)
             dl = arc_length_law(f.eps, eps_max, ctrl.a_const, ctrl.k_const, ctrl.dl_max)
         dl_guess = dl
-        nxt = fpet_step(eq, dl, f, mu)
+        nxt = fpet_step(eq, dl, f, mu, start)
         if nxt.t > t_end:
-            nxt = _land_on_epoch(eq, f, mu, dl, t_end)
+            nxt = _land_on_epoch(eq, f, mu, dl, t_end, start)
         eq = nxt
         eps_history.append(f.eps)
         states.append(eq)
+        # a coasting arc leaves the orbit as it was: its end starts the next
+        start = start.at(eq.ell) if f.eps == 0.0 else kepler_start(eq, mu)
     return Trajectory(states=states, eps_history=eps_history)

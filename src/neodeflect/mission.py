@@ -74,6 +74,10 @@ class CalibrationError(RuntimeError):
     """No intercept phasing found within the scan window."""
 
 
+class ReferenceIntegrationError(RuntimeError):
+    """The Runge-Kutta reference integration did not reach the impact epoch."""
+
+
 _ELEMENTS_SCHEMA = {
     "type": "object",
     "required": ["a_km", "e", "i_rad", "raan_rad", "argp_rad", "theta_rad"],
@@ -564,7 +568,7 @@ def rk_impact_parameter(
         rtol=rtol, atol=[1e-3, 1e-12, 1e-12, 1e-12, 1e-12, 1e-10, 1e-12],
     )
     if not sol.success:
-        raise RuntimeError(f"reference integration failed: {sol.message}")
+        raise ReferenceIntegrationError(f"reference integration failed: {sol.message}")
     yf = sol.y[:, -1]
     return model.impact_b(EquinoctialState(
         a=yf[0], p1=yf[1], p2=yf[2], q1=yf[3], q2=yf[4], ell=yf[5],

@@ -197,46 +197,44 @@ def equinoctial_to_keplerian(eq: EquinoctialState) -> KeplerianElements:
 # Kepler's equation in equinoctial form
 # ---------------------------------------------------------------------------
 
-def eccentric_longitude(eq: EquinoctialState, ell: float | None = None) -> float:
-    """Eccentric longitude K for a given true longitude, unwrapped near it.
-
-    The principal value is corrected to the branch within pi of the true
-    longitude so that differences of longitudes stay continuous.
-    """
-    if ell is None:
-        ell = eq.ell
+def _shape(eq: EquinoctialState) -> tuple[float, float, float]:
+    """Eccentricity, longitude of periapsis and sqrt(1 - e^2) of a state."""
     e = math.hypot(eq.p1, eq.p2)
-    if e < 1e-15:
-        return ell
-    pomega = math.atan2(eq.p1, eq.p2)
+    return e, math.atan2(eq.p1, eq.p2), math.sqrt(1.0 - e * e)
+
+
+def _eccentric_longitude(ell: float, e: float, pomega: float, root: float) -> float:
+    """Eccentric longitude K at true longitude ``ell``, on the branch within
+    pi of it so that differences of longitudes stay continuous."""
     theta = ell - pomega
     denom = 1.0 + e * math.cos(theta)
-    sin_ecc = math.sqrt(1.0 - e * e) * math.sin(theta) / denom
+    sin_ecc = root * math.sin(theta) / denom
     cos_ecc = (e + math.cos(theta)) / denom
     ecc_anom = math.atan2(sin_ecc, cos_ecc)
     ecc_anom += TWO_PI * round((theta - ecc_anom) / TWO_PI)
     return ecc_anom + pomega
 
 
+def _mean_longitude(
+    ell: float, p1: float, p2: float, e: float, pomega: float, root: float
+) -> float:
+    """Mean longitude lambda = K + P1*cos(K) - P2*sin(K), unwrapped."""
+    k_long = ell if e < 1e-15 else _eccentric_longitude(ell, e, pomega, root)
+    return k_long + p1 * math.cos(k_long) - p2 * math.sin(k_long)
+
+
 def true_longitude_from_eccentric(eq: EquinoctialState, k_long: float) -> float:
     """True longitude for a given eccentric longitude, unwrapped near it."""
-    e = math.hypot(eq.p1, eq.p2)
+    e, pomega, root = _shape(eq)
     if e < 1e-15:
         return k_long
-    pomega = math.atan2(eq.p1, eq.p2)
     ecc_anom = k_long - pomega
     denom = 1.0 - e * math.cos(ecc_anom)
-    sin_th = math.sqrt(1.0 - e * e) * math.sin(ecc_anom) / denom
+    sin_th = root * math.sin(ecc_anom) / denom
     cos_th = (math.cos(ecc_anom) - e) / denom
     theta = math.atan2(sin_th, cos_th)
     theta += TWO_PI * round((ecc_anom - theta) / TWO_PI)
     return theta + pomega
-
-
-def mean_longitude(eq: EquinoctialState, ell: float | None = None) -> float:
-    """Mean longitude lambda = K + P1*cos(K) - P2*sin(K), unwrapped."""
-    k_long = eccentric_longitude(eq, ell)
-    return k_long + eq.p1 * math.cos(k_long) - eq.p2 * math.sin(k_long)
 
 
 def solve_eccentric_longitude(
@@ -261,18 +259,67 @@ def solve_eccentric_longitude(
     )
 
 
-def kepler_time_of_flight(eq: EquinoctialState, dl: float, mu: float) -> float:
-    """Exact two-body time of flight from eq.ell to eq.ell + dl [s]."""
-    n = math.sqrt(mu / eq.a**3)
-    lam0 = mean_longitude(eq, eq.ell)
-    lam1 = mean_longitude(eq, eq.ell + dl)
-    return (lam1 - lam0) / n
+@dataclass(slots=True)
+class KeplerStart:
+    """What every time of flight from one state shares: the mean motion,
+    the shape constants of Kepler's equation and the mean longitude at
+    the state's own true longitude.
+
+    The last mean longitude asked of a start is kept, so that the start at
+    the end of a coasting arc, which has the same orbit, costs no second
+    solve.
+    """
+
+    n: float
+    p1: float
+    p2: float
+    e: float
+    pomega: float
+    root: float  # sqrt(1 - e^2)
+    lam: float
+    _last: tuple = (None, 0.0)
+
+    def mean_longitude(self, ell: float) -> float:
+        """Mean longitude at true longitude ``ell`` on the same orbit."""
+        lam = _mean_longitude(ell, self.p1, self.p2, self.e, self.pomega, self.root)
+        self._last = (ell, lam)
+        return lam
+
+    def at(self, ell: float) -> KeplerStart:
+        """The start at true longitude ``ell`` on the same orbit."""
+        last_ell, lam = self._last
+        if last_ell != ell:
+            lam = self.mean_longitude(ell)
+        return KeplerStart(self.n, self.p1, self.p2, self.e, self.pomega, self.root, lam)
+
+
+def kepler_start(eq: EquinoctialState, mu: float) -> KeplerStart:
+    """Kepler constants and mean longitude of ``eq``, solved once."""
+    e, pomega, root = _shape(eq)
+    return KeplerStart(
+        math.sqrt(mu / eq.a**3), eq.p1, eq.p2, e, pomega, root,
+        _mean_longitude(eq.ell, eq.p1, eq.p2, e, pomega, root),
+    )
+
+
+def kepler_time_of_flight(
+    eq: EquinoctialState, dl: float, mu: float, start: KeplerStart | None = None
+) -> float:
+    """Exact two-body time of flight from eq.ell to eq.ell + dl [s].
+
+    ``start`` is ``kepler_start(eq, mu)``; callers that time several arcs
+    from one state pass it so the start is solved once. The result is the
+    same bits either way.
+    """
+    if start is None:
+        start = kepler_start(eq, mu)
+    return (start.mean_longitude(eq.ell + dl) - start.lam) / start.n
 
 
 def propagate_keplerian(eq: EquinoctialState, t_target: float, mu: float) -> EquinoctialState:
     """Two-body propagation of an equinoctial state to an epoch."""
-    n = math.sqrt(mu / eq.a**3)
-    lam_target = mean_longitude(eq) + n * (t_target - eq.t)
+    start = kepler_start(eq, mu)
+    lam_target = start.lam + start.n * (t_target - eq.t)
     k_long = solve_eccentric_longitude(eq, lam_target)
     ell = true_longitude_from_eccentric(eq, k_long)
     return replace(eq, ell=ell, t=t_target)

@@ -196,11 +196,17 @@ def inner_bound_search(
         # restart on collapse, keeping the incumbent best
         spread = float(np.max(np.ptp(pop, axis=0))) if pop_size > 1 else 0.0
         if spread < collapse_tol and evals < budget:
-            pop = rng.random((pop_size, dim))
-            pop[0] = best_u
+            fresh = rng.random((pop_size, dim))
+            fresh[0] = best_u
+            # re-inflate only the members the budget can evaluate; the rest
+            # keep their points and fitness
             n_new = min(pop_size, budget - evals)
+            pop[:n_new] = fresh[:n_new]
             for i in range(n_new):
                 fitness[i] = h(pop[i])
+                if fitness[i] < best_f:
+                    best_f = float(fitness[i])
+                    best_u = pop[i].copy()
             evals += n_new
 
     return BoundResult(value=sign * best_f, point=best_u, evaluations=evals)
@@ -257,7 +263,12 @@ def solve_moo(evaluate, bounds: dict, config: SolverConfig) -> ParetoArchive:
         return hit
 
     pop = rng.random((config.outer_pop, 4))
-    inds = [run(g) for g in pop]
+    # a budget below the population size ends the search inside this loop
+    inds = []
+    for genes in pop:
+        if state["evals"] >= config.outer_budget:
+            break
+        inds.append(run(genes))
     steps = np.full(config.outer_pop, 0.25)
 
     while state["evals"] < config.outer_budget:

@@ -6,6 +6,9 @@ machinery, so it validates element conversions, the Gauss rates and the
 arc-wise analytic propagation through a completely separate route. The
 evidence oracles compute Belief and Plausibility by enumerating every
 focal element, the brute-force reference of the partitioning curve builder.
+The array form of the FPET arc and the per-call Kepler time of flight are
+the bit-level references of the package's node-by-node kernel and of its
+shared Kepler start.
 """
 from __future__ import annotations
 
@@ -21,9 +24,11 @@ from neodeflect.evidence import (
     ParameterBPA,
     classify_box,
 )
+from neodeflect.fpet import _CHEB_CUM_T, _CHEB_MAP, _CHEB_W
 from neodeflect.orbits import (
     EquinoctialState,
     KeplerianElements,
+    ThrustRTN,
     equinoctial_to_keplerian,
 )
 
@@ -137,6 +142,101 @@ def propagate_cartesian(
 def equinoctial_state_to_cartesian_classical(eq: EquinoctialState, mu: float):
     """Cartesian state via the classical-element route (independent check)."""
     return kep_to_cartesian_classical(equinoctial_to_keplerian(eq), mu)
+
+
+# ---------------------------------------------------------------------------
+# FPET arc: the array form of the first-order quadrature
+# ---------------------------------------------------------------------------
+
+def mean_longitude_reference(eq: EquinoctialState, ell: float) -> float:
+    """Mean longitude at true longitude ``ell``, every constant solved
+    afresh from the state."""
+    e = math.hypot(eq.p1, eq.p2)
+    if e < 1e-15:
+        k_long = ell
+    else:
+        pomega = math.atan2(eq.p1, eq.p2)
+        theta = ell - pomega
+        denom = 1.0 + e * math.cos(theta)
+        sin_ecc = math.sqrt(1.0 - e * e) * math.sin(theta) / denom
+        cos_ecc = (e + math.cos(theta)) / denom
+        ecc_anom = math.atan2(sin_ecc, cos_ecc)
+        ecc_anom += 2.0 * math.pi * round((theta - ecc_anom) / (2.0 * math.pi))
+        k_long = ecc_anom + pomega
+    return k_long + eq.p1 * math.cos(k_long) - eq.p2 * math.sin(k_long)
+
+
+def kepler_time_of_flight_reference(eq: EquinoctialState, dl: float, mu: float) -> float:
+    """Reference form of ``orbits.kepler_time_of_flight``: both mean
+    longitudes solved per call."""
+    n = math.sqrt(mu / eq.a**3)
+    return (mean_longitude_reference(eq, eq.ell + dl) - mean_longitude_reference(eq, eq.ell)) / n
+
+
+def first_order_terms_numpy(
+    eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float
+) -> tuple[list[float], float]:
+    """Reference form of ``fpet._first_order_terms``: the seven
+    Chebyshev-node integrands evaluated as numpy arrays. The package
+    evaluates them node by node in plain floats; both must agree to the
+    last bit."""
+    a, p1, p2, q1, q2 = eq0.a, eq0.p1, eq0.p2, eq0.q1, eq0.q2
+    p = a * (1.0 - p1 * p1 - p2 * p2)
+    h = math.sqrt(mu * p)
+    half = 0.5 * dl
+
+    ell = eq0.ell + dl * _CHEB_MAP
+    sl = np.sin(ell)
+    cl = np.cos(ell)
+    phi = 1.0 + p1 * sl + p2 * cl
+    r_h = (p / h) / phi
+    w = (p / phi) * r_h
+
+    cb = math.cos(f.beta)
+    f_r = cb * math.cos(f.alpha)
+    f_t = cb * math.sin(f.alpha)
+    f_n = math.sin(f.beta)
+    s2 = 1.0 + q1 * q1 + q2 * q2
+    qterm = (q1 * cl - q2 * sl) * f_n
+
+    g = np.empty((5, ell.size))
+    g[0] = (2.0 * a * a / h) * ((p2 * sl - p1 * cl) * f_r + phi * f_t)
+    g[1] = r_h * (-phi * cl * f_r + (p1 + (1.0 + phi) * sl) * f_t - p2 * qterm)
+    g[2] = r_h * (phi * sl * f_r + (p2 + (1.0 + phi) * cl) * f_t + p1 * qterm)
+    half_rh_s2 = (0.5 * s2) * r_h * f_n
+    g[3] = half_rh_s2 * sl
+    g[4] = half_rh_s2 * cl
+    g *= w
+
+    y1_nodes = half * (g @ _CHEB_CUM_T)
+    t11_integrand = (
+        (1.5 / a) * w * y1_nodes[0]
+        + w * ((-3.0 * a * p1 / p) - 2.0 * sl / phi) * y1_nodes[1]
+        + w * ((-3.0 * a * p2 / p) - 2.0 * cl / phi) * y1_nodes[2]
+        - r_h * qterm * w * w
+    )
+    return y1_nodes[:, -1].tolist(), half * float(t11_integrand @ _CHEB_W)
+
+
+def fpet_step_numpy(eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float) -> EquinoctialState:
+    """Reference form of ``fpet.fpet_step`` on top of the array quadrature."""
+    t00 = kepler_time_of_flight_reference(eq0, dl, mu)
+    if f.eps == 0.0:
+        return EquinoctialState(
+            a=eq0.a, p1=eq0.p1, p2=eq0.p2, q1=eq0.q1, q2=eq0.q2,
+            ell=eq0.ell + dl, t=eq0.t + t00,
+        )
+    y1, t11 = first_order_terms_numpy(eq0, dl, f, mu)
+    eps = f.eps
+    return EquinoctialState(
+        a=eq0.a + eps * y1[0],
+        p1=eq0.p1 + eps * y1[1],
+        p2=eq0.p2 + eps * y1[2],
+        q1=eq0.q1 + eps * y1[3],
+        q2=eq0.q2 + eps * y1[4],
+        ell=eq0.ell + dl,
+        t=eq0.t + t00 + eps * t11,
+    )
 
 
 # ---------------------------------------------------------------------------

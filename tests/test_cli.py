@@ -2,15 +2,19 @@
 import json
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from neodeflect import mission
 from neodeflect.cli import main, parse_design
+from neodeflect.fpet import ArcOverflowError
 from neodeflect.mission import (
     load_scenario,
     reference_scenario_path,
     scenario_to_dict,
 )
+from neodeflect.orbits import KeplerConvergenceError
 
 
 @pytest.fixture()
@@ -47,6 +51,32 @@ def test_schema_error_exit_code(tmp_path):
     code = main(["--mode", "propagate", "--scenario", str(bad),
                  "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("attr, replacement", [
+    ("propagate_trajectory", _raise(ArcOverflowError("exceeded 200000 arcs before reaching t_end"))),
+    ("propagate_keplerian", _raise(KeplerConvergenceError("Kepler solve did not converge"))),
+    ("solve_ivp", lambda *a, **k: SimpleNamespace(success=False, message="step size too small")),
+], ids=["arc_overflow", "kepler_convergence", "reference_integration"])
+def test_numerical_failure_exit_code(fast_scenario, tmp_path, capsys, monkeypatch,
+                                     attr, replacement):
+    """The arc cap, a Kepler solve and the reference integration fail as
+    exit 4 with one line on stderr, not as a traceback."""
+    monkeypatch.setattr(mission, attr, replacement)
+    code = main([
+        "--mode", "propagate", "--scenario", str(fast_scenario), "--oracle",
+        "--design", "20,10,1,3000", "--out", str(tmp_path / "run"),
+    ])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_propagate_mode_outputs(fast_scenario, tmp_path):

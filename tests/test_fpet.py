@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neodeflect.constants import MU_SUN, AU_KM
 from neodeflect.fpet import (
     arc_length_law,
     ArcControl,
     ArcOverflowError,
+    _first_order_terms,
     fpet_step,
     propagate_trajectory,
 )
@@ -18,6 +21,7 @@ from neodeflect.orbits import (
     KeplerianElements,
     ThrustRTN,
     equinoctial_to_cartesian,
+    kepler_start,
     keplerian_to_equinoctial,
 )
 
@@ -92,6 +96,70 @@ def test_zero_thrust_ten_revolutions_preserves_elements():
     # closure: ten revolutions of true longitude in ten periods
     assert final.t == pytest.approx(eq0.t + 10 * period, abs=1.0)
     assert final.ell == pytest.approx(eq0.ell + 20 * math.pi, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Node-by-node kernel against the array oracle, bit for bit
+# ---------------------------------------------------------------------------
+
+def _arc_state(a_au, e, i, pomega, raan, ell, t):
+    return EquinoctialState(
+        a=a_au * AU_KM, p1=e * math.sin(pomega), p2=e * math.cos(pomega),
+        q1=math.tan(0.5 * i) * math.sin(raan), q2=math.tan(0.5 * i) * math.cos(raan),
+        ell=ell, t=t,
+    )
+
+
+def _assert_step_matches_oracle(eq, dl, thrust):
+    # the first-order terms themselves: in the end state most of their
+    # low bits vanish into the much larger elements and epoch
+    assert _first_order_terms(eq, dl, thrust, MU) == oracles.first_order_terms_numpy(
+        eq, dl, thrust, MU
+    )
+    try:
+        want = oracles.fpet_step_numpy(eq, dl, thrust, MU)
+    except ValueError:  # thrust strong enough to leave the elliptic domain
+        with pytest.raises(ValueError):
+            fpet_step(eq, dl, thrust, MU)
+        return
+    assert fpet_step(eq, dl, thrust, MU) == want
+    assert fpet_step(eq, dl, thrust, MU, kepler_start(eq, MU)) == want
+
+
+angles = st.floats(0.0, 2 * math.pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a_au=st.floats(0.3, 5.0),
+    e=st.one_of(st.just(0.0), st.just(1e-16), st.floats(0.0, 0.95)),
+    i=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    pomega=angles, raan=angles,
+    ell=st.floats(-50.0, 50.0),
+    t=st.one_of(st.just(0.0), st.floats(-1e9, 1e9)),
+    dl=st.one_of(st.just(2 * math.pi), st.just(1e-12), st.floats(1e-9, 2 * math.pi)),
+    log_ratio=st.one_of(st.none(), st.floats(-12.0, -0.5)),
+    alpha=st.floats(-math.pi, math.pi),
+    beta=st.floats(-0.5 * math.pi, 0.5 * math.pi),
+)
+def test_fpet_step_equals_array_oracle(a_au, e, i, pomega, raan, ell, t, dl, log_ratio,
+                                       alpha, beta):
+    """Thrust from zero up to a third of the local gravity, where the
+    first-order terms carry most bits of the end state."""
+    eq = _arc_state(a_au, e, i, pomega, raan, ell, t)
+    eps = 0.0 if log_ratio is None else 10.0**log_ratio * MU / eq.a**2
+    _assert_step_matches_oracle(eq, dl, ThrustRTN(eps, alpha, beta))
+
+
+@pytest.mark.parametrize("e", [0.0, 0.191])
+@pytest.mark.parametrize("i", [0.0, 0.0581])
+@pytest.mark.parametrize("eps", [0.0, 1e-10])
+@pytest.mark.parametrize("dl", [1e-12, 0.05, 2 * math.pi])
+def test_fpet_step_equals_array_oracle_at_edges(e, i, eps, dl):
+    """Circular (the e < 1e-15 branch) and equatorial orbits, coasting
+    arcs, and the shortest and longest arcs."""
+    eq = _arc_state(0.9224, e, i, 2.206, 3.568, 0.8, 1e7)
+    _assert_step_matches_oracle(eq, dl, ThrustRTN(eps, 1.1, 0.3))
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,26 @@ def test_inner_search_restart_escapes_collapse():
     assert res.value == pytest.approx(-8.875, abs=0.05)
 
 
+def test_inner_search_restart_keeps_the_best_evaluated_point():
+    """With a collapse tolerance wider than the unit interval the search
+    re-inflates after every generation, the last time with less than a
+    population of budget left. The reported bound must be the best value
+    of every evaluated point, re-inflated members included."""
+    for seed in range(200):
+        for sense, best in (("min", min), ("max", max)):
+            seen = []
+
+            def f(u):
+                seen.append(math.sin(7.0 * u[0]) + u[0])
+                return seen[-1]
+
+            res = inner_bound_search(f, 1, sense, 12, 4, np.random.default_rng(seed),
+                                     collapse_tol=2.0)
+            assert res.evaluations == 12 == len(seen)
+            assert res.value == best(seen)
+            assert f(res.point) == res.value
+
+
 # ---------------------------------------------------------------------------
 # Outer memetic search
 # ---------------------------------------------------------------------------
@@ -243,22 +263,25 @@ def test_solve_moo_respects_bounds_and_integrality():
 def test_solve_moo_evaluates_exactly_the_budget():
     """No move ever dominates on a single front, so explorers keep
     shrinking their step and restarting; a restart due after the budget
-    is spent must not evaluate one more design."""
+    is spent must not evaluate one more design, and a budget below the
+    population size caps the initial population."""
 
-    def distinct_evaluations(budget, explorers):
+    def distinct_evaluations(budget, explorers, outer_pop=4):
         evaluated = []
 
         def one_front(design):
             evaluated.append(design)
             return Individual(design, Objectives(design.d_m, -design.d_m))
 
-        config = SolverConfig(outer_budget=budget, outer_pop=4,
+        config = SolverConfig(outer_budget=budget, outer_pop=outer_pop,
                               explorers=explorers, seed=budget)
         solve_moo(one_front, DESIGN_BOUNDS, config)
         return len(evaluated)
 
     for budget, explorers in ((102, 1), (112, 1), (164, 2), (60, 1), (250, 2)):
         assert distinct_evaluations(budget, explorers) == budget
+    for budget in (1, 3, 9):
+        assert distinct_evaluations(budget, 2, outer_pop=10) == budget
 
 
 def test_extract_extremes_labels():
