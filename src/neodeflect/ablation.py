@@ -102,18 +102,6 @@ class StationGeometry:
     psi_vf: float = 0.0
 
 
-@dataclass
-class PlumeState:
-    """Per-trajectory accumulator of mirror contamination.
-
-    ``h_cond`` is the condensed layer thickness in cm (non-decreasing);
-    ``tau`` the optical degradation factor exp(-2 * eta * h_cond).
-    """
-
-    h_cond: float = 0.0
-    tau: float = 1.0
-
-
 def spot_area(a_m1: float, c_r: float) -> tuple[float, float]:
     """Area [m^2] and diameter [m] of the laser spot for a given collector.
 
@@ -292,47 +280,16 @@ def plume_density(
     return consts.j_c * (mdot / (vbar * a_spot)) * spread * directivity
 
 
-def _layer_growth_m_per_s(
-    rho_exp: float, vbar: float, psi_vf: float, consts: PhysicalConstants
-) -> float:
-    """Contamination layer growth [m/s]: twice the ejecta speed (vacuum
-    expansion doubles the incident speed) times the density ratio,
-    projected by the view factor."""
-    return (2.0 * vbar * rho_exp / consts.rho_layer) * math.cos(psi_vf)
-
-
-def contamination_step(
-    plume: PlumeState,
-    rho_exp: float,
-    vbar: float,
-    psi_vf: float,
-    dt: float,
-    consts: PhysicalConstants = DEFAULT_CONSTANTS,
-    exposed: bool = True,
-) -> PlumeState:
-    """Grow the contamination layer over a time step and update tau.
-
-    The layer grows only while the station is on the exposed (x > 0)
-    side.
-    """
-    if dt <= 0.0:
-        raise ValueError("time step must be positive")
-    if exposed and rho_exp > 0.0:
-        growth_m_per_s = _layer_growth_m_per_s(rho_exp, vbar, psi_vf, consts)
-        plume.h_cond += growth_m_per_s * dt * 100.0  # m -> cm
-        plume.tau = math.exp(-2.0 * consts.eta_abs * plume.h_cond)
-    return plume
-
-
 class ThrustModel:
     """Thrust callback for the trajectory propagator.
 
     Composes absorbed flux, sublimation mass flow and ejecta momentum into
-    an RTN acceleration, and, when contamination is on, advances the
-    mirror-degradation state across the arc just completed using the plume
-    density of the previous evaluation (piecewise-constant, like the
-    thrust itself). One instance owns one trajectory's PlumeState; build a
-    fresh instance per propagation.
+    an RTN acceleration. When contamination is on, each call first grows
+    the condensed mirror layer ``h_cond`` [cm] over the time since the
+    previous call at that call's ``layer_growth_rate`` (piecewise constant,
+    like the thrust itself) and sets the degradation factor ``tau =
+    exp(-2 * eta * h_cond)``. One instance owns one trajectory's layer;
+    build a fresh instance per propagation.
     """
 
     def __init__(
@@ -351,15 +308,15 @@ class ThrustModel:
         self.geom = geom
         self.consts = consts
         self.contamination_on = contamination_on
-        self.plume = PlumeState()
+        self.h_cond = 0.0
+        self.tau = 1.0
         self.eta_sys = system_efficiency(tech)
         self.a_m1 = math.pi * design.d_m**2 / 4.0
         self.a_spot, self.d_spot = spot_area(self.a_m1, design.c_r)
         self.vbar = ejecta_velocity(ast, consts.k_b)
         self.t_reference = t_reference
         self._last_t: float | None = None
-        self._last_rho: float = 0.0
-        self._exposed = geom.x > 0.0
+        self._growth = 0.0  # layer growth [m/s] at the previous call
 
     def thrust_given_tau(
         self, eq: EquinoctialState, tau: float, elapsed: float
@@ -375,30 +332,26 @@ class ThrustModel:
         return ablation_acceleration(mdot, self.vbar, self.ast, eq, self.consts), mdot
 
     def layer_growth_rate(self, mdot: float, elapsed: float) -> float:
-        """Contamination layer growth [cm/s] for an instantaneous mass flow."""
-        if not self._exposed or mdot <= 0.0:
+        """Contamination layer growth [m/s] for an instantaneous mass flow:
+        twice the ejecta speed (vacuum expansion doubles the incident speed)
+        times the density ratio, projected by the view factor, while the
+        station is on the exposed (x > 0) side. The layer itself is kept in
+        cm, the unit of the absorption coefficient."""
+        if self.geom.x <= 0.0 or mdot <= 0.0:
             return 0.0
         rho = plume_density(
             mdot, self.vbar, self.a_spot, self.d_spot, self.geom, self.ast,
             self.consts, t=elapsed,
         )
-        return _layer_growth_m_per_s(
-            rho, self.vbar, self.geom.psi_vf, self.consts
-        ) * 100.0
+        return (2.0 * self.vbar * rho / self.consts.rho_layer) * math.cos(self.geom.psi_vf)
 
     def __call__(self, eq: EquinoctialState, t: float) -> ThrustRTN:
         elapsed = t - self.t_reference
-        if self.contamination_on and self._last_t is not None and t > self._last_t:
-            contamination_step(
-                self.plume, self._last_rho, self.vbar, self.geom.psi_vf,
-                t - self._last_t, self.consts, exposed=self._exposed,
-            )
-        tau = self.plume.tau if self.contamination_on else 1.0
-        thrust, mdot = self.thrust_given_tau(eq, tau, elapsed)
+        if self._growth and t > self._last_t:
+            self.h_cond += self._growth * (t - self._last_t) * 100.0  # m -> cm
+            self.tau = math.exp(-2.0 * self.consts.eta_abs * self.h_cond)
+        thrust, mdot = self.thrust_given_tau(eq, self.tau, elapsed)
         if self.contamination_on:
-            self._last_rho = plume_density(
-                mdot, self.vbar, self.a_spot, self.d_spot, self.geom, self.ast,
-                self.consts, t=elapsed,
-            )
+            self._growth = self.layer_growth_rate(mdot, elapsed)
             self._last_t = t
         return thrust

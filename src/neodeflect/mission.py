@@ -409,7 +409,7 @@ class DeflectionModel:
         self, design: DesignVector, u: dict
     ) -> tuple[EquinoctialState, ThrustModel]:
         """Asteroid state at the deflection start and the thrust model of
-        one trajectory from it (a fresh instance: it owns the plume state)."""
+        one trajectory from it (a fresh instance: it owns the mirror layer)."""
         ast, tech = apply_uncertain(self.scenario, u)
         eq_start = self.start_state(design.t_warn)
         thrust = ThrustModel(
@@ -559,7 +559,7 @@ def rk_impact_parameter(
         tau = math.exp(-2.0 * DEFAULT_CONSTANTS.eta_abs * y[6]) if contamination else 1.0
         thrust, mdot = thrust_model.thrust_given_tau(state, tau, t - t_start)
         rates = gauss_rhs(state, thrust, mu)
-        dh = thrust_model.layer_growth_rate(mdot, t - t_start) if contamination else 0.0
+        dh = thrust_model.layer_growth_rate(mdot, t - t_start) * 100.0 if contamination else 0.0
         return [*rates, dh]
 
     y0 = [eq0.a, eq0.p1, eq0.p2, eq0.q1, eq0.q2, eq0.ell, 0.0]

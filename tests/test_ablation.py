@@ -7,12 +7,10 @@ import pytest
 from neodeflect.constants import AU_KM, DEFAULT_CONSTANTS, MU_SUN
 from neodeflect.ablation import (
     AsteroidProperties,
-    PlumeState,
     StationGeometry,
     ThrustModel,
     ablation_acceleration,
     conduction_loss,
-    contamination_step,
     ejecta_velocity,
     ellipsoid_radius,
     input_power_density,
@@ -270,48 +268,66 @@ def test_plume_density_even_in_offset():
 # Contamination
 # ---------------------------------------------------------------------------
 
+DESIGN = DesignVector(d_m=20.0, n_sc=10, t_warn=8.0, c_r=3000.0)
+TECH = TechnologyParams()
+AT_1AU = keplerian_to_equinoctial(KeplerianElements(AU_KM, 0.0, 0.0, 0.0, 0.0, 0.0))
+
+
 def test_contamination_step_zero_density_no_change():
-    plume = PlumeState()
-    contamination_step(plume, 0.0, 520.0, 0.0, 1000.0)
-    assert plume.h_cond == 0.0
-    assert plume.tau == 1.0
+    # exposed station (x > 0) inside the spot radius: the plume misses it
+    geom = StationGeometry(x=100.0)
+    model = ThrustModel(DESIGN, TECH, TABLE_AST, geom, contamination_on=True)
+    eps0 = model(AT_1AU, 0.0).eps
+    _, mdot = model.thrust_given_tau(AT_1AU, 1.0, 0.0)
+    assert eps0 > 0.0 and mdot > 0.0
+    assert model.layer_growth_rate(mdot, 0.0) == 0.0
+    assert [model(AT_1AU, t).eps for t in (1e3, 1e5, 1e7)] == [eps0] * 3
+    assert model.h_cond == 0.0
+    assert model.tau == 1.0
 
 
 def test_contamination_tau_analytic():
-    plume = PlumeState()
-    # choose density and dt so that 2*eta*h == 1
-    eta = DEFAULT_CONSTANTS.eta_abs
-    target_h_cm = 1.0 / (2 * eta)
-    rho = 1e-12
-    vbar = 500.0
-    dt = (target_h_cm / 100.0) / (2 * vbar * rho / DEFAULT_CONSTANTS.rho_layer)
-    contamination_step(plume, rho, vbar, 0.0, dt)
-    assert plume.tau == pytest.approx(math.exp(-1.0), rel=1e-12)
+    model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=True)
+    _, mdot = model.thrust_given_tau(AT_1AU, 1.0, 0.0)
+    rho = plume_density(mdot, model.vbar, model.a_spot, model.d_spot, GEOM, TABLE_AST)
+    growth = model.layer_growth_rate(mdot, 0.0)
+    assert growth == pytest.approx(
+        2 * model.vbar * rho / DEFAULT_CONSTANTS.rho_layer, rel=1e-15
+    )
+    # choose dt so that 2*eta*h == 1 after one arc at that growth
+    target_h_cm = 1.0 / (2 * DEFAULT_CONSTANTS.eta_abs)
+    dt = (target_h_cm / 100.0) / growth
+    model(AT_1AU, 0.0)
+    model(AT_1AU, dt)
+    assert model.h_cond == pytest.approx(target_h_cm, rel=1e-12)
+    assert model.tau == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_contamination_not_exposed():
-    plume = PlumeState()
-    contamination_step(plume, 1e-10, 520.0, 0.0, 1e6, exposed=False)
-    assert plume.tau == 1.0
+    shadow = StationGeometry(x=-2000.0)
+    model = ThrustModel(DESIGN, TECH, TABLE_AST, shadow, contamination_on=True)
+    _, mdot = model.thrust_given_tau(AT_1AU, 1.0, 0.0)
+    assert mdot > 0.0
+    assert model.layer_growth_rate(mdot, 0.0) == 0.0
+    for t in np.linspace(0.0, 1e7, 5):
+        model(AT_1AU, t)
+    assert model.tau == 1.0
 
 
 def test_contamination_monotone():
-    plume = PlumeState()
+    model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=True)
     taus = []
-    for _ in range(50):
-        contamination_step(plume, 2e-13, 520.0, 0.0, 5e4)
-        taus.append(plume.tau)
+    for t in np.linspace(0.0, 5e4 * 49, 50):
+        model(AT_1AU, t)
+        taus.append(model.tau)
     assert all(b <= a for a, b in zip(taus, taus[1:]))
     assert all(0 < t <= 1 for t in taus)
+    assert taus[-1] < 1.0
 
 
 # ---------------------------------------------------------------------------
 # Composed thrust model
 # ---------------------------------------------------------------------------
-
-DESIGN = DesignVector(d_m=20.0, n_sc=10, t_warn=8.0, c_r=3000.0)
-TECH = TechnologyParams()
-
 
 def test_thrust_model_mass_scaling_exact():
     eq = _state()
@@ -324,8 +340,7 @@ def test_thrust_model_mass_scaling_exact():
 
 def test_thrust_model_reference_magnitude():
     """Full composition at 1 AU lands inside the expected amplitude band."""
-    eq = keplerian_to_equinoctial(KeplerianElements(AU_KM, 0.0, 0.0, 0.0, 0.0, 0.0))
-    f = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM)(eq, 0.0)
+    f = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM)(AT_1AU, 0.0)
     eps_m_s2 = f.eps * 1000.0
     assert 1e-12 <= eps_m_s2 <= 1e-7
 
@@ -335,14 +350,13 @@ def test_thrust_model_contamination_off_keeps_tau_one():
     model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=False)
     for t in np.linspace(0, 1e7, 5):
         model(eq, t)
-    assert model.plume.tau == 1.0
+    assert model.tau == 1.0
 
 
 def test_thrust_model_contamination_decays_thrust():
-    eq = keplerian_to_equinoctial(KeplerianElements(AU_KM, 0.0, 0.0, 0.0, 0.0, 0.0))
     model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=True)
-    eps0 = model(eq, 0.0).eps
-    eps_series = [model(eq, t).eps for t in np.linspace(1e5, 3e7, 40)]
+    eps0 = model(AT_1AU, 0.0).eps
+    eps_series = [model(AT_1AU, t).eps for t in np.linspace(1e5, 3e7, 40)]
     assert eps0 > 0.0
-    assert model.plume.tau < 1.0
+    assert model.tau < 1.0
     assert eps_series[-1] < eps0
