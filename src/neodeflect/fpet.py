@@ -19,8 +19,12 @@ antiderivative ``g @ _CHEB_CUM_T`` and the integral ``integrand @
 _CHEB_W``, stay in numpy: BLAS sums them with fused multiply-adds, which
 plain Python floats cannot reproduce, so these two products fix the bits of
 every arc. The Keplerian time of flight shares one solve of the arc's start
-mean longitude between the midpoint probes, the step and the landing
-bisection (``orbits.KeplerStart``).
+mean longitude between the midpoint probes and the steps
+(``orbits.KeplerStart``).
+
+The last arc is cut in closed form: the two-body longitude at the final
+epoch sets its length, and its first-order time term, small over a short
+arc, leaves the end within milliseconds of that epoch.
 """
 from __future__ import annotations
 
@@ -63,6 +67,7 @@ from .orbits import (  # noqa: E402
     ThrustRTN,
     kepler_start,
     kepler_time_of_flight,
+    propagate_keplerian,
 )
 
 
@@ -207,28 +212,6 @@ class Trajectory:
         return len(self.eps_history)
 
 
-def _land_on_epoch(
-    eq: EquinoctialState, f: ThrustRTN, mu: float, dl_hi: float, t_end: float,
-    start: KeplerStart, tol_s: float = 1.0, max_iter: int = 80,
-) -> EquinoctialState:
-    """Shorten the final arc by bisection on dL to land on t_end within tol_s."""
-    lo, hi = 0.0, dl_hi
-    best = fpet_step(eq, dl_hi, f, mu, start)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid <= 0.0:
-            break
-        trial = fpet_step(eq, mid, f, mu, start)
-        if abs(trial.t - t_end) <= tol_s:
-            return trial
-        if trial.t > t_end:
-            hi = mid
-            best = trial
-        else:
-            lo = mid
-    return best
-
-
 def _midpoint_state(
     eq: EquinoctialState, dl: float, mu: float, start: KeplerStart
 ) -> EquinoctialState:
@@ -258,8 +241,10 @@ def propagate_trajectory(
     sampling error second order in the arc length. Arc lengths follow the
     adaptive law in ``ctrl`` at the running maximum of the thrust modulus
     over this trajectory, which starts from zero on every call, so reusing
-    ``ctrl`` never changes a trajectory. The final arc is shortened by
-    bisection to land on t_end within one second.
+    ``ctrl`` never changes a trajectory. An arc that would pass t_end is
+    cut once, with the same thrust, to the longitude the Keplerian motion
+    reaches at t_end; should its first-order time term leave the epoch more
+    than one second short, one more arc follows.
     """
     if t_end <= eq0.t:
         raise ValueError("t_end must be later than the initial epoch")
@@ -285,7 +270,9 @@ def propagate_trajectory(
         dl_guess = dl
         nxt = fpet_step(eq, dl, f, mu, start)
         if nxt.t > t_end:
-            nxt = _land_on_epoch(eq, f, mu, dl, t_end, start)
+            # cut the arc where the Keplerian motion reaches t_end
+            dl = propagate_keplerian(eq, t_end, mu).ell - eq.ell
+            nxt = fpet_step(eq, dl, f, mu, start)
         eq = nxt
         eps_history.append(f.eps)
         states.append(eq)

@@ -439,8 +439,8 @@ class DeflectionModel:
             eq_start, thrust, self.scenario.t_impact, self.scenario.arc_control,
             self.mu,
         )
-        # exact two-body coast closes the <= 1 s landing gap so the b-plane
-        # difference is not polluted by along-track epoch error
+        # exact two-body coast closes the sub-millisecond landing gap so the
+        # b-plane difference is not polluted by along-track epoch error
         deviated = propagate_keplerian(traj.final, self.scenario.t_impact, self.mu)
         budget = size_spacecraft(design, thrust.tech, self.margins, _solar_flux(eq_start))
         return ModelEvaluation(

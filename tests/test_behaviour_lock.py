@@ -27,30 +27,30 @@ REL = 1e-12
 
 # (design, contamination) -> (m_sys, b, n_arcs)
 LOCKED_EVALUATIONS = {
-    ("20,10,8,3000", False): (23985.820596489633, 25704.366995741195, 594),
-    ("20,10,1,3000", False): (17893.530740347065, 509.8334800720398, 76),
+    ("20,10,8,3000", False): (23985.820596489633, 25704.36699573237, 594),
+    ("20,10,1,3000", False): (17893.530740347065, 509.8334800912412, 76),
     ("12,4,3.5,2000", False): (3598.6783015856527, 2.5622384744550577, 250),
     ("8,6,6,2500", False): (3249.536504610369, 95.38343030997399, 429),
     ("2,1,1,1000", False): (80.56086217837202, 0.0, 69),
     ("16,8,3,2800", False): (9808.653373524985, 1052.1643184019938, 218),
     ("5,3,7.5,2600", False): (529.5951006525997, 6.756266755970942, 532),
     ("14,7,5.25,2200", False): (9302.329003099374, 316.13660242549685, 380),
-    ("20,10,8,3000", True): (23985.820596489633, 92.91851963560485, 559),
+    ("20,10,8,3000", True): (23985.820596489633, 92.91851860105584, 559),
     ("20,10,1,3000", True): (17893.530740347065, 9.271277509320422, 73),
     ("12,4,3.5,2000", True): (3598.6783015856527, 1.3356221291489543, 247),
     ("8,6,6,2500", True): (3249.536504610369, 15.562451567015884, 416),
     ("2,1,1,1000", True): (80.56086217837202, 0.0, 69),
     ("16,8,3,2800", True): (9808.653373524985, 22.30366555403655, 208),
     ("5,3,7.5,2600", True): (529.5951006525997, 4.18287694887949, 524),
-    ("14,7,5.25,2200", True): (9302.329003099374, 16.85299285534217, 369),
+    ("14,7,5.25,2200", True): (9302.329003099374, 16.85299178135456, 369),
 }
 
 DETERMINISTIC_ARCHIVE_SHA256 = (
-    "ba0a0cf47e36aacc42099d8e1d7fdc1d7390407dc8f4456407296a2a53667aff"
+    "9c79b5d5a1dfc97515cc2150a9501e56c3033ac58ae04ec7c7e8e247a6700ee8"
 )
 TRAJECTORY_SHA256 = {
-    "off": "6f28488dbb8e68219875feeea15f6886ca504c2c5f2b8a3b7ee5191f054b0602",
-    "on": "ca3c187ce23f5b8a92d30c6e7bc59d8eed3d077d41cd23555aa63cfe4f3c3ec9",
+    "off": "9fbbc0978ec824bd27488e6001ff67d5f9f7e6a0678caf6373161d37ea8aa0f8",
+    "on": "be90220832e257a7949940f0811a62f4eb2fd3cdcae8012380a88e40d4babba4",
 }
 
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neodeflect import fpet
+from neodeflect.cli import parse_design
 from neodeflect.constants import MU_SUN, AU_KM
 from neodeflect.fpet import (
     arc_length_law,
@@ -24,6 +26,7 @@ from neodeflect.orbits import (
     kepler_start,
     keplerian_to_equinoctial,
 )
+from neodeflect.mission import load_scenario, make_model, reference_scenario_path
 
 import oracles
 
@@ -288,6 +291,30 @@ def test_trajectory_constant_thrust_vs_oracle():
     assert final.a == pytest.approx(eq_ref.a, rel=1e-6)
     for name in ("p1", "p2", "q1", "q2"):
         assert getattr(final, name) == pytest.approx(getattr(eq_ref, name), abs=1e-6)
+
+
+@pytest.mark.parametrize("contamination", [False, True])
+def test_trajectory_lands_on_epoch_with_one_extra_step(monkeypatch, contamination):
+    """The last arc is cut once in closed form: the maximum design lands
+    within a millisecond of t_end with at most one step more than arcs."""
+    scenario = load_scenario(reference_scenario_path())
+    model = make_model(scenario, "deterministic", contamination)
+    eq0, thrust = model.deflection_start(
+        parse_design("20,10,8,3000"), scenario.fixed_uncertain
+    )
+    steps = 0
+
+    def counting_step(*args, **kwargs):
+        nonlocal steps
+        steps += 1
+        return fpet_step(*args, **kwargs)
+
+    monkeypatch.setattr(fpet, "fpet_step", counting_step)
+    traj = propagate_trajectory(
+        eq0, thrust, scenario.t_impact, scenario.arc_control, scenario.mu
+    )
+    assert abs(traj.final.t - scenario.t_impact) <= 1e-3
+    assert steps <= traj.n_arcs + 1
 
 
 def test_trajectory_callback_errors_propagate():
