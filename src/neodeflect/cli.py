@@ -5,9 +5,10 @@ payloads plus a manifest with full provenance (seed, configuration hash,
 package version) under the output directory. Identical scenario and seed
 reproduce byte-identical payloads.
 
-Exit codes: 0 success, 2 scenario/schema errors, 3 solver budget errors,
-4 numerical failure (the arc-count cap of a propagation, a Kepler solve that
-does not converge, or a failed reference integration).
+Exit codes: 0 success, 2 scenario/schema errors or a ``--design`` outside
+the scenario's design bounds, 3 solver budget errors, 4 numerical failure
+(the arc-count cap of a propagation, a Kepler solve that does not converge,
+or a failed reference integration).
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ from .mission import (
 )
 from .orbits import KeplerConvergenceError
 from .search import extract_extremes, inner_bound_search, solve_moo
-from .sizing import DesignVector, UNIT_MARGINS
+from .sizing import DesignVector, UNIT_MARGINS, check_design_bounds
 
 # failures of the numerics rather than of the inputs or the budgets: exit 4
 _NUMERICAL_ERRORS = (ArcOverflowError, KeplerConvergenceError, ReferenceIntegrationError)
@@ -302,6 +303,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.contamination is not None:
             contamination = args.contamination == "on"
         design = parse_design(args.design)
+        if args.mode in ("bpcurve", "sensitivity", "propagate"):
+            check_design_bounds(design, scenario.design_bounds)
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

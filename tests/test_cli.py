@@ -53,6 +53,30 @@ def test_schema_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("mode, design", [
+    ("propagate", "20,10,8,0"),
+    ("propagate", "20,10,0,3000"),
+    ("propagate", "20,0,2,3000"),
+    ("propagate", "25,10,2,3000"),
+    ("bpcurve", "20,10,0,3000"),
+    ("sensitivity", "20,10,0,3000"),
+])
+def test_design_outside_bounds_exit_code(fast_scenario, tmp_path, capsys, mode, design):
+    """A --design outside the scenario's design bounds is an input error."""
+    code = main(["--mode", mode, "--scenario", str(fast_scenario),
+                 "--design", design, "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "outside bounds" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_optimization_modes_ignore_design(fast_scenario, tmp_path):
+    code = main(["--mode", "deterministic", "--scenario", str(fast_scenario),
+                 "--design", "25,10,2,3000", "--out", str(tmp_path / "run")])
+    assert code == 0
+
+
 def _raise(exc):
     def fail(*args, **kwargs):
         raise exc
