@@ -17,7 +17,6 @@ hypercube.
 from __future__ import annotations
 
 import bisect
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -151,21 +150,6 @@ def fuse_all(opinions: list[ExpertOpinion], names: list[str]) -> list[ParameterB
 # Joint structure and the unit-hypercube map
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FocalElement:
-    """One box of the joint structure with its product BPA.
-
-    ``box`` holds the physical (lo, hi) per dimension, ``unit_box`` the
-    image cell in the unit hypercube, ``index`` the per-dimension interval
-    indices.
-    """
-
-    box: tuple[tuple[float, float], ...]
-    bpa: float
-    unit_box: tuple[tuple[float, float], ...]
-    index: tuple[int, ...]
-
-
 class FocalStructure:
     """Joint evidence structure over several uncertain parameters.
 
@@ -204,23 +188,6 @@ class FocalStructure:
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(p.intervals) for p in self.params)
-
-    def element(self, index: tuple[int, ...]) -> FocalElement:
-        box = []
-        unit = []
-        bpa = 1.0
-        for d, j in enumerate(index):
-            iv = self.params[d].intervals[j]
-            box.append((iv.lo, iv.hi))
-            unit.append((float(self.cum[d][j]), float(self.cum[d][j + 1])))
-            bpa *= iv.bpa
-        return FocalElement(box=tuple(box), bpa=bpa, unit_box=tuple(unit), index=index)
-
-    def elements(self):
-        """Iterate every focal element of the Cartesian product."""
-        ranges = [range(len(p.intervals)) for p in self.params]
-        for index in itertools.product(*ranges):
-            yield self.element(index)
 
     def cell_of(self, d: int, u: float) -> int:
         """Cell index along dimension d; boundaries resolve to the lower cell."""

@@ -15,12 +15,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import jsonschema
 from scipy.integrate import solve_ivp
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from .ablation import AsteroidProperties, StationGeometry, ThrustModel
 from .constants import AU_KM, YEAR_S, DEFAULT_CONSTANTS
@@ -171,11 +167,10 @@ def _elements_to_dict(k: KeplerianElements) -> dict:
 
 def scenario_from_dict(doc: dict, source_path: Path | None = None) -> Scenario:
     """Build a validated scenario from a parsed JSON document."""
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(doc, SCENARIO_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise ScenarioError(f"scenario failed schema validation: {exc.message}") from exc
+    try:
+        jsonschema.validate(doc, SCENARIO_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise ScenarioError(f"scenario failed schema validation: {exc.message}") from exc
     try:
         ast_props = AsteroidProperties(**doc["asteroid_properties"])
         tech = TechnologyParams(**doc["technology"])

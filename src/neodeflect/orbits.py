@@ -93,10 +93,6 @@ class EquinoctialState:
         if self.p1 * self.p1 + self.p2 * self.p2 >= 1.0:
             raise ValueError("P1^2 + P2^2 must be < 1 for an elliptic orbit")
 
-    @property
-    def ecc(self) -> float:
-        return math.hypot(self.p1, self.p2)
-
     def semi_latus(self) -> float:
         return self.a * (1.0 - self.p1 * self.p1 - self.p2 * self.p2)
 

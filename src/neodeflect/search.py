@@ -272,7 +272,6 @@ def solve_moo(evaluate, bounds: dict, config: SolverConfig) -> ParetoArchive:
     steps = np.full(config.outer_pop, 0.25)
 
     while state["evals"] < config.outer_budget:
-        progressed = False
         for i in range(config.outer_pop):
             if state["evals"] >= config.outer_budget:
                 break
@@ -291,9 +290,7 @@ def solve_moo(evaluate, bounds: dict, config: SolverConfig) -> ParetoArchive:
                             break
                     if improved:
                         break
-                if improved:
-                    progressed = True
-                else:
+                if not improved:
                     steps[i] *= 0.5
                     if steps[i] < 1e-4 and state["evals"] < config.outer_budget:
                         steps[i] = 0.25
@@ -310,12 +307,9 @@ def solve_moo(evaluate, bounds: dict, config: SolverConfig) -> ParetoArchive:
                 cand = run(trial)
                 if dominates(cand.objectives, inds[i].objectives):
                     pop[i], inds[i] = trial, cand
-                    progressed = True
                 elif not dominates(inds[i].objectives, cand.objectives):
                     if rng.random() < 0.5:
                         pop[i], inds[i] = trial, cand
-        if not progressed and state["evals"] >= config.outer_budget:
-            break
     return archive
 
 

@@ -12,6 +12,7 @@ shared Kepler start.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from neodeflect.evidence import (
-    FocalElement,
     FocalStructure,
     ParameterBPA,
     classify_box,
@@ -243,11 +243,46 @@ def fpet_step_numpy(eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float) -
 # Evidence: Belief / Plausibility by full enumeration
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class FocalElement:
+    """One box of the joint structure with its product BPA.
+
+    ``box`` holds the physical (lo, hi) per dimension, ``unit_box`` the
+    image cell in the unit hypercube, ``index`` the per-dimension interval
+    indices.
+    """
+
+    box: tuple[tuple[float, float], ...]
+    bpa: float
+    unit_box: tuple[tuple[float, float], ...]
+    index: tuple[int, ...]
+
+
+def focal_element(structure: FocalStructure, index: tuple[int, ...]) -> FocalElement:
+    """The focal element of a structure at per-dimension interval indices."""
+    box = []
+    unit = []
+    bpa = 1.0
+    for d, j in enumerate(index):
+        iv = structure.params[d].intervals[j]
+        box.append((iv.lo, iv.hi))
+        unit.append((float(structure.cum[d][j]), float(structure.cum[d][j + 1])))
+        bpa *= iv.bpa
+    return FocalElement(box=tuple(box), bpa=bpa, unit_box=tuple(unit), index=index)
+
+
+def focal_elements(structure: FocalStructure):
+    """Iterate every focal element of the Cartesian product."""
+    ranges = [range(len(p.intervals)) for p in structure.params]
+    for index in itertools.product(*ranges):
+        yield focal_element(structure, index)
+
+
 def build_focal_elements(
     params: list[ParameterBPA], max_elements: int = 10**7
 ) -> list[FocalElement]:
     """Materialize the full Cartesian product of focal elements."""
-    return list(FocalStructure(params, max_elements).elements())
+    return list(focal_elements(FocalStructure(params, max_elements)))
 
 
 def bel_pl_of_threshold(bounds_by_element, v: float) -> tuple[float, float]:
@@ -274,7 +309,7 @@ def enumerate_bel_pl(f_bounds, structure: FocalStructure, v: float) -> tuple[flo
     unit-space box.
     """
     triples = (
-        (el.bpa, *f_bounds(el.unit_box)) for el in structure.elements()
+        (el.bpa, *f_bounds(el.unit_box)) for el in focal_elements(structure)
     )
     return bel_pl_of_threshold(triples, v)
 
@@ -326,7 +361,7 @@ def complement_bel_pl(f_bounds, structure: FocalStructure, v: float) -> tuple[fl
     """Bel/Pl of the complementary proposition y >= v by enumeration."""
     bel_terms = []
     pl_terms = []
-    for el in structure.elements():
+    for el in focal_elements(structure):
         vmin, vmax = f_bounds(el.unit_box)
         if vmin >= v:
             bel_terms.append(el.bpa)

@@ -26,6 +26,7 @@ from oracles import (
     complement_bel_pl,
     duality_check,
     enumerate_bel_pl,
+    focal_elements,
 )
 
 DATA = Path(__file__).parent.parent / "src" / "neodeflect" / "data" / "expert_opinions.json"
@@ -166,7 +167,7 @@ def test_full_structure_counts_and_product():
         product *= c
     assert structure.n_elements == product == 93312
     # product BPAs over the whole structure still sum to one
-    total = math.fsum(el.bpa for el in structure.elements())
+    total = math.fsum(el.bpa for el in focal_elements(structure))
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
