@@ -292,22 +292,24 @@ def test_contamination_tau_analytic():
     rho = plume_density(mdot, model.vbar, model.a_spot, model.d_spot, GEOM, TABLE_AST)
     growth = model.layer_growth_rate(mdot, 0.0)
     assert growth == pytest.approx(
-        2 * model.vbar * rho / DEFAULT_CONSTANTS.rho_layer, rel=1e-15
+        2 * model.vbar * rho / DEFAULT_CONSTANTS.rho_layer, rel=1e-15, abs=0.0
     )
     # choose dt so that 2*eta*h == 1 after one arc at that growth
     target_h_cm = 1.0 / (2 * DEFAULT_CONSTANTS.eta_abs)
     dt = (target_h_cm / 100.0) / growth
     model(AT_1AU, 0.0)
     model(AT_1AU, dt)
-    assert model.h_cond == pytest.approx(target_h_cm, rel=1e-12)
+    assert model.h_cond == pytest.approx(target_h_cm, rel=1e-12, abs=0.0)
     assert model.tau == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_contamination_not_exposed():
-    shadow = StationGeometry(x=-2000.0)
+    # station on the x < 0 side, yet in the plume of a spot pointed at it
+    shadow = StationGeometry(x=-50.0, theta_va=-math.pi / 2)
     model = ThrustModel(DESIGN, TECH, TABLE_AST, shadow, contamination_on=True)
     _, mdot = model.thrust_given_tau(AT_1AU, 1.0, 0.0)
-    assert mdot > 0.0
+    assert plume_density(mdot, model.vbar, model.a_spot, model.d_spot, shadow,
+                         TABLE_AST) > 0.0
     assert model.layer_growth_rate(mdot, 0.0) == 0.0
     for t in np.linspace(0.0, 1e7, 5):
         model(AT_1AU, t)
