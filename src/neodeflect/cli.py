@@ -302,8 +302,8 @@ def main(argv: list[str] | None = None) -> int:
         contamination = scenario.contamination
         if args.contamination is not None:
             contamination = args.contamination == "on"
-        design = parse_design(args.design)
         if args.mode in ("bpcurve", "sensitivity", "propagate"):
+            design = parse_design(args.design)
             check_design_bounds(design, scenario.design_bounds)
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,9 +71,10 @@ def test_design_outside_bounds_exit_code(fast_scenario, tmp_path, capsys, mode, 
     assert len(err.splitlines()) == 1
 
 
-def test_optimization_modes_ignore_design(fast_scenario, tmp_path):
+@pytest.mark.parametrize("design", ["25,10,2,3000", "20,10"])
+def test_optimization_modes_ignore_design(fast_scenario, tmp_path, design):
     code = main(["--mode", "deterministic", "--scenario", str(fast_scenario),
-                 "--design", "25,10,2,3000", "--out", str(tmp_path / "run")])
+                 "--design", design, "--out", str(tmp_path / "run")])
     assert code == 0
 
 
