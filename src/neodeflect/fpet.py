@@ -23,8 +23,8 @@ mean longitude between the midpoint probes and the steps
 (``orbits.KeplerStart``).
 
 The last arc is cut in closed form: the two-body longitude at the final
-epoch sets its length, and its first-order time term, small over a short
-arc, leaves the end within milliseconds of that epoch.
+epoch sets its length, and only its first-order time term, small over a
+short arc, separates its end from that epoch.
 """
 from __future__ import annotations
 

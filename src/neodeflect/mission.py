@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
 import jsonschema
+import numpy as np
 from scipy.integrate import solve_ivp
 
 from .ablation import AsteroidProperties, StationGeometry, ThrustModel
@@ -434,8 +434,8 @@ class DeflectionModel:
             eq_start, thrust, self.scenario.t_impact, self.scenario.arc_control,
             self.mu,
         )
-        # exact two-body coast closes the sub-millisecond landing gap so the
-        # b-plane difference is not polluted by along-track epoch error
+        # exact two-body coast closes the last arc's first-order landing gap so
+        # the b-plane difference is not polluted by along-track epoch error
         deviated = propagate_keplerian(traj.final, self.scenario.t_impact, self.mu)
         budget = size_spacecraft(design, thrust.tech, self.margins, _solar_flux(eq_start))
         return ModelEvaluation(
