@@ -554,7 +554,8 @@ def rk_impact_parameter(
         tau = math.exp(-2.0 * DEFAULT_CONSTANTS.eta_abs * y[6]) if contamination else 1.0
         thrust, mdot = thrust_model.thrust_given_tau(state, tau, t - t_start)
         rates = gauss_rhs(state, thrust, mu)
-        dh = thrust_model.layer_growth_rate(mdot, t - t_start) * 100.0 if contamination else 0.0
+        dh = (thrust_model.layer_growth_rate(mdot, t - t_start) * 100.0  # m -> cm
+              if contamination else 0.0)
         return [*rates, dh]
 
     y0 = [eq0.a, eq0.p1, eq0.p2, eq0.q1, eq0.q2, eq0.ell, 0.0]
