@@ -20,7 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, MOL_MASS_FORSTERITE_KG, PhysicalConstants
+from .constants import (
+    AU_KM,
+    BOLTZMANN,
+    ETA_ABS,
+    J_C,
+    KAPPA,
+    LAMBDA_SCATTER,
+    MOL_MASS_FORSTERITE_KG,
+    PHI_MAX,
+    RHO_LAYER,
+    S0,
+    STEFAN_BOLTZMANN,
+)
 from .orbits import EquinoctialState, ThrustRTN
 from .sizing import DesignVector, TechnologyParams, system_efficiency
 
@@ -118,32 +130,18 @@ def input_power_density(
     r_a: float,
     ast: AsteroidProperties,
     tau: float = 1.0,
-    consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
     """Absorbed laser flux on the spot [W/m^2] at heliocentric range r_a [km]."""
     if r_a <= 0.0:
         raise ValueError("heliocentric distance must be positive")
-    return tau * sys_eff * c_r * (1.0 - ast.albedo) * consts.s0 * (consts.au / r_a) ** 2
+    return tau * sys_eff * c_r * (1.0 - ast.albedo) * S0 * (AU_KM / r_a) ** 2
 
 
-def radiation_loss(t_surface: float, emiss_bb: float, sigma: float) -> float:
+def radiation_loss(t_surface: float, emiss_bb: float) -> float:
     """Black-body re-radiation flux [W/m^2] of the spot surface."""
     if t_surface < 0.0:
         raise ValueError("surface temperature must be non-negative")
-    return sigma * emiss_bb * t_surface**4
-
-
-def conduction_loss(ast: AsteroidProperties, t_exposure: float) -> float:
-    """Transient conduction flux [W/m^2] a time t after exposure starts.
-
-    The 1/sqrt(t) pole at t = 0 is integrable; callers integrating across
-    it must use the analytic 2*sqrt(t) antiderivative.
-    """
-    if t_exposure <= 0.0:
-        raise ValueError("exposure time must be positive (t=0 is a pole)")
-    return (ast.t_subl - ast.t_0) * math.sqrt(
-        ast.c_a * ast.k_a * ast.rho_a / (math.pi * t_exposure)
-    )
+    return STEFAN_BOLTZMANN * emiss_bb * t_surface**4
 
 
 def ellipsoid_radius(ast: AsteroidProperties, theta_va: float, t: float) -> float:
@@ -190,7 +188,7 @@ def mass_flow_rate(
     """
     if p_in <= 0.0:
         return 0.0
-    p_net = p_in - radiation_loss(ast.t_subl, ast.emiss_bb, DEFAULT_CONSTANTS.sigma)
+    p_net = p_in - radiation_loss(ast.t_subl, ast.emiss_bb)
     if p_net <= 0.0:
         return 0.0
 
@@ -220,9 +218,9 @@ def mass_flow_rate(
     return 2.0 * n_sc * v_rot * strip_integral / ast.e_sub
 
 
-def ejecta_velocity(ast: AsteroidProperties, k_b: float = DEFAULT_CONSTANTS.k_b) -> float:
+def ejecta_velocity(ast: AsteroidProperties) -> float:
     """Mean thermal speed of the ablated gas [m/s]."""
-    return math.sqrt(8.0 * k_b * ast.t_subl / (math.pi * ast.mol_mass))
+    return math.sqrt(8.0 * BOLTZMANN * ast.t_subl / (math.pi * ast.mol_mass))
 
 
 def ablation_acceleration(
@@ -230,7 +228,6 @@ def ablation_acceleration(
     vbar: float,
     ast: AsteroidProperties,
     eq: EquinoctialState,
-    consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> ThrustRTN:
     """Deflection acceleration from the ejecta momentum, tangent to the orbit.
 
@@ -240,7 +237,7 @@ def ablation_acceleration(
     """
     if mdot < 0.0:
         raise ValueError("mass flow must be non-negative")
-    eps_si = consts.lambda_scatter * vbar * mdot / ast.mass
+    eps_si = LAMBDA_SCATTER * vbar * mdot / ast.mass
     sl, cl = math.sin(eq.ell), math.cos(eq.ell)
     v_r = eq.p2 * sl - eq.p1 * cl
     v_t = 1.0 + eq.p1 * sl + eq.p2 * cl
@@ -254,9 +251,7 @@ def plume_density(
     d_spot: float,
     geom: StationGeometry,
     ast: AsteroidProperties,
-    consts: PhysicalConstants = DEFAULT_CONSTANTS,
     t: float = 0.0,
-    phi_max: float = math.pi / 2.0,
 ) -> float:
     """Ejecta gas density [kg/m^3] at the spacecraft station.
 
@@ -264,7 +259,7 @@ def plume_density(
     whose axis is the outward Sun-asteroid direction (the comet-tail
     analogy of the contamination model); phi is the angular separation of
     the station from that axis and the density falls to zero at the
-    hemisphere edge phi_max.
+    hemisphere edge PHI_MAX.
     """
     if mdot <= 0.0:
         return 0.0
@@ -272,12 +267,12 @@ def plume_density(
     r_s_sc = float(np.linalg.norm(r_vec))
     cos_phi = r_vec[0] / r_s_sc if r_s_sc > 0.0 else 1.0
     phi = math.acos(max(-1.0, min(1.0, cos_phi)))
-    if phi >= phi_max:
+    if phi >= PHI_MAX:
         return 0.0
-    theta = math.pi * phi / (2.0 * phi_max)
+    theta = math.pi * phi / (2.0 * PHI_MAX)
     spread = (d_spot / (2.0 * r_s_sc + d_spot)) ** 2
-    directivity = math.cos(theta) ** (2.0 / (consts.kappa - 1.0))
-    return consts.j_c * (mdot / (vbar * a_spot)) * spread * directivity
+    directivity = math.cos(theta) ** (2.0 / (KAPPA - 1.0))
+    return J_C * (mdot / (vbar * a_spot)) * spread * directivity
 
 
 class ThrustModel:
@@ -299,21 +294,19 @@ class ThrustModel:
         ast: AsteroidProperties,
         geom: StationGeometry,
         contamination_on: bool = False,
-        consts: PhysicalConstants = DEFAULT_CONSTANTS,
         t_reference: float = 0.0,
     ):
         self.design = design
         self.tech = tech
         self.ast = ast
         self.geom = geom
-        self.consts = consts
         self.contamination_on = contamination_on
         self.h_cond = 0.0
         self.tau = 1.0
         self.eta_sys = system_efficiency(tech)
         self.a_m1 = math.pi * design.d_m**2 / 4.0
         self.a_spot, self.d_spot = spot_area(self.a_m1, design.c_r)
-        self.vbar = ejecta_velocity(ast, consts.k_b)
+        self.vbar = ejecta_velocity(ast)
         self.t_reference = t_reference
         self._last_t: float | None = None
         self._growth = 0.0  # layer growth [m/s] at the previous call
@@ -322,14 +315,12 @@ class ThrustModel:
         self, eq: EquinoctialState, tau: float, elapsed: float
     ) -> tuple[ThrustRTN, float]:
         """Instantaneous thrust and mass flow for a given degradation factor."""
-        p_in = input_power_density(
-            self.eta_sys, self.design.c_r, eq.radius(), self.ast, tau, self.consts
-        )
+        p_in = input_power_density(self.eta_sys, self.design.c_r, eq.radius(), self.ast, tau)
         mdot = mass_flow_rate(
             p_in, self.ast, self.geom, self.design.n_sc, self.design.c_r,
             self.a_m1, t=elapsed,
         )
-        return ablation_acceleration(mdot, self.vbar, self.ast, eq, self.consts), mdot
+        return ablation_acceleration(mdot, self.vbar, self.ast, eq), mdot
 
     def layer_growth_rate(self, mdot: float, elapsed: float) -> float:
         """Contamination layer growth [m/s] for an instantaneous mass flow:
@@ -340,16 +331,15 @@ class ThrustModel:
         if self.geom.x <= 0.0 or mdot <= 0.0:
             return 0.0
         rho = plume_density(
-            mdot, self.vbar, self.a_spot, self.d_spot, self.geom, self.ast,
-            self.consts, t=elapsed,
+            mdot, self.vbar, self.a_spot, self.d_spot, self.geom, self.ast, t=elapsed
         )
-        return (2.0 * self.vbar * rho / self.consts.rho_layer) * math.cos(self.geom.psi_vf)
+        return (2.0 * self.vbar * rho / RHO_LAYER) * math.cos(self.geom.psi_vf)
 
     def __call__(self, eq: EquinoctialState, t: float) -> ThrustRTN:
         elapsed = t - self.t_reference
         if self._growth and t > self._last_t:
             self.h_cond += self._growth * (t - self._last_t) * 100.0  # m -> cm
-            self.tau = math.exp(-2.0 * self.consts.eta_abs * self.h_cond)
+            self.tau = math.exp(-2.0 * ETA_ABS * self.h_cond)
         thrust, mdot = self.thrust_given_tau(eq, self.tau, elapsed)
         if self.contamination_on:
             self._growth = self.layer_growth_rate(mdot, elapsed)

@@ -44,7 +44,7 @@ from .mission import (
     uncertain_dict,
 )
 from .orbits import KeplerConvergenceError
-from .search import extract_extremes, inner_bound_search, solve_moo
+from .search import inner_bound_search, solve_moo
 from .sizing import DesignVector, UNIT_MARGINS, check_design_bounds
 
 # failures of the numerics rather than of the inputs or the budgets: exit 4
@@ -141,23 +141,15 @@ def run_optimization(scenario: Scenario, mode: str, contamination: bool, out: Pa
     archive = solve_moo(evaluate, scenario.design_bounds, config)
     header, rows = archive_rows(archive, mode, structure)
     write_csv(out / f"archive_{mode}.csv", header, rows)
-    files = [f"archive_{mode}.csv"]
-    if mode != "deterministic":
-        labeled = extract_extremes(archive, mode)
-        lab_rows = [
-            [p.individual.design.d_m, float(p.individual.design.n_sc),
-             p.individual.design.t_warn, p.individual.design.c_r,
-             p.individual.objectives.m_sys, -p.individual.objectives.neg_b,
-             p.label, p.value]
-            for p in labeled
-        ]
-        write_csv(
-            out / f"extremes_{mode}.csv",
-            ["d_m", "n_sc", "t_warn", "c_r", "m_sys_kg", "b_km", "label", "value"],
-            lab_rows,
-        )
-        files.append(f"extremes_{mode}.csv")
-    return files
+    if mode == "deterministic":
+        return [f"archive_{mode}.csv"]
+    # the worst-case front carries Belief 1 (thresholds at or above these
+    # objective values are certain), the best-case fronts Plausibility 0
+    # (below these the mission is infeasible on the current knowledge)
+    label = ["belief", 1.0] if mode == "minmax" else ["plausibility", 0.0]
+    write_csv(out / f"extremes_{mode}.csv", header[:6] + ["label", "value"],
+              [row[:6] + label for row in rows])
+    return [f"archive_{mode}.csv", f"extremes_{mode}.csv"]
 
 
 def write_structure_csv(structure, path: Path) -> None:

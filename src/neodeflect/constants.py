@@ -5,7 +5,6 @@ work in SI (m, kg, W, K) except where a field is explicitly documented
 otherwise (the contamination layer is tracked in cm to match the absorption
 coefficient, which is quoted per cm).
 """
-from dataclasses import dataclass
 import math
 
 # Heliocentric two-body constants
@@ -19,32 +18,11 @@ MOL_MASS_FORSTERITE_KG = (2 * 24.305 + 28.085 + 4 * 15.999) * 1e-3 / 6.02214076e
 STEFAN_BOLTZMANN = 5.670374419e-8   # W/(m^2 K^4)
 BOLTZMANN = 1.380649e-23            # J/K
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fixed constants of the ablation and plume models.
-
-    Attributes:
-        sigma: Stefan-Boltzmann constant [W/(m^2 K^4)].
-        k_b: Boltzmann constant [J/K].
-        s0: solar flux at 1 AU [W/m^2].
-        au: astronomical unit [km].
-        lambda_scatter: hemispherical scattering factor for the ejecta thrust.
-        j_c: jet constant of the exhaust-plume density model.
-        kappa: adiabatic index of the expanding gas.
-        rho_layer: density of the condensed contamination layer [kg/m^3].
-        eta_abs: optical absorption coefficient of the condensate [1/cm].
-    """
-
-    sigma: float = STEFAN_BOLTZMANN
-    k_b: float = BOLTZMANN
-    s0: float = 1367.0
-    au: float = AU_KM
-    lambda_scatter: float = 2.0 / math.pi
-    j_c: float = 0.345
-    kappa: float = 1.4
-    rho_layer: float = 1000.0
-    eta_abs: float = 1.0e4
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()
+# Ablation and plume models
+S0 = 1367.0                         # solar flux at 1 AU, W/m^2
+LAMBDA_SCATTER = 2.0 / math.pi      # hemispherical scattering factor of ejecta thrust
+J_C = 0.345                         # jet constant of the exhaust-plume density model
+KAPPA = 1.4                         # adiabatic index of the expanding gas
+PHI_MAX = math.pi / 2.0             # plume edge: angle off its axis where density ends
+RHO_LAYER = 1000.0                  # density of the condensed layer, kg/m^3
+ETA_ABS = 1.0e4                     # absorption coefficient of the condensate, 1/cm

@@ -159,19 +159,11 @@ class FocalStructure:
     equal to BPAs, exactly tiling [0, 1] per dimension).
     """
 
-    def __init__(self, params: list[ParameterBPA], max_elements: int = 10**7):
+    def __init__(self, params: list[ParameterBPA]):
         if not params:
             raise ValueError("need at least one parameter")
         self.params = list(params)
         self.names = [p.name for p in params]
-        count = 1
-        for p in params:
-            count *= len(p.intervals)
-            if count > max_elements:
-                raise ValueError(
-                    f"focal element count exceeds the cap of {max_elements}"
-                )
-        self._n_elements = count
         self.cum: list[np.ndarray] = []
         for p in params:
             edges = np.concatenate([[0.0], np.cumsum([iv.bpa for iv in p.intervals])])
@@ -181,10 +173,6 @@ class FocalStructure:
     @property
     def dim(self) -> int:
         return len(self.params)
-
-    @property
-    def n_elements(self) -> int:
-        return self._n_elements
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(p.intervals) for p in self.params)
@@ -215,20 +203,16 @@ class FocalStructure:
             out[d] = iv.lo + frac * (iv.hi - iv.lo)
         return out
 
-    def physical_to_unit(self, values, prefer_cells: tuple[int, ...] | None = None) -> np.ndarray:
+    def physical_to_unit(self, values) -> np.ndarray:
         """A unit-cube preimage of physical values (used to seed searches).
 
         Overlapping intervals make the map one-to-many; the first interval
-        containing each value is used unless ``prefer_cells`` pins one.
+        containing each value is used.
         """
         values = np.asarray(values, dtype=float)
         out = np.empty(self.dim)
         for d, x in enumerate(values):
-            cells = range(len(self.params[d].intervals))
-            if prefer_cells is not None:
-                cells = [prefer_cells[d]]
-            for j in cells:
-                iv = self.params[d].intervals[j]
+            for j, iv in enumerate(self.params[d].intervals):
                 if iv.lo <= x <= iv.hi:
                     width = iv.hi - iv.lo
                     frac = 0.5 if width == 0.0 else (x - iv.lo) / width

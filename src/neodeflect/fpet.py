@@ -163,8 +163,7 @@ def _first_order_terms(
 
 
 def fpet_step(
-    eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float,
-    start: KeplerStart | None = None,
+    eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float, start: KeplerStart
 ) -> EquinoctialState:
     """Propagate one arc of true longitude with constant RTN thrust.
 
@@ -173,11 +172,11 @@ def fpet_step(
     by the exact Keplerian time of flight plus eps times the first-order
     time correction (which folds in both the normal-thrust perturbation of
     dL/dt and the drift of dt/dL through the perturbed elements).
-    ``start`` is ``kepler_start(eq0, mu)`` when the caller already has it.
+    ``start`` is ``kepler_start(eq0, mu)``.
     """
     if dl <= 0.0:
         raise ValueError("arc length must be positive")
-    t00 = kepler_time_of_flight(eq0, dl, mu, start)
+    t00 = kepler_time_of_flight(eq0, dl, start)
     if f.eps == 0.0:
         return EquinoctialState(
             a=eq0.a, p1=eq0.p1, p2=eq0.p2, q1=eq0.q1, q2=eq0.q2,
@@ -213,13 +212,13 @@ class Trajectory:
 
 
 def _midpoint_state(
-    eq: EquinoctialState, dl: float, mu: float, start: KeplerStart
+    eq: EquinoctialState, dl: float, start: KeplerStart
 ) -> EquinoctialState:
     """Zero-order Keplerian prediction of the state half an arc ahead."""
     half = 0.5 * dl
     return EquinoctialState(
         a=eq.a, p1=eq.p1, p2=eq.p2, q1=eq.q1, q2=eq.q2,
-        ell=eq.ell + half, t=eq.t + kepler_time_of_flight(eq, half, mu, start),
+        ell=eq.ell + half, t=eq.t + kepler_time_of_flight(eq, half, start),
     )
 
 
@@ -257,13 +256,13 @@ def propagate_trajectory(
     while t_end - eq.t > 1.0:
         if len(eps_history) >= max_arcs:
             raise ArcOverflowError(f"exceeded {max_arcs} arcs before reaching t_end")
-        probe = _midpoint_state(eq, dl_guess, mu, start)
+        probe = _midpoint_state(eq, dl_guess, start)
         f = thrust_callback(probe, probe.t)
         eps_max = max(eps_max, f.eps)
         dl = arc_length_law(f.eps, eps_max, ctrl.a_const, ctrl.k_const, ctrl.dl_max)
         if not 0.5 <= dl / dl_guess <= 2.0:
             # arc length moved a lot: re-sample at the corrected midpoint
-            probe = _midpoint_state(eq, dl, mu, start)
+            probe = _midpoint_state(eq, dl, start)
             f = thrust_callback(probe, probe.t)
             eps_max = max(eps_max, f.eps)
             dl = arc_length_law(f.eps, eps_max, ctrl.a_const, ctrl.k_const, ctrl.dl_max)

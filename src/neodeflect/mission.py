@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .ablation import AsteroidProperties, StationGeometry, ThrustModel
-from .constants import AU_KM, YEAR_S, DEFAULT_CONSTANTS
+from .constants import AU_KM, ETA_ABS, S0, YEAR_S
 from .evidence import FocalStructure, fuse_all, load_expert_opinions
 from .fpet import ArcControl, Trajectory, propagate_trajectory
 from .orbits import (
@@ -364,7 +364,7 @@ class ModelEvaluation:
 
 def _solar_flux(eq: EquinoctialState) -> float:
     """Solar flux [W/m^2] at the heliocentric distance of a state."""
-    return DEFAULT_CONSTANTS.s0 * (AU_KM / eq.radius()) ** 2
+    return S0 * (AU_KM / eq.radius()) ** 2
 
 
 class DeflectionModel:
@@ -397,9 +397,6 @@ class DeflectionModel:
         t_start = self.scenario.t_impact - t_warn_years * YEAR_S
         return propagate_keplerian(self.asteroid_eq, t_start, self.mu)
 
-    def solar_flux_at_start(self, t_warn_years: float) -> float:
-        return _solar_flux(self.start_state(t_warn_years))
-
     def deflection_start(
         self, design: DesignVector, u: dict
     ) -> tuple[EquinoctialState, ThrustModel]:
@@ -423,7 +420,7 @@ class DeflectionModel:
     def mass_only(self, design: DesignVector, u: dict) -> float:
         """Formation mass [kg]; no propagation involved."""
         _, tech = apply_uncertain(self.scenario, u)
-        flux = self.solar_flux_at_start(design.t_warn)
+        flux = _solar_flux(self.start_state(design.t_warn))
         return size_spacecraft(design, tech, self.margins, flux).m_sys
 
     def evaluate(self, design: DesignVector, u: dict) -> ModelEvaluation:
@@ -551,7 +548,7 @@ def rk_impact_parameter(
         state = EquinoctialState(
             a=y[0], p1=y[1], p2=y[2], q1=y[3], q2=y[4], ell=y[5], t=t
         )
-        tau = math.exp(-2.0 * DEFAULT_CONSTANTS.eta_abs * y[6]) if contamination else 1.0
+        tau = math.exp(-2.0 * ETA_ABS * y[6]) if contamination else 1.0
         thrust, mdot = thrust_model.thrust_given_tau(state, tau, t - t_start)
         rates = gauss_rhs(state, thrust, mu)
         dh = (thrust_model.layer_growth_rate(mdot, t - t_start) * 100.0  # m -> cm

@@ -119,12 +119,6 @@ class ThrustRTN:
         if self.eps < 0.0:
             raise ValueError("thrust modulus must be non-negative")
 
-    def rtn_vector(self) -> np.ndarray:
-        cb = math.cos(self.beta)
-        return self.eps * np.array(
-            [math.cos(self.alpha) * cb, math.sin(self.alpha) * cb, math.sin(self.beta)]
-        )
-
 
 @dataclass(frozen=True)
 class BPlaneResult:
@@ -145,8 +139,9 @@ class BPlaneResult:
 # Element conversions
 # ---------------------------------------------------------------------------
 
-def keplerian_to_equinoctial(kep: KeplerianElements, t: float = 0.0) -> EquinoctialState:
-    """Convert classical elements to the non-singular equinoctial set.
+def keplerian_to_equinoctial(kep: KeplerianElements) -> EquinoctialState:
+    """Convert classical elements to the non-singular equinoctial set at
+    epoch 0.
 
     Raises ValueError for e >= 1 (enforced by KeplerianElements) and for
     i = pi, where tan(i/2) is singular.
@@ -162,30 +157,6 @@ def keplerian_to_equinoctial(kep: KeplerianElements, t: float = 0.0) -> Equinoct
         q1=ti2 * math.sin(kep.raan),
         q2=ti2 * math.cos(kep.raan),
         ell=wrap_two_pi(pomega + kep.theta),
-        t=t,
-    )
-
-
-def equinoctial_to_keplerian(eq: EquinoctialState) -> KeplerianElements:
-    """Invert the equinoctial mapping back to classical elements.
-
-    For circular and/or equatorial orbits the ambiguous angles collapse to
-    the atan2(0, 0) = 0 convention.
-    """
-    e = math.hypot(eq.p1, eq.p2)
-    tan_half_i = math.hypot(eq.q1, eq.q2)
-    i = 2.0 * math.atan(tan_half_i)
-    raan = math.atan2(eq.q1, eq.q2) if tan_half_i > 0.0 else 0.0
-    pomega = math.atan2(eq.p1, eq.p2) if e > 0.0 else 0.0
-    argp = pomega - raan
-    theta = eq.ell - pomega
-    return KeplerianElements(
-        a=eq.a,
-        e=e,
-        i=i,
-        raan=wrap_two_pi(raan),
-        argp=wrap_two_pi(argp),
-        theta=wrap_two_pi(theta),
     )
 
 
@@ -233,25 +204,23 @@ def true_longitude_from_eccentric(eq: EquinoctialState, k_long: float) -> float:
     return theta + pomega
 
 
-def solve_eccentric_longitude(
-    eq: EquinoctialState, lam: float, tol: float = 1e-13, max_iter: int = 60
-) -> float:
+def solve_eccentric_longitude(eq: EquinoctialState, lam: float) -> float:
     """Solve lambda = K + P1*cos(K) - P2*sin(K) for K by Newton iteration.
 
     The derivative 1 - P1*sin(K) - P2*cos(K) = r/a is strictly positive on
     elliptic orbits, so the iteration is well conditioned. Raises
-    KeplerConvergenceError when the residual does not fall below ``tol``
-    within ``max_iter`` iterations.
+    KeplerConvergenceError when the residual does not fall below 1e-13
+    within 60 iterations.
     """
     k_long = lam
-    for _ in range(max_iter):
+    for _ in range(60):
         g = k_long + eq.p1 * math.cos(k_long) - eq.p2 * math.sin(k_long) - lam
-        if abs(g) < tol:
+        if abs(g) < 1e-13:
             return k_long
         dg = 1.0 - eq.p1 * math.sin(k_long) - eq.p2 * math.cos(k_long)
         k_long -= g / dg
     raise KeplerConvergenceError(
-        f"Kepler solve did not reach |residual| < {tol} in {max_iter} iterations"
+        "Kepler solve did not reach |residual| < 1e-13 in 60 iterations"
     )
 
 
@@ -298,17 +267,12 @@ def kepler_start(eq: EquinoctialState, mu: float) -> KeplerStart:
     )
 
 
-def kepler_time_of_flight(
-    eq: EquinoctialState, dl: float, mu: float, start: KeplerStart | None = None
-) -> float:
+def kepler_time_of_flight(eq: EquinoctialState, dl: float, start: KeplerStart) -> float:
     """Exact two-body time of flight from eq.ell to eq.ell + dl [s].
 
-    ``start`` is ``kepler_start(eq, mu)``; callers that time several arcs
-    from one state pass it so the start is solved once. The result is the
-    same bits either way.
+    ``start`` is ``kepler_start(eq, mu)``, solved once for every arc timed
+    from the same state.
     """
-    if start is None:
-        start = kepler_start(eq, mu)
     return (start.mean_longitude(eq.ell + dl) - start.lam) / start.n
 
 

@@ -94,9 +94,6 @@ class ParetoArchive:
         drop = int(np.argmin(crowd))
         self.members.pop(drop)
 
-    def objective_array(self) -> np.ndarray:
-        return np.array([m.objectives.as_tuple() for m in self.members])
-
     def sorted_by_mass(self) -> list[Individual]:
         return sorted(self.members, key=lambda m: m.objectives.m_sys)
 
@@ -145,11 +142,10 @@ def inner_bound_search(
     pop_size: int,
     rng: np.random.Generator,
     seeds: tuple[np.ndarray, ...] = (),
-    f_weight: float = 0.8,
-    cr: float = 0.9,
     collapse_tol: float = 1e-9,
 ) -> BoundResult:
-    """Bound f over the unit hypercube by restart DE (rand/1/bin).
+    """Bound f over the unit hypercube by restart DE (rand/1/bin, weight
+    0.8, crossover rate 0.9).
 
     ``sense`` is "min" or "max". Optional ``seeds`` are injected into the
     initial population (the paper's nominal point, cached witnesses). On
@@ -181,8 +177,8 @@ def inner_bound_search(
                 break
             choices = [k for k in range(pop_size) if k != i]
             a, b, c = rng.choice(choices, size=3, replace=False)
-            mutant = pop[a] + f_weight * (pop[b] - pop[c])
-            cross = rng.random(dim) < cr
+            mutant = pop[a] + 0.8 * (pop[b] - pop[c])
+            cross = rng.random(dim) < 0.9
             cross[rng.integers(dim)] = True
             trial = np.clip(np.where(cross, mutant, pop[i]), 0.0, 1.0)
             ft = h(trial)
@@ -228,13 +224,14 @@ def decode_design(genes: np.ndarray, bounds: dict) -> DesignVector:
     return DesignVector(d_m=float(x[0]), n_sc=n_sc, t_warn=float(x[2]), c_r=float(x[3]))
 
 
-def quantize_design(design: DesignVector, grid: float = 1e-9) -> tuple[int, ...]:
-    """Stable integer key of a design for caching and seed derivation."""
+def quantize_design(design: DesignVector) -> tuple[int, ...]:
+    """Stable integer key of a design for caching and seed derivation: the
+    continuous coordinates on a 1e-9 grid."""
     return (
-        int(round(design.d_m / grid)),
+        int(round(design.d_m / 1e-9)),
         design.n_sc,
-        int(round(design.t_warn / grid)),
-        int(round(design.c_r / grid)),
+        int(round(design.t_warn / 1e-9)),
+        int(round(design.c_r / 1e-9)),
     )
 
 
@@ -249,7 +246,6 @@ def solve_moo(evaluate, bounds: dict, config: SolverConfig) -> ParetoArchive:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xD0]))
     archive = ParetoArchive(capacity=config.archive_capacity)
     cache: dict[tuple[int, ...], Individual] = {}
-    state = {"evals": 0}
 
     def run(genes: np.ndarray) -> Individual:
         design = decode_design(genes, bounds)
@@ -258,7 +254,6 @@ def solve_moo(evaluate, bounds: dict, config: SolverConfig) -> ParetoArchive:
         if hit is None:
             hit = evaluate(design)
             cache[key] = hit
-            state["evals"] += 1
             archive.add(hit)
         return hit
 
@@ -266,20 +261,20 @@ def solve_moo(evaluate, bounds: dict, config: SolverConfig) -> ParetoArchive:
     # a budget below the population size ends the search inside this loop
     inds = []
     for genes in pop:
-        if state["evals"] >= config.outer_budget:
+        if len(cache) >= config.outer_budget:
             break
         inds.append(run(genes))
     steps = np.full(config.outer_pop, 0.25)
 
-    while state["evals"] < config.outer_budget:
+    while len(cache) < config.outer_budget:
         for i in range(config.outer_pop):
-            if state["evals"] >= config.outer_budget:
+            if len(cache) >= config.outer_budget:
                 break
             if i < config.explorers:
                 improved = False
                 for d in rng.permutation(4):
                     for direction in (+1.0, -1.0):
-                        if state["evals"] >= config.outer_budget:
+                        if len(cache) >= config.outer_budget:
                             break
                         trial = pop[i].copy()
                         trial[d] = min(max(trial[d] + direction * steps[i], 0.0), 1.0)
@@ -292,7 +287,7 @@ def solve_moo(evaluate, bounds: dict, config: SolverConfig) -> ParetoArchive:
                         break
                 if not improved:
                     steps[i] *= 0.5
-                    if steps[i] < 1e-4 and state["evals"] < config.outer_budget:
+                    if steps[i] < 1e-4 and len(cache) < config.outer_budget:
                         steps[i] = 0.25
                         pop[i] = rng.random(4)
                         inds[i] = run(pop[i])
@@ -312,30 +307,3 @@ def solve_moo(evaluate, bounds: dict, config: SolverConfig) -> ParetoArchive:
                         pop[i], inds[i] = trial, cand
     return archive
 
-
-@dataclass(frozen=True)
-class LabeledPoint:
-    """Archive member tagged with its cumulative-evidence meaning."""
-
-    individual: Individual
-    label: str
-    value: float
-
-
-def extract_extremes(archive: ParetoArchive, mode: str) -> list[LabeledPoint]:
-    """Tag archive members with the evidence value their mode certifies.
-
-    The worst-case front carries Belief 1 (thresholds at or above these
-    objective values are certain); the best-case front carries
-    Plausibility 0 (below these the mission is infeasible on the current
-    body of knowledge).
-    """
-    if len(archive) == 0:
-        raise ValueError("archive is empty")
-    if mode == "minmax":
-        label, value = "belief", 1.0
-    elif mode in ("minmin", "minmin-margins"):
-        label, value = "plausibility", 0.0
-    else:
-        raise ValueError(f"no evidence labeling for mode {mode!r}")
-    return [LabeledPoint(m, label, value) for m in archive.sorted_by_mass()]

@@ -36,18 +36,9 @@ class DesignVector:
             raise ValueError("spacecraft count must be an integer")
 
 
-DESIGN_BOUNDS = {
-    "d_m": (2.0, 20.0),
-    "n_sc": (1, 10),
-    "t_warn": (1.0, 8.0),
-    "c_r": (1000.0, 3000.0),
-}
-
-
-def check_design_bounds(design: DesignVector, bounds: dict | None = None) -> None:
-    b = bounds or DESIGN_BOUNDS
+def check_design_bounds(design: DesignVector, bounds: dict) -> None:
     for name in ("d_m", "n_sc", "t_warn", "c_r"):
-        lo, hi = b[name]
+        lo, hi = bounds[name]
         value = getattr(design, name)
         if not lo <= value <= hi:
             raise ValueError(f"{name}={value} outside bounds [{lo}, {hi}]")
@@ -123,7 +114,6 @@ class Margins:
 
 
 UNIT_MARGINS = Margins(1.0, 1.0, 1.0, 1.0)
-TABLE_MARGINS = Margins()
 
 
 @dataclass(frozen=True)
@@ -154,17 +144,18 @@ def system_efficiency(tech: TechnologyParams) -> float:
     return tech.eta_l * tech.eta_sa * tech.eta_p * tech.emiss_m
 
 
-def radiator_area(p_l: float, tech: TechnologyParams, t_rad: float, emiss_rad: float) -> float:
+def radiator_area(p_l: float, tech: TechnologyParams) -> float:
     """Radiator area from the steady-state balance of rejected heat.
 
     Everything collected that does not leave as laser light must be
-    radiated: P_waste = (solar power on the arrays) * (1 - eta_sa*eta_l).
+    radiated: P_waste = (solar power on the arrays) * (1 - eta_sa*eta_l),
+    at the radiator temperature and emissivity of ``tech``.
     """
-    if t_rad <= 0.0:
+    if tech.t_rad <= 0.0:
         raise ValueError("radiator temperature must be positive")
     p_on_arrays = p_l / tech.eta_sa
     p_waste = p_on_arrays * (1.0 - tech.eta_sa * tech.eta_l)
-    return p_waste / (emiss_rad * STEFAN_BOLTZMANN * t_rad**4)
+    return p_waste / (tech.emiss_rad * STEFAN_BOLTZMANN * tech.t_rad**4)
 
 
 def size_spacecraft(
@@ -188,7 +179,7 @@ def size_spacecraft(
     m_s = margins.k_s * tech.rho_s * a_s
     m_m = margins.k_m * tech.rho_m * (a_d + a_m1 + 2.0 * a_m2)
     m_c = tech.mf_c * (m_s + m_l)
-    a_r = radiator_area(p_l, tech, tech.t_rad, tech.emiss_rad)
+    a_r = radiator_area(p_l, tech)
     m_r = tech.rho_r * a_r
 
     m_dry = margins.k_dry * (m_c + m_s + m_m + m_l + m_r + tech.m_bus)

@@ -29,8 +29,40 @@ from neodeflect.orbits import (
     EquinoctialState,
     KeplerianElements,
     ThrustRTN,
-    equinoctial_to_keplerian,
+    wrap_two_pi,
 )
+
+
+def rtn_vector(thrust: ThrustRTN) -> np.ndarray:
+    """Cartesian RTN acceleration eps * [cos(alpha)cos(beta),
+    sin(alpha)cos(beta), sin(beta)] of a thrust."""
+    cb = math.cos(thrust.beta)
+    return thrust.eps * np.array(
+        [math.cos(thrust.alpha) * cb, math.sin(thrust.alpha) * cb, math.sin(thrust.beta)]
+    )
+
+
+def equinoctial_to_keplerian(eq: EquinoctialState) -> KeplerianElements:
+    """Invert the equinoctial mapping back to classical elements.
+
+    For circular and/or equatorial orbits the ambiguous angles collapse to
+    the atan2(0, 0) = 0 convention.
+    """
+    e = math.hypot(eq.p1, eq.p2)
+    tan_half_i = math.hypot(eq.q1, eq.q2)
+    i = 2.0 * math.atan(tan_half_i)
+    raan = math.atan2(eq.q1, eq.q2) if tan_half_i > 0.0 else 0.0
+    pomega = math.atan2(eq.p1, eq.p2) if e > 0.0 else 0.0
+    argp = pomega - raan
+    theta = eq.ell - pomega
+    return KeplerianElements(
+        a=eq.a,
+        e=e,
+        i=i,
+        raan=wrap_two_pi(raan),
+        argp=wrap_two_pi(argp),
+        theta=wrap_two_pi(theta),
+    )
 
 
 def kep_to_cartesian_classical(kep: KeplerianElements, mu: float):
@@ -271,8 +303,16 @@ def focal_element(structure: FocalStructure, index: tuple[int, ...]) -> FocalEle
     return FocalElement(box=tuple(box), bpa=bpa, unit_box=tuple(unit), index=index)
 
 
-def focal_elements(structure: FocalStructure):
-    """Iterate every focal element of the Cartesian product."""
+def n_elements(structure: FocalStructure) -> int:
+    """Number of focal elements of the Cartesian product."""
+    return math.prod(structure.counts())
+
+
+def focal_elements(structure: FocalStructure, max_elements: int = 10**7):
+    """Iterate every focal element of the Cartesian product; more than
+    ``max_elements`` of them is a ValueError."""
+    if n_elements(structure) > max_elements:
+        raise ValueError(f"focal element count exceeds the cap of {max_elements}")
     ranges = [range(len(p.intervals)) for p in structure.params]
     for index in itertools.product(*ranges):
         yield focal_element(structure, index)
@@ -282,7 +322,7 @@ def build_focal_elements(
     params: list[ParameterBPA], max_elements: int = 10**7
 ) -> list[FocalElement]:
     """Materialize the full Cartesian product of focal elements."""
-    return list(focal_elements(FocalStructure(params, max_elements)))
+    return list(focal_elements(FocalStructure(params), max_elements))
 
 
 def bel_pl_of_threshold(bounds_by_element, v: float) -> tuple[float, float]:

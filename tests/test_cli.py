@@ -161,6 +161,22 @@ def test_minmax_mode_outputs_witnesses(fast_scenario, tmp_path):
     assert all(",belief,1" in row for row in extremes[1:])
 
 
+def test_extremes_csv_labels(fast_scenario, tmp_path):
+    """The worst-case front carries Belief 1 and the best-case front
+    Plausibility 0, one row per archive member in the archive's order."""
+    for mode, label in (("minmax", ["belief", "1"]), ("minmin", ["plausibility", "0"])):
+        out = tmp_path / mode
+        code = main(["--mode", mode, "--scenario", str(fast_scenario),
+                     "--out", str(out), "--seed", "3"])
+        assert code == 0
+        archive = (out / f"archive_{mode}.csv").read_text().splitlines()
+        extremes = (out / f"extremes_{mode}.csv").read_text().splitlines()
+        assert extremes[0] == "d_m,n_sc,t_warn,c_r,m_sys_kg,b_km,label,value"
+        assert len(extremes) == len(archive) > 1
+        for arow, erow in zip(archive[1:], extremes[1:]):
+            assert erow.split(",") == arow.split(",")[:6] + label
+
+
 def test_bpcurve_mode(fast_scenario, tmp_path):
     out = tmp_path / "run"
     code = main([

@@ -27,6 +27,7 @@ from oracles import (
     duality_check,
     enumerate_bel_pl,
     focal_elements,
+    n_elements,
 )
 
 DATA = Path(__file__).parent.parent / "src" / "neodeflect" / "data" / "expert_opinions.json"
@@ -152,7 +153,7 @@ def test_focal_count_cap():
         for k in range(8)
     ]
     with pytest.raises(ValueError):
-        FocalStructure(params, max_elements=10**6)
+        build_focal_elements(params, max_elements=10**6)
 
 
 def test_full_structure_counts_and_product():
@@ -165,7 +166,7 @@ def test_full_structure_counts_and_product():
     product = 1
     for c in counts:
         product *= c
-    assert structure.n_elements == product == 93312
+    assert n_elements(structure) == product == 93312
     # product BPAs over the whole structure still sum to one
     total = math.fsum(el.bpa for el in focal_elements(structure))
     assert total == pytest.approx(1.0, abs=1e-9)

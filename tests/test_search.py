@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neodeflect.sizing import DESIGN_BOUNDS, DesignVector
+from neodeflect.sizing import DesignVector
 from neodeflect.search import (
     BoundResult,
     Individual,
@@ -16,15 +16,20 @@ from neodeflect.search import (
     SolverConfig,
     decode_design,
     dominates,
-    extract_extremes,
     inner_bound_search,
     quantize_design,
     solve_moo,
 )
 
+from test_sizing import DESIGN_BOUNDS
+
 
 def ind(m, nb, d_m=10.0):
     return Individual(DesignVector(d_m, 5, 4.0, 2000.0), Objectives(m, nb))
+
+
+def objective_array(archive: ParetoArchive) -> np.ndarray:
+    return np.array([m.objectives.as_tuple() for m in archive])
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +226,7 @@ def bi_objective_toy(design: DesignVector) -> Individual:
 def test_solve_moo_known_front():
     config = SolverConfig(outer_budget=800, outer_pop=10, explorers=2, seed=7)
     archive = solve_moo(bi_objective_toy, DESIGN_BOUNDS, config)
-    pts = archive.objective_array()
+    pts = objective_array(archive)
     # whole front lies on m + (1 - m): every member is exactly on the line
     np.testing.assert_allclose(pts[:, 0] + pts[:, 1], 1.0, atol=1e-12)
     # spans the line: hypervolume against (1.1, 1.1) within 5% of analytic
@@ -244,7 +249,7 @@ def test_solve_moo_determinism():
     config = SolverConfig(outer_budget=400, outer_pop=8, explorers=2, seed=11)
     a1 = solve_moo(bi_objective_toy, DESIGN_BOUNDS, config)
     a2 = solve_moo(bi_objective_toy, DESIGN_BOUNDS, config)
-    p1, p2 = a1.objective_array(), a2.objective_array()
+    p1, p2 = objective_array(a1), objective_array(a2)
     assert p1.shape == p2.shape
     np.testing.assert_array_equal(np.sort(p1, axis=0), np.sort(p2, axis=0))
 
@@ -282,20 +287,6 @@ def test_solve_moo_evaluates_exactly_the_budget():
         assert distinct_evaluations(budget, explorers) == budget
     for budget in (1, 3, 9):
         assert distinct_evaluations(budget, 2, outer_pop=10) == budget
-
-
-def test_extract_extremes_labels():
-    archive = ParetoArchive()
-    archive.add(ind(2, -5))
-    archive.add(ind(3, -9))
-    worst = extract_extremes(archive, "minmax")
-    assert all(p.label == "belief" and p.value == 1.0 for p in worst)
-    best = extract_extremes(archive, "minmin")
-    assert all(p.label == "plausibility" and p.value == 0.0 for p in best)
-    with pytest.raises(ValueError):
-        extract_extremes(archive, "deterministic")
-    with pytest.raises(ValueError):
-        extract_extremes(ParetoArchive(), "minmax")
 
 
 def test_solver_config_validation():

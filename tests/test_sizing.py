@@ -9,7 +9,6 @@ from neodeflect.sizing import (
     DesignVector,
     Margins,
     MassBudget,
-    TABLE_MARGINS,
     TechnologyParams,
     UNIT_MARGINS,
     check_design_bounds,
@@ -17,6 +16,15 @@ from neodeflect.sizing import (
     size_spacecraft,
     system_efficiency,
 )
+
+# the design box of the paper and its engineering margins
+DESIGN_BOUNDS = {
+    "d_m": (2.0, 20.0),
+    "n_sc": (1, 10),
+    "t_warn": (1.0, 8.0),
+    "c_r": (1000.0, 3000.0),
+}
+TABLE_MARGINS = Margins()
 
 
 def sizing_oracle(design, tech, margins, flux):
@@ -132,17 +140,17 @@ def test_radiator_balance_hand_value():
     # pick eta so that the waste power is exactly 10 kW
     tech = TechnologyParams(eta_l=0.5, eta_sa=0.5, t_rad=350.0, emiss_rad=0.9)
     p_l = 10e3 * tech.eta_sa / (1 - tech.eta_sa * tech.eta_l)
-    a_r = radiator_area(p_l, tech, 350.0, 0.9)
+    a_r = radiator_area(p_l, tech)
     assert a_r == pytest.approx(13.05, rel=2e-3)
-    assert radiator_area(0.0, tech, 350.0, 0.9) == 0.0
-    assert radiator_area(2 * p_l, tech, 350.0, 0.9) == pytest.approx(2 * a_r, rel=1e-12)
+    assert radiator_area(0.0, tech) == 0.0
+    assert radiator_area(2 * p_l, tech) == pytest.approx(2 * a_r, rel=1e-12)
 
 
 def test_design_bounds_check():
-    check_design_bounds(DesignVector(2.0, 1, 1.0, 1000.0))
-    check_design_bounds(DesignVector(20.0, 10, 8.0, 3000.0))
+    check_design_bounds(DesignVector(2.0, 1, 1.0, 1000.0), DESIGN_BOUNDS)
+    check_design_bounds(DesignVector(20.0, 10, 8.0, 3000.0), DESIGN_BOUNDS)
     with pytest.raises(ValueError):
-        check_design_bounds(DesignVector(25.0, 5, 4.0, 2000.0))
+        check_design_bounds(DesignVector(25.0, 5, 4.0, 2000.0), DESIGN_BOUNDS)
     with pytest.raises(ValueError):
         DesignVector(10.0, 2.5, 4.0, 2000.0)
 
