@@ -303,11 +303,12 @@ def main(argv: list[str] | None = None) -> int:
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    args_record = {
-        "mode": args.mode, "contamination": contamination,
-        "design": args.design, "seed": scenario.seed, "nv": args.nv,
-        "max_partitions": args.max_partitions,
-    }
+    # the hash covers exactly the arguments the mode reads
+    args_record = {"mode": args.mode, "contamination": contamination, "seed": scenario.seed}
+    if args.mode in ("bpcurve", "sensitivity"):
+        args_record.update(design=args.design, nv=args.nv, max_partitions=args.max_partitions)
+    elif args.mode == "propagate":
+        args_record.update(design=args.design, oracle=args.oracle)
 
     try:
         if args.mode in ("deterministic", "minmin", "minmin-margins", "minmax"):

@@ -78,6 +78,24 @@ def test_optimization_modes_ignore_design(fast_scenario, tmp_path, design):
     assert code == 0
 
 
+def _config_hash(fast_scenario, out, *args):
+    assert main(["--scenario", str(fast_scenario), "--out", str(out), *args]) == 0
+    return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+
+def test_config_hash_covers_what_the_mode_reads(fast_scenario, tmp_path):
+    """Arguments a mode ignores leave the hash alone; one that changes the
+    payload changes it."""
+    det = ["--mode", "deterministic", "--seed", "5"]
+    assert _config_hash(fast_scenario, tmp_path / "d1", *det, "--design", "20,10,8,3000") == (
+        _config_hash(fast_scenario, tmp_path / "d2", *det, "--design", "5,3,2,2000")
+    )
+    prop = ["--mode", "propagate", "--design", "20,10,1,3000"]
+    assert _config_hash(fast_scenario, tmp_path / "p1", *prop) != (
+        _config_hash(fast_scenario, tmp_path / "p2", *prop, "--oracle")
+    )
+
+
 def _raise(exc):
     def fail(*args, **kwargs):
         raise exc
