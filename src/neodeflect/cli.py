@@ -5,8 +5,11 @@ payloads plus a manifest with full provenance (seed, configuration hash,
 package version) under the output directory. Identical scenario and seed
 reproduce byte-identical payloads.
 
-Exit codes: 0 success, 2 scenario/schema errors or a ``--design`` outside
-the scenario's design bounds, 3 solver budget errors, 4 numerical failure
+Exit codes: 0 success, 2 scenario/schema errors, a ``--design`` outside
+the scenario's design bounds, or an expert-opinion file that is missing,
+malformed or leaves out a parameter (the modes that load it: ``minmin``,
+``minmin-margins``, ``minmax``, ``bpcurve``, ``sensitivity``), 3 solver
+budget errors, 4 numerical failure
 (the arc-count cap of a propagation, a Kepler solve that does not converge,
 or a failed reference integration).
 """
@@ -23,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evidence import bel_pl_curve
+from .evidence import FocalStructure, bel_pl_curve
 from .fpet import ArcOverflowError
 from .mission import (
     MODES,
@@ -198,14 +201,12 @@ def run_sensitivity(scenario: Scenario, design: DesignVector, contamination: boo
                     out: Path, n_v: int = 21, max_partitions: int = 10**5):
     """Per-parameter Bel/Pl curves of b, the other nine held at the
     reference values."""
-    from .evidence import FocalStructure, fuse_all, load_expert_opinions
-
     model = DeflectionModel(scenario, contamination, UNIT_MARGINS)
-    opinions = load_expert_opinions(scenario.expert_opinions_path())
+    fused = evidence_structure(scenario).params
     config = scenario.solver
     rows = []
-    for name in PHYSICAL_NAMES:
-        structure = FocalStructure(fuse_all(opinions, [name]))
+    for name, param in zip(PHYSICAL_NAMES, fused):
+        structure = FocalStructure([param])
 
         def objective(u_vec, pname=name, struct=structure):
             u = dict(scenario.fixed_uncertain)
@@ -321,6 +322,9 @@ def main(argv: list[str] | None = None) -> int:
                                     args.max_partitions)
         else:
             files = run_propagate(scenario, design, contamination, out, args.oracle)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

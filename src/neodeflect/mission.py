@@ -442,9 +442,14 @@ class DeflectionModel:
 
 
 def evidence_structure(scenario: Scenario) -> FocalStructure:
-    """Fused ten-parameter evidence structure of the scenario."""
-    opinions = load_expert_opinions(scenario.expert_opinions_path())
-    return FocalStructure(fuse_all(opinions, list(UNCERTAIN_NAMES)))
+    """Fused ten-parameter evidence structure of the scenario. A missing or
+    malformed opinion file, or opinions that leave out a parameter, is a
+    ScenarioError."""
+    path = scenario.expert_opinions_path()
+    try:
+        return FocalStructure(fuse_all(load_expert_opinions(path), list(UNCERTAIN_NAMES)))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"expert opinions {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def uncertain_dict(structure: FocalStructure, u_vec: np.ndarray) -> dict:

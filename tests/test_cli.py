@@ -78,6 +78,31 @@ def test_optimization_modes_ignore_design(fast_scenario, tmp_path, design):
     assert code == 0
 
 
+@pytest.mark.parametrize("opinions", ["missing", "malformed", "incomplete"])
+@pytest.mark.parametrize("mode", ["minmin", "minmin-margins", "minmax", "bpcurve",
+                                  "sensitivity"])
+def test_expert_opinion_failure_exit_code(fast_scenario, tmp_path, capsys, mode, opinions):
+    """An opinion file that is missing, is not JSON, or leaves out a
+    parameter is a scenario error: exit 2 with one line on stderr."""
+    path = tmp_path / "opinions.json"
+    if opinions == "malformed":
+        path.write_text('{"experts": [')
+    elif opinions == "incomplete":
+        doc = json.loads((reference_scenario_path().parent / "expert_opinions.json").read_text())
+        for expert in doc["experts"]:
+            expert["parameters"].pop("c_a", None)
+        path.write_text(json.dumps(doc))
+    scenario = json.loads(fast_scenario.read_text())
+    scenario["expert_opinions_file"] = str(path)
+    fast_scenario.write_text(json.dumps(scenario))
+    code = main(["--mode", mode, "--scenario", str(fast_scenario),
+                 "--design", "20,10,2,3000", "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: expert opinions {path}: ")
+    assert len(err.splitlines()) == 1
+
+
 def _config_hash(fast_scenario, out, *args):
     assert main(["--scenario", str(fast_scenario), "--out", str(out), *args]) == 0
     return json.loads((out / "manifest.json").read_text())["config_hash"]
