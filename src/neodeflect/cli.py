@@ -112,9 +112,12 @@ def de_box_bounder(f, dim: int, budget: int, pop: int, seed: int):
         lo = np.array([b[0] for b in unit_box])
         hi = np.array([b[1] for b in unit_box])
         span = hi - lo
+        # a lower cell edge belongs to the cell below it: evaluate the lower
+        # face one step inside, so that every point stays in the box's cells
+        floor = np.where(lo > 0.0, np.nextafter(lo, 1.0), lo)
 
         def g(u):
-            return f(lo + u * span)
+            return f(np.maximum(lo + u * span, floor))
 
         key = hashlib.sha256(repr(unit_box).encode()).digest()[:8]
         box_tag = int.from_bytes(key, "big")

@@ -7,9 +7,11 @@ from types import SimpleNamespace
 import pytest
 
 from neodeflect import mission
-from neodeflect.cli import main, parse_design
+from neodeflect.cli import de_box_bounder, main, parse_design
+from neodeflect.evidence import FocalStructure, SubBox
 from neodeflect.fpet import ArcOverflowError
 from neodeflect.mission import (
+    evidence_structure,
     load_scenario,
     reference_scenario_path,
     scenario_to_dict,
@@ -218,6 +220,24 @@ def test_extremes_csv_labels(fast_scenario, tmp_path):
         assert len(extremes) == len(archive) > 1
         for arow, erow in zip(archive[1:], extremes[1:]):
             assert erow.split(",") == arow.split(",")[:6] + label
+
+
+def test_box_bounder_stays_inside_the_box():
+    """A box over k_a cell 2, [1.47, 1.6], is searched on that interval
+    only: its lower face belongs to it, not to cell 1, [0.2, 2.0]."""
+    k_a = evidence_structure(load_scenario(reference_scenario_path())).params[1]
+    structure = FocalStructure([k_a])
+    assert (k_a.intervals[2].lo, k_a.intervals[2].hi) == (1.47, 1.6)
+    seen = []
+
+    def objective(u):
+        seen.append(float(structure.unit_to_physical(u)[0]))
+        return seen[-1]
+
+    bounds = de_box_bounder(objective, 1, 40, 4, seed=0)
+    vmin, vmax = bounds(SubBox(((2, 3),)).unit_box(structure))
+    assert all(1.47 <= v <= 1.6 for v in seen)
+    assert (vmin, vmax) == (pytest.approx(1.47), pytest.approx(1.6))
 
 
 def test_bpcurve_mode(fast_scenario, tmp_path):
