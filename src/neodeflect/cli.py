@@ -9,9 +9,8 @@ Exit codes: 0 success, 2 scenario/schema errors, a ``--design`` outside
 the scenario's design bounds, or an expert-opinion file that is missing,
 malformed or leaves out a parameter (the modes that load it: ``minmin``,
 ``minmin-margins``, ``minmax``, ``bpcurve``, ``sensitivity``), 3 solver
-budget errors, 4 numerical failure
-(the arc-count cap of a propagation, a Kepler solve that does not converge,
-or a failed reference integration).
+budget errors, 4 numerical failure (the arc-count cap of a propagation, a
+Kepler solve that does not converge, or a failed reference integration).
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -205,10 +204,9 @@ def run_sensitivity(scenario: Scenario, design: DesignVector, contamination: boo
     """Per-parameter Bel/Pl curves of b, the other nine held at the
     reference values."""
     model = DeflectionModel(scenario, contamination, UNIT_MARGINS)
-    fused = evidence_structure(scenario).params
     config = scenario.solver
     rows = []
-    for name, param in zip(PHYSICAL_NAMES, fused):
+    for name, param in zip(PHYSICAL_NAMES, evidence_structure(scenario).params):
         structure = FocalStructure([param])
 
         def objective(u_vec, pname=name, struct=structure):
@@ -307,12 +305,14 @@ def main(argv: list[str] | None = None) -> int:
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    # the hash covers exactly the arguments the mode reads
+    # the hash covers exactly the arguments the mode reads, the design as
+    # parsed (so that 20 and 20.0 hash alike)
     args_record = {"mode": args.mode, "contamination": contamination, "seed": scenario.seed}
     if args.mode in ("bpcurve", "sensitivity"):
-        args_record.update(design=args.design, nv=args.nv, max_partitions=args.max_partitions)
+        args_record.update(design=astuple(design), nv=args.nv,
+                           max_partitions=args.max_partitions)
     elif args.mode == "propagate":
-        args_record.update(design=args.design, oracle=args.oracle)
+        args_record.update(design=astuple(design), oracle=args.oracle)
 
     try:
         if args.mode in ("deterministic", "minmin", "minmin-margins", "minmax"):

@@ -447,9 +447,10 @@ def evidence_structure(scenario: Scenario) -> FocalStructure:
     ScenarioError."""
     path = scenario.expert_opinions_path()
     try:
-        return FocalStructure(fuse_all(load_expert_opinions(path), list(UNCERTAIN_NAMES)))
+        params = fuse_all(load_expert_opinions(path), list(UNCERTAIN_NAMES))
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"expert opinions {path}: {type(exc).__name__}: {exc}") from exc
+    return FocalStructure(params)
 
 
 def uncertain_dict(structure: FocalStructure, u_vec: np.ndarray) -> dict:

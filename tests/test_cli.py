@@ -90,7 +90,8 @@ def test_expert_opinion_failure_exit_code(fast_scenario, tmp_path, capsys, mode,
     if opinions == "malformed":
         path.write_text('{"experts": [')
     elif opinions == "incomplete":
-        doc = json.loads((reference_scenario_path().parent / "expert_opinions.json").read_text())
+        shipped = reference_scenario_path().parent / "expert_opinions.json"
+        doc = json.loads(shipped.read_text())
         for expert in doc["experts"]:
             expert["parameters"].pop("c_a", None)
         path.write_text(json.dumps(doc))
@@ -111,8 +112,8 @@ def _config_hash(fast_scenario, out, *args):
 
 
 def test_config_hash_covers_what_the_mode_reads(fast_scenario, tmp_path):
-    """Arguments a mode ignores leave the hash alone; one that changes the
-    payload changes it."""
+    """Arguments a mode ignores, or spell the same design, leave the hash
+    alone; one that changes the payload changes it."""
     det = ["--mode", "deterministic", "--seed", "5"]
     assert _config_hash(fast_scenario, tmp_path / "d1", *det, "--design", "20,10,8,3000") == (
         _config_hash(fast_scenario, tmp_path / "d2", *det, "--design", "5,3,2,2000")
@@ -120,6 +121,9 @@ def test_config_hash_covers_what_the_mode_reads(fast_scenario, tmp_path):
     prop = ["--mode", "propagate", "--design", "20,10,1,3000"]
     assert _config_hash(fast_scenario, tmp_path / "p1", *prop) != (
         _config_hash(fast_scenario, tmp_path / "p2", *prop, "--oracle")
+    )
+    assert _config_hash(fast_scenario, tmp_path / "p1", *prop) == _config_hash(
+        fast_scenario, tmp_path / "p3", "--mode", "propagate", "--design", "20.0,10,1.0,3e3"
     )
 
 

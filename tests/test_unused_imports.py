@@ -68,9 +68,6 @@ def unread_names(definitions: str, program: list[str]) -> list[str]:
 def test_detector_flags_only_unread_names():
     source = "import os\nimport math as m\nfrom a import b, c\nprint(m.pi, c)\n"
     assert unused_imports(source) == ["b (line 3)", "os (line 1)"]
-
-
-def test_unread_name_detector():
     definitions = ("A = 1\nB, C = 2, 3\nclass K: pass\n"
                    "def f(): return A\ndef g(): pass\n")
     program = [definitions, "from m import K\nprint(m.C)\n"]
