@@ -119,12 +119,10 @@ def test_config_hash_covers_what_the_mode_reads(fast_scenario, tmp_path):
         _config_hash(fast_scenario, tmp_path / "d2", *det, "--design", "5,3,2,2000")
     )
     prop = ["--mode", "propagate", "--design", "20,10,1,3000"]
-    assert _config_hash(fast_scenario, tmp_path / "p1", *prop) != (
-        _config_hash(fast_scenario, tmp_path / "p2", *prop, "--oracle")
-    )
-    assert _config_hash(fast_scenario, tmp_path / "p1", *prop) == _config_hash(
-        fast_scenario, tmp_path / "p3", "--mode", "propagate", "--design", "20.0,10,1.0,3e3"
-    )
+    plain = _config_hash(fast_scenario, tmp_path / "p1", *prop)
+    assert plain != _config_hash(fast_scenario, tmp_path / "p2", *prop, "--oracle")
+    assert plain == _config_hash(fast_scenario, tmp_path / "p3", "--mode", "propagate",
+                                 "--design", "20.0,10,1.0,3e3")
 
 
 def _raise(exc):
