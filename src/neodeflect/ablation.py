@@ -164,6 +164,30 @@ def spot_vector(geom: StationGeometry, ast: AsteroidProperties, t: float) -> np.
     )
 
 
+def _spot_balance(
+    p_in: float, ast: AsteroidProperties, v_rot: float, half: float
+) -> tuple[float, float, float] | None:
+    """Net flux, conduction time root and shortest ablating chord of the
+    spot energy balance, or None where nothing ablates: no input, input
+    below the re-radiation at the sublimation temperature, or no strip of
+    half-width ``half`` dwelling past the conduction threshold at surface
+    speed ``v_rot``. The test is monotone: less input or a faster surface
+    never lights a dark spot."""
+    if p_in <= 0.0:
+        return None
+    p_net = p_in - radiation_loss(ast.t_subl, ast.emiss_bb)
+    if p_net <= 0.0:
+        return None
+    c_cond = (ast.t_subl - ast.t_0) * math.sqrt(
+        ast.c_a * ast.k_a * ast.rho_a / math.pi
+    )
+    sqrt_t_star = c_cond / p_net
+    chord_min = 0.5 * v_rot * sqrt_t_star * sqrt_t_star
+    if chord_min >= half:
+        return None
+    return p_net, sqrt_t_star, chord_min
+
+
 def mass_flow_rate(
     p_in: float,
     ast: AsteroidProperties,
@@ -186,25 +210,15 @@ def mass_flow_rate(
     with P_net the input flux net of re-radiation at the sublimation
     temperature and C the conduction constant.
     """
-    if p_in <= 0.0:
-        return 0.0
-    p_net = p_in - radiation_loss(ast.t_subl, ast.emiss_bb)
-    if p_net <= 0.0:
-        return 0.0
-
     _, d_spot = spot_area(a_m1, c_r)
+    half = 0.5 * d_spot
     v_rot = ast.omega_a * ellipsoid_radius(ast, geom.theta_va, t)
-    c_cond = (ast.t_subl - ast.t_0) * math.sqrt(
-        ast.c_a * ast.k_a * ast.rho_a / math.pi
-    )
-    sqrt_t_star = c_cond / p_net
-
+    balance = _spot_balance(p_in, ast, v_rot, half)
+    if balance is None:
+        return 0.0
+    p_net, sqrt_t_star, chord_min = balance
     # only strips whose dwell exceeds the conduction threshold contribute;
     # restricting the quadrature to that support keeps the integrand smooth
-    half = 0.5 * d_spot
-    chord_min = 0.5 * v_rot * sqrt_t_star * sqrt_t_star
-    if chord_min >= half:
-        return 0.0
     y_star = math.sqrt(half * half - chord_min * chord_min)
     scale = 0.5 * y_star
     strip_integral = 0.0
@@ -343,5 +357,27 @@ class ThrustModel:
         thrust, mdot = self.thrust_given_tau(eq, self.tau, elapsed)
         if self.contamination_on:
             self._growth = self.layer_growth_rate(mdot, elapsed)
-            self._last_t = t
+            # a probe earlier than the last one (the re-sample of a shrunken
+            # arc) must not rewind the clock over growth already counted
+            if self._last_t is None or t > self._last_t:
+                self._last_t = t
         return thrust
+
+    def certify_dark(self, eq: EquinoctialState) -> bool:
+        """True when no later call can ablate while the motion stays on the
+        Keplerian orbit of ``eq``.
+
+        The layer must have stopped growing (contamination off, or the last
+        call grew nothing), so ``tau`` stays as it is. The input flux then
+        falls with the heliocentric range and the shortest ablating chord
+        grows with the surface speed, so the spot is dark everywhere if it
+        is dark at the perihelion and at the slowest surface speed of the
+        spinning ellipsoid. Both are taken 1e-9 below their exact values,
+        far beyond the rounding of ``radius`` and ``ellipsoid_radius``.
+        """
+        if self._growth:
+            return False
+        r_min = eq.semi_latus() / (1.0 + math.hypot(eq.p1, eq.p2)) * (1.0 - 1e-9)
+        p_in = input_power_density(self.eta_sys, self.design.c_r, r_min, self.ast, self.tau)
+        v_rot = self.ast.omega_a * min(self.ast.a1, self.ast.b1) * (1.0 - 1e-9)
+        return _spot_balance(p_in, self.ast, v_rot, 0.5 * self.d_spot) is None

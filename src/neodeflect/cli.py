@@ -6,11 +6,13 @@ package version) under the output directory. Identical scenario and seed
 reproduce byte-identical payloads.
 
 Exit codes: 0 success, 2 scenario/schema errors, a ``--design`` outside
-the scenario's design bounds, or an expert-opinion file that is missing,
+the scenario's design bounds, an expert-opinion file that is missing,
 malformed or leaves out a parameter (the modes that load it: ``minmin``,
-``minmin-margins``, ``minmax``, ``bpcurve``, ``sensitivity``), 3 solver
-budget errors, 4 numerical failure (the arc-count cap of a propagation, a
-Kepler solve that does not converge, or a failed reference integration).
+``minmin-margins``, ``minmax``, ``bpcurve``, ``sensitivity``), or reference
+orbits of the asteroid and the Earth whose encounter velocity is too small
+to define a b-plane, 3 solver budget errors, 4 numerical failure (the
+arc-count cap of a propagation, a Kepler solve that does not converge, or
+a failed reference integration).
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from .mission import (
     scenario_to_dict,
     uncertain_dict,
 )
-from .orbits import KeplerConvergenceError
+from .orbits import DegenerateBPlaneError, KeplerConvergenceError
 from .search import inner_bound_search, solve_moo
 from .sizing import DesignVector, UNIT_MARGINS, check_design_bounds
 
@@ -325,7 +327,8 @@ def main(argv: list[str] | None = None) -> int:
                                     args.max_partitions)
         else:
             files = run_propagate(scenario, design, contamination, out, args.oracle)
-    except ScenarioError as exc:
+    except (ScenarioError, DegenerateBPlaneError) as exc:
+        # v_inf depends only on the two reference orbits of the scenario
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

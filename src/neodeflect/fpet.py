@@ -25,6 +25,16 @@ mean longitude between the midpoint probes and the steps
 The last arc is cut in closed form: the two-body longitude at the final
 epoch sets its length, and only its first-order time term, small over a
 short arc, separates its end from that epoch.
+
+Most arcs of a contaminated or weak deflection carry no thrust, and many
+trajectories end in a tail that never thrusts again. When a thrust model
+can prove that tail dark (``ThrustModel.certify_dark``: the mirror layer
+has stopped growing and the spot stays dark at the orbit's perihelion and
+slowest spin), the propagator stops sampling and steps every remaining
+arc as the coasting arc the samples would have produced: full arc length,
+zero thrust, the same ``fpet_step``, landing cut and arc cap. Every state
+and every thrust entry keeps its bits; only the midpoint Kepler solves and
+thrust evaluations of the tail are saved.
 """
 from __future__ import annotations
 
@@ -69,6 +79,10 @@ from .orbits import (  # noqa: E402
     kepler_time_of_flight,
     propagate_keplerian,
 )
+
+
+# the thrust of an arc after the model has certified the rest dark
+_COAST = ThrustRTN(eps=0.0)
 
 
 class ArcOverflowError(RuntimeError):
@@ -244,6 +258,17 @@ def propagate_trajectory(
     cut once, with the same thrust, to the longitude the Keplerian motion
     reaches at t_end; should its first-order time term leave the epoch more
     than one second short, one more arc follows.
+
+    A callback may offer ``certify_dark(state)``, as ``ThrustModel`` does:
+    True when no later call can return a nonzero thrust while the motion
+    stays on the Keplerian orbit of ``state``. It is asked with the start
+    of an arc whose sample is zero and follows a thrusting arc (or is the
+    first); while the samples stay zero its inputs stay frozen, so a
+    refusal stands until the thrust returns. Once it holds, the remaining
+    arcs coast without sampling, at ``ctrl.dl_max`` and zero thrust, which
+    is the arc the samples would have given, so the trajectory keeps every
+    bit. A plain function offers no certificate and is sampled on every
+    arc.
     """
     if t_end <= eq0.t:
         raise ValueError("t_end must be later than the initial epoch")
@@ -253,20 +278,31 @@ def propagate_trajectory(
     eps_max = 0.0
     dl_guess = ctrl.dl_max
     start = kepler_start(eq0, mu)
+    certify_dark = getattr(thrust_callback, "certify_dark", None)
+    coasting = False
     while t_end - eq.t > 1.0:
         if len(eps_history) >= max_arcs:
             raise ArcOverflowError(f"exceeded {max_arcs} arcs before reaching t_end")
-        probe = _midpoint_state(eq, dl_guess, start)
-        f = thrust_callback(probe, probe.t)
-        eps_max = max(eps_max, f.eps)
-        dl = arc_length_law(f.eps, eps_max, ctrl.a_const, ctrl.k_const, ctrl.dl_max)
-        if not 0.5 <= dl / dl_guess <= 2.0:
-            # arc length moved a lot: re-sample at the corrected midpoint
-            probe = _midpoint_state(eq, dl, start)
+        if coasting:
+            f, dl = _COAST, ctrl.dl_max
+        else:
+            probe = _midpoint_state(eq, dl_guess, start)
             f = thrust_callback(probe, probe.t)
             eps_max = max(eps_max, f.eps)
             dl = arc_length_law(f.eps, eps_max, ctrl.a_const, ctrl.k_const, ctrl.dl_max)
-        dl_guess = dl
+            if not 0.5 <= dl / dl_guess <= 2.0:
+                # arc length moved a lot: re-sample at the corrected midpoint
+                probe = _midpoint_state(eq, dl, start)
+                f = thrust_callback(probe, probe.t)
+                eps_max = max(eps_max, f.eps)
+                dl = arc_length_law(f.eps, eps_max, ctrl.a_const, ctrl.k_const, ctrl.dl_max)
+            dl_guess = dl
+            # while the samples stay zero the certificate's inputs stay
+            # frozen, so it is asked only when the thrust first goes dark
+            coasting = (
+                f.eps == 0.0 and certify_dark is not None
+                and (not eps_history or eps_history[-1] > 0.0) and certify_dark(eq)
+            )
         nxt = fpet_step(eq, dl, f, mu, start)
         if nxt.t > t_end:
             # cut the arc where the Keplerian motion reaches t_end

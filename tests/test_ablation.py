@@ -1,8 +1,11 @@
 """Sublimation energy balance, plume and contamination models."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neodeflect.constants import AU_KM, ETA_ABS, J_C, MU_SUN, RHO_LAYER, STEFAN_BOLTZMANN
 from neodeflect.ablation import (
@@ -313,6 +316,23 @@ def test_contamination_monotone():
     assert taus[-1] < 1.0
 
 
+def test_contamination_earlier_probe_does_not_rewind_the_layer_clock():
+    """A probe earlier than the last one (the re-sample of a shrunken arc)
+    grows nothing, and the next call grows only over time not yet counted.
+    The reference asteroid is a sphere, so the rate does not depend on the
+    spin phase and both call orders grow the layer over the same 1500 s."""
+
+    def layer(times):
+        model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=True)
+        for t in times:
+            model(AT_1AU, t)
+        return model.h_cond
+
+    reference = layer((0.0, 1000.0, 1500.0))
+    assert reference > 0.0
+    assert layer((0.0, 1000.0, 500.0, 1500.0)) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Composed thrust model
 # ---------------------------------------------------------------------------
@@ -348,3 +368,53 @@ def test_thrust_model_contamination_decays_thrust():
     assert eps0 > 0.0
     assert model.tau < 1.0
     assert eps_series[-1] < eps0
+
+
+# ---------------------------------------------------------------------------
+# Dark-orbit certificate
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a_au=st.floats(0.6, 3.0),
+    e=st.one_of(st.just(0.0), st.floats(0.0, 1e-9), st.floats(0.0, 0.7)),
+    pomega=st.floats(0.0, 2 * math.pi),
+    b1=st.floats(60.0, 200.0),
+    d_m=st.floats(2.0, 20.0),
+    n_sc=st.integers(1, 10),
+    c_r=st.floats(1000.0, 3000.0),
+    t_sub=st.floats(1700.0, 1812.0),
+    preheat_s=st.one_of(st.none(), st.floats(1e2, 1e6)),
+    ells=st.lists(st.floats(0.0, 2 * math.pi), min_size=4, max_size=4),
+    spins=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+)
+def test_certify_dark_is_sound(a_au, e, pomega, b1, d_m, n_sc, c_r, t_sub, preheat_s,
+                               ells, spins):
+    """Where the model certifies an orbit dark, the sampled model returns
+    exactly zero thrust on it: at its perihelion and at random longitudes,
+    at the slowest spin phase of the ellipsoid and at random ones. With
+    ``preheat_s`` the model first ablates at 0.4 AU for that long with
+    contamination on (tau below 1), then samples once at 6 AU, where
+    nothing ablates and the layer stops growing."""
+    near = keplerian_to_equinoctial(KeplerianElements(0.4 * AU_KM, 0.0, 0.0, 0.0, 0.0, 0.0))
+    ast = replace(TABLE_AST, b1=b1, t_subl=t_sub)
+    design = DesignVector(d_m=d_m, n_sc=n_sc, t_warn=8.0, c_r=c_r)
+    model = ThrustModel(design, TECH, ast, GEOM, contamination_on=preheat_s is not None)
+    t = 0.0
+    if preheat_s is not None:
+        far = keplerian_to_equinoctial(KeplerianElements(6.0 * AU_KM, 0.0, 0.0, 0.0, 0.0, 0.0))
+        assert model(near, 0.0).eps > 0.0
+        model(near, preheat_s)
+        assert not model.certify_dark(far)  # the layer is still growing
+        assert model(far, preheat_s + 1.0).eps == 0.0
+        assert model.tau < 1.0
+        t = preheat_s + 1.0
+    orbit = keplerian_to_equinoctial(KeplerianElements(a_au * AU_KM, e, 0.0, 0.0, pomega, 0.0))
+    if not model.certify_dark(orbit):
+        return
+    quarter_turn = 0.5 * math.pi / ast.omega_a
+    perihelion = math.atan2(orbit.p1, orbit.p2)
+    for ell, spin in zip([perihelion] + ells, [0.0] + spins):
+        for phase in (2.0 * quarter_turn, 3.0 * quarter_turn, spin * 4.0 * quarter_turn):
+            t += 4.0 * quarter_turn
+            assert model(replace(orbit, ell=ell), t + phase).eps == 0.0

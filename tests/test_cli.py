@@ -106,6 +106,20 @@ def test_expert_opinion_failure_exit_code(fast_scenario, tmp_path, capsys, mode,
     assert len(err.splitlines()) == 1
 
 
+def test_degenerate_bplane_exit_code(fast_scenario, tmp_path, capsys):
+    """Reference orbits with no encounter velocity are a scenario error,
+    not a solver-budget one: the earth block repeats the asteroid's."""
+    doc = json.loads(fast_scenario.read_text())
+    doc["earth"] = doc["asteroid"]
+    fast_scenario.write_text(json.dumps(doc))
+    code = main(["--mode", "propagate", "--scenario", str(fast_scenario),
+                 "--design", "2,1,1,1000", "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: |v_inf| = 0.000e+00 km/s is below ")
+    assert len(err.splitlines()) == 1
+
+
 def _config_hash(fast_scenario, out, *args):
     assert main(["--scenario", str(fast_scenario), "--out", str(out), *args]) == 0
     return json.loads((out / "manifest.json").read_text())["config_hash"]

@@ -1,13 +1,17 @@
 """Arc-wise analytic propagation: exactness, first-order scaling, arc law."""
 import dataclasses
+import functools
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from neodeflect import fpet
+from neodeflect.ablation import ThrustModel
 from neodeflect.cli import parse_design
 from neodeflect.constants import MU_SUN, AU_KM
 from neodeflect.fpet import (
@@ -25,10 +29,18 @@ from neodeflect.orbits import (
     equinoctial_to_cartesian,
     kepler_start,
     keplerian_to_equinoctial,
+    propagate_keplerian,
 )
-from neodeflect.mission import load_scenario, make_model, reference_scenario_path
+from neodeflect.mission import (
+    evidence_structure,
+    load_scenario,
+    make_model,
+    reference_scenario_path,
+)
+from neodeflect.sizing import DesignVector
 
 import oracles
+from test_behaviour_lock import LOCKED_EVALUATIONS
 
 MU = MU_SUN
 
@@ -341,3 +353,129 @@ def test_trajectory_rejects_past_epoch():
     eq0 = keplerian_to_equinoctial(APOPHIS_LIKE)
     with pytest.raises(ValueError):
         propagate_trajectory(eq0, lambda s, t: ThrustRTN(0.0), eq0.t - 1.0, ArcControl(), MU)
+
+
+# ---------------------------------------------------------------------------
+# Coasting once the thrust model certifies the rest of a trajectory dark
+# ---------------------------------------------------------------------------
+
+# unit-cube sides of the thrust-weakest corner: high heat capacity,
+# conductivity, density, sublimation temperature and enthalpy, low laser and
+# solar-array efficiencies; the strongest corner is the opposite one (up to
+# t_sub, whose two effects pull opposite ways); the three sizing densities
+# do not reach the thrust
+WEAK_SIDE = (1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.5, 0.5, 0.5)
+STRONG_SIDE = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 0.5)
+
+
+@functools.cache
+def _scenario_and_structure():
+    scenario = load_scenario(reference_scenario_path())
+    return scenario, evidence_structure(scenario)
+
+
+def _uncertain(unit_point) -> dict:
+    _, structure = _scenario_and_structure()
+    return dict(zip(structure.names, structure.unit_to_physical(np.array(unit_point))))
+
+
+@contextmanager
+def _counting_thrust_calls():
+    """Epochs of every ``ThrustModel`` call made inside the block."""
+    calls = []
+    call = ThrustModel.__call__
+
+    def counted(self, eq, t):
+        calls.append(t)
+        return call(self, eq, t)
+
+    with mock.patch.object(ThrustModel, "__call__", counted):
+        yield calls
+
+
+def _propagate_both(design, u, contamination):
+    """The trajectory driven by the thrust model itself, which may coast, and
+    by a plain-function wrapper of a fresh model, which samples every arc."""
+    scenario, _ = _scenario_and_structure()
+    model = make_model(scenario, "deterministic", contamination)
+    args = (scenario.t_impact, scenario.arc_control, scenario.mu)
+    eq0, thrust = model.deflection_start(design, u)
+    with _counting_thrust_calls() as calls:
+        coast = propagate_trajectory(eq0, thrust, *args)
+    eq0, thrust = model.deflection_start(design, u)
+    sampled = propagate_trajectory(eq0, lambda state, t: thrust(state, t), *args)
+    return coast, sampled, len(calls), model
+
+
+@pytest.mark.parametrize("contamination", [False, True], ids=["off", "on"])
+@pytest.mark.parametrize("point", ["reference", "strong", "weak"])
+def test_coast_keeps_the_bits_of_the_sampled_path(contamination, point):
+    """Coasting certified-dark arcs changes no state and no thrust entry of
+    the behaviour-lock designs, at the reference point and at both
+    thrust-extreme corners."""
+    scenario, _ = _scenario_and_structure()
+    u = {"reference": scenario.fixed_uncertain, "strong": _uncertain(STRONG_SIDE),
+         "weak": _uncertain(WEAK_SIDE)}[point]
+    saved = 0
+    for text in sorted({design for design, _ in LOCKED_EVALUATIONS}):
+        coast, sampled, calls, _ = _propagate_both(parse_design(text), u, contamination)
+        assert coast.states == sampled.states, text
+        assert coast.eps_history == sampled.eps_history, text
+        saved += sampled.n_arcs - calls
+    if point != "strong" or contamination:
+        assert saved > 0  # some arcs coasted
+
+
+def _assert_dark_coast(coast, sampled, calls, model):
+    assert not any(sampled.eps_history)
+    assert calls == 1
+    assert coast.eps_history == [0.0] * sampled.n_arcs
+    assert coast.states == sampled.states
+    scenario, _ = _scenario_and_structure()
+    b = model.impact_b(propagate_keplerian(coast.final, scenario.t_impact, scenario.mu))
+    assert b < 1e-3
+
+
+@pytest.mark.parametrize("contamination", [False, True], ids=["off", "on"])
+@pytest.mark.parametrize("text, point", [("2,1,1,1000", "reference"),
+                                         ("20,10,2,3000", "weak")])
+def test_dark_trajectory_samples_the_thrust_once(contamination, text, point):
+    """Where no arc ablates, the model certifies the orbit dark at the
+    first arc and the propagator samples the thrust once."""
+    scenario, _ = _scenario_and_structure()
+    u = scenario.fixed_uncertain if point == "reference" else _uncertain(WEAK_SIDE)
+    _assert_dark_coast(*_propagate_both(parse_design(text), u, contamination))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d_m=st.floats(2.0, 20.0),
+    n_sc=st.integers(1, 10),
+    t_warn=st.floats(1.0, 8.0),
+    c_r=st.floats(1000.0, 3000.0),
+    toward_weak=st.lists(st.floats(0.0, 0.6), min_size=10, max_size=10),
+    contamination=st.booleans(),
+)
+@example(2.0, 1, 1.0, 1000.0, [0.0] * 10, False)
+def test_dark_trajectories_coast_from_the_first_arc(d_m, n_sc, t_warn, c_r, toward_weak,
+                                                    contamination):
+    """Designs and uncertain points near the thrust-weakest corner that do
+    not ablate on any sampled arc: one thrust call, every entry of the thrust
+    history zero, the sampled path's states and arc count, and b on the
+    undeflected floor."""
+    unit = [abs(w - d) for w, d in zip(WEAK_SIDE, toward_weak)]
+    both = _propagate_both(DesignVector(d_m, n_sc, t_warn, c_r), _uncertain(unit), contamination)
+    assume(not any(both[1].eps_history))
+    _assert_dark_coast(*both)
+
+
+def test_arc_cap_counts_coasting_arcs():
+    """A trajectory certified dark at its first arc still stops at the cap."""
+    scenario, _ = _scenario_and_structure()
+    model = make_model(scenario, "deterministic", False)
+    eq0, thrust = model.deflection_start(parse_design("2,1,1,1000"), scenario.fixed_uncertain)
+    with _counting_thrust_calls() as calls:
+        with pytest.raises(ArcOverflowError):
+            propagate_trajectory(eq0, thrust, scenario.t_impact, scenario.arc_control,
+                                 scenario.mu, max_arcs=10)
+    assert len(calls) == 1
