@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neodeflect.constants import AU_KM, ETA_ABS, J_C, MU_SUN, RHO_LAYER, STEFAN_BOLTZMANN
@@ -375,6 +375,8 @@ def test_thrust_model_contamination_decays_thrust():
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=300, deadline=None)
+@example(a_au=1.0, e=0.0, pomega=0.0, b1=60.0, d_m=5.0, n_sc=6, c_r=1000.0, t_sub=1700.0,
+         preheat_s=398110.0, ells=[0.0] * 4, spins=[0.0] * 4)  # the layer darkens the spot
 @given(
     a_au=st.floats(0.6, 3.0),
     e=st.one_of(st.just(0.0), st.floats(0.0, 1e-9), st.floats(0.0, 0.7)),
@@ -404,8 +406,8 @@ def test_certify_dark_is_sound(a_au, e, pomega, b1, d_m, n_sc, c_r, t_sub, prehe
     if preheat_s is not None:
         far = keplerian_to_equinoctial(KeplerianElements(6.0 * AU_KM, 0.0, 0.0, 0.0, 0.0, 0.0))
         assert model(near, 0.0).eps > 0.0
-        model(near, preheat_s)
-        assert not model.certify_dark(far)  # the layer is still growing
+        if model(near, preheat_s).eps > 0.0:
+            assert not model.certify_dark(far)  # the layer is still growing
         assert model(far, preheat_s + 1.0).eps == 0.0
         assert model.tau < 1.0
         t = preheat_s + 1.0
@@ -418,3 +420,23 @@ def test_certify_dark_is_sound(a_au, e, pomega, b1, d_m, n_sc, c_r, t_sub, prehe
         for phase in (2.0 * quarter_turn, 3.0 * quarter_turn, spin * 4.0 * quarter_turn):
             t += 4.0 * quarter_turn
             assert model(replace(orbit, ell=ell), t + phase).eps == 0.0
+
+
+@pytest.mark.parametrize("e, b1", [(0.0, 135.0), (0.3, 90.0)])
+def test_certify_dark_is_sound_at_its_edge(e, b1):
+    """Bisected to the edge of the certified orbits, the nearest certified
+    orbit is dark at its perihelion at the slowest spin phase, and an orbit
+    1e-7 nearer ablates there: the margin is tight as well as safe."""
+    model = ThrustModel(DESIGN, TECH, replace(TABLE_AST, b1=b1), GEOM)
+
+    def at_perihelion(a_au):  # true longitude 0; spin phase 0 shows the b1 radius
+        return keplerian_to_equinoctial(KeplerianElements(a_au * AU_KM, e, 0.0, 0.0, 0.0, 0.0))
+
+    lo, hi = 0.2, 20.0
+    assert not model.certify_dark(at_perihelion(lo))
+    assert model.certify_dark(at_perihelion(hi))
+    while hi / lo - 1.0 > 1e-13:
+        mid = math.sqrt(lo * hi)
+        lo, hi = (lo, mid) if model.certify_dark(at_perihelion(mid)) else (mid, hi)
+    assert model(at_perihelion(hi), 0.0).eps == 0.0
+    assert model(at_perihelion(lo * (1.0 - 1e-7)), 0.0).eps > 0.0

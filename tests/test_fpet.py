@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from neodeflect import fpet
@@ -381,7 +381,7 @@ def _uncertain(unit_point) -> dict:
 
 @contextmanager
 def _counting_thrust_calls():
-    """Epochs of every ``ThrustModel`` call made inside the block."""
+    """Epochs of the ``ThrustModel`` calls made inside the block."""
     calls = []
     call = ThrustModel.__call__
 
@@ -422,8 +422,8 @@ def test_coast_keeps_the_bits_of_the_sampled_path(contamination, point):
         assert coast.states == sampled.states, text
         assert coast.eps_history == sampled.eps_history, text
         saved += sampled.n_arcs - calls
-    if point != "strong" or contamination:
-        assert saved > 0  # some arcs coasted
+    if (point, contamination) != ("strong", False):  # that corner thrusts on every arc
+        assert saved > 0
 
 
 def _assert_dark_coast(coast, sampled, calls, model):
@@ -456,7 +456,6 @@ def test_dark_trajectory_samples_the_thrust_once(contamination, text, point):
     toward_weak=st.lists(st.floats(0.0, 0.6), min_size=10, max_size=10),
     contamination=st.booleans(),
 )
-@example(2.0, 1, 1.0, 1000.0, [0.0] * 10, False)
 def test_dark_trajectories_coast_from_the_first_arc(d_m, n_sc, t_warn, c_r, toward_weak,
                                                     contamination):
     """Designs and uncertain points near the thrust-weakest corner that do
