@@ -16,7 +16,7 @@ per-cm absorption coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -363,21 +363,30 @@ class ThrustModel:
                 self._last_t = t
         return thrust
 
-    def certify_dark(self, eq: EquinoctialState) -> bool:
+    def certify_dark(self, eq: EquinoctialState, ell_end: float | None = None) -> bool:
         """True when no later call can ablate while the motion stays on the
-        Keplerian orbit of ``eq``.
+        Keplerian orbit of ``eq`` between its true longitude and ``ell_end``
+        (on the whole orbit when ``ell_end`` is None).
 
         The layer must have stopped growing (contamination off, or the last
         call grew nothing), so ``tau`` stays as it is. The input flux then
         falls with the heliocentric range and the shortest ablating chord
-        grows with the surface speed, so the spot is dark everywhere if it
-        is dark at the perihelion and at the slowest surface speed of the
-        spinning ellipsoid. Both are taken 1e-9 below their exact values,
-        far beyond the rounding of ``radius`` and ``ellipsoid_radius``.
+        grows with the surface speed, so the spot is dark on the whole
+        range of longitudes if it is dark at the range's smallest radius and
+        at the slowest surface speed of the spinning ellipsoid. The smallest
+        radius is the perihelion's when the range holds a perihelion, and
+        otherwise that of one of its two ends, since the radius only grows
+        from a perihelion to the next aphelion and shrinks after it. Radius
+        and speed are taken 1e-9 below their exact values, far beyond the
+        rounding of ``radius``, ``ellipsoid_radius`` and the range's ends.
         """
         if self._growth:
             return False
-        r_min = eq.semi_latus() / (1.0 + math.hypot(eq.p1, eq.p2)) * (1.0 - 1e-9)
+        r_min = eq.semi_latus() / (1.0 + math.hypot(eq.p1, eq.p2))
+        to_perihelion = (math.atan2(eq.p1, eq.p2) - eq.ell) % (2.0 * math.pi)
+        if ell_end is not None and eq.ell + to_perihelion > ell_end:
+            r_min = min(eq.radius(), replace(eq, ell=ell_end).radius())
+        r_min *= 1.0 - 1e-9
         p_in = input_power_density(self.eta_sys, self.design.c_r, r_min, self.ast, self.tau)
         v_rot = self.ast.omega_a * min(self.ast.a1, self.ast.b1) * (1.0 - 1e-9)
         return _spot_balance(p_in, self.ast, v_rot, 0.5 * self.d_spot) is None

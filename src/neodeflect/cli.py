@@ -5,14 +5,16 @@ payloads plus a manifest with full provenance (seed, configuration hash,
 package version) under the output directory. Identical scenario and seed
 reproduce byte-identical payloads.
 
-Exit codes: 0 success, 2 scenario/schema errors, a ``--design`` outside
-the scenario's design bounds, an expert-opinion file that is missing,
-malformed or leaves out a parameter (the modes that load it: ``minmin``,
-``minmin-margins``, ``minmax``, ``bpcurve``, ``sensitivity``), or reference
-orbits of the asteroid and the Earth whose encounter velocity is too small
-to define a b-plane, 3 solver budget errors, 4 numerical failure (the
-arc-count cap of a propagation, a Kepler solve that does not converge, or
-a failed reference integration).
+Exit codes: 0 success, 2 scenario/schema errors (solver budgets and
+populations included, all checked when the scenario loads), a ``--design``
+outside the scenario's design bounds, an expert-opinion file that is
+missing, malformed or leaves out a parameter (the modes that load it:
+``minmin``, ``minmin-margins``, ``minmax``, ``bpcurve``, ``sensitivity``),
+or reference orbits of the asteroid and the Earth whose encounter velocity
+is too small to define a b-plane, 3 any other invalid value met during a
+run (such as ``--nv`` below 2), 4 numerical failure (the arc-count cap of a
+propagation, a Kepler solve that does not converge, a failed reference
+integration, or a NaN or infinite objective).
 """
 from __future__ import annotations
 
@@ -48,11 +50,12 @@ from .mission import (
     uncertain_dict,
 )
 from .orbits import DegenerateBPlaneError, KeplerConvergenceError
-from .search import inner_bound_search, solve_moo
+from .search import NonFiniteObjectivesError, inner_bound_search, solve_moo
 from .sizing import DesignVector, UNIT_MARGINS, check_design_bounds
 
 # failures of the numerics rather than of the inputs or the budgets: exit 4
-_NUMERICAL_ERRORS = (ArcOverflowError, KeplerConvergenceError, ReferenceIntegrationError)
+_NUMERICAL_ERRORS = (ArcOverflowError, KeplerConvergenceError, ReferenceIntegrationError,
+                     NonFiniteObjectivesError)
 
 
 def fmt(x: float) -> str:
@@ -331,12 +334,12 @@ def main(argv: list[str] | None = None) -> int:
         # v_inf depends only on the two reference orbits of the scenario
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except _NUMERICAL_ERRORS as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 4
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
     manifest = {
         "package_version": __version__,

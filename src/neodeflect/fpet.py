@@ -29,12 +29,15 @@ short arc, separates its end from that epoch.
 Most arcs of a contaminated or weak deflection carry no thrust, and many
 trajectories end in a tail that never thrusts again. When a thrust model
 can prove that tail dark (``ThrustModel.certify_dark``: the mirror layer
-has stopped growing and the spot stays dark at the orbit's perihelion and
-slowest spin), the propagator stops sampling and steps every remaining
-arc as the coasting arc the samples would have produced: full arc length,
-zero thrust, the same ``fpet_step``, landing cut and arc cap. Every state
-and every thrust entry keeps its bits; only the midpoint Kepler solves and
-thrust evaluations of the tail are saved.
+has stopped growing and the spot stays dark at the slowest spin and at the
+smallest heliocentric range of the longitudes still to be sampled), the
+propagator stops stepping. The whole tail becomes one zero-thrust arc whose
+end is the two-body state at the final epoch, the exact zero-order motion
+of an unthrusted orbit; the arc cap counts it once, and the trajectory
+(the ``propagate`` mode's ``trajectory.csv``) ends with one state at that
+epoch. The thrusting prefix keeps every bit of the sampled path; the end
+differs from the stepped tail only by the rounding of its arc-by-arc
+epochs.
 """
 from __future__ import annotations
 
@@ -79,10 +82,6 @@ from .orbits import (  # noqa: E402
     kepler_time_of_flight,
     propagate_keplerian,
 )
-
-
-# the thrust of an arc after the model has certified the rest dark
-_COAST = ThrustRTN(eps=0.0)
 
 
 class ArcOverflowError(RuntimeError):
@@ -259,16 +258,18 @@ def propagate_trajectory(
     reaches at t_end; should its first-order time term leave the epoch more
     than one second short, one more arc follows.
 
-    A callback may offer ``certify_dark(state)``, as ``ThrustModel`` does:
-    True when no later call can return a nonzero thrust while the motion
-    stays on the Keplerian orbit of ``state``. It is asked with the start
+    A callback may offer ``certify_dark(state, ell_end)``, as
+    ``ThrustModel`` does: True when no later call can return a nonzero
+    thrust while the motion stays on the Keplerian orbit of ``state``
+    between its longitude and ``ell_end``. It is asked at the midpoint probe
     of an arc whose sample is zero and follows a thrusting arc (or is the
-    first); while the samples stay zero its inputs stay frozen, so a
-    refusal stands until the thrust returns. Once it holds, the remaining
-    arcs coast without sampling, at ``ctrl.dl_max`` and zero thrust, which
-    is the arc the samples would have given, so the trajectory keeps every
-    bit. A plain function offers no certificate and is sampled on every
-    arc.
+    first), over the longitudes later samples could reach: up to half a
+    capped arc past the two-body longitude at t_end. Once it holds, the
+    propagator stops stepping and ends the trajectory with one zero-thrust
+    arc to ``propagate_keplerian(state, t_end, mu)``, the same solve that
+    set the range; ``max_arcs`` counts that arc once, and the last state
+    lies exactly at t_end. A refusal stands until the thrust returns. A
+    plain function offers no certificate and is stepped on every arc.
     """
     if t_end <= eq0.t:
         raise ValueError("t_end must be later than the initial epoch")
@@ -279,30 +280,29 @@ def propagate_trajectory(
     dl_guess = ctrl.dl_max
     start = kepler_start(eq0, mu)
     certify_dark = getattr(thrust_callback, "certify_dark", None)
-    coasting = False
     while t_end - eq.t > 1.0:
         if len(eps_history) >= max_arcs:
             raise ArcOverflowError(f"exceeded {max_arcs} arcs before reaching t_end")
-        if coasting:
-            f, dl = _COAST, ctrl.dl_max
-        else:
-            probe = _midpoint_state(eq, dl_guess, start)
+        probe = _midpoint_state(eq, dl_guess, start)
+        f = thrust_callback(probe, probe.t)
+        eps_max = max(eps_max, f.eps)
+        dl = arc_length_law(f.eps, eps_max, ctrl.a_const, ctrl.k_const, ctrl.dl_max)
+        if not 0.5 <= dl / dl_guess <= 2.0:
+            # arc length moved a lot: re-sample at the corrected midpoint
+            probe = _midpoint_state(eq, dl, start)
             f = thrust_callback(probe, probe.t)
             eps_max = max(eps_max, f.eps)
             dl = arc_length_law(f.eps, eps_max, ctrl.a_const, ctrl.k_const, ctrl.dl_max)
-            if not 0.5 <= dl / dl_guess <= 2.0:
-                # arc length moved a lot: re-sample at the corrected midpoint
-                probe = _midpoint_state(eq, dl, start)
-                f = thrust_callback(probe, probe.t)
-                eps_max = max(eps_max, f.eps)
-                dl = arc_length_law(f.eps, eps_max, ctrl.a_const, ctrl.k_const, ctrl.dl_max)
-            dl_guess = dl
-            # while the samples stay zero the certificate's inputs stay
-            # frozen, so it is asked only when the thrust first goes dark
-            coasting = (
-                f.eps == 0.0 and certify_dark is not None
-                and (not eps_history or eps_history[-1] > 0.0) and certify_dark(eq)
-            )
+        dl_guess = dl
+        # asked once per dark spell, so it costs at most one Kepler solve
+        # for every return of the thrust
+        if (f.eps == 0.0 and certify_dark is not None
+                and (not eps_history or eps_history[-1] > 0.0)):
+            end = propagate_keplerian(eq, t_end, mu)
+            if certify_dark(probe, end.ell + 0.5 * ctrl.dl_max):
+                eps_history.append(0.0)
+                states.append(end)
+                break
         nxt = fpet_step(eq, dl, f, mu, start)
         if nxt.t > t_end:
             # cut the arc where the Keplerian motion reaches t_end

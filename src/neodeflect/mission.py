@@ -9,6 +9,7 @@ the evidence-space searches.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -431,9 +432,14 @@ class DeflectionModel:
             eq_start, thrust, self.scenario.t_impact, self.scenario.arc_control,
             self.mu,
         )
-        # exact two-body coast closes the last arc's first-order landing gap so
-        # the b-plane difference is not polluted by along-track epoch error
-        deviated = propagate_keplerian(traj.final, self.scenario.t_impact, self.mu)
+        if any(traj.eps_history):
+            # exact two-body coast closes the last arc's first-order landing
+            # gap so the b-plane difference is not polluted by along-track
+            # epoch error
+            deviated = propagate_keplerian(traj.final, self.scenario.t_impact, self.mu)
+        else:
+            # never pushed, the asteroid is on its nominal orbit: b is 0
+            deviated = self.nominal_at_impact
         budget = size_spacecraft(design, thrust.tech, self.margins, _solar_flux(eq_start))
         return ModelEvaluation(
             m_sys=budget.m_sys, b=self.impact_b(deviated), budget=budget,
@@ -484,26 +490,49 @@ def _inner_rng(seed: int, design: DesignVector, tag: int) -> np.random.Generator
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
+def _technology_corners(structure: FocalStructure, base: np.ndarray) -> list[np.ndarray]:
+    """Unit points at the 32 corners of the technology hull: each of the five
+    technology dimensions at the smallest or the largest value its intervals
+    reach, the other dimensions as in ``base``.
+
+    ``m_sys`` reads only these five parameters and is linear in each of them
+    (every term of ``size_spacecraft`` has degree at most one in each), and
+    the unit cube maps each of them onto the union of its intervals, so the
+    extremes of ``m_sys`` over the cube lie at these corners.
+    """
+    hull = [(min(iv.lo for iv in p.intervals), max(iv.hi for iv in p.intervals))
+            for p in structure.params]
+    ends = [structure.physical_to_unit([edge[k] for edge in hull]) for k in (0, 1)]
+    tech = [structure.names.index(name) for name in TECH_NAMES]
+    corners = []
+    for picks in itertools.product(ends, repeat=len(tech)):
+        u = np.array(base, dtype=float)
+        for d, end in zip(tech, picks):
+            u[d] = end[d]
+        corners.append(u)
+    return corners
+
+
 def evidence_evaluator(
     model: DeflectionModel,
     structure: FocalStructure,
     config: SolverConfig,
     sense: str,
 ):
-    """J(x) from two independent inner bound searches over the unit cube.
+    """J(x): the mass bound exactly, from the technology corners, and the b
+    bound from an inner bound search over the unit cube.
 
-    The nominal point's unit image is injected into both inner populations,
-    which pins the found bounds on the correct side of the deterministic
-    values by construction.
+    The nominal point's unit image is injected into the b search's
+    population and carries the corners' other dimensions, which pins both
+    bounds on the correct side of the deterministic values by construction.
     """
     seed_point = nominal_unit_image(structure, model.scenario.fixed_uncertain)
+    corners = _technology_corners(structure, seed_point)
+    pick = min if sense == "min" else max
 
     def evaluate(design: DesignVector) -> Individual:
-        mass_res = inner_bound_search(
-            lambda u: model.mass_only(design, uncertain_dict(structure, u)),
-            structure.dim, sense, config.inner_budget, config.inner_pop,
-            _inner_rng(config.seed, design, 1), seeds=(seed_point,),
-        )
+        masses = [model.mass_only(design, uncertain_dict(structure, u)) for u in corners]
+        k = masses.index(pick(masses))
         negb_res = inner_bound_search(
             lambda u: -model.evaluate(design, uncertain_dict(structure, u)).b,
             structure.dim, sense, config.inner_budget, config.inner_pop,
@@ -511,8 +540,8 @@ def evidence_evaluator(
         )
         return Individual(
             design,
-            Objectives(mass_res.value, negb_res.value),
-            witness_mass=mass_res.point,
+            Objectives(masses[k], negb_res.value),
+            witness_mass=corners[k],
             witness_negb=negb_res.point,
         )
 

@@ -22,6 +22,10 @@ import numpy as np
 from .sizing import DesignVector
 
 
+class NonFiniteObjectivesError(ValueError):
+    """A model evaluation produced a NaN or infinite objective."""
+
+
 @dataclass(frozen=True)
 class Objectives:
     """The two minimized figures: system mass [kg] and -b [km]."""
@@ -31,7 +35,9 @@ class Objectives:
 
     def __post_init__(self):
         if not (math.isfinite(self.m_sys) and math.isfinite(self.neg_b)):
-            raise ValueError("objectives must be finite")
+            raise NonFiniteObjectivesError(
+                f"objectives must be finite, got m_sys={self.m_sys}, -b={self.neg_b}"
+            )
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.m_sys, self.neg_b)
@@ -117,6 +123,8 @@ class SolverConfig:
             raise ValueError("outer population must allow DE moves (>= 4)")
         if self.inner_pop < 4:
             raise ValueError("inner population must allow DE moves (>= 4)")
+        if self.inner_budget < self.inner_pop:
+            raise ValueError("inner budget must cover one inner population (>= inner_pop)")
         # explorer restarts are what guarantee fresh designs once the
         # population has collapsed onto cached ones
         if not 1 <= self.explorers < self.outer_pop:

@@ -22,10 +22,12 @@ from neodeflect.ablation import (
     spot_area,
     spot_vector,
 )
+from neodeflect.fpet import ArcControl
 from neodeflect.orbits import (
     KeplerianElements,
     equinoctial_to_cartesian,
     keplerian_to_equinoctial,
+    propagate_keplerian,
 )
 from neodeflect.sizing import DesignVector, TechnologyParams
 
@@ -440,3 +442,85 @@ def test_certify_dark_is_sound_at_its_edge(e, b1):
         lo, hi = (lo, mid) if model.certify_dark(at_perihelion(mid)) else (mid, hi)
     assert model(at_perihelion(hi), 0.0).eps == 0.0
     assert model(at_perihelion(lo * (1.0 - 1e-7)), 0.0).eps > 0.0
+
+
+def _dark_edge_au(model):
+    """Semi-major axis [AU] of the nearest circular orbit the model
+    certifies dark, bisected to 1e-13 relative."""
+    lo, hi = 0.05, 50.0
+    while hi / lo - 1.0 > 1e-13:
+        mid = math.sqrt(lo * hi)
+        orbit = keplerian_to_equinoctial(KeplerianElements(mid * AU_KM, 0.0, 0.0, 0.0, 0.0, 0.0))
+        lo, hi = (lo, mid) if model.certify_dark(orbit) else (mid, hi)
+    return hi
+
+
+DL_MAX = ArcControl().dl_max
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scale=st.floats(0.8, 1.4),
+    e=st.one_of(st.just(0.0), st.floats(0.0, 0.7)),
+    pomega=st.floats(0.0, 2 * math.pi),
+    b1=st.floats(60.0, 200.0),
+    d_m=st.floats(2.0, 20.0),
+    n_sc=st.integers(1, 10),
+    c_r=st.floats(1000.0, 3000.0),
+    ell0=st.floats(0.0, 6 * math.pi),
+    log_periods=st.floats(-3.0, 0.2),
+    spins=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+)
+def test_certify_dark_is_sound_over_its_range(scale, e, pomega, b1, d_m, n_sc, c_r, ell0,
+                                              log_periods, spins):
+    """Where the model certifies the longitudes from a probe to half a
+    capped arc past the two-body longitude at t_end dark, dense thrust
+    samples along that Keplerian arc, its perihelia included, are exactly
+    zero at both extreme spin phases and at random ones. The orbits straddle
+    the edge of the circular orbits the model certifies, and the flights
+    to t_end span 1e-3 to 1.6 periods, so that the perihelion often ablates
+    while the range leaves it out (about a fifth of the draws)."""
+    ast = replace(TABLE_AST, b1=b1)
+    model = ThrustModel(DesignVector(d_m=d_m, n_sc=n_sc, t_warn=8.0, c_r=c_r), TECH, ast, GEOM)
+    a = scale * _dark_edge_au(model) * AU_KM
+    orbit = keplerian_to_equinoctial(KeplerianElements(a, e, 0.0, 0.0, pomega, 0.0))
+    probe = replace(orbit, ell=ell0)
+    period = 2.0 * math.pi * math.sqrt(a**3 / MU_SUN)
+    ell_end = propagate_keplerian(probe, probe.t + 10.0**log_periods * period, MU_SUN).ell + 0.5 * DL_MAX
+    if not model.certify_dark(probe, ell_end):
+        return
+    perihelion = math.atan2(orbit.p1, orbit.p2)
+    perihelia = perihelion + 2.0 * math.pi * np.arange(
+        math.ceil((ell0 - perihelion) / (2.0 * math.pi)),
+        math.floor((ell_end - perihelion) / (2.0 * math.pi)) + 1,
+    )
+    quarter_turn = 0.5 * math.pi / ast.omega_a
+    t = 0.0
+    for k, ell in enumerate([*np.linspace(ell0, ell_end, 400), *perihelia]):
+        # phases 0 and one quarter turn show the b1 and a1 radii
+        for phase in (0.0, quarter_turn, spins[k % 4] * 4.0 * quarter_turn):
+            t += 4.0 * quarter_turn
+            assert model(replace(probe, ell=float(ell)), t + phase).eps == 0.0
+
+
+@pytest.mark.parametrize("start, end, certified", [
+    (3e-3, 2 * math.pi - 3e-3, True),  # the perihelion just outside both ends
+    (-3e-3, math.pi, False),  # just inside at the start
+    (3e-3, 2 * math.pi + 3e-3, False),  # the next one just inside at the end
+])
+def test_certify_dark_range_at_the_perihelion(start, end, certified):
+    """An orbit whose perihelion ablates, 1e-7 nearer the Sun than the edge
+    of the certified circular orbits, while the longitudes 3e-3 rad either
+    side of it are dark: a range of longitudes (offsets from the perihelion,
+    several turns along the unwrapped longitude) is certified exactly when
+    it leaves the perihelion out."""
+    model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM)
+    e, pomega, turns = 0.3, 2.0, 6 * math.pi
+    a = _dark_edge_au(model) * AU_KM * (1.0 - 1e-7) / (1.0 - e)
+    orbit = keplerian_to_equinoctial(KeplerianElements(a, e, 0.0, 0.0, pomega, 0.0))
+    at = lambda offset: replace(orbit, ell=pomega + turns + offset)  # noqa: E731
+    assert model(at(0.0), 0.0).eps > 0.0  # spin phase 0 shows the b1 radius
+    assert model(at(-3e-3), 0.0).eps == 0.0
+    assert model(at(3e-3), 0.0).eps == 0.0
+    assert not model.certify_dark(at(start))
+    assert model.certify_dark(at(start), pomega + turns + end) is certified

@@ -29,28 +29,28 @@ REL = 1e-12
 LOCKED_EVALUATIONS = {
     ("20,10,8,3000", False): (23985.820596489633, 25704.36699573237, 594),
     ("20,10,1,3000", False): (17893.530740347065, 509.8334800912412, 76),
-    ("12,4,3.5,2000", False): (3598.6783015856527, 2.5622384744550577, 250),
-    ("8,6,6,2500", False): (3249.536504610369, 95.38343030997399, 429),
-    ("2,1,1,1000", False): (80.56086217837202, 0.0, 69),
-    ("16,8,3,2800", False): (9808.653373524985, 1052.1643184019938, 218),
-    ("5,3,7.5,2600", False): (529.5951006525997, 6.756266755970942, 532),
-    ("14,7,5.25,2200", False): (9302.329003099374, 316.13660242549685, 380),
-    ("20,10,8,3000", True): (23985.820596489633, 92.91851860105584, 559),
-    ("20,10,1,3000", True): (17893.530740347065, 9.271277509320422, 73),
-    ("12,4,3.5,2000", True): (3598.6783015856527, 1.3356221291489543, 247),
-    ("8,6,6,2500", True): (3249.536504610369, 15.562451567015884, 416),
-    ("2,1,1,1000", True): (80.56086217837202, 0.0, 69),
-    ("16,8,3,2800", True): (9808.653373524985, 22.30366555403655, 208),
-    ("5,3,7.5,2600", True): (529.5951006525997, 4.18287694887949, 524),
-    ("14,7,5.25,2200", True): (9302.329003099374, 16.85299178135456, 369),
+    ("12,4,3.5,2000", False): (3598.6783015856527, 2.5622384744550577, 216),
+    ("8,6,6,2500", False): (3249.536504610369, 95.38343662864507, 401),
+    ("2,1,1,1000", False): (80.56086217837202, 0.0, 1),
+    ("16,8,3,2800", False): (9808.653373524985, 1052.1643173283069, 197),
+    ("5,3,7.5,2600", False): (529.5951006525997, 6.756266755970942, 501),
+    ("14,7,5.25,2200", False): (9302.329003099374, 316.13660557659176, 351),
+    ("20,10,8,3000", True): (23985.820596489633, 92.91851860105584, 522),
+    ("20,10,1,3000", True): (17893.530740347065, 9.271275415931425, 37),
+    ("12,4,3.5,2000", True): (3598.6783015856527, 1.3356231721823386, 212),
+    ("8,6,6,2500", True): (3249.536504610369, 15.562452606819905, 382),
+    ("2,1,1,1000", True): (80.56086217837202, 0.0, 1),
+    ("16,8,3,2800", True): (9808.653373524985, 22.303662391767823, 172),
+    ("5,3,7.5,2600", True): (529.5951006525997, 4.182878022864031, 491),
+    ("14,7,5.25,2200", True): (9302.329003099374, 16.85299496913483, 332),
 }
 
 DETERMINISTIC_ARCHIVE_SHA256 = (
-    "9c79b5d5a1dfc97515cc2150a9501e56c3033ac58ae04ec7c7e8e247a6700ee8"
+    "b5908115be65683e5bb31efc1447325cb3f5834a5a5102f743f4daab11417911"
 )
 TRAJECTORY_SHA256 = {
     "off": "9fbbc0978ec824bd27488e6001ff67d5f9f7e6a0678caf6373161d37ea8aa0f8",
-    "on": "be90220832e257a7949940f0811a62f4eb2fd3cdcae8012380a88e40d4babba4",
+    "on": "17c869601aacca89de1a6808919bbe0260a1d6007fffcd48e62bd86592419645",
 }
 
 

@@ -1,5 +1,6 @@
 """CLI orchestration: exit codes, outputs, provenance reproducibility."""
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -163,6 +164,45 @@ def test_numerical_failure_exit_code(fast_scenario, tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert err.startswith("error: numerical failure: ")
     assert len(err.splitlines()) == 1
+
+
+def test_inner_budget_below_population_exit_code(fast_scenario, tmp_path, capsys):
+    """An inner budget that cannot evaluate one inner population is rejected
+    when the scenario loads, exit 2 like the other budget checks, before any
+    search starts."""
+    doc = json.loads(fast_scenario.read_text())
+    doc["solver"].update(inner_budget=3, inner_pop=4)
+    fast_scenario.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    code = main(["--mode", "minmax", "--scenario", str(fast_scenario), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario block: inner budget must cover")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_nonfinite_objective_exit_code(fast_scenario, tmp_path, capsys, monkeypatch):
+    """A NaN objective is a numerical failure: exit 4, not the exit 3 of an
+    invalid value."""
+    monkeypatch.setattr(mission.DeflectionModel, "evaluate",
+                        lambda self, design, u: SimpleNamespace(m_sys=math.nan, b=1.0))
+    code = main(["--mode", "deterministic", "--scenario", str(fast_scenario),
+                 "--out", str(tmp_path / "run")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure: objectives must be finite")
+    assert len(err.splitlines()) == 1
+
+
+def test_invalid_value_during_run_exit_code(fast_scenario, tmp_path, capsys):
+    """An invalid value that only the run meets, such as a curve of one
+    threshold, exits 3."""
+    code = main(["--mode", "bpcurve", "--scenario", str(fast_scenario), "--nv", "1",
+                 "--design", "20,10,2,3000", "--out", str(tmp_path / "run")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: need at least two thresholds\n"
 
 
 def test_propagate_mode_outputs(fast_scenario, tmp_path):

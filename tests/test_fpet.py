@@ -394,46 +394,62 @@ def _counting_thrust_calls():
 
 
 def _propagate_both(design, u, contamination):
-    """The trajectory driven by the thrust model itself, which may coast, and
-    by a plain-function wrapper of a fresh model, which samples every arc."""
+    """One evaluation driven by the thrust model itself, which may jump the
+    tail to impact, and the trajectory of a plain-function wrapper of a fresh
+    model, which steps every arc; with the thrust calls each side made."""
     scenario, _ = _scenario_and_structure()
     model = make_model(scenario, "deterministic", contamination)
-    args = (scenario.t_impact, scenario.arc_control, scenario.mu)
-    eq0, thrust = model.deflection_start(design, u)
     with _counting_thrust_calls() as calls:
-        coast = propagate_trajectory(eq0, thrust, *args)
+        ev = model.evaluate(design, u)
     eq0, thrust = model.deflection_start(design, u)
-    sampled = propagate_trajectory(eq0, lambda state, t: thrust(state, t), *args)
-    return coast, sampled, len(calls), model
+    with _counting_thrust_calls() as sampled_calls:
+        sampled = propagate_trajectory(eq0, lambda state, t: thrust(state, t),
+                                       scenario.t_impact, scenario.arc_control, scenario.mu)
+    return ev, sampled, len(calls), len(sampled_calls)
+
+
+def _sampled_b(sampled, contamination):
+    """b of a stepped trajectory, closed by the two-body coast to impact."""
+    scenario, _ = _scenario_and_structure()
+    model = make_model(scenario, "deterministic", contamination)
+    return model.impact_b(propagate_keplerian(sampled.final, scenario.t_impact, scenario.mu))
 
 
 @pytest.mark.parametrize("contamination", [False, True], ids=["off", "on"])
 @pytest.mark.parametrize("point", ["reference", "strong", "weak"])
 def test_coast_keeps_the_bits_of_the_sampled_path(contamination, point):
-    """Coasting certified-dark arcs changes no state and no thrust entry of
-    the behaviour-lock designs, at the reference point and at both
-    thrust-extreme corners."""
+    """Jumping a certified-dark tail to impact keeps every state and thrust
+    entry of the prefix that samples the thrust, on the behaviour-lock
+    designs at the reference point and at both thrust-extreme corners. The
+    tail it skips never thrusts on the stepped path, the jump ends on the
+    two-body state at impact, b moves by at most 5e-5 km (epoch rounding of
+    the stepped tail) and the thrust is sampled no more often."""
     scenario, _ = _scenario_and_structure()
     u = {"reference": scenario.fixed_uncertain, "strong": _uncertain(STRONG_SIDE),
          "weak": _uncertain(WEAK_SIDE)}[point]
     saved = 0
     for text in sorted({design for design, _ in LOCKED_EVALUATIONS}):
-        coast, sampled, calls, _ = _propagate_both(parse_design(text), u, contamination)
-        assert coast.states == sampled.states, text
-        assert coast.eps_history == sampled.eps_history, text
-        saved += sampled.n_arcs - calls
+        ev, sampled, calls, sampled_calls = _propagate_both(parse_design(text), u, contamination)
+        coast = ev.trajectory
+        n = coast.n_arcs
+        assert coast.states[:n] == sampled.states[:n], text
+        assert coast.eps_history[:-1] == sampled.eps_history[:n - 1], text
+        if coast.states != sampled.states:
+            assert not any(sampled.eps_history[n - 1:]), text
+            assert coast.final == propagate_keplerian(
+                coast.states[-2], scenario.t_impact, scenario.mu), text
+        assert abs(ev.b - _sampled_b(sampled, contamination)) <= 5e-5, text
+        assert calls <= sampled_calls, text
+        saved += sampled.n_arcs - n
     if (point, contamination) != ("strong", False):  # that corner thrusts on every arc
         assert saved > 0
 
 
-def _assert_dark_coast(coast, sampled, calls, model):
+def _assert_dark_coast(ev, sampled, calls, sampled_calls):
     assert not any(sampled.eps_history)
     assert calls == 1
-    assert coast.eps_history == [0.0] * sampled.n_arcs
-    assert coast.states == sampled.states
-    scenario, _ = _scenario_and_structure()
-    b = model.impact_b(propagate_keplerian(coast.final, scenario.t_impact, scenario.mu))
-    assert b < 1e-3
+    assert ev.trajectory.eps_history == [0.0]
+    assert ev.b == 0.0
 
 
 @pytest.mark.parametrize("contamination", [False, True], ids=["off", "on"])
@@ -441,7 +457,8 @@ def _assert_dark_coast(coast, sampled, calls, model):
                                          ("20,10,2,3000", "weak")])
 def test_dark_trajectory_samples_the_thrust_once(contamination, text, point):
     """Where no arc ablates, the model certifies the orbit dark at the
-    first arc and the propagator samples the thrust once."""
+    first arc: the propagator samples the thrust once, jumps to impact in
+    one arc, and b is exactly the undeflected 0."""
     scenario, _ = _scenario_and_structure()
     u = scenario.fixed_uncertain if point == "reference" else _uncertain(WEAK_SIDE)
     _assert_dark_coast(*_propagate_both(parse_design(text), u, contamination))
@@ -459,9 +476,8 @@ def test_dark_trajectory_samples_the_thrust_once(contamination, text, point):
 def test_dark_trajectories_coast_from_the_first_arc(d_m, n_sc, t_warn, c_r, toward_weak,
                                                     contamination):
     """Designs and uncertain points near the thrust-weakest corner that do
-    not ablate on any sampled arc: one thrust call, every entry of the thrust
-    history zero, the sampled path's states and arc count, and b on the
-    undeflected floor."""
+    not ablate on any sampled arc: one thrust call, one zero-thrust arc, and
+    b exactly 0."""
     unit = [abs(w - d) for w, d in zip(WEAK_SIDE, toward_weak)]
     both = _propagate_both(DesignVector(d_m, n_sc, t_warn, c_r), _uncertain(unit), contamination)
     assume(not any(both[1].eps_history))
@@ -469,12 +485,26 @@ def test_dark_trajectories_coast_from_the_first_arc(d_m, n_sc, t_warn, c_r, towa
 
 
 def test_arc_cap_counts_coasting_arcs():
-    """A trajectory certified dark at its first arc still stops at the cap."""
+    """The cap still stops a trajectory that steps every arc, and counts the
+    jump to impact as one arc, whether the thrust is dark from the first arc
+    or goes dark after a thrusting prefix."""
     scenario, _ = _scenario_and_structure()
+    args = (scenario.t_impact, scenario.arc_control, scenario.mu)
     model = make_model(scenario, "deterministic", False)
     eq0, thrust = model.deflection_start(parse_design("2,1,1,1000"), scenario.fixed_uncertain)
-    with _counting_thrust_calls() as calls:
-        with pytest.raises(ArcOverflowError):
-            propagate_trajectory(eq0, thrust, scenario.t_impact, scenario.arc_control,
-                                 scenario.mu, max_arcs=10)
-    assert len(calls) == 1
+    with pytest.raises(ArcOverflowError):
+        propagate_trajectory(eq0, lambda state, t: thrust(state, t), *args, max_arcs=10)
+    eq0, thrust = model.deflection_start(parse_design("2,1,1,1000"), scenario.fixed_uncertain)
+    traj = propagate_trajectory(eq0, thrust, *args, max_arcs=1)
+    assert traj.eps_history == [0.0]
+    assert traj.final == propagate_keplerian(eq0, scenario.t_impact, scenario.mu)
+
+    model = make_model(scenario, "deterministic", True)
+    design = parse_design("20,10,1,3000")
+    n_arcs = model.evaluate(design, scenario.fixed_uncertain).n_arcs
+    eq0, thrust = model.deflection_start(design, scenario.fixed_uncertain)
+    traj = propagate_trajectory(eq0, thrust, *args, max_arcs=n_arcs)
+    assert traj.eps_history[-2] > 0.0 and traj.eps_history[-1] == 0.0
+    eq0, thrust = model.deflection_start(design, scenario.fixed_uncertain)
+    with pytest.raises(ArcOverflowError):
+        propagate_trajectory(eq0, thrust, *args, max_arcs=n_arcs - 1)

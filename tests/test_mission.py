@@ -12,6 +12,7 @@ from neodeflect.mission import (
     DeflectionModel,
     ScenarioError,
     UNCERTAIN_NAMES,
+    _technology_corners,
     apply_uncertain,
     calibrate_scenario,
     deterministic_evaluator,
@@ -249,3 +250,28 @@ def test_mass_witness_rails_at_heavy_technology(scenario):
     assert witness["rho_r"] > 2.5
     assert witness["rho_l"] > 0.0125
     assert witness["rho_m"] > 0.25
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_mass_bound_is_exact_at_the_technology_corners(scenario, sense):
+    """m_sys is linear in each technology parameter, so no point of the unit
+    cube leaves the range of the 32 technology corners, which are points of
+    the cube themselves: the evaluator reports that range's end exactly, with
+    its corner as the witness, whatever the inner budget."""
+    structure = evidence_structure(scenario)
+    model = make_model(scenario, "minmax", contamination=False)
+    base = nominal_unit_image(structure, scenario.fixed_uncertain)
+    config = SolverConfig(outer_budget=10, outer_pop=4, explorers=1,
+                          inner_budget=4, inner_pop=4, seed=3)
+    rng = np.random.default_rng(3)
+    for design in (DESIGN, DesignVector(2.0, 1, 1.07, 3000.0)):
+        masses = [model.mass_only(design, uncertain_dict(structure, u))
+                  for u in _technology_corners(structure, base)]
+        lo, hi = min(masses), max(masses)
+        for u in rng.random((300, structure.dim)):
+            assert lo * (1 - 1e-12) <= model.mass_only(design, uncertain_dict(structure, u))
+            assert model.mass_only(design, uncertain_dict(structure, u)) <= hi * (1 + 1e-12)
+        found = evidence_evaluator(model, structure, config, sense)(design)
+        assert found.objectives.m_sys == (lo if sense == "min" else hi)
+        assert model.mass_only(design, uncertain_dict(structure, found.witness_mass)) == (
+            found.objectives.m_sys)
