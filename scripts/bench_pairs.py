@@ -155,6 +155,7 @@ def main() -> int:
     if args.title:
         doc["title"] = args.title
     doc["parent_commit"] = git_head(trees["parent"])
+    doc["change_commit"] = git_head(trees["change"])
     doc["command"] = (f"python3 perfbench/run.py --workload W --seed N "
                       f"--seconds {seconds:g} --trace 0")
     doc["procedure"] = (

@@ -522,9 +522,10 @@ def evidence_evaluator(
     """J(x): the mass bound exactly, from the technology corners, and the b
     bound from an inner bound search over the unit cube.
 
+    The mass bound holds over the whole cube, the nominal point included.
     The nominal point's unit image is injected into the b search's
-    population and carries the corners' other dimensions, which pins both
-    bounds on the correct side of the deterministic values by construction.
+    population, which pins the b bound on the correct side of the
+    deterministic value by construction.
     """
     seed_point = nominal_unit_image(structure, model.scenario.fixed_uncertain)
     corners = _technology_corners(structure, seed_point)

@@ -445,7 +445,7 @@ def test_coast_keeps_the_bits_of_the_sampled_path(contamination, point):
         assert saved > 0
 
 
-def _assert_dark_coast(ev, sampled, calls, sampled_calls):
+def _assert_dark_coast(ev, sampled, calls, _sampled_calls):
     assert not any(sampled.eps_history)
     assert calls == 1
     assert ev.trajectory.eps_history == [0.0]
