@@ -2,7 +2,8 @@
 """Alternating parent/change pairs of perfbench runs, summarised as BENCH_*.json.
 
     python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W \\
-        --seeds 701 702 ... --out BENCH_N.json [--claim wall_s] [--trace-seed S]
+        --seeds 701 702 ... --out BENCH_N.json [--claim wall_s] [--trace-seed S] \\
+        [--title TEXT] [--note TEXT]
 
 Each seed makes one pair: ``python3 perfbench/run.py --workload W --seed S
 --seconds 30 --trace 0`` runs in the parent tree and in the change tree, one
@@ -19,8 +20,10 @@ also writes the claim on that metric and workload, which is met when the
 change wins at least nine tenths of the pairs and the medians differ, in
 the better direction, by more than the parent's interquartile range.
 ``--trace-seed S`` adds one traced run per side (``--trace 1``) with its
-per-layer metrics. OUT is updated in place, so one file collects several
-workloads; a workload run again replaces its entry.
+per-layer metrics. ``--title`` names the change and ``--note`` keeps a
+remark in the workload's entry (say, how its seeds were chosen); every
+field of OUT comes from the script. OUT is updated in place, so one file
+collects several workloads; a workload run again replaces its entry.
 """
 import argparse
 import hashlib
@@ -119,6 +122,7 @@ def main() -> int:
     parser.add_argument("--claim", help="end-to-end metric the change claims to improve")
     parser.add_argument("--trace-seed", type=int, help="seed of one traced run per side")
     parser.add_argument("--title", help="title of the change, kept in OUT")
+    parser.add_argument("--note", help="remark on this workload's runs, kept in its entry")
     args = parser.parse_args()
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -173,6 +177,8 @@ def main() -> int:
         "seeds": args.seeds, "first_in_pair": first_in_pair, "runs": runs,
         "medians": medians, "wins": wins,
     }
+    if args.note:
+        doc["workloads"][args.workload]["note"] = args.note
     if args.trace_seed is not None:
         traced = doc.setdefault("traced", {})
         traced["command"] = (f"python3 perfbench/run.py --workload W --seed N "

@@ -363,10 +363,10 @@ class ThrustModel:
                 self._last_t = t
         return thrust
 
-    def certify_dark(self, eq: EquinoctialState, ell_end: float | None = None) -> bool:
+    def certify_dark(self, eq: EquinoctialState, ell_end: float) -> bool:
         """True when no later call can ablate while the motion stays on the
         Keplerian orbit of ``eq`` between its true longitude and ``ell_end``
-        (on the whole orbit when ``ell_end`` is None).
+        (``math.inf`` for the whole orbit).
 
         The layer must have stopped growing (contamination off, or the last
         call grew nothing), so ``tau`` stays as it is. The input flux then
@@ -384,7 +384,7 @@ class ThrustModel:
             return False
         r_min = eq.semi_latus() / (1.0 + math.hypot(eq.p1, eq.p2))
         to_perihelion = (math.atan2(eq.p1, eq.p2) - eq.ell) % (2.0 * math.pi)
-        if ell_end is not None and eq.ell + to_perihelion > ell_end:
+        if eq.ell + to_perihelion > ell_end:
             r_min = min(eq.radius(), replace(eq, ell=ell_end).radius())
         r_min *= 1.0 - 1e-9
         p_in = input_power_density(self.eta_sys, self.design.c_r, r_min, self.ast, self.tau)

@@ -10,11 +10,11 @@ populations included, all checked when the scenario loads), a ``--design``
 outside the scenario's design bounds, an expert-opinion file that is
 missing, malformed or leaves out a parameter (the modes that load it:
 ``minmin``, ``minmin-margins``, ``minmax``, ``bpcurve``, ``sensitivity``),
-or reference orbits of the asteroid and the Earth whose encounter velocity
-is too small to define a b-plane, 3 any other invalid value met during a
-run (such as ``--nv`` below 2), 4 numerical failure (the arc-count cap of a
-propagation, a Kepler solve that does not converge, a failed reference
-integration, or a NaN or infinite objective).
+``--nv`` below 2 (``bpcurve``, ``sensitivity``), or reference orbits of
+the asteroid and the Earth whose encounter velocity is too small to define
+a b-plane, 3 any other invalid value met during a run, 4 numerical failure
+(the arc-count cap of a propagation, a Kepler solve that does not
+converge, a failed reference integration, or a NaN or infinite objective).
 """
 from __future__ import annotations
 
@@ -304,6 +304,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.mode in ("bpcurve", "sensitivity", "propagate"):
             design = parse_design(args.design)
             check_design_bounds(design, scenario.design_bounds)
+        if args.mode in ("bpcurve", "sensitivity") and args.nv < 2:
+            raise ValueError(f"--nv must be at least 2, got {args.nv}")
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -409,12 +409,12 @@ def test_certify_dark_is_sound(a_au, e, pomega, b1, d_m, n_sc, c_r, t_sub, prehe
         far = keplerian_to_equinoctial(KeplerianElements(6.0 * AU_KM, 0.0, 0.0, 0.0, 0.0, 0.0))
         assert model(near, 0.0).eps > 0.0
         if model(near, preheat_s).eps > 0.0:
-            assert not model.certify_dark(far)  # the layer is still growing
+            assert not model.certify_dark(far, math.inf)  # the layer is still growing
         assert model(far, preheat_s + 1.0).eps == 0.0
         assert model.tau < 1.0
         t = preheat_s + 1.0
     orbit = keplerian_to_equinoctial(KeplerianElements(a_au * AU_KM, e, 0.0, 0.0, pomega, 0.0))
-    if not model.certify_dark(orbit):
+    if not model.certify_dark(orbit, math.inf):
         return
     quarter_turn = 0.5 * math.pi / ast.omega_a
     perihelion = math.atan2(orbit.p1, orbit.p2)
@@ -435,11 +435,11 @@ def test_certify_dark_is_sound_at_its_edge(e, b1):
         return keplerian_to_equinoctial(KeplerianElements(a_au * AU_KM, e, 0.0, 0.0, 0.0, 0.0))
 
     lo, hi = 0.2, 20.0
-    assert not model.certify_dark(at_perihelion(lo))
-    assert model.certify_dark(at_perihelion(hi))
+    assert not model.certify_dark(at_perihelion(lo), math.inf)
+    assert model.certify_dark(at_perihelion(hi), math.inf)
     while hi / lo - 1.0 > 1e-13:
         mid = math.sqrt(lo * hi)
-        lo, hi = (lo, mid) if model.certify_dark(at_perihelion(mid)) else (mid, hi)
+        lo, hi = (lo, mid) if model.certify_dark(at_perihelion(mid), math.inf) else (mid, hi)
     assert model(at_perihelion(hi), 0.0).eps == 0.0
     assert model(at_perihelion(lo * (1.0 - 1e-7)), 0.0).eps > 0.0
 
@@ -451,7 +451,7 @@ def _dark_edge_au(model):
     while hi / lo - 1.0 > 1e-13:
         mid = math.sqrt(lo * hi)
         orbit = keplerian_to_equinoctial(KeplerianElements(mid * AU_KM, 0.0, 0.0, 0.0, 0.0, 0.0))
-        lo, hi = (lo, mid) if model.certify_dark(orbit) else (mid, hi)
+        lo, hi = (lo, mid) if model.certify_dark(orbit, math.inf) else (mid, hi)
     return hi
 
 
@@ -522,5 +522,5 @@ def test_certify_dark_range_at_the_perihelion(start, end, certified):
     assert model(at(0.0), 0.0).eps > 0.0  # spin phase 0 shows the b1 radius
     assert model(at(-3e-3), 0.0).eps == 0.0
     assert model(at(3e-3), 0.0).eps == 0.0
-    assert not model.certify_dark(at(start))
+    assert not model.certify_dark(at(start), math.inf)
     assert model.certify_dark(at(start), pomega + turns + end) is certified

@@ -195,14 +195,30 @@ def test_nonfinite_objective_exit_code(fast_scenario, tmp_path, capsys, monkeypa
     assert len(err.splitlines()) == 1
 
 
-def test_invalid_value_during_run_exit_code(fast_scenario, tmp_path, capsys):
-    """An invalid value that only the run meets, such as a curve of one
-    threshold, exits 3."""
-    code = main(["--mode", "bpcurve", "--scenario", str(fast_scenario), "--nv", "1",
-                 "--design", "20,10,2,3000", "--out", str(tmp_path / "run")])
+def test_invalid_value_during_run_exit_code(fast_scenario, tmp_path, capsys, monkeypatch):
+    """An invalid value that only the run meets exits 3."""
+    def reject(self, design, u):
+        raise ValueError("semi-major axis must be positive, got -1.0")
+
+    monkeypatch.setattr(mission.DeflectionModel, "evaluate", reject)
+    code = main(["--mode", "deterministic", "--scenario", str(fast_scenario),
+                 "--out", str(tmp_path / "run")])
     assert code == 3
     err = capsys.readouterr().err
-    assert err == "error: need at least two thresholds\n"
+    assert err == "error: semi-major axis must be positive, got -1.0\n"
+
+
+@pytest.mark.parametrize("mode", ["bpcurve", "sensitivity"])
+def test_nv_below_two_exit_code(fast_scenario, tmp_path, capsys, mode):
+    """A curve needs two thresholds: ``--nv 1`` is an argument error, exit 2
+    before anything is written."""
+    out = tmp_path / "run"
+    code = main(["--mode", mode, "--scenario", str(fast_scenario), "--nv", "1",
+                 "--design", "20,10,2,3000", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: --nv must be at least 2, got 1\n"
+    assert not out.exists()
 
 
 def test_propagate_mode_outputs(fast_scenario, tmp_path):

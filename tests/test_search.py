@@ -298,6 +298,9 @@ def test_solver_config_validation():
         SolverConfig(explorers=10, outer_pop=10)
     with pytest.raises(ValueError):
         SolverConfig(explorers=0)
+    with pytest.raises(ValueError, match="inner budget must cover"):
+        SolverConfig(inner_budget=3, inner_pop=4)
+    SolverConfig(inner_budget=4, inner_pop=4)
 
 
 def test_inner_search_quadratic_endpoint_max():
@@ -338,6 +341,3 @@ def test_inner_search_piecewise_monotone_d5():
     res = inner_bound_search(f, 5, "min", 9000, 10, np.random.default_rng(7),
                              collapse_tol=1e-7)
     assert res.value == pytest.approx(exact, abs=1e-6)
-    with pytest.raises(ValueError, match="inner budget must cover"):
-        SolverConfig(inner_budget=3, inner_pop=4)
-    SolverConfig(inner_budget=4, inner_pop=4)
