@@ -393,10 +393,18 @@ class DeflectionModel:
         self.earth_at_impact = propagate_keplerian(
             self.earth_eq, scenario.t_impact, self.mu
         )
+        self._start = (None, None)
 
     def start_state(self, t_warn_years: float) -> EquinoctialState:
-        t_start = self.scenario.t_impact - t_warn_years * YEAR_S
-        return propagate_keplerian(self.asteroid_eq, t_start, self.mu)
+        """Asteroid state at the deflection start. The last one is kept:
+        the mass corners and the b evaluations of one design all start
+        there."""
+        warn, state = self._start
+        if warn != t_warn_years:
+            t_start = self.scenario.t_impact - t_warn_years * YEAR_S
+            state = propagate_keplerian(self.asteroid_eq, t_start, self.mu)
+            self._start = (t_warn_years, state)
+        return state
 
     def deflection_start(
         self, design: DesignVector, u: dict

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from neodeflect import mission
 from neodeflect.constants import AU_KM, S0, YEAR_S
 from neodeflect.mission import (
     CalibrationError,
@@ -152,6 +153,32 @@ def test_model_mass_only_matches_evaluate(scenario):
     model = make_model(scenario, "deterministic", contamination=False)
     u = scenario.fixed_uncertain
     assert model.mass_only(DESIGN, u) == model.evaluate(DESIGN, u).m_sys
+
+
+def test_start_state_is_solved_once_per_design(scenario, monkeypatch):
+    """The 32 mass corners and the b evaluations of one design share one
+    Kepler solve of the start state, and keep the bits of a fresh model's."""
+    structure = evidence_structure(scenario)
+    config = SolverConfig(outer_budget=10, outer_pop=4, explorers=1,
+                          inner_budget=4, inner_pop=4, seed=3)
+    designs = (DESIGN, DesignVector(2.0, 1, 1.07, 3000.0))
+    fresh = [evidence_evaluator(make_model(scenario, "minmax", False), structure,
+                                config, "max")(design) for design in designs]
+    model = make_model(scenario, "minmax", False)
+    solves = []
+    propagate = mission.propagate_keplerian
+
+    def counted(eq, t_target, mu):
+        if eq is model.asteroid_eq:
+            solves.append(t_target)
+        return propagate(eq, t_target, mu)
+
+    monkeypatch.setattr(mission, "propagate_keplerian", counted)
+    evaluate = evidence_evaluator(model, structure, config, "max")
+    for design, expected in zip(designs, fresh):
+        found = evaluate(design)
+        assert found.objectives == expected.objectives
+    assert len(solves) == 2
 
 
 def test_longer_warning_time_deflects_more(scenario):
