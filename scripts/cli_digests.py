@@ -18,7 +18,17 @@ Compare two trees by diffing their listings:
     python3 scripts/cli_digests.py . /tmp/digests-new > new.txt
     python3 scripts/cli_digests.py ../parent /tmp/digests-old > old.txt
     diff old.txt new.txt
+
+Where payloads differ on purpose, size the difference numerically:
+
+    python3 scripts/cli_digests.py --compare /tmp/digests-old /tmp/digests-new
+
+prints one line for every CSV under the first directory whose bytes differ
+from its namesake under the second: a change in the number of data rows,
+or else, over the rows paired in order, the largest absolute and relative
+difference of a numeric cell and the number of other cells that differ.
 """
+import csv
 import hashlib
 import json
 import os
@@ -51,7 +61,45 @@ def write_scenario(tree: Path, out: Path) -> None:
     (out / "scenario.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _rows(path: Path) -> list[list[str]]:
+    with path.open(newline="") as handle:
+        return list(csv.reader(handle))[1:]
+
+
+def compare(old: Path, new: Path) -> None:
+    for path in sorted(old.rglob("*.csv")):
+        name = path.relative_to(old)
+        other = new / name
+        if not other.exists():
+            print(f"{name}: missing under {new}")
+            continue
+        if path.read_bytes() == other.read_bytes():
+            continue
+        rows_old, rows_new = _rows(path), _rows(other)
+        if len(rows_old) != len(rows_new):
+            print(f"{name}: rows {len(rows_old)} -> {len(rows_new)}")
+            continue
+        max_abs = max_rel = 0.0
+        other_cells = 0
+        for row_old, row_new in zip(rows_old, rows_new):
+            for a, b in zip(row_old, row_new):
+                try:
+                    x, y = float(a), float(b)
+                except ValueError:
+                    other_cells += a != b
+                    continue
+                diff = abs(x - y)
+                max_abs = max(max_abs, diff)
+                if diff:
+                    max_rel = max(max_rel, diff / max(abs(x), abs(y)))
+        print(f"{name}: {len(rows_old)} rows, max abs {max_abs:.3g}, "
+              f"max rel {max_rel:.3g}, other cells {other_cells}")
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        compare(Path(argv[1]), Path(argv[2]))
+        return 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ package version) under the output directory. Identical scenario and seed
 reproduce byte-identical payloads.
 
 Exit codes: 0 success, 2 scenario/schema errors (solver budgets and
-populations included, all checked when the scenario loads), a ``--design``
+populations included, all checked when the scenario loads), a scenario file
+that cannot be read, an ``--out`` that cannot be made a directory, a ``--design``
 outside the scenario's design bounds, an expert-opinion file that is
 missing, malformed or leaves out a parameter (the modes that load it:
 ``minmin``, ``minmin-margins``, ``minmax``, ``bpcurve``, ``sensitivity``),
@@ -306,12 +307,12 @@ def main(argv: list[str] | None = None) -> int:
             check_design_bounds(design, scenario.design_bounds)
         if args.mode in ("bpcurve", "sensitivity") and args.nv < 2:
             raise ValueError(f"--nv must be at least 2, got {args.nv}")
-    except (ScenarioError, ValueError) as exc:
+        out = args.out
+        out.mkdir(parents=True, exist_ok=True)
+    except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     # the hash covers exactly the arguments the mode reads, the design as
     # parsed (so that 20 and 20.0 hash alike)
     args_record = {"mode": args.mode, "contamination": contamination, "seed": scenario.seed}

@@ -26,23 +26,24 @@ The last arc is cut in closed form: the two-body longitude at the final
 epoch sets its length, and only its first-order time term, small over a
 short arc, separates its end from that epoch.
 
-Most arcs of a contaminated or weak deflection carry no thrust, and many
-trajectories end in a tail that never thrusts again. When a thrust model
-can prove that tail dark (``ThrustModel.certify_dark``: the mirror layer
-has stopped growing and the spot stays dark at the slowest spin and at the
-smallest heliocentric range of the longitudes still to be sampled), the
-propagator stops stepping. The whole tail becomes one zero-thrust arc whose
-end is the two-body state at the final epoch, the exact zero-order motion
-of an unthrusted orbit; the arc cap counts it once, and the trajectory
-(the ``propagate`` mode's ``trajectory.csv``) ends with one state at that
-epoch. The thrusting prefix keeps every bit of the sampled path; the end
-differs from the stepped tail only by the rounding of its arc-by-arc
-epochs.
+Most arcs of a contaminated or weak deflection carry no thrust: the spot
+goes dark on the far side of every orbit, and many trajectories end in a
+tail that never thrusts again. When a thrust model can prove a range of
+longitudes dark (``ThrustModel.certify_dark``: the mirror layer has stopped
+growing and the spot stays dark at the slowest spin and at the smallest
+heliocentric range of those longitudes), the propagator stops stepping. It
+replaces the longest certified run of the capped arcs it would step with one
+zero-thrust arc: to the run's last arc boundary on its own longitude grid,
+timed by one Kepler solve, or, for a run that reaches impact, to the two-body
+state at the final epoch. The arc cap and the ``propagate`` mode's
+``trajectory.csv`` count each jump as one arc. The thrusting arcs keep their
+count and the bits of their start longitudes; epochs differ from the stepped
+path only by the rounding of its arc-by-arc sums.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -263,13 +264,16 @@ def propagate_trajectory(
     thrust while the motion stays on the Keplerian orbit of ``state``
     between its longitude and ``ell_end``. It is asked at the midpoint probe
     of an arc whose sample is zero and follows a thrusting arc (or is the
-    first), over the longitudes later samples could reach: up to half a
-    capped arc past the two-body longitude at t_end. Once it holds, the
-    propagator stops stepping and ends the trajectory with one zero-thrust
-    arc to ``propagate_keplerian(state, t_end, mu)``, the same solve that
-    set the range; ``max_arcs`` counts that arc once, and the last state
-    lies exactly at t_end. A refusal stands until the thrust returns. A
-    plain function offers no certificate and is stepped on every arc.
+    first), for the capped arcs the stepped path would take from there,
+    each range ending at the midpoint of the run's last arc; doubling, then
+    bisecting, the run finds the longest certified one. That run becomes one
+    zero-thrust arc to its last arc boundary, the longitude reached by the
+    stepped path's own repeated additions of ``dl_max``, with the epoch of
+    one Kepler time of flight. A run that reaches t_end ends the trajectory
+    at ``propagate_keplerian(state, t_end, mu)`` instead. ``max_arcs``
+    counts each jump once. The arcs the certificate refused are stepped, and
+    it is not asked again until the thrust returns. A plain function offers
+    no certificate and is stepped on every arc.
     """
     if t_end <= eq0.t:
         raise ValueError("t_end must be later than the initial epoch")
@@ -294,20 +298,34 @@ def propagate_trajectory(
             eps_max = max(eps_max, f.eps)
             dl = arc_length_law(f.eps, eps_max, ctrl.a_const, ctrl.k_const, ctrl.dl_max)
         dl_guess = dl
+        nxt = None
         # asked once per dark spell, so it costs at most one Kepler solve
         # for every return of the thrust
         if (f.eps == 0.0 and certify_dark is not None
                 and (not eps_history or eps_history[-1] > 0.0)):
             end = propagate_keplerian(eq, t_end, mu)
-            if certify_dark(probe, end.ell + 0.5 * ctrl.dl_max):
-                eps_history.append(0.0)
-                states.append(end)
-                break
-        nxt = fpet_step(eq, dl, f, mu, start)
-        if nxt.t > t_end:
-            # cut the arc where the Keplerian motion reaches t_end
-            dl = propagate_keplerian(eq, t_end, mu).ell - eq.ell
+            # the longest run of the stepped path's capped arcs from here
+            # (``grid``: their starts, by its own additions, up to impact)
+            # whose midpoint probes are certified dark; a certificate only
+            # fails as its range grows, so the run doubles, then bisects
+            grid, run, refused = [eq.ell], 0, None
+            while grid[run] < end.ell and (refused is None or refused - run > 1):
+                n = 2 * run + 1 if refused is None else (run + refused) // 2
+                while len(grid) <= n and grid[-1] < end.ell:
+                    grid.append(grid[-1] + ctrl.dl_max)
+                n = min(n, len(grid) - 1)
+                dark = certify_dark(probe, grid[n - 1] + 0.5 * ctrl.dl_max)
+                run, refused = (n, refused) if dark else (run, n)
+            if run:
+                nxt = end if grid[run] >= end.ell else replace(
+                    eq, ell=grid[run],
+                    t=eq.t + kepler_time_of_flight(eq, grid[run] - eq.ell, start))
+        if nxt is None:
             nxt = fpet_step(eq, dl, f, mu, start)
+            if nxt.t > t_end:
+                # cut the arc where the Keplerian motion reaches t_end
+                dl = propagate_keplerian(eq, t_end, mu).ell - eq.ell
+                nxt = fpet_step(eq, dl, f, mu, start)
         eq = nxt
         eps_history.append(f.eps)
         states.append(eq)

@@ -27,30 +27,30 @@ REL = 1e-12
 
 # (design, contamination) -> (m_sys, b, n_arcs)
 LOCKED_EVALUATIONS = {
-    ("20,10,8,3000", False): (23985.820596489633, 25704.36699573237, 594),
-    ("20,10,1,3000", False): (17893.530740347065, 509.8334800912412, 76),
-    ("12,4,3.5,2000", False): (3598.6783015856527, 2.5622384744550577, 216),
-    ("8,6,6,2500", False): (3249.536504610369, 95.38343662864507, 401),
+    ("20,10,8,3000", False): (23985.820596489633, 25704.366993618656, 468),
+    ("20,10,1,3000", False): (17893.530740347065, 509.8334800912412, 59),
+    ("12,4,3.5,2000", False): (3598.6783015856527, 2.562237420595459, 59),
+    ("8,6,6,2500", False): (3249.536504610369, 95.38343767376104, 175),
     ("2,1,1,1000", False): (80.56086217837202, 0.0, 1),
-    ("16,8,3,2800", False): (9808.653373524985, 1052.1643173283069, 197),
-    ("5,3,7.5,2600", False): (529.5951006525997, 6.756266755970942, 501),
-    ("14,7,5.25,2200", False): (9302.329003099374, 316.13660557659176, 351),
-    ("20,10,8,3000", True): (23985.820596489633, 92.91851860105584, 522),
-    ("20,10,1,3000", True): (17893.530740347065, 9.271275415931425, 37),
-    ("12,4,3.5,2000", True): (3598.6783015856527, 1.3356231721823386, 212),
-    ("8,6,6,2500", True): (3249.536504610369, 15.562452606819905, 382),
+    ("16,8,3,2800", False): (9808.653373524985, 1052.1643184019938, 136),
+    ("5,3,7.5,2600", False): (529.5951006525997, 6.756266755970942, 170),
+    ("14,7,5.25,2200", False): (9302.329003099374, 316.1365961159955, 158),
+    ("20,10,8,3000", True): (23985.820596489633, 92.9185291232331, 82),
+    ("20,10,1,3000", True): (17893.530740347065, 9.271275415931425, 34),
+    ("12,4,3.5,2000", True): (3598.6783015856527, 1.335626348430671, 50),
+    ("8,6,6,2500", True): (3249.536504610369, 15.562457886216917, 100),
     ("2,1,1,1000", True): (80.56086217837202, 0.0, 1),
-    ("16,8,3,2800", True): (9808.653373524985, 22.303662391767823, 172),
-    ("5,3,7.5,2600", True): (529.5951006525997, 4.182878022864031, 491),
-    ("14,7,5.25,2200", True): (9302.329003099374, 16.85299496913483, 332),
+    ("16,8,3,2800", True): (9808.653373524985, 22.30366661372744, 51),
+    ("5,3,7.5,2600", True): (529.5951006525997, 4.182878022864031, 142),
+    ("14,7,5.25,2200", True): (9302.329003099374, 16.852985476312842, 68),
 }
 
 DETERMINISTIC_ARCHIVE_SHA256 = (
-    "b5908115be65683e5bb31efc1447325cb3f5834a5a5102f743f4daab11417911"
+    "00ab7b8c5c4c872023d1ae7ace18391eb72395fb65f38c6dd976606b3a08b277"
 )
 TRAJECTORY_SHA256 = {
-    "off": "9fbbc0978ec824bd27488e6001ff67d5f9f7e6a0678caf6373161d37ea8aa0f8",
-    "on": "17c869601aacca89de1a6808919bbe0260a1d6007fffcd48e62bd86592419645",
+    "off": "5c4ac3689c23e1857998240dc152ee0b2bf45ad36232da6b7d50e9cf9fce0000",
+    "on": "83f76f03f884328aa995316ba9bcbfdfa262c3e8179b0c3acc4706c4175866b6",
 }
 
 

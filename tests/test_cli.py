@@ -221,6 +221,33 @@ def test_nv_below_two_exit_code(fast_scenario, tmp_path, capsys, mode):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_scenario_exit_code(tmp_path, capsys, monkeypatch, scenario):
+    """A scenario file that is missing or cannot be read exits 2 with one
+    line on stderr, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    code = main(["--mode", "deterministic", "--scenario", scenario, "--out", "run"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{scenario}'" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_out_is_a_file_exit_code(fast_scenario, tmp_path, capsys):
+    """An ``--out`` that is an existing file exits 2 with one line on stderr
+    and leaves the file as it was."""
+    out = tmp_path / "run"
+    out.write_text("kept\n")
+    code = main(["--mode", "propagate", "--scenario", str(fast_scenario),
+                 "--design", "20,10,1,3000", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert len(err.splitlines()) == 1
+    assert out.read_text() == "kept\n"
+
+
 def test_propagate_mode_outputs(fast_scenario, tmp_path):
     out = tmp_path / "run"
     code = main([

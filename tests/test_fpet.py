@@ -1,4 +1,5 @@
 """Arc-wise analytic propagation: exactness, first-order scaling, arc law."""
+import bisect
 import dataclasses
 import functools
 import math
@@ -174,6 +175,45 @@ def test_fpet_step_equals_array_oracle_at_edges(e, i, eps, dl):
     arcs, and the shortest and longest arcs."""
     eq = _arc_state(0.9224, e, i, 2.206, 3.568, 0.8, 1e7)
     _assert_step_matches_oracle(eq, dl, ThrustRTN(eps, 1.1, 0.3))
+
+
+near_zero = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e-6, 1e-6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a_au=st.floats(0.3, 5.0),
+    e=st.floats(0.0, 0.9),
+    pomega=angles,
+    ell=st.floats(-50.0, 50.0),
+    dl=st.one_of(st.just(2 * math.pi), st.floats(1e-6, 2 * math.pi)),
+    q1=near_zero, q2=near_zero,
+    log_ratio=st.one_of(st.none(), st.floats(-12.0, -3.0)),
+    alpha=st.floats(-math.pi, math.pi),
+    beta=st.floats(-0.5 * math.pi, 0.5 * math.pi),
+)
+def test_near_equatorial_step_is_continuous_at_q_zero(a_au, e, pomega, ell, dl, q1, q2,
+                                                      log_ratio, alpha, beta):
+    """As the inclination goes to zero (q1, q2 -> 0), ``fpet_step`` and
+    ``equinoctial_to_cartesian`` stay finite and tend to their equatorial
+    values. The orbit plane is tilted by an angle of 2|q| to first order, so
+    position and velocity move by at most about 2|q| of their size; the
+    epoch of an arc moves by the q-part of the first-order time term, well
+    under |q| of the arc's duration for a thrust below 1e-3 of gravity."""
+    eq = _arc_state(a_au, e, 0.0, pomega, 0.0, ell, 1e7)
+    flat, eq = eq, dataclasses.replace(eq, q1=q1, q2=q2)
+    eps = 0.0 if log_ratio is None else 10.0**log_ratio * MU / eq.a**2
+    thrust = ThrustRTN(eps, alpha, beta)
+    q = math.hypot(q1, q2)
+    for start, flat_start in ((eq, flat), (fpet_step(eq, dl, thrust, MU, kepler_start(eq, MU)),
+                                           fpet_step(flat, dl, thrust, MU, kepler_start(flat, MU)))):
+        assert all(math.isfinite(x) for x in dataclasses.astuple(start))
+        assert abs(start.t - flat_start.t) <= q * (flat_start.t - flat.t) + 4 * math.ulp(flat_start.t)
+        for tilted, level in zip(equinoctial_to_cartesian(start, MU),
+                                 equinoctial_to_cartesian(flat_start, MU)):
+            assert np.all(np.isfinite(tilted))
+            size = np.linalg.norm(level)
+            assert np.linalg.norm(tilted - level) <= (2.5 * q + 1e-12) * size
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +433,15 @@ def _counting_thrust_calls():
         yield calls
 
 
-def _propagate_both(design, u, contamination):
-    """One evaluation driven by the thrust model itself, which may jump the
-    tail to impact, and the trajectory of a plain-function wrapper of a fresh
-    model, which steps every arc; with the thrust calls each side made."""
+def _propagate_both(design, u, contamination, dl_max=None):
+    """One evaluation driven by the thrust model itself, which may jump
+    certified-dark spells, and the trajectory of a plain-function wrapper of
+    a fresh model, which steps every arc; with the thrust calls each side
+    made. ``dl_max`` replaces the scenario's arc cap."""
     scenario, _ = _scenario_and_structure()
+    if dl_max is not None:
+        scenario = dataclasses.replace(
+            scenario, arc_control=dataclasses.replace(scenario.arc_control, dl_max=dl_max))
     model = make_model(scenario, "deterministic", contamination)
     with _counting_thrust_calls() as calls:
         ev = model.evaluate(design, u)
@@ -415,34 +459,94 @@ def _sampled_b(sampled, contamination):
     return model.impact_b(propagate_keplerian(sampled.final, scenario.t_impact, scenario.mu))
 
 
+def _assert_jumps_keep_the_stepped_partition(coast, sampled, ell_tol=0.0, eps_rtol=1e-12):
+    """The trajectory that jumps certified-dark spells against the one that
+    steps every arc: every arc starts within ``ell_tol`` of a stepped arc's
+    start (on it, at 0), with its epoch within 1e-6 s and its thrust within
+    ``eps_rtol`` relative of that arc's; the thrusting arcs are as many, and
+    no stepped arc a jump skipped thrusts. The end is the two-body state at
+    impact from the last jump's start, or the stepped end within 1e-6 s."""
+    scenario, _ = _scenario_and_structure()
+    starts = [s.ell for s in sampled.states[:-1]]
+    skipped = set(range(len(starts)))
+    for state, eps in zip(coast.states, coast.eps_history):
+        k = bisect.bisect_left(starts, state.ell - ell_tol)
+        assert abs(starts[k] - state.ell) <= ell_tol
+        assert abs(state.t - sampled.states[k].t) <= 1e-6
+        assert abs(eps - sampled.eps_history[k]) <= eps_rtol * sampled.eps_history[k]
+        skipped.discard(k)
+    thrusting = [e for e in coast.eps_history if e > 0.0]
+    assert len(thrusting) == len([e for e in sampled.eps_history if e > 0.0])
+    assert not any(sampled.eps_history[k] for k in skipped)
+    if coast.final != propagate_keplerian(coast.states[-2], scenario.t_impact, scenario.mu):
+        assert abs(coast.final.t - sampled.final.t) <= 1e-6
+
+
 @pytest.mark.parametrize("contamination", [False, True], ids=["off", "on"])
 @pytest.mark.parametrize("point", ["reference", "strong", "weak"])
 def test_coast_keeps_the_bits_of_the_sampled_path(contamination, point):
-    """Jumping a certified-dark tail to impact keeps every state and thrust
-    entry of the prefix that samples the thrust, on the behaviour-lock
-    designs at the reference point and at both thrust-extreme corners. The
-    tail it skips never thrusts on the stepped path, the jump ends on the
-    two-body state at impact, b moves by at most 5e-5 km (epoch rounding of
-    the stepped tail) and the thrust is sampled no more often."""
+    """Jumping certified-dark spells keeps the partition of the thrusting
+    arcs of the stepped path, on the behaviour-lock designs at the reference
+    point and at both thrust-extreme corners; b moves by at most 5e-5 km
+    (epoch rounding of the stepped sums) and the thrust is sampled no more
+    often."""
     scenario, _ = _scenario_and_structure()
     u = {"reference": scenario.fixed_uncertain, "strong": _uncertain(STRONG_SIDE),
          "weak": _uncertain(WEAK_SIDE)}[point]
     saved = 0
     for text in sorted({design for design, _ in LOCKED_EVALUATIONS}):
         ev, sampled, calls, sampled_calls = _propagate_both(parse_design(text), u, contamination)
-        coast = ev.trajectory
-        n = coast.n_arcs
-        assert coast.states[:n] == sampled.states[:n], text
-        assert coast.eps_history[:-1] == sampled.eps_history[:n - 1], text
-        if coast.states != sampled.states:
-            assert not any(sampled.eps_history[n - 1:]), text
-            assert coast.final == propagate_keplerian(
-                coast.states[-2], scenario.t_impact, scenario.mu), text
+        _assert_jumps_keep_the_stepped_partition(ev.trajectory, sampled)
         assert abs(ev.b - _sampled_b(sampled, contamination)) <= 5e-5, text
         assert calls <= sampled_calls, text
-        saved += sampled.n_arcs - n
+        saved += sampled.n_arcs - ev.n_arcs
     if (point, contamination) != ("strong", False):  # that corner thrusts on every arc
         assert saved > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d_m=st.floats(2.0, 20.0),
+    n_sc=st.integers(1, 10),
+    t_warn=st.floats(1.0, 8.0),
+    c_r=st.floats(1000.0, 3000.0),
+    unit=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10),
+    contamination=st.booleans(),
+)
+def test_spell_jumps_keep_the_stepped_partition(d_m, n_sc, t_warn, c_r, unit, contamination):
+    """The same contract over drawn designs and uncertain points, up to the
+    rounding that the epochs carry into later thrust samples and, through
+    the arc-length law, into later start longitudes: 1e-13 rad, about a
+    dozen units in the last place, and 1e-11 relative in the thrust."""
+    ev, sampled, calls, sampled_calls = _propagate_both(
+        DesignVector(d_m, n_sc, t_warn, c_r), _uncertain(unit), contamination)
+    _assert_jumps_keep_the_stepped_partition(ev.trajectory, sampled, 1e-13, 1e-11)
+    assert abs(ev.b - _sampled_b(sampled, contamination)) <= 5e-5
+    assert calls <= sampled_calls
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    dl_max=st.sampled_from([2 * math.pi, 1e-2]),
+    d_m=st.floats(2.0, 20.0),
+    n_sc=st.integers(1, 10),
+    t_warn=st.floats(1.0, 2.5),
+    c_r=st.floats(1000.0, 3000.0),
+    unit=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10),
+    contamination=st.booleans(),
+)
+def test_spell_jumps_at_the_arc_cap_limits(dl_max, d_m, n_sc, t_warn, c_r, unit,
+                                          contamination):
+    """At the largest arc cap, a whole turn, and at a cap of 1e-2 rad, both
+    trajectories end within 1 s of t_end, and the jumps keep the stepped
+    partition as over drawn designs."""
+    scenario, _ = _scenario_and_structure()
+    ev, sampled, calls, sampled_calls = _propagate_both(
+        DesignVector(d_m, n_sc, t_warn, c_r), _uncertain(unit), contamination, dl_max)
+    for traj in (ev.trajectory, sampled):
+        assert abs(traj.final.t - scenario.t_impact) <= 1.0
+    _assert_jumps_keep_the_stepped_partition(ev.trajectory, sampled, 1e-13, 1e-11)
+    assert calls <= sampled_calls
 
 
 def _assert_dark_coast(ev, sampled, calls, _sampled_calls):
