@@ -306,18 +306,21 @@ def propagate_trajectory(
             end = propagate_keplerian(eq, t_end, mu)
             # the longest run of the stepped path's capped arcs from here
             # (``grid``: their starts, by its own additions, up to impact)
-            # whose midpoint probes are certified dark; a certificate only
-            # fails as its range grows, so the run doubles, then bisects
+            # whose midpoint probes are certified dark: all of them, or else,
+            # as a certificate only fails as its range grows, a run that
+            # doubles until refused and then bisects
             grid, run, refused = [eq.ell], 0, None
-            while grid[run] < end.ell and (refused is None or refused - run > 1):
+            whole = certify_dark(probe, end.ell + 0.5 * ctrl.dl_max)
+            while not whole and grid[run] < end.ell and (
+                    refused is None or refused - run > 1):
                 n = 2 * run + 1 if refused is None else (run + refused) // 2
                 while len(grid) <= n and grid[-1] < end.ell:
                     grid.append(grid[-1] + ctrl.dl_max)
                 n = min(n, len(grid) - 1)
                 dark = certify_dark(probe, grid[n - 1] + 0.5 * ctrl.dl_max)
                 run, refused = (n, refused) if dark else (run, n)
-            if run:
-                nxt = end if grid[run] >= end.ell else replace(
+            if whole or run:
+                nxt = end if whole or grid[run] >= end.ell else replace(
                     eq, ell=grid[run],
                     t=eq.t + kepler_time_of_flight(eq, grid[run] - eq.ell, start))
         if nxt is None:

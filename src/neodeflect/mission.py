@@ -396,9 +396,8 @@ class DeflectionModel:
         self._start = (None, None)
 
     def start_state(self, t_warn_years: float) -> EquinoctialState:
-        """Asteroid state at the deflection start. The last one is kept:
-        the mass corners and the b evaluations of one design all start
-        there."""
+        """Asteroid state at the deflection start, kept for the next call:
+        every mass corner and b evaluation of one design starts there."""
         warn, state = self._start
         if warn != t_warn_years:
             t_start = self.scenario.t_impact - t_warn_years * YEAR_S
