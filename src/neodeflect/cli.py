@@ -7,15 +7,16 @@ reproduce byte-identical payloads.
 
 Exit codes: 0 success, 2 scenario/schema errors (solver budgets and
 populations included, all checked when the scenario loads), a scenario file
-that cannot be read, an ``--out`` that cannot be made a directory, a ``--design``
-outside the scenario's design bounds, an expert-opinion file that is
-missing, malformed or leaves out a parameter (the modes that load it:
-``minmin``, ``minmin-margins``, ``minmax``, ``bpcurve``, ``sensitivity``),
-``--nv`` below 2 (``bpcurve``, ``sensitivity``), or reference orbits of
-the asteroid and the Earth whose encounter velocity is too small to define
-a b-plane, 3 any other invalid value met during a run, 4 numerical failure
-(the arc-count cap of a propagation, a Kepler solve that does not
-converge, a failed reference integration, or a NaN or infinite objective).
+that cannot be read, an ``--out`` directory that cannot be made or written
+to, a ``--design`` outside the scenario's design bounds, an expert-opinion
+file that is missing, malformed or leaves out a parameter (the modes that
+load it: ``minmin``, ``minmin-margins``, ``minmax``, ``bpcurve``,
+``sensitivity``), ``--nv`` below 2 (``bpcurve``, ``sensitivity``), or
+reference orbits of the asteroid and the Earth whose encounter velocity is
+too small to define a b-plane, 3 any other invalid value met during a run,
+4 numerical failure (the arc-count cap of a propagation, a Kepler solve
+that does not converge, a failed reference integration, or a NaN or
+infinite objective).
 """
 from __future__ import annotations
 
@@ -333,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
                                     args.max_partitions)
         else:
             files = run_propagate(scenario, design, contamination, out, args.oracle)
-    except (ScenarioError, DegenerateBPlaneError) as exc:
+    except (ScenarioError, DegenerateBPlaneError, OSError) as exc:
         # v_inf depends only on the two reference orbits of the scenario
         print(f"error: {exc}", file=sys.stderr)
         return 2

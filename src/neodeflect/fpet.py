@@ -28,17 +28,18 @@ short arc, separates its end from that epoch.
 
 Most arcs of a contaminated or weak deflection carry no thrust: the spot
 goes dark on the far side of every orbit, and many trajectories end in a
-tail that never thrusts again. When a thrust model can prove a range of
-longitudes dark (``ThrustModel.certify_dark``: the mirror layer has stopped
-growing and the spot stays dark at the slowest spin and at the smallest
-heliocentric range of those longitudes), the propagator stops stepping. It
-replaces the longest certified run of the capped arcs it would step with one
-zero-thrust arc: to the run's last arc boundary on its own longitude grid,
-timed by one Kepler solve, or, for a run that reaches impact, to the two-body
-state at the final epoch. The arc cap and the ``propagate`` mode's
-``trajectory.csv`` count each jump as one arc. The thrusting arcs keep their
-count and the bits of their start longitudes; epochs differ from the stepped
-path only by the rounding of its arc-by-arc sums.
+dark tail. When a thrust model can prove a range of longitudes dark
+(``ThrustModel.certify_dark``: the mirror layer has stopped growing and the
+spot stays dark at the slowest spin and at the smallest heliocentric range
+of those longitudes), the propagator stops stepping. It replaces the longest
+certified run of the capped arcs it would step with one zero-thrust arc: to
+the run's last arc boundary on its own longitude grid, timed by one Kepler
+solve, or, for a run that reaches impact, to the two-body state at the final
+epoch. The arc cap and the ``propagate`` mode's ``trajectory.csv`` count
+each jump as one arc. The thrusting arcs keep their count and their start
+longitudes; epochs differ from the stepped path only by the rounding of its
+arc-by-arc sums, which later thrust samples can carry into the last bits of
+later arcs.
 """
 from __future__ import annotations
 
@@ -264,16 +265,17 @@ def propagate_trajectory(
     thrust while the motion stays on the Keplerian orbit of ``state``
     between its longitude and ``ell_end``. It is asked at the midpoint probe
     of an arc whose sample is zero and follows a thrusting arc (or is the
-    first), for the capped arcs the stepped path would take from there,
-    each range ending at the midpoint of the run's last arc; doubling, then
-    bisecting, the run finds the longest certified one. That run becomes one
-    zero-thrust arc to its last arc boundary, the longitude reached by the
-    stepped path's own repeated additions of ``dl_max``, with the epoch of
-    one Kepler time of flight. A run that reaches t_end ends the trajectory
-    at ``propagate_keplerian(state, t_end, mu)`` instead. ``max_arcs``
-    counts each jump once. The arcs the certificate refused are stepped, and
-    it is not asked again until the thrust returns. A plain function offers
-    no certificate and is stepped on every arc.
+    first): over all the longitudes later samples could reach, up to half a
+    capped arc past the two-body longitude at t_end, and if refused, over
+    runs of the capped arcs the stepped path would take, each up to its last
+    arc's midpoint; the run doubles, then bisects, to the longest certified.
+    It becomes one zero-thrust arc to its last arc boundary, the longitude
+    the stepped path reaches by its own repeated additions of ``dl_max``,
+    timed by one Kepler time of flight; a run that reaches t_end ends the
+    trajectory at ``propagate_keplerian(state, t_end, mu)``. ``max_arcs``
+    counts each jump once. Refused arcs are stepped, and the certificate is
+    not asked again until the thrust returns. A plain function offers no
+    certificate and is stepped on every arc.
     """
     if t_end <= eq0.t:
         raise ValueError("t_end must be later than the initial epoch")
@@ -305,15 +307,13 @@ def propagate_trajectory(
                 and (not eps_history or eps_history[-1] > 0.0)):
             end = propagate_keplerian(eq, t_end, mu)
             # the longest run of the stepped path's capped arcs from here
-            # (``grid``: their starts, by its own additions, up to impact)
-            # whose midpoint probes are certified dark: all of them, or else,
-            # as a certificate only fails as its range grows, a run that
-            # doubles until refused and then bisects
-            grid, run, refused = [eq.ell], 0, None
+            # (``grid``: their starts, by its own additions) whose probes are
+            # certified dark: all of them, or else, since a certificate only
+            # fails as its range grows, a run that doubles, then bisects
+            grid, run, refused = [eq.ell], 0, math.inf
             whole = certify_dark(probe, end.ell + 0.5 * ctrl.dl_max)
-            while not whole and grid[run] < end.ell and (
-                    refused is None or refused - run > 1):
-                n = 2 * run + 1 if refused is None else (run + refused) // 2
+            while not whole and grid[run] < end.ell and refused - run > 1:
+                n = 2 * run + 1 if refused == math.inf else (run + refused) // 2
                 while len(grid) <= n and grid[-1] < end.ell:
                     grid.append(grid[-1] + ctrl.dl_max)
                 n = min(n, len(grid) - 1)

@@ -234,17 +234,21 @@ def test_unreadable_scenario_exit_code(tmp_path, capsys, monkeypatch, scenario):
     assert not (tmp_path / "run").exists()
 
 
-def test_out_is_a_file_exit_code(fast_scenario, tmp_path, capsys):
-    """An ``--out`` that is an existing file exits 2 with one line on stderr
-    and leaves the file as it was."""
+def test_unwritable_out_exit_code(fast_scenario, tmp_path, capsys):
+    """An ``--out`` that is an existing file, or an output that cannot be
+    written, exits 2 with one line on stderr and leaves the file as it
+    was."""
     out = tmp_path / "run"
     out.write_text("kept\n")
-    code = main(["--mode", "propagate", "--scenario", str(fast_scenario),
-                 "--design", "20,10,1,3000", "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(out) in err
-    assert len(err.splitlines()) == 1
+    blocked = tmp_path / "blocked"
+    (blocked / "trajectory.csv").mkdir(parents=True)
+    for target, name in ((out, out), (blocked, blocked / "trajectory.csv")):
+        code = main(["--mode", "propagate", "--scenario", str(fast_scenario),
+                     "--design", "20,10,1,3000", "--out", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(name) in err
+        assert len(err.splitlines()) == 1
     assert out.read_text() == "kept\n"
 
 
