@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -36,11 +37,10 @@ from .constants import (
 from .orbits import EquinoctialState, ThrustRTN
 from .sizing import DesignVector, TechnologyParams, system_efficiency
 
-# Gauss-Legendre rule for the cross-spot strip integral (>= 16 nodes);
-# plain tuples, the integral is evaluated in scalar code on the hot path
-_Y_NODES, _Y_WEIGHTS = (
-    tuple(arr) for arr in np.polynomial.legendre.leggauss(16)
-)
+# Gauss-Legendre rule for the cross-spot strip integral (>= 16 nodes), as (node
+# + 1, weight) pairs of plain floats: numpy scalars cost several times more
+_Y_STRIPS = tuple((node + 1.0, weight) for node, weight in zip(
+    *(arr.tolist() for arr in np.polynomial.legendre.leggauss(16))))
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,19 @@ class AsteroidProperties:
         if self.t_subl <= self.t_0:
             raise ValueError("sublimation temperature must exceed the deep temperature")
 
-    @property
+    @cached_property
     def mass(self) -> float:
         if self.m_a is not None:
             return self.m_a
         return self.rho_a * (4.0 / 3.0) * math.pi * self.a1 * self.b1**2
+
+    @cached_property
+    def q_subl(self) -> float:  # re-radiation [W/m^2] at the sublimation temperature
+        return radiation_loss(self.t_subl, self.emiss_bb)
+
+    @cached_property
+    def c_cond(self) -> float:  # conduction loss C / sqrt(t) [W/m^2] after time t
+        return (self.t_subl - self.t_0) * math.sqrt(self.c_a * self.k_a * self.rho_a / math.pi)
 
 
 @dataclass(frozen=True)
@@ -175,13 +183,10 @@ def _spot_balance(
     never lights a dark spot."""
     if p_in <= 0.0:
         return None
-    p_net = p_in - radiation_loss(ast.t_subl, ast.emiss_bb)
+    p_net = p_in - ast.q_subl
     if p_net <= 0.0:
         return None
-    c_cond = (ast.t_subl - ast.t_0) * math.sqrt(
-        ast.c_a * ast.k_a * ast.rho_a / math.pi
-    )
-    sqrt_t_star = c_cond / p_net
+    sqrt_t_star = ast.c_cond / p_net
     chord_min = 0.5 * v_rot * sqrt_t_star * sqrt_t_star
     if chord_min >= half:
         return None
@@ -219,13 +224,14 @@ def mass_flow_rate(
     p_net, sqrt_t_star, chord_min = balance
     # only strips whose dwell exceeds the conduction threshold contribute;
     # restricting the quadrature to that support keeps the integrand smooth
-    y_star = math.sqrt(half * half - chord_min * chord_min)
-    scale = 0.5 * y_star
+    half_sq = half * half
+    sqrt = math.sqrt
+    scale = 0.5 * sqrt(half_sq - chord_min * chord_min)
     strip_integral = 0.0
-    for node, weight in zip(_Y_NODES, _Y_WEIGHTS):
-        y = scale * (node + 1.0)
-        dwell = 2.0 * math.sqrt(half * half - y * y) / v_rot
-        gain = math.sqrt(dwell) - sqrt_t_star
+    for shifted_node, weight in _Y_STRIPS:
+        y = scale * shifted_node
+        dwell = 2.0 * sqrt(half_sq - y * y) / v_rot
+        gain = sqrt(dwell) - sqrt_t_star
         if gain > 0.0:
             strip_integral += weight * gain * gain
     strip_integral *= scale * p_net
@@ -255,7 +261,7 @@ def ablation_acceleration(
     sl, cl = math.sin(eq.ell), math.cos(eq.ell)
     v_r = eq.p2 * sl - eq.p1 * cl
     v_t = 1.0 + eq.p1 * sl + eq.p2 * cl
-    return ThrustRTN(eps=eps_si / 1000.0, alpha=math.atan2(v_t, v_r), beta=0.0)
+    return ThrustRTN(eps_si / 1000.0, math.atan2(v_t, v_r), 0.0)
 
 
 def plume_density(
@@ -278,8 +284,9 @@ def plume_density(
     if mdot <= 0.0:
         return 0.0
     r_vec = spot_vector(geom, ast, t)
-    r_s_sc = float(np.linalg.norm(r_vec))
-    cos_phi = r_vec[0] / r_s_sc if r_s_sc > 0.0 else 1.0
+    # the sum np.linalg.norm takes (BLAS ddot), without its argument checks
+    r_s_sc = math.sqrt(r_vec.dot(r_vec))
+    cos_phi = float(r_vec[0]) / r_s_sc if r_s_sc > 0.0 else 1.0
     phi = math.acos(max(-1.0, min(1.0, cos_phi)))
     if phi >= PHI_MAX:
         return 0.0
@@ -299,6 +306,10 @@ class ThrustModel:
     like the thrust itself) and sets the degradation factor ``tau =
     exp(-2 * eta * h_cond)``. One instance owns one trajectory's layer;
     build a fresh instance per propagation.
+
+    Per-trajectory constants are computed once (efficiency, areas, ejecta
+    speed, view factor; the asteroid caches mass, re-radiation, conduction),
+    and a sample equals the composition of the unit functions bit for bit.
     """
 
     def __init__(
@@ -321,6 +332,7 @@ class ThrustModel:
         self.a_m1 = math.pi * design.d_m**2 / 4.0
         self.a_spot, self.d_spot = spot_area(self.a_m1, design.c_r)
         self.vbar = ejecta_velocity(ast)
+        self.view_factor = math.cos(geom.psi_vf)
         self.t_reference = t_reference
         self._last_t: float | None = None
         self._growth = 0.0  # layer growth [m/s] at the previous call
@@ -347,7 +359,7 @@ class ThrustModel:
         rho = plume_density(
             mdot, self.vbar, self.a_spot, self.d_spot, self.geom, self.ast, t=elapsed
         )
-        return (2.0 * self.vbar * rho / RHO_LAYER) * math.cos(self.geom.psi_vf)
+        return (2.0 * self.vbar * rho / RHO_LAYER) * self.view_factor
 
     def __call__(self, eq: EquinoctialState, t: float) -> ThrustRTN:
         elapsed = t - self.t_reference

@@ -6,17 +6,18 @@ package version) under the output directory. Identical scenario and seed
 reproduce byte-identical payloads.
 
 Exit codes: 0 success, 2 scenario/schema errors (solver budgets and
-populations included, all checked when the scenario loads), a scenario file
-that cannot be read, an ``--out`` directory that cannot be made or written
-to, a ``--design`` outside the scenario's design bounds, an expert-opinion
-file that is missing, malformed or leaves out a parameter (the modes that
-load it: ``minmin``, ``minmin-margins``, ``minmax``, ``bpcurve``,
-``sensitivity``), ``--nv`` below 2 (``bpcurve``, ``sensitivity``), or
-reference orbits of the asteroid and the Earth whose encounter velocity is
-too small to define a b-plane, 3 any other invalid value met during a run,
-4 numerical failure (the arc-count cap of a propagation, a Kepler solve
-that does not converge, a failed reference integration, or a NaN or
-infinite objective).
+populations included, all checked when the scenario loads), a negative seed
+(in the scenario or as ``--seed``), a scenario file that cannot be read, an
+``--out`` directory that cannot be made or written to, a ``--design``
+outside the scenario's design bounds, an expert-opinion file that is
+missing, malformed or leaves out a parameter (the modes that load it:
+``minmin``, ``minmin-margins``, ``minmax``, ``bpcurve``, ``sensitivity``),
+``--nv`` below 2 or ``--max-partitions`` below 1 (``bpcurve``,
+``sensitivity``), or reference orbits of the asteroid and the Earth whose
+encounter velocity is too small to define a b-plane, 3 any other invalid
+value met during a run, 4 numerical failure (the arc-count cap of a
+propagation, a Kepler solve that does not converge, a failed reference
+integration, or a NaN or infinite objective).
 """
 from __future__ import annotations
 
@@ -308,6 +309,8 @@ def main(argv: list[str] | None = None) -> int:
             check_design_bounds(design, scenario.design_bounds)
         if args.mode in ("bpcurve", "sensitivity") and args.nv < 2:
             raise ValueError(f"--nv must be at least 2, got {args.nv}")
+        if args.mode in ("bpcurve", "sensitivity") and args.max_partitions < 1:
+            raise ValueError(f"--max-partitions must be at least 1, got {args.max_partitions}")
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
     except (ScenarioError, ValueError, OSError) as exc:

@@ -22,6 +22,12 @@ every arc. The Keplerian time of flight shares one solve of the arc's start
 mean longitude between the midpoint probes and the steps
 (``orbits.KeplerStart``).
 
+An in-plane thrust (beta = 0, as the ablation thrust always is) skips the
+normal-thrust terms in the node loop, all products with f_n = 0: the Q1 and
+Q2 rates (zero rows of the same contraction), the ``qterm`` products and the
+normal term of the time integrand. Adding or subtracting a zero keeps every
+bit, so the skip matches the full form exactly.
+
 The last arc is cut in closed form: the two-body longitude at the final
 epoch sets its length, and only its first-order time term, small over a
 short arc, separates its end from that epoch.
@@ -75,6 +81,7 @@ _CHEB_W = _CHEB_CUM[-1]  # full-interval integral weights
 _CHEB_MAP = 0.5 * (_CHEB_X + 1.0)
 _CHEB_CUM_T = np.ascontiguousarray(_CHEB_CUM.T)
 _CHEB_MAP_NODES = _CHEB_MAP.tolist()
+_NO_RATES = [0.0] * len(_CHEB_MAP_NODES)  # the normal rates of in-plane thrust
 
 from .orbits import (  # noqa: E402
     EquinoctialState,
@@ -138,6 +145,12 @@ def _first_order_terms(
     f_t = cb * math.sin(f.alpha)
     f_n = math.sin(f.beta)
     half_s2 = 0.5 * (1.0 + q1 * q1 + q2 * q2)
+    # in-plane thrust skips the normal terms, products with f_n = 0
+    normal = f_n != 0.0
+    qterm = t11_normal = 0.0
+    c_a = 1.5 / a
+    c_p1 = -3.0 * a * p1 / p
+    c_p2 = -3.0 * a * p2 / p
 
     # element rates per unit eps, divided by the longitude rate (times w),
     # one Chebyshev node at a time
@@ -149,31 +162,30 @@ def _first_order_terms(
         phi = 1.0 + p1 * sl + p2 * cl
         r_h = p_h / phi  # r / h
         w = (p / phi) * r_h  # r^2/h = dt/dL on the Keplerian orbit
-        qterm = (q1 * cl - q2 * sl) * f_n
+        if normal:
+            qterm = (q1 * cl - q2 * sl) * f_n
+            half_rh_s2 = half_s2 * r_h * f_n
+            g3.append(half_rh_s2 * sl * w)
+            g4.append(half_rh_s2 * cl * w)
+            t11_normal = r_h * qterm * w * w
         g0.append(a_rate * ((p2 * sl - p1 * cl) * f_r + phi * f_t) * w)
         g1.append(r_h * (-phi * cl * f_r + (p1 + (1.0 + phi) * sl) * f_t - p2 * qterm) * w)
         g2.append(r_h * (phi * sl * f_r + (p2 + (1.0 + phi) * cl) * f_t + p1 * qterm) * w)
-        half_rh_s2 = half_s2 * r_h * f_n
-        g3.append(half_rh_s2 * sl * w)
-        g4.append(half_rh_s2 * cl * w)
-        nodes.append((w, sl, cl, phi, r_h * qterm))
+        # the time integrand's factors of y0, y1, y2, and its normal term
+        nodes.append((c_a * w, w * (c_p1 - 2.0 * sl / phi), w * (c_p2 - 2.0 * cl / phi),
+                      t11_normal))
+    if not normal:
+        g3 = g4 = _NO_RATES
 
     # running first-order element integrals y1 = half * y at every node via
     # the spectral antiderivative; the last node is the end of the arc
-    g = np.array(g0 + g1 + g2 + g3 + g4).reshape(5, len(nodes))
-    y = (g @ _CHEB_CUM_T).tolist()
+    y = (np.array(g0 + g1 + g2 + g3 + g4).reshape(5, len(nodes)) @ _CHEB_CUM_T).tolist()
 
-    c_a = 1.5 / a
-    c_p1 = -3.0 * a * p1 / p
-    c_p2 = -3.0 * a * p2 / p
     t11_integrand = [
-        c_a * w * (half * y0)
-        + w * (c_p1 - 2.0 * sl / phi) * (half * y1)
-        + w * (c_p2 - 2.0 * cl / phi) * (half * y2)
-        - rh_q * w * w
-        for (w, sl, cl, phi, rh_q), y0, y1, y2 in zip(nodes, *y[:3])
+        k0 * (half * y0) + k1 * (half * y1) + k2 * (half * y2) - t11_normal
+        for (k0, k1, k2, t11_normal), y0, y1, y2 in zip(nodes, y[0], y[1], y[2])
     ]
-    t11 = half * float(np.array(t11_integrand) @ _CHEB_W)
+    t11 = half * float(_CHEB_W.dot(t11_integrand))
     return [half * row[-1] for row in y], t11
 
 
@@ -192,21 +204,13 @@ def fpet_step(
     if dl <= 0.0:
         raise ValueError("arc length must be positive")
     t00 = kepler_time_of_flight(eq0, dl, start)
-    if f.eps == 0.0:
-        return EquinoctialState(
-            a=eq0.a, p1=eq0.p1, p2=eq0.p2, q1=eq0.q1, q2=eq0.q2,
-            ell=eq0.ell + dl, t=eq0.t + t00,
-        )
-    y1, t11 = _first_order_terms(eq0, dl, f, mu)
     eps = f.eps
+    if eps == 0.0:
+        return EquinoctialState(eq0.a, eq0.p1, eq0.p2, eq0.q1, eq0.q2, eq0.ell + dl, eq0.t + t00)
+    y1, t11 = _first_order_terms(eq0, dl, f, mu)
     return EquinoctialState(
-        a=eq0.a + eps * y1[0],
-        p1=eq0.p1 + eps * y1[1],
-        p2=eq0.p2 + eps * y1[2],
-        q1=eq0.q1 + eps * y1[3],
-        q2=eq0.q2 + eps * y1[4],
-        ell=eq0.ell + dl,
-        t=eq0.t + t00 + eps * t11,
+        eq0.a + eps * y1[0], eq0.p1 + eps * y1[1], eq0.p2 + eps * y1[2],
+        eq0.q1 + eps * y1[3], eq0.q2 + eps * y1[4], eq0.ell + dl, eq0.t + t00 + eps * t11,
     )
 
 
@@ -232,8 +236,8 @@ def _midpoint_state(
     """Zero-order Keplerian prediction of the state half an arc ahead."""
     half = 0.5 * dl
     return EquinoctialState(
-        a=eq.a, p1=eq.p1, p2=eq.p2, q1=eq.q1, q2=eq.q2,
-        ell=eq.ell + half, t=eq.t + kepler_time_of_flight(eq, half, start),
+        eq.a, eq.p1, eq.p2, eq.q1, eq.q2,
+        eq.ell + half, eq.t + kepler_time_of_flight(eq, half, start),
     )
 
 
@@ -283,7 +287,8 @@ def propagate_trajectory(
     eps_history: list[float] = []
     eq = eq0
     eps_max = 0.0
-    dl_guess = ctrl.dl_max
+    a_const, k_const, dl_max = ctrl.a_const, ctrl.k_const, ctrl.dl_max
+    dl_guess = dl_max
     start = kepler_start(eq0, mu)
     certify_dark = getattr(thrust_callback, "certify_dark", None)
     while t_end - eq.t > 1.0:
@@ -292,13 +297,13 @@ def propagate_trajectory(
         probe = _midpoint_state(eq, dl_guess, start)
         f = thrust_callback(probe, probe.t)
         eps_max = max(eps_max, f.eps)
-        dl = arc_length_law(f.eps, eps_max, ctrl.a_const, ctrl.k_const, ctrl.dl_max)
+        dl = arc_length_law(f.eps, eps_max, a_const, k_const, dl_max)
         if not 0.5 <= dl / dl_guess <= 2.0:
             # arc length moved a lot: re-sample at the corrected midpoint
             probe = _midpoint_state(eq, dl, start)
             f = thrust_callback(probe, probe.t)
             eps_max = max(eps_max, f.eps)
-            dl = arc_length_law(f.eps, eps_max, ctrl.a_const, ctrl.k_const, ctrl.dl_max)
+            dl = arc_length_law(f.eps, eps_max, a_const, k_const, dl_max)
         dl_guess = dl
         nxt = None
         # asked once per dark spell, so it costs at most one Kepler solve
@@ -311,13 +316,13 @@ def propagate_trajectory(
             # certified dark: all of them, or else, since a certificate only
             # fails as its range grows, a run that doubles, then bisects
             grid, run, refused = [eq.ell], 0, math.inf
-            whole = certify_dark(probe, end.ell + 0.5 * ctrl.dl_max)
+            whole = certify_dark(probe, end.ell + 0.5 * dl_max)
             while not whole and grid[run] < end.ell and refused - run > 1:
                 n = 2 * run + 1 if refused == math.inf else (run + refused) // 2
                 while len(grid) <= n and grid[-1] < end.ell:
-                    grid.append(grid[-1] + ctrl.dl_max)
+                    grid.append(grid[-1] + dl_max)
                 n = min(n, len(grid) - 1)
-                dark = certify_dark(probe, grid[n - 1] + 0.5 * ctrl.dl_max)
+                dark = certify_dark(probe, grid[n - 1] + 0.5 * dl_max)
                 run, refused = (n, refused) if dark else (run, n)
             if whole or run:
                 nxt = end if whole or grid[run] >= end.ell else replace(

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .ablation import AsteroidProperties, StationGeometry, ThrustModel
 from .constants import AU_KM, ETA_ABS, S0, YEAR_S
@@ -467,8 +466,9 @@ def evidence_structure(scenario: Scenario) -> FocalStructure:
 
 
 def uncertain_dict(structure: FocalStructure, u_vec: np.ndarray) -> dict:
+    """Physical values of a unit point by name, as plain (fast) floats."""
     values = structure.unit_to_physical(u_vec)
-    return dict(zip(structure.names, values))
+    return dict(zip(structure.names, values.tolist()))
 
 
 def nominal_unit_image(structure: FocalStructure, fixed: dict) -> np.ndarray:
@@ -536,10 +536,11 @@ def evidence_evaluator(
     """
     seed_point = nominal_unit_image(structure, model.scenario.fixed_uncertain)
     corners = _technology_corners(structure, seed_point)
+    corner_values = [uncertain_dict(structure, u) for u in corners]
     pick = min if sense == "min" else max
 
     def evaluate(design: DesignVector) -> Individual:
-        masses = [model.mass_only(design, uncertain_dict(structure, u)) for u in corners]
+        masses = [model.mass_only(design, u) for u in corner_values]
         k = masses.index(pick(masses))
         negb_res = inner_bound_search(
             lambda u: -model.evaluate(design, uncertain_dict(structure, u)).b,
@@ -580,8 +581,10 @@ def rk_impact_parameter(
     the arc-wise analytic propagation is benchmarked against).
 
     The contamination layer rides along as an extra state so adaptive
-    stepping sees a smooth right-hand side.
+    stepping sees a smooth right-hand side. ``scipy.integrate``, most of the
+    package's import time, is imported here: no other route needs it.
     """
+    from scipy.integrate import solve_ivp
     model = DeflectionModel(scenario, contamination, scenario.margins)
     eq0, thrust_model = model.deflection_start(design, u)
     t_start = eq0.t

@@ -129,6 +129,8 @@ class SolverConfig:
         # population has collapsed onto cached ones
         if not 1 <= self.explorers < self.outer_pop:
             raise ValueError("explorer count must lie in [1, outer_pop)")
+        if self.seed < 0:  # numpy seed sequences take no negatives
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,21 @@ from neodeflect.ablation import (
     spot_vector,
 )
 from neodeflect.fpet import ArcControl
+from neodeflect.mission import (
+    apply_uncertain,
+    evidence_structure,
+    load_scenario,
+    reference_scenario_path,
+    uncertain_dict,
+)
 from neodeflect.orbits import (
+    EquinoctialState,
     KeplerianElements,
     equinoctial_to_cartesian,
     keplerian_to_equinoctial,
     propagate_keplerian,
 )
-from neodeflect.sizing import DesignVector, TechnologyParams
+from neodeflect.sizing import DesignVector, TechnologyParams, system_efficiency
 
 import oracles
 
@@ -370,6 +378,77 @@ def test_thrust_model_contamination_decays_thrust():
     assert eps0 > 0.0
     assert model.tau < 1.0
     assert eps_series[-1] < eps0
+
+
+def _composed_sample(design, tech, ast, geom, contamination, eq, elapsed, tau):
+    """One thrust sample composed of the public unit functions, from a fresh
+    copy of the asteroid (so no derived constant is shared with the model):
+    the thrust and the layer growth rate [m/s] it leaves."""
+    ast = replace(ast)
+    a_m1 = math.pi * design.d_m**2 / 4.0
+    a_spot, d_spot = spot_area(a_m1, design.c_r)
+    vbar = ejecta_velocity(ast)
+    p_in = input_power_density(system_efficiency(tech), design.c_r, eq.radius(), ast, tau)
+    mdot = mass_flow_rate(p_in, ast, geom, design.n_sc, design.c_r, a_m1, elapsed)
+    growth = 0.0
+    if contamination and geom.x > 0.0 and mdot > 0.0:
+        rho = plume_density(mdot, vbar, a_spot, d_spot, geom, ast, elapsed)
+        growth = (2.0 * vbar * rho / RHO_LAYER) * math.cos(geom.psi_vf)
+    return ablation_acceleration(mdot, vbar, ast, eq), growth
+
+
+SCENARIO = load_scenario(reference_scenario_path())
+STRUCTURE = evidence_structure(SCENARIO)
+
+
+@settings(max_examples=200, deadline=None)
+@example(a_au=0.9, e=0.2, pomega=1.0, ells=(0.3, 0.4), u=[0.5] * 10, d_m=20.0, n_sc=10,
+         c_r=3000.0, station=(3000.0, 0.0, 0.0, 0.5 * math.pi, 0.0), tau=1.0,
+         contamination=True, elapsed=1e4, dt=1e5)  # ablates and grows the layer
+@given(
+    a_au=st.floats(0.4, 2.0),
+    e=st.floats(0.0, 0.7),
+    pomega=st.floats(0.0, 2 * math.pi),
+    ells=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+    u=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10),
+    d_m=st.floats(2.0, 20.0),
+    n_sc=st.integers(1, 10),
+    c_r=st.floats(1000.0, 3000.0),
+    station=st.tuples(st.floats(-500.0, 5000.0), st.floats(-500.0, 500.0),
+                      st.floats(-500.0, 500.0), st.floats(0.0, 2 * math.pi),
+                      st.floats(0.0, 1.5)),
+    tau=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+    contamination=st.booleans(),
+    elapsed=st.floats(0.0, 3e8),
+    dt=st.floats(1.0, 1e7),
+)
+def test_thrust_model_sample_is_the_composition_of_the_unit_functions(
+        a_au, e, pomega, ells, u, d_m, n_sc, c_r, station, tau, contamination, elapsed, dt):
+    """Two samples of a ThrustModel, the first at a drawn degradation
+    factor and the second after the layer grew at the first's rate, equal bit
+    for bit the composition of input_power_density, mass_flow_rate,
+    ablation_acceleration and plume_density: the constants the model keeps
+    per trajectory change no bit."""
+    ast, tech = apply_uncertain(SCENARIO, uncertain_dict(STRUCTURE, np.array(u)))
+    geom = StationGeometry(*station)
+    design = DesignVector(d_m=d_m, n_sc=n_sc, t_warn=2.0, c_r=c_r)
+    t_ref = 1e6
+    model = ThrustModel(design, tech, ast, geom, contamination_on=contamination,
+                        t_reference=t_ref)
+    h_cond = -math.log(tau) / (2.0 * ETA_ABS)
+    model.h_cond, model.tau = h_cond, tau
+    eq1, eq2 = (EquinoctialState(a_au * AU_KM, e * math.sin(pomega), e * math.cos(pomega),
+                                 0.0, 0.0, ell) for ell in ells)
+    t1 = t_ref + elapsed
+    t2 = t1 + dt
+    want, growth = _composed_sample(design, tech, ast, geom, contamination, eq1, t1 - t_ref, tau)
+    assert model(eq1, t1) == want
+    if growth:
+        h_cond += growth * (t2 - t1) * 100.0
+        tau = math.exp(-2.0 * ETA_ABS * h_cond)
+    want, _ = _composed_sample(design, tech, ast, geom, contamination, eq2, t2 - t_ref, tau)
+    assert model(eq2, t2) == want
+    assert (model.h_cond, model.tau) == (h_cond, tau)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """CLI orchestration: exit codes, outputs, provenance reproducibility."""
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -146,16 +149,19 @@ def _raise(exc):
     return fail
 
 
-@pytest.mark.parametrize("attr, replacement", [
-    ("propagate_trajectory", _raise(ArcOverflowError("exceeded 200000 arcs before reaching t_end"))),
-    ("propagate_keplerian", _raise(KeplerConvergenceError("Kepler solve did not converge"))),
-    ("solve_ivp", lambda *a, **k: SimpleNamespace(success=False, message="step size too small")),
+@pytest.mark.parametrize("target, replacement", [
+    ("neodeflect.mission.propagate_trajectory",
+     _raise(ArcOverflowError("exceeded 200000 arcs before reaching t_end"))),
+    ("neodeflect.mission.propagate_keplerian",
+     _raise(KeplerConvergenceError("Kepler solve did not converge"))),
+    ("scipy.integrate.solve_ivp",
+     lambda *a, **k: SimpleNamespace(success=False, message="step size too small")),
 ], ids=["arc_overflow", "kepler_convergence", "reference_integration"])
 def test_numerical_failure_exit_code(fast_scenario, tmp_path, capsys, monkeypatch,
-                                     attr, replacement):
+                                     target, replacement):
     """The arc cap, a Kepler solve and the reference integration fail as
     exit 4 with one line on stderr, not as a traceback."""
-    monkeypatch.setattr(mission, attr, replacement)
+    monkeypatch.setattr(target, replacement)
     code = main([
         "--mode", "propagate", "--scenario", str(fast_scenario), "--oracle",
         "--design", "20,10,1,3000", "--out", str(tmp_path / "run"),
@@ -219,6 +225,51 @@ def test_nv_below_two_exit_code(fast_scenario, tmp_path, capsys, mode):
     err = capsys.readouterr().err
     assert err == "error: --nv must be at least 2, got 1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["bpcurve", "sensitivity"])
+@pytest.mark.parametrize("cap", [0, -3])
+def test_max_partitions_below_one_exit_code(fast_scenario, tmp_path, capsys, mode, cap):
+    """A curve needs at least its first partition: ``--max-partitions``
+    below 1 is an argument error, exit 2 before anything is written."""
+    out = tmp_path / "run"
+    code = main(["--mode", mode, "--scenario", str(fast_scenario), "--nv", "3",
+                 "--max-partitions", str(cap), "--design", "20,10,2,3000",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --max-partitions must be at least 1, got {cap}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "scenario"])
+def test_negative_seed_exit_code(fast_scenario, tmp_path, capsys, where):
+    """The searches draw from numpy seed sequences, which take no negative
+    seed: ``--seed -1``, or a scenario seed of -1, exits 2 with one line on
+    stderr before anything is written."""
+    flags = ["--seed", "-1"]
+    if where == "scenario":
+        doc = json.loads(fast_scenario.read_text())
+        doc["seed"] = -1
+        fast_scenario.write_text(json.dumps(doc))
+        flags = []
+    out = tmp_path / "run"
+    code = main(["--mode", "deterministic", "--scenario", str(fast_scenario), *flags,
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("seed must be non-negative, got -1\n")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    """Only the ``--oracle`` reference integration needs scipy.integrate,
+    so importing the CLI, which every run does first, does not load it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mission.__file__).parents[1]))
+    probe = "import sys, neodeflect.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 @pytest.mark.parametrize("scenario", ["missing.json", "."], ids=["missing", "directory"])

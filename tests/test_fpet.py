@@ -155,12 +155,14 @@ angles = st.floats(0.0, 2 * math.pi)
     dl=st.one_of(st.just(2 * math.pi), st.just(1e-12), st.floats(1e-9, 2 * math.pi)),
     log_ratio=st.one_of(st.none(), st.floats(-12.0, -0.5)),
     alpha=st.floats(-math.pi, math.pi),
-    beta=st.floats(-0.5 * math.pi, 0.5 * math.pi),
+    beta=st.one_of(st.just(0.0), st.floats(-0.5 * math.pi, 0.5 * math.pi)),
 )
 def test_fpet_step_equals_array_oracle(a_au, e, i, pomega, raan, ell, t, dl, log_ratio,
                                        alpha, beta):
     """Thrust from zero up to a third of the local gravity, where the
-    first-order terms carry most bits of the end state."""
+    first-order terms carry most bits of the end state; in-plane thrust
+    (beta = 0, the ablation thrust's), whose normal terms the kernel skips,
+    on every run."""
     eq = _arc_state(a_au, e, i, pomega, raan, ell, t)
     eps = 0.0 if log_ratio is None else 10.0**log_ratio * MU / eq.a**2
     _assert_step_matches_oracle(eq, dl, ThrustRTN(eps, alpha, beta))
