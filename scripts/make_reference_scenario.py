@@ -9,8 +9,8 @@ a maximum-length deflection campaign starts on the approach to perihelion
 first-revolution collapse), the eccentricity is solved so the
 ascending-node radius equals 1 AU (an exact intersection with a circular
 1 AU Earth orbit), the Earth is phased to sit at the node longitude at
-the impact epoch, and the asteroid phase is calibrated with the package's
-own routine so the unperturbed miss distance is zero.
+the impact epoch, and the asteroid phase is calibrated (``calibration.py``,
+next to this script) so the unperturbed miss distance is zero.
 
 Usage: python3 scripts/make_reference_scenario.py [out.json]
 """
@@ -21,13 +21,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
+from calibration import calibrate_scenario, nominal_miss
 from neodeflect.constants import AU_KM, MU_SUN, YEAR_S
-from neodeflect.mission import (
-    calibrate_scenario,
-    nominal_miss,
-    scenario_from_dict,
-    scenario_to_dict,
-)
+from neodeflect.mission import scenario_from_dict, scenario_to_dict
 
 # Public Apophis osculating elements (heliocentric ecliptic, ~2011 epoch)
 A_AST = 0.9325 * AU_KM

@@ -160,9 +160,9 @@ def ellipsoid_radius(ast: AsteroidProperties, theta_va: float, t: float) -> floa
     )
 
 
-def spot_vector(geom: StationGeometry, ast: AsteroidProperties, t: float) -> np.ndarray:
-    """Hill-frame vector [m] from the laser spot to the spacecraft."""
-    r_ell = ellipsoid_radius(ast, geom.theta_va, t)
+def spot_vector(geom: StationGeometry, r_ell: float) -> np.ndarray:
+    """Hill-frame vector [m] from the laser spot to the spacecraft, for the
+    ellipsoid radius ``r_ell`` [m] under the spot (``ellipsoid_radius``)."""
     return np.array(
         [
             geom.x - r_ell * math.sin(geom.theta_va),
@@ -194,15 +194,10 @@ def _spot_balance(
 
 
 def mass_flow_rate(
-    p_in: float,
-    ast: AsteroidProperties,
-    geom: StationGeometry,
-    n_sc: int,
-    c_r: float,
-    a_m1: float,
-    t: float = 0.0,
+    p_in: float, ast: AsteroidProperties, n_sc: int, half: float, r_ell: float
 ) -> float:
-    """Sublimated mass flow [kg/s] from the energy balance over the spot.
+    """Sublimated mass flow [kg/s] from the energy balance over a spot of
+    half-diameter ``half`` [m] on the ellipsoid radius ``r_ell`` [m].
 
     Strips of surface at transverse offset y cross the spot with dwell
     time tau(y) = chord / v_rot. Net flux is clamped at zero wherever the
@@ -215,9 +210,7 @@ def mass_flow_rate(
     with P_net the input flux net of re-radiation at the sublimation
     temperature and C the conduction constant.
     """
-    _, d_spot = spot_area(a_m1, c_r)
-    half = 0.5 * d_spot
-    v_rot = ast.omega_a * ellipsoid_radius(ast, geom.theta_va, t)
+    v_rot = ast.omega_a * r_ell
     balance = _spot_balance(p_in, ast, v_rot, half)
     if balance is None:
         return 0.0
@@ -270,10 +263,10 @@ def plume_density(
     a_spot: float,
     d_spot: float,
     geom: StationGeometry,
-    ast: AsteroidProperties,
-    t: float = 0.0,
+    r_ell: float,
 ) -> float:
-    """Ejecta gas density [kg/m^3] at the spacecraft station.
+    """Ejecta gas density [kg/m^3] at the spacecraft station, for the
+    ellipsoid radius ``r_ell`` [m] under the spot.
 
     The plume fills the half space over the spot like a rocket exhaust
     whose axis is the outward Sun-asteroid direction (the comet-tail
@@ -283,7 +276,7 @@ def plume_density(
     """
     if mdot <= 0.0:
         return 0.0
-    r_vec = spot_vector(geom, ast, t)
+    r_vec = spot_vector(geom, r_ell)
     # the sum np.linalg.norm takes (BLAS ddot), without its argument checks
     r_s_sc = math.sqrt(r_vec.dot(r_vec))
     cos_phi = float(r_vec[0]) / r_s_sc if r_s_sc > 0.0 else 1.0
@@ -297,19 +290,20 @@ def plume_density(
 
 
 class ThrustModel:
-    """Thrust callback for the trajectory propagator.
+    """Thrust sample for the trajectory propagators.
 
     Composes absorbed flux, sublimation mass flow and ejecta momentum into
-    an RTN acceleration. When contamination is on, each call first grows
-    the condensed mirror layer ``h_cond`` [cm] over the time since the
-    previous call at that call's ``layer_growth_rate`` (piecewise constant,
-    like the thrust itself) and sets the degradation factor ``tau =
-    exp(-2 * eta * h_cond)``. One instance owns one trajectory's layer;
-    build a fresh instance per propagation.
+    an RTN acceleration. A sample reads the condensed mirror layer
+    ``h_cond`` [cm] it is given, which dims the flux by the degradation
+    factor ``tau = exp(-2 * eta * h_cond)``, and returns the thrust with the
+    layer's growth rate [m/s] at that instant: 0.0 with contamination off.
+    The layer itself is state of the propagation that carries it
+    (``fpet.propagate_trajectory``, ``mission.rk_impact_parameter``).
 
-    Per-trajectory constants are computed once (efficiency, areas, ejecta
-    speed, view factor; the asteroid caches mass, re-radiation, conduction),
-    and a sample equals the composition of the unit functions bit for bit.
+    An instance holds one trajectory's constants, fixed at construction
+    (efficiency, areas, ejecta speed, view factor; the asteroid caches mass,
+    re-radiation, conduction), and a sample equals the composition of the
+    unit functions bit for bit.
     """
 
     def __init__(
@@ -326,62 +320,38 @@ class ThrustModel:
         self.ast = ast
         self.geom = geom
         self.contamination_on = contamination_on
-        self.h_cond = 0.0
-        self.tau = 1.0
         self.eta_sys = system_efficiency(tech)
-        self.a_m1 = math.pi * design.d_m**2 / 4.0
-        self.a_spot, self.d_spot = spot_area(self.a_m1, design.c_r)
+        self.a_spot, self.d_spot = spot_area(math.pi * design.d_m**2 / 4.0, design.c_r)
         self.vbar = ejecta_velocity(ast)
         self.view_factor = math.cos(geom.psi_vf)
         self.t_reference = t_reference
-        self._last_t: float | None = None
-        self._growth = 0.0  # layer growth [m/s] at the previous call
 
-    def thrust_given_tau(
-        self, eq: EquinoctialState, tau: float, elapsed: float
+    def __call__(
+        self, eq: EquinoctialState, t: float, h_cond: float
     ) -> tuple[ThrustRTN, float]:
-        """Instantaneous thrust and mass flow for a given degradation factor."""
-        p_in = input_power_density(self.eta_sys, self.design.c_r, eq.radius(), self.ast, tau)
-        mdot = mass_flow_rate(
-            p_in, self.ast, self.geom, self.design.n_sc, self.design.c_r,
-            self.a_m1, t=elapsed,
-        )
-        return ablation_acceleration(mdot, self.vbar, self.ast, eq), mdot
+        """Thrust at state ``eq`` and epoch ``t`` under a layer of ``h_cond``
+        cm, and the layer's growth rate [m/s]: twice the ejecta speed (vacuum
+        expansion doubles the incident speed) times the density ratio,
+        projected by the view factor, while contamination is on, the spot
+        ablates and the station is on the exposed (x > 0) side."""
+        ast, geom = self.ast, self.geom
+        tau = math.exp(-2.0 * ETA_ABS * h_cond)
+        p_in = input_power_density(self.eta_sys, self.design.c_r, eq.radius(), ast, tau)
+        r_ell = ellipsoid_radius(ast, geom.theta_va, t - self.t_reference)
+        mdot = mass_flow_rate(p_in, ast, self.design.n_sc, 0.5 * self.d_spot, r_ell)
+        thrust = ablation_acceleration(mdot, self.vbar, ast, eq)
+        if not self.contamination_on or geom.x <= 0.0 or mdot <= 0.0:
+            return thrust, 0.0
+        rho = plume_density(mdot, self.vbar, self.a_spot, self.d_spot, geom, r_ell)
+        return thrust, (2.0 * self.vbar * rho / RHO_LAYER) * self.view_factor
 
-    def layer_growth_rate(self, mdot: float, elapsed: float) -> float:
-        """Contamination layer growth [m/s] for an instantaneous mass flow:
-        twice the ejecta speed (vacuum expansion doubles the incident speed)
-        times the density ratio, projected by the view factor, while the
-        station is on the exposed (x > 0) side. The layer itself is kept in
-        cm, the unit of the absorption coefficient."""
-        if self.geom.x <= 0.0 or mdot <= 0.0:
-            return 0.0
-        rho = plume_density(
-            mdot, self.vbar, self.a_spot, self.d_spot, self.geom, self.ast, t=elapsed
-        )
-        return (2.0 * self.vbar * rho / RHO_LAYER) * self.view_factor
+    def certify_dark(self, eq: EquinoctialState, ell_end: float, h_cond: float) -> bool:
+        """True when no sample under the layer ``h_cond`` [cm] can ablate
+        while the motion stays on the Keplerian orbit of ``eq`` between its
+        true longitude and ``ell_end`` (``math.inf`` for the whole orbit).
 
-    def __call__(self, eq: EquinoctialState, t: float) -> ThrustRTN:
-        elapsed = t - self.t_reference
-        if self._growth and t > self._last_t:
-            self.h_cond += self._growth * (t - self._last_t) * 100.0  # m -> cm
-            self.tau = math.exp(-2.0 * ETA_ABS * self.h_cond)
-        thrust, mdot = self.thrust_given_tau(eq, self.tau, elapsed)
-        if self.contamination_on:
-            self._growth = self.layer_growth_rate(mdot, elapsed)
-            # a probe earlier than the last one (the re-sample of a shrunken
-            # arc) must not rewind the clock over growth already counted
-            if self._last_t is None or t > self._last_t:
-                self._last_t = t
-        return thrust
-
-    def certify_dark(self, eq: EquinoctialState, ell_end: float) -> bool:
-        """True when no later call can ablate while the motion stays on the
-        Keplerian orbit of ``eq`` between its true longitude and ``ell_end``
-        (``math.inf`` for the whole orbit).
-
-        The layer must have stopped growing (contamination off, or the last
-        call grew nothing), so ``tau`` stays as it is. The input flux then
+        The layer must have stopped growing, which the caller knows: a dark
+        sample grows nothing, so ``tau`` stays as it is. The input flux then
         falls with the heliocentric range and the shortest ablating chord
         grows with the surface speed, so the spot is dark on the whole
         range of longitudes if it is dark at the range's smallest radius and
@@ -392,13 +362,12 @@ class ThrustModel:
         and speed are taken 1e-9 below their exact values, far beyond the
         rounding of ``radius``, ``ellipsoid_radius`` and the range's ends.
         """
-        if self._growth:
-            return False
         r_min = eq.semi_latus() / (1.0 + math.hypot(eq.p1, eq.p2))
         to_perihelion = (math.atan2(eq.p1, eq.p2) - eq.ell) % (2.0 * math.pi)
         if eq.ell + to_perihelion > ell_end:
             r_min = min(eq.radius(), replace(eq, ell=ell_end).radius())
         r_min *= 1.0 - 1e-9
-        p_in = input_power_density(self.eta_sys, self.design.c_r, r_min, self.ast, self.tau)
+        tau = math.exp(-2.0 * ETA_ABS * h_cond)
+        p_in = input_power_density(self.eta_sys, self.design.c_r, r_min, self.ast, tau)
         v_rot = self.ast.omega_a * min(self.ast.a1, self.ast.b1) * (1.0 - 1e-9)
         return _spot_balance(p_in, self.ast, v_rot, 0.5 * self.d_spot) is None

@@ -32,20 +32,30 @@ The last arc is cut in closed form: the two-body longitude at the final
 epoch sets its length, and only its first-order time term, small over a
 short arc, separates its end from that epoch.
 
+The condensed mirror layer of the contamination model is state of the
+propagation, carried next to the running thrust maximum. A thrust sample
+reads the layer and returns its growth rate; every sample sees the layer of
+the last accepted sample grown at that sample's rate to its own epoch, and
+the layer is committed only when an arc accepts its sample. So a midpoint
+probe that is replaced by a re-sample never moves the layer. The shipped
+arc control (``ArcControl()``: 0.05, 2, 0.1) keeps every arc in
+[0.05 e^(1/2), 0.1] = [0.0824, 0.1], a ratio of at most 1.21, below the
+factor of two that triggers a re-sample: there every sample is accepted.
+
 Most arcs of a contaminated or weak deflection carry no thrust: the spot
 goes dark on the far side of every orbit, and many trajectories end in a
-dark tail. When a thrust model can prove a range of longitudes dark
-(``ThrustModel.certify_dark``: the mirror layer has stopped growing and the
-spot stays dark at the slowest spin and at the smallest heliocentric range
-of those longitudes), the propagator stops stepping. It replaces the longest
-certified run of the capped arcs it would step with one zero-thrust arc: to
-the run's last arc boundary on its own longitude grid, timed by one Kepler
-solve, or, for a run that reaches impact, to the two-body state at the final
-epoch. The arc cap and the ``propagate`` mode's ``trajectory.csv`` count
-each jump as one arc. The thrusting arcs keep their count and their start
-longitudes; epochs differ from the stepped path only by the rounding of its
-arc-by-arc sums, which later thrust samples can carry into the last bits of
-later arcs.
+dark tail. When the accepted sample is dark and grows no layer, and the
+thrust model can prove a range of longitudes dark under that layer
+(``ThrustModel.certify_dark``: the spot stays dark at the slowest spin and
+at the smallest heliocentric range of those longitudes), the propagator
+stops stepping. It replaces the longest certified run of the capped arcs it
+would step with one zero-thrust arc: to the run's last arc boundary on its
+own longitude grid, timed by one Kepler solve, or, for a run that reaches
+impact, to the two-body state at the final epoch. The arc cap and the
+``propagate`` mode's ``trajectory.csv`` count each jump as one arc. The
+thrusting arcs keep their count and their start longitudes; epochs differ
+from the stepped path only by the rounding of its arc-by-arc sums, which
+later thrust samples can carry into the last bits of later arcs.
 """
 from __future__ import annotations
 
@@ -251,35 +261,42 @@ def propagate_trajectory(
 ) -> Trajectory:
     """Propagate under a thrust law until the epoch reaches t_end.
 
-    ``thrust_callback(state, t)`` receives the Keplerian prediction of the
-    mid-arc state (sampled again at the corrected midpoint when the arc
-    length moves by more than a factor of two), and the returned RTN
-    acceleration is held constant across the arc; the midpoint represents
-    the arc far better than the left endpoint and keeps the thrust-profile
-    sampling error second order in the arc length. Arc lengths follow the
-    adaptive law in ``ctrl`` at the running maximum of the thrust modulus
-    over this trajectory, which starts from zero on every call, so reusing
-    ``ctrl`` never changes a trajectory. An arc that would pass t_end is
-    cut once, with the same thrust, to the longitude the Keplerian motion
-    reaches at t_end; should its first-order time term leave the epoch more
-    than one second short, one more arc follows.
+    ``thrust_callback(state, t, h_cond)`` receives the Keplerian prediction
+    of the mid-arc state (sampled again at the corrected midpoint when the
+    arc length moves by more than a factor of two) and the mirror layer
+    ``h_cond`` [cm] there. It returns an RTN acceleration, held constant
+    across the arc, and the layer's growth rate [m/s], 0.0 for a callback
+    that grows no layer. The midpoint represents the arc far better than
+    the left endpoint and keeps the thrust-profile sampling error second
+    order in the arc length. The layer starts at 0 and is carried like the
+    running maximum: a sample sees the layer of the last accepted sample
+    grown linearly at that sample's rate, and once the arc length is fixed
+    the arc's last sample is accepted and its layer and rate committed.
+    Arc lengths follow the adaptive law in ``ctrl`` at the running maximum
+    of the thrust modulus over this trajectory, which starts from zero on
+    every call, so reusing ``ctrl`` never changes a trajectory. An arc that
+    would pass t_end is cut once, with the same thrust, to the longitude the
+    Keplerian motion reaches at t_end; should its first-order time term
+    leave the epoch more than one second short, one more arc follows.
 
-    A callback may offer ``certify_dark(state, ell_end)``, as
-    ``ThrustModel`` does: True when no later call can return a nonzero
-    thrust while the motion stays on the Keplerian orbit of ``state``
-    between its longitude and ``ell_end``. It is asked at the midpoint probe
-    of an arc whose sample is zero and follows a thrusting arc (or is the
-    first): over all the longitudes later samples could reach, up to half a
-    capped arc past the two-body longitude at t_end, and if refused, over
-    runs of the capped arcs the stepped path would take, each up to its last
-    arc's midpoint; the run doubles, then bisects, to the longest certified.
-    It becomes one zero-thrust arc to its last arc boundary, the longitude
-    the stepped path reaches by its own repeated additions of ``dl_max``,
-    timed by one Kepler time of flight; a run that reaches t_end ends the
-    trajectory at ``propagate_keplerian(state, t_end, mu)``. ``max_arcs``
-    counts each jump once. Refused arcs are stepped, and the certificate is
-    not asked again until the thrust returns. A plain function offers no
-    certificate and is stepped on every arc.
+    A callback may offer ``certify_dark(state, ell_end, h_cond)``, as
+    ``ThrustModel`` does: True when no call under the layer ``h_cond`` can
+    return a nonzero thrust while the motion stays on the Keplerian orbit of
+    ``state`` between its longitude and ``ell_end``. It is asked, with the
+    committed layer, at the midpoint probe of an arc whose accepted sample
+    has zero thrust and zero growth (so the layer stays as it is) and
+    follows a thrusting arc (or is the first): over all the longitudes later
+    samples could reach, up to half a capped arc past the two-body longitude
+    at t_end, and if refused, over runs of the capped arcs the stepped path
+    would take, each up to its last arc's midpoint; the run doubles, then
+    bisects, to the longest certified. It becomes one zero-thrust arc to its
+    last arc boundary, the longitude the stepped path reaches by its own
+    repeated additions of ``dl_max``, timed by one Kepler time of flight; a
+    run that reaches t_end ends the trajectory at
+    ``propagate_keplerian(state, t_end, mu)``. ``max_arcs`` counts each jump
+    once. Refused arcs are stepped, and the certificate is not asked again
+    until the thrust returns. A plain function offers no certificate and is
+    stepped on every arc.
     """
     if t_end <= eq0.t:
         raise ValueError("t_end must be later than the initial epoch")
@@ -287,6 +304,9 @@ def propagate_trajectory(
     eps_history: list[float] = []
     eq = eq0
     eps_max = 0.0
+    # the mirror layer [cm] at the last accepted sample, its growth there
+    # [m/s] and that sample's epoch
+    h_c, g_c, t_c = 0.0, 0.0, eq0.t
     a_const, k_const, dl_max = ctrl.a_const, ctrl.k_const, ctrl.dl_max
     dl_guess = dl_max
     start = kepler_start(eq0, mu)
@@ -295,20 +315,23 @@ def propagate_trajectory(
         if len(eps_history) >= max_arcs:
             raise ArcOverflowError(f"exceeded {max_arcs} arcs before reaching t_end")
         probe = _midpoint_state(eq, dl_guess, start)
-        f = thrust_callback(probe, probe.t)
+        h = h_c + g_c * (probe.t - t_c) * 100.0  # m -> cm
+        f, growth = thrust_callback(probe, probe.t, h)
         eps_max = max(eps_max, f.eps)
         dl = arc_length_law(f.eps, eps_max, a_const, k_const, dl_max)
         if not 0.5 <= dl / dl_guess <= 2.0:
             # arc length moved a lot: re-sample at the corrected midpoint
             probe = _midpoint_state(eq, dl, start)
-            f = thrust_callback(probe, probe.t)
+            h = h_c + g_c * (probe.t - t_c) * 100.0
+            f, growth = thrust_callback(probe, probe.t, h)
             eps_max = max(eps_max, f.eps)
             dl = arc_length_law(f.eps, eps_max, a_const, k_const, dl_max)
         dl_guess = dl
+        h_c, g_c, t_c = h, growth, probe.t  # the arc's sample is accepted
         nxt = None
         # asked once per dark spell, so it costs at most one Kepler solve
         # for every return of the thrust
-        if (f.eps == 0.0 and certify_dark is not None
+        if (f.eps == 0.0 and growth == 0.0 and certify_dark is not None
                 and (not eps_history or eps_history[-1] > 0.0)):
             end = propagate_keplerian(eq, t_end, mu)
             # the longest run of the stepped path's capped arcs from here
@@ -316,13 +339,13 @@ def propagate_trajectory(
             # certified dark: all of them, or else, since a certificate only
             # fails as its range grows, a run that doubles, then bisects
             grid, run, refused = [eq.ell], 0, math.inf
-            whole = certify_dark(probe, end.ell + 0.5 * dl_max)
+            whole = certify_dark(probe, end.ell + 0.5 * dl_max, h)
             while not whole and grid[run] < end.ell and refused - run > 1:
                 n = 2 * run + 1 if refused == math.inf else (run + refused) // 2
                 while len(grid) <= n and grid[-1] < end.ell:
                     grid.append(grid[-1] + dl_max)
                 n = min(n, len(grid) - 1)
-                dark = certify_dark(probe, grid[n - 1] + 0.5 * dl_max)
+                dark = certify_dark(probe, grid[n - 1] + 0.5 * dl_max, h)
                 run, refused = (n, refused) if dark else (run, n)
             if whole or run:
                 nxt = end if whole or grid[run] >= end.ell else replace(

@@ -11,21 +11,19 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
 from .ablation import AsteroidProperties, StationGeometry, ThrustModel
-from .constants import AU_KM, ETA_ABS, S0, YEAR_S
+from .constants import AU_KM, S0, YEAR_S
 from .evidence import FocalStructure, fuse_all, load_expert_opinions
 from .fpet import ArcControl, Trajectory, propagate_trajectory
 from .orbits import (
     EquinoctialState,
     KeplerianElements,
-    earth_miss_distance,
     gauss_rhs,
     impact_parameter,
     keplerian_to_equinoctial,
@@ -64,10 +62,6 @@ MODES = ("deterministic", "minmin", "minmin-margins", "minmax",
 
 class ScenarioError(ValueError):
     """Scenario document failed validation."""
-
-
-class CalibrationError(RuntimeError):
-    """No intercept phasing found within the scan window."""
 
 
 class ReferenceIntegrationError(RuntimeError):
@@ -204,53 +198,24 @@ def scenario_from_dict(doc: dict, source_path: Path | None = None) -> Scenario:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
+    solver = asdict(s.solver)
+    del solver["seed"]  # a top-level key of the document
     return {
         "schema_version": 1,
         "mu_sun_km3s2": s.mu,
         "t_impact_s": s.t_impact,
         "asteroid": _elements_to_dict(s.asteroid),
         "earth": _elements_to_dict(s.earth),
-        "asteroid_properties": {
-            "c_a": s.asteroid_properties.c_a,
-            "k_a": s.asteroid_properties.k_a,
-            "rho_a": s.asteroid_properties.rho_a,
-            "t_subl": s.asteroid_properties.t_subl,
-            "e_sub": s.asteroid_properties.e_sub,
-            "t_0": s.asteroid_properties.t_0,
-            "albedo": s.asteroid_properties.albedo,
-            "emiss_bb": s.asteroid_properties.emiss_bb,
-            "a1": s.asteroid_properties.a1,
-            "b1": s.asteroid_properties.b1,
-            "omega_a": s.asteroid_properties.omega_a,
-            "m_a": s.asteroid_properties.m_a,
-            "mol_mass": s.asteroid_properties.mol_mass,
-        },
-        "technology": {
-            name: getattr(s.technology, name)
-            for name in ("eta_l", "eta_sa", "eta_p", "emiss_m", "rho_r", "rho_l",
-                         "rho_m", "rho_s", "mf_c", "mf_p", "m_bus", "c_geo",
-                         "t_rad", "emiss_rad")
-        },
-        "margins": {name: getattr(s.margins, name)
-                    for name in ("k_dry", "k_s", "k_m", "k_l")},
+        "asteroid_properties": asdict(s.asteroid_properties),
+        "technology": asdict(s.technology),
+        "margins": asdict(s.margins),
         "design_bounds": {k: list(v) for k, v in s.design_bounds.items()},
-        "arc_control": {
-            "a_const": s.arc_control.a_const,
-            "k_const": s.arc_control.k_const,
-            "dl_max": s.arc_control.dl_max,
-        },
-        "station": {
-            "x": s.station.x, "y": s.station.y, "z": s.station.z,
-            "theta_va": s.station.theta_va, "psi_vf": s.station.psi_vf,
-        },
+        "arc_control": asdict(s.arc_control),
+        "station": asdict(s.station),
         "contamination": s.contamination,
         "fixed_uncertain": dict(s.fixed_uncertain),
         "expert_opinions_file": s.expert_opinions_file,
-        "solver": {
-            name: getattr(s.solver, name)
-            for name in ("outer_budget", "outer_pop", "explorers",
-                         "inner_budget", "inner_pop", "archive_capacity")
-        },
+        "solver": solver,
         "seed": s.seed,
     }
 
@@ -266,71 +231,6 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def reference_scenario_path() -> Path:
     return Path(__file__).parent / "data" / "reference_scenario.json"
-
-
-# ---------------------------------------------------------------------------
-# Calibration
-# ---------------------------------------------------------------------------
-
-def nominal_miss(scenario: Scenario, theta0: float | None = None) -> float:
-    """b-plane miss [km] of the unperturbed asteroid at the impact epoch."""
-    kep = scenario.asteroid if theta0 is None else replace(scenario.asteroid, theta=theta0)
-    ast = propagate_keplerian(keplerian_to_equinoctial(kep), scenario.t_impact, scenario.mu)
-    earth = propagate_keplerian(
-        keplerian_to_equinoctial(scenario.earth), scenario.t_impact, scenario.mu
-    )
-    return earth_miss_distance(ast, earth, scenario.mu)
-
-
-def _golden_min(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    """Golden-section minimization with absolute width control.
-
-    The miss distance is V-shaped (|linear|) at an exact intercept, which
-    defeats parabolic steps and relative-tolerance stops; plain golden
-    section converges regardless.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def calibrate_scenario(scenario: Scenario, tol_km: float = 1.0) -> Scenario:
-    """Phase the asteroid so its unperturbed orbit hits the Earth b-plane.
-
-    One-dimensional search on the true anomaly at epoch: a coarse scan over
-    a full revolution brackets the encounter, then a golden-section
-    refinement drives the miss below ``tol_km``. Raises CalibrationError
-    when no phasing achieves it (the orbit geometry simply never meets the
-    Earth).
-    """
-    thetas = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-    misses = [nominal_miss(scenario, th) for th in thetas]
-    k = int(np.argmin(misses))
-    span = 2.0 * math.pi / 720
-    theta_star, best = _golden_min(
-        lambda th: nominal_miss(scenario, th),
-        thetas[k] - 2 * span, thetas[k] + 2 * span, xtol=1e-13,
-    )
-    if best > tol_km:
-        raise CalibrationError(
-            f"no intercept phasing found: best miss {best:.3e} km over a full scan"
-        )
-    return replace(
-        scenario, asteroid=replace(scenario.asteroid, theta=theta_star % (2.0 * math.pi))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +308,7 @@ class DeflectionModel:
         self, design: DesignVector, u: dict
     ) -> tuple[EquinoctialState, ThrustModel]:
         """Asteroid state at the deflection start and the thrust model of
-        one trajectory from it (a fresh instance: it owns the mirror layer)."""
+        one trajectory from it."""
         ast, tech = apply_uncertain(self.scenario, u)
         eq_start = self.start_state(design.t_warn)
         thrust = ThrustModel(
@@ -580,8 +480,9 @@ def rk_impact_parameter(
     with the ablation model evaluated continuously (the expensive reference
     the arc-wise analytic propagation is benchmarked against).
 
-    The contamination layer rides along as an extra state so adaptive
-    stepping sees a smooth right-hand side. ``scipy.integrate``, most of the
+    The contamination layer [cm] rides along as a seventh state, fed by
+    the growth rate the thrust sample returns (0 with contamination off),
+    so adaptive stepping sees a smooth right-hand side. ``scipy.integrate``, most of the
     package's import time, is imported here: no other route needs it.
     """
     from scipy.integrate import solve_ivp
@@ -594,12 +495,8 @@ def rk_impact_parameter(
         state = EquinoctialState(
             a=y[0], p1=y[1], p2=y[2], q1=y[3], q2=y[4], ell=y[5], t=t
         )
-        tau = math.exp(-2.0 * ETA_ABS * y[6]) if contamination else 1.0
-        thrust, mdot = thrust_model.thrust_given_tau(state, tau, t - t_start)
-        rates = gauss_rhs(state, thrust, mu)
-        dh = (thrust_model.layer_growth_rate(mdot, t - t_start) * 100.0  # m -> cm
-              if contamination else 0.0)
-        return [*rates, dh]
+        thrust, growth = thrust_model(state, t, y[6])
+        return [*gauss_rhs(state, thrust, mu), growth * 100.0]  # m -> cm
 
     y0 = [eq0.a, eq0.p1, eq0.p2, eq0.q1, eq0.q2, eq0.ell, 0.0]
     sol = solve_ivp(

@@ -380,16 +380,3 @@ def impact_parameter(
     r_nom, v_nom = equinoctial_to_cartesian(nominal, mu_sun)
     _, v_earth = equinoctial_to_cartesian(earth, mu_sun)
     return bplane_projection(r_dev - r_nom, v_nom - v_earth)
-
-
-def earth_miss_distance(
-    asteroid: EquinoctialState, earth: EquinoctialState, mu_sun: float
-) -> float:
-    """b-plane miss distance of an asteroid state relative to the Earth [km].
-
-    Used by scenario calibration: the unperturbed reference orbit must give
-    zero miss at the impact epoch.
-    """
-    r_ast, v_ast = equinoctial_to_cartesian(asteroid, mu_sun)
-    r_earth, v_earth = equinoctial_to_cartesian(earth, mu_sun)
-    return bplane_projection(r_ast - r_earth, v_ast - v_earth).b

@@ -1,8 +1,10 @@
 import sys
 from pathlib import Path
 
-# Make the shared oracle helpers importable from every test module.
+# Make the shared oracle helpers, and the scenario calibration next to the
+# script that builds the shipped scenario, importable from every test module.
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent.parent / "scripts"))
 
 # One summary line per acceptance criterion, printed after the run.
 ACCEPTANCE_LINES: list[str] = []

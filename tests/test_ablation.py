@@ -105,6 +105,12 @@ def mass_flow_oracle(p_in, ast, geom, n_sc, c_r, a_m1, n_y=1500, n_t=3000):
     return 2 * n_sc * v_rot * np.trapezoid(strip, ys) / ast.e_sub
 
 
+def flow(p_in, ast, n_sc, c_r, a_m1):
+    """``mass_flow_rate`` at spin phase 0 for a collector of area a_m1."""
+    _, d_spot = spot_area(a_m1, c_r)
+    return mass_flow_rate(p_in, ast, n_sc, 0.5 * d_spot, ellipsoid_radius(ast, GEOM.theta_va, 0.0))
+
+
 def reference_flux(tau=1.0):
     eta_sys = 0.6 * 0.41 * 0.95 * 0.95
     return input_power_density(eta_sys, 3000.0, AU_KM, TABLE_AST, tau=tau)
@@ -113,7 +119,7 @@ def reference_flux(tau=1.0):
 def test_mass_flow_matches_trapezoid_oracle():
     a_m1 = math.pi * 20.0**2 / 4
     p_in = reference_flux()
-    got = mass_flow_rate(p_in, TABLE_AST, GEOM, 10, 3000.0, a_m1)
+    got = flow(p_in, TABLE_AST, 10, 3000.0, a_m1)
     want = mass_flow_oracle(p_in, TABLE_AST, GEOM, 10, 3000.0, a_m1)
     assert got > 0.0
     assert got == pytest.approx(want, rel=5e-3)
@@ -123,23 +129,23 @@ def test_mass_flow_oracle_various_regimes():
     a_m1 = math.pi * 12.0**2 / 4
     for scale in (0.8, 1.5, 3.0):
         p_in = reference_flux() * scale
-        got = mass_flow_rate(p_in, TABLE_AST, GEOM, 3, 2000.0, a_m1)
+        got = flow(p_in, TABLE_AST, 3, 2000.0, a_m1)
         want = mass_flow_oracle(p_in, TABLE_AST, GEOM, 3, 2000.0, a_m1)
         assert got == pytest.approx(want, rel=5e-3)
 
 
 def test_mass_flow_zero_below_radiation_threshold():
     q_rad = radiation_loss(TABLE_AST.t_subl, TABLE_AST.emiss_bb)
-    assert mass_flow_rate(0.99 * q_rad, TABLE_AST, GEOM, 10, 3000.0, 300.0) == 0.0
-    assert mass_flow_rate(0.0, TABLE_AST, GEOM, 10, 3000.0, 300.0) == 0.0
+    assert flow(0.99 * q_rad, TABLE_AST, 10, 3000.0, 300.0) == 0.0
+    assert flow(0.0, TABLE_AST, 10, 3000.0, 300.0) == 0.0
 
 
 def test_mass_flow_inverse_in_enthalpy():
     a_m1 = math.pi * 100.0
     p_in = reference_flux()
-    base = mass_flow_rate(p_in, TABLE_AST, GEOM, 5, 3000.0, a_m1)
+    base = flow(p_in, TABLE_AST, 5, 3000.0, a_m1)
     doubled = AsteroidProperties(e_sub=2 * TABLE_AST.e_sub)
-    assert mass_flow_rate(p_in, doubled, GEOM, 5, 3000.0, a_m1) == pytest.approx(
+    assert flow(p_in, doubled, 5, 3000.0, a_m1) == pytest.approx(
         base / 2, rel=1e-12
     )
 
@@ -148,12 +154,12 @@ def test_mass_flow_monotone_in_input_and_enthalpy():
     a_m1 = math.pi * 100.0
     flux = reference_flux()
     flows_p = [
-        mass_flow_rate(f, TABLE_AST, GEOM, 5, 3000.0, a_m1)
+        flow(f, TABLE_AST, 5, 3000.0, a_m1)
         for f in np.linspace(0.5 * flux, 2 * flux, 10)
     ]
     assert all(b >= a for a, b in zip(flows_p, flows_p[1:]))
     flows_e = [
-        mass_flow_rate(flux, AsteroidProperties(e_sub=e), GEOM, 5, 3000.0, a_m1)
+        flow(flux, AsteroidProperties(e_sub=e), 5, 3000.0, a_m1)
         for e in np.linspace(1e6, 2e7, 10)
     ]
     assert all(b <= a for a, b in zip(flows_e, flows_e[1:]))
@@ -224,42 +230,38 @@ def test_ellipsoid_radius_sphere_and_phase():
 
 
 def test_spot_vector_example():
-    ast = AsteroidProperties(a1=135.0, b1=135.0)
     geom = StationGeometry(x=2000.0, y=0.0, z=0.0, theta_va=0.0)
-    vec = spot_vector(geom, ast, 0.0)
+    vec = spot_vector(geom, 135.0)
     np.testing.assert_allclose(vec, [2000.0, -135.0, 0.0], atol=1e-9)
 
 
 def test_plume_density_edge_and_axis():
-    ast = AsteroidProperties()
     a_spot, d_spot = spot_area(math.pi * 100.0, 3000.0)
+    r_ell = 135.0
     # station at the hemisphere edge (y axis, phi = pi/2): zero density
     edge = StationGeometry(x=0.0, y=2000.0, z=0.0, theta_va=0.0)
-    assert plume_density(1e-3, 520.0, a_spot, d_spot, edge, ast) == 0.0
+    assert plume_density(1e-3, 520.0, a_spot, d_spot, edge, r_ell) == 0.0
     # on axis at range d_spot/2 from the spot: quarter of the throat density
-    r_ell = 135.0
     onaxis = StationGeometry(x=r_ell + d_spot / 2, y=0.0, z=0.0, theta_va=math.pi / 2)
-    rho = plume_density(1e-3, 520.0, a_spot, d_spot, onaxis, ast)
+    rho = plume_density(1e-3, 520.0, a_spot, d_spot, onaxis, r_ell)
     assert rho == pytest.approx(J_C * 1e-3 / (4 * 520.0 * a_spot), rel=1e-9)
 
 
 def test_plume_density_far_field_quadratic():
-    ast = AsteroidProperties()
     a_spot, d_spot = spot_area(math.pi * 100.0, 3000.0)
     rhos = []
     for x in (1e5, 2e5):
         geom = StationGeometry(x=x, theta_va=math.pi / 2)
-        rhos.append(plume_density(1e-3, 520.0, a_spot, d_spot, geom, ast))
+        rhos.append(plume_density(1e-3, 520.0, a_spot, d_spot, geom, 135.0))
     assert rhos[0] / rhos[1] == pytest.approx(4.0, rel=1e-2)
 
 
 def test_plume_density_even_in_offset():
-    ast = AsteroidProperties()
     a_spot, d_spot = spot_area(math.pi * 100.0, 3000.0)
     up = StationGeometry(x=2000.0, z=700.0, theta_va=math.pi / 2)
     down = StationGeometry(x=2000.0, z=-700.0, theta_va=math.pi / 2)
-    assert plume_density(1e-3, 520.0, a_spot, d_spot, up, ast) == pytest.approx(
-        plume_density(1e-3, 520.0, a_spot, d_spot, down, ast)
+    assert plume_density(1e-3, 520.0, a_spot, d_spot, up, 135.0) == pytest.approx(
+        plume_density(1e-3, 520.0, a_spot, d_spot, down, 135.0)
     )
 
 
@@ -272,75 +274,62 @@ TECH = TechnologyParams()
 AT_1AU = keplerian_to_equinoctial(KeplerianElements(AU_KM, 0.0, 0.0, 0.0, 0.0, 0.0))
 
 
+def _flow_at_1au(model, tau):
+    """Mass flow [kg/s] of ``model``'s spot at 1 AU, spin phase 0, under
+    the degradation factor tau."""
+    p_in = input_power_density(model.eta_sys, DESIGN.c_r, AT_1AU.radius(), TABLE_AST, tau)
+    return mass_flow_rate(p_in, TABLE_AST, DESIGN.n_sc, 0.5 * model.d_spot,
+                          ellipsoid_radius(TABLE_AST, model.geom.theta_va, 0.0))
+
+
 def test_contamination_step_zero_density_no_change():
     # exposed station (x > 0) inside the spot radius: the plume misses it
     geom = StationGeometry(x=100.0)
     model = ThrustModel(DESIGN, TECH, TABLE_AST, geom, contamination_on=True)
-    eps0 = model(AT_1AU, 0.0).eps
-    _, mdot = model.thrust_given_tau(AT_1AU, 1.0, 0.0)
-    assert eps0 > 0.0 and mdot > 0.0
-    assert model.layer_growth_rate(mdot, 0.0) == 0.0
-    assert [model(AT_1AU, t).eps for t in (1e3, 1e5, 1e7)] == [eps0] * 3
-    assert model.h_cond == 0.0
-    assert model.tau == 1.0
+    thrust, growth = model(AT_1AU, 0.0, 0.0)
+    assert thrust.eps > 0.0 and growth == 0.0
+    assert [model(AT_1AU, t, 0.0) for t in (1e3, 1e5, 1e7)] == [(thrust, 0.0)] * 3
 
 
 def test_contamination_tau_analytic():
     model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=True)
-    _, mdot = model.thrust_given_tau(AT_1AU, 1.0, 0.0)
-    rho = plume_density(mdot, model.vbar, model.a_spot, model.d_spot, GEOM, TABLE_AST)
-    growth = model.layer_growth_rate(mdot, 0.0)
+    r_ell = ellipsoid_radius(TABLE_AST, GEOM.theta_va, 0.0)
+    rho = plume_density(_flow_at_1au(model, 1.0), model.vbar, model.a_spot, model.d_spot,
+                        GEOM, r_ell)
+    _, growth = model(AT_1AU, 0.0, 0.0)
     assert growth == pytest.approx(
         2 * model.vbar * rho / RHO_LAYER, rel=1e-15, abs=0.0
     )
-    # choose dt so that 2*eta*h == 1 after one arc at that growth
-    target_h_cm = 1.0 / (2 * ETA_ABS)
-    dt = (target_h_cm / 100.0) / growth
-    model(AT_1AU, 0.0)
-    model(AT_1AU, dt)
-    assert model.h_cond == pytest.approx(target_h_cm, rel=1e-12, abs=0.0)
-    assert model.tau == pytest.approx(math.exp(-1.0), rel=1e-12)
+    # a layer of 0.005 / eta cm dims the flux by the factor exp(-0.01)
+    thrust, _ = model(AT_1AU, 0.0, 0.005 / ETA_ABS)
+    want = ablation_acceleration(_flow_at_1au(model, math.exp(-0.01)), model.vbar, TABLE_AST,
+                                 AT_1AU)
+    assert thrust.eps == pytest.approx(want.eps, rel=1e-12)
+    assert 0.0 < thrust.eps < model(AT_1AU, 0.0, 0.0)[0].eps
 
 
 def test_contamination_not_exposed():
     # station on the x < 0 side, yet in the plume of a spot pointed at it
     shadow = StationGeometry(x=-50.0, theta_va=-math.pi / 2)
     model = ThrustModel(DESIGN, TECH, TABLE_AST, shadow, contamination_on=True)
-    _, mdot = model.thrust_given_tau(AT_1AU, 1.0, 0.0)
-    assert plume_density(mdot, model.vbar, model.a_spot, model.d_spot, shadow,
-                         TABLE_AST) > 0.0
-    assert model.layer_growth_rate(mdot, 0.0) == 0.0
+    assert plume_density(_flow_at_1au(model, 1.0), model.vbar, model.a_spot, model.d_spot,
+                         shadow, ellipsoid_radius(TABLE_AST, shadow.theta_va, 0.0)) > 0.0
     for t in np.linspace(0.0, 1e7, 5):
-        model(AT_1AU, t)
-    assert model.tau == 1.0
+        thrust, growth = model(AT_1AU, t, 0.0)
+        assert thrust.eps > 0.0 and growth == 0.0
 
 
 def test_contamination_monotone():
+    """A thicker layer never thrusts or grows more, and a thick enough one
+    darkens the spot."""
     model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=True)
-    taus = []
-    for t in np.linspace(0.0, 5e4 * 49, 50):
-        model(AT_1AU, t)
-        taus.append(model.tau)
-    assert all(b <= a for a, b in zip(taus, taus[1:]))
-    assert all(0 < t <= 1 for t in taus)
-    assert taus[-1] < 1.0
-
-
-def test_contamination_earlier_probe_does_not_rewind_the_layer_clock():
-    """A probe earlier than the last one (the re-sample of a shrunken arc)
-    grows nothing, and the next call grows only over time not yet counted.
-    The reference asteroid is a sphere, so the rate does not depend on the
-    spin phase and both call orders grow the layer over the same 1500 s."""
-
-    def layer(times):
-        model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=True)
-        for t in times:
-            model(AT_1AU, t)
-        return model.h_cond
-
-    reference = layer((0.0, 1000.0, 1500.0))
-    assert reference > 0.0
-    assert layer((0.0, 1000.0, 500.0, 1500.0)) == pytest.approx(reference, rel=1e-12, abs=0.0)
+    samples = [model(AT_1AU, 0.0, h) for h in np.linspace(0.0, 5.0 / ETA_ABS, 50)]
+    eps = [thrust.eps for thrust, _ in samples]
+    growth = [g for _, g in samples]
+    assert all(b <= a for a, b in zip(eps, eps[1:]))
+    assert all(b <= a for a, b in zip(growth, growth[1:]))
+    assert eps[0] > 0.0 and growth[0] > 0.0
+    assert eps[-1] == 0.0 and growth[-1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -351,48 +340,52 @@ def test_thrust_model_mass_scaling_exact():
     eq = _state()
     big = AsteroidProperties(m_a=2.7e10)
     bigger = AsteroidProperties(m_a=2.7e11)
-    f1 = ThrustModel(DESIGN, TECH, big, GEOM)(eq, 0.0)
-    f2 = ThrustModel(DESIGN, TECH, bigger, GEOM)(eq, 0.0)
+    f1, _ = ThrustModel(DESIGN, TECH, big, GEOM)(eq, 0.0, 0.0)
+    f2, _ = ThrustModel(DESIGN, TECH, bigger, GEOM)(eq, 0.0, 0.0)
     assert f2.eps == pytest.approx(f1.eps / 10, rel=1e-12)
 
 
 def test_thrust_model_reference_magnitude():
     """Full composition at 1 AU lands inside the expected amplitude band."""
-    f = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM)(AT_1AU, 0.0)
+    f, _ = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM)(AT_1AU, 0.0, 0.0)
     eps_m_s2 = f.eps * 1000.0
     assert 1e-12 <= eps_m_s2 <= 1e-7
 
 
 def test_thrust_model_contamination_off_keeps_tau_one():
+    """With contamination off the layer never grows, so a propagation keeps
+    it at 0 and tau at 1."""
     eq = _state()
     model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=False)
     for t in np.linspace(0, 1e7, 5):
-        model(eq, t)
-    assert model.tau == 1.0
+        thrust, growth = model(eq, t, 0.0)
+        assert thrust.eps > 0.0 and growth == 0.0
 
 
 def test_thrust_model_contamination_decays_thrust():
+    """The layer grown over a year at the clean mirror's rate dims the
+    thrust."""
     model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=True)
-    eps0 = model(AT_1AU, 0.0).eps
-    eps_series = [model(AT_1AU, t).eps for t in np.linspace(1e5, 3e7, 40)]
-    assert eps0 > 0.0
-    assert model.tau < 1.0
-    assert eps_series[-1] < eps0
+    thrust0, growth = model(AT_1AU, 0.0, 0.0)
+    assert thrust0.eps > 0.0 and growth > 0.0
+    thrust, _ = model(AT_1AU, 3e7, growth * 3e7 * 100.0)  # m -> cm
+    assert thrust.eps < thrust0.eps
 
 
-def _composed_sample(design, tech, ast, geom, contamination, eq, elapsed, tau):
+def _composed_sample(design, tech, ast, geom, contamination, eq, elapsed, h_cond):
     """One thrust sample composed of the public unit functions, from a fresh
     copy of the asteroid (so no derived constant is shared with the model):
-    the thrust and the layer growth rate [m/s] it leaves."""
+    the thrust and the layer growth rate [m/s] under the layer h_cond [cm]."""
     ast = replace(ast)
-    a_m1 = math.pi * design.d_m**2 / 4.0
-    a_spot, d_spot = spot_area(a_m1, design.c_r)
+    a_spot, d_spot = spot_area(math.pi * design.d_m**2 / 4.0, design.c_r)
     vbar = ejecta_velocity(ast)
+    tau = math.exp(-2.0 * ETA_ABS * h_cond)
     p_in = input_power_density(system_efficiency(tech), design.c_r, eq.radius(), ast, tau)
-    mdot = mass_flow_rate(p_in, ast, geom, design.n_sc, design.c_r, a_m1, elapsed)
+    r_ell = ellipsoid_radius(ast, geom.theta_va, elapsed)
+    mdot = mass_flow_rate(p_in, ast, design.n_sc, 0.5 * d_spot, r_ell)
     growth = 0.0
     if contamination and geom.x > 0.0 and mdot > 0.0:
-        rho = plume_density(mdot, vbar, a_spot, d_spot, geom, ast, elapsed)
+        rho = plume_density(mdot, vbar, a_spot, d_spot, geom, r_ell)
         growth = (2.0 * vbar * rho / RHO_LAYER) * math.cos(geom.psi_vf)
     return ablation_acceleration(mdot, vbar, ast, eq), growth
 
@@ -403,7 +396,7 @@ STRUCTURE = evidence_structure(SCENARIO)
 
 @settings(max_examples=200, deadline=None)
 @example(a_au=0.9, e=0.2, pomega=1.0, ells=(0.3, 0.4), u=[0.5] * 10, d_m=20.0, n_sc=10,
-         c_r=3000.0, station=(3000.0, 0.0, 0.0, 0.5 * math.pi, 0.0), tau=1.0,
+         c_r=3000.0, station=(3000.0, 0.0, 0.0, 0.5 * math.pi, 0.0), h_cond=0.0,
          contamination=True, elapsed=1e4, dt=1e5)  # ablates and grows the layer
 @given(
     a_au=st.floats(0.4, 2.0),
@@ -417,38 +410,34 @@ STRUCTURE = evidence_structure(SCENARIO)
     station=st.tuples(st.floats(-500.0, 5000.0), st.floats(-500.0, 500.0),
                       st.floats(-500.0, 500.0), st.floats(0.0, 2 * math.pi),
                       st.floats(0.0, 1.5)),
-    tau=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+    h_cond=st.one_of(st.just(0.0), st.floats(0.0, 3.5e-4)),  # tau from 1 to 1e-3
     contamination=st.booleans(),
     elapsed=st.floats(0.0, 3e8),
     dt=st.floats(1.0, 1e7),
 )
 def test_thrust_model_sample_is_the_composition_of_the_unit_functions(
-        a_au, e, pomega, ells, u, d_m, n_sc, c_r, station, tau, contamination, elapsed, dt):
-    """Two samples of a ThrustModel, the first at a drawn degradation
-    factor and the second after the layer grew at the first's rate, equal bit
-    for bit the composition of input_power_density, mass_flow_rate,
-    ablation_acceleration and plume_density: the constants the model keeps
-    per trajectory change no bit."""
+        a_au, e, pomega, ells, u, d_m, n_sc, c_r, station, h_cond, contamination, elapsed, dt):
+    """Two samples of a ThrustModel, the first under a drawn layer and the
+    second under that layer grown at the first's rate, equal bit for bit,
+    thrust and growth rate, the composition of input_power_density,
+    mass_flow_rate, ablation_acceleration and plume_density: the constants
+    the model keeps per trajectory change no bit."""
     ast, tech = apply_uncertain(SCENARIO, uncertain_dict(STRUCTURE, np.array(u)))
     geom = StationGeometry(*station)
     design = DesignVector(d_m=d_m, n_sc=n_sc, t_warn=2.0, c_r=c_r)
     t_ref = 1e6
     model = ThrustModel(design, tech, ast, geom, contamination_on=contamination,
                         t_reference=t_ref)
-    h_cond = -math.log(tau) / (2.0 * ETA_ABS)
-    model.h_cond, model.tau = h_cond, tau
     eq1, eq2 = (EquinoctialState(a_au * AU_KM, e * math.sin(pomega), e * math.cos(pomega),
                                  0.0, 0.0, ell) for ell in ells)
     t1 = t_ref + elapsed
     t2 = t1 + dt
-    want, growth = _composed_sample(design, tech, ast, geom, contamination, eq1, t1 - t_ref, tau)
-    assert model(eq1, t1) == want
-    if growth:
-        h_cond += growth * (t2 - t1) * 100.0
-        tau = math.exp(-2.0 * ETA_ABS * h_cond)
-    want, _ = _composed_sample(design, tech, ast, geom, contamination, eq2, t2 - t_ref, tau)
-    assert model(eq2, t2) == want
-    assert (model.h_cond, model.tau) == (h_cond, tau)
+    want = _composed_sample(design, tech, ast, geom, contamination, eq1, t1 - t_ref, h_cond)
+    assert model(eq1, t1, h_cond) == want
+    assert want[1] >= 0.0 and (contamination or want[1] == 0.0)
+    h_cond += want[1] * (t2 - t1) * 100.0
+    want = _composed_sample(design, tech, ast, geom, contamination, eq2, t2 - t_ref, h_cond)
+    assert model(eq2, t2, h_cond) == want
 
 
 # ---------------------------------------------------------------------------
@@ -476,31 +465,35 @@ def test_certify_dark_is_sound(a_au, e, pomega, b1, d_m, n_sc, c_r, t_sub, prehe
     """Where the model certifies an orbit dark, the sampled model returns
     exactly zero thrust on it: at its perihelion and at random longitudes,
     at the slowest spin phase of the ellipsoid and at random ones. With
-    ``preheat_s`` the model first ablates at 0.4 AU for that long with
-    contamination on (tau below 1), then samples once at 6 AU, where
-    nothing ablates and the layer stops growing."""
+    ``preheat_s`` the layer is the one a propagation with contamination on
+    leaves after sampling at 0.4 AU at the start and after ``preheat_s``
+    (tau below 1), then once at 6 AU, where nothing ablates and the layer
+    stops growing; the certificate and the samples read that layer."""
     near = keplerian_to_equinoctial(KeplerianElements(0.4 * AU_KM, 0.0, 0.0, 0.0, 0.0, 0.0))
     ast = replace(TABLE_AST, b1=b1, t_subl=t_sub)
     design = DesignVector(d_m=d_m, n_sc=n_sc, t_warn=8.0, c_r=c_r)
     model = ThrustModel(design, TECH, ast, GEOM, contamination_on=preheat_s is not None)
-    t = 0.0
+    t = h = 0.0
     if preheat_s is not None:
         far = keplerian_to_equinoctial(KeplerianElements(6.0 * AU_KM, 0.0, 0.0, 0.0, 0.0, 0.0))
-        assert model(near, 0.0).eps > 0.0
-        if model(near, preheat_s).eps > 0.0:
-            assert not model.certify_dark(far, math.inf)  # the layer is still growing
-        assert model(far, preheat_s + 1.0).eps == 0.0
-        assert model.tau < 1.0
+        thrust, growth = model(near, 0.0, h)
+        assert thrust.eps > 0.0
+        h += growth * preheat_s * 100.0
+        _, growth = model(near, preheat_s, h)
+        h += growth * 1.0 * 100.0
+        thrust, growth = model(far, preheat_s + 1.0, h)
+        assert thrust.eps == 0.0 and growth == 0.0
+        assert h > 0.0
         t = preheat_s + 1.0
     orbit = keplerian_to_equinoctial(KeplerianElements(a_au * AU_KM, e, 0.0, 0.0, pomega, 0.0))
-    if not model.certify_dark(orbit, math.inf):
+    if not model.certify_dark(orbit, math.inf, h):
         return
     quarter_turn = 0.5 * math.pi / ast.omega_a
     perihelion = math.atan2(orbit.p1, orbit.p2)
     for ell, spin in zip([perihelion] + ells, [0.0] + spins):
         for phase in (2.0 * quarter_turn, 3.0 * quarter_turn, spin * 4.0 * quarter_turn):
             t += 4.0 * quarter_turn
-            assert model(replace(orbit, ell=ell), t + phase).eps == 0.0
+            assert model(replace(orbit, ell=ell), t + phase, h)[0].eps == 0.0
 
 
 @pytest.mark.parametrize("e, b1", [(0.0, 135.0), (0.3, 90.0)])
@@ -514,13 +507,13 @@ def test_certify_dark_is_sound_at_its_edge(e, b1):
         return keplerian_to_equinoctial(KeplerianElements(a_au * AU_KM, e, 0.0, 0.0, 0.0, 0.0))
 
     lo, hi = 0.2, 20.0
-    assert not model.certify_dark(at_perihelion(lo), math.inf)
-    assert model.certify_dark(at_perihelion(hi), math.inf)
+    assert not model.certify_dark(at_perihelion(lo), math.inf, 0.0)
+    assert model.certify_dark(at_perihelion(hi), math.inf, 0.0)
     while hi / lo - 1.0 > 1e-13:
         mid = math.sqrt(lo * hi)
-        lo, hi = (lo, mid) if model.certify_dark(at_perihelion(mid), math.inf) else (mid, hi)
-    assert model(at_perihelion(hi), 0.0).eps == 0.0
-    assert model(at_perihelion(lo * (1.0 - 1e-7)), 0.0).eps > 0.0
+        lo, hi = (lo, mid) if model.certify_dark(at_perihelion(mid), math.inf, 0.0) else (mid, hi)
+    assert model(at_perihelion(hi), 0.0, 0.0)[0].eps == 0.0
+    assert model(at_perihelion(lo * (1.0 - 1e-7)), 0.0, 0.0)[0].eps > 0.0
 
 
 def _dark_edge_au(model):
@@ -530,7 +523,7 @@ def _dark_edge_au(model):
     while hi / lo - 1.0 > 1e-13:
         mid = math.sqrt(lo * hi)
         orbit = keplerian_to_equinoctial(KeplerianElements(mid * AU_KM, 0.0, 0.0, 0.0, 0.0, 0.0))
-        lo, hi = (lo, mid) if model.certify_dark(orbit, math.inf) else (mid, hi)
+        lo, hi = (lo, mid) if model.certify_dark(orbit, math.inf, 0.0) else (mid, hi)
     return hi
 
 
@@ -566,7 +559,7 @@ def test_certify_dark_is_sound_over_its_range(scale, e, pomega, b1, d_m, n_sc, c
     probe = replace(orbit, ell=ell0)
     period = 2.0 * math.pi * math.sqrt(a**3 / MU_SUN)
     ell_end = propagate_keplerian(probe, probe.t + 10.0**log_periods * period, MU_SUN).ell + 0.5 * DL_MAX
-    if not model.certify_dark(probe, ell_end):
+    if not model.certify_dark(probe, ell_end, 0.0):
         return
     perihelion = math.atan2(orbit.p1, orbit.p2)
     perihelia = perihelion + 2.0 * math.pi * np.arange(
@@ -579,7 +572,7 @@ def test_certify_dark_is_sound_over_its_range(scale, e, pomega, b1, d_m, n_sc, c
         # phases 0 and one quarter turn show the b1 and a1 radii
         for phase in (0.0, quarter_turn, spins[k % 4] * 4.0 * quarter_turn):
             t += 4.0 * quarter_turn
-            assert model(replace(probe, ell=float(ell)), t + phase).eps == 0.0
+            assert model(replace(probe, ell=float(ell)), t + phase, 0.0)[0].eps == 0.0
 
 
 @pytest.mark.parametrize("start, end, certified", [
@@ -598,8 +591,8 @@ def test_certify_dark_range_at_the_perihelion(start, end, certified):
     a = _dark_edge_au(model) * AU_KM * (1.0 - 1e-7) / (1.0 - e)
     orbit = keplerian_to_equinoctial(KeplerianElements(a, e, 0.0, 0.0, pomega, 0.0))
     at = lambda offset: replace(orbit, ell=pomega + turns + offset)  # noqa: E731
-    assert model(at(0.0), 0.0).eps > 0.0  # spin phase 0 shows the b1 radius
-    assert model(at(-3e-3), 0.0).eps == 0.0
-    assert model(at(3e-3), 0.0).eps == 0.0
-    assert not model.certify_dark(at(start), math.inf)
-    assert model.certify_dark(at(start), pomega + turns + end) is certified
+    assert model(at(0.0), 0.0, 0.0)[0].eps > 0.0  # spin phase 0 shows the b1 radius
+    assert model(at(-3e-3), 0.0, 0.0)[0].eps == 0.0
+    assert model(at(3e-3), 0.0, 0.0)[0].eps == 0.0
+    assert not model.certify_dark(at(start), math.inf, 0.0)
+    assert model.certify_dark(at(start), pomega + turns + end, 0.0) is certified

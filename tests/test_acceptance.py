@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import record_criterion
+from conftest import record_criterion  # puts scripts/ on the path
+from calibration import nominal_miss
 from oracles import complement_bel_pl, duality_check, enumerate_bel_pl
 
 from neodeflect.constants import AU_KM, MU_SUN
@@ -40,7 +41,6 @@ from neodeflect.mission import (
     evidence_structure,
     load_scenario,
     make_model,
-    nominal_miss,
     reference_scenario_path,
     rk_impact_parameter,
     uncertain_dict,
@@ -76,7 +76,7 @@ def cartesian_oracle_b(scenario, design, u, rtol):
     def thrust_rtn(t, r, v):
         kep = oracles.cartesian_to_keplerian(r, v, scenario.mu)
         eq = keplerian_to_equinoctial(kep)
-        thr, _ = thrust_model.thrust_given_tau(eq, 1.0, t)
+        thr, _ = thrust_model(eq, t_start + t, 0.0)
         vec = oracles.rtn_vector(thr)
         return (vec[0], vec[1], vec[2])
 
@@ -127,7 +127,7 @@ def test_criterion_02_zero_thrust_exactness(scenario):
     eq0 = keplerian_to_equinoctial(scenario.asteroid)
     period = 2 * math.pi * math.sqrt(eq0.a**3 / scenario.mu)
     traj = propagate_trajectory(
-        eq0, lambda s, t: ThrustRTN(0.0), eq0.t + 10 * period,
+        eq0, lambda s, t, h: (ThrustRTN(0.0), 0.0), eq0.t + 10 * period,
         scenario.arc_control, scenario.mu,
     )
     final = traj.final

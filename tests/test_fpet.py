@@ -103,7 +103,7 @@ def test_zero_thrust_ten_revolutions_preserves_elements():
     period = 2 * math.pi * math.sqrt(eq.a**3 / MU)
     ctrl = ArcControl(a_const=0.1, k_const=2.0, dl_max=0.4)
     traj = propagate_trajectory(
-        eq, lambda s, t: ThrustRTN(0.0), eq.t + 10 * period, ctrl, MU
+        eq, lambda s, t, h: (ThrustRTN(0.0), 0.0), eq.t + 10 * period, ctrl, MU
     )
     final = traj.final
     assert final.a == pytest.approx(eq0.a, rel=1e-12)
@@ -286,10 +286,10 @@ def test_arc_law_updates_running_max():
     eq0 = keplerian_to_equinoctial(APOPHIS_LIKE)
     year = 365.25 * 86400.0
 
-    def pulse(state, t):
+    def pulse(state, t, h_cond):
         # weak, strong, weak: the last third runs below an earlier peak
         eps = 1e-10 if 0.3 * year <= t - eq0.t < 0.6 * year else 1e-11
-        return ThrustRTN(eps, alpha=math.pi / 2)
+        return ThrustRTN(eps, alpha=math.pi / 2), 0.0
 
     ctrl = ArcControl(a_const=0.05, k_const=2.0, dl_max=0.1)
     first = propagate_trajectory(eq0, pulse, eq0.t + year, ctrl, MU)
@@ -329,7 +329,7 @@ def test_trajectory_constant_thrust_vs_oracle():
     thrust = ThrustRTN(eps, alpha=math.pi / 2, beta=0.0)
     t_end = eq0.t + 1.0 * 365.25 * 86400
     ctrl = ArcControl(a_const=0.05, k_const=2.0, dl_max=0.4)
-    traj = propagate_trajectory(eq0, lambda s, t: thrust, t_end, ctrl, MU)
+    traj = propagate_trajectory(eq0, lambda s, t, h: (thrust, 0.0), t_end, ctrl, MU)
     final = traj.final
     assert abs(final.t - t_end) <= 1.0
 
@@ -373,7 +373,7 @@ def test_trajectory_lands_on_epoch_with_one_extra_step(monkeypatch, contaminatio
 def test_trajectory_callback_errors_propagate():
     eq0 = keplerian_to_equinoctial(APOPHIS_LIKE)
 
-    def bad_callback(state, t):
+    def bad_callback(state, t, h_cond):
         raise RuntimeError("ablation model exploded")
 
     ctrl = ArcControl()
@@ -386,7 +386,7 @@ def test_trajectory_arc_overflow():
     ctrl = ArcControl(a_const=1e-4, k_const=2.0, dl_max=1e-4)
     with pytest.raises(ArcOverflowError):
         propagate_trajectory(
-            eq0, lambda s, t: ThrustRTN(0.0), eq0.t + 3.2e7, ctrl, MU,
+            eq0, lambda s, t, h: (ThrustRTN(0.0), 0.0), eq0.t + 3.2e7, ctrl, MU,
             max_arcs=1000,
         )
 
@@ -394,7 +394,8 @@ def test_trajectory_arc_overflow():
 def test_trajectory_rejects_past_epoch():
     eq0 = keplerian_to_equinoctial(APOPHIS_LIKE)
     with pytest.raises(ValueError):
-        propagate_trajectory(eq0, lambda s, t: ThrustRTN(0.0), eq0.t - 1.0, ArcControl(), MU)
+        propagate_trajectory(eq0, lambda s, t, h: (ThrustRTN(0.0), 0.0), eq0.t - 1.0,
+                             ArcControl(), MU)
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +428,9 @@ def _counting_thrust_calls():
     calls = []
     call = ThrustModel.__call__
 
-    def counted(self, eq, t):
+    def counted(self, eq, t, h_cond):
         calls.append(t)
-        return call(self, eq, t)
+        return call(self, eq, t, h_cond)
 
     with mock.patch.object(ThrustModel, "__call__", counted):
         yield calls
@@ -449,7 +450,7 @@ def _propagate_both(design, u, contamination, dl_max=None):
         ev = model.evaluate(design, u)
     eq0, thrust = model.deflection_start(design, u)
     with _counting_thrust_calls() as sampled_calls:
-        sampled = propagate_trajectory(eq0, lambda state, t: thrust(state, t),
+        sampled = propagate_trajectory(eq0, lambda state, t, h: thrust(state, t, h),
                                        scenario.t_impact, scenario.arc_control, scenario.mu)
     return ev, sampled, len(calls), len(sampled_calls)
 
@@ -572,6 +573,45 @@ def test_dark_trajectories_coast_from_the_first_arc(d_m, n_sc, t_warn, c_r, towa
     _assert_dark_coast(*both)
 
 
+def test_contamination_layer_grows_from_the_last_accepted_sample_only():
+    """Each thrust sample reads the mirror layer committed by the last
+    accepted sample, grown at that sample's rate to its own epoch, bit for
+    bit: a re-sample never sees the layer of the sample it replaces. The arc
+    control spans 0.008 to 0.1 rad, so arcs re-sample, some of them while
+    the layer grows. An arc's samples share its start (the state handed to
+    ``_midpoint_state``) and its last sample is the accepted one."""
+    scenario, _ = _scenario_and_structure()
+    scenario = dataclasses.replace(scenario, arc_control=ArcControl(0.005, 2.0, 0.1))
+    model = make_model(scenario, "deterministic", True)
+    samples, arc_starts = [], []
+    call, midpoint = ThrustModel.__call__, fpet._midpoint_state
+
+    def recorded(self, eq, t, h_cond):
+        f, growth = call(self, eq, t, h_cond)
+        samples.append((t, h_cond, growth))
+        return f, growth
+
+    def probed(eq, dl, start):
+        arc_starts.append(eq.ell)
+        return midpoint(eq, dl, start)
+
+    with (mock.patch.object(ThrustModel, "__call__", recorded),
+          mock.patch.object(fpet, "_midpoint_state", probed)):
+        ev = model.evaluate(parse_design("20,10,8,3000"), scenario.fixed_uncertain)
+    arcs = {}
+    for ell, sample in zip(arc_starts, samples, strict=True):
+        arcs.setdefault(ell, []).append(sample)
+    assert len(arcs) == ev.n_arcs
+    h_c = g_c = t_c = 0.0
+    resampled_while_growing = 0
+    for arc in arcs.values():
+        for t, h_cond, _ in arc:
+            assert h_cond == h_c + g_c * (t - t_c) * 100.0
+        resampled_while_growing += len(arc) > 1 and g_c > 0.0
+        t_c, h_c, g_c = arc[-1]
+    assert resampled_while_growing > 0
+
+
 def test_arc_cap_counts_coasting_arcs():
     """The cap still stops a trajectory that steps every arc, and counts the
     jump to impact as one arc, whether the thrust is dark from the first arc
@@ -581,7 +621,7 @@ def test_arc_cap_counts_coasting_arcs():
     model = make_model(scenario, "deterministic", False)
     eq0, thrust = model.deflection_start(parse_design("2,1,1,1000"), scenario.fixed_uncertain)
     with pytest.raises(ArcOverflowError):
-        propagate_trajectory(eq0, lambda state, t: thrust(state, t), *args, max_arcs=10)
+        propagate_trajectory(eq0, lambda state, t, h: thrust(state, t, h), *args, max_arcs=10)
     eq0, thrust = model.deflection_start(parse_design("2,1,1,1000"), scenario.fixed_uncertain)
     traj = propagate_trajectory(eq0, thrust, *args, max_arcs=1)
     assert traj.eps_history == [0.0]

@@ -9,19 +9,16 @@ import pytest
 from neodeflect import mission
 from neodeflect.constants import AU_KM, S0, YEAR_S
 from neodeflect.mission import (
-    CalibrationError,
     DeflectionModel,
     ScenarioError,
     UNCERTAIN_NAMES,
     _technology_corners,
     apply_uncertain,
-    calibrate_scenario,
     deterministic_evaluator,
     evidence_evaluator,
     evidence_structure,
     load_scenario,
     make_model,
-    nominal_miss,
     nominal_unit_image,
     reference_scenario_path,
     scenario_from_dict,
@@ -32,6 +29,7 @@ from neodeflect.search import SolverConfig
 from neodeflect.sizing import DesignVector, UNIT_MARGINS, size_spacecraft
 
 import oracles
+from calibration import CalibrationError, calibrate_scenario, nominal_miss
 
 
 @pytest.fixture(scope="module")
