@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Model evaluations of two source trees, timed against each other in one interpreter.
+
+    python3 scripts/ab_evaluate.py OLD_SRC NEW_SRC [--reps N]
+
+OLD_SRC and NEW_SRC are ``src/`` directories that hold a ``neodeflect``
+package. Both are imported into this one interpreter, each as its own set
+of modules, and each builds the reference scenario's model with
+contamination off and on. Every repetition evaluates the four designs of
+the reference panel (``perfbench/references.json``) at the scenario's fixed
+uncertain values in both trees, alternating which tree goes first, and
+stops with an error unless the two values of b are bit-equal. The script
+prints, per design and contamination setting, the summed evaluation times
+of each tree and the new/old ratio, then the ratio over all evaluations.
+
+Separate processes cannot resolve a change of a few percent on a host whose
+speed drifts in phases of seconds (``perfbench/README.md``); interleaved in
+one process, both trees see the same drift.
+"""
+import argparse
+import importlib
+import sys
+import time
+from pathlib import Path
+
+PANEL = ("20,10,8,3000", "20,10,1,3000", "12,4,3.5,2000", "8,6,6,2500")
+
+
+def load_tree(src: Path):
+    """The ``neodeflect.mission`` and ``neodeflect.cli`` modules of ``src``,
+    imported afresh and then taken out of ``sys.modules`` so that another
+    tree can be imported next to them."""
+    def drop():
+        return {name: sys.modules.pop(name) for name in list(sys.modules)
+                if name.split(".")[0] == "neodeflect"}
+
+    drop()
+    sys.path.insert(0, str(src))
+    try:
+        mission = importlib.import_module("neodeflect.mission")
+        cli = importlib.import_module("neodeflect.cli")
+    finally:
+        sys.path.remove(str(src))
+        drop()
+    if not Path(mission.__file__).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"error: neodeflect was imported from {mission.__file__}, not {src}")
+    return mission, cli
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--reps", type=int, default=20,
+                        help="evaluations of every design and setting per tree")
+    args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
+
+    cases = []  # (label, [(evaluate, design) of old, of new])
+    trees = [load_tree(args.old_src), load_tree(args.new_src)]
+    for contamination in (False, True):
+        sides = []
+        for mission, cli in trees:
+            scenario = mission.load_scenario(mission.reference_scenario_path())
+            model = mission.DeflectionModel(scenario, contamination, scenario.margins)
+            sides.append((model, scenario.fixed_uncertain, cli))
+        for text in PANEL:
+            label = f"{text} {'on' if contamination else 'off'}"
+            cases.append((label, [(model.evaluate, cli.parse_design(text), u)
+                                  for model, u, cli in sides]))
+
+    totals = {label: [0.0, 0.0] for label, _ in cases}
+    for rep in range(args.reps + 1):  # repetition 0 warms up, untimed
+        for label, sides in cases:
+            order = (0, 1) if rep % 2 else (1, 0)
+            b = [None, None]
+            for side in order:
+                evaluate, design, u = sides[side]
+                start = time.perf_counter()
+                b[side] = evaluate(design, u).b
+                if rep:
+                    totals[label][side] += time.perf_counter() - start
+            if b[0] != b[1]:
+                raise SystemExit(f"error: {label}: b differs, old {b[0]!r} new {b[1]!r}")
+
+    print(f"{'design contamination':<24} {'old_s':>9} {'new_s':>9} {'new/old':>8}")
+    for label, (old, new) in totals.items():
+        print(f"{label:<24} {old:9.4f} {new:9.4f} {new / old:8.4f}")
+    old = sum(t[0] for t in totals.values())
+    new = sum(t[1] for t in totals.values())
+    print(f"{'all':<24} {old:9.4f} {new:9.4f} {new / old:8.4f}")
+    print(f"# {args.reps} evaluations per tree, design and setting; every b bit-equal")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,7 @@ per-cm absorption coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -358,14 +358,16 @@ class ThrustModel:
         at the slowest surface speed of the spinning ellipsoid. The smallest
         radius is the perihelion's when the range holds a perihelion, and
         otherwise that of one of its two ends, since the radius only grows
-        from a perihelion to the next aphelion and shrinks after it. Radius
-        and speed are taken 1e-9 below their exact values, far beyond the
-        rounding of ``radius``, ``ellipsoid_radius`` and the range's ends.
+        from a perihelion to the next aphelion and shrinks after it. The end
+        radii come from ``EquinoctialState.radius_at``, the formula of every
+        sample's ``radius``. Radius and speed are taken 1e-9 below their
+        exact values, far beyond the rounding of that formula,
+        ``ellipsoid_radius`` and the range's ends.
         """
         r_min = eq.semi_latus() / (1.0 + math.hypot(eq.p1, eq.p2))
         to_perihelion = (math.atan2(eq.p1, eq.p2) - eq.ell) % (2.0 * math.pi)
         if eq.ell + to_perihelion > ell_end:
-            r_min = min(eq.radius(), replace(eq, ell=ell_end).radius())
+            r_min = min(eq.radius(), eq.radius_at(ell_end))
         r_min *= 1.0 - 1e-9
         tau = math.exp(-2.0 * ETA_ABS * h_cond)
         p_in = input_power_density(self.eta_sys, self.design.c_r, r_min, self.ast, tau)

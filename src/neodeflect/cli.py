@@ -5,8 +5,9 @@ payloads plus a manifest with full provenance (seed, configuration hash,
 package version) under the output directory. Identical scenario and seed
 reproduce byte-identical payloads.
 
-Exit codes: 0 success, 2 scenario/schema errors (solver budgets and
-populations included, all checked when the scenario loads), a negative seed
+Exit codes: 0 success, 2 scenario/schema errors (solver budgets,
+populations and an archive capacity below 2 included, all checked when the
+scenario loads), a negative seed
 (in the scenario or as ``--seed``), a scenario file that cannot be read, an
 ``--out`` directory that cannot be made or written to, a ``--design``
 outside the scenario's design bounds, an expert-opinion file that is

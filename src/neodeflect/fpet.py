@@ -60,7 +60,7 @@ later thrust samples can carry into the last bits of later arcs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,11 +164,12 @@ def _first_order_terms(
 
     # element rates per unit eps, divided by the longitude rate (times w),
     # one Chebyshev node at a time
+    sin, cos = math.sin, math.cos
     g0, g1, g2, g3, g4, nodes = [], [], [], [], [], []
     for x in _CHEB_MAP_NODES:
         ell = ell0 + dl * x
-        sl = math.sin(ell)
-        cl = math.cos(ell)
+        sl = sin(ell)
+        cl = cos(ell)
         phi = 1.0 + p1 * sl + p2 * cl
         r_h = p_h / phi  # r / h
         w = (p / phi) * r_h  # r^2/h = dt/dL on the Keplerian orbit
@@ -348,9 +349,9 @@ def propagate_trajectory(
                 dark = certify_dark(probe, grid[n - 1] + 0.5 * dl_max, h)
                 run, refused = (n, refused) if dark else (run, n)
             if whole or run:
-                nxt = end if whole or grid[run] >= end.ell else replace(
-                    eq, ell=grid[run],
-                    t=eq.t + kepler_time_of_flight(eq, grid[run] - eq.ell, start))
+                nxt = end if whole or grid[run] >= end.ell else EquinoctialState(
+                    eq.a, eq.p1, eq.p2, eq.q1, eq.q2, grid[run],
+                    eq.t + kepler_time_of_flight(eq, grid[run] - eq.ell, start))
         if nxt is None:
             nxt = fpet_step(eq, dl, f, mu, start)
             if nxt.t > t_end:

@@ -24,8 +24,10 @@ from .fpet import ArcControl, Trajectory, propagate_trajectory
 from .orbits import (
     EquinoctialState,
     KeplerianElements,
+    bplane_normal,
+    bplane_projection,
+    equinoctial_to_cartesian,
     gauss_rhs,
-    impact_parameter,
     keplerian_to_equinoctial,
     propagate_keplerian,
 )
@@ -276,7 +278,9 @@ class DeflectionModel:
     unperturbed orbit. The formation is sized at the deflection-start
     heliocentric distance. ``deflection_start`` and ``impact_b`` are the
     two ends of every deflected trajectory, whichever propagator runs in
-    between.
+    between. The encounter frame (the nominal position and v_inf =
+    v_nominal - v_earth at impact) is fixed per model, and its b-plane is
+    checked at construction (DegenerateBPlaneError).
     """
 
     def __init__(self, scenario: Scenario, contamination: bool, margins: Margins):
@@ -292,6 +296,9 @@ class DeflectionModel:
         self.earth_at_impact = propagate_keplerian(
             self.earth_eq, scenario.t_impact, self.mu
         )
+        self._r_nominal, v_nominal = equinoctial_to_cartesian(self.nominal_at_impact, self.mu)
+        self._v_inf = v_nominal - equinoctial_to_cartesian(self.earth_at_impact, self.mu)[1]
+        bplane_normal(self._v_inf)
         self._start = (None, None)
 
     def start_state(self, t_warn_years: float) -> EquinoctialState:
@@ -318,11 +325,14 @@ class DeflectionModel:
         return eq_start, thrust
 
     def impact_b(self, deviated: EquinoctialState) -> float:
-        """b [km] of a deviated asteroid state at the impact epoch."""
-        return impact_parameter(
-            deviated, self.nominal_at_impact, self.earth_at_impact,
-            self.scenario.t_impact, self.mu,
-        ).b
+        """b [km] of a deviated asteroid state at the impact epoch: its
+        Cartesian offset from the nominal position, projected on the
+        b-plane."""
+        if abs(deviated.t - self.scenario.t_impact) > 1.0:
+            raise ValueError(
+                f"deviated state epoch {deviated.t} is not at t_impact {self.scenario.t_impact}")
+        r_dev, _ = equinoctial_to_cartesian(deviated, self.mu)
+        return bplane_projection(r_dev - self._r_nominal, self._v_inf).b
 
     def mass_only(self, design: DesignVector, u: dict) -> float:
         """Formation mass [kg]; no propagation involved."""
@@ -342,15 +352,11 @@ class DeflectionModel:
             # exact two-body coast closes the last arc's first-order landing
             # gap so the b-plane difference is not polluted by along-track
             # epoch error
-            deviated = propagate_keplerian(traj.final, self.scenario.t_impact, self.mu)
+            b = self.impact_b(propagate_keplerian(traj.final, self.scenario.t_impact, self.mu))
         else:
-            # never pushed, the asteroid is on its nominal orbit: b is 0
-            deviated = self.nominal_at_impact
+            b = 0.0  # never pushed, the asteroid is on its nominal orbit
         budget = size_spacecraft(design, thrust.tech, self.margins, _solar_flux(eq_start))
-        return ModelEvaluation(
-            m_sys=budget.m_sys, b=self.impact_b(deviated), budget=budget,
-            trajectory=traj,
-        )
+        return ModelEvaluation(m_sys=budget.m_sys, b=b, budget=budget, trajectory=traj)
 
 
 def evidence_structure(scenario: Scenario) -> FocalStructure:

@@ -4,11 +4,16 @@ Everything here is two-body mechanics in non-singular equinoctial elements
 (a, P1, P2, Q1, Q2, L) plus the variational rates driven by a thrust
 acceleration expressed in the radial-transversal-normal frame. Units are
 km, s, rad; gravitational parameters in km^3/s^2.
+
+``EquinoctialState`` and ``ThrustRTN``, built several times per arc, are
+slotted rather than frozen (a frozen dataclass writes each field through
+``object.__setattr__``), but they are values: no code assigns to a field,
+and code that needs another state builds a new one.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,14 +74,14 @@ class KeplerianElements:
             raise ValueError(f"only elliptic orbits supported, got e={self.e}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EquinoctialState:
     """Non-singular equinoctial state with epoch.
 
     Elements: a, P1 = e*sin(raan+argp), P2 = e*cos(raan+argp),
     Q1 = tan(i/2)*sin(raan), Q2 = tan(i/2)*cos(raan), true longitude
     ell = raan + argp + theta. ``t`` is the epoch in seconds past the
-    scenario reference.
+    scenario reference. A value (see the module docstring).
     """
 
     a: float
@@ -97,11 +102,15 @@ class EquinoctialState:
         return self.a * (1.0 - self.p1 * self.p1 - self.p2 * self.p2)
 
     def radius(self) -> float:
+        return self.radius_at(self.ell)
+
+    def radius_at(self, ell: float) -> float:
+        """Heliocentric radius [km] at true longitude ``ell`` on this orbit."""
         p = self.semi_latus()
-        return p / (1.0 + self.p1 * math.sin(self.ell) + self.p2 * math.cos(self.ell))
+        return p / (1.0 + self.p1 * math.sin(ell) + self.p2 * math.cos(ell))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ThrustRTN:
     """Thrust acceleration in the radial-transversal-normal frame.
 
@@ -109,6 +118,7 @@ class ThrustRTN:
     from the radial axis (alpha = pi/2 is purely transversal) and ``beta``
     the out-of-plane elevation. The Cartesian RTN vector is
     eps * [cos(alpha)cos(beta), sin(alpha)cos(beta), sin(beta)].
+    A value (see the module docstring).
     """
 
     eps: float
@@ -170,26 +180,6 @@ def _shape(eq: EquinoctialState) -> tuple[float, float, float]:
     return e, math.atan2(eq.p1, eq.p2), math.sqrt(1.0 - e * e)
 
 
-def _eccentric_longitude(ell: float, e: float, pomega: float, root: float) -> float:
-    """Eccentric longitude K at true longitude ``ell``, on the branch within
-    pi of it so that differences of longitudes stay continuous."""
-    theta = ell - pomega
-    denom = 1.0 + e * math.cos(theta)
-    sin_ecc = root * math.sin(theta) / denom
-    cos_ecc = (e + math.cos(theta)) / denom
-    ecc_anom = math.atan2(sin_ecc, cos_ecc)
-    ecc_anom += TWO_PI * round((theta - ecc_anom) / TWO_PI)
-    return ecc_anom + pomega
-
-
-def _mean_longitude(
-    ell: float, p1: float, p2: float, e: float, pomega: float, root: float
-) -> float:
-    """Mean longitude lambda = K + P1*cos(K) - P2*sin(K), unwrapped."""
-    k_long = ell if e < 1e-15 else _eccentric_longitude(ell, e, pomega, root)
-    return k_long + p1 * math.cos(k_long) - p2 * math.sin(k_long)
-
-
 def true_longitude_from_eccentric(eq: EquinoctialState, k_long: float) -> float:
     """True longitude for a given eccentric longitude, unwrapped near it."""
     e, pomega, root = _shape(eq)
@@ -230,9 +220,10 @@ class KeplerStart:
     the shape constants of Kepler's equation and the mean longitude at
     the state's own true longitude.
 
-    The last mean longitude asked of a start is kept, so that the start at
-    the end of a coasting arc, which has the same orbit, costs no second
-    solve.
+    A thrusting arc asks it three mean longitudes: the state's own, the
+    midpoint probe's and the arc end's. The last one asked is kept, so
+    that the start at the end of a coasting arc, which has the same orbit,
+    costs no second solve.
     """
 
     n: float
@@ -245,8 +236,21 @@ class KeplerStart:
     _last: tuple = (None, 0.0)
 
     def mean_longitude(self, ell: float) -> float:
-        """Mean longitude at true longitude ``ell`` on the same orbit."""
-        lam = _mean_longitude(ell, self.p1, self.p2, self.e, self.pomega, self.root)
+        """Mean longitude lambda = K + P1*cos(K) - P2*sin(K) at true
+        longitude ``ell`` on the same orbit, unwrapped: the eccentric
+        longitude K is taken on the branch within pi of ``ell``, so that
+        differences of longitudes stay continuous."""
+        e = self.e
+        if e < 1e-15:
+            k_long = ell
+        else:
+            theta = ell - self.pomega
+            cos_th = math.cos(theta)
+            denom = 1.0 + e * cos_th
+            ecc_anom = math.atan2(self.root * math.sin(theta) / denom, (e + cos_th) / denom)
+            ecc_anom += TWO_PI * round((theta - ecc_anom) / TWO_PI)
+            k_long = ecc_anom + self.pomega
+        lam = k_long + self.p1 * math.cos(k_long) - self.p2 * math.sin(k_long)
         self._last = (ell, lam)
         return lam
 
@@ -260,11 +264,9 @@ class KeplerStart:
 
 def kepler_start(eq: EquinoctialState, mu: float) -> KeplerStart:
     """Kepler constants and mean longitude of ``eq``, solved once."""
-    e, pomega, root = _shape(eq)
-    return KeplerStart(
-        math.sqrt(mu / eq.a**3), eq.p1, eq.p2, e, pomega, root,
-        _mean_longitude(eq.ell, eq.p1, eq.p2, e, pomega, root),
-    )
+    start = KeplerStart(math.sqrt(mu / eq.a**3), eq.p1, eq.p2, *_shape(eq), 0.0)
+    start.lam = start.mean_longitude(eq.ell)
+    return start
 
 
 def kepler_time_of_flight(eq: EquinoctialState, dl: float, start: KeplerStart) -> float:
@@ -282,7 +284,7 @@ def propagate_keplerian(eq: EquinoctialState, t_target: float, mu: float) -> Equ
     lam_target = start.lam + start.n * (t_target - eq.t)
     k_long = solve_eccentric_longitude(eq, lam_target)
     ell = true_longitude_from_eccentric(eq, k_long)
-    return replace(eq, ell=ell, t=t_target)
+    return EquinoctialState(eq.a, eq.p1, eq.p2, eq.q1, eq.q2, ell, t_target)
 
 
 # ---------------------------------------------------------------------------
@@ -347,36 +349,19 @@ def gauss_rhs(eq: EquinoctialState, f: ThrustRTN, mu: float) -> np.ndarray:
 # b-plane impact parameter
 # ---------------------------------------------------------------------------
 
-def bplane_projection(d_vec: np.ndarray, v_inf: np.ndarray) -> BPlaneResult:
-    """Project a miss vector onto the plane normal to the incoming velocity."""
+def bplane_normal(v_inf: np.ndarray) -> np.ndarray:
+    """Unit normal of the b-plane: the direction of the incoming relative
+    velocity. Raises DegenerateBPlaneError below ``V_INF_MIN``."""
     v_norm = float(np.linalg.norm(v_inf))
     if v_norm < V_INF_MIN:
         raise DegenerateBPlaneError(
             f"|v_inf| = {v_norm:.3e} km/s is below {V_INF_MIN}; b-plane undefined"
         )
-    v_hat = v_inf / v_norm
+    return v_inf / v_norm
+
+
+def bplane_projection(d_vec: np.ndarray, v_inf: np.ndarray) -> BPlaneResult:
+    """Project a miss vector onto the plane normal to the incoming velocity."""
+    v_hat = bplane_normal(v_inf)
     b_vec = d_vec - np.dot(d_vec, v_hat) * v_hat
     return BPlaneResult(b=float(np.linalg.norm(b_vec)), v_inf=v_inf, b_vec=b_vec)
-
-
-def impact_parameter(
-    deviated: EquinoctialState,
-    nominal: EquinoctialState,
-    earth: EquinoctialState,
-    t_impact: float,
-    mu_sun: float,
-) -> BPlaneResult:
-    """Impact parameter of the deviated orbit on the Earth b-plane.
-
-    The plane is built from the unperturbed encounter geometry,
-    v_inf = v_nominal - v_earth, and the Cartesian position difference
-    deviated - nominal is projected onto it. All three states must already
-    be at the impact epoch.
-    """
-    for state, name in ((deviated, "deviated"), (nominal, "nominal"), (earth, "earth")):
-        if abs(state.t - t_impact) > 1.0:
-            raise ValueError(f"{name} state epoch {state.t} is not at t_impact {t_impact}")
-    r_dev, _ = equinoctial_to_cartesian(deviated, mu_sun)
-    r_nom, v_nom = equinoctial_to_cartesian(nominal, mu_sun)
-    _, v_earth = equinoctial_to_cartesian(earth, mu_sun)
-    return bplane_projection(r_dev - r_nom, v_nom - v_earth)

@@ -129,6 +129,9 @@ class SolverConfig:
         # population has collapsed onto cached ones
         if not 1 <= self.explorers < self.outer_pop:
             raise ValueError("explorer count must lie in [1, outer_pop)")
+        # truncation keeps both extremes of the front, so it needs room for them
+        if self.archive_capacity < 2:
+            raise ValueError(f"archive capacity must be at least 2, got {self.archive_capacity}")
         if self.seed < 0:  # numpy seed sequences take no negatives
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

@@ -8,7 +8,9 @@ evidence oracles compute Belief and Plausibility by enumerating every
 focal element, the brute-force reference of the partitioning curve builder.
 The array form of the FPET arc and the per-call Kepler time of flight are
 the bit-level references of the package's node-by-node kernel and of its
-shared Kepler start.
+shared Kepler start. ``impact_parameter`` projects three states at the
+impact epoch afresh, the reference of the encounter frame that
+``mission.DeflectionModel`` fixes once per model.
 """
 from __future__ import annotations
 
@@ -26,9 +28,12 @@ from neodeflect.evidence import (
 )
 from neodeflect.fpet import _CHEB_CUM_T, _CHEB_MAP, _CHEB_W
 from neodeflect.orbits import (
+    BPlaneResult,
     EquinoctialState,
     KeplerianElements,
     ThrustRTN,
+    bplane_projection,
+    equinoctial_to_cartesian,
     wrap_two_pi,
 )
 
@@ -174,6 +179,29 @@ def propagate_cartesian(
 def equinoctial_state_to_cartesian_classical(eq: EquinoctialState, mu: float):
     """Cartesian state via the classical-element route (independent check)."""
     return kep_to_cartesian_classical(equinoctial_to_keplerian(eq), mu)
+
+
+def impact_parameter(
+    deviated: EquinoctialState,
+    nominal: EquinoctialState,
+    earth: EquinoctialState,
+    t_impact: float,
+    mu_sun: float,
+) -> BPlaneResult:
+    """Impact parameter of the deviated orbit on the Earth b-plane.
+
+    The plane is built from the unperturbed encounter geometry,
+    v_inf = v_nominal - v_earth, and the Cartesian position difference
+    deviated - nominal is projected onto it. All three states must already
+    be at the impact epoch.
+    """
+    for state, name in ((deviated, "deviated"), (nominal, "nominal"), (earth, "earth")):
+        if abs(state.t - t_impact) > 1.0:
+            raise ValueError(f"{name} state epoch {state.t} is not at t_impact {t_impact}")
+    r_dev, _ = equinoctial_to_cartesian(deviated, mu_sun)
+    r_nom, v_nom = equinoctial_to_cartesian(nominal, mu_sun)
+    _, v_earth = equinoctial_to_cartesian(earth, mu_sun)
+    return bplane_projection(r_dev - r_nom, v_nom - v_earth)
 
 
 # ---------------------------------------------------------------------------

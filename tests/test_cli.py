@@ -188,6 +188,24 @@ def test_inner_budget_below_population_exit_code(fast_scenario, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("capacity", [0, 1])
+def test_archive_capacity_below_two_exit_code(fast_scenario, tmp_path, capsys, capacity):
+    """An archive that cannot hold both extremes of the front is rejected
+    when the scenario loads, exit 2, before an empty or extreme-less
+    archive is written."""
+    doc = json.loads(fast_scenario.read_text())
+    doc["solver"]["archive_capacity"] = capacity
+    fast_scenario.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    code = main(["--mode", "deterministic", "--scenario", str(fast_scenario),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario block: archive capacity must be at least 2")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_nonfinite_objective_exit_code(fast_scenario, tmp_path, capsys, monkeypatch):
     """A NaN objective is a numerical failure: exit 4, not the exit 3 of an
     invalid value."""

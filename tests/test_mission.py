@@ -25,6 +25,7 @@ from neodeflect.mission import (
     scenario_to_dict,
     uncertain_dict,
 )
+from neodeflect.orbits import propagate_keplerian
 from neodeflect.search import SolverConfig
 from neodeflect.sizing import DesignVector, UNIT_MARGINS, size_spacecraft
 
@@ -145,6 +146,21 @@ def test_model_deterministic_reference(scenario):
     _, tech = apply_uncertain(scenario, scenario.fixed_uncertain)
     flux = S0 * (AU_KM / model.start_state(DESIGN.t_warn).radius()) ** 2
     assert ev.m_sys == size_spacecraft(DESIGN, tech, scenario.margins, flux).m_sys
+
+
+def test_impact_b_matches_the_three_state_projection(scenario):
+    """The encounter frame fixed at construction projects a deviated state
+    bit for bit as the three-state reference does; the nominal state
+    projects to 0.0, and a state off the impact epoch is refused."""
+    model = make_model(scenario, "deterministic", contamination=False)
+    ev = model.evaluate(DESIGN, scenario.fixed_uncertain)
+    deviated = propagate_keplerian(ev.trajectory.final, scenario.t_impact, scenario.mu)
+    ref = oracles.impact_parameter(deviated, model.nominal_at_impact, model.earth_at_impact,
+                                   scenario.t_impact, scenario.mu)
+    assert ev.b == model.impact_b(deviated) == ref.b
+    assert model.impact_b(model.nominal_at_impact) == 0.0
+    with pytest.raises(ValueError, match="not at t_impact"):
+        model.impact_b(ev.trajectory.states[0])
 
 
 def test_model_mass_only_matches_evaluate(scenario):

@@ -17,7 +17,6 @@ from neodeflect.orbits import (
     bplane_projection,
     equinoctial_to_cartesian,
     gauss_rhs,
-    impact_parameter,
     kepler_start,
     kepler_time_of_flight,
     keplerian_to_equinoctial,
@@ -25,7 +24,7 @@ from neodeflect.orbits import (
 )
 
 import oracles
-from oracles import equinoctial_to_keplerian
+from oracles import equinoctial_to_keplerian, impact_parameter
 
 MU = MU_SUN
 
@@ -82,6 +81,12 @@ def test_rejects_hyperbolic_and_polar_singularity():
         keplerian_to_equinoctial(KeplerianElements(1.0, 0.1, math.pi, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         EquinoctialState(1.0, 0.8, 0.7, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        EquinoctialState(0.0, 0.1, 0.1, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        EquinoctialState(-1.0, 0.1, 0.1, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        ThrustRTN(-1e-12)
 
 
 @settings(max_examples=200, deadline=None)

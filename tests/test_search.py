@@ -300,7 +300,11 @@ def test_solver_config_validation():
         SolverConfig(explorers=0)
     with pytest.raises(ValueError, match="inner budget must cover"):
         SolverConfig(inner_budget=3, inner_pop=4)
+    for capacity in (0, 1):
+        with pytest.raises(ValueError, match="archive capacity"):
+            SolverConfig(archive_capacity=capacity)
     SolverConfig(inner_budget=4, inner_pop=4)
+    SolverConfig(archive_capacity=2)
 
 
 def test_inner_search_quadratic_endpoint_max():
