@@ -20,7 +20,9 @@ also writes the claim on that metric and workload, which is met when the
 change wins at least nine tenths of the pairs and the medians differ, in
 the better direction, by more than the parent's interquartile range.
 ``--trace-seed S`` adds one traced run per side (``--trace 1``) with its
-per-layer metrics. ``--title`` names the change and ``--note`` keeps a
+per-layer metrics; their times are raw seconds, so each ``*.self_s`` is
+also written as a share of that run's ``trace.wall_s`` (``*.self_frac``),
+which compares across a drifting host. ``--title`` names the change and ``--note`` keeps a
 remark in the workload's entry (say, how its seeds were chosen); every
 field of OUT comes from the script. OUT is updated in place, so one file
 collects several workloads; a workload run again replaces its entry.
@@ -183,13 +185,18 @@ def main() -> int:
         traced = doc.setdefault("traced", {})
         traced["command"] = (f"python3 perfbench/run.py --workload W --seed N "
                              f"--seconds {seconds:g} --trace 1")
-        traced["note"] = "one traced run per side; per-layer times are raw (not rescaled)"
+        traced["note"] = (
+            "one traced run per side; the *.self_s times and trace.wall_s are raw "
+            "seconds (not rescaled), so they carry the host's drift; each *.self_frac "
+            "is that *.self_s as a share of the same run's trace.wall_s")
         traced[args.workload] = {"seed": args.trace_seed}
         for side in ("parent", "change"):
             result, _ = run_once(trees[side], args.workload, args.trace_seed, seconds, 1)
-            traced[args.workload][side] = {
-                name: m["value"] for name, m in result["metrics"].items()
-            }
+            layers = {name: m["value"] for name, m in result["metrics"].items()}
+            wall = layers["trace.wall_s"]
+            layers.update({name.replace(".self_s", ".self_frac"): value / wall
+                           for name, value in list(layers.items()) if name.endswith(".self_s")})
+            traced[args.workload][side] = layers
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     if args.claim is not None:
         c = doc["claim"]

@@ -39,7 +39,6 @@ from .mission import (
     MODES,
     PHYSICAL_NAMES,
     UNCERTAIN_NAMES,
-    DeflectionModel,
     ReferenceIntegrationError,
     ScenarioError,
     Scenario,
@@ -48,6 +47,7 @@ from .mission import (
     evidence_structure,
     load_scenario,
     make_model,
+    mass_box_bounder,
     reference_scenario_path,
     rk_impact_parameter,
     scenario_to_dict,
@@ -55,7 +55,7 @@ from .mission import (
 )
 from .orbits import DegenerateBPlaneError, KeplerConvergenceError
 from .search import NonFiniteObjectivesError, inner_bound_search, solve_moo
-from .sizing import DesignVector, UNIT_MARGINS, check_design_bounds
+from .sizing import DesignVector, check_design_bounds
 
 # failures of the numerics rather than of the inputs or the budgets: exit 4
 _NUMERICAL_ERRORS = (ArcOverflowError, KeplerConvergenceError, ReferenceIntegrationError,
@@ -113,12 +113,11 @@ def archive_rows(archive, mode: str, structure=None) -> tuple[list[str], list[li
 
 
 def de_box_bounder(f, dim: int, budget: int, pop: int, seed: int):
-    """Box-bound estimator for the curve builder: restart DE per box,
+    """Box-bound estimator for the curves of b: restart DE per box,
     deterministically keyed on the box geometry."""
 
     def bounds(unit_box):
-        lo = np.array([b[0] for b in unit_box])
-        hi = np.array([b[1] for b in unit_box])
+        lo, hi = np.array(unit_box).T
         span = hi - lo
         # a lower cell edge belongs to the cell below it: evaluate the lower
         # face one step inside, so that every point stays in the box's cells
@@ -129,15 +128,11 @@ def de_box_bounder(f, dim: int, budget: int, pop: int, seed: int):
 
         key = hashlib.sha256(repr(unit_box).encode()).digest()[:8]
         box_tag = int.from_bytes(key, "big")
-        vmin = inner_bound_search(
-            g, dim, "min", budget, pop,
-            np.random.default_rng(np.random.SeedSequence([seed, box_tag, 0])),
-        ).value
-        vmax = inner_bound_search(
-            g, dim, "max", budget, pop,
-            np.random.default_rng(np.random.SeedSequence([seed, box_tag, 1])),
-        ).value
-        return vmin, vmax
+        return tuple(
+            inner_bound_search(g, dim, sense, budget, pop, np.random.default_rng(
+                np.random.SeedSequence([seed, box_tag, k]))).value
+            for k, sense in enumerate(("min", "max"))
+        )
 
     return bounds
 
@@ -176,20 +171,18 @@ def write_structure_csv(structure, path: Path) -> None:
 
 def run_bpcurve(scenario: Scenario, design: DesignVector, contamination: bool,
                 out: Path, n_v: int = 21, max_partitions: int = 10**5):
-    model = DeflectionModel(scenario, contamination, UNIT_MARGINS)
+    model = make_model(scenario, "bpcurve", contamination)
     structure = evidence_structure(scenario)
     write_structure_csv(structure, out / "fused_structure.csv")
     config = scenario.solver
     files = ["fused_structure.csv"]
     meta = {}
-    for tag, objective in (
-        ("b", lambda u: model.evaluate(design, uncertain_dict(structure, u)).b),
-        ("m_sys", lambda u: model.mass_only(design, uncertain_dict(structure, u))),
-    ):
-        bounds = de_box_bounder(
-            objective, structure.dim, config.inner_budget, config.inner_pop,
-            scenario.seed,
-        )
+    b_bounds = de_box_bounder(
+        lambda u: model.evaluate(design, uncertain_dict(structure, u)).b,
+        structure.dim, config.inner_budget, config.inner_pop, scenario.seed,
+    )
+    for tag, bounds in (("b", b_bounds),
+                        ("m_sys", mass_box_bounder(model, design, structure))):
         curve = bel_pl_curve(bounds, structure, n_v=n_v,
                              max_partitions=max_partitions)
         rows = [[v, bel, pl] for v, bel, pl in
@@ -212,7 +205,7 @@ def run_sensitivity(scenario: Scenario, design: DesignVector, contamination: boo
                     out: Path, n_v: int = 21, max_partitions: int = 10**5):
     """Per-parameter Bel/Pl curves of b, the other nine held at the
     reference values."""
-    model = DeflectionModel(scenario, contamination, UNIT_MARGINS)
+    model = make_model(scenario, "sensitivity", contamination)
     config = scenario.solver
     rows = []
     for name, param in zip(PHYSICAL_NAMES, evidence_structure(scenario).params):
@@ -236,7 +229,7 @@ def run_sensitivity(scenario: Scenario, design: DesignVector, contamination: boo
 
 def run_propagate(scenario: Scenario, design: DesignVector, contamination: bool,
                   out: Path, oracle: bool):
-    model = DeflectionModel(scenario, contamination, scenario.margins)
+    model = make_model(scenario, "propagate", contamination)
     ev = model.evaluate(design, scenario.fixed_uncertain)
     traj = ev.trajectory
     rows = []
@@ -293,15 +286,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario_path = args.scenario or reference_scenario_path()
         scenario = load_scenario(scenario_path)
-        if args.seed is not None:
-            scenario = replace(
-                scenario, seed=args.seed,
-                solver=replace(scenario.solver, seed=args.seed),
-            )
-        else:
-            scenario = replace(
-                scenario, solver=replace(scenario.solver, seed=scenario.seed)
-            )
+        seed = scenario.seed if args.seed is None else args.seed
+        scenario = replace(scenario, seed=seed, solver=replace(scenario.solver, seed=seed))
         contamination = scenario.contamination
         if args.contamination is not None:
             contamination = args.contamination == "on"

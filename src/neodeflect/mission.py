@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -403,27 +404,40 @@ def _inner_rng(seed: int, design: DesignVector, tag: int) -> np.random.Generator
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def _technology_corners(structure: FocalStructure, base: np.ndarray) -> list[np.ndarray]:
-    """Unit points at the 32 corners of the technology hull: each of the five
-    technology dimensions at the smallest or the largest value its intervals
-    reach, the other dimensions as in ``base``.
-
-    ``m_sys`` reads only these five parameters and is linear in each of them
-    (every term of ``size_spacecraft`` has degree at most one in each), and
-    the unit cube maps each of them onto the union of its intervals, so the
-    extremes of ``m_sys`` over the cube lie at these corners.
+def _technology_corners(structure: FocalStructure, base, unit_box) -> list[np.ndarray]:
+    """Unit points at the 32 corners of a box's technology hull: each
+    technology dimension at the smallest ``lo`` or the largest ``hi`` of the
+    intervals of the cells the box spans (from the cell just inside its
+    lower face, which belongs to the cell below, to that of its upper face),
+    the other dimensions as in ``base``. ``m_sys`` reads only these five
+    parameters and is linear in each of them (every term of
+    ``size_spacecraft`` has degree at most one in each), so its extremes
+    over the box lie at these corners, which are points of the box.
     """
-    hull = [(min(iv.lo for iv in p.intervals), max(iv.hi for iv in p.intervals))
-            for p in structure.params]
-    ends = [structure.physical_to_unit([edge[k] for edge in hull]) for k in (0, 1)]
     tech = [structure.names.index(name) for name in TECH_NAMES]
-    corners = []
-    for picks in itertools.product(ends, repeat=len(tech)):
-        u = np.array(base, dtype=float)
-        for d, end in zip(tech, picks):
-            u[d] = end[d]
-        corners.append(u)
-    return corners
+    ends = []
+    for d in tech:
+        edges, intervals = structure.cum[d], structure.params[d].intervals
+        cells = range(structure.cell_of(d, math.nextafter(unit_box[d][0], 1.0)),
+                      structure.cell_of(d, unit_box[d][1]) + 1)
+        low = min(cells, key=lambda j: intervals[j].lo)
+        high = max(cells, key=lambda j: intervals[j].hi)
+        ends.append((edges[0] if low == 0 else math.nextafter(edges[low], 1.0), edges[high + 1]))
+    corners = np.tile(np.asarray(base, dtype=float), (2 ** len(tech), 1))
+    corners[:, tech] = list(itertools.product(*ends))
+    return list(corners)
+
+
+def mass_box_bounder(model: DeflectionModel, design: DesignVector, structure: FocalStructure):
+    """Exact (min, max) of ``m_sys`` over a unit box, at its technology
+    corners: the box bounder of the formation-mass Bel/Pl curve."""
+
+    def bounds(unit_box):
+        masses = [model.mass_only(design, uncertain_dict(structure, u)) for u in
+                  _technology_corners(structure, np.mean(unit_box, axis=1), unit_box)]
+        return min(masses), max(masses)
+
+    return bounds
 
 
 def evidence_evaluator(
@@ -441,7 +455,7 @@ def evidence_evaluator(
     deterministic value by construction.
     """
     seed_point = nominal_unit_image(structure, model.scenario.fixed_uncertain)
-    corners = _technology_corners(structure, seed_point)
+    corners = _technology_corners(structure, seed_point, [(0.0, 1.0)] * structure.dim)
     corner_values = [uncertain_dict(structure, u) for u in corners]
     pick = min if sense == "min" else max
 
@@ -464,14 +478,14 @@ def evidence_evaluator(
 
 
 def make_model(scenario: Scenario, mode: str, contamination: bool) -> DeflectionModel:
-    """Model with the margins policy the mode prescribes."""
-    if mode in ("deterministic", "minmin-margins"):
-        margins = scenario.margins
-    elif mode in ("minmin", "minmax"):
-        margins = UNIT_MARGINS
-    else:
-        raise ValueError(f"unknown optimization mode {mode!r}")
-    return DeflectionModel(scenario, contamination, margins)
+    """Model with the margins policy the mode prescribes: the scenario
+    margins for the deterministic front, the margined best case and a
+    single propagation; none where evidence theory bounds the uncertainty."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    margined = mode in ("deterministic", "minmin-margins", "propagate")
+    return DeflectionModel(scenario, contamination,
+                           scenario.margins if margined else UNIT_MARGINS)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +506,7 @@ def rk_impact_parameter(
     package's import time, is imported here: no other route needs it.
     """
     from scipy.integrate import solve_ivp
-    model = DeflectionModel(scenario, contamination, scenario.margins)
+    model = make_model(scenario, "propagate", contamination)
     eq0, thrust_model = model.deflection_start(design, u)
     t_start = eq0.t
     mu = scenario.mu

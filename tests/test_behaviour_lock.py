@@ -7,8 +7,10 @@ values in the same commit and records why in CHANGES.md.
 The model values are (m_sys [kg], b [km], arcs) of one deterministic
 evaluation at the reference uncertain values, with the scenario margins,
 compared at a relative tolerance of 1e-12. The digests are sha256 of CLI
-payloads at tiny solver budgets. Both depend on the floating-point
-results of the platform they were pinned on (x86-64, CPython 3, numpy).
+payloads at tiny solver budgets: the deterministic and minmax archives,
+the two Bel/Pl curves of one bpcurve run and both propagate trajectories.
+Both depend on the floating-point results of the platform they were
+pinned on (x86-64, CPython 3, numpy).
 """
 import hashlib
 import json
@@ -48,6 +50,15 @@ LOCKED_EVALUATIONS = {
 DETERMINISTIC_ARCHIVE_SHA256 = (
     "00ab7b8c5c4c872023d1ae7ace18391eb72395fb65f38c6dd976606b3a08b277"
 )
+MINMAX_ARCHIVE_SHA256 = (
+    "49ae05de726bbe42b0b9612a89bc81a3702ca613363838bc29d3dbaa83dd074a"
+)
+# the curves of one bpcurve run at design 20,10,1,3000, --nv 5,
+# --max-partitions 12; the m_sys curve is bounded exactly, box by box
+BPCURVE_SHA256 = {
+    "belpl_b.csv": "39fa67594c052553e7f44e1d30165397ae015458e005940e37ec71d41def4a92",
+    "belpl_m_sys.csv": "447af9da0270da7ec752ff20a4b285d0dd2eda971a663ae13e039f78af4a4629",
+}
 TRAJECTORY_SHA256 = {
     "off": "5c4ac3689c23e1857998240dc152ee0b2bf45ad36232da6b7d50e9cf9fce0000",
     "on": "83f76f03f884328aa995316ba9bcbfdfa262c3e8179b0c3acc4706c4175866b6",
@@ -96,6 +107,23 @@ def test_locked_deterministic_archive(tiny_scenario, tmp_path):
                  "--out", str(out), "--seed", "77"])
     assert code == 0
     assert sha256(out / "archive_deterministic.csv") == DETERMINISTIC_ARCHIVE_SHA256
+
+
+def test_locked_minmax_archive(tiny_scenario, tmp_path):
+    out = tmp_path / "minmax"
+    code = main(["--mode", "minmax", "--scenario", str(tiny_scenario),
+                 "--out", str(out), "--seed", "77"])
+    assert code == 0
+    assert sha256(out / "archive_minmax.csv") == MINMAX_ARCHIVE_SHA256
+
+
+def test_locked_bpcurve_curves(tiny_scenario, tmp_path):
+    out = tmp_path / "bpcurve"
+    code = main(["--mode", "bpcurve", "--scenario", str(tiny_scenario),
+                 "--out", str(out), "--seed", "77", "--design", "20,10,1,3000",
+                 "--nv", "5", "--max-partitions", "12"])
+    assert code == 0
+    assert {name: sha256(out / name) for name in BPCURVE_SHA256} == BPCURVE_SHA256
 
 
 @pytest.mark.parametrize("contamination", ["off", "on"])

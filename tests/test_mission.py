@@ -8,6 +8,7 @@ import pytest
 
 from neodeflect import mission
 from neodeflect.constants import AU_KM, S0, YEAR_S
+from neodeflect.evidence import FocalStructure, ParameterBPA, SubBox, UncertainInterval
 from neodeflect.mission import (
     DeflectionModel,
     ScenarioError,
@@ -255,8 +256,11 @@ def test_make_model_margin_policy(scenario):
     assert make_model(scenario, "minmin-margins", False).margins == scenario.margins
     assert make_model(scenario, "minmin", False).margins == UNIT_MARGINS
     assert make_model(scenario, "minmax", False).margins == UNIT_MARGINS
+    assert make_model(scenario, "bpcurve", False).margins == UNIT_MARGINS
+    assert make_model(scenario, "sensitivity", False).margins == UNIT_MARGINS
+    assert make_model(scenario, "propagate", True).margins == scenario.margins
     with pytest.raises(ValueError):
-        make_model(scenario, "bpcurve", False)
+        make_model(scenario, "robust", False)
 
 
 def test_contamination_cuts_deflection_by_an_order_of_magnitude(scenario):
@@ -295,24 +299,66 @@ def test_mass_witness_rails_at_heavy_technology(scenario):
 
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_mass_bound_is_exact_at_the_technology_corners(scenario, sense):
-    """m_sys is linear in each technology parameter, so no point of the unit
-    cube leaves the range of the 32 technology corners, which are points of
-    the cube themselves: the evaluator reports that range's end exactly, with
-    its corner as the witness, whatever the inner budget."""
+    """m_sys is linear in each technology parameter, so no point of a box
+    leaves the range of its 32 technology corners, which are points of the
+    box themselves and sit at each technology dimension's interval hull over
+    the box's cells, not at the box's unit ends. Over the whole cube the
+    evaluator reports that range's end exactly, with its corner as the
+    witness, whatever the inner budget."""
     structure = evidence_structure(scenario)
     model = make_model(scenario, "minmax", contamination=False)
-    base = nominal_unit_image(structure, scenario.fixed_uncertain)
     config = SolverConfig(outer_budget=10, outer_pop=4, explorers=1,
                           inner_budget=4, inner_pop=4, seed=3)
     rng = np.random.default_rng(3)
+    counts = structure.counts()
+    eta_l = structure.names.index("eta_l")
+    cube = SubBox(tuple((0, n) for n in counts))
+    # eta_l cells 1-2 overlap, [0.5, 0.6] and [0.55, 0.664]: hull [0.5, 0.664]
+    overlap = SubBox(tuple((1, 3) if d == eta_l else (0, n) for d, n in enumerate(counts)))
+    # one interior cell per dimension: its lower faces belong to the cells below
+    single = SubBox(tuple((1, 2) for _ in counts))
+    # the largest hi in the first cell: the cube's upper unit end maps to 0.4
+    eta_sa = structure.names.index("eta_sa")
+    skewed = FocalStructure([
+        ParameterBPA("eta_sa", (UncertainInterval(0.2, 0.5, 0.5), UncertainInterval(0.3, 0.4, 0.5)))
+        if d == eta_sa else p for d, p in enumerate(structure.params)])
+    cases = (
+        (structure, cube, {"eta_l": (0.4, 0.664), "rho_l": (0.005, 0.02)}),
+        (structure, overlap, {"eta_l": (0.5, 0.664)}),
+        (structure, single, {"eta_l": (0.5, 0.6), "rho_r": (1.0, 3.0), "rho_l": (0.01, 0.02)}),
+        (skewed, SubBox(tuple((0, n) for n in skewed.counts())), {"eta_sa": (0.2, 0.5)}),
+    )
     for design in (DESIGN, DesignVector(2.0, 1, 1.07, 3000.0)):
-        masses = [model.mass_only(design, uncertain_dict(structure, u))
-                  for u in _technology_corners(structure, base)]
-        lo, hi = min(masses), max(masses)
-        for u in rng.random((300, structure.dim)):
-            assert lo * (1 - 1e-12) <= model.mass_only(design, uncertain_dict(structure, u))
-            assert model.mass_only(design, uncertain_dict(structure, u)) <= hi * (1 + 1e-12)
+        for struct, box, hull in cases:
+            unit_box = box.unit_box(struct)
+            lo_u, hi_u = np.array(unit_box).T
+
+            def in_box(u):
+                return all(first <= struct.cell_of(d, u[d]) < end
+                           for d, (first, end) in enumerate(box.ranges))
+
+            corners = _technology_corners(struct, (lo_u + hi_u) / 2, unit_box)
+            assert len(corners) == 32 and all(in_box(u) for u in corners)
+            # a lower face inside the cube is taken one step inside the box,
+            # so its value may sit one rounding above the interval's lo
+            for name, ends in hull.items():
+                values = sorted({uncertain_dict(struct, u)[name] for u in corners})
+                assert values == pytest.approx(ends, rel=1e-15, abs=0.0)
+            # the corners are points of the box, so both ends are attained
+            masses = [model.mass_only(design, uncertain_dict(struct, u)) for u in corners]
+            lo, hi = min(masses), max(masses)
+            assert lo < hi
+            inside = np.maximum(lo_u + rng.random((300, struct.dim)) * (hi_u - lo_u),
+                                np.nextafter(lo_u, 1.0))
+            for u in inside:
+                assert in_box(u)
+                mass = model.mass_only(design, uncertain_dict(struct, u))
+                assert lo * (1 - 1e-12) <= mass <= hi * (1 + 1e-12)
+            assert mission.mass_box_bounder(model, design, struct)(unit_box) == (lo, hi)
         found = evidence_evaluator(model, structure, config, sense)(design)
-        assert found.objectives.m_sys == (lo if sense == "min" else hi)
+        cube_masses = [model.mass_only(design, uncertain_dict(structure, u)) for u in
+                       _technology_corners(structure, found.witness_negb,
+                                           cube.unit_box(structure))]
+        assert found.objectives.m_sys == (min if sense == "min" else max)(cube_masses)
         assert model.mass_only(design, uncertain_dict(structure, found.witness_mass)) == (
             found.objectives.m_sys)
