@@ -20,12 +20,13 @@ also writes the claim on that metric and workload, which is met when the
 change wins at least nine tenths of the pairs and the medians differ, in
 the better direction, by more than the parent's interquartile range.
 ``--trace-seed S`` adds one traced run per side (``--trace 1``) with its
-per-layer metrics; their times are raw seconds, so each ``*.self_s`` is
-also written as a share of that run's ``trace.wall_s`` (``*.self_frac``),
-which compares across a drifting host. ``--title`` names the change and ``--note`` keeps a
-remark in the workload's entry (say, how its seeds were chosen); every
-field of OUT comes from the script. OUT is updated in place, so one file
-collects several workloads; a workload run again replaces its entry.
+per-layer metrics. Its times are raw seconds, not rescaled, so each
+``*.self_s`` is also written as a share of that run's ``trace.wall_s``
+(``*.self_frac``), which compares across a drifting host. ``--title``
+names the change and ``--note`` keeps a remark in the workload's entry
+(say, how its seeds were chosen); every field of OUT comes from the
+script. OUT is updated in place, so one file collects several workloads;
+a workload run again replaces its entry.
 """
 import argparse
 import hashlib
@@ -186,9 +187,10 @@ def main() -> int:
         traced["command"] = (f"python3 perfbench/run.py --workload W --seed N "
                              f"--seconds {seconds:g} --trace 1")
         traced["note"] = (
-            "one traced run per side; the *.self_s times and trace.wall_s are raw "
-            "seconds (not rescaled), so they carry the host's drift; each *.self_frac "
-            "is that *.self_s as a share of the same run's trace.wall_s")
+            "one traced run per side; its times (*.self_s, cli.phase.*_s, "
+            "mission.evaluate.ms_*, fpet.us_per_arc, trace.wall_s) are raw, not "
+            "rescaled, and carry the host's drift; each *.self_frac is that *.self_s "
+            "as a share of the same run's trace.wall_s")
         traced[args.workload] = {"seed": args.trace_seed}
         for side in ("parent", "change"):
             result, _ = run_once(trees[side], args.workload, args.trace_seed, seconds, 1)
