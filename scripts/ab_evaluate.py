@@ -13,6 +13,14 @@ stops with an error unless the two values of b are bit-equal. The script
 prints, per design and contamination setting, the summed evaluation times
 of each tree and the new/old ratio, then the ratio over all evaluations.
 
+The panel runs at one uncertain point, where few trajectories have a dark
+spell in mid-flight; the evidence searches meet them mostly at drawn
+points. So before the timed repetitions both trees evaluate, once and
+untimed, a fixed draw (seed ``DRAW_SEED``) of ``DRAW_PAIRS`` designs within
+the scenario's design bounds, each with a unit point of the evidence
+structure, per contamination setting, and the script stops with an error
+unless b and the arc count are bit-equal on every pair.
+
 Separate processes cannot resolve a change of a few percent on a host whose
 speed drifts in phases of seconds (``perfbench/README.md``); interleaved in
 one process, both trees see the same drift.
@@ -23,7 +31,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 PANEL = ("20,10,8,3000", "20,10,1,3000", "12,4,3.5,2000", "8,6,6,2500")
+DRAW_SEED, DRAW_PAIRS = 2026, 200
 
 
 def load_tree(src: Path):
@@ -47,6 +58,28 @@ def load_tree(src: Path):
     return mission, cli
 
 
+def check_draw(trees, sides, contamination: bool) -> None:
+    """Evaluate the fixed draw of design and unit-point pairs in both
+    trees; stop with an error unless b and n_arcs are bit-equal."""
+    structures = [mission.evidence_structure(model.scenario)
+                  for (mission, _), (model, _, _) in zip(trees, sides)]
+    bounds = sides[0][0].scenario.design_bounds
+    rng = np.random.default_rng(DRAW_SEED)
+    for k in range(DRAW_PAIRS):
+        d_m, t_warn, c_r = (float(rng.uniform(*bounds[n])) for n in ("d_m", "t_warn", "c_r"))
+        n_sc = int(rng.integers(int(bounds["n_sc"][0]), int(bounds["n_sc"][1]), endpoint=True))
+        text = f"{d_m!r},{n_sc},{t_warn!r},{c_r!r}"
+        u_vec = rng.random(structures[0].dim)
+        got = []
+        for (mission, _), (model, _, cli), structure in zip(trees, sides, structures):
+            ev = model.evaluate(cli.parse_design(text), mission.uncertain_dict(structure, u_vec))
+            got.append((ev.b, ev.n_arcs))
+        if got[0] != got[1]:
+            setting = "on" if contamination else "off"
+            raise SystemExit(f"error: drawn pair {k} ({text}, contamination {setting}): "
+                             f"(b, n_arcs) differ, old {got[0]!r} new {got[1]!r}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
@@ -65,6 +98,7 @@ def main(argv=None) -> int:
             scenario = mission.load_scenario(mission.reference_scenario_path())
             model = mission.DeflectionModel(scenario, contamination, scenario.margins)
             sides.append((model, scenario.fixed_uncertain, cli))
+        check_draw(trees, sides, contamination)
         for text in PANEL:
             label = f"{text} {'on' if contamination else 'off'}"
             cases.append((label, [(model.evaluate, cli.parse_design(text), u)
@@ -91,6 +125,8 @@ def main(argv=None) -> int:
     new = sum(t[1] for t in totals.values())
     print(f"{'all':<24} {old:9.4f} {new:9.4f} {new / old:8.4f}")
     print(f"# {args.reps} evaluations per tree, design and setting; every b bit-equal")
+    print(f"# {DRAW_PAIRS} drawn design and unit-point pairs per setting (seed {DRAW_SEED}): "
+          "every b and n_arcs bit-equal")
     return 0
 
 

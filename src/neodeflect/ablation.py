@@ -172,27 +172,6 @@ def spot_vector(geom: StationGeometry, r_ell: float) -> np.ndarray:
     )
 
 
-def _spot_balance(
-    p_in: float, ast: AsteroidProperties, v_rot: float, half: float
-) -> tuple[float, float, float] | None:
-    """Net flux, conduction time root and shortest ablating chord of the
-    spot energy balance, or None where nothing ablates: no input, input
-    below the re-radiation at the sublimation temperature, or no strip of
-    half-width ``half`` dwelling past the conduction threshold at surface
-    speed ``v_rot``. The test is monotone: less input or a faster surface
-    never lights a dark spot."""
-    if p_in <= 0.0:
-        return None
-    p_net = p_in - ast.q_subl
-    if p_net <= 0.0:
-        return None
-    sqrt_t_star = ast.c_cond / p_net
-    chord_min = 0.5 * v_rot * sqrt_t_star * sqrt_t_star
-    if chord_min >= half:
-        return None
-    return p_net, sqrt_t_star, chord_min
-
-
 def mass_flow_rate(
     p_in: float, ast: AsteroidProperties, n_sc: int, half: float, r_ell: float
 ) -> float:
@@ -208,13 +187,21 @@ def mass_flow_rate(
             = P_net * (sqrt(tau) - sqrt(t*))^2   for tau > t* = (C/P_net)^2
 
     with P_net the input flux net of re-radiation at the sublimation
-    temperature and C the conduction constant.
+    temperature and C the conduction constant. Nothing ablates with no
+    input, with input below the re-radiation, or where no strip dwells past
+    the conduction threshold: with P_in <= q_subl + C*sqrt(v_rot/d), d the
+    spot diameter. Less input or a faster surface never lights a dark spot.
     """
-    v_rot = ast.omega_a * r_ell
-    balance = _spot_balance(p_in, ast, v_rot, half)
-    if balance is None:
+    if p_in <= 0.0:
         return 0.0
-    p_net, sqrt_t_star, chord_min = balance
+    p_net = p_in - ast.q_subl
+    if p_net <= 0.0:
+        return 0.0
+    v_rot = ast.omega_a * r_ell
+    sqrt_t_star = ast.c_cond / p_net
+    chord_min = 0.5 * v_rot * sqrt_t_star * sqrt_t_star
+    if chord_min >= half:
+        return 0.0
     # only strips whose dwell exceeds the conduction threshold contribute;
     # restricting the quadrature to that support keeps the integrand smooth
     half_sq = half * half
@@ -299,6 +286,8 @@ class ThrustModel:
     layer's growth rate [m/s] at that instant: 0.0 with contamination off.
     The layer itself is state of the propagation that carries it
     (``fpet.propagate_trajectory``, ``mission.rk_impact_parameter``).
+    ``dark_until`` tells the propagator how far along the Keplerian orbit
+    the spot stays dark under a layer that has stopped growing.
 
     An instance holds one trajectory's constants, fixed at construction
     (efficiency, areas, ejecta speed, view factor; the asteroid caches mass,
@@ -345,31 +334,38 @@ class ThrustModel:
         rho = plume_density(mdot, self.vbar, self.a_spot, self.d_spot, geom, r_ell)
         return thrust, (2.0 * self.vbar * rho / RHO_LAYER) * self.view_factor
 
-    def certify_dark(self, eq: EquinoctialState, ell_end: float, h_cond: float) -> bool:
-        """True when no sample under the layer ``h_cond`` [cm] can ablate
-        while the motion stays on the Keplerian orbit of ``eq`` between its
-        true longitude and ``ell_end`` (``math.inf`` for the whole orbit).
+    def dark_until(self, eq: EquinoctialState, h_cond: float) -> float:
+        """The true longitude, unwrapped from ``eq.ell``, up to which no
+        sample under the layer ``h_cond`` [cm] can ablate while the motion
+        stays on the Keplerian orbit of ``eq``: ``math.inf`` when that holds
+        on the whole orbit, ``eq.ell`` when it fails at ``eq`` already.
 
         The layer must have stopped growing, which the caller knows: a dark
-        sample grows nothing, so ``tau`` stays as it is. The input flux then
-        falls with the heliocentric range and the shortest ablating chord
-        grows with the surface speed, so the spot is dark on the whole
-        range of longitudes if it is dark at the range's smallest radius and
-        at the slowest surface speed of the spinning ellipsoid. The smallest
-        radius is the perihelion's when the range holds a perihelion, and
-        otherwise that of one of its two ends, since the radius only grows
-        from a perihelion to the next aphelion and shrinks after it. The end
-        radii come from ``EquinoctialState.radius_at``, the formula of every
-        sample's ``radius``. Radius and speed are taken 1e-9 below their
-        exact values, far beyond the rounding of that formula,
-        ``ellipsoid_radius`` and the range's ends.
+        sample grows nothing, so ``tau`` stays as it is. A sample is then
+        dark wherever the input flux, which falls as 1/r^2, is at most
+        ``q_subl + c_cond*sqrt(v_rot/d_spot)`` (``mass_flow_rate``), and a
+        faster surface only darkens the spot. So at the slowest surface
+        speed of the spinning ellipsoid the spot is dark outside one
+        heliocentric radius ``r_lit``, and the orbit is inside it on one arc
+        centred on the perihelion. The returned longitude is where the orbit
+        next enters that arc. ``r_lit`` is taken 1e-9 above and the speed
+        1e-9 below their exact values, far beyond the rounding of the radius
+        of a sample, ``ellipsoid_radius`` and the arc's end.
         """
-        r_min = eq.semi_latus() / (1.0 + math.hypot(eq.p1, eq.p2))
-        to_perihelion = (math.atan2(eq.p1, eq.p2) - eq.ell) % (2.0 * math.pi)
-        if eq.ell + to_perihelion > ell_end:
-            r_min = min(eq.radius(), eq.radius_at(ell_end))
-        r_min *= 1.0 - 1e-9
+        ast = self.ast
         tau = math.exp(-2.0 * ETA_ABS * h_cond)
-        p_in = input_power_density(self.eta_sys, self.design.c_r, r_min, self.ast, tau)
-        v_rot = self.ast.omega_a * min(self.ast.a1, self.ast.b1) * (1.0 - 1e-9)
-        return _spot_balance(p_in, self.ast, v_rot, 0.5 * self.d_spot) is None
+        flux_at_1km = input_power_density(self.eta_sys, self.design.c_r, 1.0, ast, tau)
+        v_rot = ast.omega_a * min(ast.a1, ast.b1) * (1.0 - 1e-9)
+        r_lit = math.sqrt(flux_at_1km / (ast.q_subl + ast.c_cond * math.sqrt(v_rot / self.d_spot)))
+        r_lit *= 1.0 + 1e-9
+        p, e = eq.semi_latus(), math.hypot(eq.p1, eq.p2)
+        if p / (1.0 + e) >= r_lit:
+            return math.inf
+        if eq.radius() < r_lit:
+            return eq.ell
+        # inside r_lit where 1 + e*cos(ell - pomega) > p / r_lit
+        half_arc = math.acos(max(-1.0, min(1.0, (p / r_lit - 1.0) / e)))
+        to_lit = (math.atan2(eq.p1, eq.p2) - half_arc - eq.ell) % (2.0 * math.pi)
+        # a state the rounding of the angles puts just past the entry is
+        # inside, not a turn before the next entry
+        return eq.ell + to_lit if to_lit + 2.0 * half_arc < 2.0 * math.pi else eq.ell

@@ -6,8 +6,10 @@ package version) under the output directory. Identical scenario and seed
 reproduce byte-identical payloads.
 
 Exit codes: 0 success, 2 scenario/schema errors (solver budgets,
-populations and an archive capacity below 2 included, all checked when the
-scenario loads), a negative seed
+populations and an archive capacity below 2 included, and design bounds
+that are not pairs of numbers ``[lo, hi]`` with lo <= hi or fixed uncertain
+values that are not numbers, all checked when the scenario loads), a
+negative seed
 (in the scenario or as ``--seed``), a scenario file that cannot be read, an
 ``--out`` directory that cannot be made or written to, a ``--design``
 outside the scenario's design bounds, an expert-opinion file that is
@@ -170,7 +172,7 @@ def write_structure_csv(structure, path: Path) -> None:
 
 
 def run_bpcurve(scenario: Scenario, design: DesignVector, contamination: bool,
-                out: Path, n_v: int = 21, max_partitions: int = 10**5):
+                out: Path, n_v: int, max_partitions: int):
     model = make_model(scenario, "bpcurve", contamination)
     structure = evidence_structure(scenario)
     write_structure_csv(structure, out / "fused_structure.csv")
@@ -202,7 +204,7 @@ def run_bpcurve(scenario: Scenario, design: DesignVector, contamination: bool,
 
 
 def run_sensitivity(scenario: Scenario, design: DesignVector, contamination: bool,
-                    out: Path, n_v: int = 21, max_partitions: int = 10**5):
+                    out: Path, n_v: int, max_partitions: int):
     """Per-parameter Bel/Pl curves of b, the other nine held at the
     reference values."""
     model = make_model(scenario, "sensitivity", contamination)

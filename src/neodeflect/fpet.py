@@ -44,18 +44,13 @@ factor of two that triggers a re-sample: there every sample is accepted.
 
 Most arcs of a contaminated or weak deflection carry no thrust: the spot
 goes dark on the far side of every orbit, and many trajectories end in a
-dark tail. When the accepted sample is dark and grows no layer, and the
-thrust model can prove a range of longitudes dark under that layer
-(``ThrustModel.certify_dark``: the spot stays dark at the slowest spin and
-at the smallest heliocentric range of those longitudes), the propagator
-stops stepping. It replaces the longest certified run of the capped arcs it
-would step with one zero-thrust arc: to the run's last arc boundary on its
-own longitude grid, timed by one Kepler solve, or, for a run that reaches
-impact, to the two-body state at the final epoch. The arc cap and the
-``propagate`` mode's ``trajectory.csv`` count each jump as one arc. The
-thrusting arcs keep their count and their start longitudes; epochs differ
-from the stepped path only by the rounding of its arc-by-arc sums, which
-later thrust samples can carry into the last bits of later arcs.
+dark tail. ``ThrustModel.dark_until`` gives the longitude up to which the
+orbit stays dark (outside one heliocentric radius, at the slowest spin),
+and ``propagate_trajectory`` replaces the capped arcs before it with one
+zero-thrust arc. The thrusting arcs keep their count and their start
+longitudes; epochs differ from the stepped path only by the rounding of its
+arc-by-arc sums, which later thrust samples can carry into the last bits of
+later arcs.
 """
 from __future__ import annotations
 
@@ -280,24 +275,20 @@ def propagate_trajectory(
     Keplerian motion reaches at t_end; should its first-order time term
     leave the epoch more than one second short, one more arc follows.
 
-    A callback may offer ``certify_dark(state, ell_end, h_cond)``, as
-    ``ThrustModel`` does: True when no call under the layer ``h_cond`` can
-    return a nonzero thrust while the motion stays on the Keplerian orbit of
-    ``state`` between its longitude and ``ell_end``. It is asked, with the
-    committed layer, at the midpoint probe of an arc whose accepted sample
-    has zero thrust and zero growth (so the layer stays as it is) and
-    follows a thrusting arc (or is the first): over all the longitudes later
-    samples could reach, up to half a capped arc past the two-body longitude
-    at t_end, and if refused, over runs of the capped arcs the stepped path
-    would take, each up to its last arc's midpoint; the run doubles, then
-    bisects, to the longest certified. It becomes one zero-thrust arc to its
-    last arc boundary, the longitude the stepped path reaches by its own
-    repeated additions of ``dl_max``, timed by one Kepler time of flight; a
-    run that reaches t_end ends the trajectory at
-    ``propagate_keplerian(state, t_end, mu)``. ``max_arcs`` counts each jump
-    once. Refused arcs are stepped, and the certificate is not asked again
-    until the thrust returns. A plain function offers no certificate and is
-    stepped on every arc.
+    A callback may offer ``dark_until(state, h_cond)``, as ``ThrustModel``
+    does: the true longitude up to which no call under the layer ``h_cond``
+    can return a nonzero thrust on the Keplerian orbit of ``state``. It is
+    asked, with the committed layer, at the midpoint probe of an arc whose
+    accepted sample has zero thrust and zero growth (so the layer stays as
+    it is) and follows a thrusting arc (or is the first). The capped arcs
+    the stepped path would take from there, by its own repeated additions
+    of ``dl_max``, whose midpoints lie strictly before that longitude become
+    one zero-thrust arc to their last end, timed by one Kepler time of
+    flight, or, when they reach t_end, to ``propagate_keplerian(state,
+    t_end, mu)``. The arc cap and the ``propagate`` mode's
+    ``trajectory.csv`` count each jump as one arc. The callback is not asked
+    again until the thrust returns. A plain function offers no
+    ``dark_until`` and is stepped on every arc.
     """
     if t_end <= eq0.t:
         raise ValueError("t_end must be later than the initial epoch")
@@ -311,7 +302,7 @@ def propagate_trajectory(
     a_const, k_const, dl_max = ctrl.a_const, ctrl.k_const, ctrl.dl_max
     dl_guess = dl_max
     start = kepler_start(eq0, mu)
-    certify_dark = getattr(thrust_callback, "certify_dark", None)
+    dark_until = getattr(thrust_callback, "dark_until", None)
     while t_end - eq.t > 1.0:
         if len(eps_history) >= max_arcs:
             raise ArcOverflowError(f"exceeded {max_arcs} arcs before reaching t_end")
@@ -332,26 +323,22 @@ def propagate_trajectory(
         nxt = None
         # asked once per dark spell, so it costs at most one Kepler solve
         # for every return of the thrust
-        if (f.eps == 0.0 and growth == 0.0 and certify_dark is not None
+        if (f.eps == 0.0 and growth == 0.0 and dark_until is not None
                 and (not eps_history or eps_history[-1] > 0.0)):
+            ell_dark = dark_until(probe, h)
             end = propagate_keplerian(eq, t_end, mu)
-            # the longest run of the stepped path's capped arcs from here
-            # (``grid``: their starts, by its own additions) whose probes are
-            # certified dark: all of them, or else, since a certificate only
-            # fails as its range grows, a run that doubles, then bisects
-            grid, run, refused = [eq.ell], 0, math.inf
-            whole = certify_dark(probe, end.ell + 0.5 * dl_max, h)
-            while not whole and grid[run] < end.ell and refused - run > 1:
-                n = 2 * run + 1 if refused == math.inf else (run + refused) // 2
-                while len(grid) <= n and grid[-1] < end.ell:
-                    grid.append(grid[-1] + dl_max)
-                n = min(n, len(grid) - 1)
-                dark = certify_dark(probe, grid[n - 1] + 0.5 * dl_max, h)
-                run, refused = (n, refused) if dark else (run, n)
-            if whole or run:
-                nxt = end if whole or grid[run] >= end.ell else EquinoctialState(
-                    eq.a, eq.p1, eq.p2, eq.q1, eq.q2, grid[run],
-                    eq.t + kepler_time_of_flight(eq, grid[run] - eq.ell, start))
+            ell = eq.ell
+            if end.ell + 0.5 * dl_max < ell_dark:
+                ell = end.ell
+            # the stepped path's capped arcs from here, by its own additions,
+            # while their midpoint probes are dark
+            while ell < end.ell and ell + 0.5 * dl_max < ell_dark:
+                ell += dl_max
+            if ell >= end.ell:
+                nxt = end
+            elif ell > eq.ell:
+                nxt = EquinoctialState(eq.a, eq.p1, eq.p2, eq.q1, eq.q2, ell,
+                                       eq.t + kepler_time_of_flight(eq, ell - eq.ell, start))
         if nxt is None:
             nxt = fpet_step(eq, dl, f, mu, start)
             if nxt.t > t_end:

@@ -102,6 +102,9 @@ SCENARIO_SCHEMA = {
         "design_bounds": {
             "type": "object",
             "required": ["d_m", "n_sc", "t_warn", "c_r"],
+            "additionalProperties": {
+                "type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2,
+            },
         },
         "arc_control": {
             "type": "object",
@@ -112,6 +115,7 @@ SCENARIO_SCHEMA = {
         "fixed_uncertain": {
             "type": "object",
             "required": list(UNCERTAIN_NAMES),
+            "additionalProperties": {"type": "number"},
         },
         "expert_opinions_file": {"type": "string"},
         "solver": {"type": "object"},
@@ -177,9 +181,9 @@ def scenario_from_dict(doc: dict, source_path: Path | None = None) -> Scenario:
         solver = SolverConfig(seed=doc["seed"], **doc["solver"])
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid scenario block: {exc}") from exc
-    missing = set(UNCERTAIN_NAMES) - set(doc["fixed_uncertain"])
-    if missing:
-        raise ScenarioError(f"fixed_uncertain misses parameters: {sorted(missing)}")
+    for name, (lo, hi) in doc["design_bounds"].items():
+        if not lo <= hi:
+            raise ScenarioError(f"design_bounds {name}: lower bound {lo} exceeds upper {hi}")
     return Scenario(
         mu=doc["mu_sun_km3s2"],
         t_impact=doc["t_impact_s"],

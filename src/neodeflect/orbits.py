@@ -102,12 +102,9 @@ class EquinoctialState:
         return self.a * (1.0 - self.p1 * self.p1 - self.p2 * self.p2)
 
     def radius(self) -> float:
-        return self.radius_at(self.ell)
-
-    def radius_at(self, ell: float) -> float:
-        """Heliocentric radius [km] at true longitude ``ell`` on this orbit."""
+        """Heliocentric radius [km]."""
         p = self.semi_latus()
-        return p / (1.0 + self.p1 * math.sin(ell) + self.p2 * math.cos(ell))
+        return p / (1.0 + self.p1 * math.sin(self.ell) + self.p2 * math.cos(self.ell))
 
 
 @dataclass(slots=True)
@@ -174,46 +171,6 @@ def keplerian_to_equinoctial(kep: KeplerianElements) -> EquinoctialState:
 # Kepler's equation in equinoctial form
 # ---------------------------------------------------------------------------
 
-def _shape(eq: EquinoctialState) -> tuple[float, float, float]:
-    """Eccentricity, longitude of periapsis and sqrt(1 - e^2) of a state."""
-    e = math.hypot(eq.p1, eq.p2)
-    return e, math.atan2(eq.p1, eq.p2), math.sqrt(1.0 - e * e)
-
-
-def true_longitude_from_eccentric(eq: EquinoctialState, k_long: float) -> float:
-    """True longitude for a given eccentric longitude, unwrapped near it."""
-    e, pomega, root = _shape(eq)
-    if e < 1e-15:
-        return k_long
-    ecc_anom = k_long - pomega
-    denom = 1.0 - e * math.cos(ecc_anom)
-    sin_th = root * math.sin(ecc_anom) / denom
-    cos_th = (math.cos(ecc_anom) - e) / denom
-    theta = math.atan2(sin_th, cos_th)
-    theta += TWO_PI * round((ecc_anom - theta) / TWO_PI)
-    return theta + pomega
-
-
-def solve_eccentric_longitude(eq: EquinoctialState, lam: float) -> float:
-    """Solve lambda = K + P1*cos(K) - P2*sin(K) for K by Newton iteration.
-
-    The derivative 1 - P1*sin(K) - P2*cos(K) = r/a is strictly positive on
-    elliptic orbits, so the iteration is well conditioned. Raises
-    KeplerConvergenceError when the residual does not fall below 1e-13
-    within 60 iterations.
-    """
-    k_long = lam
-    for _ in range(60):
-        g = k_long + eq.p1 * math.cos(k_long) - eq.p2 * math.sin(k_long) - lam
-        if abs(g) < 1e-13:
-            return k_long
-        dg = 1.0 - eq.p1 * math.sin(k_long) - eq.p2 * math.cos(k_long)
-        k_long -= g / dg
-    raise KeplerConvergenceError(
-        "Kepler solve did not reach |residual| < 1e-13 in 60 iterations"
-    )
-
-
 @dataclass(slots=True)
 class KeplerStart:
     """What every time of flight from one state shares: the mean motion,
@@ -254,6 +211,37 @@ class KeplerStart:
         self._last = (ell, lam)
         return lam
 
+    def true_longitude(self, lam: float) -> float:
+        """True longitude at mean longitude ``lam`` on the same orbit,
+        unwrapped near the eccentric longitude K.
+
+        K solves lambda = K + P1*cos(K) - P2*sin(K) by Newton iteration; the
+        derivative 1 - P1*sin(K) - P2*cos(K) = r/a is strictly positive on
+        elliptic orbits, so the iteration is well conditioned. Raises
+        KeplerConvergenceError when the residual does not fall below 1e-13
+        within 60 iterations.
+        """
+        p1, p2 = self.p1, self.p2
+        k_long = lam
+        for _ in range(60):
+            g = k_long + p1 * math.cos(k_long) - p2 * math.sin(k_long) - lam
+            if abs(g) < 1e-13:
+                break
+            k_long -= g / (1.0 - p1 * math.sin(k_long) - p2 * math.cos(k_long))
+        else:
+            raise KeplerConvergenceError(
+                "Kepler solve did not reach |residual| < 1e-13 in 60 iterations"
+            )
+        e = self.e
+        if e < 1e-15:
+            return k_long
+        ecc_anom = k_long - self.pomega
+        denom = 1.0 - e * math.cos(ecc_anom)
+        theta = math.atan2(self.root * math.sin(ecc_anom) / denom,
+                           (math.cos(ecc_anom) - e) / denom)
+        theta += TWO_PI * round((ecc_anom - theta) / TWO_PI)
+        return theta + self.pomega
+
     def at(self, ell: float) -> KeplerStart:
         """The start at true longitude ``ell`` on the same orbit."""
         last_ell, lam = self._last
@@ -264,7 +252,9 @@ class KeplerStart:
 
 def kepler_start(eq: EquinoctialState, mu: float) -> KeplerStart:
     """Kepler constants and mean longitude of ``eq``, solved once."""
-    start = KeplerStart(math.sqrt(mu / eq.a**3), eq.p1, eq.p2, *_shape(eq), 0.0)
+    e = math.hypot(eq.p1, eq.p2)
+    start = KeplerStart(math.sqrt(mu / eq.a**3), eq.p1, eq.p2, e, math.atan2(eq.p1, eq.p2),
+                        math.sqrt(1.0 - e * e), 0.0)
     start.lam = start.mean_longitude(eq.ell)
     return start
 
@@ -282,9 +272,8 @@ def propagate_keplerian(eq: EquinoctialState, t_target: float, mu: float) -> Equ
     """Two-body propagation of an equinoctial state to an epoch."""
     start = kepler_start(eq, mu)
     lam_target = start.lam + start.n * (t_target - eq.t)
-    k_long = solve_eccentric_longitude(eq, lam_target)
-    ell = true_longitude_from_eccentric(eq, k_long)
-    return EquinoctialState(eq.a, eq.p1, eq.p2, eq.q1, eq.q2, ell, t_target)
+    return EquinoctialState(eq.a, eq.p1, eq.p2, eq.q1, eq.q2,
+                            start.true_longitude(lam_target), t_target)
 
 
 # ---------------------------------------------------------------------------

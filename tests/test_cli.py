@@ -77,6 +77,30 @@ def test_design_outside_bounds_exit_code(fast_scenario, tmp_path, capsys, mode, 
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("mode", ["propagate", "deterministic"])
+@pytest.mark.parametrize("block, name, value", [
+    ("design_bounds", "d_m", 5),
+    ("design_bounds", "d_m", [2]),
+    ("design_bounds", "d_m", [20, 2]),
+    ("fixed_uncertain", "c_a", "x"),
+], ids=["bound-number", "bound-one", "bound-reversed", "uncertain-string"])
+def test_malformed_scenario_value_exit_code(fast_scenario, tmp_path, capsys, mode, block,
+                                            name, value):
+    """A design bound that is not a (lo, hi) pair of numbers with lo <= hi,
+    or a fixed uncertain value that is not a number, is a scenario error:
+    exit 2 with one line on stderr, nothing written."""
+    doc = json.loads(fast_scenario.read_text())
+    doc[block][name] = value
+    fast_scenario.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    code = main(["--mode", mode, "--scenario", str(fast_scenario), "--design", "10,5,2,2000",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("design", ["25,10,2,3000", "20,10"])
 def test_optimization_modes_ignore_design(fast_scenario, tmp_path, design):
     code = main(["--mode", "deterministic", "--scenario", str(fast_scenario),

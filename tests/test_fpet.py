@@ -573,6 +573,46 @@ def test_dark_trajectories_coast_from_the_first_arc(d_m, n_sc, t_warn, c_r, towa
     _assert_dark_coast(*both)
 
 
+class _LitFrom:
+    """A thrust that ablates from the true longitude ``ell_lit`` on, whose
+    ``dark_until`` returns ``ell_cert`` (or the state's own longitude past
+    it): the first longitude not certified dark."""
+
+    def __init__(self, ell_lit, ell_cert):
+        self.ell_lit, self.ell_cert = ell_lit, ell_cert
+
+    def __call__(self, eq, t, h_cond):
+        return ThrustRTN(1e-12 if eq.ell >= self.ell_lit else 0.0, 0.5 * math.pi), 0.0
+
+    def dark_until(self, eq, h_cond):
+        return max(eq.ell, self.ell_cert)
+
+
+def test_probe_at_the_end_of_the_dark_range_is_stepped():
+    """An arc whose midpoint probe lies exactly at the longitude
+    ``dark_until`` returns is stepped, not jumped: the first arc, whose
+    probe is dark but not certified (a spot that is dark at its spin phase
+    and lit at the slowest), and the second, whose probe ablates. With
+    ``<=`` in place of ``<`` the first would be one jumped arc, the second
+    would be skipped."""
+    eq0 = EquinoctialState(AU_KM, 0.1, 0.05, 0.0, 0.0, 0.3)
+    ctrl = ArcControl()
+    args = (0.5 * 365.25 * 86400.0, ctrl, MU)
+
+    def stepped(model):
+        return propagate_trajectory(eq0, lambda state, t, h: model(state, t, h), *args)
+
+    never_certified = _LitFrom(math.inf, -math.inf)
+    assert propagate_trajectory(eq0, never_certified, *args) == stepped(never_certified)
+    second_probe = (eq0.ell + ctrl.dl_max) + 0.5 * ctrl.dl_max
+    lit_at_second = _LitFrom(second_probe, second_probe)
+    traj, plain = propagate_trajectory(eq0, lit_at_second, *args), stepped(lit_at_second)
+    assert traj.eps_history[1] > 0.0
+    assert traj.eps_history == plain.eps_history
+    assert [s.ell for s in traj.states] == [s.ell for s in plain.states]
+    assert all(abs(a.t - b.t) <= 1e-6 for a, b in zip(traj.states, plain.states))
+
+
 def test_contamination_layer_grows_from_the_last_accepted_sample_only():
     """Each thrust sample reads the mirror layer committed by the last
     accepted sample, grown at that sample's rate to its own epoch, bit for

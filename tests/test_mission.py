@@ -78,6 +78,16 @@ def test_scenario_rejects_invalid_blocks():
     doc3["solver"]["explorers"] = 0
     with pytest.raises(ScenarioError):
         scenario_from_dict(doc3)
+    # malformed values: a design bound that is not a (lo, hi) pair of
+    # numbers with lo <= hi, an uncertain value that is not a number
+    for block, name, value in [("design_bounds", "d_m", 5), ("design_bounds", "d_m", [2]),
+                               ("design_bounds", "d_m", [20, 2]),
+                               ("design_bounds", "n_sc", [1, "10"]),
+                               ("fixed_uncertain", "c_a", "x")]:
+        bad = scenario_to_dict(load_scenario(reference_scenario_path()))
+        bad[block][name] = value
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(bad)
 
 
 def test_reference_scenario_is_calibrated(scenario):
