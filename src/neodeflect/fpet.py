@@ -327,11 +327,10 @@ def propagate_trajectory(
                 and (not eps_history or eps_history[-1] > 0.0)):
             ell_dark = dark_until(probe, h)
             end = propagate_keplerian(eq, t_end, mu)
-            ell = eq.ell
-            if end.ell + 0.5 * dl_max < ell_dark:
-                ell = end.ell
             # the stepped path's capped arcs from here, by its own additions,
-            # while their midpoint probes are dark
+            # while their midpoint probes are dark; at once to the end when
+            # the probes are dark past it
+            ell = end.ell if end.ell + 0.5 * dl_max < ell_dark else eq.ell
             while ell < end.ell and ell + 0.5 * dl_max < ell_dark:
                 ell += dl_max
             if ell >= end.ell:

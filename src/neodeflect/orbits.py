@@ -180,7 +180,8 @@ class KeplerStart:
     A thrusting arc asks it three mean longitudes: the state's own, the
     midpoint probe's and the arc end's. The last one asked is kept, so
     that the start at the end of a coasting arc, which has the same orbit,
-    costs no second solve.
+    costs no second solve. ``true_longitude`` goes the other way, for a
+    two-body propagation to an epoch.
     """
 
     n: float
