@@ -7,9 +7,10 @@ reproduce byte-identical payloads.
 
 Exit codes: 0 success, 2 scenario/schema errors (solver budgets,
 populations and an archive capacity below 2 included, and design bounds
-that are not pairs of numbers ``[lo, hi]`` with lo <= hi or fixed uncertain
-values that are not numbers, all checked when the scenario loads), a
-negative seed
+that are not pairs of numbers ``[lo, hi]`` with lo <= hi, fixed uncertain
+values that are not numbers or that the asteroid or technology baselines
+refuse, and NaN or infinity where the schema asks for a number, all checked
+when the scenario loads), a negative seed
 (in the scenario or as ``--seed``), a scenario file that cannot be read, an
 ``--out`` directory that cannot be made or written to, a ``--design``
 outside the scenario's design bounds, an expert-opinion file that is

@@ -6,16 +6,21 @@ deflection model composes the trajectory, ablation and sizing chains into
 the two mission objectives (formation mass, impact parameter) for a design
 point and a value of the uncertain parameters, either fixed or supplied by
 the evidence-space searches.
+
+``SCENARIO_SCHEMA`` states the document's shape in JSON Schema terms; a
+small checker of the keywords it uses reads it at load, as jsonschema
+would, except that it also rejects NaN and infinities where the schema asks
+for a number.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .ablation import AsteroidProperties, StationGeometry, ThrustModel
@@ -123,6 +128,64 @@ SCENARIO_SCHEMA = {
     },
 }
 
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+_KEYWORDS = frozenset({"type", "const", "required", "properties", "additionalProperties",
+                       "items", "minItems", "maxItems", "exclusiveMinimum"})
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON Schema's types as jsonschema reads them: a bool is no number,
+    and a float with an integral value is an integer."""
+    if name in ("number", "integer"):
+        if isinstance(value, bool) or not isinstance(value, numbers.Number):
+            return False
+        return name == "number" or isinstance(value, int) or (
+            isinstance(value, float) and value.is_integer())
+    return isinstance(value, _TYPES[name])
+
+
+def _check(value, schema: dict, path: str = "") -> None:
+    """Raise ScenarioError naming the first part of ``value`` that breaks
+    ``schema``; reads only the keywords of ``_KEYWORDS``."""
+    if not schema.keys() <= _KEYWORDS:
+        raise NotImplementedError(f"schema keywords {sorted(schema.keys() - _KEYWORDS)}")
+    where = path or "the document"
+
+    def fail(problem: str):
+        raise ScenarioError(f"scenario failed schema validation: {where}: {problem}")
+
+    kind = schema.get("type")
+    if kind is not None and not _is_type(value, kind):
+        fail(f"{value!r} is not of type {kind!r}")
+    if kind == "number" and not (isinstance(value, numbers.Integral) or math.isfinite(value)):
+        fail(f"{value!r} is not a finite number")
+    if "const" in schema:
+        const = schema["const"]
+        if isinstance(value, bool) != isinstance(const, bool) or value != const:
+            fail(f"{value!r} is not {const!r}")
+    if "exclusiveMinimum" in schema and _is_type(value, "number"):
+        if not value > schema["exclusiveMinimum"]:
+            fail(f"{value!r} is not greater than {schema['exclusiveMinimum']!r}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"missing required key {key!r}")
+        properties = schema.get("properties", {})
+        additional = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            sub = properties.get(key, additional)
+            if sub is False:
+                fail(f"unexpected key {key!r}")
+            if sub is not True:
+                _check(item, sub, f"{path}.{key}" if path else key)
+    if isinstance(value, list):
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if not lo <= len(value) <= hi:
+            fail(f"has {len(value)} items, not {lo} to {hi}")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _check(item, schema["items"], f"{path}[{i}]")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -167,41 +230,41 @@ def _elements_to_dict(k: KeplerianElements) -> dict:
 
 
 def scenario_from_dict(doc: dict, source_path: Path | None = None) -> Scenario:
-    """Build a validated scenario from a parsed JSON document."""
-    try:
-        jsonschema.validate(doc, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ScenarioError(f"scenario failed schema validation: {exc.message}") from exc
-    try:
-        ast_props = AsteroidProperties(**doc["asteroid_properties"])
-        tech = TechnologyParams(**doc["technology"])
-        margins = Margins(**doc["margins"])
-        arc = ArcControl(**doc["arc_control"])
-        station = StationGeometry(**doc["station"])
-        solver = SolverConfig(seed=doc["seed"], **doc["solver"])
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid scenario block: {exc}") from exc
+    """Build a validated scenario from a parsed JSON document.
+
+    The document must match ``SCENARIO_SCHEMA`` with finite numbers, each
+    design bound must be a ``[lo, hi]`` pair with lo <= hi, and every block,
+    the fixed uncertain values applied to the baselines included, must pass
+    its dataclass's checks; anything else raises ScenarioError.
+    """
+    _check(doc, SCENARIO_SCHEMA)
     for name, (lo, hi) in doc["design_bounds"].items():
         if not lo <= hi:
             raise ScenarioError(f"design_bounds {name}: lower bound {lo} exceeds upper {hi}")
-    return Scenario(
-        mu=doc["mu_sun_km3s2"],
-        t_impact=doc["t_impact_s"],
-        asteroid=_elements_from_dict(doc["asteroid"]),
-        earth=_elements_from_dict(doc["earth"]),
-        asteroid_properties=ast_props,
-        technology=tech,
-        margins=margins,
-        design_bounds={k: tuple(v) for k, v in doc["design_bounds"].items()},
-        arc_control=arc,
-        station=station,
-        contamination=doc["contamination"],
-        fixed_uncertain=dict(doc["fixed_uncertain"]),
-        expert_opinions_file=doc["expert_opinions_file"],
-        solver=solver,
-        seed=doc["seed"],
-        source_path=source_path,
-    )
+    seed = int(doc["seed"])  # JSON Schema's integers include 3.0
+    try:
+        scenario = Scenario(
+            mu=doc["mu_sun_km3s2"],
+            t_impact=doc["t_impact_s"],
+            asteroid=_elements_from_dict(doc["asteroid"]),
+            earth=_elements_from_dict(doc["earth"]),
+            asteroid_properties=AsteroidProperties(**doc["asteroid_properties"]),
+            technology=TechnologyParams(**doc["technology"]),
+            margins=Margins(**doc["margins"]),
+            design_bounds={k: tuple(v) for k, v in doc["design_bounds"].items()},
+            arc_control=ArcControl(**doc["arc_control"]),
+            station=StationGeometry(**doc["station"]),
+            contamination=doc["contamination"],
+            fixed_uncertain=dict(doc["fixed_uncertain"]),
+            expert_opinions_file=doc["expert_opinions_file"],
+            solver=SolverConfig(seed=seed, **doc["solver"]),
+            seed=seed,
+            source_path=source_path,
+        )
+        apply_uncertain(scenario, scenario.fixed_uncertain)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid scenario block: {exc}") from exc
+    return scenario
 
 
 def scenario_to_dict(s: Scenario) -> dict:

@@ -83,14 +83,20 @@ def test_design_outside_bounds_exit_code(fast_scenario, tmp_path, capsys, mode, 
     ("design_bounds", "d_m", [2]),
     ("design_bounds", "d_m", [20, 2]),
     ("fixed_uncertain", "c_a", "x"),
-], ids=["bound-number", "bound-one", "bound-reversed", "uncertain-string"])
+    ("fixed_uncertain", "c_a", -5),
+    ("fixed_uncertain", "c_a", math.nan),
+    ("fixed_uncertain", "c_a", math.inf),
+    (None, "mu_sun_km3s2", math.nan),
+], ids=["bound-number", "bound-one", "bound-reversed", "uncertain-string",
+        "uncertain-negative", "uncertain-nan", "uncertain-inf", "mu-nan"])
 def test_malformed_scenario_value_exit_code(fast_scenario, tmp_path, capsys, mode, block,
                                             name, value):
     """A design bound that is not a (lo, hi) pair of numbers with lo <= hi,
-    or a fixed uncertain value that is not a number, is a scenario error:
-    exit 2 with one line on stderr, nothing written."""
+    a fixed uncertain value that is not a number or that its dataclass
+    refuses, or a NaN or infinity where a number is expected, is a scenario
+    error: exit 2 with one line on stderr, nothing written."""
     doc = json.loads(fast_scenario.read_text())
-    doc[block][name] = value
+    (doc[block] if block else doc)[name] = value
     fast_scenario.write_text(json.dumps(doc))
     out = tmp_path / "run"
     code = main(["--mode", mode, "--scenario", str(fast_scenario), "--design", "10,5,2,2000",
@@ -312,6 +318,26 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+def test_one_evaluation_loads_neither_jsonschema_nor_scipy():
+    """A fresh interpreter that imports the CLI, loads the reference
+    scenario and evaluates one design never imports jsonschema or scipy:
+    every run pays for what it imports before its first evaluation."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mission.__file__).parents[1]))
+    probe = "\n".join([
+        "import sys, neodeflect.cli",
+        "from neodeflect import mission",
+        "from neodeflect.sizing import DesignVector",
+        "scenario = mission.load_scenario(mission.reference_scenario_path())",
+        "model = mission.make_model(scenario, 'deterministic', scenario.contamination)",
+        "ev = model.evaluate(DesignVector(20.0, 10, 2.0, 3000.0), scenario.fixed_uncertain)",
+        "assert ev.b > 0.0",
+        "print(sorted(m for m in ('jsonschema', 'scipy') if m in sys.modules))",
+    ])
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("scenario", ["missing.json", "."], ids=["missing", "directory"])

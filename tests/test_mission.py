@@ -1,16 +1,22 @@
 """Scenario handling, calibration and the composed mission model."""
+import copy
 import json
 import math
 from dataclasses import replace
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neodeflect import mission
 from neodeflect.constants import AU_KM, S0, YEAR_S
 from neodeflect.evidence import FocalStructure, ParameterBPA, SubBox, UncertainInterval
 from neodeflect.mission import (
     DeflectionModel,
+    SCENARIO_SCHEMA,
     ScenarioError,
     UNCERTAIN_NAMES,
     _technology_corners,
@@ -88,6 +94,119 @@ def test_scenario_rejects_invalid_blocks():
         bad[block][name] = value
         with pytest.raises(ScenarioError):
             scenario_from_dict(bad)
+
+
+def test_scenario_rejects_unphysical_or_non_finite_values():
+    """A fixed uncertain value its dataclass refuses, or a NaN or infinity
+    where the schema asks for a number, fails at load."""
+    for block, name, value in [("fixed_uncertain", "c_a", -5.0),
+                               ("fixed_uncertain", "eta_l", 1.5),
+                               ("fixed_uncertain", "c_a", math.nan),
+                               ("fixed_uncertain", "c_a", math.inf),
+                               (None, "mu_sun_km3s2", math.nan),
+                               (None, "t_impact_s", math.inf),
+                               ("asteroid", "e", -math.inf)]:
+        bad = scenario_to_dict(load_scenario(reference_scenario_path()))
+        (bad[block] if block else bad)[name] = value
+        with pytest.raises(ScenarioError, match=name):
+            scenario_from_dict(bad)
+    bad = scenario_to_dict(load_scenario(reference_scenario_path()))
+    bad["design_bounds"]["c_r"][1] = math.inf
+    with pytest.raises(ScenarioError, match=r"design_bounds\.c_r\[1\]"):
+        scenario_from_dict(bad)
+
+
+def test_scenario_whole_float_seed_is_an_integer():
+    """JSON Schema counts 3.0 as an integer; the scenario holds it as 3."""
+    doc = scenario_to_dict(load_scenario(reference_scenario_path()))
+    doc["seed"] = 3.0
+    scenario = scenario_from_dict(doc)
+    assert type(scenario.seed) is int and type(scenario.solver.seed) is int
+    assert scenario.seed == 3
+
+
+REFERENCE_DOC = scenario_to_dict(load_scenario(reference_scenario_path()))
+
+
+def _schema_sites(schema, value, path=()):
+    """Every (path, subschema) the schema constrains in ``value``."""
+    yield path, schema
+    if isinstance(value, dict):
+        for key, item in value.items():
+            sub = schema.get("properties", {}).get(key, schema.get("additionalProperties"))
+            if isinstance(sub, dict):
+                yield from _schema_sites(sub, item, path + (key,))
+    elif isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            yield from _schema_sites(schema["items"], item, path + (i,))
+
+
+SCHEMA_SITES = list(_schema_sites(SCENARIO_SCHEMA, REFERENCE_DOC))
+
+
+def _replacements(schema, value):
+    """Values of every JSON type; where a number is expected, only the
+    reference value as a float or an int, so that an accepted document
+    stays physical."""
+    pool = [True, "x", None, [1.0, 2.0], {}]
+    if schema.get("type") == "number":
+        pool += [float(value)] + ([int(value)] if float(value).is_integer() else [])
+    else:
+        pool += [3, 2.5]
+    if "exclusiveMinimum" in schema:
+        pool += [0, 0.0, -value, 2.0 * value]
+    if "const" in schema:
+        pool += [1.0, True, 2]
+    if schema.get("type") == "integer":
+        pool += [3.0, 3.5]
+    return pool
+
+
+@st.composite
+def mutated_documents(draw):
+    """The reference document with one finite mutation at a site of the
+    schema: a value replaced, a required key dropped, a key added where the
+    schema speaks of additional keys, or an array one item short or long."""
+    doc = copy.deepcopy(REFERENCE_DOC)
+    path, schema = draw(st.sampled_from(SCHEMA_SITES))
+    value = reduce(getitem, path, doc)
+    moves = ["replace"]
+    if schema.get("required"):
+        moves.append("drop")
+    if "additionalProperties" in schema:
+        moves.append("add")
+    if isinstance(value, list):
+        moves.append("resize")
+    move = draw(st.sampled_from(moves))
+    if move == "replace":
+        new = copy.deepcopy(draw(st.sampled_from(_replacements(schema, value))))
+        if not path:
+            return new
+        reduce(getitem, path[:-1], doc)[path[-1]] = new
+    elif move == "drop":
+        del value[draw(st.sampled_from(schema["required"]))]
+    elif move == "add":
+        value["x"] = draw(st.sampled_from([1.0, [1.0, 2.0], True, "x"]))
+    elif draw(st.booleans()):
+        value.pop()
+    else:
+        value.append(value[-1])
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_scenario_checker_agrees_with_jsonschema(doc):
+    """On finite documents the scenario loads exactly when jsonschema
+    accepts it."""
+    jsonschema = pytest.importorskip("jsonschema")
+    accepted = jsonschema.Draft202012Validator(SCENARIO_SCHEMA).is_valid(doc)
+    try:
+        scenario_from_dict(doc)
+        loaded = True
+    except ScenarioError:
+        loaded = False
+    assert loaded == accepted
 
 
 def test_reference_scenario_is_calibrated(scenario):
