@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -134,13 +133,12 @@ _KEYWORDS = frozenset({"type", "const", "required", "properties", "additionalPro
 
 
 def _is_type(value, name: str) -> bool:
-    """JSON Schema's types as jsonschema reads them: a bool is no number,
-    and a float with an integral value is an integer."""
+    """JSON Schema's types as jsonschema reads parsed JSON: a bool is no
+    number, and a float with an integral value is an integer."""
     if name in ("number", "integer"):
-        if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             return False
-        return name == "number" or isinstance(value, int) or (
-            isinstance(value, float) and value.is_integer())
+        return name == "number" or isinstance(value, int) or value.is_integer()
     return isinstance(value, _TYPES[name])
 
 
@@ -157,7 +155,7 @@ def _check(value, schema: dict, path: str = "") -> None:
     kind = schema.get("type")
     if kind is not None and not _is_type(value, kind):
         fail(f"{value!r} is not of type {kind!r}")
-    if kind == "number" and not (isinstance(value, numbers.Integral) or math.isfinite(value)):
+    if kind == "number" and isinstance(value, float) and not math.isfinite(value):
         fail(f"{value!r} is not a finite number")
     if "const" in schema:
         const = schema["const"]

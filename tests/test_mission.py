@@ -85,35 +85,25 @@ def test_scenario_rejects_invalid_blocks():
     with pytest.raises(ScenarioError):
         scenario_from_dict(doc3)
     # malformed values: a design bound that is not a (lo, hi) pair of
-    # numbers with lo <= hi, an uncertain value that is not a number
+    # numbers with lo <= hi, an uncertain value that is not a number or that
+    # its dataclass refuses, a NaN or infinity where a number is expected;
+    # the error names the key
     for block, name, value in [("design_bounds", "d_m", 5), ("design_bounds", "d_m", [2]),
                                ("design_bounds", "d_m", [20, 2]),
                                ("design_bounds", "n_sc", [1, "10"]),
-                               ("fixed_uncertain", "c_a", "x")]:
-        bad = scenario_to_dict(load_scenario(reference_scenario_path()))
-        bad[block][name] = value
-        with pytest.raises(ScenarioError):
-            scenario_from_dict(bad)
-
-
-def test_scenario_rejects_unphysical_or_non_finite_values():
-    """A fixed uncertain value its dataclass refuses, or a NaN or infinity
-    where the schema asks for a number, fails at load."""
-    for block, name, value in [("fixed_uncertain", "c_a", -5.0),
+                               ("design_bounds", "c_r", [1000.0, math.inf]),
+                               ("fixed_uncertain", "c_a", "x"),
+                               ("fixed_uncertain", "c_a", -5.0),
                                ("fixed_uncertain", "eta_l", 1.5),
                                ("fixed_uncertain", "c_a", math.nan),
                                ("fixed_uncertain", "c_a", math.inf),
+                               ("asteroid", "e", -math.inf),
                                (None, "mu_sun_km3s2", math.nan),
-                               (None, "t_impact_s", math.inf),
-                               ("asteroid", "e", -math.inf)]:
+                               (None, "t_impact_s", math.inf)]:
         bad = scenario_to_dict(load_scenario(reference_scenario_path()))
         (bad[block] if block else bad)[name] = value
         with pytest.raises(ScenarioError, match=name):
             scenario_from_dict(bad)
-    bad = scenario_to_dict(load_scenario(reference_scenario_path()))
-    bad["design_bounds"]["c_r"][1] = math.inf
-    with pytest.raises(ScenarioError, match=r"design_bounds\.c_r\[1\]"):
-        scenario_from_dict(bad)
 
 
 def test_scenario_whole_float_seed_is_an_integer():
