@@ -164,9 +164,9 @@ class FocalStructure:
             raise ValueError("need at least one parameter")
         self.params = list(params)
         self.names = [p.name for p in params]
-        self.cum: list[np.ndarray] = []
+        self.cum: list[list[float]] = []
         for p in params:
-            edges = np.concatenate([[0.0], np.cumsum([iv.bpa for iv in p.intervals])])
+            edges = [0.0] + np.cumsum([iv.bpa for iv in p.intervals]).tolist()
             edges[-1] = 1.0  # absorb roundoff so the cells tile exactly
             self.cum.append(edges)
 
@@ -264,7 +264,7 @@ class SubBox:
 
     def unit_box(self, structure: FocalStructure) -> tuple[tuple[float, float], ...]:
         return tuple(
-            (float(structure.cum[d][lo]), float(structure.cum[d][hi]))
+            (structure.cum[d][lo], structure.cum[d][hi])
             for d, (lo, hi) in enumerate(self.ranges)
         )
 
@@ -314,10 +314,11 @@ def bel_pl_curve(
     Steps: (1) bound the objective over the whole unit hypercube to get
     [V_min, V_max]; (2) lay n_v equally spaced thresholds across it;
     (3) cut the hypercube once along a focal boundary; (4) for each
-    threshold, accumulate Belief over sub-boxes fully below it and
-    Plausibility over those intersecting, recursively splitting any
-    straddling sub-box along focal boundaries. Solved boxes are cached, a
-    box is never split below a single focal element, below ``bpa_floor``
+    threshold, sweep the partition once: split any sub-box straddling the
+    threshold along focal boundaries, and add every other sub-box's BPA to
+    Belief when it lies fully below the threshold and to Plausibility when
+    it intersects. Each box is bounded once, when it is made; a box is
+    never split below a single focal element, below ``bpa_floor``
     (negligible contribution) or past ``max_partitions``; reaching that
     budget stops the refinement and sets ``partial`` on the curve.
 
@@ -326,63 +327,44 @@ def bel_pl_curve(
     if n_v < 2:
         raise ValueError("need at least two thresholds")
 
-    cache: dict[SubBox, tuple[float, float]] = {}
-
-    def bounds(box: SubBox) -> tuple[float, float]:
-        got = cache.get(box)
-        if got is None:
-            got = f_bounds(box.unit_box(structure))
-            cache[box] = got
-        return got
+    def record(box: SubBox) -> tuple[float, float, float]:
+        vmin, vmax = f_bounds(box.unit_box(structure))
+        return vmin, vmax, box.bpa(structure)
 
     root = SubBox(tuple((0, n) for n in structure.counts()))
-    v_min, v_max = bounds(root)
+    partition = {root: record(root)}
+    v_min, v_max, _ = partition[root]
     thresholds = np.linspace(v_min, v_max, n_v)
 
-    # insertion-ordered set: deterministic iteration, O(1) replacement
-    partition: dict[SubBox, None] = {}
+    # insertion-ordered: the sweeps, and so the splits a capped curve
+    # makes, follow a deterministic order
     if root.n_cells() > 1:
-        for child in root.split():
-            partition[child] = None
-    else:
-        partition[root] = None
+        partition = {child: record(child) for child in root.split()}
     n_partitions = len(partition) - 1
     partial = False
 
     bel = np.zeros(n_v)
     pl = np.zeros(n_v)
     for j, v in enumerate(thresholds):
-        # refine: split whatever straddles this threshold and still may be cut
-        queue = list(partition)
-        while queue:
-            box = queue.pop()
-            vmin, vmax = bounds(box)
+        bel_terms, pl_terms = [], []
+        stack = list(partition)
+        while stack:
+            box = stack.pop()
+            vmin, vmax, bpa = partition[box]
             below, intersects = classify_box(vmin, vmax, v)
-            if below or not intersects:
-                continue
-            if box.n_cells() <= 1 or box.bpa(structure) < bpa_floor:
-                continue
-            if n_partitions >= max_partitions:
+            if intersects and not below and box.n_cells() > 1 and bpa >= bpa_floor:
+                if n_partitions < max_partitions:
+                    del partition[box]
+                    for child in box.split():
+                        partition[child] = record(child)
+                        stack.append(child)
+                    n_partitions += 1
+                    continue
                 partial = True
-                break
-            a, b = box.split()
-            del partition[box]
-            partition[a] = None
-            partition[b] = None
-            queue.extend((a, b))
-            n_partitions += 1
-        # accumulate over the now-stable partition
-        bel_terms = []
-        pl_terms = []
-        for box in partition:
-            vmin, vmax = bounds(box)
-            below, intersects = classify_box(vmin, vmax, v)
-            if below or intersects:
-                bpa = box.bpa(structure)
-                if below:
-                    bel_terms.append(bpa)
-                if intersects:
-                    pl_terms.append(bpa)
+            if below:
+                bel_terms.append(bpa)
+            if intersects:
+                pl_terms.append(bpa)
         bel[j] = math.fsum(bel_terms)
         pl[j] = math.fsum(pl_terms)
 

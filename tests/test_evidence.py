@@ -394,3 +394,29 @@ def test_partition_budget_flag():
     curve = bel_pl_curve(lambda box: unit_corner_bounds(f, box), structure,
                          n_v=9, bpa_floor=0.0, max_partitions=3)
     assert curve.partial
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 12), st.sampled_from([0.0, 1e-4, 0.05]))
+def test_curve_bounds_each_box_once_and_brackets_enumeration(seed, cap, bpa_floor):
+    """Every box the builder makes is bounded exactly once, when it is made:
+    1 + 2 * n_partitions bounder calls, never two on one box. A capped curve
+    stays sound against the exact one: at every threshold its Bel is no
+    larger and its Pl no smaller."""
+    rng = np.random.default_rng(seed)
+    structure = random_structure(rng, max_dim=3, max_intervals=5)
+    f = separable_objective(rng, structure)
+    exact = lambda box: unit_corner_bounds(f, box)
+    boxes = []
+
+    def bounds(box):
+        boxes.append(box)
+        return exact(box)
+
+    curve = bel_pl_curve(bounds, structure, n_v=9, bpa_floor=bpa_floor,
+                         max_partitions=cap)
+    assert len(boxes) == len(set(boxes)) == 1 + 2 * curve.n_partitions
+    for j, v in enumerate(curve.thresholds):
+        bel, pl = enumerate_bel_pl(exact, structure, v)
+        assert curve.bel[j] <= bel + 1e-12
+        assert curve.pl[j] >= pl - 1e-12
