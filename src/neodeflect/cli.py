@@ -9,8 +9,8 @@ Exit codes: 0 success, 2 scenario/schema errors (solver budgets,
 populations and an archive capacity below 2 included, and design bounds
 that are not pairs of numbers ``[lo, hi]`` with lo <= hi, fixed uncertain
 values that are not numbers or that the asteroid or technology baselines
-refuse, and NaN or infinity where the schema asks for a number, all checked
-when the scenario loads), a negative seed
+refuse, solver sizes that are not integers, and NaN or infinity anywhere in
+the document, all checked when the scenario loads), a negative seed
 (in the scenario or as ``--seed``), a scenario file that cannot be read, an
 ``--out`` directory that cannot be made or written to, a ``--design``
 outside the scenario's design bounds, an expert-opinion file that is
@@ -21,7 +21,8 @@ missing, malformed or leaves out a parameter (the modes that load it:
 encounter velocity is too small to define a b-plane, 3 any other invalid
 value met during a run, 4 numerical failure (the arc-count cap of a
 propagation, a Kepler solve that does not converge, a failed reference
-integration, or a NaN or infinite objective).
+integration, or a NaN or infinite objective in any mode, ``propagate``
+included).
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +58,8 @@ from .mission import (
     uncertain_dict,
 )
 from .orbits import DegenerateBPlaneError, KeplerConvergenceError
-from .search import NonFiniteObjectivesError, inner_bound_search, solve_moo
-from .sizing import DesignVector, check_design_bounds
+from .search import NonFiniteObjectivesError, Objectives, inner_bound_search, solve_moo
+from .sizing import DesignVector, MassBudget, check_design_bounds
 
 # failures of the numerics rather than of the inputs or the budgets: exit 4
 _NUMERICAL_ERRORS = (ArcOverflowError, KeplerConvergenceError, ReferenceIntegrationError,
@@ -234,6 +235,7 @@ def run_propagate(scenario: Scenario, design: DesignVector, contamination: bool,
                   out: Path, oracle: bool):
     model = make_model(scenario, "propagate", contamination)
     ev = model.evaluate(design, scenario.fixed_uncertain)
+    Objectives(ev.m_sys, -ev.b)  # a NaN or infinite objective is exit 4
     traj = ev.trajectory
     rows = []
     for k, state in enumerate(traj.states):
@@ -243,12 +245,9 @@ def run_propagate(scenario: Scenario, design: DesignVector, contamination: bool,
     write_csv(out / "trajectory.csv",
               ["t_s", "a_km", "p1", "p2", "q1", "q2", "ell_rad", "eps_km_s2"],
               rows)
-    budget = ev.budget
-    budget_fields = ["m_c", "m_s", "m_m", "m_l", "m_r", "m_bus", "m_dry",
-                     "m_p", "m_sc", "m_sys", "p_l", "a_s", "a_r", "a_m1",
-                     "a_m2", "a_d", "eta_sys"]
+    budget_fields = [f.name for f in fields(MassBudget)]
     write_csv(out / "mass_budget.csv", budget_fields,
-              [[getattr(budget, f) for f in budget_fields]])
+              [[getattr(ev.budget, f) for f in budget_fields]])
     summary = {"b_km": ev.b, "m_sys_kg": ev.m_sys, "n_arcs": ev.n_arcs}
     if oracle:
         b_rk = rk_impact_parameter(

@@ -9,8 +9,8 @@ the evidence-space searches.
 
 ``SCENARIO_SCHEMA`` states the document's shape in JSON Schema terms; a
 small checker of the keywords it uses reads it at load, as jsonschema
-would, except that it also rejects NaN and infinities where the schema asks
-for a number.
+would, except that it also rejects NaN and infinities anywhere in the
+document.
 """
 from __future__ import annotations
 
@@ -122,7 +122,13 @@ SCENARIO_SCHEMA = {
             "additionalProperties": {"type": "number"},
         },
         "expert_opinions_file": {"type": "string"},
-        "solver": {"type": "object"},
+        "solver": {
+            "type": "object",
+            "properties": {name: {"type": "integer"} for name in
+                           ("outer_budget", "outer_pop", "explorers", "inner_budget",
+                            "inner_pop", "archive_capacity")},
+            "additionalProperties": False,
+        },
         "seed": {"type": "integer"},
     },
 }
@@ -152,11 +158,11 @@ def _check(value, schema: dict, path: str = "") -> None:
     def fail(problem: str):
         raise ScenarioError(f"scenario failed schema validation: {where}: {problem}")
 
+    if isinstance(value, float) and not math.isfinite(value):
+        fail(f"{value!r} is not a finite number")
     kind = schema.get("type")
     if kind is not None and not _is_type(value, kind):
         fail(f"{value!r} is not of type {kind!r}")
-    if kind == "number" and isinstance(value, float) and not math.isfinite(value):
-        fail(f"{value!r} is not a finite number")
     if "const" in schema:
         const = schema["const"]
         if isinstance(value, bool) != isinstance(const, bool) or value != const:
@@ -169,20 +175,18 @@ def _check(value, schema: dict, path: str = "") -> None:
             if key not in value:
                 fail(f"missing required key {key!r}")
         properties = schema.get("properties", {})
-        additional = schema.get("additionalProperties", True)
+        additional = schema.get("additionalProperties", {})
         for key, item in value.items():
             sub = properties.get(key, additional)
             if sub is False:
                 fail(f"unexpected key {key!r}")
-            if sub is not True:
-                _check(item, sub, f"{path}.{key}" if path else key)
+            _check(item, {} if sub is True else sub, f"{path}.{key}" if path else key)
     if isinstance(value, list):
         lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
         if not lo <= len(value) <= hi:
             fail(f"has {len(value)} items, not {lo} to {hi}")
-        if "items" in schema:
-            for i, item in enumerate(value):
-                _check(item, schema["items"], f"{path}[{i}]")
+        for i, item in enumerate(value):
+            _check(item, schema.get("items", {}), f"{path}[{i}]")
 
 
 @dataclass(frozen=True)
@@ -230,7 +234,7 @@ def _elements_to_dict(k: KeplerianElements) -> dict:
 def scenario_from_dict(doc: dict, source_path: Path | None = None) -> Scenario:
     """Build a validated scenario from a parsed JSON document.
 
-    The document must match ``SCENARIO_SCHEMA`` with finite numbers, each
+    The document must match ``SCENARIO_SCHEMA`` with only finite numbers, each
     design bound must be a ``[lo, hi]`` pair with lo <= hi, and every block,
     the fixed uncertain values applied to the baselines included, must pass
     its dataclass's checks; anything else raises ScenarioError.
@@ -239,7 +243,9 @@ def scenario_from_dict(doc: dict, source_path: Path | None = None) -> Scenario:
     for name, (lo, hi) in doc["design_bounds"].items():
         if not lo <= hi:
             raise ScenarioError(f"design_bounds {name}: lower bound {lo} exceeds upper {hi}")
-    seed = int(doc["seed"])  # JSON Schema's integers include 3.0
+    # JSON Schema's integers include 3.0; the scenario holds them as ints
+    seed = int(doc["seed"])
+    solver = {name: int(value) for name, value in doc["solver"].items()}
     try:
         scenario = Scenario(
             mu=doc["mu_sun_km3s2"],
@@ -255,7 +261,7 @@ def scenario_from_dict(doc: dict, source_path: Path | None = None) -> Scenario:
             contamination=doc["contamination"],
             fixed_uncertain=dict(doc["fixed_uncertain"]),
             expert_opinions_file=doc["expert_opinions_file"],
-            solver=SolverConfig(seed=seed, **doc["solver"]),
+            solver=SolverConfig(seed=seed, **solver),
             seed=seed,
             source_path=source_path,
         )

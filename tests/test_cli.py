@@ -87,14 +87,22 @@ def test_design_outside_bounds_exit_code(fast_scenario, tmp_path, capsys, mode, 
     ("fixed_uncertain", "c_a", math.nan),
     ("fixed_uncertain", "c_a", math.inf),
     (None, "mu_sun_km3s2", math.nan),
+    ("technology", "m_bus", math.nan),
+    ("station", "x", math.nan),
+    ("arc_control", "a_const", math.nan),
+    ("solver", "outer_budget", math.inf),
+    ("solver", "inner_pop", 4.5),
 ], ids=["bound-number", "bound-one", "bound-reversed", "uncertain-string",
-        "uncertain-negative", "uncertain-nan", "uncertain-inf", "mu-nan"])
+        "uncertain-negative", "uncertain-nan", "uncertain-inf", "mu-nan",
+        "technology-nan", "station-nan", "arc-control-nan", "solver-budget-inf",
+        "solver-pop-fraction"])
 def test_malformed_scenario_value_exit_code(fast_scenario, tmp_path, capsys, mode, block,
                                             name, value):
     """A design bound that is not a (lo, hi) pair of numbers with lo <= hi,
     a fixed uncertain value that is not a number or that its dataclass
-    refuses, or a NaN or infinity where a number is expected, is a scenario
-    error: exit 2 with one line on stderr, nothing written."""
+    refuses, a solver size that is not an integer, or a NaN or infinity
+    anywhere in the document, is a scenario error: exit 2 with one line on
+    stderr, nothing written."""
     doc = json.loads(fast_scenario.read_text())
     (doc[block] if block else doc)[name] = value
     fast_scenario.write_text(json.dumps(doc))
@@ -237,16 +245,47 @@ def test_archive_capacity_below_two_exit_code(fast_scenario, tmp_path, capsys, c
 
 
 def test_nonfinite_objective_exit_code(fast_scenario, tmp_path, capsys, monkeypatch):
-    """A NaN objective is a numerical failure: exit 4, not the exit 3 of an
-    invalid value."""
+    """A NaN objective is a numerical failure, in a search as in a single
+    propagation: exit 4, not the exit 3 of an invalid value."""
     monkeypatch.setattr(mission.DeflectionModel, "evaluate",
                         lambda self, design, u: SimpleNamespace(m_sys=math.nan, b=1.0))
-    code = main(["--mode", "deterministic", "--scenario", str(fast_scenario),
-                 "--out", str(tmp_path / "run")])
+    for mode in ("deterministic", "propagate"):
+        code = main(["--mode", mode, "--scenario", str(fast_scenario),
+                     "--out", str(tmp_path / mode)])
+        assert code == 4, mode
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure: objectives must be finite"), mode
+        assert len(err.splitlines()) == 1, mode
+
+
+def test_propagate_mass_overflow_exit_code(fast_scenario, tmp_path, capsys):
+    """A finite bus mass whose formation mass overflows to infinity is a
+    numerical failure of ``propagate``: exit 4, no payload written."""
+    doc = json.loads(fast_scenario.read_text())
+    doc["technology"]["m_bus"] = 1e308
+    fast_scenario.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    code = main(["--mode", "propagate", "--scenario", str(fast_scenario),
+                 "--design", "20,10,1,3000", "--out", str(out)])
     assert code == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: numerical failure: objectives must be finite")
+    assert err.startswith("error: numerical failure: objectives must be finite, got m_sys=inf")
     assert len(err.splitlines()) == 1
+    assert list(out.iterdir()) == []
+
+
+def test_whole_float_solver_sizes_run_like_integers(fast_scenario, tmp_path):
+    """Solver sizes written as 5.0 run exactly as 5 does."""
+    archives = []
+    for tag, cast in (("int", int), ("float", float)):
+        doc = json.loads(fast_scenario.read_text())
+        doc["solver"] = {name: cast(value) for name, value in doc["solver"].items()}
+        scenario = tmp_path / f"{tag}.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / tag
+        assert main(["--mode", "minmax", "--scenario", str(scenario), "--out", str(out)]) == 0
+        archives.append((out / "archive_minmax.csv").read_bytes())
+    assert archives[0] == archives[1]
 
 
 def test_invalid_value_during_run_exit_code(fast_scenario, tmp_path, capsys, monkeypatch):

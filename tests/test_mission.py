@@ -2,7 +2,7 @@
 import copy
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import reduce
 from operator import getitem
 
@@ -86,8 +86,8 @@ def test_scenario_rejects_invalid_blocks():
         scenario_from_dict(doc3)
     # malformed values: a design bound that is not a (lo, hi) pair of
     # numbers with lo <= hi, an uncertain value that is not a number or that
-    # its dataclass refuses, a NaN or infinity where a number is expected;
-    # the error names the key
+    # its dataclass refuses, a solver size that is not an integer, a NaN or
+    # infinity anywhere in the document; the error names the key
     for block, name, value in [("design_bounds", "d_m", 5), ("design_bounds", "d_m", [2]),
                                ("design_bounds", "d_m", [20, 2]),
                                ("design_bounds", "n_sc", [1, "10"]),
@@ -99,7 +99,15 @@ def test_scenario_rejects_invalid_blocks():
                                ("fixed_uncertain", "c_a", math.inf),
                                ("asteroid", "e", -math.inf),
                                (None, "mu_sun_km3s2", math.nan),
-                               (None, "t_impact_s", math.inf)]:
+                               (None, "t_impact_s", math.inf),
+                               ("asteroid_properties", "a1", math.inf),
+                               ("technology", "m_bus", math.nan),
+                               ("margins", "k_dry", math.inf),
+                               ("arc_control", "a_const", math.nan),
+                               ("station", "x", math.nan),
+                               ("solver", "outer_budget", math.inf),
+                               ("solver", "inner_pop", 4.5),
+                               ("solver", "outer_pop", "10")]:
         bad = scenario_to_dict(load_scenario(reference_scenario_path()))
         (bad[block] if block else bad)[name] = value
         with pytest.raises(ScenarioError, match=name):
@@ -113,6 +121,15 @@ def test_scenario_whole_float_seed_is_an_integer():
     scenario = scenario_from_dict(doc)
     assert type(scenario.seed) is int and type(scenario.solver.seed) is int
     assert scenario.seed == 3
+
+
+def test_scenario_whole_float_solver_sizes_are_integers():
+    """The solver sizes are integers too: 5.0 is held as 5, 4.5 is refused."""
+    doc = scenario_to_dict(load_scenario(reference_scenario_path()))
+    doc["solver"] = {name: float(value) for name, value in doc["solver"].items()}
+    solver = scenario_from_dict(doc).solver
+    assert all(type(value) is int for value in asdict(solver).values())
+    assert solver == load_scenario(reference_scenario_path()).solver
 
 
 REFERENCE_DOC = scenario_to_dict(load_scenario(reference_scenario_path()))
@@ -135,11 +152,11 @@ SCHEMA_SITES = list(_schema_sites(SCENARIO_SCHEMA, REFERENCE_DOC))
 
 
 def _replacements(schema, value):
-    """Values of every JSON type; where a number is expected, only the
-    reference value as a float or an int, so that an accepted document
-    stays physical."""
+    """Values of every JSON type; where a number or an integer is expected,
+    only the reference value as a float or an int (and, for an integer, one
+    that is not whole), so that an accepted document stays physical."""
     pool = [True, "x", None, [1.0, 2.0], {}]
-    if schema.get("type") == "number":
+    if schema.get("type") in ("number", "integer"):
         pool += [float(value)] + ([int(value)] if float(value).is_integer() else [])
     else:
         pool += [3, 2.5]
@@ -148,7 +165,7 @@ def _replacements(schema, value):
     if "const" in schema:
         pool += [1.0, True, 2]
     if schema.get("type") == "integer":
-        pool += [3.0, 3.5]
+        pool += [value + 0.5]
     return pool
 
 
