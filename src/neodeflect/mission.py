@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -124,9 +124,8 @@ SCENARIO_SCHEMA = {
         "expert_opinions_file": {"type": "string"},
         "solver": {
             "type": "object",
-            "properties": {name: {"type": "integer"} for name in
-                           ("outer_budget", "outer_pop", "explorers", "inner_budget",
-                            "inner_pop", "archive_capacity")},
+            "properties": {f.name: {"type": "integer"} for f in fields(SolverConfig)
+                           if f.name != "seed"},  # a top-level key of the document
             "additionalProperties": False,
         },
         "seed": {"type": "integer"},

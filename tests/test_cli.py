@@ -274,20 +274,6 @@ def test_propagate_mass_overflow_exit_code(fast_scenario, tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_whole_float_solver_sizes_run_like_integers(fast_scenario, tmp_path):
-    """Solver sizes written as 5.0 run exactly as 5 does."""
-    archives = []
-    for tag, cast in (("int", int), ("float", float)):
-        doc = json.loads(fast_scenario.read_text())
-        doc["solver"] = {name: cast(value) for name, value in doc["solver"].items()}
-        scenario = tmp_path / f"{tag}.json"
-        scenario.write_text(json.dumps(doc))
-        out = tmp_path / tag
-        assert main(["--mode", "minmax", "--scenario", str(scenario), "--out", str(out)]) == 0
-        archives.append((out / "archive_minmax.csv").read_bytes())
-    assert archives[0] == archives[1]
-
-
 def test_invalid_value_during_run_exit_code(fast_scenario, tmp_path, capsys, monkeypatch):
     """An invalid value that only the run meets exits 3."""
     def reject(self, design, u):
