@@ -14,7 +14,8 @@ the document, all checked when the scenario loads), a negative seed
 (in the scenario or as ``--seed``), a scenario file that cannot be read, an
 ``--out`` directory that cannot be made or written to, a ``--design``
 outside the scenario's design bounds, an expert-opinion file that is
-missing, malformed or leaves out a parameter (the modes that load it:
+missing, malformed, leaves out a parameter, or holds a non-finite bound
+or a weight that is not a finite number >= 0 (the modes that load it:
 ``minmin``, ``minmin-margins``, ``minmax``, ``bpcurve``, ``sensitivity``),
 ``--nv`` below 2 or ``--max-partitions`` below 1 (``bpcurve``,
 ``sensitivity``), or reference orbits of the asteroid and the Earth whose
@@ -37,11 +38,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evidence import FocalStructure, bel_pl_curve
+from .evidence import bel_pl_curve
 from .fpet import ArcOverflowError
 from .mission import (
+    B_NAMES,
     MODES,
     PHYSICAL_NAMES,
+    TECH_NAMES,
     UNCERTAIN_NAMES,
     ReferenceIntegrationError,
     ScenarioError,
@@ -71,7 +74,7 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def write_csv(path: Path, header: list[str], rows: list) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -141,6 +144,15 @@ def de_box_bounder(f, dim: int, budget: int, pop: int, seed: int):
     return bounds
 
 
+def b_box_bounder(model, design: DesignVector, structure):
+    """Box bounds of b over the unit boxes of ``structure``, every uncertain
+    parameter outside it at the scenario's fixed value."""
+    fixed, config = model.scenario.fixed_uncertain, model.scenario.solver
+    return de_box_bounder(
+        lambda u: model.evaluate(design, {**fixed, **uncertain_dict(structure, u)}).b,
+        structure.dim, config.inner_budget, config.inner_pop, model.scenario.seed)
+
+
 def run_optimization(scenario: Scenario, mode: str, contamination: bool, out: Path):
     model = make_model(scenario, mode, contamination)
     config = scenario.solver
@@ -175,58 +187,40 @@ def write_structure_csv(structure, path: Path) -> None:
 
 def run_bpcurve(scenario: Scenario, design: DesignVector, contamination: bool,
                 out: Path, n_v: int, max_partitions: int):
+    """Bel/Pl curves of b over the parameters it reads (the five asteroid
+    ones, ``eta_l`` and ``eta_sa``; the other three fixed) and of ``m_sys``
+    over the five technology ones."""
     model = make_model(scenario, "bpcurve", contamination)
     structure = evidence_structure(scenario)
     write_structure_csv(structure, out / "fused_structure.csv")
-    config = scenario.solver
     files = ["fused_structure.csv"]
     meta = {}
-    b_bounds = de_box_bounder(
-        lambda u: model.evaluate(design, uncertain_dict(structure, u)).b,
-        structure.dim, config.inner_budget, config.inner_pop, scenario.seed,
-    )
-    for tag, bounds in (("b", b_bounds),
-                        ("m_sys", mass_box_bounder(model, design, structure))):
-        curve = bel_pl_curve(bounds, structure, n_v=n_v,
+    for tag, names, bounder in (("b", B_NAMES, b_box_bounder),
+                                ("m_sys", TECH_NAMES, mass_box_bounder)):
+        marginal = structure.marginal(names)
+        curve = bel_pl_curve(bounder(model, design, marginal), marginal, n_v=n_v,
                              max_partitions=max_partitions)
-        rows = [[v, bel, pl] for v, bel, pl in
-                zip(curve.thresholds, curve.bel, curve.pl)]
         name = f"belpl_{tag}.csv"
-        write_csv(out / name, ["v", "bel", "pl"], rows)
+        write_csv(out / name, ["v", "bel", "pl"], list(zip(curve.thresholds, curve.bel, curve.pl)))
         files.append(name)
-        meta[tag] = {
-            "v_min": curve.v_min, "v_max": curve.v_max,
-            "n_partitions": curve.n_partitions, "partial": curve.partial,
-        }
-    (out / "belpl_meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    )
-    files.append("belpl_meta.json")
-    return files
+        meta[tag] = {"v_min": curve.v_min, "v_max": curve.v_max,
+                     "n_partitions": curve.n_partitions, "partial": curve.partial}
+    (out / "belpl_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    return files + ["belpl_meta.json"]
 
 
 def run_sensitivity(scenario: Scenario, design: DesignVector, contamination: bool,
                     out: Path, n_v: int, max_partitions: int):
-    """Per-parameter Bel/Pl curves of b, the other nine held at the
-    reference values."""
+    """Per-parameter Bel/Pl curves of b over each asteroid parameter alone,
+    the other nine held at the reference values."""
     model = make_model(scenario, "sensitivity", contamination)
-    config = scenario.solver
+    structure = evidence_structure(scenario)
     rows = []
-    for name, param in zip(PHYSICAL_NAMES, evidence_structure(scenario).params):
-        structure = FocalStructure([param])
-
-        def objective(u_vec, pname=name, struct=structure):
-            u = dict(scenario.fixed_uncertain)
-            u[pname] = float(struct.unit_to_physical(u_vec)[0])
-            return model.evaluate(design, u).b
-
-        bounds = de_box_bounder(
-            objective, 1, config.inner_budget, config.inner_pop, scenario.seed
-        )
-        curve = bel_pl_curve(bounds, structure, n_v=n_v,
+    for name in PHYSICAL_NAMES:
+        marginal = structure.marginal([name])
+        curve = bel_pl_curve(b_box_bounder(model, design, marginal), marginal, n_v=n_v,
                              max_partitions=max_partitions)
-        for v, bel, pl in zip(curve.thresholds, curve.bel, curve.pl):
-            rows.append([name, v, bel, pl])
+        rows += [[name, *row] for row in zip(curve.thresholds, curve.bel, curve.pl)]
     write_csv(out / "sensitivity_b.csv", ["parameter", "v", "bel", "pl"], rows)
     return ["sensitivity_b.csv"]
 

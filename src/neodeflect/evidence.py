@@ -40,6 +40,8 @@ class UncertainInterval:
     bpa: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"interval bounds must be finite: [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ValueError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
         if not 0.0 < self.bpa <= 1.0:
@@ -70,6 +72,13 @@ class ExpertOpinion:
     expert_id: str
     weight: float = 1.0
     parameters: dict[str, tuple[UncertainInterval, ...]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.weight) and self.weight >= 0.0):
+            raise ValueError(
+                f"weight of expert {self.expert_id} must be a finite number >= 0, "
+                f"got {self.weight}"
+            )
 
     def addresses(self, parameter: str) -> bool:
         return parameter in self.parameters and len(self.parameters[parameter]) > 0
@@ -173,6 +182,11 @@ class FocalStructure:
     @property
     def dim(self) -> int:
         return len(self.params)
+
+    def marginal(self, names) -> "FocalStructure":
+        """The structure of the named parameters alone (an unknown name is a
+        ValueError), in this structure's order, sharing their ParameterBPAs."""
+        return FocalStructure([self.params[d] for d in sorted(map(self.names.index, names))])
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(p.intervals) for p in self.params)

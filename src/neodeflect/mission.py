@@ -59,6 +59,7 @@ UNCERTAIN_NAMES = (
 )
 PHYSICAL_NAMES = UNCERTAIN_NAMES[:5]
 TECH_NAMES = UNCERTAIN_NAMES[5:]
+B_NAMES = UNCERTAIN_NAMES[:7]  # what b reads; m_sys reads TECH_NAMES
 
 _AST_FIELD = {"c_a": "c_a", "k_a": "k_a", "rho_a": "rho_a",
               "t_sub": "t_subl", "e_sub": "e_sub"}

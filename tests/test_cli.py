@@ -122,20 +122,37 @@ def test_optimization_modes_ignore_design(fast_scenario, tmp_path, design):
     assert code == 0
 
 
-@pytest.mark.parametrize("opinions", ["missing", "malformed", "incomplete"])
+# an edit of the shipped opinions: (expert field or the first c_a interval's
+# field, value, what the error message names)
+_OPINION_EDITS = {
+    "nan-lo": ("lo", math.nan, "finite"),
+    "inf-hi": ("hi", math.inf, "finite"),
+    "nan-weight": ("weight", math.nan, "weight"),
+    "negative-weight": ("weight", -1.0, "weight"),
+}
+
+
+@pytest.mark.parametrize("opinions", ["missing", "malformed", "incomplete", *_OPINION_EDITS])
 @pytest.mark.parametrize("mode", ["minmin", "minmin-margins", "minmax", "bpcurve",
                                   "sensitivity"])
 def test_expert_opinion_failure_exit_code(fast_scenario, tmp_path, capsys, mode, opinions):
-    """An opinion file that is missing, is not JSON, or leaves out a
-    parameter is a scenario error: exit 2 with one line on stderr."""
+    """An opinion file that is missing, is not JSON, leaves out a parameter,
+    has an interval bound that is not finite or an expert weight that is not
+    a finite number >= 0 is a scenario error: exit 2 with one line on
+    stderr."""
     path = tmp_path / "opinions.json"
+    shipped = reference_scenario_path().parent / "expert_opinions.json"
+    doc = json.loads(shipped.read_text())
     if opinions == "malformed":
         path.write_text('{"experts": [')
     elif opinions == "incomplete":
-        shipped = reference_scenario_path().parent / "expert_opinions.json"
-        doc = json.loads(shipped.read_text())
         for expert in doc["experts"]:
             expert["parameters"].pop("c_a", None)
+        path.write_text(json.dumps(doc))
+    elif opinions in _OPINION_EDITS:
+        key, value, _ = _OPINION_EDITS[opinions]
+        expert = next(e for e in doc["experts"] if e["parameters"].get("c_a"))
+        (expert if key == "weight" else expert["parameters"]["c_a"][0])[key] = value
         path.write_text(json.dumps(doc))
     scenario = json.loads(fast_scenario.read_text())
     scenario["expert_opinions_file"] = str(path)
@@ -146,6 +163,8 @@ def test_expert_opinion_failure_exit_code(fast_scenario, tmp_path, capsys, mode,
     err = capsys.readouterr().err
     assert err.startswith(f"error: expert opinions {path}: ")
     assert len(err.splitlines()) == 1
+    if opinions in _OPINION_EDITS:
+        assert _OPINION_EDITS[opinions][2] in err
 
 
 def test_degenerate_bplane_exit_code(fast_scenario, tmp_path, capsys):

@@ -314,6 +314,59 @@ def test_tree_curve_equals_enumeration_randomized():
             assert curve.pl[j] == pytest.approx(pl, abs=1e-12), trial
 
 
+def test_marginal_curve_equals_joint_enumeration():
+    """An objective that reads only a drawn subset S of the dimensions,
+    bounded exactly at the corners of the marginal's boxes: its curve over
+    ``marginal(S)`` equals the enumeration over the joint structure at every
+    threshold. A marginal that drops a dimension S reads, holding it at a
+    fixed value, does not."""
+    rng = np.random.default_rng(53)
+    trials = dropped = 0
+    while trials < 15:
+        structure = random_structure(rng, max_dim=4, max_intervals=5)
+        if structure.dim < 2:
+            continue
+        trials += 1
+        reads = sorted(rng.choice(structure.dim, int(rng.integers(1, structure.dim)),
+                                  replace=False))
+        coeffs = rng.uniform(0.5, 3.0, len(reads)) * rng.choice([-1.0, 1.0], len(reads))
+        joint = lambda box: unit_corner_bounds(lambda u: float(np.dot(coeffs, u[reads])), box)
+
+        def max_gap(names, f):
+            marginal = structure.marginal(names)
+            assert marginal.names == [n for n in structure.names if n in names]
+            assert all(p is q for p in marginal.params for q in structure.params
+                       if p.name == q.name)
+            curve = bel_pl_curve(lambda box: unit_corner_bounds(f, box), marginal, n_v=9,
+                                 bpa_floor=0.0, max_partitions=10**6)
+            assert not curve.partial
+            gaps = [0.0]
+            for j, v in enumerate(curve.thresholds):
+                bel, pl = enumerate_bel_pl(joint, structure, v)
+                gaps += [abs(curve.bel[j] - bel), abs(curve.pl[j] - pl)]
+            return max(gaps)
+
+        names = [structure.names[d] for d in reads]
+        assert max_gap(names, lambda u: float(np.dot(coeffs, u))) <= 1e-12
+        if len(reads) > 1:
+            dropped += 1
+            k = int(rng.integers(len(reads)))
+            keep = [j for j in range(len(reads)) if j != k]
+            held = 0.5 * coeffs[k]
+            gap = max_gap([names[j] for j in keep],
+                          lambda u: float(np.dot(coeffs[keep], u)) + held)
+            assert gap > 1e-3
+    assert dropped > 0
+
+
+def test_marginal_rejects_unknown_names():
+    structure = FocalStructure([ParameterBPA("a", (iv(0.0, 1.0, 1.0),)),
+                                ParameterBPA("b", (iv(0.0, 1.0, 1.0),))])
+    assert structure.marginal(["b", "a"]).names == ["a", "b"]
+    with pytest.raises(ValueError):
+        structure.marginal(["a", "c"])
+
+
 def test_curve_monotone_and_bounded():
     rng = np.random.default_rng(77)
     for _ in range(10):

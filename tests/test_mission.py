@@ -1,5 +1,6 @@
 """Scenario handling, calibration and the composed mission model."""
 import copy
+import functools
 import json
 import math
 from dataclasses import asdict, replace
@@ -13,8 +14,16 @@ from hypothesis import strategies as st
 
 from neodeflect import mission
 from neodeflect.constants import AU_KM, S0, YEAR_S
-from neodeflect.evidence import FocalStructure, ParameterBPA, SubBox, UncertainInterval
+from neodeflect.evidence import (
+    FocalStructure,
+    ParameterBPA,
+    SubBox,
+    UncertainInterval,
+    bel_pl_curve,
+)
 from neodeflect.mission import (
+    B_NAMES,
+    TECH_NAMES,
     DeflectionModel,
     SCENARIO_SCHEMA,
     ScenarioError,
@@ -498,3 +507,49 @@ def test_mass_bound_is_exact_at_the_technology_corners(scenario, sense):
         assert found.objectives.m_sys == (min if sense == "min" else max)(cube_masses)
         assert model.mass_only(design, uncertain_dict(structure, found.witness_mass)) == (
             found.objectives.m_sys)
+
+
+@pytest.mark.parametrize("contamination", [False, True])
+def test_objectives_read_only_their_names(scenario, contamination):
+    """b reads only ``B_NAMES`` and ``m_sys`` only ``TECH_NAMES``: redrawing
+    every other uncertain parameter leaves each bit-identical, at drawn
+    designs and unit points."""
+    structure = evidence_structure(scenario)
+    model = make_model(scenario, "bpcurve", contamination)
+    rng = np.random.default_rng(17)
+    bounds = scenario.design_bounds
+    not_b = [d for d, name in enumerate(structure.names) if name not in B_NAMES]
+    not_mass = [d for d, name in enumerate(structure.names) if name not in TECH_NAMES]
+    assert [structure.names[d] for d in not_b] == ["rho_m", "rho_l", "rho_r"]
+    assert [structure.names[d] for d in not_mass] == list(UNCERTAIN_NAMES[:5])
+    pushed = 0
+    for _ in range(8):
+        design = DesignVector(rng.uniform(*bounds["d_m"]),
+                              int(rng.integers(bounds["n_sc"][0], bounds["n_sc"][1] + 1)),
+                              rng.uniform(*bounds["t_warn"]), rng.uniform(*bounds["c_r"]))
+        u = rng.random(structure.dim)
+        point = uncertain_dict(structure, u)
+        for dims, objective in ((not_b, lambda v: model.evaluate(design, v).b),
+                                (not_mass, lambda v: model.mass_only(design, v))):
+            redrawn = u.copy()
+            redrawn[dims] = rng.random(len(dims))
+            assert objective(uncertain_dict(structure, redrawn)) == objective(point)
+        pushed += model.evaluate(design, point).b > 0.0
+    assert pushed >= 3  # the b check is not vacuous: not every point is dark
+
+
+def test_mass_curve_over_the_technology_marginal_is_exact(scenario):
+    """At 20,10,2,3000 the ``m_sys`` curve over the five technology
+    parameters refines to single cells within the shipped partition budget
+    and equals the enumeration of those cells."""
+    design = DesignVector(20.0, 10, 2.0, 3000.0)
+    marginal = evidence_structure(scenario).marginal(TECH_NAMES)
+    # each cell is bounded once, not once per threshold of the enumeration
+    bounds = functools.lru_cache(maxsize=None)(
+        mission.mass_box_bounder(make_model(scenario, "bpcurve", False), design, marginal))
+    curve = bel_pl_curve(bounds, marginal, n_v=11, max_partitions=10**5)
+    assert not curve.partial
+    for j, v in enumerate(curve.thresholds):
+        bel, pl = oracles.enumerate_bel_pl(bounds, marginal, v)
+        assert curve.bel[j] == pytest.approx(bel, abs=1e-12)
+        assert curve.pl[j] == pytest.approx(pl, abs=1e-12)
