@@ -29,29 +29,29 @@ REL = 1e-12
 
 # (design, contamination) -> (m_sys, b, n_arcs)
 LOCKED_EVALUATIONS = {
-    ("20,10,8,3000", False): (23985.820596489633, 25704.366993618656, 468),
+    ("20,10,8,3000", False): (23985.820596489633, 25704.36699573237, 468),
     ("20,10,1,3000", False): (17893.530740347065, 509.8334800912412, 59),
-    ("12,4,3.5,2000", False): (3598.6783015856527, 2.562237420595459, 59),
-    ("8,6,6,2500", False): (3249.536504610369, 95.38343767376104, 175),
+    ("12,4,3.5,2000", False): (3598.6783015856527, 2.5622384744550577, 59),
+    ("8,6,6,2500", False): (3249.536504610369, 95.38343662864507, 175),
     ("2,1,1,1000", False): (80.56086217837202, 0.0, 1),
-    ("16,8,3,2800", False): (9808.653373524985, 1052.1643184019938, 136),
+    ("16,8,3,2800", False): (9808.653373524985, 1052.1643173283069, 136),
     ("5,3,7.5,2600", False): (529.5951006525997, 6.756266755970942, 170),
-    ("14,7,5.25,2200", False): (9302.329003099374, 316.1365961159955, 158),
-    ("20,10,8,3000", True): (23985.820596489633, 92.9185291232331, 82),
+    ("14,7,5.25,2200", False): (9302.329003099374, 316.13660557659176, 158),
+    ("20,10,8,3000", True): (23985.820596489633, 92.91851860105584, 82),
     ("20,10,1,3000", True): (17893.530740347065, 9.271275415931425, 34),
-    ("12,4,3.5,2000", True): (3598.6783015856527, 1.335626348430671, 50),
-    ("8,6,6,2500", True): (3249.536504610369, 15.562457886216917, 100),
+    ("12,4,3.5,2000", True): (3598.6783015856527, 1.3356231721823386, 50),
+    ("8,6,6,2500", True): (3249.536504610369, 15.562452606819905, 100),
     ("2,1,1,1000", True): (80.56086217837202, 0.0, 1),
-    ("16,8,3,2800", True): (9808.653373524985, 22.30366661372744, 51),
+    ("16,8,3,2800", True): (9808.653373524985, 22.303662391767823, 51),
     ("5,3,7.5,2600", True): (529.5951006525997, 4.182878022864031, 142),
-    ("14,7,5.25,2200", True): (9302.329003099374, 16.852985476312842, 68),
+    ("14,7,5.25,2200", True): (9302.329003099374, 16.85299496913483, 68),
 }
 
 DETERMINISTIC_ARCHIVE_SHA256 = (
-    "00ab7b8c5c4c872023d1ae7ace18391eb72395fb65f38c6dd976606b3a08b277"
+    "b5908115be65683e5bb31efc1447325cb3f5834a5a5102f743f4daab11417911"
 )
 MINMAX_ARCHIVE_SHA256 = (
-    "49ae05de726bbe42b0b9612a89bc81a3702ca613363838bc29d3dbaa83dd074a"
+    "81d3bbb4f47451324dd19a38309fe998f9bc14985433f03706aeb674cea05b28"
 )
 # the curves of one bpcurve run at design 20,10,1,3000, --nv 5,
 # --max-partitions 12, each over the parameters its objective reads; the
