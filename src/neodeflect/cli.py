@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evidence import bel_pl_curve
+from .evidence import bel_pl_curve, first_inside
 from .fpet import ArcOverflowError
 from .mission import (
     B_NAMES,
@@ -101,9 +101,9 @@ def parse_design(text: str) -> DesignVector:
 
 
 def archive_rows(archive, mode: str, structure=None) -> tuple[list[str], list[list]]:
+    """Archive rows by mass, with both witnesses when given their structure."""
     header = ["d_m", "n_sc", "t_warn", "c_r", "m_sys_kg", "b_km", "mode"]
-    evidence_mode = mode in ("minmin", "minmin-margins", "minmax")
-    if evidence_mode:
+    if structure is not None:
         header += [f"witness_b_{n}" for n in UNCERTAIN_NAMES]
         header += [f"witness_m_{n}" for n in UNCERTAIN_NAMES]
     rows = []
@@ -111,7 +111,7 @@ def archive_rows(archive, mode: str, structure=None) -> tuple[list[str], list[li
         d = member.design
         row = [d.d_m, float(d.n_sc), d.t_warn, d.c_r,
                member.objectives.m_sys, -member.objectives.neg_b, mode]
-        if evidence_mode:
+        if structure is not None:
             for witness in (member.witness_negb, member.witness_mass):
                 physical = structure.unit_to_physical(witness)
                 row.extend(physical)
@@ -120,26 +120,25 @@ def archive_rows(archive, mode: str, structure=None) -> tuple[list[str], list[li
 
 
 def de_box_bounder(f, dim: int, budget: int, pop: int, seed: int):
-    """Box-bound estimator for the curves of b: restart DE per box,
-    deterministically keyed on the box geometry."""
+    """Box-bound estimator for the curves of b: restart DE per box, deterministically
+    keyed on the box geometry; both values are attained in the box, so they come sorted."""
 
     def bounds(unit_box):
         lo, hi = np.array(unit_box).T
         span = hi - lo
-        # a lower cell edge belongs to the cell below it: evaluate the lower
-        # face one step inside, so that every point stays in the box's cells
-        floor = np.where(lo > 0.0, np.nextafter(lo, 1.0), lo)
+        # the lower face is evaluated at the first point of the box's cells
+        floor = np.array([first_inside(edge) for edge in lo])
 
         def g(u):
             return f(np.maximum(lo + u * span, floor))
 
         key = hashlib.sha256(repr(unit_box).encode()).digest()[:8]
         box_tag = int.from_bytes(key, "big")
-        return tuple(
+        return tuple(sorted(
             inner_bound_search(g, dim, sense, budget, pop, np.random.default_rng(
                 np.random.SeedSequence([seed, box_tag, k]))).value
             for k, sense in enumerate(("min", "max"))
-        )
+        ))
 
     return bounds
 

@@ -10,13 +10,16 @@ whose BPA is the product of its constituents.
 For optimization the focal elements are collected through a per-dimension
 affine map into the unit hypercube, where they tile [0, 1]^d without
 overlap: dimension i is split into contiguous cells whose widths equal the
-interval BPAs. Belief and Plausibility of threshold propositions follow
+interval BPAs. A cell's lower edge belongs to the cell below it, so the
+first coordinate of a cell above the first is one step past its lower edge
+(``first_inside``). Belief and Plausibility of threshold propositions follow
 from per-box objective bounds by recursive binary partitioning of the
 hypercube.
 """
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -159,6 +162,11 @@ def fuse_all(opinions: list[ExpertOpinion], names: list[str]) -> list[ParameterB
 # Joint structure and the unit-hypercube map
 # ---------------------------------------------------------------------------
 
+def first_inside(edge: float) -> float:
+    """The first unit coordinate of the cell whose lower edge is ``edge``."""
+    return edge if edge == 0.0 else math.nextafter(edge, 1.0)
+
+
 class FocalStructure:
     """Joint evidence structure over several uncertain parameters.
 
@@ -192,7 +200,7 @@ class FocalStructure:
         return tuple(len(p.intervals) for p in self.params)
 
     def cell_of(self, d: int, u: float) -> int:
-        """Cell index along dimension d; boundaries resolve to the lower cell."""
+        """Cell index of the unit coordinate u along dimension d."""
         edges = self.cum[d]
         j = bisect.bisect_left(edges, u, lo=1) - 1
         return min(max(j, 0), len(edges) - 2)
@@ -201,8 +209,7 @@ class FocalStructure:
         """Map a unit-hypercube point to physical parameter values.
 
         Piecewise affine and total: each coordinate selects its containing
-        cell (upper boundaries belong to the lower-indexed cell) and is
-        stretched onto the corresponding physical interval.
+        cell and is stretched onto the corresponding physical interval.
         """
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
@@ -231,18 +238,31 @@ class FocalStructure:
                     width = iv.hi - iv.lo
                     frac = 0.5 if width == 0.0 else (x - iv.lo) / width
                     u = self.cum[d][j] + frac * (self.cum[d][j + 1] - self.cum[d][j])
-                    # lower cell edges belong to the previous cell under the
-                    # boundary tie-break; nudge inside so the round trip
-                    # stays in interval j
-                    while u < 1.0 and self.cell_of(d, u) != j:
-                        u = math.nextafter(u, 1.0)
-                    out[d] = u
+                    out[d] = max(u, first_inside(self.cum[d][j]))
                     break
             else:
                 raise ValueError(
                     f"value {x} outside every interval of {self.names[d]}"
                 )
         return out
+
+    def corners(self, unit_box, names, base) -> list[np.ndarray]:
+        """Unit points at the corners of a box's hull in the named dimensions:
+        each at the smallest ``lo`` or the largest ``hi`` of the intervals of
+        the cells the box spans, at a point of the box, and every other
+        dimension as in ``base``."""
+        dims = [self.names.index(name) for name in names]
+        ends = []
+        for d in dims:
+            edges, intervals = self.cum[d], self.params[d].intervals
+            cells = range(self.cell_of(d, first_inside(unit_box[d][0])),
+                          self.cell_of(d, unit_box[d][1]) + 1)
+            low = min(cells, key=lambda j: intervals[j].lo)
+            high = max(cells, key=lambda j: intervals[j].hi)
+            ends.append((first_inside(edges[low]), edges[high + 1]))
+        points = np.tile(np.asarray(base, dtype=float), (2 ** len(dims), 1))
+        points[:, dims] = list(itertools.product(*ends))
+        return list(points)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ document.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -449,11 +448,6 @@ def uncertain_dict(structure: FocalStructure, u_vec: np.ndarray) -> dict:
     return dict(zip(structure.names, values.tolist()))
 
 
-def nominal_unit_image(structure: FocalStructure, fixed: dict) -> np.ndarray:
-    """Unit-cube image of the reference uncertain values (for seeding)."""
-    return structure.physical_to_unit([fixed[name] for name in structure.names])
-
-
 # ---------------------------------------------------------------------------
 # Mode evaluators for the outer search
 # ---------------------------------------------------------------------------
@@ -469,43 +463,23 @@ def deterministic_evaluator(model: DeflectionModel):
     return evaluate
 
 
-def _inner_rng(seed: int, design: DesignVector, tag: int) -> np.random.Generator:
-    """Order-independent generator keyed on the design and objective."""
-    key = [seed, tag, *(abs(q) for q in quantize_design(design))]
+def _inner_rng(seed: int, design: DesignVector) -> np.random.Generator:
+    """Order-independent generator of a design's b search, keyed on the design."""
+    key = [seed, 2, *(abs(q) for q in quantize_design(design))]  # 2 tags the b objective
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def _technology_corners(structure: FocalStructure, base, unit_box) -> list[np.ndarray]:
-    """Unit points at the 32 corners of a box's technology hull: each
-    technology dimension at the smallest ``lo`` or the largest ``hi`` of the
-    intervals of the cells the box spans (from the cell just inside its
-    lower face, which belongs to the cell below, to that of its upper face),
-    the other dimensions as in ``base``. ``m_sys`` reads only these five
+def mass_box_bounder(model: DeflectionModel, design: DesignVector, structure: FocalStructure):
+    """Exact (min, max) of ``m_sys`` over a unit box, at the 32 corners of its
+    technology hull (``FocalStructure.corners``): the box bounder of the
+    formation-mass Bel/Pl curve. ``m_sys`` reads only the five technology
     parameters and is linear in each of them (every term of
     ``size_spacecraft`` has degree at most one in each), so its extremes
-    over the box lie at these corners, which are points of the box.
-    """
-    tech = [structure.names.index(name) for name in TECH_NAMES]
-    ends = []
-    for d in tech:
-        edges, intervals = structure.cum[d], structure.params[d].intervals
-        cells = range(structure.cell_of(d, math.nextafter(unit_box[d][0], 1.0)),
-                      structure.cell_of(d, unit_box[d][1]) + 1)
-        low = min(cells, key=lambda j: intervals[j].lo)
-        high = max(cells, key=lambda j: intervals[j].hi)
-        ends.append((edges[0] if low == 0 else math.nextafter(edges[low], 1.0), edges[high + 1]))
-    corners = np.tile(np.asarray(base, dtype=float), (2 ** len(tech), 1))
-    corners[:, tech] = list(itertools.product(*ends))
-    return list(corners)
-
-
-def mass_box_bounder(model: DeflectionModel, design: DesignVector, structure: FocalStructure):
-    """Exact (min, max) of ``m_sys`` over a unit box, at its technology
-    corners: the box bounder of the formation-mass Bel/Pl curve."""
+    over the box lie at those corners, which are points of the box."""
 
     def bounds(unit_box):
         masses = [model.mass_only(design, uncertain_dict(structure, u)) for u in
-                  _technology_corners(structure, np.mean(unit_box, axis=1), unit_box)]
+                  structure.corners(unit_box, TECH_NAMES, np.mean(unit_box, axis=1))]
         return min(masses), max(masses)
 
     return bounds
@@ -525,8 +499,9 @@ def evidence_evaluator(
     population, which pins the b bound on the correct side of the
     deterministic value by construction.
     """
-    seed_point = nominal_unit_image(structure, model.scenario.fixed_uncertain)
-    corners = _technology_corners(structure, seed_point, [(0.0, 1.0)] * structure.dim)
+    fixed = model.scenario.fixed_uncertain
+    seed_point = structure.physical_to_unit([fixed[name] for name in structure.names])
+    corners = structure.corners([(0.0, 1.0)] * structure.dim, TECH_NAMES, seed_point)
     corner_values = [uncertain_dict(structure, u) for u in corners]
     pick = min if sense == "min" else max
 
@@ -536,7 +511,7 @@ def evidence_evaluator(
         negb_res = inner_bound_search(
             lambda u: -model.evaluate(design, uncertain_dict(structure, u)).b,
             structure.dim, sense, config.inner_budget, config.inner_pop,
-            _inner_rng(config.seed, design, 2), seeds=(seed_point,),
+            _inner_rng(config.seed, design), seeds=(seed_point,),
         )
         return Individual(
             design,

@@ -506,6 +506,15 @@ def test_box_bounder_stays_inside_the_box():
     assert (vmin, vmax) == (pytest.approx(1.47), pytest.approx(1.6))
 
 
+def test_box_bounds_are_in_order():
+    """At a budget of one population per search, the minimum search can
+    draw points above all of the maximum search's; both values are
+    attained in the box, so they come back in order."""
+    for seed in range(300):
+        vmin, vmax = de_box_bounder(lambda u: float(u[0]), 1, 4, 4, seed=seed)(((0.0, 1.0),))
+        assert vmin <= vmax
+
+
 def test_bpcurve_mode(fast_scenario, tmp_path):
     out = tmp_path / "run"
     code = main([

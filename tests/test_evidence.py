@@ -206,13 +206,21 @@ def test_unit_to_physical_monte_carlo_frequencies():
 
 
 def test_physical_to_unit_roundtrip():
-    structure = FocalStructure(two_param_toy())
+    gapped = FocalStructure([ParameterBPA("g", (iv(0.0, 1.0, 0.5), iv(2.0, 3.0, 0.5)))])
     rng = np.random.default_rng(4)
-    for _ in range(200):
-        u = rng.random(2)
-        x = structure.unit_to_physical(u)
-        u2 = structure.physical_to_unit(x)
-        np.testing.assert_allclose(structure.unit_to_physical(u2), x, atol=1e-12)
+    for structure in (FocalStructure(two_param_toy()), gapped):
+        for _ in range(200):
+            u = rng.random(structure.dim)
+            x = structure.unit_to_physical(u)
+            u2 = structure.physical_to_unit(x)
+            np.testing.assert_allclose(structure.unit_to_physical(u2), x, atol=1e-12)
+    # each end of a disjoint interval maps into its own cell: 2.0 lands one
+    # step above the edge 0.5, which belongs to the cell of [0, 1]
+    for j, interval in enumerate(gapped.params[0].intervals):
+        for x in (interval.lo, interval.hi):
+            u = gapped.physical_to_unit([x])
+            assert gapped.cell_of(0, u[0]) == j
+            assert gapped.unit_to_physical(u)[0] == x
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,12 @@ from neodeflect.mission import (
     SCENARIO_SCHEMA,
     ScenarioError,
     UNCERTAIN_NAMES,
-    _technology_corners,
     apply_uncertain,
     deterministic_evaluator,
     evidence_evaluator,
     evidence_structure,
     load_scenario,
     make_model,
-    nominal_unit_image,
     reference_scenario_path,
     scenario_from_dict,
     scenario_to_dict,
@@ -353,7 +351,7 @@ def test_uncertain_structure_and_nominal_image(scenario):
     structure = evidence_structure(scenario)
     assert structure.names == list(UNCERTAIN_NAMES)
     assert oracles.n_elements(structure) == 93312
-    u0 = nominal_unit_image(structure, scenario.fixed_uncertain)
+    u0 = structure.physical_to_unit([scenario.fixed_uncertain[n] for n in structure.names])
     assert np.all((0 <= u0) & (u0 <= 1))
     back = uncertain_dict(structure, u0)
     for name in UNCERTAIN_NAMES:
@@ -482,7 +480,7 @@ def test_mass_bound_is_exact_at_the_technology_corners(scenario, sense):
                 return all(first <= struct.cell_of(d, u[d]) < end
                            for d, (first, end) in enumerate(box.ranges))
 
-            corners = _technology_corners(struct, (lo_u + hi_u) / 2, unit_box)
+            corners = struct.corners(unit_box, TECH_NAMES, (lo_u + hi_u) / 2)
             assert len(corners) == 32 and all(in_box(u) for u in corners)
             # a lower face inside the cube is taken one step inside the box,
             # so its value may sit one rounding above the interval's lo
@@ -502,8 +500,8 @@ def test_mass_bound_is_exact_at_the_technology_corners(scenario, sense):
             assert mission.mass_box_bounder(model, design, struct)(unit_box) == (lo, hi)
         found = evidence_evaluator(model, structure, config, sense)(design)
         cube_masses = [model.mass_only(design, uncertain_dict(structure, u)) for u in
-                       _technology_corners(structure, found.witness_negb,
-                                           cube.unit_box(structure))]
+                       structure.corners(cube.unit_box(structure), TECH_NAMES,
+                                         found.witness_negb)]
         assert found.objectives.m_sys == (min if sense == "min" else max)(cube_masses)
         assert model.mass_only(design, uncertain_dict(structure, found.witness_mass)) == (
             found.objectives.m_sys)
