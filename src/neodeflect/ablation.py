@@ -88,6 +88,8 @@ class AsteroidProperties:
             raise ValueError("emiss_bb must lie in (0, 1]")
         if self.t_subl <= self.t_0:
             raise ValueError("sublimation temperature must exceed the deep temperature")
+        if self.m_a is not None and self.m_a <= 0.0:
+            raise ValueError("m_a must be positive")
 
     @cached_property
     def mass(self) -> float:

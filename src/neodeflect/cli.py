@@ -9,8 +9,11 @@ Exit codes: 0 success, 2 scenario/schema errors (solver budgets,
 populations and an archive capacity below 2 included, and design bounds
 that are not pairs of numbers ``[lo, hi]`` with lo <= hi, fixed uncertain
 values that are not numbers or that the asteroid or technology baselines
-refuse, solver sizes that are not integers, and NaN or infinity anywhere in
-the document, all checked when the scenario loads), a negative seed
+refuse, technology values the sizing divides by or that make a mass
+negative (``c_geo``, ``t_rad`` <= 0, ``emiss_rad`` outside (0, 1],
+``m_bus``, ``mf_c``, ``mf_p`` < 0), an asteroid ``m_a`` <= 0, solver sizes
+that are not integers, and NaN or infinity anywhere in the document, all
+checked when the scenario loads), a negative seed
 (in the scenario or as ``--seed``), a scenario file that cannot be read, an
 ``--out`` directory that cannot be made or written to, a ``--design``
 outside the scenario's design bounds, an expert-opinion file that is
@@ -45,10 +48,10 @@ from .mission import (
     MODES,
     PHYSICAL_NAMES,
     TECH_NAMES,
-    UNCERTAIN_NAMES,
     ReferenceIntegrationError,
     ScenarioError,
     Scenario,
+    b_at,
     deterministic_evaluator,
     evidence_evaluator,
     evidence_structure,
@@ -58,7 +61,6 @@ from .mission import (
     reference_scenario_path,
     rk_impact_parameter,
     scenario_to_dict,
-    uncertain_dict,
 )
 from .orbits import DegenerateBPlaneError, KeplerConvergenceError
 from .search import NonFiniteObjectivesError, Objectives, inner_bound_search, solve_moo
@@ -101,20 +103,19 @@ def parse_design(text: str) -> DesignVector:
 
 
 def archive_rows(archive, mode: str, structure=None) -> tuple[list[str], list[list]]:
-    """Archive rows by mass, with both witnesses when given their structure."""
+    """Archive rows by mass, with both witnesses, each over its objective's marginal."""
     header = ["d_m", "n_sc", "t_warn", "c_r", "m_sys_kg", "b_km", "mode"]
-    if structure is not None:
-        header += [f"witness_b_{n}" for n in UNCERTAIN_NAMES]
-        header += [f"witness_m_{n}" for n in UNCERTAIN_NAMES]
+    spaces = () if structure is None else (structure.marginal(B_NAMES),
+                                           structure.marginal(TECH_NAMES))
+    for tag, space in zip("bm", spaces):
+        header += [f"witness_{tag}_{n}" for n in space.names]
     rows = []
     for member in archive.sorted_by_mass():
         d = member.design
         row = [d.d_m, float(d.n_sc), d.t_warn, d.c_r,
                member.objectives.m_sys, -member.objectives.neg_b, mode]
-        if structure is not None:
-            for witness in (member.witness_negb, member.witness_mass):
-                physical = structure.unit_to_physical(witness)
-                row.extend(physical)
+        for witness, space in zip((member.witness_negb, member.witness_mass), spaces):
+            row.extend(space.unit_to_physical(witness))
         rows.append(row)
     return header, rows
 
@@ -146,10 +147,9 @@ def de_box_bounder(f, dim: int, budget: int, pop: int, seed: int):
 def b_box_bounder(model, design: DesignVector, structure):
     """Box bounds of b over the unit boxes of ``structure``, every uncertain
     parameter outside it at the scenario's fixed value."""
-    fixed, config = model.scenario.fixed_uncertain, model.scenario.solver
-    return de_box_bounder(
-        lambda u: model.evaluate(design, {**fixed, **uncertain_dict(structure, u)}).b,
-        structure.dim, config.inner_budget, config.inner_pop, model.scenario.seed)
+    config = model.scenario.solver
+    return de_box_bounder(b_at(model, design, structure), structure.dim,
+                          config.inner_budget, config.inner_pop, model.scenario.seed)
 
 
 def run_optimization(scenario: Scenario, mode: str, contamination: bool, out: Path):

@@ -246,23 +246,18 @@ class FocalStructure:
                 )
         return out
 
-    def corners(self, unit_box, names, base) -> list[np.ndarray]:
-        """Unit points at the corners of a box's hull in the named dimensions:
-        each at the smallest ``lo`` or the largest ``hi`` of the intervals of
-        the cells the box spans, at a point of the box, and every other
-        dimension as in ``base``."""
-        dims = [self.names.index(name) for name in names]
+    def corners(self, unit_box) -> list[np.ndarray]:
+        """Unit points at the 2**dim corners of a box's hull: each dimension
+        at the smallest ``lo`` or the largest ``hi`` of the intervals of the
+        cells the box spans, at a point of the box."""
         ends = []
-        for d in dims:
+        for d, (lo, hi) in enumerate(unit_box):
             edges, intervals = self.cum[d], self.params[d].intervals
-            cells = range(self.cell_of(d, first_inside(unit_box[d][0])),
-                          self.cell_of(d, unit_box[d][1]) + 1)
+            cells = range(self.cell_of(d, first_inside(lo)), self.cell_of(d, hi) + 1)
             low = min(cells, key=lambda j: intervals[j].lo)
             high = max(cells, key=lambda j: intervals[j].hi)
             ends.append((first_inside(edges[low]), edges[high + 1]))
-        points = np.tile(np.asarray(base, dtype=float), (2 ** len(dims), 1))
-        points[:, dims] = list(itertools.product(*ends))
-        return list(points)
+        return [np.array(point) for point in itertools.product(*ends)]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .orbits import (
     EquinoctialState,
     KeplerianElements,
     bplane_normal,
-    bplane_projection,
     equinoctial_to_cartesian,
     gauss_rhs,
     keplerian_to_equinoctial,
@@ -368,8 +367,8 @@ class DeflectionModel:
             self.earth_eq, scenario.t_impact, self.mu
         )
         self._r_nominal, v_nominal = equinoctial_to_cartesian(self.nominal_at_impact, self.mu)
-        self._v_inf = v_nominal - equinoctial_to_cartesian(self.earth_at_impact, self.mu)[1]
-        bplane_normal(self._v_inf)
+        v_inf = v_nominal - equinoctial_to_cartesian(self.earth_at_impact, self.mu)[1]
+        self._v_hat = bplane_normal(v_inf)
         self._start = (None, None)
 
     def start_state(self, t_warn_years: float) -> EquinoctialState:
@@ -403,7 +402,8 @@ class DeflectionModel:
             raise ValueError(
                 f"deviated state epoch {deviated.t} is not at t_impact {self.scenario.t_impact}")
         r_dev, _ = equinoctial_to_cartesian(deviated, self.mu)
-        return bplane_projection(r_dev - self._r_nominal, self._v_inf).b
+        d_vec = r_dev - self._r_nominal
+        return float(np.linalg.norm(d_vec - np.dot(d_vec, self._v_hat) * self._v_hat))
 
     def mass_only(self, design: DesignVector, u: dict) -> float:
         """Formation mass [kg]; no propagation involved."""
@@ -469,17 +469,24 @@ def _inner_rng(seed: int, design: DesignVector) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
+def b_at(model: DeflectionModel, design: DesignVector, structure: FocalStructure):
+    """b [km] of a design as a function of a unit point of ``structure``,
+    every uncertain parameter outside it at the scenario's fixed value."""
+    fixed = model.scenario.fixed_uncertain
+    return lambda u: model.evaluate(design, {**fixed, **uncertain_dict(structure, u)}).b
+
+
 def mass_box_bounder(model: DeflectionModel, design: DesignVector, structure: FocalStructure):
-    """Exact (min, max) of ``m_sys`` over a unit box, at the 32 corners of its
-    technology hull (``FocalStructure.corners``): the box bounder of the
-    formation-mass Bel/Pl curve. ``m_sys`` reads only the five technology
-    parameters and is linear in each of them (every term of
-    ``size_spacecraft`` has degree at most one in each), so its extremes
-    over the box lie at those corners, which are points of the box."""
+    """Exact (min, max) of ``m_sys`` over a unit box of the technology
+    marginal, at the 32 corners of its hull (``FocalStructure.corners``):
+    the box bounder of the formation-mass Bel/Pl curve. ``m_sys`` is linear
+    in each technology parameter (every term of ``size_spacecraft`` has
+    degree at most one in each), so its extremes over the box lie at those
+    corners, which are points of the box."""
 
     def bounds(unit_box):
-        masses = [model.mass_only(design, uncertain_dict(structure, u)) for u in
-                  structure.corners(unit_box, TECH_NAMES, np.mean(unit_box, axis=1))]
+        masses = [model.mass_only(design, uncertain_dict(structure, u))
+                  for u in structure.corners(unit_box)]
         return min(masses), max(masses)
 
     return bounds
@@ -491,26 +498,26 @@ def evidence_evaluator(
     config: SolverConfig,
     sense: str,
 ):
-    """J(x): the mass bound exactly, from the technology corners, and the b
-    bound from an inner bound search over the unit cube.
-
-    The mass bound holds over the whole cube, the nominal point included.
-    The nominal point's unit image is injected into the b search's
-    population, which pins the b bound on the correct side of the
-    deterministic value by construction.
+    """J(x), each objective over the marginal of the parameters it reads:
+    the mass exactly, at its 32 technology corners, and b by an inner
+    bound search over the ``B_NAMES`` marginal's unit cube, seeded with
+    the nominal point's image, which pins the b bound on the correct side
+    of the deterministic value by construction. Each witness is a point of
+    its objective's marginal.
     """
     fixed = model.scenario.fixed_uncertain
-    seed_point = structure.physical_to_unit([fixed[name] for name in structure.names])
-    corners = structure.corners([(0.0, 1.0)] * structure.dim, TECH_NAMES, seed_point)
-    corner_values = [uncertain_dict(structure, u) for u in corners]
+    b_space, mass_space = structure.marginal(B_NAMES), structure.marginal(TECH_NAMES)
+    seed_point = b_space.physical_to_unit([fixed[name] for name in b_space.names])
+    corners = mass_space.corners([(0.0, 1.0)] * mass_space.dim)
+    corner_values = [uncertain_dict(mass_space, u) for u in corners]
     pick = min if sense == "min" else max
 
     def evaluate(design: DesignVector) -> Individual:
         masses = [model.mass_only(design, u) for u in corner_values]
         k = masses.index(pick(masses))
+        b = b_at(model, design, b_space)
         negb_res = inner_bound_search(
-            lambda u: -model.evaluate(design, uncertain_dict(structure, u)).b,
-            structure.dim, sense, config.inner_budget, config.inner_pop,
+            lambda u: -b(u), b_space.dim, sense, config.inner_budget, config.inner_pop,
             _inner_rng(config.seed, design), seeds=(seed_point,),
         )
         return Individual(

@@ -85,13 +85,16 @@ class TechnologyParams:
     emiss_rad: float = 0.9
 
     def __post_init__(self):
-        for name in ("eta_l", "eta_sa", "eta_p", "emiss_m"):
+        for name in ("eta_l", "eta_sa", "eta_p", "emiss_m", "emiss_rad"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {value}")
-        for name in ("rho_r", "rho_l", "rho_m", "rho_s"):
+        for name in ("rho_r", "rho_l", "rho_m", "rho_s", "c_geo", "t_rad"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("m_bus", "mf_c", "mf_p"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -151,8 +154,6 @@ def radiator_area(p_l: float, tech: TechnologyParams) -> float:
     radiated: P_waste = (solar power on the arrays) * (1 - eta_sa*eta_l),
     at the radiator temperature and emissivity of ``tech``.
     """
-    if tech.t_rad <= 0.0:
-        raise ValueError("radiator temperature must be positive")
     p_on_arrays = p_l / tech.eta_sa
     p_waste = p_on_arrays * (1.0 - tech.eta_sa * tech.eta_l)
     return p_waste / (tech.emiss_rad * STEFAN_BOLTZMANN * tech.t_rad**4)

@@ -34,6 +34,7 @@ from neodeflect.evidence import (
 from neodeflect.fpet import ArcControl, fpet_step, propagate_trajectory
 from neodeflect.mission import (
     PHYSICAL_NAMES,
+    TECH_NAMES,
     UNCERTAIN_NAMES,
     DeflectionModel,
     deterministic_evaluator,
@@ -305,7 +306,7 @@ def test_criterion_07_front_ordering(scenario):
         ok_sandwich &= leq(det.objectives.m_sys, hi.objectives.m_sys)
         # margins only inflate mass: the margined best case cannot undercut
         # the best known margin-free value (cross-evaluated witness included)
-        witness_u = uncertain_dict(structure, lo_m.witness_mass)
+        witness_u = uncertain_dict(structure.marginal(TECH_NAMES), lo_m.witness_mass)
         best_plain = min(lo.objectives.m_sys, plain_model.mass_only(x, witness_u))
         ok_sandwich &= lo_m.objectives.m_sys >= best_plain * (1 - 1e-12)
 

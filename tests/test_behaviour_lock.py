@@ -51,7 +51,7 @@ DETERMINISTIC_ARCHIVE_SHA256 = (
     "b5908115be65683e5bb31efc1447325cb3f5834a5a5102f743f4daab11417911"
 )
 MINMAX_ARCHIVE_SHA256 = (
-    "81d3bbb4f47451324dd19a38309fe998f9bc14985433f03706aeb674cea05b28"
+    "52064c36e041b18599406926914e767b8dd2e42488ff978a9723bf0ccd940080"
 )
 # the curves of one bpcurve run at design 20,10,1,3000, --nv 5,
 # --max-partitions 12, each over the parameters its objective reads; the

@@ -15,6 +15,8 @@ from neodeflect.cli import de_box_bounder, main, parse_design
 from neodeflect.evidence import FocalStructure, SubBox
 from neodeflect.fpet import ArcOverflowError
 from neodeflect.mission import (
+    B_NAMES,
+    TECH_NAMES,
     evidence_structure,
     load_scenario,
     reference_scenario_path,
@@ -92,17 +94,29 @@ def test_design_outside_bounds_exit_code(fast_scenario, tmp_path, capsys, mode, 
     ("arc_control", "a_const", math.nan),
     ("solver", "outer_budget", math.inf),
     ("solver", "inner_pop", 4.5),
+    ("technology", "c_geo", 0.0),
+    ("technology", "emiss_rad", 0.0),
+    ("technology", "emiss_rad", 1.5),
+    ("technology", "t_rad", 0.0),
+    ("technology", "m_bus", -1e6),
+    ("technology", "mf_c", -0.1),
+    ("technology", "mf_p", -0.1),
+    ("asteroid_properties", "m_a", 0.0),
+    ("asteroid_properties", "m_a", -1.0),
 ], ids=["bound-number", "bound-one", "bound-reversed", "uncertain-string",
         "uncertain-negative", "uncertain-nan", "uncertain-inf", "mu-nan",
         "technology-nan", "station-nan", "arc-control-nan", "solver-budget-inf",
-        "solver-pop-fraction"])
+        "solver-pop-fraction", "c-geo-zero", "emiss-rad-zero", "emiss-rad-above-one",
+        "t-rad-zero", "m-bus-negative", "mf-c-negative", "mf-p-negative", "m-a-zero",
+        "m-a-negative"])
 def test_malformed_scenario_value_exit_code(fast_scenario, tmp_path, capsys, mode, block,
                                             name, value):
     """A design bound that is not a (lo, hi) pair of numbers with lo <= hi,
     a fixed uncertain value that is not a number or that its dataclass
-    refuses, a solver size that is not an integer, or a NaN or infinity
-    anywhere in the document, is a scenario error: exit 2 with one line on
-    stderr, nothing written."""
+    refuses, a technology or asteroid value that the sizing or the thrust
+    would divide by or turn negative, a solver size that is not an integer,
+    or a NaN or infinity anywhere in the document, is a scenario error:
+    exit 2 with one line on stderr, nothing written."""
     doc = json.loads(fast_scenario.read_text())
     (doc[block] if block else doc)[name] = value
     fast_scenario.write_text(json.dumps(doc))
@@ -466,7 +480,10 @@ def test_minmax_mode_outputs_witnesses(fast_scenario, tmp_path):
     ])
     assert code == 0
     lines = (out / "archive_minmax.csv").read_text().splitlines()
-    assert "witness_b_e_sub" in lines[0]
+    # each witness over the parameters its objective reads
+    assert lines[0].split(",")[7:] == [f"witness_b_{n}" for n in B_NAMES] + [
+        f"witness_m_{n}" for n in TECH_NAMES]
+    assert all(len(row.split(",")) == 7 + 7 + 5 for row in lines[1:])
     assert (out / "extremes_minmax.csv").exists()
     extremes = (out / "extremes_minmax.csv").read_text().splitlines()
     assert all(",belief,1" in row for row in extremes[1:])

@@ -212,8 +212,9 @@ def mutated_documents(draw):
 @given(mutated_documents())
 def test_scenario_checker_agrees_with_jsonschema(doc):
     """On finite documents the scenario loads exactly when jsonschema
-    accepts it."""
-    jsonschema = pytest.importorskip("jsonschema")
+    accepts it. jsonschema is a declared test extra: without it this
+    oracle fails rather than skips."""
+    import jsonschema
     accepted = jsonschema.Draft202012Validator(SCENARIO_SCHEMA).is_valid(doc)
     try:
         scenario_from_dict(doc)
@@ -427,7 +428,7 @@ def test_mass_witness_rails_at_heavy_technology(scenario):
         inner_budget=150, inner_pop=6, seed=31,
     )
     hi = evidence_evaluator(model, structure, config, "max")(DESIGN)
-    witness = dict(zip(structure.names, structure.unit_to_physical(hi.witness_mass)))
+    witness = uncertain_dict(structure.marginal(TECH_NAMES), hi.witness_mass)
     # monotonicity oracle on the sizing chain
     base = model.mass_only(DESIGN, scenario.fixed_uncertain)
     for name, bump in (("rho_r", 4.0), ("rho_l", 0.02), ("rho_m", 0.5)):
@@ -442,33 +443,35 @@ def test_mass_witness_rails_at_heavy_technology(scenario):
 
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_mass_bound_is_exact_at_the_technology_corners(scenario, sense):
-    """m_sys is linear in each technology parameter, so no point of a box
-    leaves the range of its 32 technology corners, which are points of the
-    box themselves and sit at each technology dimension's interval hull over
-    the box's cells, not at the box's unit ends. Over the whole cube the
-    evaluator reports that range's end exactly, with its corner as the
-    witness, whatever the inner budget."""
+    """m_sys is linear in each technology parameter, so no point of a box of
+    the technology marginal leaves the range of its 32 corners, which are
+    points of the box themselves and sit at each dimension's interval hull
+    over the box's cells, not at the box's unit ends. Over the whole cube the
+    evaluator reports that range's end exactly, the matching end of
+    ``mass_box_bounder``, with its corner as the witness, whatever the inner
+    budget."""
     structure = evidence_structure(scenario)
+    tech = structure.marginal(TECH_NAMES)
     model = make_model(scenario, "minmax", contamination=False)
     config = SolverConfig(outer_budget=10, outer_pop=4, explorers=1,
                           inner_budget=4, inner_pop=4, seed=3)
     rng = np.random.default_rng(3)
-    counts = structure.counts()
-    eta_l = structure.names.index("eta_l")
+    counts = tech.counts()
+    eta_l = tech.names.index("eta_l")
     cube = SubBox(tuple((0, n) for n in counts))
     # eta_l cells 1-2 overlap, [0.5, 0.6] and [0.55, 0.664]: hull [0.5, 0.664]
     overlap = SubBox(tuple((1, 3) if d == eta_l else (0, n) for d, n in enumerate(counts)))
     # one interior cell per dimension: its lower faces belong to the cells below
     single = SubBox(tuple((1, 2) for _ in counts))
     # the largest hi in the first cell: the cube's upper unit end maps to 0.4
-    eta_sa = structure.names.index("eta_sa")
+    eta_sa = tech.names.index("eta_sa")
     skewed = FocalStructure([
         ParameterBPA("eta_sa", (UncertainInterval(0.2, 0.5, 0.5), UncertainInterval(0.3, 0.4, 0.5)))
-        if d == eta_sa else p for d, p in enumerate(structure.params)])
+        if d == eta_sa else p for d, p in enumerate(tech.params)])
     cases = (
-        (structure, cube, {"eta_l": (0.4, 0.664), "rho_l": (0.005, 0.02)}),
-        (structure, overlap, {"eta_l": (0.5, 0.664)}),
-        (structure, single, {"eta_l": (0.5, 0.6), "rho_r": (1.0, 3.0), "rho_l": (0.01, 0.02)}),
+        (tech, cube, {"eta_l": (0.4, 0.664), "rho_l": (0.005, 0.02)}),
+        (tech, overlap, {"eta_l": (0.5, 0.664)}),
+        (tech, single, {"eta_l": (0.5, 0.6), "rho_r": (1.0, 3.0), "rho_l": (0.01, 0.02)}),
         (skewed, SubBox(tuple((0, n) for n in skewed.counts())), {"eta_sa": (0.2, 0.5)}),
     )
     for design in (DESIGN, DesignVector(2.0, 1, 1.07, 3000.0)):
@@ -480,7 +483,7 @@ def test_mass_bound_is_exact_at_the_technology_corners(scenario, sense):
                 return all(first <= struct.cell_of(d, u[d]) < end
                            for d, (first, end) in enumerate(box.ranges))
 
-            corners = struct.corners(unit_box, TECH_NAMES, (lo_u + hi_u) / 2)
+            corners = struct.corners(unit_box)
             assert len(corners) == 32 and all(in_box(u) for u in corners)
             # a lower face inside the cube is taken one step inside the box,
             # so its value may sit one rounding above the interval's lo
@@ -499,12 +502,43 @@ def test_mass_bound_is_exact_at_the_technology_corners(scenario, sense):
                 assert lo * (1 - 1e-12) <= mass <= hi * (1 + 1e-12)
             assert mission.mass_box_bounder(model, design, struct)(unit_box) == (lo, hi)
         found = evidence_evaluator(model, structure, config, sense)(design)
-        cube_masses = [model.mass_only(design, uncertain_dict(structure, u)) for u in
-                       structure.corners(cube.unit_box(structure), TECH_NAMES,
-                                         found.witness_negb)]
-        assert found.objectives.m_sys == (min if sense == "min" else max)(cube_masses)
-        assert model.mass_only(design, uncertain_dict(structure, found.witness_mass)) == (
+        ends = mission.mass_box_bounder(model, design, tech)(cube.unit_box(tech))
+        assert found.objectives.m_sys == ends[sense == "max"]
+        assert model.mass_only(design, uncertain_dict(tech, found.witness_mass)) == (
             found.objectives.m_sys)
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_evidence_evaluator_searches_b_over_what_it_reads(scenario, monkeypatch, sense):
+    """Every point the evaluator's b search gives the model holds rho_m,
+    rho_l and rho_r at their fixed values; the b witness is a point of the
+    ``B_NAMES`` marginal that attains the reported b, and the mass witness
+    one of the ``TECH_NAMES`` marginal."""
+    structure = evidence_structure(scenario)
+    model = make_model(scenario, "minmax", contamination=False)
+    config = SolverConfig(outer_budget=10, outer_pop=4, explorers=1,
+                          inner_budget=12, inner_pop=4, seed=3)
+    fixed = scenario.fixed_uncertain
+    seen = []
+    evaluate = model.evaluate
+
+    def spy(design, u):
+        seen.append(dict(u))
+        return evaluate(design, u)
+
+    monkeypatch.setattr(model, "evaluate", spy)
+    design = DesignVector(20.0, 10, 2.0, 3000.0)
+    found = evidence_evaluator(model, structure, config, sense)(design)
+    assert len(seen) == config.inner_budget
+    for u in seen:
+        assert u.keys() == fixed.keys()
+        assert [u[name] for name in ("rho_m", "rho_l", "rho_r")] == [
+            fixed[name] for name in ("rho_m", "rho_l", "rho_r")]
+    assert len({tuple(u[name] for name in B_NAMES) for u in seen}) > 1
+    assert found.witness_negb.shape == (len(B_NAMES),)
+    assert found.witness_mass.shape == (len(TECH_NAMES),)
+    b = mission.b_at(model, design, structure.marginal(B_NAMES))
+    assert -b(found.witness_negb) == found.objectives.neg_b
 
 
 @pytest.mark.parametrize("contamination", [False, True])
