@@ -12,7 +12,8 @@ import numpy as np
 from neodeflect.mission import Scenario
 from neodeflect.orbits import (
     EquinoctialState,
-    bplane_projection,
+    bplane_normal,
+    bplane_offset,
     equinoctial_to_cartesian,
     keplerian_to_equinoctial,
     propagate_keplerian,
@@ -29,7 +30,8 @@ def earth_miss_distance(
     """b-plane miss distance of an asteroid state relative to the Earth [km]."""
     r_ast, v_ast = equinoctial_to_cartesian(asteroid, mu_sun)
     r_earth, v_earth = equinoctial_to_cartesian(earth, mu_sun)
-    return bplane_projection(r_ast - r_earth, v_ast - v_earth).b
+    v_hat = bplane_normal(v_ast - v_earth)
+    return float(np.linalg.norm(bplane_offset(r_ast - r_earth, v_hat)))
 
 
 def nominal_miss(scenario: Scenario, theta0: float | None = None) -> float:

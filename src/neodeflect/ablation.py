@@ -162,18 +162,6 @@ def ellipsoid_radius(ast: AsteroidProperties, theta_va: float, t: float) -> floa
     )
 
 
-def spot_vector(geom: StationGeometry, r_ell: float) -> np.ndarray:
-    """Hill-frame vector [m] from the laser spot to the spacecraft, for the
-    ellipsoid radius ``r_ell`` [m] under the spot (``ellipsoid_radius``)."""
-    return np.array(
-        [
-            geom.x - r_ell * math.sin(geom.theta_va),
-            geom.y - r_ell * math.cos(geom.theta_va),
-            geom.z,
-        ]
-    )
-
-
 def mass_flow_rate(
     p_in: float, ast: AsteroidProperties, n_sc: int, half: float, r_ell: float
 ) -> float:
@@ -265,10 +253,11 @@ def plume_density(
     """
     if mdot <= 0.0:
         return 0.0
-    r_vec = spot_vector(geom, r_ell)
-    # the sum np.linalg.norm takes (BLAS ddot), without its argument checks
-    r_s_sc = math.sqrt(r_vec.dot(r_vec))
-    cos_phi = float(r_vec[0]) / r_s_sc if r_s_sc > 0.0 else 1.0
+    # Hill-frame vector from the spot to the spacecraft
+    dx = geom.x - r_ell * math.sin(geom.theta_va)
+    dy = geom.y - r_ell * math.cos(geom.theta_va)
+    r_s_sc = math.sqrt(dx * dx + dy * dy + geom.z * geom.z)
+    cos_phi = dx / r_s_sc if r_s_sc > 0.0 else 1.0
     phi = math.acos(max(-1.0, min(1.0, cos_phi)))
     if phi >= PHI_MAX:
         return 0.0

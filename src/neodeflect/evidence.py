@@ -153,11 +153,6 @@ def load_expert_opinions(path: str | Path) -> list[ExpertOpinion]:
     return opinions
 
 
-def fuse_all(opinions: list[ExpertOpinion], names: list[str]) -> list[ParameterBPA]:
-    """Fuse every named parameter, preserving the given dimension order."""
-    return [fuse_experts(opinions, name) for name in names]
-
-
 # ---------------------------------------------------------------------------
 # Joint structure and the unit-hypercube map
 # ---------------------------------------------------------------------------
@@ -258,21 +253,6 @@ class FocalStructure:
             high = max(cells, key=lambda j: intervals[j].hi)
             ends.append((first_inside(edges[low]), edges[high + 1]))
         return [np.array(point) for point in itertools.product(*ends)]
-
-
-# ---------------------------------------------------------------------------
-# Belief / Plausibility of threshold propositions
-# ---------------------------------------------------------------------------
-
-def classify_box(vmin: float, vmax: float, v: float) -> tuple[bool, bool]:
-    """(counts toward Belief, counts toward Plausibility) for y < v.
-
-    A box lies fully inside the proposition set when its maximum does not
-    exceed the threshold, and intersects it when its minimum falls below.
-    """
-    below = vmax <= v
-    intersects = below or vmin < v
-    return below, intersects
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +360,9 @@ def bel_pl_curve(
         while stack:
             box = stack.pop()
             vmin, vmax, bpa = partition[box]
-            below, intersects = classify_box(vmin, vmax, v)
+            # y < v on the whole box (Bel), or somewhere in it (Pl)
+            below = vmax <= v
+            intersects = below or vmin < v
             if intersects and not below and box.n_cells() > 1 and bpa >= bpa_floor:
                 if n_partitions < max_partitions:
                     del partition[box]

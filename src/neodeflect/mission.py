@@ -23,12 +23,13 @@ import numpy as np
 
 from .ablation import AsteroidProperties, StationGeometry, ThrustModel
 from .constants import AU_KM, S0, YEAR_S
-from .evidence import FocalStructure, fuse_all, load_expert_opinions
+from .evidence import FocalStructure, fuse_experts, load_expert_opinions
 from .fpet import ArcControl, Trajectory, propagate_trajectory
 from .orbits import (
     EquinoctialState,
     KeplerianElements,
     bplane_normal,
+    bplane_offset,
     equinoctial_to_cartesian,
     gauss_rhs,
     keplerian_to_equinoctial,
@@ -402,8 +403,7 @@ class DeflectionModel:
             raise ValueError(
                 f"deviated state epoch {deviated.t} is not at t_impact {self.scenario.t_impact}")
         r_dev, _ = equinoctial_to_cartesian(deviated, self.mu)
-        d_vec = r_dev - self._r_nominal
-        return float(np.linalg.norm(d_vec - np.dot(d_vec, self._v_hat) * self._v_hat))
+        return float(np.linalg.norm(bplane_offset(r_dev - self._r_nominal, self._v_hat)))
 
     def mass_only(self, design: DesignVector, u: dict) -> float:
         """Formation mass [kg]; no propagation involved."""
@@ -436,7 +436,8 @@ def evidence_structure(scenario: Scenario) -> FocalStructure:
     ScenarioError."""
     path = scenario.expert_opinions_path()
     try:
-        params = fuse_all(load_expert_opinions(path), list(UNCERTAIN_NAMES))
+        opinions = load_expert_opinions(path)
+        params = [fuse_experts(opinions, name) for name in UNCERTAIN_NAMES]
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"expert opinions {path}: {type(exc).__name__}: {exc}") from exc
     return FocalStructure(params)

@@ -31,22 +31,6 @@ class DegenerateBPlaneError(ValueError):
     """Incoming relative velocity too small to define a b-plane."""
 
 
-def wrap_two_pi(angle: float) -> float:
-    """Wrap an angle to [0, 2*pi)."""
-    a = math.fmod(angle, TWO_PI)
-    return a + TWO_PI if a < 0.0 else a
-
-
-def wrap_pi(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    a = math.fmod(angle, TWO_PI)
-    if a > math.pi:
-        a -= TWO_PI
-    elif a <= -math.pi:
-        a += TWO_PI
-    return a
-
-
 @dataclass(frozen=True)
 class KeplerianElements:
     """Classical elements of an elliptic orbit.
@@ -127,21 +111,6 @@ class ThrustRTN:
             raise ValueError("thrust modulus must be non-negative")
 
 
-@dataclass(frozen=True)
-class BPlaneResult:
-    """Projected miss geometry on the plane normal to the incoming velocity.
-
-    Attributes:
-        b: impact parameter magnitude [km].
-        v_inf: incoming relative velocity vector [km/s].
-        b_vec: miss vector projected onto the b-plane [km].
-    """
-
-    b: float
-    v_inf: np.ndarray
-    b_vec: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Element conversions
 # ---------------------------------------------------------------------------
@@ -153,7 +122,7 @@ def keplerian_to_equinoctial(kep: KeplerianElements) -> EquinoctialState:
     Raises ValueError for e >= 1 (enforced by KeplerianElements) and for
     i = pi, where tan(i/2) is singular.
     """
-    if abs(wrap_pi(kep.i - math.pi)) < 1e-12:
+    if abs(math.remainder(kep.i - math.pi, TWO_PI)) < 1e-12:
         raise ValueError("equinoctial elements are singular at i = pi")
     pomega = kep.raan + kep.argp
     ti2 = math.tan(0.5 * kep.i)
@@ -163,7 +132,7 @@ def keplerian_to_equinoctial(kep: KeplerianElements) -> EquinoctialState:
         p2=kep.e * math.cos(pomega),
         q1=ti2 * math.sin(kep.raan),
         q2=ti2 * math.cos(kep.raan),
-        ell=wrap_two_pi(pomega + kep.theta),
+        ell=(pomega + kep.theta) % TWO_PI,
     )
 
 
@@ -350,8 +319,7 @@ def bplane_normal(v_inf: np.ndarray) -> np.ndarray:
     return v_inf / v_norm
 
 
-def bplane_projection(d_vec: np.ndarray, v_inf: np.ndarray) -> BPlaneResult:
-    """Project a miss vector onto the plane normal to the incoming velocity."""
-    v_hat = bplane_normal(v_inf)
-    b_vec = d_vec - np.dot(d_vec, v_hat) * v_hat
-    return BPlaneResult(b=float(np.linalg.norm(b_vec)), v_inf=v_inf, b_vec=b_vec)
+def bplane_offset(d_vec: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
+    """Miss vector ``d_vec`` projected on the b-plane of unit normal
+    ``v_hat`` (``bplane_normal``); its norm is the impact parameter."""
+    return d_vec - np.dot(d_vec, v_hat) * v_hat

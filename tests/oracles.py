@@ -21,20 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from neodeflect.evidence import (
-    FocalStructure,
-    ParameterBPA,
-    classify_box,
-)
+from neodeflect.evidence import FocalStructure, ParameterBPA
 from neodeflect.fpet import _CHEB_CUM_T, _CHEB_MAP, _CHEB_W
 from neodeflect.orbits import (
-    BPlaneResult,
     EquinoctialState,
     KeplerianElements,
     ThrustRTN,
-    bplane_projection,
+    bplane_normal,
+    bplane_offset,
     equinoctial_to_cartesian,
-    wrap_two_pi,
 )
 
 
@@ -64,9 +59,9 @@ def equinoctial_to_keplerian(eq: EquinoctialState) -> KeplerianElements:
         a=eq.a,
         e=e,
         i=i,
-        raan=wrap_two_pi(raan),
-        argp=wrap_two_pi(argp),
-        theta=wrap_two_pi(theta),
+        raan=raan % (2.0 * math.pi),
+        argp=argp % (2.0 * math.pi),
+        theta=theta % (2.0 * math.pi),
     )
 
 
@@ -187,8 +182,8 @@ def impact_parameter(
     earth: EquinoctialState,
     t_impact: float,
     mu_sun: float,
-) -> BPlaneResult:
-    """Impact parameter of the deviated orbit on the Earth b-plane.
+) -> float:
+    """Impact parameter [km] of the deviated orbit on the Earth b-plane.
 
     The plane is built from the unperturbed encounter geometry,
     v_inf = v_nominal - v_earth, and the Cartesian position difference
@@ -201,7 +196,8 @@ def impact_parameter(
     r_dev, _ = equinoctial_to_cartesian(deviated, mu_sun)
     r_nom, v_nom = equinoctial_to_cartesian(nominal, mu_sun)
     _, v_earth = equinoctial_to_cartesian(earth, mu_sun)
-    return bplane_projection(r_dev - r_nom, v_nom - v_earth)
+    v_hat = bplane_normal(v_nom - v_earth)
+    return float(np.linalg.norm(bplane_offset(r_dev - r_nom, v_hat)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +358,11 @@ def bel_pl_of_threshold(bounds_by_element, v: float) -> tuple[float, float]:
     bel_terms = []
     pl_terms = []
     for bpa, vmin, vmax in bounds_by_element:
-        below, intersects = classify_box(vmin, vmax, v)
-        if below:
+        # Bel: y < v on the whole element, i.e. its maximum does not exceed v;
+        # Pl: the elements of Bel and every element whose minimum is below v
+        if vmax <= v:
             bel_terms.append(bpa)
-        if intersects:
+        if vmax <= v or vmin < v:
             pl_terms.append(bpa)
     return math.fsum(bel_terms), math.fsum(pl_terms)
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from neodeflect.constants import AU_KM, ETA_ABS, J_C, MU_SUN, RHO_LAYER, STEFAN_BOLTZMANN
+from neodeflect.constants import (
+    AU_KM, ETA_ABS, J_C, KAPPA, MU_SUN, PHI_MAX, RHO_LAYER, STEFAN_BOLTZMANN,
+)
 from neodeflect.ablation import (
     AsteroidProperties,
     StationGeometry,
@@ -20,7 +22,6 @@ from neodeflect.ablation import (
     plume_density,
     radiation_loss,
     spot_area,
-    spot_vector,
 )
 from neodeflect.fpet import ArcControl
 from neodeflect.mission import (
@@ -229,10 +230,52 @@ def test_ellipsoid_radius_sphere_and_phase():
     assert ellipsoid_radius(ell, 0.0, 0.0) == pytest.approx(200.0)  # angle 0 -> a1
 
 
-def test_spot_vector_example():
-    geom = StationGeometry(x=2000.0, y=0.0, z=0.0, theta_va=0.0)
-    vec = spot_vector(geom, 135.0)
-    np.testing.assert_allclose(vec, [2000.0, -135.0, 0.0], atol=1e-9)
+@pytest.mark.parametrize(
+    "geom, spot_to_station",
+    [
+        # spot on the x axis, under a station out of the orbit plane
+        (StationGeometry(x=2000.0, z=700.0, theta_va=math.pi / 2), (1865.0, 0.0, 700.0)),
+        # spot on the y axis: the station sees it 135 m along -y
+        (StationGeometry(x=2000.0, y=0.0, z=0.0, theta_va=0.0), (2000.0, -135.0, 0.0)),
+    ],
+    ids=["spot-on-x", "spot-on-y"],
+)
+def test_plume_density_of_the_spot_to_station_vector(geom, spot_to_station):
+    """The density is the jet law at the range and the angle off the x axis
+    of the Hill-frame vector from the spot (r_ell 135 m) to the station."""
+    a_spot, d_spot = spot_area(math.pi * 100.0, 3000.0)
+    r = math.hypot(*spot_to_station)
+    phi = math.acos(spot_to_station[0] / r)
+    expected = (J_C * 1e-3 / (520.0 * a_spot) * (d_spot / (2.0 * r + d_spot)) ** 2
+                * math.cos(math.pi * phi / (2.0 * PHI_MAX)) ** (2.0 / (KAPPA - 1.0)))
+    rho = plume_density(1e-3, 520.0, a_spot, d_spot, geom, 135.0)
+    assert rho == pytest.approx(expected, rel=1e-12)
+
+
+def test_plume_density_matches_the_numpy_norm_at_the_reference_stations():
+    """At the default station (x 2000 m) and the reference scenario's (x
+    3000 m), both with y = z = 0 and theta_va pi/2, dy**2 is below half an
+    ulp of dx**2, so the plain-float norm equals the former numpy 3-vector
+    and BLAS dot bit for bit."""
+
+    def numpy_plume_density(mdot, vbar, a_spot, d_spot, geom, r_ell):
+        r_vec = np.array([geom.x - r_ell * math.sin(geom.theta_va),
+                          geom.y - r_ell * math.cos(geom.theta_va), geom.z])
+        r_s_sc = math.sqrt(r_vec.dot(r_vec))
+        phi = math.acos(max(-1.0, min(1.0, float(r_vec[0]) / r_s_sc)))
+        if phi >= PHI_MAX:
+            return 0.0
+        theta = math.pi * phi / (2.0 * PHI_MAX)
+        spread = (d_spot / (2.0 * r_s_sc + d_spot)) ** 2
+        directivity = math.cos(theta) ** (2.0 / (KAPPA - 1.0))
+        return J_C * (mdot / (vbar * a_spot)) * spread * directivity
+
+    a_spot, d_spot = spot_area(math.pi * 100.0, 3000.0)
+    rng = np.random.default_rng(23)
+    for geom in (GEOM, load_scenario(reference_scenario_path()).station):
+        for r_ell, mdot in zip(rng.uniform(10.0, 1000.0, 1000), rng.uniform(1e-6, 1e-2, 1000)):
+            args = (float(mdot), 520.0, a_spot, d_spot, geom, float(r_ell))
+            assert plume_density(*args) == numpy_plume_density(*args)
 
 
 def test_plume_density_edge_and_axis():

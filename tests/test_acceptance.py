@@ -27,7 +27,6 @@ from neodeflect.evidence import (
     ParameterBPA,
     UncertainInterval,
     bel_pl_curve,
-    fuse_all,
     fuse_experts,
     load_expert_opinions,
 )
@@ -331,7 +330,7 @@ def test_criterion_08_sensitivity_ranking(scenario):
     config = scenario.solver
     spreads = {}
     for name in PHYSICAL_NAMES:
-        structure = FocalStructure(fuse_all(opinions, [name]))
+        structure = FocalStructure([fuse_experts(opinions, name)])
 
         def b_of(u_vec, pname=name, struct=structure):
             u = dict(scenario.fixed_uncertain)

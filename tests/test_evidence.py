@@ -16,7 +16,6 @@ from neodeflect.evidence import (
     ParameterBPA,
     UncertainInterval,
     bel_pl_curve,
-    fuse_all,
     fuse_experts,
     load_expert_opinions,
 )
@@ -158,7 +157,7 @@ def test_focal_count_cap():
 
 def test_full_structure_counts_and_product():
     opinions = load_expert_opinions(DATA)
-    params = fuse_all(opinions, UNCERTAIN_NAMES)
+    params = [fuse_experts(opinions, name) for name in UNCERTAIN_NAMES]
     structure = FocalStructure(params)
     counts = structure.counts()
     assert counts[:5] == (4, 3, 3, 3, 4)

@@ -302,7 +302,7 @@ def test_impact_b_matches_the_three_state_projection(scenario):
     deviated = propagate_keplerian(ev.trajectory.final, scenario.t_impact, scenario.mu)
     ref = oracles.impact_parameter(deviated, model.nominal_at_impact, model.earth_at_impact,
                                    scenario.t_impact, scenario.mu)
-    assert ev.b == model.impact_b(deviated) == ref.b
+    assert ev.b == model.impact_b(deviated) == ref
     assert model.impact_b(model.nominal_at_impact) == 0.0
     with pytest.raises(ValueError, match="not at t_impact"):
         model.impact_b(ev.trajectory.states[0])

@@ -14,7 +14,8 @@ from neodeflect.orbits import (
     EquinoctialState,
     KeplerianElements,
     ThrustRTN,
-    bplane_projection,
+    bplane_normal,
+    bplane_offset,
     equinoctial_to_cartesian,
     gauss_rhs,
     kepler_start,
@@ -281,22 +282,22 @@ def _states_at_impact():
 
 def test_impact_parameter_zero_for_undeviated():
     ast, earth = _states_at_impact()
-    res = impact_parameter(ast, ast, earth, 100.0, MU)
-    assert res.b == 0.0
+    assert impact_parameter(ast, ast, earth, 100.0, MU) == 0.0
 
 
 def test_bplane_projection_geometry():
     v_inf = np.array([3.0, -1.0, 0.5])
-    v_hat = v_inf / np.linalg.norm(v_inf)
+    v_hat = bplane_normal(v_inf)
     # parallel offset is annihilated
-    res = bplane_projection(1234.5 * v_hat, v_inf)
-    assert res.b == pytest.approx(0.0, abs=1e-9)
+    b_vec = bplane_offset(1234.5 * v_hat, v_hat)
+    assert np.linalg.norm(b_vec) == pytest.approx(0.0, abs=1e-9)
     # perpendicular offset passes through at full length
     d_perp = np.cross(v_hat, [0.0, 0.0, 1.0])
     d_perp = 321.0 * d_perp / np.linalg.norm(d_perp)
-    res = bplane_projection(d_perp, v_inf)
-    assert res.b == pytest.approx(321.0, rel=1e-12)
-    assert abs(np.dot(res.b_vec, v_inf)) <= 1e-9 * res.b * np.linalg.norm(v_inf)
+    b_vec = bplane_offset(d_perp, v_hat)
+    b = np.linalg.norm(b_vec)
+    assert b == pytest.approx(321.0, rel=1e-12)
+    assert abs(np.dot(b_vec, v_inf)) <= 1e-9 * b * np.linalg.norm(v_inf)
 
 
 def test_bplane_orthogonality_random():
@@ -304,14 +305,14 @@ def test_bplane_orthogonality_random():
     for _ in range(100):
         d = rng.normal(size=3) * 1e5
         v = rng.normal(size=3) * 10.0
-        res = bplane_projection(d, v)
-        assert abs(np.dot(res.b_vec, v)) <= 1e-9 * max(res.b, 1e-30) * np.linalg.norm(v)
-        assert res.b == pytest.approx(np.linalg.norm(res.b_vec))
+        b_vec = bplane_offset(d, bplane_normal(v))
+        b = np.linalg.norm(b_vec)
+        assert abs(np.dot(b_vec, v)) <= 1e-9 * max(b, 1e-30) * np.linalg.norm(v)
 
 
 def test_degenerate_bplane_raises():
     with pytest.raises(DegenerateBPlaneError):
-        bplane_projection(np.ones(3), np.zeros(3))
+        bplane_normal(np.zeros(3))
 
 
 def test_impact_parameter_epoch_mismatch_rejected():
