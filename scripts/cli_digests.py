@@ -23,10 +23,13 @@ Where payloads differ on purpose, size the difference numerically:
 
     python3 scripts/cli_digests.py --compare /tmp/digests-old /tmp/digests-new
 
-prints one line for every CSV under the first directory whose bytes differ
-from its namesake under the second: a change in the number of data rows,
-or else, over the rows paired in order, the largest absolute and relative
-difference of a numeric cell and the number of other cells that differ.
+prints one line for every CSV whose bytes differ between the two
+directories, or that only one of them holds. Cells are paired by column
+name, so a reordered column is no difference; the line names the columns
+only one side has, then gives a change in the number of data rows, or
+else, over the rows paired in order and the columns both sides have, the
+largest absolute and relative difference of a numeric cell and the number
+of other cells that differ.
 """
 import csv
 import hashlib
@@ -61,28 +64,43 @@ def write_scenario(tree: Path, out: Path) -> None:
     (out / "scenario.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _rows(path: Path) -> list[list[str]]:
+def _table(path: Path) -> tuple[list[str], list[list[str]]]:
     with path.open(newline="") as handle:
-        return list(csv.reader(handle))[1:]
+        rows = list(csv.reader(handle))
+    return (rows[0], rows[1:]) if rows else ([], [])
 
 
 def compare(old: Path, new: Path) -> None:
-    for path in sorted(old.rglob("*.csv")):
-        name = path.relative_to(old)
-        other = new / name
+    names = {p.relative_to(old) for p in old.rglob("*.csv")}
+    names |= {p.relative_to(new) for p in new.rglob("*.csv")}
+    for name in sorted(names):
+        path, other = old / name, new / name
         if not other.exists():
             print(f"{name}: missing under {new}")
             continue
+        if not path.exists():
+            print(f"{name}: only under {new}")
+            continue
         if path.read_bytes() == other.read_bytes():
             continue
-        rows_old, rows_new = _rows(path), _rows(other)
+        (head_old, rows_old), (head_new, rows_new) = _table(path), _table(other)
+        notes = []
+        dropped = [c for c in head_old if c not in head_new]
+        added = [c for c in head_new if c not in head_old]
+        if dropped:
+            notes.append(f"dropped columns {' '.join(dropped)}")
+        if added:
+            notes.append(f"added columns {' '.join(added)}")
         if len(rows_old) != len(rows_new):
-            print(f"{name}: rows {len(rows_old)} -> {len(rows_new)}")
+            notes.append(f"rows {len(rows_old)} -> {len(rows_new)}")
+            print(f"{name}: {', '.join(notes)}")
             continue
+        pairs = [(head_old.index(c), head_new.index(c)) for c in head_old if c in head_new]
         max_abs = max_rel = 0.0
         other_cells = 0
         for row_old, row_new in zip(rows_old, rows_new):
-            for a, b in zip(row_old, row_new):
+            for i, j in pairs:
+                a, b = row_old[i], row_new[j]
                 try:
                     x, y = float(a), float(b)
                 except ValueError:
@@ -92,8 +110,9 @@ def compare(old: Path, new: Path) -> None:
                 max_abs = max(max_abs, diff)
                 if diff:
                     max_rel = max(max_rel, diff / max(abs(x), abs(y)))
-        print(f"{name}: {len(rows_old)} rows, max abs {max_abs:.3g}, "
-              f"max rel {max_rel:.3g}, other cells {other_cells}")
+        notes.append(f"{len(rows_old)} rows, max abs {max_abs:.3g}, "
+                     f"max rel {max_rel:.3g}, other cells {other_cells}")
+        print(f"{name}: {', '.join(notes)}")
 
 
 def main(argv: list[str]) -> int:

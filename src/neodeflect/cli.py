@@ -17,8 +17,9 @@ checked when the scenario loads), a negative seed
 (in the scenario or as ``--seed``), a scenario file that cannot be read, an
 ``--out`` directory that cannot be made or written to, a ``--design``
 outside the scenario's design bounds, an expert-opinion file that is
-missing, malformed, leaves out a parameter, or holds a non-finite bound
-or a weight that is not a finite number >= 0 (the modes that load it:
+missing, malformed (an expert or its parameters not an object, a bool
+for a number), leaves out a parameter, or holds a non-finite bound or a
+weight that is not a finite number >= 0 (the modes that load it:
 ``minmin``, ``minmin-margins``, ``minmax``, ``bpcurve``, ``sensitivity``),
 ``--nv`` below 2 or ``--max-partitions`` below 1 (``bpcurve``,
 ``sensitivity``), or reference orbits of the asteroid and the Earth whose

@@ -131,22 +131,34 @@ def load_expert_opinions(path: str | Path) -> list[ExpertOpinion]:
 
     Format: {"experts": [{"id": ..., "weight": ..., "parameters":
     {name: [{"lo": ..., "hi": ..., "bpa": ...}, ...], ...}}, ...]}.
-    A parameter an expert has no opinion on is simply absent.
+    A parameter an expert has no opinion on is simply absent. A document
+    of another shape, or a bool where a number belongs, is a TypeError.
     """
+    def number(value):
+        if isinstance(value, bool):
+            raise TypeError(f"{value!r} is not a number")
+        return value
+
     doc = json.loads(Path(path).read_text())
     opinions = []
-    for entry in doc["experts"]:
+    for k, entry in enumerate(doc["experts"]):
+        if not isinstance(entry, dict):
+            raise TypeError(f"expert {k} is not an object: {entry!r}")
+        parameters = entry.get("parameters", {})
+        if not isinstance(parameters, dict):
+            raise TypeError(f"parameters of expert {k} are not an object: {parameters!r}")
         params = {
             name: tuple(
-                UncertainInterval(lo=iv["lo"], hi=iv["hi"], bpa=iv["bpa"])
+                UncertainInterval(lo=number(iv["lo"]), hi=number(iv["hi"]),
+                                  bpa=number(iv["bpa"]))
                 for iv in intervals
             )
-            for name, intervals in entry.get("parameters", {}).items()
+            for name, intervals in parameters.items()
         }
         opinions.append(
             ExpertOpinion(
                 expert_id=entry["id"],
-                weight=entry.get("weight", 1.0),
+                weight=number(entry.get("weight", 1.0)),
                 parameters=params,
             )
         )

@@ -143,17 +143,25 @@ _OPINION_EDITS = {
     "inf-hi": ("hi", math.inf, "finite"),
     "nan-weight": ("weight", math.nan, "weight"),
     "negative-weight": ("weight", -1.0, "weight"),
+    "bool-lo": ("lo", True, "not a number"),
+}
+# opinion documents of the wrong shape
+_OPINION_DOCS = {
+    "string-expert": {"experts": ["x"]},
+    "null-expert": {"experts": [None]},
+    "list-parameters": {"experts": [{"id": "a", "parameters": []}]},
 }
 
 
-@pytest.mark.parametrize("opinions", ["missing", "malformed", "incomplete", *_OPINION_EDITS])
+@pytest.mark.parametrize("opinions", ["missing", "malformed", "incomplete", *_OPINION_EDITS,
+                                      *_OPINION_DOCS])
 @pytest.mark.parametrize("mode", ["minmin", "minmin-margins", "minmax", "bpcurve",
                                   "sensitivity"])
 def test_expert_opinion_failure_exit_code(fast_scenario, tmp_path, capsys, mode, opinions):
     """An opinion file that is missing, is not JSON, leaves out a parameter,
-    has an interval bound that is not finite or an expert weight that is not
-    a finite number >= 0 is a scenario error: exit 2 with one line on
-    stderr."""
+    has an interval bound that is not finite or a bool, an expert weight
+    that is not a finite number >= 0, or an expert or parameter block that
+    is not an object is a scenario error: exit 2 with one line on stderr."""
     path = tmp_path / "opinions.json"
     shipped = reference_scenario_path().parent / "expert_opinions.json"
     doc = json.loads(shipped.read_text())
@@ -168,6 +176,8 @@ def test_expert_opinion_failure_exit_code(fast_scenario, tmp_path, capsys, mode,
         expert = next(e for e in doc["experts"] if e["parameters"].get("c_a"))
         (expert if key == "weight" else expert["parameters"]["c_a"][0])[key] = value
         path.write_text(json.dumps(doc))
+    elif opinions in _OPINION_DOCS:
+        path.write_text(json.dumps(_OPINION_DOCS[opinions]))
     scenario = json.loads(fast_scenario.read_text())
     scenario["expert_opinions_file"] = str(path)
     fast_scenario.write_text(json.dumps(scenario))
@@ -179,6 +189,8 @@ def test_expert_opinion_failure_exit_code(fast_scenario, tmp_path, capsys, mode,
     assert len(err.splitlines()) == 1
     if opinions in _OPINION_EDITS:
         assert _OPINION_EDITS[opinions][2] in err
+    if opinions in _OPINION_DOCS:
+        assert "not an object" in err
 
 
 def test_degenerate_bplane_exit_code(fast_scenario, tmp_path, capsys):

@@ -40,7 +40,7 @@ from neodeflect.mission import (
     uncertain_dict,
 )
 from neodeflect.orbits import propagate_keplerian
-from neodeflect.search import SolverConfig
+from neodeflect.search import SolverConfig, decode_design
 from neodeflect.sizing import DesignVector, UNIT_MARGINS, size_spacecraft
 
 import oracles
@@ -439,6 +439,31 @@ def test_mass_witness_rails_at_heavy_technology(scenario):
     assert witness["rho_r"] > 2.5
     assert witness["rho_l"] > 0.0125
     assert witness["rho_m"] > 0.25
+
+
+@pytest.mark.parametrize("contamination", [False, True])
+def test_the_dark_corner_of_the_b_marginal_never_ablates(scenario, contamination):
+    """At the corner of the B_NAMES marginal's hull where the five asteroid
+    parameters sit at their upper ends and eta_l, eta_sa at their lower
+    ends, the spot is dark on the whole orbit from the start of every
+    design drawn: one coasted arc, b exactly 0.0, the worst case of b."""
+    b_space = evidence_structure(scenario).marginal(B_NAMES)
+    corners = b_space.corners([(0.0, 1.0)] * b_space.dim)
+    values = [b_space.unit_to_physical(u) for u in corners]
+    high, low = np.max(values, axis=0), np.min(values, axis=0)
+    target = [high[d] if name in mission.PHYSICAL_NAMES else low[d]
+              for d, name in enumerate(b_space.names)]
+    dark = next(u for u, x in zip(corners, values) if x.tolist() == target)
+    u = {**scenario.fixed_uncertain, **uncertain_dict(b_space, dark)}
+    rng = np.random.default_rng(11)
+    designs = [decode_design(rng.random(4), scenario.design_bounds) for _ in range(150)]
+    model = make_model(scenario, "minmax", contamination)
+    for design in [*designs, DesignVector(20.0, 10, 8.0, 3000.0)]:
+        start, thrust = model.deflection_start(design, u)
+        assert thrust.dark_until(start, 0.0) == math.inf
+        ev = model.evaluate(design, u)
+        assert ev.b == 0.0
+        assert ev.n_arcs == 1
 
 
 @pytest.mark.parametrize("sense", ["min", "max"])
