@@ -9,9 +9,11 @@ of modules, and each builds the reference scenario's model with
 contamination off and on. Every repetition evaluates the four designs of
 the reference panel (``perfbench/references.json``) at the scenario's fixed
 uncertain values in both trees, alternating which tree goes first, and
-stops with an error unless the two values of b are bit-equal. The script
-prints, per design and contamination setting, the summed evaluation times
-of each tree and the new/old ratio, then the ratio over all evaluations.
+stops with an error unless the two evaluations are bit-equal: b, m_sys,
+the thrust modulus of every arc (``eps_history``) and all seven fields of
+every arc-boundary state, compared state by state. The script prints, per
+design and contamination setting, the summed evaluation times of each
+tree and the new/old ratio, then the ratio over all evaluations.
 
 The panel runs at one uncertain point, where few trajectories have a dark
 spell in mid-flight; the evidence searches meet them mostly at drawn
@@ -19,7 +21,7 @@ points. So before the timed repetitions both trees evaluate, once and
 untimed, a fixed draw (seed ``DRAW_SEED``) of ``DRAW_PAIRS`` designs within
 the scenario's design bounds, each with a unit point of the evidence
 structure, per contamination setting, and the script stops with an error
-unless b and the arc count are bit-equal on every pair.
+unless the two evaluations are bit-equal in the same sense on every pair.
 
 Separate processes cannot resolve a change of a few percent on a host whose
 speed drifts in phases of seconds (``perfbench/README.md``); interleaved in
@@ -35,6 +37,7 @@ import numpy as np
 
 PANEL = ("20,10,8,3000", "20,10,1,3000", "12,4,3.5,2000", "8,6,6,2500")
 DRAW_SEED, DRAW_PAIRS = 2026, 200
+STATE_FIELDS = ("a", "p1", "p2", "q1", "q2", "ell", "t")
 
 
 def load_tree(src: Path):
@@ -58,9 +61,30 @@ def load_tree(src: Path):
     return mission, cli
 
 
+def difference(old, new) -> str | None:
+    """The first place where two evaluations differ in any bit (signed
+    zeros included): b, m_sys, the arc count, an arc's thrust modulus or a
+    field of an arc-boundary state. None when they are bit-equal."""
+    for name in ("b", "m_sys"):
+        if getattr(old, name).hex() != getattr(new, name).hex():
+            return f"{name} old {getattr(old, name)!r} new {getattr(new, name)!r}"
+    if old.n_arcs != new.n_arcs:
+        return f"n_arcs old {old.n_arcs} new {new.n_arcs}"
+    arcs = zip(old.trajectory.eps_history, new.trajectory.eps_history)
+    for k, (eps_old, eps_new) in enumerate(arcs):
+        if eps_old.hex() != eps_new.hex():
+            return f"eps_history[{k}] old {eps_old!r} new {eps_new!r}"
+    for k, (s_old, s_new) in enumerate(zip(old.trajectory.states, new.trajectory.states)):
+        for name in STATE_FIELDS:
+            v_old, v_new = getattr(s_old, name), getattr(s_new, name)
+            if v_old.hex() != v_new.hex():
+                return f"states[{k}].{name} old {v_old!r} new {v_new!r}"
+    return None
+
+
 def check_draw(trees, sides, contamination: bool) -> None:
     """Evaluate the fixed draw of design and unit-point pairs in both
-    trees; stop with an error unless b and n_arcs are bit-equal."""
+    trees; stop with an error unless every pair is bit-equal."""
     structures = [mission.evidence_structure(model.scenario)
                   for (mission, _), (model, _, _) in zip(trees, sides)]
     bounds = sides[0][0].scenario.design_bounds
@@ -70,14 +94,12 @@ def check_draw(trees, sides, contamination: bool) -> None:
         n_sc = int(rng.integers(int(bounds["n_sc"][0]), int(bounds["n_sc"][1]), endpoint=True))
         text = f"{d_m!r},{n_sc},{t_warn!r},{c_r!r}"
         u_vec = rng.random(structures[0].dim)
-        got = []
-        for (mission, _), (model, _, cli), structure in zip(trees, sides, structures):
-            ev = model.evaluate(cli.parse_design(text), mission.uncertain_dict(structure, u_vec))
-            got.append((ev.b, ev.n_arcs))
-        if got[0] != got[1]:
+        got = [model.evaluate(cli.parse_design(text), mission.uncertain_dict(structure, u_vec))
+               for (mission, _), (model, _, cli), structure in zip(trees, sides, structures)]
+        where = difference(*got)
+        if where is not None:
             setting = "on" if contamination else "off"
-            raise SystemExit(f"error: drawn pair {k} ({text}, contamination {setting}): "
-                             f"(b, n_arcs) differ, old {got[0]!r} new {got[1]!r}")
+            raise SystemExit(f"error: drawn pair {k} ({text}, contamination {setting}): {where}")
 
 
 def main(argv=None) -> int:
@@ -108,15 +130,16 @@ def main(argv=None) -> int:
     for rep in range(args.reps + 1):  # repetition 0 warms up, untimed
         for label, sides in cases:
             order = (0, 1) if rep % 2 else (1, 0)
-            b = [None, None]
+            got = [None, None]
             for side in order:
                 evaluate, design, u = sides[side]
                 start = time.perf_counter()
-                b[side] = evaluate(design, u).b
+                got[side] = evaluate(design, u)
                 if rep:
                     totals[label][side] += time.perf_counter() - start
-            if b[0] != b[1]:
-                raise SystemExit(f"error: {label}: b differs, old {b[0]!r} new {b[1]!r}")
+            where = difference(*got)
+            if where is not None:
+                raise SystemExit(f"error: {label}: {where}")
 
     print(f"{'design contamination':<24} {'old_s':>9} {'new_s':>9} {'new/old':>8}")
     for label, (old, new) in totals.items():
@@ -124,9 +147,10 @@ def main(argv=None) -> int:
     old = sum(t[0] for t in totals.values())
     new = sum(t[1] for t in totals.values())
     print(f"{'all':<24} {old:9.4f} {new:9.4f} {new / old:8.4f}")
-    print(f"# {args.reps} evaluations per tree, design and setting; every b bit-equal")
+    print(f"# {args.reps} evaluations per tree, design and setting; each bit-equal "
+          "(b, m_sys, eps_history, every state)")
     print(f"# {DRAW_PAIRS} drawn design and unit-point pairs per setting (seed {DRAW_SEED}): "
-          "every b and n_arcs bit-equal")
+          "each bit-equal in the same sense")
     return 0
 
 

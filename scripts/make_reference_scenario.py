@@ -19,7 +19,8 @@ import math
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
+if __name__ == "__main__":  # run from a checkout: the package next to this script
+    sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from calibration import calibrate_scenario, nominal_miss
 from neodeflect.constants import AU_KM, MU_SUN, YEAR_S

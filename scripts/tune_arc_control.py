@@ -15,7 +15,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
+if __name__ == "__main__":  # run from a checkout: the package next to this script
+    sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from neodeflect.fpet import ArcControl
 from neodeflect.mission import (

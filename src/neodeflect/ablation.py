@@ -134,17 +134,20 @@ def spot_area(a_m1: float, c_r: float) -> tuple[float, float]:
     return a_spot, math.sqrt(4.0 * a_spot / math.pi)
 
 
-def input_power_density(
-    sys_eff: float,
-    c_r: float,
-    r_a: float,
-    ast: AsteroidProperties,
-    tau: float = 1.0,
+def absorbed_flux_1au(
+    sys_eff: float, c_r: float, ast: AsteroidProperties, tau: float = 1.0
 ) -> float:
-    """Absorbed laser flux on the spot [W/m^2] at heliocentric range r_a [km]."""
+    """Absorbed laser flux on the spot [W/m^2] at 1 AU from the Sun, under
+    the mirror degradation factor tau."""
+    return tau * sys_eff * c_r * (1.0 - ast.albedo) * S0
+
+
+def input_power_density(flux_1au: float, r_a: float) -> float:
+    """Absorbed laser flux on the spot [W/m^2] at heliocentric range r_a
+    [km], from its value ``absorbed_flux_1au`` at 1 AU."""
     if r_a <= 0.0:
         raise ValueError("heliocentric distance must be positive")
-    return tau * sys_eff * c_r * (1.0 - ast.albedo) * S0 * (AU_KM / r_a) ** 2
+    return flux_1au * (AU_KM / r_a) ** 2
 
 
 def radiation_loss(t_surface: float, emiss_bb: float) -> float:
@@ -217,20 +220,20 @@ def ablation_acceleration(
     mdot: float,
     vbar: float,
     ast: AsteroidProperties,
-    eq: EquinoctialState,
+    v_r: float,
+    v_t: float,
 ) -> ThrustRTN:
     """Deflection acceleration from the ejecta momentum, tangent to the orbit.
 
     The modulus is Lambda * vbar * mdot / m_A (converted to km/s^2); the
     direction is the heliocentric velocity unit vector, i.e. beta = 0 and
-    azimuth atan2(v_transversal, v_radial) in the RTN frame.
+    azimuth atan2(v_t, v_r) in the RTN frame, from the radial and
+    transversal velocity in any common unit
+    (``EquinoctialState.radius_and_heading``).
     """
     if mdot < 0.0:
         raise ValueError("mass flow must be non-negative")
     eps_si = LAMBDA_SCATTER * vbar * mdot / ast.mass
-    sl, cl = math.sin(eq.ell), math.cos(eq.ell)
-    v_r = eq.p2 * sl - eq.p1 * cl
-    v_t = 1.0 + eq.p1 * sl + eq.p2 * cl
     return ThrustRTN(eps_si / 1000.0, math.atan2(v_t, v_r), 0.0)
 
 
@@ -281,9 +284,10 @@ class ThrustModel:
     the spot stays dark under a layer that has stopped growing.
 
     An instance holds one trajectory's constants, fixed at construction
-    (efficiency, areas, ejecta speed, view factor; the asteroid caches mass,
-    re-radiation, conduction), and a sample equals the composition of the
-    unit functions bit for bit.
+    (efficiency, areas, spot radius, the undimmed flux at 1 AU, ejecta
+    speed, view factor; the asteroid caches mass, re-radiation,
+    conduction), and a sample equals the composition of the unit functions
+    bit for bit.
     """
 
     def __init__(
@@ -302,6 +306,8 @@ class ThrustModel:
         self.contamination_on = contamination_on
         self.eta_sys = system_efficiency(tech)
         self.a_spot, self.d_spot = spot_area(math.pi * design.d_m**2 / 4.0, design.c_r)
+        self.half_spot = 0.5 * self.d_spot
+        self.flux_1au = absorbed_flux_1au(self.eta_sys, design.c_r, ast)
         self.vbar = ejecta_velocity(ast)
         self.view_factor = math.cos(geom.psi_vf)
         self.t_reference = t_reference
@@ -316,10 +322,14 @@ class ThrustModel:
         ablates and the station is on the exposed (x > 0) side."""
         ast, geom = self.ast, self.geom
         tau = math.exp(-2.0 * ETA_ABS * h_cond)
-        p_in = input_power_density(self.eta_sys, self.design.c_r, eq.radius(), ast, tau)
+        # the flux at 1 AU kept per trajectory is the undimmed one
+        flux_1au = (self.flux_1au if tau == 1.0 else
+                    absorbed_flux_1au(self.eta_sys, self.design.c_r, ast, tau))
+        r_a, v_r, v_t = eq.radius_and_heading()
         r_ell = ellipsoid_radius(ast, geom.theta_va, t - self.t_reference)
-        mdot = mass_flow_rate(p_in, ast, self.design.n_sc, 0.5 * self.d_spot, r_ell)
-        thrust = ablation_acceleration(mdot, self.vbar, ast, eq)
+        mdot = mass_flow_rate(input_power_density(flux_1au, r_a), ast, self.design.n_sc,
+                              self.half_spot, r_ell)
+        thrust = ablation_acceleration(mdot, self.vbar, ast, v_r, v_t)
         if not self.contamination_on or geom.x <= 0.0 or mdot <= 0.0:
             return thrust, 0.0
         rho = plume_density(mdot, self.vbar, self.a_spot, self.d_spot, geom, r_ell)
@@ -345,7 +355,8 @@ class ThrustModel:
         """
         ast = self.ast
         tau = math.exp(-2.0 * ETA_ABS * h_cond)
-        flux_at_1km = input_power_density(self.eta_sys, self.design.c_r, 1.0, ast, tau)
+        flux_at_1km = input_power_density(
+            absorbed_flux_1au(self.eta_sys, self.design.c_r, ast, tau), 1.0)
         v_rot = ast.omega_a * min(ast.a1, ast.b1) * (1.0 - 1e-9)
         r_lit = math.sqrt(flux_at_1km / (ast.q_subl + ast.c_cond * math.sqrt(v_rot / self.d_spot)))
         r_lit *= 1.0 + 1e-9

@@ -16,17 +16,22 @@ The integrands at the seven nodes are evaluated one node at a time in plain
 floats, in the operation order of the array form kept in the tests as the
 reference. Only the two contractions with the quadrature matrices, the
 antiderivative ``g @ _CHEB_CUM_T`` and the integral ``integrand @
-_CHEB_W``, stay in numpy: BLAS sums them with fused multiply-adds, which
-plain Python floats cannot reproduce, so these two products fix the bits of
-every arc. The Keplerian time of flight shares one solve of the arc's start
-mean longitude between the midpoint probes and the steps
+_CHEB_W``, stay in numpy, so these two products fix the bits of every arc.
+Their bits are those of the BLAS kernel that sums them, and of the matrix
+shape: measured with OpenBLAS 0.3.31 (``OPENBLAS_CORETYPE``) on rows of
+seven nodes, the kernels round the same product differently from each
+other, and under Nehalem a three-row product differs from the same rows in
+a five-row product on 96% of random inputs (on none under SkylakeX,
+Haswell and Sandybridge). The Keplerian time of flight shares one solve of
+the arc's start mean longitude between the midpoint probes and the steps
 (``orbits.KeplerStart``).
 
 An in-plane thrust (beta = 0, as the ablation thrust always is) skips the
 normal-thrust terms in the node loop, all products with f_n = 0: the Q1 and
-Q2 rates (zero rows of the same contraction), the ``qterm`` products and the
-normal term of the time integrand. Adding or subtracting a zero keeps every
-bit, so the skip matches the full form exactly.
+Q2 rates (zero rows of the same five-row contraction), the ``qterm``
+products and the normal term of the time integrand. Adding or subtracting a
+zero keeps every bit, so the skip matches the full form exactly under every
+kernel.
 
 The last arc is cut in closed form: the two-body longitude at the final
 epoch sets its length, and only its first-order time term, small over a
@@ -109,9 +114,10 @@ class ArcControl:
     """Constants of the adaptive arc-length law.
 
     dL = min(a_const * exp((-log10(eps) + log10(eps_max) + 1) / k_const),
-    dl_max), where eps_max is the running maximum of the thrust modulus
-    over one trajectory, kept by ``propagate_trajectory``. Short arcs while
-    the thrust is near its peak so far, capped arcs when it has decayed.
+    dl_max), and dl_max without thrust, where eps_max is the running
+    maximum of the thrust modulus over one trajectory, kept by
+    ``propagate_trajectory``. Short arcs while the thrust is near its peak
+    so far, capped arcs when it has decayed.
     """
 
     a_const: float = 0.05
@@ -123,16 +129,6 @@ class ArcControl:
             raise ValueError("a_const and k_const must be positive")
         if not 0.0 < self.dl_max <= 2.0 * math.pi:
             raise ValueError("dl_max must lie in (0, 2*pi]")
-
-
-def arc_length_law(
-    eps_now: float, eps_max: float, a_const: float, k_const: float, dl_max: float
-) -> float:
-    """The raw adaptive law: min(A*exp((-log10 e + log10 e_max + 1)/k), dL_max)."""
-    if eps_now <= 0.0 or eps_max <= 0.0:
-        return dl_max
-    exponent = (-math.log10(eps_now) + math.log10(eps_max) + 1.0) / k_const
-    return min(a_const * math.exp(exponent), dl_max)
 
 
 def _first_order_terms(
@@ -154,7 +150,6 @@ def _first_order_terms(
     half_s2 = 0.5 * (1.0 + q1 * q1 + q2 * q2)
     # in-plane thrust skips the normal terms, products with f_n = 0
     normal = f_n != 0.0
-    qterm = t11_normal = 0.0
     c_a = 1.5 / a
     c_p1 = -3.0 * a * p1 / p
     c_p2 = -3.0 * a * p2 / p
@@ -162,7 +157,7 @@ def _first_order_terms(
     # element rates per unit eps, divided by the longitude rate (times w),
     # one Chebyshev node at a time
     sin, cos = math.sin, math.cos
-    g0, g1, g2, g3, g4, nodes = [], [], [], [], [], []
+    g0, g1, g2, g3, g4, k0s, k1s, k2s, t11_normal = [], [], [], [], [], [], [], [], []
     for x in _CHEB_MAP_NODES:
         ell = ell0 + dl * x
         sl = sin(ell)
@@ -170,29 +165,42 @@ def _first_order_terms(
         phi = 1.0 + p1 * sl + p2 * cl
         r_h = p_h / phi  # r / h
         w = (p / phi) * r_h  # r^2/h = dt/dL on the Keplerian orbit
+        phi_1 = 1.0 + phi
+        # b - a has the bits of -a + b, the order of the array form
+        rate_p1 = (p1 + phi_1 * sl) * f_t - phi * cl * f_r
+        rate_p2 = phi * sl * f_r + (p2 + phi_1 * cl) * f_t
         if normal:
             qterm = (q1 * cl - q2 * sl) * f_n
+            rate_p1 -= p2 * qterm
+            rate_p2 += p1 * qterm
             half_rh_s2 = half_s2 * r_h * f_n
             g3.append(half_rh_s2 * sl * w)
             g4.append(half_rh_s2 * cl * w)
-            t11_normal = r_h * qterm * w * w
+            t11_normal.append(r_h * qterm * w * w)
         g0.append(a_rate * ((p2 * sl - p1 * cl) * f_r + phi * f_t) * w)
-        g1.append(r_h * (-phi * cl * f_r + (p1 + (1.0 + phi) * sl) * f_t - p2 * qterm) * w)
-        g2.append(r_h * (phi * sl * f_r + (p2 + (1.0 + phi) * cl) * f_t + p1 * qterm) * w)
-        # the time integrand's factors of y0, y1, y2, and its normal term
-        nodes.append((c_a * w, w * (c_p1 - 2.0 * sl / phi), w * (c_p2 - 2.0 * cl / phi),
-                      t11_normal))
+        g1.append(r_h * rate_p1 * w)
+        g2.append(r_h * rate_p2 * w)
+        # the time integrand's factors of y0, y1, y2
+        k0s.append(c_a * w)
+        k1s.append(w * (c_p1 - 2.0 * sl / phi))
+        k2s.append(w * (c_p2 - 2.0 * cl / phi))
     if not normal:
         g3 = g4 = _NO_RATES
 
     # running first-order element integrals y1 = half * y at every node via
     # the spectral antiderivative; the last node is the end of the arc
-    y = (np.array(g0 + g1 + g2 + g3 + g4).reshape(5, len(nodes)) @ _CHEB_CUM_T).tolist()
+    # (``fromiter`` and ``dot`` build the matrix and make the BLAS call of
+    # ``np.array`` and ``@`` with less overhead)
+    n = len(k0s)
+    g = np.fromiter(g0 + g1 + g2 + g3 + g4, float, 5 * n).reshape(5, n)
+    y = g.dot(_CHEB_CUM_T).tolist()
 
     t11_integrand = [
-        k0 * (half * y0) + k1 * (half * y1) + k2 * (half * y2) - t11_normal
-        for (k0, k1, k2, t11_normal), y0, y1, y2 in zip(nodes, y[0], y[1], y[2])
+        k0 * (half * y0) + k1 * (half * y1) + k2 * (half * y2)
+        for k0, k1, k2, y0, y1, y2 in zip(k0s, k1s, k2s, y[0], y[1], y[2])
     ]
+    if normal:
+        t11_integrand = [t - t_n for t, t_n in zip(t11_integrand, t11_normal)]
     t11 = half * float(_CHEB_W.dot(t11_integrand))
     return [half * row[-1] for row in y], t11
 
@@ -302,30 +310,39 @@ def propagate_trajectory(
     # [m/s] and that sample's epoch
     h_c, g_c, t_c = 0.0, 0.0, eq0.t
     a_const, k_const, dl_max = ctrl.a_const, ctrl.k_const, ctrl.dl_max
-    dl_guess = dl_max
+    log10, exp = math.log10, math.exp
+    dl = dl_max
     start = kepler_start(eq0, mu)
     dark_until = getattr(thrust_callback, "dark_until", None)
     while t_end - eq.t > 1.0:
         if len(eps_history) >= max_arcs:
             raise ArcOverflowError(f"exceeded {max_arcs} arcs before reaching t_end")
-        probe = _midpoint_state(eq, dl_guess, start)
-        h = h_c + g_c * (probe.t - t_c) * 100.0  # m -> cm
-        f, growth = thrust_callback(probe, probe.t, h)
-        eps_max = max(eps_max, f.eps)
-        dl = arc_length_law(f.eps, eps_max, a_const, k_const, dl_max)
-        if not 0.5 <= dl / dl_guess <= 2.0:
-            # arc length moved a lot: re-sample at the corrected midpoint
+        # the probe half the last arc ahead, and once more half the law's
+        # arc ahead when the law moves the arc length by more than a factor
+        # of two
+        for resampled in (False, True):
             probe = _midpoint_state(eq, dl, start)
-            h = h_c + g_c * (probe.t - t_c) * 100.0
+            h = h_c + g_c * (probe.t - t_c) * 100.0  # m -> cm
             f, growth = thrust_callback(probe, probe.t, h)
-            eps_max = max(eps_max, f.eps)
-            dl = arc_length_law(f.eps, eps_max, a_const, k_const, dl_max)
-        dl_guess = dl
+            eps = f.eps
+            if eps > eps_max:
+                eps_max = eps
+            # the arc-length law of ``ArcControl``, capped without thrust
+            if eps <= 0.0:
+                dl_law = dl_max
+            else:
+                dl_law = a_const * exp((-log10(eps) + log10(eps_max) + 1.0) / k_const)
+                if dl_max < dl_law:
+                    dl_law = dl_max
+            if resampled or 0.5 <= dl_law / dl <= 2.0:
+                break
+            dl = dl_law
+        dl = dl_law
         h_c, g_c, t_c = h, growth, probe.t  # the arc's sample is accepted
         nxt = None
         # asked once per dark spell, so it costs at most one Kepler solve
         # for every return of the thrust
-        if (f.eps == 0.0 and growth == 0.0 and dark_until is not None
+        if (eps == 0.0 and growth == 0.0 and dark_until is not None
                 and (not eps_history or eps_history[-1] > 0.0)):
             ell_dark = dark_until(probe, h)
             end = propagate_keplerian(eq, t_end, mu)
@@ -348,12 +365,16 @@ def propagate_trajectory(
         if nxt is None:
             nxt = fpet_step(eq, dl, f, mu, start)
             if nxt.t > t_end:
-                # cut the arc where the Keplerian motion reaches t_end
-                dl = propagate_keplerian(eq, t_end, mu).ell - eq.ell
-                nxt = fpet_step(eq, dl, f, mu, start)
+                # cut the arc where the Keplerian motion reaches t_end; the
+                # next probe, if any, still uses the law's arc length
+                dl_cut = propagate_keplerian(eq, t_end, mu).ell - eq.ell
+                nxt = fpet_step(eq, dl_cut, f, mu, start)
         eq = nxt
-        eps_history.append(f.eps)
+        eps_history.append(eps)
         states.append(eq)
         # a coasting arc leaves the orbit as it was: its end starts the next
-        start = start.at(eq.ell) if f.eps == 0.0 else kepler_start(eq, mu)
+        if eps == 0.0:
+            start.lam = start.mean_longitude(eq.ell)
+        else:
+            start = kepler_start(eq, mu)
     return Trajectory(states=states, eps_history=eps_history)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,19 @@ class Scenario:
     seed: int
     source_path: Path | None = None
 
+    @cached_property
+    def asteroid_fields(self) -> dict:
+        """The asteroid baseline's fields by name, the base of its copies
+        with uncertain values (``apply_uncertain``)."""
+        return {f.name: getattr(self.asteroid_properties, f.name)
+                for f in fields(AsteroidProperties)}
+
+    @cached_property
+    def technology_fields(self) -> dict:
+        """The technology baseline's fields by name, the base of its copies
+        with uncertain values (``apply_uncertain``)."""
+        return {f.name: getattr(self.technology, f.name) for f in fields(TechnologyParams)}
+
     def expert_opinions_path(self) -> Path:
         p = Path(self.expert_opinions_file)
         if not p.is_absolute() and self.source_path is not None:
@@ -315,10 +329,14 @@ def apply_uncertain(
 ) -> tuple[AsteroidProperties, TechnologyParams]:
     """Override the ten uncertain fields of the scenario baselines."""
     ast_over = {_AST_FIELD[k]: u[k] for k in PHYSICAL_NAMES if k in u}
+    ast = AsteroidProperties(**(scenario.asteroid_fields | ast_over))
+    return ast, _uncertain_technology(scenario, u)
+
+
+def _uncertain_technology(scenario: Scenario, u: dict) -> TechnologyParams:
+    """Override the five uncertain fields of the technology baseline."""
     tech_over = {k: u[k] for k in TECH_NAMES if k in u}
-    ast = replace(scenario.asteroid_properties, **ast_over)
-    tech = replace(scenario.technology, **tech_over)
-    return ast, tech
+    return TechnologyParams(**(scenario.technology_fields | tech_over))
 
 
 @dataclass
@@ -407,7 +425,7 @@ class DeflectionModel:
 
     def mass_only(self, design: DesignVector, u: dict) -> float:
         """Formation mass [kg]; no propagation involved."""
-        _, tech = apply_uncertain(self.scenario, u)
+        tech = _uncertain_technology(self.scenario, u)
         flux = _solar_flux(self.start_state(design.t_warn))
         return size_spacecraft(design, tech, self.margins, flux).m_sys
 

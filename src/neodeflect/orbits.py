@@ -87,8 +87,15 @@ class EquinoctialState:
 
     def radius(self) -> float:
         """Heliocentric radius [km]."""
-        p = self.semi_latus()
-        return p / (1.0 + self.p1 * math.sin(self.ell) + self.p2 * math.cos(self.ell))
+        return self.radius_and_heading()[0]
+
+    def radius_and_heading(self) -> tuple[float, float, float]:
+        """Heliocentric radius [km] and the radial and transversal
+        velocity in units of sqrt(mu/p), P2 sin L - P1 cos L and
+        1 + P1 sin L + P2 cos L = p/r, from one sine and cosine of L."""
+        sl, cl = math.sin(self.ell), math.cos(self.ell)
+        v_t = 1.0 + self.p1 * sl + self.p2 * cl
+        return self.semi_latus() / v_t, self.p2 * sl - self.p1 * cl, v_t
 
 
 @dataclass(slots=True)
@@ -147,9 +154,9 @@ class KeplerStart:
     the state's own true longitude.
 
     A thrusting arc asks it three mean longitudes: the state's own, the
-    midpoint probe's and the arc end's. The last one asked is kept, so
-    that the start at the end of a coasting arc, which has the same orbit,
-    costs no second solve. ``true_longitude`` goes the other way, for a
+    midpoint probe's and the arc end's. A coasting arc leaves the orbit as
+    it was, so the start of its end is the same one with ``lam`` moved to
+    the end's mean longitude. ``true_longitude`` goes the other way, for a
     two-body propagation to an epoch.
     """
 
@@ -160,7 +167,6 @@ class KeplerStart:
     pomega: float
     root: float  # sqrt(1 - e^2)
     lam: float
-    _last: tuple = (None, 0.0)
 
     def mean_longitude(self, ell: float) -> float:
         """Mean longitude lambda = K + P1*cos(K) - P2*sin(K) at true
@@ -177,9 +183,7 @@ class KeplerStart:
             ecc_anom = math.atan2(self.root * math.sin(theta) / denom, (e + cos_th) / denom)
             ecc_anom += TWO_PI * round((theta - ecc_anom) / TWO_PI)
             k_long = ecc_anom + self.pomega
-        lam = k_long + self.p1 * math.cos(k_long) - self.p2 * math.sin(k_long)
-        self._last = (ell, lam)
-        return lam
+        return k_long + self.p1 * math.cos(k_long) - self.p2 * math.sin(k_long)
 
     def true_longitude(self, lam: float) -> float:
         """True longitude at mean longitude ``lam`` on the same orbit,
@@ -211,13 +215,6 @@ class KeplerStart:
                            (math.cos(ecc_anom) - e) / denom)
         theta += TWO_PI * round((ecc_anom - theta) / TWO_PI)
         return theta + self.pomega
-
-    def at(self, ell: float) -> KeplerStart:
-        """The start at true longitude ``ell`` on the same orbit."""
-        last_ell, lam = self._last
-        if last_ell != ell:
-            lam = self.mean_longitude(ell)
-        return KeplerStart(self.n, self.p1, self.p2, self.e, self.pomega, self.root, lam)
 
 
 def kepler_start(eq: EquinoctialState, mu: float) -> KeplerStart:

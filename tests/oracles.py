@@ -8,21 +8,43 @@ evidence oracles compute Belief and Plausibility by enumerating every
 focal element, the brute-force reference of the partitioning curve builder.
 The array form of the FPET arc and the per-call Kepler time of flight are
 the bit-level references of the package's node-by-node kernel and of its
-shared Kepler start. ``impact_parameter`` projects three states at the
-impact epoch afresh, the reference of the encounter frame that
-``mission.DeflectionModel`` fixes once per model.
+shared Kepler start. The arc loop written plainly, driven by a thrust
+sample composed of the public unit functions, is the bit-level reference
+of ``fpet.propagate_trajectory`` driven by ``ablation.ThrustModel``.
+``impact_parameter`` projects three states at the impact epoch afresh, the
+reference of the encounter frame that ``mission.DeflectionModel`` fixes
+once per model.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from neodeflect.ablation import (
+    ablation_acceleration,
+    absorbed_flux_1au,
+    ejecta_velocity,
+    ellipsoid_radius,
+    input_power_density,
+    mass_flow_rate,
+    plume_density,
+    spot_area,
+)
+from neodeflect.constants import ETA_ABS, RHO_LAYER
 from neodeflect.evidence import FocalStructure, ParameterBPA
-from neodeflect.fpet import _CHEB_CUM_T, _CHEB_MAP, _CHEB_W
+from neodeflect.fpet import (
+    _CHEB_CUM_T,
+    _CHEB_MAP,
+    _CHEB_W,
+    ArcOverflowError,
+    Trajectory,
+    _midpoint_state,
+    fpet_step,
+)
 from neodeflect.orbits import (
     EquinoctialState,
     KeplerianElements,
@@ -30,7 +52,10 @@ from neodeflect.orbits import (
     bplane_normal,
     bplane_offset,
     equinoctial_to_cartesian,
+    kepler_start,
+    propagate_keplerian,
 )
+from neodeflect.sizing import system_efficiency
 
 
 def rtn_vector(thrust: ThrustRTN) -> np.ndarray:
@@ -293,6 +318,103 @@ def fpet_step_numpy(eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float) -
         ell=eq0.ell + dl,
         t=eq0.t + t00 + eps * t11,
     )
+
+
+# ---------------------------------------------------------------------------
+# Thrust sample and trajectory: the unit functions and the arc loop, plainly
+# ---------------------------------------------------------------------------
+
+def thrust_sample(design, tech, ast, geom, contamination, eq, elapsed, h_cond):
+    """One thrust sample composed of the public unit functions, from a fresh
+    copy of the asteroid (so no derived constant is shared with the model):
+    the thrust and the layer growth rate [m/s] under the layer h_cond [cm],
+    ``elapsed`` seconds after the model's reference epoch."""
+    ast = replace(ast)
+    a_spot, d_spot = spot_area(math.pi * design.d_m**2 / 4.0, design.c_r)
+    vbar = ejecta_velocity(ast)
+    tau = math.exp(-2.0 * ETA_ABS * h_cond)
+    p_in = input_power_density(absorbed_flux_1au(system_efficiency(tech), design.c_r, ast, tau),
+                               eq.radius())
+    r_ell = ellipsoid_radius(ast, geom.theta_va, elapsed)
+    mdot = mass_flow_rate(p_in, ast, design.n_sc, 0.5 * d_spot, r_ell)
+    growth = 0.0
+    if contamination and geom.x > 0.0 and mdot > 0.0:
+        rho = plume_density(mdot, vbar, a_spot, d_spot, geom, r_ell)
+        growth = (2.0 * vbar * rho / RHO_LAYER) * math.cos(geom.psi_vf)
+    _, v_r, v_t = eq.radius_and_heading()
+    return ablation_acceleration(mdot, vbar, ast, v_r, v_t), growth
+
+
+def arc_length_law(
+    eps_now: float, eps_max: float, a_const: float, k_const: float, dl_max: float
+) -> float:
+    """The adaptive arc-length law of ``fpet.ArcControl``:
+    min(A*exp((-log10 e + log10 e_max + 1)/k), dL_max), and dL_max without
+    thrust."""
+    if eps_now <= 0.0 or eps_max <= 0.0:
+        return dl_max
+    exponent = (-math.log10(eps_now) + math.log10(eps_max) + 1.0) / k_const
+    return min(a_const * math.exp(exponent), dl_max)
+
+
+def propagate_reference(eq0, sample, dark_until, t_end, ctrl, mu, max_arcs=200000):
+    """Reference form of ``fpet.propagate_trajectory``: its arc loop written
+    plainly, with the Kepler start of every arc solved afresh, the law by
+    ``arc_length_law``, each sample ``sample(state, t, h_cond)`` and each
+    arc by ``fpet_step``. A certified-dark spell (``dark_until``, or None
+    to step every arc) is stepped as zero-thrust capped arcs, kept while
+    their midpoint probes lie before the certified longitude, and replaced
+    by their last state, or by the two-body state at t_end when they pass
+    it."""
+    if t_end <= eq0.t:
+        raise ValueError("t_end must be later than the initial epoch")
+    states, eps_history = [eq0], []
+    eq, eps_max = eq0, 0.0
+    h_c, g_c, t_c = 0.0, 0.0, eq0.t  # the layer of the last accepted sample
+    dl_guess = ctrl.dl_max
+
+    def law(eps):
+        return arc_length_law(eps, eps_max, ctrl.a_const, ctrl.k_const, ctrl.dl_max)
+
+    while t_end - eq.t > 1.0:
+        if len(eps_history) >= max_arcs:
+            raise ArcOverflowError(f"exceeded {max_arcs} arcs before reaching t_end")
+        start = kepler_start(eq, mu)
+        probe = _midpoint_state(eq, dl_guess, start)
+        h = h_c + g_c * (probe.t - t_c) * 100.0
+        f, growth = sample(probe, probe.t, h)
+        eps_max = max(eps_max, f.eps)
+        dl = law(f.eps)
+        if not 0.5 <= dl / dl_guess <= 2.0:
+            probe = _midpoint_state(eq, dl, start)
+            h = h_c + g_c * (probe.t - t_c) * 100.0
+            f, growth = sample(probe, probe.t, h)
+            eps_max = max(eps_max, f.eps)
+            dl = law(f.eps)
+        dl_guess = dl
+        h_c, g_c, t_c = h, growth, probe.t
+        nxt = None
+        if (f.eps == 0.0 and growth == 0.0 and dark_until is not None
+                and (not eps_history or eps_history[-1] > 0.0)):
+            ell_dark = dark_until(probe, h)
+            end = propagate_keplerian(eq, t_end, mu)
+            half_cap = 0.5 * ctrl.dl_max
+            state = end if end.ell + half_cap < ell_dark else eq
+            while state.ell < end.ell and state.ell + half_cap < ell_dark:
+                state = fpet_step(state, ctrl.dl_max, ThrustRTN(0.0), mu, kepler_start(state, mu))
+            if state.ell >= end.ell:
+                nxt = end
+            elif state.ell > eq.ell:
+                nxt = state
+        if nxt is None:
+            nxt = fpet_step(eq, dl, f, mu, start)
+            if nxt.t > t_end:
+                dl = propagate_keplerian(eq, t_end, mu).ell - eq.ell
+                nxt = fpet_step(eq, dl, f, mu, start)
+        eq = nxt
+        eps_history.append(f.eps)
+        states.append(eq)
+    return Trajectory(states=states, eps_history=eps_history)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from neodeflect.ablation import (
     AsteroidProperties,
     StationGeometry,
     ThrustModel,
+    absorbed_flux_1au,
     ablation_acceleration,
     ejecta_velocity,
     ellipsoid_radius,
@@ -38,7 +39,7 @@ from neodeflect.orbits import (
     keplerian_to_equinoctial,
     propagate_keplerian,
 )
-from neodeflect.sizing import DesignVector, TechnologyParams, system_efficiency
+from neodeflect.sizing import DesignVector, TechnologyParams
 
 import oracles
 
@@ -52,26 +53,26 @@ GEOM = StationGeometry()
 
 def test_input_power_density_solar_constant():
     ast = AsteroidProperties(albedo=0.0)
-    p = input_power_density(1.0, 1.0, AU_KM, ast, tau=1.0)
+    p = input_power_density(absorbed_flux_1au(1.0, 1.0, ast, tau=1.0), AU_KM)
     assert p == pytest.approx(1367.0)
 
 
 def test_input_power_density_total_reflection():
     ast = AsteroidProperties(albedo=0.999999)
-    p = input_power_density(1.0, 1.0, AU_KM, ast)
+    p = input_power_density(absorbed_flux_1au(1.0, 1.0, ast), AU_KM)
     assert p == pytest.approx(0.0, abs=1e-2)
 
 
 def test_input_power_density_inverse_square():
     ast = AsteroidProperties(albedo=0.0)
-    p1 = input_power_density(0.25, 2000.0, AU_KM, ast)
-    p2 = input_power_density(0.25, 2000.0, 2 * AU_KM, ast)
+    p1 = input_power_density(absorbed_flux_1au(0.25, 2000.0, ast), AU_KM)
+    p2 = input_power_density(absorbed_flux_1au(0.25, 2000.0, ast), 2 * AU_KM)
     assert p2 == pytest.approx(p1 / 4)
 
 
 def test_input_power_density_tau_multiplies():
-    p1 = input_power_density(0.25, 2000.0, AU_KM, TABLE_AST, tau=1.0)
-    p2 = input_power_density(0.25, 2000.0, AU_KM, TABLE_AST, tau=0.37)
+    p1 = input_power_density(absorbed_flux_1au(0.25, 2000.0, TABLE_AST, tau=1.0), AU_KM)
+    p2 = input_power_density(absorbed_flux_1au(0.25, 2000.0, TABLE_AST, tau=0.37), AU_KM)
     assert p2 == pytest.approx(0.37 * p1)
 
 
@@ -114,7 +115,7 @@ def flow(p_in, ast, n_sc, c_r, a_m1):
 
 def reference_flux(tau=1.0):
     eta_sys = 0.6 * 0.41 * 0.95 * 0.95
-    return input_power_density(eta_sys, 3000.0, AU_KM, TABLE_AST, tau=tau)
+    return input_power_density(absorbed_flux_1au(eta_sys, 3000.0, TABLE_AST, tau=tau), AU_KM)
 
 
 def test_mass_flow_matches_trapezoid_oracle():
@@ -187,29 +188,35 @@ def _state():
     )
 
 
+def _heading(eq):
+    """Radial and transversal velocity of ``eq`` in units of sqrt(mu/p)."""
+    _, v_r, v_t = eq.radius_and_heading()
+    return v_r, v_t
+
+
 def test_ablation_acceleration_hand_value():
     ast = AsteroidProperties(m_a=2.7e10)
-    thr = ablation_acceleration(1e-3, 520.0, ast, _state())
+    thr = ablation_acceleration(1e-3, 520.0, ast, *_heading(_state()))
     assert thr.eps * 1000.0 == pytest.approx(1.23e-11, rel=5e-3)  # m/s^2
     assert thr.beta == 0.0
 
 
 def test_ablation_acceleration_zero_flow():
-    assert ablation_acceleration(0.0, 520.0, TABLE_AST, _state()).eps == 0.0
+    assert ablation_acceleration(0.0, 520.0, TABLE_AST, *_heading(_state())).eps == 0.0
 
 
 def test_ablation_acceleration_linearities():
-    eq = _state()
-    base = ablation_acceleration(1e-3, 520.0, AsteroidProperties(m_a=2.7e10), eq).eps
-    tenx = ablation_acceleration(1e-3, 520.0, AsteroidProperties(m_a=2.7e11), eq).eps
+    heading = _heading(_state())
+    base = ablation_acceleration(1e-3, 520.0, AsteroidProperties(m_a=2.7e10), *heading).eps
+    tenx = ablation_acceleration(1e-3, 520.0, AsteroidProperties(m_a=2.7e11), *heading).eps
     assert tenx == pytest.approx(base / 10, rel=1e-12)
-    twice = ablation_acceleration(2e-3, 520.0, AsteroidProperties(m_a=2.7e10), eq).eps
+    twice = ablation_acceleration(2e-3, 520.0, AsteroidProperties(m_a=2.7e10), *heading).eps
     assert twice == pytest.approx(2 * base, rel=1e-12)
 
 
 def test_ablation_acceleration_tangent_to_orbit():
     eq = _state()
-    thr = ablation_acceleration(1e-3, 520.0, TABLE_AST, eq)
+    thr = ablation_acceleration(1e-3, 520.0, TABLE_AST, *_heading(eq))
     r_vec, v_vec = equinoctial_to_cartesian(eq, MU_SUN)
     r_hat, t_hat, n_hat = oracles.rtn_basis(r_vec, v_vec)
     f = oracles.rtn_vector(thr)
@@ -320,7 +327,8 @@ AT_1AU = keplerian_to_equinoctial(KeplerianElements(AU_KM, 0.0, 0.0, 0.0, 0.0, 0
 def _flow_at_1au(model, tau):
     """Mass flow [kg/s] of ``model``'s spot at 1 AU, spin phase 0, under
     the degradation factor tau."""
-    p_in = input_power_density(model.eta_sys, DESIGN.c_r, AT_1AU.radius(), TABLE_AST, tau)
+    p_in = input_power_density(absorbed_flux_1au(model.eta_sys, DESIGN.c_r, TABLE_AST, tau),
+                               AT_1AU.radius())
     return mass_flow_rate(p_in, TABLE_AST, DESIGN.n_sc, 0.5 * model.d_spot,
                           ellipsoid_radius(TABLE_AST, model.geom.theta_va, 0.0))
 
@@ -346,7 +354,7 @@ def test_contamination_tau_analytic():
     # a layer of 0.005 / eta cm dims the flux by the factor exp(-0.01)
     thrust, _ = model(AT_1AU, 0.0, 0.005 / ETA_ABS)
     want = ablation_acceleration(_flow_at_1au(model, math.exp(-0.01)), model.vbar, TABLE_AST,
-                                 AT_1AU)
+                                 *_heading(AT_1AU))
     assert thrust.eps == pytest.approx(want.eps, rel=1e-12)
     assert 0.0 < thrust.eps < model(AT_1AU, 0.0, 0.0)[0].eps
 
@@ -415,24 +423,6 @@ def test_thrust_model_contamination_decays_thrust():
     assert thrust.eps < thrust0.eps
 
 
-def _composed_sample(design, tech, ast, geom, contamination, eq, elapsed, h_cond):
-    """One thrust sample composed of the public unit functions, from a fresh
-    copy of the asteroid (so no derived constant is shared with the model):
-    the thrust and the layer growth rate [m/s] under the layer h_cond [cm]."""
-    ast = replace(ast)
-    a_spot, d_spot = spot_area(math.pi * design.d_m**2 / 4.0, design.c_r)
-    vbar = ejecta_velocity(ast)
-    tau = math.exp(-2.0 * ETA_ABS * h_cond)
-    p_in = input_power_density(system_efficiency(tech), design.c_r, eq.radius(), ast, tau)
-    r_ell = ellipsoid_radius(ast, geom.theta_va, elapsed)
-    mdot = mass_flow_rate(p_in, ast, design.n_sc, 0.5 * d_spot, r_ell)
-    growth = 0.0
-    if contamination and geom.x > 0.0 and mdot > 0.0:
-        rho = plume_density(mdot, vbar, a_spot, d_spot, geom, r_ell)
-        growth = (2.0 * vbar * rho / RHO_LAYER) * math.cos(geom.psi_vf)
-    return ablation_acceleration(mdot, vbar, ast, eq), growth
-
-
 SCENARIO = load_scenario(reference_scenario_path())
 STRUCTURE = evidence_structure(SCENARIO)
 
@@ -475,11 +465,11 @@ def test_thrust_model_sample_is_the_composition_of_the_unit_functions(
                                  0.0, 0.0, ell) for ell in ells)
     t1 = t_ref + elapsed
     t2 = t1 + dt
-    want = _composed_sample(design, tech, ast, geom, contamination, eq1, t1 - t_ref, h_cond)
+    want = oracles.thrust_sample(design, tech, ast, geom, contamination, eq1, t1 - t_ref, h_cond)
     assert model(eq1, t1, h_cond) == want
     assert want[1] >= 0.0 and (contamination or want[1] == 0.0)
     h_cond += want[1] * (t2 - t1) * 100.0
-    want = _composed_sample(design, tech, ast, geom, contamination, eq2, t2 - t_ref, h_cond)
+    want = oracles.thrust_sample(design, tech, ast, geom, contamination, eq2, t2 - t_ref, h_cond)
     assert model(eq2, t2, h_cond) == want
 
 

@@ -16,7 +16,6 @@ from neodeflect.ablation import ThrustModel
 from neodeflect.cli import parse_design
 from neodeflect.constants import MU_SUN, AU_KM
 from neodeflect.fpet import (
-    arc_length_law,
     ArcControl,
     ArcOverflowError,
     _first_order_terms,
@@ -267,16 +266,17 @@ def test_first_order_error_scales_quadratically():
 # ---------------------------------------------------------------------------
 
 def test_arc_law_examples():
-    # raw law arithmetic at A=1, k=1: exponent 1 at the running peak,
-    # one extra decade of decay per factor-10 drop in thrust
-    assert arc_length_law(1e-9, 1e-9, 1.0, 1.0, 10.0) == pytest.approx(math.e)
-    assert arc_length_law(1e-10, 1e-9, 1.0, 1.0, 10.0) == pytest.approx(math.e**2)
-    assert arc_length_law(1e-15, 1e-9, 1.0, 1.0, 10.0) == 10.0
-    assert arc_length_law(0.0, 1e-9, 1.0, 1.0, 10.0) == 10.0
-    assert arc_length_law(1e-9, 0.0, 1.0, 1.0, 10.0) == 10.0
+    # the reference law (``oracles.arc_length_law``) that trajectories are
+    # checked against; raw law arithmetic at A=1, k=1: exponent 1 at the
+    # running peak, one extra decade of decay per factor-10 drop in thrust
+    assert oracles.arc_length_law(1e-9, 1e-9, 1.0, 1.0, 10.0) == pytest.approx(math.e)
+    assert oracles.arc_length_law(1e-10, 1e-9, 1.0, 1.0, 10.0) == pytest.approx(math.e**2)
+    assert oracles.arc_length_law(1e-15, 1e-9, 1.0, 1.0, 10.0) == 10.0
+    assert oracles.arc_length_law(0.0, 1e-9, 1.0, 1.0, 10.0) == 10.0
+    assert oracles.arc_length_law(1e-9, 0.0, 1.0, 1.0, 10.0) == 10.0
     # at a new peak, the law gives A*e again
-    assert arc_length_law(5e-9, 5e-9, 1.0, 1.0, 10.0) == pytest.approx(math.e)
-    assert arc_length_law(1e-15, 1e-9, 1.0, 1.0, 6.0) == 6.0
+    assert oracles.arc_length_law(5e-9, 5e-9, 1.0, 1.0, 10.0) == pytest.approx(math.e)
+    assert oracles.arc_length_law(1e-15, 1e-9, 1.0, 1.0, 6.0) == 6.0
 
 
 def test_arc_law_updates_running_max():
@@ -300,7 +300,7 @@ def test_arc_law_updates_running_max():
     eps = first.eps_history
     dls = [b.ell - a.ell for a, b in zip(first.states, first.states[1:])]
     for k, dl in enumerate(dls[:-1]):  # the last arc is cut to land on t_end
-        want = arc_length_law(eps[k], max(eps[: k + 1]), 0.05, 2.0, 0.1)
+        want = oracles.arc_length_law(eps[k], max(eps[: k + 1]), 0.05, 2.0, 0.1)
         assert dl == pytest.approx(want, rel=1e-9)
     # the weak tail runs at the capped length, below the peak
     assert dls[-2] == pytest.approx(0.1, rel=1e-9)
@@ -657,6 +657,70 @@ def test_contamination_layer_grows_from_the_last_accepted_sample_only():
         resampled_while_growing += len(arc) > 1 and g_c > 0.0
         t_c, h_c, g_c = arc[-1]
     assert resampled_while_growing > 0
+
+
+def _bits(traj) -> tuple:
+    """Every bit of a trajectory: the thrust of each arc and all seven
+    fields of each arc-boundary state, signed zeros included."""
+    return (tuple(eps.hex() for eps in traj.eps_history),
+            tuple(tuple(v.hex() for v in dataclasses.astuple(state)) for state in traj.states))
+
+
+# re-samples where the thrust rises or falls steeply: arcs from 0.008 to 0.1
+RESAMPLING = ArcControl(0.005, 2.0, 0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d_m=st.floats(2.0, 20.0),
+    n_sc=st.integers(1, 10),
+    t_warn=st.floats(1.0, 8.0),
+    c_r=st.floats(1000.0, 3000.0),
+    unit=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10),
+    contamination=st.booleans(),
+    ctrl=st.sampled_from([None, RESAMPLING]),
+)
+# re-samples while the mirror layer grows
+@example(d_m=20.0, n_sc=10, t_warn=8.0, c_r=3000.0, unit=[0.5] * 10, contamination=True,
+         ctrl=RESAMPLING)
+def test_trajectory_equals_the_reference_stepper(d_m, n_sc, t_warn, c_r, unit, contamination,
+                                                 ctrl):
+    """``propagate_trajectory`` driven by ``ThrustModel`` equals, state for
+    state and bit for bit, the plain arc loop of the oracles driven by the
+    composition of the unit functions, with the model's dark certificate:
+    at the scenario's arc control (None) and at one that re-samples."""
+    scenario, _ = _scenario_and_structure()
+    ctrl = ctrl or scenario.arc_control
+    design = DesignVector(d_m, n_sc, t_warn, c_r)
+    model = make_model(scenario, "deterministic", contamination)
+    eq0, thrust = model.deflection_start(design, _uncertain(unit))
+    traj = propagate_trajectory(eq0, thrust, scenario.t_impact, ctrl, scenario.mu)
+
+    def sample(eq, t, h_cond):
+        return oracles.thrust_sample(design, thrust.tech, thrust.ast, thrust.geom, contamination,
+                                     eq, t - thrust.t_reference, h_cond)
+
+    want = oracles.propagate_reference(eq0, sample, thrust.dark_until, scenario.t_impact, ctrl,
+                                       scenario.mu)
+    assert _bits(traj) == _bits(want)
+
+
+@pytest.mark.parametrize("eps, years", [(1e-8, 0.3), (3e-8, 1.0)])
+def test_arc_after_a_cut_equals_the_reference_stepper(eps, years):
+    """A thrust strong enough that the cut last arc's first-order time term
+    leaves the epoch more than a second short of t_end, so one more arc
+    follows: it is probed at the law's arc length, not the cut one, state
+    for state as in the plain arc loop."""
+    eq0 = EquinoctialState(AU_KM, 0.1, 0.05, 0.01, 0.0, 0.3)
+
+    def thrust(state, t, h_cond):
+        return ThrustRTN(eps * (1.0 + 0.5 * math.sin(state.ell)), 0.5 * math.pi), 0.0
+
+    t_end = years * 365.25 * 86400.0
+    traj = propagate_trajectory(eq0, thrust, t_end, ArcControl(), MU)
+    assert 1.0 < t_end - traj.states[-2].t < 100.0  # the cut arc, then one more
+    want = oracles.propagate_reference(eq0, thrust, None, t_end, ArcControl(), MU)
+    assert _bits(traj) == _bits(want)
 
 
 def test_arc_cap_counts_coasting_arcs():

@@ -1,6 +1,7 @@
-"""The scripts next to the package import, and ``cli_digests --compare``
-pairs the cells of two CSVs by column name."""
+"""The scripts next to the package import without touching ``sys.path``,
+and ``cli_digests --compare`` pairs the cells of two CSVs by column name."""
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,17 @@ def test_every_script_imports(path):
     """A script that reads a name the package no longer has fails here, not
     when someone first runs it."""
     importlib.import_module(path.stem)
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
+def test_importing_a_script_leaves_sys_path_unchanged(path):
+    """Only a script run as a program may put the package's ``src`` on the
+    path; importing one, as this suite and ``make_reference_scenario`` do,
+    changes nothing for the importer."""
+    before = list(sys.path)
+    sys.modules.pop(path.stem, None)  # executed afresh, not taken from the cache
+    importlib.import_module(path.stem)
+    assert sys.path == before
 
 
 def test_compare_pairs_cells_by_column_name(tmp_path, capsys):
