@@ -7,8 +7,8 @@ km, s, rad; gravitational parameters in km^3/s^2.
 
 ``EquinoctialState`` and ``ThrustRTN``, built several times per arc, are
 slotted rather than frozen (a frozen dataclass writes each field through
-``object.__setattr__``), but they are values: no code assigns to a field,
-and code that needs another state builds a new one.
+``object.__setattr__``), but they are values: no code assigns to a field
+of a state once built, and code that needs another state builds a new one.
 """
 from __future__ import annotations
 
@@ -156,8 +156,9 @@ class KeplerStart:
     A thrusting arc asks it three mean longitudes: the state's own, the
     midpoint probe's and the arc end's. A coasting arc leaves the orbit as
     it was, so the start of its end is the same one with ``lam`` moved to
-    the end's mean longitude. ``true_longitude`` goes the other way, for a
-    two-body propagation to an epoch.
+    the end's mean longitude; after a thrusting arc the same object is
+    ``refill``-ed from the end. ``true_longitude`` goes the other way, for
+    a two-body propagation to an epoch.
     """
 
     n: float
@@ -167,6 +168,18 @@ class KeplerStart:
     pomega: float
     root: float  # sqrt(1 - e^2)
     lam: float
+
+    def refill(self, eq: EquinoctialState, mu: float) -> None:
+        """Take the Kepler constants and mean longitude of ``eq``, in place."""
+        p1, p2 = eq.p1, eq.p2
+        e = math.hypot(p1, p2)
+        self.n = math.sqrt(mu / eq.a**3)
+        self.p1 = p1
+        self.p2 = p2
+        self.e = e
+        self.pomega = math.atan2(p1, p2)
+        self.root = math.sqrt(1.0 - e * e)
+        self.lam = self.mean_longitude(eq.ell)
 
     def mean_longitude(self, ell: float) -> float:
         """Mean longitude lambda = K + P1*cos(K) - P2*sin(K) at true
@@ -219,10 +232,8 @@ class KeplerStart:
 
 def kepler_start(eq: EquinoctialState, mu: float) -> KeplerStart:
     """Kepler constants and mean longitude of ``eq``, solved once."""
-    e = math.hypot(eq.p1, eq.p2)
-    start = KeplerStart(math.sqrt(mu / eq.a**3), eq.p1, eq.p2, e, math.atan2(eq.p1, eq.p2),
-                        math.sqrt(1.0 - e * e), 0.0)
-    start.lam = start.mean_longitude(eq.ell)
+    start = KeplerStart.__new__(KeplerStart)  # every field set by refill
+    start.refill(eq, mu)
     return start
 
 

@@ -254,19 +254,23 @@ def kepler_time_of_flight_reference(eq: EquinoctialState, dl: float, mu: float) 
     return (mean_longitude_reference(eq, eq.ell + dl) - mean_longitude_reference(eq, eq.ell)) / n
 
 
-def first_order_terms_numpy(
-    eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float
-) -> tuple[list[float], float]:
-    """Reference form of ``fpet._first_order_terms``: the seven
-    Chebyshev-node integrands evaluated as numpy arrays. The package
-    evaluates them node by node in plain floats; both must agree to the
-    last bit."""
+def first_order_integrands(
+    eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float,
+    cheb_map: np.ndarray = _CHEB_MAP, cheb_cum_t: np.ndarray = _CHEB_CUM_T,
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The array form of the first-order integrands at the nodes of a
+    Chebyshev quadrature (``cheb_map``: the nodes mapped to [0, 1];
+    ``cheb_cum_t``: the transposed antiderivative matrix; by default the
+    package's): the five element rates per unit eps over the longitude
+    rate, their running integrals in units of half the arc, and the four
+    parts of the first-order time integrand, summed as ``a + p1 + p2 -
+    normal``."""
     a, p1, p2, q1, q2 = eq0.a, eq0.p1, eq0.p2, eq0.q1, eq0.q2
     p = a * (1.0 - p1 * p1 - p2 * p2)
     h = math.sqrt(mu * p)
     half = 0.5 * dl
 
-    ell = eq0.ell + dl * _CHEB_MAP
+    ell = eq0.ell + dl * cheb_map
     sl = np.sin(ell)
     cl = np.cos(ell)
     phi = 1.0 + p1 * sl + p2 * cl
@@ -289,14 +293,26 @@ def first_order_terms_numpy(
     g[4] = half_rh_s2 * cl
     g *= w
 
-    y1_nodes = half * (g @ _CHEB_CUM_T)
-    t11_integrand = (
-        (1.5 / a) * w * y1_nodes[0]
-        + w * ((-3.0 * a * p1 / p) - 2.0 * sl / phi) * y1_nodes[1]
-        + w * ((-3.0 * a * p2 / p) - 2.0 * cl / phi) * y1_nodes[2]
-        - r_h * qterm * w * w
+    y = g @ cheb_cum_t
+    y1_nodes = half * y
+    time_parts = (
+        (1.5 / a) * w * y1_nodes[0],
+        w * ((-3.0 * a * p1 / p) - 2.0 * sl / phi) * y1_nodes[1],
+        w * ((-3.0 * a * p2 / p) - 2.0 * cl / phi) * y1_nodes[2],
+        r_h * qterm * w * w,
     )
-    return y1_nodes[:, -1].tolist(), half * float(t11_integrand @ _CHEB_W)
+    return g, y, time_parts
+
+
+def first_order_terms_numpy(
+    eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float
+) -> tuple[list[list[float]], float]:
+    """Reference form of ``fpet._first_order_terms``: the five
+    Chebyshev-node integrands evaluated as numpy arrays. The package
+    evaluates them node by node in plain floats; both must agree to the
+    last bit."""
+    _, y, (t_a, t_p1, t_p2, t_normal) = first_order_integrands(eq0, dl, f, mu)
+    return y.tolist(), 0.5 * dl * float((t_a + t_p1 + t_p2 - t_normal) @ _CHEB_W)
 
 
 def fpet_step_numpy(eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float) -> EquinoctialState:
@@ -307,7 +323,8 @@ def fpet_step_numpy(eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float) -
             a=eq0.a, p1=eq0.p1, p2=eq0.p2, q1=eq0.q1, q2=eq0.q2,
             ell=eq0.ell + dl, t=eq0.t + t00,
         )
-    y1, t11 = first_order_terms_numpy(eq0, dl, f, mu)
+    y, t11 = first_order_terms_numpy(eq0, dl, f, mu)
+    y1 = [0.5 * dl * row[-1] for row in y]
     eps = f.eps
     return EquinoctialState(
         a=eq0.a + eps * y1[0],

@@ -1,11 +1,15 @@
 """The scripts next to the package import without touching ``sys.path``,
-and ``cli_digests --compare`` pairs the cells of two CSVs by column name."""
+``cli_digests --compare`` pairs the cells of two CSVs by column name, and
+``ab_evaluate`` counts and sizes the evaluations that differ."""
 import importlib
+import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from ab_evaluate import Tally
 from cli_digests import compare
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -52,3 +56,28 @@ def test_compare_pairs_cells_by_column_name(tmp_path, capsys):
         "run/rows.csv: rows 1 -> 2",
         "run/table.csv: dropped columns c, 2 rows, max abs 0, max rel 0, other cells 0",
     ]
+
+
+def _evaluation(b: float, m_sys: float = 1500.0):
+    state = SimpleNamespace(a=1.0, p1=0.1, p2=0.2, q1=0.0, q2=0.0, ell=3.0, t=1e8)
+    trajectory = SimpleNamespace(eps_history=[1e-10], states=[state, state])
+    return SimpleNamespace(b=b, m_sys=m_sys, n_arcs=1, trajectory=trajectory)
+
+
+def test_ab_evaluate_counts_and_sizes_a_one_ulp_difference():
+    """A difference does not stop the comparison: a 1-ulp b is counted once
+    per pair, however often the pair is compared, and sized relative to b."""
+    tally = Tally()
+    b = 684.1844220480575
+    tally.add("drawn pair 0", _evaluation(b), _evaluation(b))
+    assert tally.summary("off") == "# contamination off: 0 of 1 pairs differ"
+    for _ in range(2):
+        tally.add("panel 20,10,8,3000 off", _evaluation(b), _evaluation(math.nextafter(b, 0.0)))
+    tally.add("drawn pair 1", _evaluation(0.0), _evaluation(-0.0))  # signed zeros differ
+    assert list(tally.differ) == ["panel 20,10,8,3000 off", "drawn pair 1"]
+    assert tally.b_rel == math.ulp(b) / b  # b's ulp below it is the one above it
+    assert tally.m_sys_rel == 0.0
+    assert tally.summary("off") == (
+        f"# contamination off: 2 of 3 pairs differ; largest relative difference b "
+        f"{tally.b_rel:.3g}, m_sys 0; first: panel 20,10,8,3000 off: b old {b!r} new "
+        f"{math.nextafter(b, 0.0)!r}")
