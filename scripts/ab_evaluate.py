@@ -12,8 +12,10 @@ uncertain values in both trees, alternating which tree goes first, and
 compares the two evaluations bit for bit: b, m_sys, the thrust modulus of
 every arc (``eps_history``) and all seven fields of every arc-boundary
 state, compared state by state. The script prints, per design and
-contamination setting, the summed evaluation times of each tree and the
-new/old ratio, then the ratio over all evaluations.
+contamination setting, the summed evaluation times of each tree, the
+new/old ratio, and each tree's arc count per evaluation and time per arc
+(a whole evaluation's time over its arc count, in microseconds), then the
+same over all evaluations.
 
 The panel runs at one uncertain point, where few trajectories have a dark
 spell in mid-flight; the evidence searches meet them mostly at drawn
@@ -124,6 +126,26 @@ class Tally:
                 f"m_sys {self.m_sys_rel:.3g}; first: {key}: {where}")
 
 
+def timing_table(times: dict, arcs: dict, reps: int) -> list[str]:
+    """Per design and setting (the keys of ``times``), then over all of
+    them: the old and the new tree's summed evaluation times of ``reps``
+    repetitions, the new/old ratio, each tree's arc count of one evaluation
+    (``arcs``; of one evaluation of each, over all) and its time per arc in
+    microseconds."""
+    def row(label, old_s, new_s, old_arcs, new_arcs):
+        return (f"{label:<24} {old_s:9.4f} {new_s:9.4f} {new_s / old_s:8.4f} "
+                f"{old_arcs:>8} {new_arcs:>8} {1e6 * old_s / (reps * old_arcs):10.2f} "
+                f"{1e6 * new_s / (reps * new_arcs):10.2f}")
+
+    lines = [f"{'design contamination':<24} {'old_s':>9} {'new_s':>9} {'new/old':>8} "
+             f"{'old_arcs':>8} {'new_arcs':>8} {'old_us/arc':>10} {'new_us/arc':>10}"]
+    lines += [row(label, *times[label], *arcs[label]) for label in times]
+    old_s, new_s = (sum(t[side] for t in times.values()) for side in (0, 1))
+    old_arcs, new_arcs = (sum(n[side] for n in arcs.values()) for side in (0, 1))
+    lines.append(row("all", old_s, new_s, old_arcs, new_arcs))
+    return lines
+
+
 def compare_draw(trees, sides, tally: Tally) -> None:
     """Evaluate the fixed draw of design and unit-point pairs in both
     trees, each pair into ``tally``."""
@@ -166,7 +188,8 @@ def main(argv=None) -> int:
             cases.append((f"{text} {setting}", tallies[setting],
                           [(model.evaluate, cli.parse_design(text), u) for model, u, cli in sides]))
 
-    totals = {label: [0.0, 0.0] for label, _, _ in cases}
+    times = {label: [0.0, 0.0] for label, _, _ in cases}
+    arcs = {}
     for rep in range(args.reps + 1):  # repetition 0 warms up, untimed
         for label, tally, sides in cases:
             order = (0, 1) if rep % 2 else (1, 0)
@@ -176,15 +199,12 @@ def main(argv=None) -> int:
                 start = time.perf_counter()
                 got[side] = evaluate(design, u)
                 if rep:
-                    totals[label][side] += time.perf_counter() - start
+                    times[label][side] += time.perf_counter() - start
             tally.add(f"panel {label}", *got)
+            arcs[label] = (got[0].n_arcs, got[1].n_arcs)
 
-    print(f"{'design contamination':<24} {'old_s':>9} {'new_s':>9} {'new/old':>8}")
-    for label, (old, new) in totals.items():
-        print(f"{label:<24} {old:9.4f} {new:9.4f} {new / old:8.4f}")
-    old = sum(t[0] for t in totals.values())
-    new = sum(t[1] for t in totals.values())
-    print(f"{'all':<24} {old:9.4f} {new:9.4f} {new / old:8.4f}")
+    for line in timing_table(times, arcs, args.reps):
+        print(line)
     print(f"# {args.reps} evaluations per tree, design and setting, and {DRAW_PAIRS} drawn "
           f"design and unit-point pairs per setting (seed {DRAW_SEED}), each compared bit for "
           "bit (b, m_sys, eps_history, every state)")

@@ -24,25 +24,21 @@ FPET's own error.
 
 The integrands at the five nodes are evaluated one node at a time in plain
 floats, in the operation order of the array form kept in the tests as the
-reference. Only the two contractions with the quadrature matrices, the
-antiderivative ``g @ _CHEB_CUM_T`` and the integral ``integrand @
-_CHEB_W``, stay in numpy, so these two products fix the bits of every arc.
-Their bits are those of the BLAS kernel that sums them, and of the matrix
-shape: measured with OpenBLAS 0.3.31 (``OPENBLAS_CORETYPE``) on 20,000
-random five-row products of five nodes, Nehalem, Sandybridge and Haswell
-round the same product differently from each other (SkylakeX as
-Haswell), and under Nehalem a three-row product differs from the same
-rows in a five-row product on 19,193 of them (on none under the other
-three). The Keplerian time of flight shares one solve of the arc's start
-mean longitude between the midpoint probes and the steps
+reference. Both contractions with the quadrature matrix, the running
+integrals of the element rates at the nodes and the weighted sum of the
+time integrand, are sums of products in node order, written out in plain
+floats. So an arc calls neither numpy nor BLAS, and its bits do not depend
+on the BLAS kernel, as those of a matrix product do: OpenBLAS kernels round
+the same product differently from one another, and from one matrix shape
+to another. The Keplerian time of flight shares one solve of the arc's
+start mean longitude between the midpoint probes and the steps
 (``orbits.KeplerStart``), which a thrusting arc's end refills in place.
 
 An in-plane thrust (beta = 0, as the ablation thrust always is) skips the
-normal-thrust terms in the node loop, all products with f_n = 0: the Q1 and
-Q2 rates (zero rows of the same five-row contraction), the ``qterm``
-products and the normal term of the time integrand. Adding or subtracting a
-zero keeps every bit, so the skip matches the full form exactly under every
-kernel.
+normal-thrust terms, all products with f_n = 0: the Q1 and Q2 rates and
+their integrals, which stay zero, the ``qterm`` products and the normal
+term of the time integrand. Adding or subtracting a zero keeps every bit,
+so the skip matches the full form exactly.
 
 The last arc is cut in closed form: the two-body longitude at the final
 epoch sets its length, and only its first-order time term, small over a
@@ -100,11 +96,13 @@ def _chebyshev_cumulative(n: int) -> tuple[np.ndarray, np.ndarray]:
 # order 4, five nodes: within 6.3e-8 of order 12 relative to each
 # integrand's absolute integral at the largest admissible arcs (see above)
 _CHEB_X, _CHEB_CUM = _chebyshev_cumulative(4)
-_CHEB_W = _CHEB_CUM[-1]  # full-interval integral weights
 _CHEB_MAP = 0.5 * (_CHEB_X + 1.0)
-_CHEB_CUM_T = np.ascontiguousarray(_CHEB_CUM.T)
 _CHEB_MAP_NODES = _CHEB_MAP.tolist()
-_NO_RATES = [0.0] * len(_CHEB_MAP_NODES)  # the normal rates of in-plane thrust
+# the antiderivative's rows at the first four nodes (row 0, zero but for
+# rounding residues of about 1e-17, kept for the bits) and the weights
+_CHEB_CUM_ROWS = tuple(tuple(row) for row in _CHEB_CUM.tolist())
+# the Q1 and Q2 integrals of in-plane thrust at every node
+_NO_RATES = [0.0] * len(_CHEB_MAP_NODES)
 
 from .orbits import (  # noqa: E402
     EquinoctialState,
@@ -196,25 +194,65 @@ def _first_order_terms(
         k0s.append(c_a * w)
         k1s.append(w * (c_p1 - 2.0 * sl / phi))
         k2s.append(w * (c_p2 - 2.0 * cl / phi))
-    if not normal:
-        g3 = g4 = _NO_RATES
 
     # running first-order element integrals y1 = half * y at every node via
-    # the spectral antiderivative; the last node is the end of the arc
-    # (``fromiter`` and ``dot`` build the matrix and make the BLAS call of
-    # ``np.array`` and ``@`` with less overhead)
-    n = len(k0s)
-    g = np.fromiter(g0 + g1 + g2 + g3 + g4, float, 5 * n).reshape(5, n)
-    y = g.dot(_CHEB_CUM_T).tolist()
-
-    t11_integrand = [
-        k0 * (half * y0) + k1 * (half * y1) + k2 * (half * y2)
-        for k0, k1, k2, y0, y1, y2 in zip(k0s, k1s, k2s, y[0], y[1], y[2])
-    ]
+    # the spectral antiderivative, one sum of products in node order per
+    # node; the last node is the end of the arc, whose row is the weights
+    (c00, c01, c02, c03, c04), (c10, c11, c12, c13, c14), (c20, c21, c22, c23, c24), \
+        (c30, c31, c32, c33, c34), (w0, w1, w2, w3, w4) = _CHEB_CUM_ROWS
+    v0, v1, v2, v3, v4 = g0
+    y0 = [c00 * v0 + c01 * v1 + c02 * v2 + c03 * v3 + c04 * v4,
+          c10 * v0 + c11 * v1 + c12 * v2 + c13 * v3 + c14 * v4,
+          c20 * v0 + c21 * v1 + c22 * v2 + c23 * v3 + c24 * v4,
+          c30 * v0 + c31 * v1 + c32 * v2 + c33 * v3 + c34 * v4,
+          w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3 + w4 * v4]
+    v0, v1, v2, v3, v4 = g1
+    y1 = [c00 * v0 + c01 * v1 + c02 * v2 + c03 * v3 + c04 * v4,
+          c10 * v0 + c11 * v1 + c12 * v2 + c13 * v3 + c14 * v4,
+          c20 * v0 + c21 * v1 + c22 * v2 + c23 * v3 + c24 * v4,
+          c30 * v0 + c31 * v1 + c32 * v2 + c33 * v3 + c34 * v4,
+          w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3 + w4 * v4]
+    v0, v1, v2, v3, v4 = g2
+    y2 = [c00 * v0 + c01 * v1 + c02 * v2 + c03 * v3 + c04 * v4,
+          c10 * v0 + c11 * v1 + c12 * v2 + c13 * v3 + c14 * v4,
+          c20 * v0 + c21 * v1 + c22 * v2 + c23 * v3 + c24 * v4,
+          c30 * v0 + c31 * v1 + c32 * v2 + c33 * v3 + c34 * v4,
+          w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3 + w4 * v4]
     if normal:
-        t11_integrand = [t - t_n for t, t_n in zip(t11_integrand, t11_normal)]
-    t11 = half * float(_CHEB_W.dot(t11_integrand))
-    return y, t11
+        v0, v1, v2, v3, v4 = g3
+        y3 = [c00 * v0 + c01 * v1 + c02 * v2 + c03 * v3 + c04 * v4,
+              c10 * v0 + c11 * v1 + c12 * v2 + c13 * v3 + c14 * v4,
+              c20 * v0 + c21 * v1 + c22 * v2 + c23 * v3 + c24 * v4,
+              c30 * v0 + c31 * v1 + c32 * v2 + c33 * v3 + c34 * v4,
+              w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3 + w4 * v4]
+        v0, v1, v2, v3, v4 = g4
+        y4 = [c00 * v0 + c01 * v1 + c02 * v2 + c03 * v3 + c04 * v4,
+              c10 * v0 + c11 * v1 + c12 * v2 + c13 * v3 + c14 * v4,
+              c20 * v0 + c21 * v1 + c22 * v2 + c23 * v3 + c24 * v4,
+              c30 * v0 + c31 * v1 + c32 * v2 + c33 * v3 + c34 * v4,
+              w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3 + w4 * v4]
+    else:
+        y3 = y4 = _NO_RATES
+
+    # the time integrand at every node and its weighted sum, in node order
+    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (d0, d1, d2, d3, d4) = y0, y1, y2
+    k00, k01, k02, k03, k04 = k0s
+    k10, k11, k12, k13, k14 = k1s
+    k20, k21, k22, k23, k24 = k2s
+    v0 = k00 * (half * a0) + k10 * (half * b0) + k20 * (half * d0)
+    v1 = k01 * (half * a1) + k11 * (half * b1) + k21 * (half * d1)
+    v2 = k02 * (half * a2) + k12 * (half * b2) + k22 * (half * d2)
+    v3 = k03 * (half * a3) + k13 * (half * b3) + k23 * (half * d3)
+    v4 = k04 * (half * a4) + k14 * (half * b4) + k24 * (half * d4)
+    if normal:
+        n0, n1, n2, n3, n4 = t11_normal
+        v0 -= n0
+        v1 -= n1
+        v2 -= n2
+        v3 -= n3
+        v4 -= n4
+    t11 = half * (w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3 + w4 * v4)
+    return [y0, y1, y2, y3, y4], t11
 
 
 def fpet_step(

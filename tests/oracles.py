@@ -37,9 +37,8 @@ from neodeflect.ablation import (
 from neodeflect.constants import ETA_ABS, RHO_LAYER
 from neodeflect.evidence import FocalStructure, ParameterBPA
 from neodeflect.fpet import (
-    _CHEB_CUM_T,
+    _CHEB_CUM,
     _CHEB_MAP,
-    _CHEB_W,
     ArcOverflowError,
     Trajectory,
     _midpoint_state,
@@ -254,9 +253,20 @@ def kepler_time_of_flight_reference(eq: EquinoctialState, dl: float, mu: float) 
     return (mean_longitude_reference(eq, eq.ell + dl) - mean_longitude_reference(eq, eq.ell)) / n
 
 
+def dot_in_node_order(values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``values @ matrix`` summed over the nodes (the last axis of
+    ``values``, the first of ``matrix``) one node at a time in node order:
+    the order of the package's sums of products in plain floats, where a
+    BLAS kernel may pair, block or fuse the products its own way."""
+    total = np.multiply.outer(values[..., 0], matrix[0])
+    for j in range(1, len(matrix)):
+        total = total + np.multiply.outer(values[..., j], matrix[j])
+    return total
+
+
 def first_order_integrands(
     eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float,
-    cheb_map: np.ndarray = _CHEB_MAP, cheb_cum_t: np.ndarray = _CHEB_CUM_T,
+    cheb_map: np.ndarray = _CHEB_MAP, cheb_cum_t: np.ndarray = _CHEB_CUM.T,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """The array form of the first-order integrands at the nodes of a
     Chebyshev quadrature (``cheb_map``: the nodes mapped to [0, 1];
@@ -293,7 +303,7 @@ def first_order_integrands(
     g[4] = half_rh_s2 * cl
     g *= w
 
-    y = g @ cheb_cum_t
+    y = dot_in_node_order(g, cheb_cum_t)
     y1_nodes = half * y
     time_parts = (
         (1.5 / a) * w * y1_nodes[0],
@@ -312,7 +322,8 @@ def first_order_terms_numpy(
     evaluates them node by node in plain floats; both must agree to the
     last bit."""
     _, y, (t_a, t_p1, t_p2, t_normal) = first_order_integrands(eq0, dl, f, mu)
-    return y.tolist(), 0.5 * dl * float((t_a + t_p1 + t_p2 - t_normal) @ _CHEB_W)
+    t11 = float(dot_in_node_order(t_a + t_p1 + t_p2 - t_normal, _CHEB_CUM[-1]))
+    return y.tolist(), 0.5 * dl * t11
 
 
 def fpet_step_numpy(eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float) -> EquinoctialState:

@@ -796,3 +796,40 @@ def test_arc_cap_counts_coasting_arcs():
     eq0, thrust = model.deflection_start(design, scenario.fixed_uncertain)
     with pytest.raises(ArcOverflowError):
         propagate_trajectory(eq0, thrust, *args, max_arcs=n_arcs - 1)
+
+
+class _NoNumpy:
+    """Stands in for ``numpy`` in ``fpet``: every use of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"an arc used numpy.{name}")
+
+
+def test_an_arc_runs_on_plain_floats(monkeypatch):
+    """No arc calls numpy: with ``fpet.np`` unusable, steps under in-plane
+    and normal thrust and a thrusting trajectory driven by ``ThrustModel``
+    run with the bits they have with numpy, and the first-order terms are
+    Python floats."""
+    eq = _arc_state(1.0, 0.191, 0.0581, 2.206, 3.568, 0.8, 0.0)
+    dl = ArcControl().dl_max
+    thrusts = [ThrustRTN(1e-9, 0.3), ThrustRTN(1e-9, 0.3, 0.4)]
+    scenario = load_scenario(reference_scenario_path())
+    model = make_model(scenario, "deterministic", False)
+
+    def run():
+        terms = [_first_order_terms(eq, dl, f, MU) for f in thrusts]
+        steps = [fpet_step(eq, dl, f, MU, kepler_start(eq, MU)) for f in thrusts]
+        eq0, thrust = model.deflection_start(parse_design("20,10,1,3000"),
+                                             scenario.fixed_uncertain)
+        assert isinstance(thrust, ThrustModel)
+        traj = propagate_trajectory(eq0, thrust, scenario.t_impact, scenario.arc_control,
+                                    scenario.mu)
+        return terms, steps, _bits(traj)
+
+    want = run()
+    assert any(float.fromhex(eps) > 0.0 for eps in want[2][0])  # thrusting arcs
+    monkeypatch.setattr(fpet, "np", _NoNumpy())
+    got = run()
+    assert got == want
+    for rows, t11 in got[0]:
+        assert all(type(v) is float for row in rows for v in row) and type(t11) is float

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ab_evaluate import Tally
+from ab_evaluate import Tally, timing_table
 from cli_digests import compare
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -81,3 +81,19 @@ def test_ab_evaluate_counts_and_sizes_a_one_ulp_difference():
         f"# contamination off: 2 of 3 pairs differ; largest relative difference b "
         f"{tally.b_rel:.3g}, m_sys 0; first: panel 20,10,8,3000 off: b old {b!r} new "
         f"{math.nextafter(b, 0.0)!r}")
+
+
+def test_ab_evaluate_prints_arc_counts_and_time_per_arc():
+    """Each tree's arcs of one evaluation and its time per arc, a whole
+    evaluation's time over its arc count, next to the new/old ratio; over
+    all designs, the summed times over the summed arcs."""
+    times = {"20,10,8,3000 off": (0.2, 0.1), "8,6,6,2500 on": (0.05, 0.05)}
+    arcs = {"20,10,8,3000 off": (500, 500), "8,6,6,2500 on": (100, 125)}
+    header, *rows = timing_table(times, arcs, reps=4)
+    assert header.split() == ["design", "contamination", "old_s", "new_s", "new/old",
+                              "old_arcs", "new_arcs", "old_us/arc", "new_us/arc"]
+    assert [row.split() for row in rows] == [
+        ["20,10,8,3000", "off", "0.2000", "0.1000", "0.5000", "500", "500", "100.00", "50.00"],
+        ["8,6,6,2500", "on", "0.0500", "0.0500", "1.0000", "100", "125", "125.00", "100.00"],
+        ["all", "0.2500", "0.1500", "0.6000", "600", "625", "104.17", "60.00"],
+    ]
