@@ -25,8 +25,11 @@ per-layer metrics. Its times are raw seconds, not rescaled, so each
 (``*.self_frac``), which compares across a drifting host. ``--title``
 names the change and ``--note`` keeps a remark in the workload's entry
 (say, how its seeds were chosen); every field of OUT comes from the
-script. OUT is updated in place, so one file collects several workloads;
-a workload run again replaces its entry.
+script. Each tree is named by its git commit, "unknown" for a tree
+without ``.git`` (a ``git archive`` copy), and by a sha256 of its ``src/``
+file names and bytes (``parent_src_sha256``, ``change_src_sha256``). OUT
+is updated in place, so one file collects several workloads; a workload
+run again replaces its entry.
 """
 import argparse
 import hashlib
@@ -44,12 +47,27 @@ CLAIM_RULE = ("change wins >= 9 of 10 pairs and the median gap exceeds the "
               "parent's interquartile range")
 
 
-def perfbench_digest(tree: Path) -> str:
+def files_digest(root: Path, pattern: str) -> str:
+    """sha256 over the names (relative to ``root``) and bytes of the files
+    under ``root`` that match ``pattern``, in name order. What running or
+    installing leaves there (``__pycache__``, ``*.egg-info``) is left out."""
     digest = hashlib.sha256()
-    for path in sorted((tree / "perfbench").glob("*.py")):
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
+    for path in sorted(root.glob(pattern)):
+        if path.is_file() and not any(part == "__pycache__" or part.endswith(".egg-info")
+                                      for part in path.relative_to(root).parts):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def perfbench_digest(tree: Path) -> str:
+    return files_digest(tree / "perfbench", "*.py")
+
+
+def src_digest(tree: Path) -> str:
+    """The digest of every file of the tree's ``src/``: it names a tree that
+    has no ``.git`` to name its commit."""
+    return files_digest(tree / "src", "**/*")
 
 
 def git_head(tree: Path) -> str:
@@ -163,6 +181,8 @@ def main() -> int:
         doc["title"] = args.title
     doc["parent_commit"] = git_head(trees["parent"])
     doc["change_commit"] = git_head(trees["change"])
+    doc["parent_src_sha256"] = src_digest(trees["parent"])
+    doc["change_src_sha256"] = src_digest(trees["change"])
     doc["command"] = (f"python3 perfbench/run.py --workload W --seed N "
                       f"--seconds {seconds:g} --trace 0")
     doc["procedure"] = (

@@ -157,14 +157,6 @@ def radiation_loss(t_surface: float, emiss_bb: float) -> float:
     return STEFAN_BOLTZMANN * emiss_bb * t_surface**4
 
 
-def ellipsoid_radius(ast: AsteroidProperties, theta_va: float, t: float) -> float:
-    """Radius of the spinning rotation ellipsoid under the spot [m]."""
-    angle = ast.omega_a * t + theta_va
-    return ast.a1 * ast.b1 / math.sqrt(
-        (ast.b1 * math.cos(angle)) ** 2 + (ast.a1 * math.sin(angle)) ** 2
-    )
-
-
 def mass_flow_rate(
     p_in: float, ast: AsteroidProperties, n_sc: int, half: float, r_ell: float
 ) -> float:
@@ -216,27 +208,6 @@ def ejecta_velocity(ast: AsteroidProperties) -> float:
     return math.sqrt(8.0 * BOLTZMANN * ast.t_subl / (math.pi * ast.mol_mass))
 
 
-def ablation_acceleration(
-    mdot: float,
-    vbar: float,
-    ast: AsteroidProperties,
-    v_r: float,
-    v_t: float,
-) -> ThrustRTN:
-    """Deflection acceleration from the ejecta momentum, tangent to the orbit.
-
-    The modulus is Lambda * vbar * mdot / m_A (converted to km/s^2); the
-    direction is the heliocentric velocity unit vector, i.e. beta = 0 and
-    azimuth atan2(v_t, v_r) in the RTN frame, from the radial and
-    transversal velocity in any common unit
-    (``EquinoctialState.radius_and_heading``).
-    """
-    if mdot < 0.0:
-        raise ValueError("mass flow must be non-negative")
-    eps_si = LAMBDA_SCATTER * vbar * mdot / ast.mass
-    return ThrustRTN(eps_si / 1000.0, math.atan2(v_t, v_r), 0.0)
-
-
 def plume_density(
     mdot: float,
     vbar: float,
@@ -286,8 +257,10 @@ class ThrustModel:
     An instance holds one trajectory's constants, fixed at construction
     (efficiency, areas, spot radius, the undimmed flux at 1 AU, ejecta
     speed, view factor; the asteroid caches mass, re-radiation,
-    conduction), and a sample equals the composition of the unit functions
-    bit for bit.
+    conduction). A sample calls ``mass_flow_rate`` and ``plume_density``
+    and writes the rest out in one frame, and it equals the composition of
+    the unit functions (``tests/oracles.py`` keeps the spin radius and the
+    acceleration as functions) bit for bit.
     """
 
     def __init__(
@@ -325,11 +298,24 @@ class ThrustModel:
         # the flux at 1 AU kept per trajectory is the undimmed one
         flux_1au = (self.flux_1au if tau == 1.0 else
                     absorbed_flux_1au(self.eta_sys, self.design.c_r, ast, tau))
-        r_a, v_r, v_t = eq.radius_and_heading()
-        r_ell = ellipsoid_radius(ast, geom.theta_va, t - self.t_reference)
-        mdot = mass_flow_rate(input_power_density(flux_1au, r_a), ast, self.design.n_sc,
+        # in this one frame: the heliocentric radius and heading from one
+        # sin/cos pair of the longitude (``radius_and_heading``), the radius
+        # of the spinning ellipsoid under the spot, the input flux
+        # (``input_power_density``; an elliptic orbit's radius is positive)
+        # and the acceleration Lambda * vbar * mdot / m_A [km/s^2] along the
+        # heliocentric velocity, in the operation order of their reference
+        # forms
+        p1, p2, ell = eq.p1, eq.p2, eq.ell
+        sl, cl = math.sin(ell), math.cos(ell)
+        v_t = 1.0 + p1 * sl + p2 * cl
+        r_a = eq.a * (1.0 - p1 * p1 - p2 * p2) / v_t
+        angle = ast.omega_a * (t - self.t_reference) + geom.theta_va
+        a1, b1 = ast.a1, ast.b1
+        r_ell = a1 * b1 / math.sqrt((b1 * math.cos(angle)) ** 2 + (a1 * math.sin(angle)) ** 2)
+        mdot = mass_flow_rate(flux_1au * (AU_KM / r_a) ** 2, ast, self.design.n_sc,
                               self.half_spot, r_ell)
-        thrust = ablation_acceleration(mdot, self.vbar, ast, v_r, v_t)
+        thrust = ThrustRTN(LAMBDA_SCATTER * self.vbar * mdot / ast.mass / 1000.0,
+                           math.atan2(v_t, p2 * sl - p1 * cl), 0.0)
         if not self.contamination_on or geom.x <= 0.0 or mdot <= 0.0:
             return thrust, 0.0
         rho = plume_density(mdot, self.vbar, self.a_spot, self.d_spot, geom, r_ell)
@@ -351,7 +337,7 @@ class ThrustModel:
         centred on the perihelion. The returned longitude is where the orbit
         next enters that arc. ``r_lit`` is taken 1e-9 above and the speed
         1e-9 below their exact values, far beyond the rounding of the radius
-        of a sample, ``ellipsoid_radius`` and the arc's end.
+        of a sample, its spin radius and the arc's end.
         """
         ast = self.ast
         tau = math.exp(-2.0 * ETA_ABS * h_cond)

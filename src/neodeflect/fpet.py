@@ -22,17 +22,20 @@ nodes moved b by at most 3.1e-9 relative from seven on 400 drawn
 evaluations of the reference scenario (3 moved at all), four orders below
 FPET's own error.
 
-The integrands at the five nodes are evaluated one node at a time in plain
-floats, in the operation order of the array form kept in the tests as the
-reference. Both contractions with the quadrature matrix, the running
-integrals of the element rates at the nodes and the weighted sum of the
-time integrand, are sums of products in node order, written out in plain
-floats. So an arc calls neither numpy nor BLAS, and its bits do not depend
-on the BLAS kernel, as those of a matrix product do: OpenBLAS kernels round
+An arc is one straight-line pass in plain floats, in the operation order
+of the array form kept in the tests as the reference. The integrands are
+written out node by node, each of the five nodes in its own locals, with
+no loop, list or unpacking. Both contractions with the quadrature matrix,
+the running integrals of the element rates at the nodes and the weighted
+sum of the time integrand, are sums of products in node order, written out
+too. So an arc calls neither numpy nor BLAS, and its bits do not depend on
+the BLAS kernel, as those of a matrix product do: OpenBLAS kernels round
 the same product differently from one another, and from one matrix shape
 to another. The Keplerian time of flight shares one solve of the arc's
 start mean longitude between the midpoint probes and the steps
 (``orbits.KeplerStart``), which a thrusting arc's end refills in place.
+The loop of ``propagate_trajectory`` builds each midpoint probe itself and
+keeps log10 of the running thrust maximum, taken only when it rises.
 
 An in-plane thrust (beta = 0, as the ablation thrust always is) skips the
 normal-thrust terms, all products with f_n = 0: the Q1 and Q2 rates and
@@ -97,12 +100,13 @@ def _chebyshev_cumulative(n: int) -> tuple[np.ndarray, np.ndarray]:
 # integrand's absolute integral at the largest admissible arcs (see above)
 _CHEB_X, _CHEB_CUM = _chebyshev_cumulative(4)
 _CHEB_MAP = 0.5 * (_CHEB_X + 1.0)
-_CHEB_MAP_NODES = _CHEB_MAP.tolist()
+# the nodes inside the arc; the first maps to 0.0 and the last to 1.0
+_CHEB_INNER_NODES = tuple(_CHEB_MAP.tolist()[1:-1])
 # the antiderivative's rows at the first four nodes (row 0, zero but for
 # rounding residues of about 1e-17, kept for the bits) and the weights
 _CHEB_CUM_ROWS = tuple(tuple(row) for row in _CHEB_CUM.tolist())
 # the Q1 and Q2 integrals of in-plane thrust at every node
-_NO_RATES = [0.0] * len(_CHEB_MAP_NODES)
+_NO_RATES = (0.0,) * len(_CHEB_MAP)
 
 from .orbits import (  # noqa: E402
     EquinoctialState,
@@ -142,7 +146,7 @@ class ArcControl:
 
 def _first_order_terms(
     eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float
-) -> tuple[list[list[float]], float]:
+) -> tuple[tuple[tuple[float, ...], ...], float]:
     """First-order changes per unit eps over one arc: of the five slow
     elements at every node, in units of half the arc (the last node is the
     arc's end), and of the epoch at the arc's end."""
@@ -157,102 +161,176 @@ def _first_order_terms(
     f_r = cb * math.cos(f.alpha)
     f_t = cb * math.sin(f.alpha)
     f_n = math.sin(f.beta)
-    half_s2 = 0.5 * (1.0 + q1 * q1 + q2 * q2)
-    # in-plane thrust skips the normal terms, products with f_n = 0
-    normal = f_n != 0.0
     c_a = 1.5 / a
     c_p1 = -3.0 * a * p1 / p
     c_p2 = -3.0 * a * p2 / p
 
-    # element rates per unit eps, divided by the longitude rate (times w),
-    # one Chebyshev node at a time
+    # element rates per unit eps, divided by the longitude rate (times w =
+    # r^2/h = dt/dL on the Keplerian orbit), at each Chebyshev node: the
+    # arc's start (dl * 0.0 is +0.0, as in the array form), three inner
+    # nodes and the arc's end (dl * 1.0 is dl); b - a has the bits of
+    # -a + b, the order of the array form
     sin, cos = math.sin, math.cos
-    g0, g1, g2, g3, g4, k0s, k1s, k2s, t11_normal = [], [], [], [], [], [], [], [], []
-    for x in _CHEB_MAP_NODES:
-        ell = ell0 + dl * x
-        sl = sin(ell)
-        cl = cos(ell)
-        phi = 1.0 + p1 * sl + p2 * cl
-        r_h = p_h / phi  # r / h
-        w = (p / phi) * r_h  # r^2/h = dt/dL on the Keplerian orbit
-        phi_1 = 1.0 + phi
-        # b - a has the bits of -a + b, the order of the array form
-        rate_p1 = (p1 + phi_1 * sl) * f_t - phi * cl * f_r
-        rate_p2 = phi * sl * f_r + (p2 + phi_1 * cl) * f_t
-        if normal:
-            qterm = (q1 * cl - q2 * sl) * f_n
-            rate_p1 -= p2 * qterm
-            rate_p2 += p1 * qterm
-            half_rh_s2 = half_s2 * r_h * f_n
-            g3.append(half_rh_s2 * sl * w)
-            g4.append(half_rh_s2 * cl * w)
-            t11_normal.append(r_h * qterm * w * w)
-        g0.append(a_rate * ((p2 * sl - p1 * cl) * f_r + phi * f_t) * w)
-        g1.append(r_h * rate_p1 * w)
-        g2.append(r_h * rate_p2 * w)
-        # the time integrand's factors of y0, y1, y2
-        k0s.append(c_a * w)
-        k1s.append(w * (c_p1 - 2.0 * sl / phi))
-        k2s.append(w * (c_p2 - 2.0 * cl / phi))
+    x1, x2, x3 = _CHEB_INNER_NODES
+    ell = ell0 + 0.0
+    sl0 = sin(ell)
+    cl0 = cos(ell)
+    phi0 = 1.0 + p1 * sl0 + p2 * cl0
+    rh0 = p_h / phi0
+    w0 = (p / phi0) * rh0
+    phi_1 = 1.0 + phi0
+    g00 = a_rate * ((p2 * sl0 - p1 * cl0) * f_r + phi0 * f_t) * w0
+    rp10 = (p1 + phi_1 * sl0) * f_t - phi0 * cl0 * f_r
+    rp20 = phi0 * sl0 * f_r + (p2 + phi_1 * cl0) * f_t
+    ell = ell0 + dl * x1
+    sl1 = sin(ell)
+    cl1 = cos(ell)
+    phi1 = 1.0 + p1 * sl1 + p2 * cl1
+    rh1 = p_h / phi1
+    w1 = (p / phi1) * rh1
+    phi_1 = 1.0 + phi1
+    g01 = a_rate * ((p2 * sl1 - p1 * cl1) * f_r + phi1 * f_t) * w1
+    rp11 = (p1 + phi_1 * sl1) * f_t - phi1 * cl1 * f_r
+    rp21 = phi1 * sl1 * f_r + (p2 + phi_1 * cl1) * f_t
+    ell = ell0 + dl * x2
+    sl2 = sin(ell)
+    cl2 = cos(ell)
+    phi2 = 1.0 + p1 * sl2 + p2 * cl2
+    rh2 = p_h / phi2
+    w2 = (p / phi2) * rh2
+    phi_1 = 1.0 + phi2
+    g02 = a_rate * ((p2 * sl2 - p1 * cl2) * f_r + phi2 * f_t) * w2
+    rp12 = (p1 + phi_1 * sl2) * f_t - phi2 * cl2 * f_r
+    rp22 = phi2 * sl2 * f_r + (p2 + phi_1 * cl2) * f_t
+    ell = ell0 + dl * x3
+    sl3 = sin(ell)
+    cl3 = cos(ell)
+    phi3 = 1.0 + p1 * sl3 + p2 * cl3
+    rh3 = p_h / phi3
+    w3 = (p / phi3) * rh3
+    phi_1 = 1.0 + phi3
+    g03 = a_rate * ((p2 * sl3 - p1 * cl3) * f_r + phi3 * f_t) * w3
+    rp13 = (p1 + phi_1 * sl3) * f_t - phi3 * cl3 * f_r
+    rp23 = phi3 * sl3 * f_r + (p2 + phi_1 * cl3) * f_t
+    ell = ell0 + dl
+    sl4 = sin(ell)
+    cl4 = cos(ell)
+    phi4 = 1.0 + p1 * sl4 + p2 * cl4
+    rh4 = p_h / phi4
+    w4 = (p / phi4) * rh4
+    phi_1 = 1.0 + phi4
+    g04 = a_rate * ((p2 * sl4 - p1 * cl4) * f_r + phi4 * f_t) * w4
+    rp14 = (p1 + phi_1 * sl4) * f_t - phi4 * cl4 * f_r
+    rp24 = phi4 * sl4 * f_r + (p2 + phi_1 * cl4) * f_t
+    # normal thrust adds its terms to the rates of P1 and P2, and has rates
+    # of Q1 and Q2 and a term of the time integrand of its own
+    normal = f_n != 0.0
+    if normal:
+        half_s2 = 0.5 * (1.0 + q1 * q1 + q2 * q2)
+        qterm = (q1 * cl0 - q2 * sl0) * f_n
+        rp10 -= p2 * qterm
+        rp20 += p1 * qterm
+        rh_s2 = half_s2 * rh0 * f_n
+        g30 = rh_s2 * sl0 * w0
+        g40 = rh_s2 * cl0 * w0
+        n0 = rh0 * qterm * w0 * w0
+        qterm = (q1 * cl1 - q2 * sl1) * f_n
+        rp11 -= p2 * qterm
+        rp21 += p1 * qterm
+        rh_s2 = half_s2 * rh1 * f_n
+        g31 = rh_s2 * sl1 * w1
+        g41 = rh_s2 * cl1 * w1
+        n1 = rh1 * qterm * w1 * w1
+        qterm = (q1 * cl2 - q2 * sl2) * f_n
+        rp12 -= p2 * qterm
+        rp22 += p1 * qterm
+        rh_s2 = half_s2 * rh2 * f_n
+        g32 = rh_s2 * sl2 * w2
+        g42 = rh_s2 * cl2 * w2
+        n2 = rh2 * qterm * w2 * w2
+        qterm = (q1 * cl3 - q2 * sl3) * f_n
+        rp13 -= p2 * qterm
+        rp23 += p1 * qterm
+        rh_s2 = half_s2 * rh3 * f_n
+        g33 = rh_s2 * sl3 * w3
+        g43 = rh_s2 * cl3 * w3
+        n3 = rh3 * qterm * w3 * w3
+        qterm = (q1 * cl4 - q2 * sl4) * f_n
+        rp14 -= p2 * qterm
+        rp24 += p1 * qterm
+        rh_s2 = half_s2 * rh4 * f_n
+        g34 = rh_s2 * sl4 * w4
+        g44 = rh_s2 * cl4 * w4
+        n4 = rh4 * qterm * w4 * w4
+    g10 = rh0 * rp10 * w0
+    g20 = rh0 * rp20 * w0
+    g11 = rh1 * rp11 * w1
+    g21 = rh1 * rp21 * w1
+    g12 = rh2 * rp12 * w2
+    g22 = rh2 * rp22 * w2
+    g13 = rh3 * rp13 * w3
+    g23 = rh3 * rp23 * w3
+    g14 = rh4 * rp14 * w4
+    g24 = rh4 * rp24 * w4
 
     # running first-order element integrals y1 = half * y at every node via
     # the spectral antiderivative, one sum of products in node order per
     # node; the last node is the end of the arc, whose row is the weights
     (c00, c01, c02, c03, c04), (c10, c11, c12, c13, c14), (c20, c21, c22, c23, c24), \
-        (c30, c31, c32, c33, c34), (w0, w1, w2, w3, w4) = _CHEB_CUM_ROWS
-    v0, v1, v2, v3, v4 = g0
-    y0 = [c00 * v0 + c01 * v1 + c02 * v2 + c03 * v3 + c04 * v4,
-          c10 * v0 + c11 * v1 + c12 * v2 + c13 * v3 + c14 * v4,
-          c20 * v0 + c21 * v1 + c22 * v2 + c23 * v3 + c24 * v4,
-          c30 * v0 + c31 * v1 + c32 * v2 + c33 * v3 + c34 * v4,
-          w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3 + w4 * v4]
-    v0, v1, v2, v3, v4 = g1
-    y1 = [c00 * v0 + c01 * v1 + c02 * v2 + c03 * v3 + c04 * v4,
-          c10 * v0 + c11 * v1 + c12 * v2 + c13 * v3 + c14 * v4,
-          c20 * v0 + c21 * v1 + c22 * v2 + c23 * v3 + c24 * v4,
-          c30 * v0 + c31 * v1 + c32 * v2 + c33 * v3 + c34 * v4,
-          w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3 + w4 * v4]
-    v0, v1, v2, v3, v4 = g2
-    y2 = [c00 * v0 + c01 * v1 + c02 * v2 + c03 * v3 + c04 * v4,
-          c10 * v0 + c11 * v1 + c12 * v2 + c13 * v3 + c14 * v4,
-          c20 * v0 + c21 * v1 + c22 * v2 + c23 * v3 + c24 * v4,
-          c30 * v0 + c31 * v1 + c32 * v2 + c33 * v3 + c34 * v4,
-          w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3 + w4 * v4]
+        (c30, c31, c32, c33, c34), (c40, c41, c42, c43, c44) = _CHEB_CUM_ROWS
+    y00 = c00 * g00 + c01 * g01 + c02 * g02 + c03 * g03 + c04 * g04
+    y01 = c10 * g00 + c11 * g01 + c12 * g02 + c13 * g03 + c14 * g04
+    y02 = c20 * g00 + c21 * g01 + c22 * g02 + c23 * g03 + c24 * g04
+    y03 = c30 * g00 + c31 * g01 + c32 * g02 + c33 * g03 + c34 * g04
+    y04 = c40 * g00 + c41 * g01 + c42 * g02 + c43 * g03 + c44 * g04
+    y10 = c00 * g10 + c01 * g11 + c02 * g12 + c03 * g13 + c04 * g14
+    y11 = c10 * g10 + c11 * g11 + c12 * g12 + c13 * g13 + c14 * g14
+    y12 = c20 * g10 + c21 * g11 + c22 * g12 + c23 * g13 + c24 * g14
+    y13 = c30 * g10 + c31 * g11 + c32 * g12 + c33 * g13 + c34 * g14
+    y14 = c40 * g10 + c41 * g11 + c42 * g12 + c43 * g13 + c44 * g14
+    y20 = c00 * g20 + c01 * g21 + c02 * g22 + c03 * g23 + c04 * g24
+    y21 = c10 * g20 + c11 * g21 + c12 * g22 + c13 * g23 + c14 * g24
+    y22 = c20 * g20 + c21 * g21 + c22 * g22 + c23 * g23 + c24 * g24
+    y23 = c30 * g20 + c31 * g21 + c32 * g22 + c33 * g23 + c34 * g24
+    y24 = c40 * g20 + c41 * g21 + c42 * g22 + c43 * g23 + c44 * g24
     if normal:
-        v0, v1, v2, v3, v4 = g3
-        y3 = [c00 * v0 + c01 * v1 + c02 * v2 + c03 * v3 + c04 * v4,
-              c10 * v0 + c11 * v1 + c12 * v2 + c13 * v3 + c14 * v4,
-              c20 * v0 + c21 * v1 + c22 * v2 + c23 * v3 + c24 * v4,
-              c30 * v0 + c31 * v1 + c32 * v2 + c33 * v3 + c34 * v4,
-              w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3 + w4 * v4]
-        v0, v1, v2, v3, v4 = g4
-        y4 = [c00 * v0 + c01 * v1 + c02 * v2 + c03 * v3 + c04 * v4,
-              c10 * v0 + c11 * v1 + c12 * v2 + c13 * v3 + c14 * v4,
-              c20 * v0 + c21 * v1 + c22 * v2 + c23 * v3 + c24 * v4,
-              c30 * v0 + c31 * v1 + c32 * v2 + c33 * v3 + c34 * v4,
-              w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3 + w4 * v4]
+        y30 = c00 * g30 + c01 * g31 + c02 * g32 + c03 * g33 + c04 * g34
+        y31 = c10 * g30 + c11 * g31 + c12 * g32 + c13 * g33 + c14 * g34
+        y32 = c20 * g30 + c21 * g31 + c22 * g32 + c23 * g33 + c24 * g34
+        y33 = c30 * g30 + c31 * g31 + c32 * g32 + c33 * g33 + c34 * g34
+        y34 = c40 * g30 + c41 * g31 + c42 * g32 + c43 * g33 + c44 * g34
+        y40 = c00 * g40 + c01 * g41 + c02 * g42 + c03 * g43 + c04 * g44
+        y41 = c10 * g40 + c11 * g41 + c12 * g42 + c13 * g43 + c14 * g44
+        y42 = c20 * g40 + c21 * g41 + c22 * g42 + c23 * g43 + c24 * g44
+        y43 = c30 * g40 + c31 * g41 + c32 * g42 + c33 * g43 + c34 * g44
+        y44 = c40 * g40 + c41 * g41 + c42 * g42 + c43 * g43 + c44 * g44
+        y3 = (y30, y31, y32, y33, y34)
+        y4 = (y40, y41, y42, y43, y44)
     else:
         y3 = y4 = _NO_RATES
 
-    # the time integrand at every node and its weighted sum, in node order
-    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (d0, d1, d2, d3, d4) = y0, y1, y2
-    k00, k01, k02, k03, k04 = k0s
-    k10, k11, k12, k13, k14 = k1s
-    k20, k21, k22, k23, k24 = k2s
-    v0 = k00 * (half * a0) + k10 * (half * b0) + k20 * (half * d0)
-    v1 = k01 * (half * a1) + k11 * (half * b1) + k21 * (half * d1)
-    v2 = k02 * (half * a2) + k12 * (half * b2) + k22 * (half * d2)
-    v3 = k03 * (half * a3) + k13 * (half * b3) + k23 * (half * d3)
-    v4 = k04 * (half * a4) + k14 * (half * b4) + k24 * (half * d4)
+    # the time integrand at every node and its weighted sum, in node order;
+    # its factors of y0, y1 and y2 are c_a * w, w * (c_p1 - 2 sin L / phi)
+    # and w * (c_p2 - 2 cos L / phi)
+    v0 = (c_a * w0 * (half * y00) + w0 * (c_p1 - 2.0 * sl0 / phi0) * (half * y10)
+          + w0 * (c_p2 - 2.0 * cl0 / phi0) * (half * y20))
+    v1 = (c_a * w1 * (half * y01) + w1 * (c_p1 - 2.0 * sl1 / phi1) * (half * y11)
+          + w1 * (c_p2 - 2.0 * cl1 / phi1) * (half * y21))
+    v2 = (c_a * w2 * (half * y02) + w2 * (c_p1 - 2.0 * sl2 / phi2) * (half * y12)
+          + w2 * (c_p2 - 2.0 * cl2 / phi2) * (half * y22))
+    v3 = (c_a * w3 * (half * y03) + w3 * (c_p1 - 2.0 * sl3 / phi3) * (half * y13)
+          + w3 * (c_p2 - 2.0 * cl3 / phi3) * (half * y23))
+    v4 = (c_a * w4 * (half * y04) + w4 * (c_p1 - 2.0 * sl4 / phi4) * (half * y14)
+          + w4 * (c_p2 - 2.0 * cl4 / phi4) * (half * y24))
     if normal:
-        n0, n1, n2, n3, n4 = t11_normal
         v0 -= n0
         v1 -= n1
         v2 -= n2
         v3 -= n3
         v4 -= n4
-    t11 = half * (w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3 + w4 * v4)
-    return [y0, y1, y2, y3, y4], t11
+    t11 = half * (c40 * v0 + c41 * v1 + c42 * v2 + c43 * v3 + c44 * v4)
+    return ((y00, y01, y02, y03, y04), (y10, y11, y12, y13, y14),
+            (y20, y21, y22, y23, y24), y3, y4), t11
 
 
 def fpet_step(
@@ -299,24 +377,6 @@ class Trajectory:
 
 
 _new_state = EquinoctialState.__new__
-
-
-def _midpoint_state(
-    eq: EquinoctialState, dl: float, start: KeplerStart
-) -> EquinoctialState:
-    """Zero-order Keplerian prediction of the state half an arc ahead. Its
-    elements are those of ``eq``, valid already, so it is filled field by
-    field without ``EquinoctialState``'s validation."""
-    half = 0.5 * dl
-    probe = _new_state(EquinoctialState)
-    probe.a = eq.a
-    probe.p1 = eq.p1
-    probe.p2 = eq.p2
-    probe.q1 = eq.q1
-    probe.q2 = eq.q2
-    probe.ell = eq.ell + half
-    probe.t = eq.t + kepler_time_of_flight(eq, half, start)
-    return probe
 
 
 def propagate_trajectory(
@@ -367,7 +427,9 @@ def propagate_trajectory(
     states = [eq0]
     eps_history: list[float] = []
     eq = eq0
-    eps_max = 0.0
+    # the running maximum of the thrust modulus and its log10, taken only
+    # when the maximum rises
+    eps_max, log10_max = 0.0, -math.inf
     # the mirror layer [cm] at the last accepted sample, its growth there
     # [m/s] and that sample's epoch
     h_c, g_c, t_c = 0.0, 0.0, eq0.t
@@ -381,26 +443,37 @@ def propagate_trajectory(
             raise ArcOverflowError(f"exceeded {max_arcs} arcs before reaching t_end")
         # the probe half the last arc ahead, and once more half the law's
         # arc ahead when the law moves the arc length by more than a factor
-        # of two
+        # of two: the Keplerian prediction of the state there, whose
+        # elements are those of ``eq``, valid already, so it is filled field
+        # by field without ``EquinoctialState``'s validation
         for resampled in (False, True):
-            probe = _midpoint_state(eq, dl, start)
-            h = h_c + g_c * (probe.t - t_c) * 100.0  # m -> cm
-            f, growth = thrust_callback(probe, probe.t, h)
+            half = 0.5 * dl
+            probe = _new_state(EquinoctialState)
+            probe.a = eq.a
+            probe.p1 = eq.p1
+            probe.p2 = eq.p2
+            probe.q1 = eq.q1
+            probe.q2 = eq.q2
+            probe.ell = eq.ell + half
+            probe.t = t_probe = eq.t + kepler_time_of_flight(eq, half, start)
+            h = h_c + g_c * (t_probe - t_c) * 100.0  # m -> cm
+            f, growth = thrust_callback(probe, t_probe, h)
             eps = f.eps
             if eps > eps_max:
                 eps_max = eps
+                log10_max = log10(eps)
             # the arc-length law of ``ArcControl``, capped without thrust
             if eps <= 0.0:
                 dl_law = dl_max
             else:
-                dl_law = a_const * exp((-log10(eps) + log10(eps_max) + 1.0) / k_const)
+                dl_law = a_const * exp((-log10(eps) + log10_max + 1.0) / k_const)
                 if dl_max < dl_law:
                     dl_law = dl_max
             if resampled or 0.5 <= dl_law / dl <= 2.0:
                 break
             dl = dl_law
         dl = dl_law
-        h_c, g_c, t_c = h, growth, probe.t  # the arc's sample is accepted
+        h_c, g_c, t_c = h, growth, t_probe  # the arc's sample is accepted
         nxt = None
         # asked once per dark spell, so it costs at most one Kepler solve
         # for every return of the thrust

@@ -9,8 +9,10 @@ focal element, the brute-force reference of the partitioning curve builder.
 The array form of the FPET arc and the per-call Kepler time of flight are
 the bit-level references of the package's node-by-node kernel and of its
 shared Kepler start. The arc loop written plainly, driven by a thrust
-sample composed of the public unit functions, is the bit-level reference
-of ``fpet.propagate_trajectory`` driven by ``ablation.ThrustModel``.
+sample composed of the unit functions (the package's, and the spin radius
+and the acceleration that ``ablation.ThrustModel`` writes out, kept here),
+is the bit-level reference of ``fpet.propagate_trajectory`` driven by
+``ablation.ThrustModel``.
 ``impact_parameter`` projects three states at the impact epoch afresh, the
 reference of the encounter frame that ``mission.DeflectionModel`` fixes
 once per model.
@@ -25,23 +27,21 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from neodeflect.ablation import (
-    ablation_acceleration,
+    AsteroidProperties,
     absorbed_flux_1au,
     ejecta_velocity,
-    ellipsoid_radius,
     input_power_density,
     mass_flow_rate,
     plume_density,
     spot_area,
 )
-from neodeflect.constants import ETA_ABS, RHO_LAYER
+from neodeflect.constants import ETA_ABS, LAMBDA_SCATTER, RHO_LAYER
 from neodeflect.evidence import FocalStructure, ParameterBPA
 from neodeflect.fpet import (
     _CHEB_CUM,
     _CHEB_MAP,
     ArcOverflowError,
     Trajectory,
-    _midpoint_state,
     fpet_step,
 )
 from neodeflect.orbits import (
@@ -52,6 +52,7 @@ from neodeflect.orbits import (
     bplane_offset,
     equinoctial_to_cartesian,
     kepler_start,
+    kepler_time_of_flight,
     propagate_keplerian,
 )
 from neodeflect.sizing import system_efficiency
@@ -316,14 +317,14 @@ def first_order_integrands(
 
 def first_order_terms_numpy(
     eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float
-) -> tuple[list[list[float]], float]:
+) -> tuple[tuple[tuple[float, ...], ...], float]:
     """Reference form of ``fpet._first_order_terms``: the five
     Chebyshev-node integrands evaluated as numpy arrays. The package
     evaluates them node by node in plain floats; both must agree to the
     last bit."""
     _, y, (t_a, t_p1, t_p2, t_normal) = first_order_integrands(eq0, dl, f, mu)
     t11 = float(dot_in_node_order(t_a + t_p1 + t_p2 - t_normal, _CHEB_CUM[-1]))
-    return y.tolist(), 0.5 * dl * t11
+    return tuple(map(tuple, y.tolist())), 0.5 * dl * t11
 
 
 def fpet_step_numpy(eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float) -> EquinoctialState:
@@ -352,8 +353,41 @@ def fpet_step_numpy(eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float) -
 # Thrust sample and trajectory: the unit functions and the arc loop, plainly
 # ---------------------------------------------------------------------------
 
+def ellipsoid_radius(ast: AsteroidProperties, theta_va: float, t: float) -> float:
+    """Radius of the spinning rotation ellipsoid under the spot [m], ``t``
+    seconds after the reference epoch: the reference form of the spin
+    radius that ``ThrustModel`` writes out."""
+    angle = ast.omega_a * t + theta_va
+    return ast.a1 * ast.b1 / math.sqrt(
+        (ast.b1 * math.cos(angle)) ** 2 + (ast.a1 * math.sin(angle)) ** 2
+    )
+
+
+def ablation_acceleration(
+    mdot: float,
+    vbar: float,
+    ast: AsteroidProperties,
+    v_r: float,
+    v_t: float,
+) -> ThrustRTN:
+    """Deflection acceleration from the ejecta momentum, tangent to the
+    orbit: the reference form of the acceleration that ``ThrustModel``
+    writes out.
+
+    The modulus is Lambda * vbar * mdot / m_A (converted to km/s^2); the
+    direction is the heliocentric velocity unit vector, i.e. beta = 0 and
+    azimuth atan2(v_t, v_r) in the RTN frame, from the radial and
+    transversal velocity in any common unit
+    (``EquinoctialState.radius_and_heading``).
+    """
+    if mdot < 0.0:
+        raise ValueError("mass flow must be non-negative")
+    eps_si = LAMBDA_SCATTER * vbar * mdot / ast.mass
+    return ThrustRTN(eps_si / 1000.0, math.atan2(v_t, v_r), 0.0)
+
+
 def thrust_sample(design, tech, ast, geom, contamination, eq, elapsed, h_cond):
-    """One thrust sample composed of the public unit functions, from a fresh
+    """One thrust sample composed of the unit functions, from a fresh
     copy of the asteroid (so no derived constant is shared with the model):
     the thrust and the layer growth rate [m/s] under the layer h_cond [cm],
     ``elapsed`` seconds after the model's reference epoch."""
@@ -385,6 +419,14 @@ def arc_length_law(
     return min(a_const * math.exp(exponent), dl_max)
 
 
+def midpoint_state(eq: EquinoctialState, dl: float, start) -> EquinoctialState:
+    """The midpoint probe of ``fpet.propagate_trajectory``: the Keplerian
+    state half an arc of ``dl`` ahead of ``eq``, timed from its Kepler
+    start."""
+    return EquinoctialState(eq.a, eq.p1, eq.p2, eq.q1, eq.q2, eq.ell + 0.5 * dl,
+                            eq.t + kepler_time_of_flight(eq, 0.5 * dl, start))
+
+
 def propagate_reference(eq0, sample, dark_until, t_end, ctrl, mu, max_arcs=200000):
     """Reference form of ``fpet.propagate_trajectory``: its arc loop written
     plainly, with the Kepler start of every arc solved afresh, the law by
@@ -408,13 +450,13 @@ def propagate_reference(eq0, sample, dark_until, t_end, ctrl, mu, max_arcs=20000
         if len(eps_history) >= max_arcs:
             raise ArcOverflowError(f"exceeded {max_arcs} arcs before reaching t_end")
         start = kepler_start(eq, mu)
-        probe = _midpoint_state(eq, dl_guess, start)
+        probe = midpoint_state(eq, dl_guess, start)
         h = h_c + g_c * (probe.t - t_c) * 100.0
         f, growth = sample(probe, probe.t, h)
         eps_max = max(eps_max, f.eps)
         dl = law(f.eps)
         if not 0.5 <= dl / dl_guess <= 2.0:
-            probe = _midpoint_state(eq, dl, start)
+            probe = midpoint_state(eq, dl, start)
             h = h_c + g_c * (probe.t - t_c) * 100.0
             f, growth = sample(probe, probe.t, h)
             eps_max = max(eps_max, f.eps)

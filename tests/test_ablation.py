@@ -15,9 +15,7 @@ from neodeflect.ablation import (
     StationGeometry,
     ThrustModel,
     absorbed_flux_1au,
-    ablation_acceleration,
     ejecta_velocity,
-    ellipsoid_radius,
     input_power_density,
     mass_flow_rate,
     plume_density,
@@ -42,6 +40,7 @@ from neodeflect.orbits import (
 from neodeflect.sizing import DesignVector, TechnologyParams
 
 import oracles
+from oracles import ablation_acceleration, ellipsoid_radius
 
 TABLE_AST = AsteroidProperties()  # reference physical values
 GEOM = StationGeometry()
@@ -428,15 +427,19 @@ STRUCTURE = evidence_structure(SCENARIO)
 
 
 @settings(max_examples=200, deadline=None)
-@example(a_au=0.9, e=0.2, pomega=1.0, ells=(0.3, 0.4), u=[0.5] * 10, d_m=20.0, n_sc=10,
-         c_r=3000.0, station=(3000.0, 0.0, 0.0, 0.5 * math.pi, 0.0), h_cond=0.0,
+@example(a_au=0.9, e=0.2, pomega=1.0, ells=(0.3, 0.4), u=[0.5] * 10, b1=None, d_m=20.0,
+         n_sc=10, c_r=3000.0, station=(3000.0, 0.0, 0.0, 0.5 * math.pi, 0.0), h_cond=0.0,
          contamination=True, elapsed=1e4, dt=1e5)  # ablates and grows the layer
+@example(a_au=0.9, e=0.2, pomega=1.0, ells=(0.3, 0.4), u=[0.5] * 10, b1=60.0, d_m=20.0,
+         n_sc=10, c_r=3000.0, station=(3000.0, 0.0, 0.0, 0.5 * math.pi, 0.0), h_cond=0.0,
+         contamination=True, elapsed=1e4, dt=1e5)  # the same on a spinning spheroid
 @given(
     a_au=st.floats(0.4, 2.0),
     e=st.floats(0.0, 0.7),
     pomega=st.floats(0.0, 2 * math.pi),
     ells=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
     u=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10),
+    b1=st.one_of(st.none(), st.floats(60.0, 200.0)),  # None keeps the reference sphere
     d_m=st.floats(2.0, 20.0),
     n_sc=st.integers(1, 10),
     c_r=st.floats(1000.0, 3000.0),
@@ -449,13 +452,19 @@ STRUCTURE = evidence_structure(SCENARIO)
     dt=st.floats(1.0, 1e7),
 )
 def test_thrust_model_sample_is_the_composition_of_the_unit_functions(
-        a_au, e, pomega, ells, u, d_m, n_sc, c_r, station, h_cond, contamination, elapsed, dt):
+        a_au, e, pomega, ells, u, b1, d_m, n_sc, c_r, station, h_cond, contamination, elapsed,
+        dt):
     """Two samples of a ThrustModel, the first under a drawn layer and the
     second under that layer grown at the first's rate, equal bit for bit,
-    thrust and growth rate, the composition of input_power_density,
-    mass_flow_rate, ablation_acceleration and plume_density: the constants
-    the model keeps per trajectory change no bit."""
+    thrust and growth rate, the composition of the heliocentric radius,
+    ellipsoid_radius, input_power_density, mass_flow_rate,
+    ablation_acceleration and plume_density: the constants the model keeps
+    per trajectory and the unit functions it writes out change no bit. The
+    asteroid is the reference sphere or a drawn spheroid (b1 != a1), whose
+    radius under the spot turns with the spin phase."""
     ast, tech = apply_uncertain(SCENARIO, uncertain_dict(STRUCTURE, np.array(u)))
+    if b1 is not None:
+        ast = replace(ast, b1=b1)
     geom = StationGeometry(*station)
     design = DesignVector(d_m=d_m, n_sc=n_sc, t_warn=2.0, c_r=c_r)
     t_ref = 1e6

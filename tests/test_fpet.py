@@ -674,28 +674,29 @@ def test_contamination_layer_grows_from_the_last_accepted_sample_only():
     accepted sample, grown at that sample's rate to its own epoch, bit for
     bit: a re-sample never sees the layer of the sample it replaces. The arc
     control spans 0.008 to 0.1 rad, so arcs re-sample, some of them while
-    the layer grows. An arc's samples share its start (the state handed to
-    ``_midpoint_state``) and its last sample is the accepted one."""
+    the layer grows. An arc's samples share its start (the state whose
+    Kepler time of flight times the sample's probe, the last one taken
+    before the sample) and its last sample is the accepted one."""
     scenario, _ = _scenario_and_structure()
     scenario = dataclasses.replace(scenario, arc_control=ArcControl(0.005, 2.0, 0.1))
     model = make_model(scenario, "deterministic", True)
-    samples, arc_starts = [], []
-    call, midpoint = ThrustModel.__call__, fpet._midpoint_state
+    samples, timed_from = [], []
+    call, time_of_flight = ThrustModel.__call__, fpet.kepler_time_of_flight
 
     def recorded(self, eq, t, h_cond):
         f, growth = call(self, eq, t, h_cond)
-        samples.append((t, h_cond, growth))
+        samples.append((timed_from[-1], (t, h_cond, growth)))
         return f, growth
 
-    def probed(eq, dl, start):
-        arc_starts.append(eq.ell)
-        return midpoint(eq, dl, start)
+    def timed(eq, dl, start):
+        timed_from.append(eq.ell)
+        return time_of_flight(eq, dl, start)
 
     with (mock.patch.object(ThrustModel, "__call__", recorded),
-          mock.patch.object(fpet, "_midpoint_state", probed)):
+          mock.patch.object(fpet, "kepler_time_of_flight", timed)):
         ev = model.evaluate(parse_design("20,10,8,3000"), scenario.fixed_uncertain)
     arcs = {}
-    for ell, sample in zip(arc_starts, samples, strict=True):
+    for ell, sample in samples:
         arcs.setdefault(ell, []).append(sample)
     assert len(arcs) == ev.n_arcs
     h_c = g_c = t_c = 0.0

@@ -1,8 +1,10 @@
 """The scripts next to the package import without touching ``sys.path``,
-``cli_digests --compare`` pairs the cells of two CSVs by column name, and
-``ab_evaluate`` counts and sizes the evaluations that differ."""
+``cli_digests --compare`` pairs the cells of two CSVs by column name,
+``ab_evaluate`` counts and sizes the evaluations that differ, and
+``bench_pairs`` names a source tree by a digest of its ``src/``."""
 import importlib
 import math
+import shutil
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from ab_evaluate import Tally, timing_table
+from bench_pairs import src_digest
 from cli_digests import compare
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -97,3 +100,20 @@ def test_ab_evaluate_prints_arc_counts_and_time_per_arc():
         ["8,6,6,2500", "on", "0.0500", "0.0500", "1.0000", "100", "125", "125.00", "100.00"],
         ["all", "0.2500", "0.1500", "0.6000", "600", "625", "104.17", "60.00"],
     ]
+
+
+def test_bench_pairs_src_digest_names_a_tree_by_its_source(tmp_path):
+    """Two copies of one ``src/`` have the same digest, whatever running
+    them leaves behind; a one-byte change moves it."""
+    copies = [tmp_path / "a", tmp_path / "b"]
+    for copy in copies:
+        shutil.copytree(Path(__file__).parent.parent / "src", copy / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    cache = copies[1] / "src" / "neodeflect" / "__pycache__"
+    cache.mkdir()
+    (cache / "fpet.cpython-311.pyc").write_bytes(b"compiled")
+    assert src_digest(copies[0]) == src_digest(copies[1])
+    source = copies[1] / "src" / "neodeflect" / "fpet.py"
+    text = source.read_bytes()
+    source.write_bytes(text[:-1] + b" ")
+    assert src_digest(copies[0]) != src_digest(copies[1])
