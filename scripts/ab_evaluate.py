@@ -7,8 +7,9 @@ OLD_SRC and NEW_SRC are ``src/`` directories that hold a ``neodeflect``
 package. Both are imported into this one interpreter, each as its own set
 of modules, and each builds the reference scenario's model with
 contamination off and on. Every repetition evaluates the four designs of
-the reference panel (``perfbench/references.json``) at the scenario's fixed
-uncertain values in both trees, alternating which tree goes first, and
+the reference panel (``perfbench/references.json``) and the design of the
+``belpl-curve`` workload, 20,10,2,3000, at the scenario's fixed uncertain
+values in both trees, alternating which tree goes first, and
 compares the two evaluations bit for bit: b, m_sys, the thrust modulus of
 every arc (``eps_history``) and all seven fields of every arc-boundary
 state, compared state by state. The script prints, per design and
@@ -28,7 +29,10 @@ A difference does not stop the run: the script finishes the draw and the
 panel, then prints per contamination setting how many of the compared
 pairs (drawn pairs and panel designs) differ in any bit, the first
 difference, and the largest relative differences of b and m_sys, which
-size a deliberate change. It exits 1 when any pair differs, so it stays a
+size a deliberate change. Since a near-zero b moves by a large relative
+amount for a tiny absolute one, it also prints the largest absolute b
+difference [km] and the largest relative b difference among the pairs
+whose b is at least ``B_KM_FLOOR`` km. It exits 1 when any pair differs, so it stays a
 bit-equality check.
 
 Separate processes cannot resolve a change of a few percent on a host whose
@@ -43,8 +47,9 @@ from pathlib import Path
 
 import numpy as np
 
-PANEL = ("20,10,8,3000", "20,10,1,3000", "12,4,3.5,2000", "8,6,6,2500")
+PANEL = ("20,10,8,3000", "20,10,1,3000", "12,4,3.5,2000", "8,6,6,2500", "20,10,2,3000")
 DRAW_SEED, DRAW_PAIRS = 2026, 200
+B_KM_FLOOR = 1.0
 STATE_FIELDS = ("a", "p1", "p2", "q1", "q2", "ell", "t")
 
 
@@ -105,7 +110,7 @@ class Tally:
     def __init__(self):
         self.pairs: set[str] = set()
         self.differ: dict[str, str] = {}  # key -> its first difference
-        self.b_rel = self.m_sys_rel = 0.0
+        self.b_rel = self.m_sys_rel = self.b_abs = self.b_rel_floor = 0.0
 
     def add(self, key: str, old, new) -> None:
         self.pairs.add(key)
@@ -113,7 +118,11 @@ class Tally:
         if where is None:
             return
         self.differ.setdefault(key, where)
-        self.b_rel = max(self.b_rel, relative_difference(old.b, new.b))
+        b_rel = relative_difference(old.b, new.b)
+        self.b_rel = max(self.b_rel, b_rel)
+        self.b_abs = max(self.b_abs, abs(new.b - old.b))
+        if max(abs(old.b), abs(new.b)) >= B_KM_FLOOR:
+            self.b_rel_floor = max(self.b_rel_floor, b_rel)
         self.m_sys_rel = max(self.m_sys_rel, relative_difference(old.m_sys, new.m_sys))
 
     def summary(self, setting: str) -> str:
@@ -123,7 +132,9 @@ class Tally:
             return line
         key, where = next(iter(self.differ.items()))
         return (f"{line}; largest relative difference b {self.b_rel:.3g}, "
-                f"m_sys {self.m_sys_rel:.3g}; first: {key}: {where}")
+                f"m_sys {self.m_sys_rel:.3g}; largest b difference {self.b_abs:.3g} km, "
+                f"relative {self.b_rel_floor:.3g} at b >= {B_KM_FLOOR:g} km; "
+                f"first: {key}: {where}")
 
 
 def timing_table(times: dict, arcs: dict, reps: int) -> list[str]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from neodeflect.constants import (
     AU_KM, ETA_ABS, J_C, KAPPA, MU_SUN, PHI_MAX, RHO_LAYER, STEFAN_BOLTZMANN,
@@ -164,6 +165,95 @@ def test_mass_flow_monotone_in_input_and_enthalpy():
         for e in np.linspace(1e6, 2e7, 10)
     ]
     assert all(b <= a for a, b in zip(flows_e, flows_e[1:]))
+
+
+# the error allowed to ``mass_flow_rate``'s strip rule against an adaptive
+# quadrature in y; the six-node rule measures up to 9e-9 (as the threshold
+# chord c_min -> 0), five nodes 4e-7 and a 16-node Gauss rule in y 4.0e-5
+MASS_FLOW_REL_ERROR = 1e-7
+# within this of the dim edge (1 - c_min/half) the width of the support
+# cancels in any rule, and the flow is below 1e-15 of ``full_flow``
+DIM_EDGE = 1e-6
+
+
+def mass_flow_in_y(p_in, ast, n_sc, half, r_ell):
+    """``mass_flow_rate`` with its strip integral over the transverse
+    offset y, the form it is derived in, by ``scipy.integrate.quad`` to a
+    relative 1e-13, and the threshold chord c_min over ``half``."""
+    p_net = p_in - ast.q_subl
+    v_rot = ast.omega_a * r_ell
+    sqrt_t_star = ast.c_cond / p_net
+    chord_min = 0.5 * v_rot * sqrt_t_star**2
+    if chord_min >= half:
+        return 0.0, chord_min / half
+    support = math.sqrt(half**2 - chord_min**2)
+
+    def strip(y):  # P_net (sqrt(dwell) - sqrt(t*))^2 / P_net at offset y
+        return (math.sqrt(2.0 * math.sqrt(max(half**2 - y * y, 0.0)) / v_rot) - sqrt_t_star)**2
+
+    integral = quad(strip, 0.0, support, epsabs=0.0, epsrel=1e-13, limit=200,
+                    full_output=1)[0]
+    return 2.0 * n_sc * v_rot * p_net * integral / ast.e_sub, chord_min / half
+
+
+def full_flow(p_in, ast, n_sc, half):
+    """The flow if the spot's whole net flux sublimated, with no conduction
+    loss: an upper bound of ``mass_flow_rate``."""
+    return n_sc * math.pi * half**2 * (p_in - ast.q_subl) / ast.e_sub
+
+
+def lit_threshold(ast, half, r_ell):
+    """The input flux at and below which the spot is dark (up to rounding)."""
+    return ast.q_subl + ast.c_cond * math.sqrt(ast.omega_a * r_ell / (2.0 * half))
+
+
+def assert_strip_rule_accurate(p_in, ast, n_sc, half, r_ell):
+    got = mass_flow_rate(p_in, ast, n_sc, half, r_ell)
+    want, chord_ratio = mass_flow_in_y(p_in, ast, n_sc, half, r_ell)
+    if 1.0 - chord_ratio >= DIM_EDGE:
+        assert got > 0.0
+        assert abs(got - want) <= MASS_FLOW_REL_ERROR * want, (got, want, chord_ratio)
+    else:
+        assert max(got, want) <= 1e-15 * full_flow(p_in, ast, n_sc, half)
+
+
+HALF_20M = 0.5 * spot_area(math.pi * 20.0**2 / 4.0, 3000.0)[1]
+
+
+@pytest.mark.parametrize("chord_ratio", [
+    *np.logspace(-10.0, 0.0, 41)[:-1].tolist(), *(1.0 - np.logspace(-1.0, -6.0, 11)).tolist()])
+def test_mass_flow_strip_rule_against_adaptive_quadrature(chord_ratio):
+    """The strip rule within 1e-7 of an adaptive quadrature in y, over the
+    threshold chord c_min/half from 1e-10 to 1 - 1e-6, on the reference
+    asteroid and the largest design's spot: the rule's error is largest as
+    c_min -> 0, where the branch point of the dwell nears the support."""
+    ast, r_ell = TABLE_AST, TABLE_AST.a1
+    v_rot = ast.omega_a * r_ell
+    p_in = ast.q_subl + ast.c_cond * math.sqrt(0.5 * v_rot / (chord_ratio * HALF_20M))
+    assert_strip_rule_accurate(p_in, ast, 10, HALF_20M, r_ell)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    u=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10),
+    above=st.floats(0.0, 1.0),
+    r_ell=st.floats(60.0, 200.0),
+    d_m=st.floats(2.0, 20.0),
+    n_sc=st.integers(1, 10),
+    c_r=st.floats(1000.0, 3000.0),
+)
+def test_mass_flow_strip_rule_against_adaptive_quadrature_at_drawn_inputs(
+        u, above, r_ell, d_m, n_sc, c_r):
+    """The same gate at drawn physical inputs: the asteroid anywhere in the
+    hull of the evidence structure, the input flux from the dark threshold
+    up to ten times above it, the spin radius from 60 to 200 m and the spot
+    of a drawn design. Within 1e-6 of the dim edge, where the support's
+    width cancels, both flows are below 1e-15 of the flow with no
+    conduction loss."""
+    ast, _ = apply_uncertain(SCENARIO, uncertain_dict(STRUCTURE, np.array(u)))
+    half = 0.5 * spot_area(math.pi * d_m**2 / 4.0, c_r)[1]
+    p_in = lit_threshold(ast, half, r_ell) * 10.0**above
+    assert_strip_rule_accurate(p_in, ast, n_sc, half, r_ell)
 
 
 # ---------------------------------------------------------------------------

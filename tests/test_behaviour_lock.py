@@ -29,26 +29,26 @@ REL = 1e-12
 
 # (design, contamination) -> (m_sys, b, n_arcs)
 LOCKED_EVALUATIONS = {
-    ("20,10,8,3000", False): (23985.820596489633, 25704.36699573237, 468),
-    ("20,10,1,3000", False): (17893.530740347065, 509.8334800912412, 59),
+    ("20,10,8,3000", False): (23985.820596489633, 25704.441007288984, 468),
+    ("20,10,1,3000", False): (17893.530740347065, 509.83498381415984, 59),
     ("12,4,3.5,2000", False): (3598.6783015856527, 2.5622384744550577, 59),
-    ("8,6,6,2500", False): (3249.536504610369, 95.38343662864507, 175),
+    ("8,6,6,2500", False): (3249.536504610369, 95.38342820200039, 175),
     ("2,1,1,1000", False): (80.56086217837202, 0.0, 1),
-    ("16,8,3,2800", False): (9808.653373524985, 1052.1643173283069, 136),
+    ("16,8,3,2800", False): (9808.653373524985, 1052.1649105988524, 136),
     ("5,3,7.5,2600", False): (529.5951006525997, 6.756266755970942, 170),
-    ("14,7,5.25,2200", False): (9302.329003099374, 316.13660557659176, 158),
-    ("20,10,8,3000", True): (23985.820596489633, 92.91851860105584, 82),
+    ("14,7,5.25,2200", False): (9302.329003099374, 316.13660872968916, 158),
+    ("20,10,8,3000", True): (23985.820596489633, 92.91852175585855, 82),
     ("20,10,1,3000", True): (17893.530740347065, 9.271275415931425, 34),
     ("12,4,3.5,2000", True): (3598.6783015856527, 1.3356231721823386, 50),
-    ("8,6,6,2500", True): (3249.536504610369, 15.562452606819905, 100),
+    ("8,6,6,2500", True): (3249.536504610369, 15.562464191105972, 100),
     ("2,1,1,1000", True): (80.56086217837202, 0.0, 1),
-    ("16,8,3,2800", True): (9808.653373524985, 22.303662391767823, 51),
+    ("16,8,3,2800", True): (9808.653373524985, 22.303660294498204, 51),
     ("5,3,7.5,2600", True): (529.5951006525997, 4.182878022864031, 142),
     ("14,7,5.25,2200", True): (9302.329003099374, 16.85299496913483, 68),
 }
 
 DETERMINISTIC_ARCHIVE_SHA256 = (
-    "b5908115be65683e5bb31efc1447325cb3f5834a5a5102f743f4daab11417911"
+    "64f9f636270ca7f7ba9bb17ea56f143482527e57331c01592ccc2415fb344c0e"
 )
 MINMAX_ARCHIVE_SHA256 = (
     "52064c36e041b18599406926914e767b8dd2e42488ff978a9723bf0ccd940080"
@@ -57,12 +57,12 @@ MINMAX_ARCHIVE_SHA256 = (
 # --max-partitions 12, each over the parameters its objective reads; the
 # m_sys curve is bounded exactly, box by box
 BPCURVE_SHA256 = {
-    "belpl_b.csv": "34482099b8b39d09b28978feb5001cf7d5dfb2540a714e4260c6c33cb9d83e89",
+    "belpl_b.csv": "e16e815eca23dc6ebc1566568b867da6e4d9060b5634941cc3c7aa6607136ded",
     "belpl_m_sys.csv": "fe910860b65047aa4e8887b7fceedd9110b5e2605884ea475e546e7bebcb4f7a",
 }
 TRAJECTORY_SHA256 = {
-    "off": "5c4ac3689c23e1857998240dc152ee0b2bf45ad36232da6b7d50e9cf9fce0000",
-    "on": "83f76f03f884328aa995316ba9bcbfdfa262c3e8179b0c3acc4706c4175866b6",
+    "off": "871ef20545927077a1d0dbf6d3b9e81a3d57fe36cbd8aafaa2211bb233b2a837",
+    "on": "624669b325e99250ec808ce5246d34cad45d343c2f873059dece7acb90c4cb69",
 }
 
 

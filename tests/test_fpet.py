@@ -273,6 +273,10 @@ FINE_MAP, FINE_CUM_T, FINE_W = _quadrature(12)
 # integrand's absolute value, allowed at the shipped order (measured on 4000
 # drawn arcs of 0.1 rad: 6.3e-8 at five nodes, 4.8e-5 at four)
 QUADRATURE_REL_ERROR = 1e-6
+# an absolute floor under that bound, a few of the smallest subnormals: it
+# acts only where the bound itself underflows, on subnormal terms, whose
+# rounding is coarser than any relative error (2e-323 at beta = 2.2e-313)
+QUADRATURE_ABS_FLOOR = 16 * math.ulp(0.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -288,6 +292,8 @@ QUADRATURE_REL_ERROR = 1e-6
 )
 @example(a_au=1.0, e=0.7, i=0.5, pomega=0.0, raan=1.0, ell=0.0, dl=0.1, alpha=0.0,
          beta=0.5 * math.pi)  # an arc through perihelion under normal thrust
+@example(a_au=2.0, e=0.0, i=0.0, pomega=0.0, raan=0.0, ell=0.0, dl=1e-06, alpha=0.0,
+         beta=2.2250738585e-313)  # subnormal normal thrust: the q terms are subnormal
 def test_first_order_terms_match_a_finer_quadrature(a_au, e, i, pomega, raan, ell, dl,
                                                      alpha, beta):
     """The shipped quadrature's first-order terms, of the five elements and
@@ -307,7 +313,7 @@ def test_first_order_terms_match_a_finer_quadrature(a_au, e, i, pomega, raan, el
     scales = list(half * (np.abs(g) @ FINE_W)) + [
         half * float(sum(np.abs(part) for part in time_parts) @ FINE_W)]
     for name, value, fine, scale in zip(("a", "p1", "p2", "q1", "q2", "t"), got, want, scales):
-        assert abs(value - fine) <= QUADRATURE_REL_ERROR * scale, name
+        assert abs(value - fine) <= max(QUADRATURE_REL_ERROR * scale, QUADRATURE_ABS_FLOOR), name
 
 
 # ---------------------------------------------------------------------------

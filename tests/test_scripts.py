@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ab_evaluate import Tally, timing_table
+from ab_evaluate import Tally, relative_difference, timing_table
 from bench_pairs import src_digest
 from cli_digests import compare
 
@@ -69,7 +69,10 @@ def _evaluation(b: float, m_sys: float = 1500.0):
 
 def test_ab_evaluate_counts_and_sizes_a_one_ulp_difference():
     """A difference does not stop the comparison: a 1-ulp b is counted once
-    per pair, however often the pair is compared, and sized relative to b."""
+    per pair, however often the pair is compared, and sized relative to b.
+    A near-zero b that moves by 0.4% sets the largest relative difference,
+    so the summary also sizes b in km and relative among the pairs whose b
+    is at least 1 km, where the 1-ulp difference is the largest."""
     tally = Tally()
     b = 684.1844220480575
     tally.add("drawn pair 0", _evaluation(b), _evaluation(b))
@@ -80,10 +83,17 @@ def test_ab_evaluate_counts_and_sizes_a_one_ulp_difference():
     assert list(tally.differ) == ["panel 20,10,8,3000 off", "drawn pair 1"]
     assert tally.b_rel == math.ulp(b) / b  # b's ulp below it is the one above it
     assert tally.m_sys_rel == 0.0
+    assert tally.b_abs == math.ulp(b)
+    assert tally.b_rel_floor == tally.b_rel
+    tally.add("drawn pair 2", _evaluation(2.7e-4), _evaluation(2.7e-4 * 1.004))
+    assert tally.b_rel == relative_difference(2.7e-4, 2.7e-4 * 1.004) > 3e-3
+    assert tally.b_abs == 2.7e-4 * 1.004 - 2.7e-4 > math.ulp(b)
+    assert tally.b_rel_floor == math.ulp(b) / b
     assert tally.summary("off") == (
-        f"# contamination off: 2 of 3 pairs differ; largest relative difference b "
-        f"{tally.b_rel:.3g}, m_sys 0; first: panel 20,10,8,3000 off: b old {b!r} new "
-        f"{math.nextafter(b, 0.0)!r}")
+        f"# contamination off: 3 of 4 pairs differ; largest relative difference b "
+        f"{tally.b_rel:.3g}, m_sys 0; largest b difference {tally.b_abs:.3g} km, relative "
+        f"{tally.b_rel_floor:.3g} at b >= 1 km; first: panel 20,10,8,3000 off: b old {b!r} "
+        f"new {math.nextafter(b, 0.0)!r}")
 
 
 def test_ab_evaluate_prints_arc_counts_and_time_per_arc():
