@@ -32,8 +32,8 @@ difference, and the largest relative differences of b and m_sys, which
 size a deliberate change. Since a near-zero b moves by a large relative
 amount for a tiny absolute one, it also prints the largest absolute b
 difference [km] and the largest relative b difference among the pairs
-whose b is at least ``B_KM_FLOOR`` km. It exits 1 when any pair differs, so it stays a
-bit-equality check.
+whose b is at least ``B_KM_FLOOR`` km. It exits 1 when any pair differs,
+so it stays a bit-equality check.
 
 Separate processes cannot resolve a change of a few percent on a host whose
 speed drifts in phases of seconds (``perfbench/README.md``); interleaved in

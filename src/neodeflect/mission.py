@@ -421,7 +421,7 @@ class DeflectionModel:
             raise ValueError(
                 f"deviated state epoch {deviated.t} is not at t_impact {self.scenario.t_impact}")
         r_dev, _ = equinoctial_to_cartesian(deviated, self.mu)
-        return float(np.linalg.norm(bplane_offset(r_dev - self._r_nominal, self._v_hat)))
+        return math.hypot(*bplane_offset(r_dev - self._r_nominal, self._v_hat).tolist())
 
     def mass_only(self, design: DesignVector, u: dict) -> float:
         """Formation mass [kg]; no propagation involved."""

@@ -319,7 +319,7 @@ def gauss_rhs(eq: EquinoctialState, f: ThrustRTN, mu: float) -> np.ndarray:
 def bplane_normal(v_inf: np.ndarray) -> np.ndarray:
     """Unit normal of the b-plane: the direction of the incoming relative
     velocity. Raises DegenerateBPlaneError below ``V_INF_MIN``."""
-    v_norm = float(np.linalg.norm(v_inf))
+    v_norm = math.hypot(*v_inf.tolist())
     if v_norm < V_INF_MIN:
         raise DegenerateBPlaneError(
             f"|v_inf| = {v_norm:.3e} km/s is below {V_INF_MIN}; b-plane undefined"
@@ -329,5 +329,12 @@ def bplane_normal(v_inf: np.ndarray) -> np.ndarray:
 
 def bplane_offset(d_vec: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
     """Miss vector ``d_vec`` projected on the b-plane of unit normal
-    ``v_hat`` (``bplane_normal``); its norm is the impact parameter."""
-    return d_vec - np.dot(d_vec, v_hat) * v_hat
+    ``v_hat`` (``bplane_normal``); its norm is the impact parameter.
+
+    The dot product is summed in plain floats in index order, since a BLAS
+    ``ddot`` rounds differently from one OpenBLAS kernel to another, and so
+    would b; callers take the norm with ``math.hypot``, as
+    ``bplane_normal`` does.
+    """
+    (d0, d1, d2), (v0, v1, v2) = d_vec.tolist(), v_hat.tolist()
+    return d_vec - (d0 * v0 + d1 * v1 + d2 * v2) * v_hat

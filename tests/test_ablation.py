@@ -188,7 +188,7 @@ def mass_flow_in_y(p_in, ast, n_sc, half, r_ell):
         return 0.0, chord_min / half
     support = math.sqrt(half**2 - chord_min**2)
 
-    def strip(y):  # P_net (sqrt(dwell) - sqrt(t*))^2 / P_net at offset y
+    def strip(y):  # the yield of the strip at offset y over P_net
         return (math.sqrt(2.0 * math.sqrt(max(half**2 - y * y, 0.0)) / v_rot) - sqrt_t_star)**2
 
     integral = quad(strip, 0.0, support, epsabs=0.0, epsrel=1e-13, limit=200,
@@ -234,6 +234,7 @@ def test_mass_flow_strip_rule_against_adaptive_quadrature(chord_ratio):
 
 
 @settings(max_examples=200, deadline=None)
+@example(u=[0.5] * 10, above=0.0, r_ell=135.0, d_m=20.0, n_sc=10, c_r=3000.0)  # at the threshold
 @given(
     u=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10),
     above=st.floats(0.0, 1.0),

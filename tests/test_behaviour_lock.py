@@ -31,16 +31,16 @@ REL = 1e-12
 LOCKED_EVALUATIONS = {
     ("20,10,8,3000", False): (23985.820596489633, 25704.441007288984, 468),
     ("20,10,1,3000", False): (17893.530740347065, 509.83498381415984, 59),
-    ("12,4,3.5,2000", False): (3598.6783015856527, 2.5622384744550577, 59),
+    ("12,4,3.5,2000", False): (3598.6783015856527, 2.562238474455058, 59),
     ("8,6,6,2500", False): (3249.536504610369, 95.38342820200039, 175),
     ("2,1,1,1000", False): (80.56086217837202, 0.0, 1),
     ("16,8,3,2800", False): (9808.653373524985, 1052.1649105988524, 136),
-    ("5,3,7.5,2600", False): (529.5951006525997, 6.756266755970942, 170),
+    ("5,3,7.5,2600", False): (529.5951006525997, 6.756266755970943, 170),
     ("14,7,5.25,2200", False): (9302.329003099374, 316.13660872968916, 158),
-    ("20,10,8,3000", True): (23985.820596489633, 92.91852175585855, 82),
+    ("20,10,8,3000", True): (23985.820596489633, 92.91852175585856, 82),
     ("20,10,1,3000", True): (17893.530740347065, 9.271275415931425, 34),
     ("12,4,3.5,2000", True): (3598.6783015856527, 1.3356231721823386, 50),
-    ("8,6,6,2500", True): (3249.536504610369, 15.562464191105972, 100),
+    ("8,6,6,2500", True): (3249.536504610369, 15.562464191105974, 100),
     ("2,1,1,1000", True): (80.56086217837202, 0.0, 1),
     ("16,8,3,2800", True): (9808.653373524985, 22.303660294498204, 51),
     ("5,3,7.5,2600", True): (529.5951006525997, 4.182878022864031, 142),
@@ -48,7 +48,7 @@ LOCKED_EVALUATIONS = {
 }
 
 DETERMINISTIC_ARCHIVE_SHA256 = (
-    "64f9f636270ca7f7ba9bb17ea56f143482527e57331c01592ccc2415fb344c0e"
+    "786999054bbf0eb0d894f56d69a9febd09f1e0f760bac605914e34a962fff162"
 )
 MINMAX_ARCHIVE_SHA256 = (
     "52064c36e041b18599406926914e767b8dd2e42488ff978a9723bf0ccd940080"
@@ -57,7 +57,7 @@ MINMAX_ARCHIVE_SHA256 = (
 # --max-partitions 12, each over the parameters its objective reads; the
 # m_sys curve is bounded exactly, box by box
 BPCURVE_SHA256 = {
-    "belpl_b.csv": "e16e815eca23dc6ebc1566568b867da6e4d9060b5634941cc3c7aa6607136ded",
+    "belpl_b.csv": "033bc81d1af561d20f35ba05190c0efb04eb99d21472c0567d5cbaff8c74fda9",
     "belpl_m_sys.csv": "fe910860b65047aa4e8887b7fceedd9110b5e2605884ea475e546e7bebcb4f7a",
 }
 TRAJECTORY_SHA256 = {
