@@ -322,13 +322,14 @@ class ThrustModel:
         # the flux at 1 AU kept per trajectory is the undimmed one
         flux_1au = (self.flux_1au if tau == 1.0 else
                     absorbed_flux_1au(self.eta_sys, self.design.c_r, ast, tau))
-        # in this one frame: the heliocentric radius and heading from one
-        # sin/cos pair of the longitude (``radius_and_heading``), the radius
-        # of the spinning ellipsoid under the spot, the input flux
-        # (``input_power_density``; an elliptic orbit's radius is positive)
-        # and the acceleration Lambda * vbar * mdot / m_A [km/s^2] along the
-        # heliocentric velocity, in the operation order of their reference
-        # forms
+        # in this one frame: the heliocentric radius and the radial and
+        # transversal velocity in units of sqrt(mu/p), P2 sin L - P1 cos L
+        # and 1 + P1 sin L + P2 cos L = p/r, from one sin/cos pair of the
+        # longitude, the radius of the spinning ellipsoid under the spot,
+        # the input flux (``input_power_density``; an elliptic orbit's
+        # radius is positive) and the acceleration Lambda * vbar * mdot /
+        # m_A [km/s^2] along the heliocentric velocity, in the orbit plane,
+        # in the operation order of their reference forms
         p1, p2, ell = eq.p1, eq.p2, eq.ell
         sl, cl = math.sin(ell), math.cos(ell)
         v_t = 1.0 + p1 * sl + p2 * cl
@@ -339,7 +340,7 @@ class ThrustModel:
         mdot = mass_flow_rate(flux_1au * (AU_KM / r_a) ** 2, ast, self.design.n_sc,
                               self.half_spot, r_ell)
         thrust = ThrustRTN(LAMBDA_SCATTER * self.vbar * mdot / ast.mass / 1000.0,
-                           math.atan2(v_t, p2 * sl - p1 * cl), 0.0)
+                           math.atan2(v_t, p2 * sl - p1 * cl))
         if not self.contamination_on or geom.x <= 0.0 or mdot <= 0.0:
             return thrust, 0.0
         rho = plume_density(mdot, self.vbar, self.a_spot, self.d_spot, geom, r_ell)

@@ -1,7 +1,7 @@
 """Analytic low-thrust propagation over finite arcs of true longitude.
 
 Each arc assumes the thrust acceleration is constant in the RTN frame and
-expands the five slow elements and the elapsed time to first order in the
+expands the slow elements and the elapsed time to first order in the
 thrust modulus about the Keplerian motion. The zero-order terms are the
 unperturbed Keplerian arc (time of flight from the generalized Kepler
 equation); the first-order terms are quadratures of the variational rates
@@ -14,13 +14,12 @@ Truncation error per arc is O(eps^2) in the thrust modulus.
 
 The quadrature has five nodes (order 4). The integrands are analytic over
 an arc of at most ``dl_max`` = 0.1 rad, where it converges geometrically:
-against order 12 on 4000 drawn arcs of 0.1 rad (e <= 0.7, in-plane and
-normal thrust), each first-order term is within 6.3e-8 of the integral of
-its integrand's absolute value at five nodes, 1.4e-11 at seven and 4.8e-5
-at four. The terms are increments of about 1e-8 of the elements, so five
-nodes moved b by at most 3.1e-9 relative from seven on 400 drawn
-evaluations of the reference scenario (3 moved at all), four orders below
-FPET's own error.
+against order 12 on 4000 drawn arcs of 0.1 rad (e <= 0.7), each
+first-order term is within 6.3e-8 of the integral of its integrand's
+absolute value at five nodes, 1.4e-11 at seven and 4.8e-5 at four. The
+terms are increments of about 1e-8 of the elements, so five nodes moved b
+by at most 3.1e-9 relative from seven on 400 drawn evaluations of the
+reference scenario (3 moved at all), four orders below FPET's own error.
 
 An arc is one straight-line pass in plain floats, in the operation order
 of the array form kept in the tests as the reference. The integrands are
@@ -37,11 +36,9 @@ start mean longitude between the midpoint probes and the steps
 The loop of ``propagate_trajectory`` builds each midpoint probe itself and
 keeps log10 of the running thrust maximum, taken only when it rises.
 
-An in-plane thrust (beta = 0, as the ablation thrust always is) skips the
-normal-thrust terms, all products with f_n = 0: the Q1 and Q2 rates and
-their integrals, which stay zero, the ``qterm`` products and the normal
-term of the time integrand. Adding or subtracting a zero keeps every bit,
-so the skip matches the full form exactly.
+The ablation thrust lies in the orbit plane, so the Q1 and Q2 rates and
+the normal-thrust term of the time integrand are absent: Q1 and Q2 are
+carried over each arc unchanged.
 
 The last arc is cut in closed form: the two-body longitude at the final
 epoch sets its length, and only its first-order time term, small over a
@@ -105,8 +102,6 @@ _CHEB_INNER_NODES = tuple(_CHEB_MAP.tolist()[1:-1])
 # the antiderivative's rows at the first four nodes (row 0, zero but for
 # rounding residues of about 1e-17, kept for the bits) and the weights
 _CHEB_CUM_ROWS = tuple(tuple(row) for row in _CHEB_CUM.tolist())
-# the Q1 and Q2 integrals of in-plane thrust at every node
-_NO_RATES = (0.0,) * len(_CHEB_MAP)
 
 from .orbits import (  # noqa: E402
     EquinoctialState,
@@ -147,20 +142,18 @@ class ArcControl:
 def _first_order_terms(
     eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float
 ) -> tuple[tuple[tuple[float, ...], ...], float]:
-    """First-order changes per unit eps over one arc: of the five slow
-    elements at every node, in units of half the arc (the last node is the
-    arc's end), and of the epoch at the arc's end."""
-    a, p1, p2, q1, q2, ell0 = eq0.a, eq0.p1, eq0.p2, eq0.q1, eq0.q2, eq0.ell
+    """First-order changes per unit eps over one arc: of a, P1 and P2 at
+    every node, in units of half the arc (the last node is the arc's end),
+    and of the epoch at the arc's end."""
+    a, p1, p2, ell0 = eq0.a, eq0.p1, eq0.p2, eq0.ell
     p = a * (1.0 - p1 * p1 - p2 * p2)
     h = math.sqrt(mu * p)
     half = 0.5 * dl
     p_h = p / h
     a_rate = 2.0 * a * a / h
 
-    cb = math.cos(f.beta)
-    f_r = cb * math.cos(f.alpha)
-    f_t = cb * math.sin(f.alpha)
-    f_n = math.sin(f.beta)
+    f_r = math.cos(f.alpha)
+    f_t = math.sin(f.alpha)
     c_a = 1.5 / a
     c_p1 = -3.0 * a * p1 / p
     c_p2 = -3.0 * a * p2 / p
@@ -180,8 +173,8 @@ def _first_order_terms(
     w0 = (p / phi0) * rh0
     phi_1 = 1.0 + phi0
     g00 = a_rate * ((p2 * sl0 - p1 * cl0) * f_r + phi0 * f_t) * w0
-    rp10 = (p1 + phi_1 * sl0) * f_t - phi0 * cl0 * f_r
-    rp20 = phi0 * sl0 * f_r + (p2 + phi_1 * cl0) * f_t
+    g10 = rh0 * ((p1 + phi_1 * sl0) * f_t - phi0 * cl0 * f_r) * w0
+    g20 = rh0 * (phi0 * sl0 * f_r + (p2 + phi_1 * cl0) * f_t) * w0
     ell = ell0 + dl * x1
     sl1 = sin(ell)
     cl1 = cos(ell)
@@ -190,8 +183,8 @@ def _first_order_terms(
     w1 = (p / phi1) * rh1
     phi_1 = 1.0 + phi1
     g01 = a_rate * ((p2 * sl1 - p1 * cl1) * f_r + phi1 * f_t) * w1
-    rp11 = (p1 + phi_1 * sl1) * f_t - phi1 * cl1 * f_r
-    rp21 = phi1 * sl1 * f_r + (p2 + phi_1 * cl1) * f_t
+    g11 = rh1 * ((p1 + phi_1 * sl1) * f_t - phi1 * cl1 * f_r) * w1
+    g21 = rh1 * (phi1 * sl1 * f_r + (p2 + phi_1 * cl1) * f_t) * w1
     ell = ell0 + dl * x2
     sl2 = sin(ell)
     cl2 = cos(ell)
@@ -200,8 +193,8 @@ def _first_order_terms(
     w2 = (p / phi2) * rh2
     phi_1 = 1.0 + phi2
     g02 = a_rate * ((p2 * sl2 - p1 * cl2) * f_r + phi2 * f_t) * w2
-    rp12 = (p1 + phi_1 * sl2) * f_t - phi2 * cl2 * f_r
-    rp22 = phi2 * sl2 * f_r + (p2 + phi_1 * cl2) * f_t
+    g12 = rh2 * ((p1 + phi_1 * sl2) * f_t - phi2 * cl2 * f_r) * w2
+    g22 = rh2 * (phi2 * sl2 * f_r + (p2 + phi_1 * cl2) * f_t) * w2
     ell = ell0 + dl * x3
     sl3 = sin(ell)
     cl3 = cos(ell)
@@ -210,8 +203,8 @@ def _first_order_terms(
     w3 = (p / phi3) * rh3
     phi_1 = 1.0 + phi3
     g03 = a_rate * ((p2 * sl3 - p1 * cl3) * f_r + phi3 * f_t) * w3
-    rp13 = (p1 + phi_1 * sl3) * f_t - phi3 * cl3 * f_r
-    rp23 = phi3 * sl3 * f_r + (p2 + phi_1 * cl3) * f_t
+    g13 = rh3 * ((p1 + phi_1 * sl3) * f_t - phi3 * cl3 * f_r) * w3
+    g23 = rh3 * (phi3 * sl3 * f_r + (p2 + phi_1 * cl3) * f_t) * w3
     ell = ell0 + dl
     sl4 = sin(ell)
     cl4 = cos(ell)
@@ -220,58 +213,8 @@ def _first_order_terms(
     w4 = (p / phi4) * rh4
     phi_1 = 1.0 + phi4
     g04 = a_rate * ((p2 * sl4 - p1 * cl4) * f_r + phi4 * f_t) * w4
-    rp14 = (p1 + phi_1 * sl4) * f_t - phi4 * cl4 * f_r
-    rp24 = phi4 * sl4 * f_r + (p2 + phi_1 * cl4) * f_t
-    # normal thrust adds its terms to the rates of P1 and P2, and has rates
-    # of Q1 and Q2 and a term of the time integrand of its own
-    normal = f_n != 0.0
-    if normal:
-        half_s2 = 0.5 * (1.0 + q1 * q1 + q2 * q2)
-        qterm = (q1 * cl0 - q2 * sl0) * f_n
-        rp10 -= p2 * qterm
-        rp20 += p1 * qterm
-        rh_s2 = half_s2 * rh0 * f_n
-        g30 = rh_s2 * sl0 * w0
-        g40 = rh_s2 * cl0 * w0
-        n0 = rh0 * qterm * w0 * w0
-        qterm = (q1 * cl1 - q2 * sl1) * f_n
-        rp11 -= p2 * qterm
-        rp21 += p1 * qterm
-        rh_s2 = half_s2 * rh1 * f_n
-        g31 = rh_s2 * sl1 * w1
-        g41 = rh_s2 * cl1 * w1
-        n1 = rh1 * qterm * w1 * w1
-        qterm = (q1 * cl2 - q2 * sl2) * f_n
-        rp12 -= p2 * qterm
-        rp22 += p1 * qterm
-        rh_s2 = half_s2 * rh2 * f_n
-        g32 = rh_s2 * sl2 * w2
-        g42 = rh_s2 * cl2 * w2
-        n2 = rh2 * qterm * w2 * w2
-        qterm = (q1 * cl3 - q2 * sl3) * f_n
-        rp13 -= p2 * qterm
-        rp23 += p1 * qterm
-        rh_s2 = half_s2 * rh3 * f_n
-        g33 = rh_s2 * sl3 * w3
-        g43 = rh_s2 * cl3 * w3
-        n3 = rh3 * qterm * w3 * w3
-        qterm = (q1 * cl4 - q2 * sl4) * f_n
-        rp14 -= p2 * qterm
-        rp24 += p1 * qterm
-        rh_s2 = half_s2 * rh4 * f_n
-        g34 = rh_s2 * sl4 * w4
-        g44 = rh_s2 * cl4 * w4
-        n4 = rh4 * qterm * w4 * w4
-    g10 = rh0 * rp10 * w0
-    g20 = rh0 * rp20 * w0
-    g11 = rh1 * rp11 * w1
-    g21 = rh1 * rp21 * w1
-    g12 = rh2 * rp12 * w2
-    g22 = rh2 * rp22 * w2
-    g13 = rh3 * rp13 * w3
-    g23 = rh3 * rp23 * w3
-    g14 = rh4 * rp14 * w4
-    g24 = rh4 * rp24 * w4
+    g14 = rh4 * ((p1 + phi_1 * sl4) * f_t - phi4 * cl4 * f_r) * w4
+    g24 = rh4 * (phi4 * sl4 * f_r + (p2 + phi_1 * cl4) * f_t) * w4
 
     # running first-order element integrals y1 = half * y at every node via
     # the spectral antiderivative, one sum of products in node order per
@@ -293,21 +236,6 @@ def _first_order_terms(
     y22 = c20 * g20 + c21 * g21 + c22 * g22 + c23 * g23 + c24 * g24
     y23 = c30 * g20 + c31 * g21 + c32 * g22 + c33 * g23 + c34 * g24
     y24 = c40 * g20 + c41 * g21 + c42 * g22 + c43 * g23 + c44 * g24
-    if normal:
-        y30 = c00 * g30 + c01 * g31 + c02 * g32 + c03 * g33 + c04 * g34
-        y31 = c10 * g30 + c11 * g31 + c12 * g32 + c13 * g33 + c14 * g34
-        y32 = c20 * g30 + c21 * g31 + c22 * g32 + c23 * g33 + c24 * g34
-        y33 = c30 * g30 + c31 * g31 + c32 * g32 + c33 * g33 + c34 * g34
-        y34 = c40 * g30 + c41 * g31 + c42 * g32 + c43 * g33 + c44 * g34
-        y40 = c00 * g40 + c01 * g41 + c02 * g42 + c03 * g43 + c04 * g44
-        y41 = c10 * g40 + c11 * g41 + c12 * g42 + c13 * g43 + c14 * g44
-        y42 = c20 * g40 + c21 * g41 + c22 * g42 + c23 * g43 + c24 * g44
-        y43 = c30 * g40 + c31 * g41 + c32 * g42 + c33 * g43 + c34 * g44
-        y44 = c40 * g40 + c41 * g41 + c42 * g42 + c43 * g43 + c44 * g44
-        y3 = (y30, y31, y32, y33, y34)
-        y4 = (y40, y41, y42, y43, y44)
-    else:
-        y3 = y4 = _NO_RATES
 
     # the time integrand at every node and its weighted sum, in node order;
     # its factors of y0, y1 and y2 are c_a * w, w * (c_p1 - 2 sin L / phi)
@@ -322,15 +250,9 @@ def _first_order_terms(
           + w3 * (c_p2 - 2.0 * cl3 / phi3) * (half * y23))
     v4 = (c_a * w4 * (half * y04) + w4 * (c_p1 - 2.0 * sl4 / phi4) * (half * y14)
           + w4 * (c_p2 - 2.0 * cl4 / phi4) * (half * y24))
-    if normal:
-        v0 -= n0
-        v1 -= n1
-        v2 -= n2
-        v3 -= n3
-        v4 -= n4
     t11 = half * (c40 * v0 + c41 * v1 + c42 * v2 + c43 * v3 + c44 * v4)
     return ((y00, y01, y02, y03, y04), (y10, y11, y12, y13, y14),
-            (y20, y21, y22, y23, y24), y3, y4), t11
+            (y20, y21, y22, y23, y24)), t11
 
 
 def fpet_step(
@@ -341,8 +263,8 @@ def fpet_step(
     Returns the state at eq0.ell + dl. The slow elements pick up eps times
     the first-order quadrature of the variational rates; the epoch advances
     by the exact Keplerian time of flight plus eps times the first-order
-    time correction (which folds in both the normal-thrust perturbation of
-    dL/dt and the drift of dt/dL through the perturbed elements).
+    time correction (the drift of dt/dL through the perturbed elements).
+    The thrust lies in the orbit plane, so Q1 and Q2 are carried over.
     ``start`` is ``kepler_start(eq0, mu)``.
     """
     if dl <= 0.0:
@@ -351,12 +273,12 @@ def fpet_step(
     eps = f.eps
     if eps == 0.0:
         return EquinoctialState(eq0.a, eq0.p1, eq0.p2, eq0.q1, eq0.q2, eq0.ell + dl, eq0.t + t00)
-    (y0, y1, y2, y3, y4), t11 = _first_order_terms(eq0, dl, f, mu)
+    (y0, y1, y2), t11 = _first_order_terms(eq0, dl, f, mu)
     half = 0.5 * dl
     return EquinoctialState(
         eq0.a + eps * (half * y0[-1]), eq0.p1 + eps * (half * y1[-1]),
-        eq0.p2 + eps * (half * y2[-1]), eq0.q1 + eps * (half * y3[-1]),
-        eq0.q2 + eps * (half * y4[-1]), eq0.ell + dl, eq0.t + t00 + eps * t11,
+        eq0.p2 + eps * (half * y2[-1]), eq0.q1, eq0.q2, eq0.ell + dl,
+        eq0.t + t00 + eps * t11,
     )
 
 

@@ -86,32 +86,25 @@ class EquinoctialState:
         return self.a * (1.0 - self.p1 * self.p1 - self.p2 * self.p2)
 
     def radius(self) -> float:
-        """Heliocentric radius [km]."""
-        return self.radius_and_heading()[0]
-
-    def radius_and_heading(self) -> tuple[float, float, float]:
-        """Heliocentric radius [km] and the radial and transversal
-        velocity in units of sqrt(mu/p), P2 sin L - P1 cos L and
-        1 + P1 sin L + P2 cos L = p/r, from one sine and cosine of L."""
-        sl, cl = math.sin(self.ell), math.cos(self.ell)
-        v_t = 1.0 + self.p1 * sl + self.p2 * cl
-        return self.semi_latus() / v_t, self.p2 * sl - self.p1 * cl, v_t
+        """Heliocentric radius [km], p / (1 + P1 sin L + P2 cos L)."""
+        return self.semi_latus() / (1.0 + self.p1 * math.sin(self.ell)
+                                    + self.p2 * math.cos(self.ell))
 
 
 @dataclass(slots=True)
 class ThrustRTN:
-    """Thrust acceleration in the radial-transversal-normal frame.
+    """Thrust acceleration in the orbit plane, in the radial-transversal-
+    normal frame.
 
-    ``eps`` is the modulus [km/s^2]; ``alpha`` the in-plane azimuth measured
-    from the radial axis (alpha = pi/2 is purely transversal) and ``beta``
-    the out-of-plane elevation. The Cartesian RTN vector is
-    eps * [cos(alpha)cos(beta), sin(alpha)cos(beta), sin(beta)].
+    ``eps`` is the modulus [km/s^2] and ``alpha`` the azimuth measured from
+    the radial axis (alpha = pi/2 is purely transversal). The Cartesian RTN
+    vector is eps * [cos(alpha), sin(alpha), 0]: the ablation thrust pushes
+    along the heliocentric velocity, which lies in the orbit plane.
     A value (see the module docstring).
     """
 
     eps: float
     alpha: float = 0.0
-    beta: float = 0.0
 
     def __post_init__(self):
         if self.eps < 0.0:
@@ -284,10 +277,12 @@ def equinoctial_to_cartesian(eq: EquinoctialState, mu: float) -> tuple[np.ndarra
 # ---------------------------------------------------------------------------
 
 def gauss_rhs(eq: EquinoctialState, f: ThrustRTN, mu: float) -> np.ndarray:
-    """Rates (da, dP1, dP2, dQ1, dQ2, dL)/dt under an RTN thrust acceleration.
+    """Rates (da, dP1, dP2, dQ1, dQ2, dL)/dt under an in-plane RTN thrust
+    acceleration.
 
-    Standard non-singular Gauss variational form; with eps = 0 the element
-    rates vanish and dL/dt reduces to the exact Keplerian rate h/r^2.
+    Standard non-singular Gauss variational form. An in-plane thrust leaves
+    the orbit plane fixed, so dQ1 and dQ2 are 0 and dL/dt is the Keplerian
+    rate h/r^2; with eps = 0 every element rate vanishes.
     """
     p = eq.semi_latus()
     h = math.sqrt(mu * p)
@@ -295,21 +290,13 @@ def gauss_rhs(eq: EquinoctialState, f: ThrustRTN, mu: float) -> np.ndarray:
     phi = 1.0 + eq.p1 * sl + eq.p2 * cl
     r = p / phi
 
-    cb = math.cos(f.beta)
-    f_r = f.eps * cb * math.cos(f.alpha)
-    f_t = f.eps * cb * math.sin(f.alpha)
-    f_n = f.eps * math.sin(f.beta)
-
-    s2 = 1.0 + eq.q1 * eq.q1 + eq.q2 * eq.q2
-    qterm = eq.q1 * cl - eq.q2 * sl
+    f_r = f.eps * math.cos(f.alpha)
+    f_t = f.eps * math.sin(f.alpha)
 
     da = (2.0 * eq.a**2 / h) * ((eq.p2 * sl - eq.p1 * cl) * f_r + phi * f_t)
-    dp1 = (r / h) * (-phi * cl * f_r + (eq.p1 + (1.0 + phi) * sl) * f_t - eq.p2 * qterm * f_n)
-    dp2 = (r / h) * (phi * sl * f_r + (eq.p2 + (1.0 + phi) * cl) * f_t + eq.p1 * qterm * f_n)
-    dq1 = (r / (2.0 * h)) * s2 * sl * f_n
-    dq2 = (r / (2.0 * h)) * s2 * cl * f_n
-    dl = h / r**2 - (r / h) * qterm * f_n
-    return np.array([da, dp1, dp2, dq1, dq2, dl])
+    dp1 = (r / h) * (-phi * cl * f_r + (eq.p1 + (1.0 + phi) * sl) * f_t)
+    dp2 = (r / h) * (phi * sl * f_r + (eq.p2 + (1.0 + phi) * cl) * f_t)
+    return np.array([da, dp1, dp2, 0.0, 0.0, h / r**2])
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ focal element, the brute-force reference of the partitioning curve builder.
 The array form of the FPET arc and the per-call Kepler time of flight are
 the bit-level references of the package's node-by-node kernel and of its
 shared Kepler start. The arc loop written plainly, driven by a thrust
-sample composed of the unit functions (the package's, and the spin radius
-and the acceleration that ``ablation.ThrustModel`` writes out, kept here),
+sample composed of the unit functions (the package's, and the heading, the
+spin radius and the acceleration that ``ablation.ThrustModel`` writes out,
+kept here),
 is the bit-level reference of ``fpet.propagate_trajectory`` driven by
 ``ablation.ThrustModel``.
 ``impact_parameter`` projects three states at the impact epoch afresh, the
@@ -59,12 +60,19 @@ from neodeflect.sizing import system_efficiency
 
 
 def rtn_vector(thrust: ThrustRTN) -> np.ndarray:
-    """Cartesian RTN acceleration eps * [cos(alpha)cos(beta),
-    sin(alpha)cos(beta), sin(beta)] of a thrust."""
-    cb = math.cos(thrust.beta)
-    return thrust.eps * np.array(
-        [math.cos(thrust.alpha) * cb, math.sin(thrust.alpha) * cb, math.sin(thrust.beta)]
-    )
+    """Cartesian RTN acceleration eps * [cos(alpha), sin(alpha), 0] of an
+    in-plane thrust."""
+    return thrust.eps * np.array([math.cos(thrust.alpha), math.sin(thrust.alpha), 0.0])
+
+
+def radius_and_heading(eq: EquinoctialState) -> tuple[float, float, float]:
+    """Heliocentric radius [km] and the radial and transversal velocity in
+    units of sqrt(mu/p), P2 sin L - P1 cos L and 1 + P1 sin L + P2 cos L =
+    p/r, from one sine and cosine of L: the reference form of the heading
+    that ``ablation.ThrustModel`` writes out."""
+    sl, cl = math.sin(eq.ell), math.cos(eq.ell)
+    v_t = 1.0 + eq.p1 * sl + eq.p2 * cl
+    return eq.semi_latus() / v_t, eq.p2 * sl - eq.p1 * cl, v_t
 
 
 def equinoctial_to_keplerian(eq: EquinoctialState) -> KeplerianElements:
@@ -269,14 +277,13 @@ def first_order_integrands(
     eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float,
     cheb_map: np.ndarray = _CHEB_MAP, cheb_cum_t: np.ndarray = _CHEB_CUM.T,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """The array form of the first-order integrands at the nodes of a
-    Chebyshev quadrature (``cheb_map``: the nodes mapped to [0, 1];
-    ``cheb_cum_t``: the transposed antiderivative matrix; by default the
-    package's): the five element rates per unit eps over the longitude
-    rate, their running integrals in units of half the arc, and the four
-    parts of the first-order time integrand, summed as ``a + p1 + p2 -
-    normal``."""
-    a, p1, p2, q1, q2 = eq0.a, eq0.p1, eq0.p2, eq0.q1, eq0.q2
+    """The array form of the first-order integrands of an in-plane thrust at
+    the nodes of a Chebyshev quadrature (``cheb_map``: the nodes mapped to
+    [0, 1]; ``cheb_cum_t``: the transposed antiderivative matrix; by default
+    the package's): the rates of a, P1 and P2 per unit eps over the
+    longitude rate, their running integrals in units of half the arc, and
+    the three parts of the first-order time integrand, summed in order."""
+    a, p1, p2 = eq0.a, eq0.p1, eq0.p2
     p = a * (1.0 - p1 * p1 - p2 * p2)
     h = math.sqrt(mu * p)
     half = 0.5 * dl
@@ -288,20 +295,13 @@ def first_order_integrands(
     r_h = (p / h) / phi
     w = (p / phi) * r_h
 
-    cb = math.cos(f.beta)
-    f_r = cb * math.cos(f.alpha)
-    f_t = cb * math.sin(f.alpha)
-    f_n = math.sin(f.beta)
-    s2 = 1.0 + q1 * q1 + q2 * q2
-    qterm = (q1 * cl - q2 * sl) * f_n
+    f_r = math.cos(f.alpha)
+    f_t = math.sin(f.alpha)
 
-    g = np.empty((5, ell.size))
+    g = np.empty((3, ell.size))
     g[0] = (2.0 * a * a / h) * ((p2 * sl - p1 * cl) * f_r + phi * f_t)
-    g[1] = r_h * (-phi * cl * f_r + (p1 + (1.0 + phi) * sl) * f_t - p2 * qterm)
-    g[2] = r_h * (phi * sl * f_r + (p2 + (1.0 + phi) * cl) * f_t + p1 * qterm)
-    half_rh_s2 = (0.5 * s2) * r_h * f_n
-    g[3] = half_rh_s2 * sl
-    g[4] = half_rh_s2 * cl
+    g[1] = r_h * (-phi * cl * f_r + (p1 + (1.0 + phi) * sl) * f_t)
+    g[2] = r_h * (phi * sl * f_r + (p2 + (1.0 + phi) * cl) * f_t)
     g *= w
 
     y = dot_in_node_order(g, cheb_cum_t)
@@ -310,7 +310,6 @@ def first_order_integrands(
         (1.5 / a) * w * y1_nodes[0],
         w * ((-3.0 * a * p1 / p) - 2.0 * sl / phi) * y1_nodes[1],
         w * ((-3.0 * a * p2 / p) - 2.0 * cl / phi) * y1_nodes[2],
-        r_h * qterm * w * w,
     )
     return g, y, time_parts
 
@@ -318,17 +317,17 @@ def first_order_integrands(
 def first_order_terms_numpy(
     eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float
 ) -> tuple[tuple[tuple[float, ...], ...], float]:
-    """Reference form of ``fpet._first_order_terms``: the five
-    Chebyshev-node integrands evaluated as numpy arrays. The package
-    evaluates them node by node in plain floats; both must agree to the
-    last bit."""
-    _, y, (t_a, t_p1, t_p2, t_normal) = first_order_integrands(eq0, dl, f, mu)
-    t11 = float(dot_in_node_order(t_a + t_p1 + t_p2 - t_normal, _CHEB_CUM[-1]))
+    """Reference form of ``fpet._first_order_terms``: the integrands at the
+    five Chebyshev nodes evaluated as numpy arrays. The package evaluates
+    them node by node in plain floats; both must agree to the last bit."""
+    _, y, (t_a, t_p1, t_p2) = first_order_integrands(eq0, dl, f, mu)
+    t11 = float(dot_in_node_order(t_a + t_p1 + t_p2, _CHEB_CUM[-1]))
     return tuple(map(tuple, y.tolist())), 0.5 * dl * t11
 
 
 def fpet_step_numpy(eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float) -> EquinoctialState:
-    """Reference form of ``fpet.fpet_step`` on top of the array quadrature."""
+    """Reference form of ``fpet.fpet_step`` on top of the array quadrature:
+    the in-plane thrust carries Q1 and Q2 over."""
     t00 = kepler_time_of_flight_reference(eq0, dl, mu)
     if f.eps == 0.0:
         return EquinoctialState(
@@ -342,8 +341,8 @@ def fpet_step_numpy(eq0: EquinoctialState, dl: float, f: ThrustRTN, mu: float) -
         a=eq0.a + eps * y1[0],
         p1=eq0.p1 + eps * y1[1],
         p2=eq0.p2 + eps * y1[2],
-        q1=eq0.q1 + eps * y1[3],
-        q2=eq0.q2 + eps * y1[4],
+        q1=eq0.q1,
+        q2=eq0.q2,
         ell=eq0.ell + dl,
         t=eq0.t + t00 + eps * t11,
     )
@@ -375,15 +374,14 @@ def ablation_acceleration(
     writes out.
 
     The modulus is Lambda * vbar * mdot / m_A (converted to km/s^2); the
-    direction is the heliocentric velocity unit vector, i.e. beta = 0 and
-    azimuth atan2(v_t, v_r) in the RTN frame, from the radial and
-    transversal velocity in any common unit
-    (``EquinoctialState.radius_and_heading``).
+    direction is the heliocentric velocity unit vector, in the orbit plane
+    at azimuth atan2(v_t, v_r) in the RTN frame, from the radial and
+    transversal velocity in any common unit (``radius_and_heading``).
     """
     if mdot < 0.0:
         raise ValueError("mass flow must be non-negative")
     eps_si = LAMBDA_SCATTER * vbar * mdot / ast.mass
-    return ThrustRTN(eps_si / 1000.0, math.atan2(v_t, v_r), 0.0)
+    return ThrustRTN(eps_si / 1000.0, math.atan2(v_t, v_r))
 
 
 def thrust_sample(design, tech, ast, geom, contamination, eq, elapsed, h_cond):
@@ -403,7 +401,7 @@ def thrust_sample(design, tech, ast, geom, contamination, eq, elapsed, h_cond):
     if contamination and geom.x > 0.0 and mdot > 0.0:
         rho = plume_density(mdot, vbar, a_spot, d_spot, geom, r_ell)
         growth = (2.0 * vbar * rho / RHO_LAYER) * math.cos(geom.psi_vf)
-    _, v_r, v_t = eq.radius_and_heading()
+    _, v_r, v_t = radius_and_heading(eq)
     return ablation_acceleration(mdot, vbar, ast, v_r, v_t), growth
 
 

@@ -147,7 +147,7 @@ def test_criterion_03_first_order_convergence(scenario):
     eps_values = [1e-12, 1e-11, 1e-10, 1e-9]  # km/s^2
     errors = []
     for eps in eps_values:
-        thrust = ThrustRTN(eps, alpha=1.2, beta=0.25)
+        thrust = ThrustRTN(eps, alpha=1.2)
         eq = eq0
         n_arcs, dl = 50, 4 * math.pi / 50
         for _ in range(n_arcs):

@@ -27,6 +27,7 @@ from neodeflect.orbits import (
     KeplerianElements,
     ThrustRTN,
     equinoctial_to_cartesian,
+    gauss_rhs,
     kepler_start,
     keplerian_to_equinoctial,
     propagate_keplerian,
@@ -154,17 +155,14 @@ angles = st.floats(0.0, 2 * math.pi)
     dl=st.one_of(st.just(2 * math.pi), st.just(1e-12), st.floats(1e-9, 2 * math.pi)),
     log_ratio=st.one_of(st.none(), st.floats(-12.0, -0.5)),
     alpha=st.floats(-math.pi, math.pi),
-    beta=st.one_of(st.just(0.0), st.floats(-0.5 * math.pi, 0.5 * math.pi)),
 )
 def test_fpet_step_equals_array_oracle(a_au, e, i, pomega, raan, ell, t, dl, log_ratio,
-                                       alpha, beta):
+                                       alpha):
     """Thrust from zero up to a third of the local gravity, where the
-    first-order terms carry most bits of the end state; in-plane thrust
-    (beta = 0, the ablation thrust's), whose normal terms the kernel skips,
-    on every run."""
+    first-order terms carry most bits of the end state."""
     eq = _arc_state(a_au, e, i, pomega, raan, ell, t)
     eps = 0.0 if log_ratio is None else 10.0**log_ratio * MU / eq.a**2
-    _assert_step_matches_oracle(eq, dl, ThrustRTN(eps, alpha, beta))
+    _assert_step_matches_oracle(eq, dl, ThrustRTN(eps, alpha))
 
 
 @pytest.mark.parametrize("e", [0.0, 0.191])
@@ -175,7 +173,7 @@ def test_fpet_step_equals_array_oracle_at_edges(e, i, eps, dl):
     """Circular (the e < 1e-15 branch) and equatorial orbits, coasting
     arcs, and the shortest and longest arcs."""
     eq = _arc_state(0.9224, e, i, 2.206, 3.568, 0.8, 1e7)
-    _assert_step_matches_oracle(eq, dl, ThrustRTN(eps, 1.1, 0.3))
+    _assert_step_matches_oracle(eq, dl, ThrustRTN(eps, 1.1))
 
 
 near_zero = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e-6, 1e-6))
@@ -191,30 +189,76 @@ near_zero = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e-6, 1e-6))
     q1=near_zero, q2=near_zero,
     log_ratio=st.one_of(st.none(), st.floats(-12.0, -3.0)),
     alpha=st.floats(-math.pi, math.pi),
-    beta=st.floats(-0.5 * math.pi, 0.5 * math.pi),
 )
 def test_near_equatorial_step_is_continuous_at_q_zero(a_au, e, pomega, ell, dl, q1, q2,
-                                                      log_ratio, alpha, beta):
+                                                      log_ratio, alpha):
     """As the inclination goes to zero (q1, q2 -> 0), ``fpet_step`` and
     ``equinoctial_to_cartesian`` stay finite and tend to their equatorial
     values. The orbit plane is tilted by an angle of 2|q| to first order, so
     position and velocity move by at most about 2|q| of their size; the
-    epoch of an arc moves by the q-part of the first-order time term, well
-    under |q| of the arc's duration for a thrust below 1e-3 of gravity."""
+    in-plane thrust's first-order time term does not see the plane, so the
+    epoch of an arc does not move."""
     eq = _arc_state(a_au, e, 0.0, pomega, 0.0, ell, 1e7)
     flat, eq = eq, dataclasses.replace(eq, q1=q1, q2=q2)
     eps = 0.0 if log_ratio is None else 10.0**log_ratio * MU / eq.a**2
-    thrust = ThrustRTN(eps, alpha, beta)
+    thrust = ThrustRTN(eps, alpha)
     q = math.hypot(q1, q2)
     for start, flat_start in ((eq, flat), (fpet_step(eq, dl, thrust, MU, kepler_start(eq, MU)),
                                            fpet_step(flat, dl, thrust, MU, kepler_start(flat, MU)))):
         assert all(math.isfinite(x) for x in dataclasses.astuple(start))
-        assert abs(start.t - flat_start.t) <= q * (flat_start.t - flat.t) + 4 * math.ulp(flat_start.t)
+        assert start.t == flat_start.t
         for tilted, level in zip(equinoctial_to_cartesian(start, MU),
                                  equinoctial_to_cartesian(flat_start, MU)):
             assert np.all(np.isfinite(tilted))
             size = np.linalg.norm(level)
             assert np.linalg.norm(tilted - level) <= (2.5 * q + 1e-12) * size
+
+
+# ---------------------------------------------------------------------------
+# The orbit plane under in-plane thrust
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("contamination", [False, True], ids=["off", "on"])
+def test_the_ablation_thrust_keeps_the_orbit_plane(contamination):
+    """``ThrustModel`` pushes along the heliocentric velocity, in the orbit
+    plane: every state of a thrusting trajectory has the start's Q1 and Q2,
+    bit for bit."""
+    scenario, _ = _scenario_and_structure()
+    model = make_model(scenario, "deterministic", contamination)
+    eq0, thrust = model.deflection_start(parse_design("20,10,8,3000"), scenario.fixed_uncertain)
+    traj = propagate_trajectory(eq0, thrust, scenario.t_impact, scenario.arc_control, scenario.mu)
+    assert any(traj.eps_history)
+    plane = (eq0.q1.hex(), eq0.q2.hex())
+    assert all((state.q1.hex(), state.q2.hex()) == plane for state in traj.states)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a_au=st.floats(0.3, 5.0),
+    e=st.floats(0.0, 0.9),
+    i=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    pomega=angles,
+    raan=st.floats(-math.pi, math.pi),
+    ell=st.floats(-50.0, 50.0),
+    dl=st.floats(1e-9, 2 * math.pi),
+    log_ratio=st.floats(-12.0, -4.0),
+    alpha=st.floats(-math.pi, math.pi),
+)
+# an equatorial orbit whose node lies in (-pi, 0): Q1 is -0.0
+@example(a_au=0.9224, e=0.191, i=0.0, pomega=2.206, raan=-1.0, ell=0.8, dl=0.05,
+         log_ratio=-6.0, alpha=1.1)
+def test_in_plane_thrust_keeps_the_orbit_plane(a_au, e, i, pomega, raan, ell, dl, log_ratio,
+                                               alpha):
+    """Under an in-plane thrust ``gauss_rhs`` has dQ1 = dQ2 = 0.0 and dL/dt
+    the Keplerian h/r^2, and ``fpet_step`` carries Q1 and Q2 over bit for
+    bit, a signed zero included."""
+    eq = _arc_state(a_au, e, i, pomega, raan, ell, 1e7)
+    thrust = ThrustRTN(10.0**log_ratio * MU / eq.a**2, alpha)
+    rates = gauss_rhs(eq, thrust, MU)
+    assert (rates[3].hex(), rates[4].hex()) == ((0.0).hex(), (0.0).hex())
+    assert rates[5] == math.sqrt(MU * eq.semi_latus()) / eq.radius()**2
+    nxt = fpet_step(eq, dl, thrust, MU, kepler_start(eq, MU))
+    assert (nxt.q1.hex(), nxt.q2.hex()) == (eq.q1.hex(), eq.q2.hex())
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +272,7 @@ def test_doubling_eps_doubles_deviation_to_first_order():
     base = np.array([kep.a, kep.p1, kep.p2, kep.q1, kep.q2, kep.t])
 
     def deviation(eps):
-        s = fpet_step(eq0, dl, ThrustRTN(eps, 1.1, 0.3), MU, kepler_start(eq0, MU))
+        s = fpet_step(eq0, dl, ThrustRTN(eps, 1.1), MU, kepler_start(eq0, MU))
         return np.array([s.a, s.p1, s.p2, s.q1, s.q2, s.t]) - base
 
     eps = 1e-9
@@ -242,7 +286,7 @@ def test_doubling_eps_doubles_deviation_to_first_order():
 def test_fpet_step_accuracy_small_thrust():
     """Single arc at ablation-scale thrust against the Cartesian oracle."""
     eq0 = keplerian_to_equinoctial(APOPHIS_LIKE)
-    thrust = ThrustRTN(1e-10, alpha=math.pi / 2, beta=0.1)
+    thrust = ThrustRTN(1e-10, alpha=math.pi / 2)
     err = _deviation_vs_oracle(eq0, thrust, dl_total=0.05, n_arcs=1)
     assert np.max(np.abs(err)) < 1e-8
 
@@ -254,7 +298,7 @@ def test_first_order_error_scales_quadratically():
     eps_values = [1e-12, 1e-11, 1e-10, 1e-9]  # km/s^2
     errors = []
     for eps in eps_values:
-        thrust = ThrustRTN(eps, alpha=1.2, beta=0.25)
+        thrust = ThrustRTN(eps, alpha=1.2)
         err = _deviation_vs_oracle(eq0, thrust, dl_total=4 * math.pi, n_arcs=50)
         errors.append(np.max(np.abs(err)))
     slope = np.polyfit(np.log10(eps_values), np.log10(errors), 1)[0]
@@ -275,7 +319,7 @@ FINE_MAP, FINE_CUM_T, FINE_W = _quadrature(12)
 QUADRATURE_REL_ERROR = 1e-6
 # an absolute floor under that bound, a few of the smallest subnormals: it
 # acts only where the bound itself underflows, on subnormal terms, whose
-# rounding is coarser than any relative error (2e-323 at beta = 2.2e-313)
+# rounding is coarser than any relative error
 QUADRATURE_ABS_FLOOR = 16 * math.ulp(0.0)
 
 
@@ -288,31 +332,26 @@ QUADRATURE_ABS_FLOOR = 16 * math.ulp(0.0)
     ell=st.floats(-50.0, 50.0),
     dl=st.floats(1e-6, ArcControl().dl_max),
     alpha=st.floats(-math.pi, math.pi),
-    beta=st.one_of(st.just(0.0), st.floats(-0.5 * math.pi, 0.5 * math.pi)),
 )
-@example(a_au=1.0, e=0.7, i=0.5, pomega=0.0, raan=1.0, ell=0.0, dl=0.1, alpha=0.0,
-         beta=0.5 * math.pi)  # an arc through perihelion under normal thrust
-@example(a_au=2.0, e=0.0, i=0.0, pomega=0.0, raan=0.0, ell=0.0, dl=1e-06, alpha=0.0,
-         beta=2.2250738585e-313)  # subnormal normal thrust: the q terms are subnormal
 def test_first_order_terms_match_a_finer_quadrature(a_au, e, i, pomega, raan, ell, dl,
-                                                     alpha, beta):
-    """The shipped quadrature's first-order terms, of the five elements and
-    the epoch, against the same integrals at order 12, on eccentric orbits,
-    up to the shipped arc cap, under in-plane and normal thrust. Each term's
+                                                     alpha):
+    """The shipped quadrature's first-order terms, of a, P1, P2 and the
+    epoch, against the same integrals at order 12, on eccentric orbits, up
+    to the shipped arc cap. Each term's
     error is measured against the integral of its integrand's absolute
     value, which vanishes only with the integrand. The array oracle shares
     the shipped nodes, so only this test holds their order to an accuracy."""
     eq = _arc_state(a_au, e, i, pomega, raan, ell, 0.0)
-    thrust = ThrustRTN(1.0, alpha, beta)
+    thrust = ThrustRTN(1.0, alpha)
     half = 0.5 * dl
     rows, t11 = _first_order_terms(eq, dl, thrust, MU)
     g, y, time_parts = oracles.first_order_integrands(eq, dl, thrust, MU, FINE_MAP, FINE_CUM_T)
-    t_a, t_p1, t_p2, t_normal = time_parts
+    t_a, t_p1, t_p2 = time_parts
     got = [half * row[-1] for row in rows] + [t11]
-    want = list(half * y[:, -1]) + [half * float((t_a + t_p1 + t_p2 - t_normal) @ FINE_W)]
+    want = list(half * y[:, -1]) + [half * float((t_a + t_p1 + t_p2) @ FINE_W)]
     scales = list(half * (np.abs(g) @ FINE_W)) + [
         half * float(sum(np.abs(part) for part in time_parts) @ FINE_W)]
-    for name, value, fine, scale in zip(("a", "p1", "p2", "q1", "q2", "t"), got, want, scales):
+    for name, value, fine, scale in zip(("a", "p1", "p2", "t"), got, want, scales):
         assert abs(value - fine) <= max(QUADRATURE_REL_ERROR * scale, QUADRATURE_ABS_FLOOR), name
 
 
@@ -381,7 +420,7 @@ def test_arc_control_validation():
 def test_trajectory_constant_thrust_vs_oracle():
     eq0 = keplerian_to_equinoctial(APOPHIS_LIKE)
     eps = 1e-10
-    thrust = ThrustRTN(eps, alpha=math.pi / 2, beta=0.0)
+    thrust = ThrustRTN(eps, alpha=math.pi / 2)
     t_end = eq0.t + 1.0 * 365.25 * 86400
     ctrl = ArcControl(a_const=0.05, k_const=2.0, dl_max=0.4)
     traj = propagate_trajectory(eq0, lambda s, t, h: (thrust, 0.0), t_end, ctrl, MU)
@@ -813,13 +852,13 @@ class _NoNumpy:
 
 
 def test_an_arc_runs_on_plain_floats(monkeypatch):
-    """No arc calls numpy: with ``fpet.np`` unusable, steps under in-plane
-    and normal thrust and a thrusting trajectory driven by ``ThrustModel``
-    run with the bits they have with numpy, and the first-order terms are
-    Python floats."""
+    """No arc calls numpy: with ``fpet.np`` unusable, steps under a
+    mostly radial and a transversal thrust and a thrusting trajectory driven
+    by ``ThrustModel`` run with the bits they have with numpy, and the
+    first-order terms are Python floats."""
     eq = _arc_state(1.0, 0.191, 0.0581, 2.206, 3.568, 0.8, 0.0)
     dl = ArcControl().dl_max
-    thrusts = [ThrustRTN(1e-9, 0.3), ThrustRTN(1e-9, 0.3, 0.4)]
+    thrusts = [ThrustRTN(1e-9, 0.3), ThrustRTN(1e-9, 0.5 * math.pi)]
     scenario = load_scenario(reference_scenario_path())
     model = make_model(scenario, "deterministic", False)
 

@@ -218,7 +218,7 @@ def test_gauss_rhs_circular_transversal_da():
     a = 1.2 * AU_KM
     eq = keplerian_to_equinoctial(KeplerianElements(a, 0.0, 0.0, 0.0, 0.0, 0.7))
     eps = 1e-10
-    rates = gauss_rhs(eq, ThrustRTN(eps, alpha=math.pi / 2, beta=0.0), MU)
+    rates = gauss_rhs(eq, ThrustRTN(eps, alpha=math.pi / 2), MU)
     assert rates[0] == pytest.approx(2 * eps * math.sqrt(a**3 / MU), rel=1e-12)
 
 
@@ -237,16 +237,11 @@ def test_gauss_rhs_matches_cartesian_finite_difference():
         # well above the oracle's integration noise.
         eps = 10 ** rng.uniform(-7.5, -7.0)
         alpha = rng.uniform(0, 2 * math.pi)
-        beta = rng.uniform(-1.2, 1.2)
-        thrust = ThrustRTN(eps, alpha, beta)
+        thrust = ThrustRTN(eps, alpha)
         rates = gauss_rhs(eq, thrust, MU)
 
         r0, v0 = oracles.kep_to_cartesian_classical(kep, MU)
-        f_rtn = (
-            eps * math.cos(beta) * math.cos(alpha),
-            eps * math.cos(beta) * math.sin(alpha),
-            eps * math.sin(beta),
-        )
+        f_rtn = (eps * math.cos(alpha), eps * math.sin(alpha), 0.0)
         dt = 150.0
 
         def osculating(t_span):
