@@ -293,8 +293,8 @@ class ThrustModel:
         tech: TechnologyParams,
         ast: AsteroidProperties,
         geom: StationGeometry,
-        contamination_on: bool = False,
-        t_reference: float = 0.0,
+        contamination_on: bool,
+        t_reference: float,
     ):
         self.design = design
         self.tech = tech

@@ -3,7 +3,9 @@
 Every run reads a scenario JSON, dispatches on the mode and writes CSV
 payloads plus a manifest with full provenance (seed, configuration hash,
 package version) under the output directory. Identical scenario and seed
-reproduce byte-identical payloads.
+reproduce byte-identical payloads under every BLAS kernel, except the RK
+oracle's b in ``propagate --oracle``: its solver's dot products call BLAS,
+and with contamination on it is not converged at rtol 1e-10 (README).
 
 Exit codes: 0 success, 2 scenario/schema errors (solver budgets,
 populations and an archive capacity below 2 included, and design bounds
@@ -72,17 +74,13 @@ _NUMERICAL_ERRORS = (ArcOverflowError, KeplerConvergenceError, ReferenceIntegrat
                      NonFiniteObjectivesError)
 
 
-def fmt(x: float) -> str:
-    """Full-precision, locale-free float formatting for reproducible CSV."""
-    return format(float(x), ".17g")
-
-
 def write_csv(path: Path, header: list[str], rows: list) -> None:
+    """Numbers at full precision and locale-free, for reproducible CSV."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([c if isinstance(c, str) else fmt(c) for c in row])
+            writer.writerow([c if isinstance(c, str) else format(float(c), ".17g") for c in row])
 
 
 def config_hash(scenario: Scenario, args_record: dict) -> str:
@@ -177,14 +175,6 @@ def run_optimization(scenario: Scenario, mode: str, contamination: bool, out: Pa
     return [f"archive_{mode}.csv", f"extremes_{mode}.csv"]
 
 
-def write_structure_csv(structure, path: Path) -> None:
-    rows = []
-    for param in structure.params:
-        for iv in param.intervals:
-            rows.append([param.name, iv.lo, iv.hi, iv.bpa])
-    write_csv(path, ["parameter", "lo", "hi", "bpa"], rows)
-
-
 def run_bpcurve(scenario: Scenario, design: DesignVector, contamination: bool,
                 out: Path, n_v: int, max_partitions: int):
     """Bel/Pl curves of b over the parameters it reads (the five asteroid
@@ -192,7 +182,8 @@ def run_bpcurve(scenario: Scenario, design: DesignVector, contamination: bool,
     over the five technology ones."""
     model = make_model(scenario, "bpcurve", contamination)
     structure = evidence_structure(scenario)
-    write_structure_csv(structure, out / "fused_structure.csv")
+    write_csv(out / "fused_structure.csv", ["parameter", "lo", "hi", "bpa"],
+              [[p.name, iv.lo, iv.hi, iv.bpa] for p in structure.params for iv in p.intervals])
     files = ["fused_structure.csv"]
     meta = {}
     for tag, names, bounder in (("b", B_NAMES, b_box_bounder),
@@ -272,7 +263,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="override the scenario seed")
     parser.add_argument("--out", type=Path, default=Path("runs"))
     parser.add_argument("--oracle", action="store_true",
-                        help="add a reference-integration cross-check (propagate mode)")
+                        help="add a reference-integration cross-check (propagate mode); "
+                             "its b depends on the BLAS kernel and, with contamination "
+                             "on, is not converged at rtol 1e-10")
     parser.add_argument("--nv", type=int, default=21,
                         help="thresholds per Bel/Pl curve")
     parser.add_argument("--max-partitions", type=int, default=10**5,

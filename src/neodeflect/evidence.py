@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 BPA_SUM_TOL = 1e-9
+_BPA_FLOOR = 1e-4
 
 
 class FusionError(ValueError):
@@ -83,9 +84,6 @@ class ExpertOpinion:
                 f"got {self.weight}"
             )
 
-    def addresses(self, parameter: str) -> bool:
-        return parameter in self.parameters and len(self.parameters[parameter]) > 0
-
 
 def fuse_experts(opinions: list[ExpertOpinion], parameter: str) -> ParameterBPA:
     """Fuse multi-expert interval opinions for one parameter.
@@ -96,7 +94,7 @@ def fuse_experts(opinions: list[ExpertOpinion], parameter: str) -> ParameterBPA:
     excluded from the averaging count, and the result is renormalized so
     the BPAs sum to one (exact already when all weights are equal).
     """
-    active = [op for op in opinions if op.addresses(parameter)]
+    active = [op for op in opinions if op.parameters.get(parameter)]
     if not active:
         raise FusionError(f"no expert addresses parameter {parameter!r}")
 
@@ -327,8 +325,7 @@ def bel_pl_curve(
     f_bounds,
     structure: FocalStructure,
     n_v: int,
-    bpa_floor: float = 1e-4,
-    max_partitions: int = 10**5,
+    max_partitions: int,
 ) -> BeliefCurve:
     """Reconstruct full Bel/Pl curves by optimizer-driven binary partitioning.
 
@@ -339,7 +336,7 @@ def bel_pl_curve(
     threshold along focal boundaries, and add every other sub-box's BPA to
     Belief when it lies fully below the threshold and to Plausibility when
     it intersects. Each box is bounded once, when it is made; a box is
-    never split below a single focal element, below ``bpa_floor``
+    never split below a single focal element, below ``_BPA_FLOOR``
     (negligible contribution) or past ``max_partitions``; reaching that
     budget stops the refinement and sets ``partial`` on the curve.
 
@@ -375,7 +372,7 @@ def bel_pl_curve(
             # y < v on the whole box (Bel), or somewhere in it (Pl)
             below = vmax <= v
             intersects = below or vmin < v
-            if intersects and not below and box.n_cells() > 1 and bpa >= bpa_floor:
+            if intersects and not below and box.n_cells() > 1 and bpa >= _BPA_FLOOR:
                 if n_partitions < max_partitions:
                     del partition[box]
                     for child in box.split():

@@ -114,7 +114,7 @@ from .orbits import (  # noqa: E402
 
 
 class ArcOverflowError(RuntimeError):
-    """Propagation exceeded the configured arc-count safety cap."""
+    """Propagation exceeded the arc-count safety cap ``_MAX_ARCS``."""
 
 
 @dataclass(frozen=True)
@@ -299,6 +299,7 @@ class Trajectory:
 
 
 _new_state = EquinoctialState.__new__
+_MAX_ARCS = 200000
 
 
 def propagate_trajectory(
@@ -307,7 +308,6 @@ def propagate_trajectory(
     t_end: float,
     ctrl: ArcControl,
     mu: float,
-    max_arcs: int = 200000,
 ) -> Trajectory:
     """Propagate under a thrust law until the epoch reaches t_end.
 
@@ -361,8 +361,8 @@ def propagate_trajectory(
     start = kepler_start(eq0, mu)
     dark_until = getattr(thrust_callback, "dark_until", None)
     while t_end - eq.t > 1.0:
-        if len(eps_history) >= max_arcs:
-            raise ArcOverflowError(f"exceeded {max_arcs} arcs before reaching t_end")
+        if len(eps_history) >= _MAX_ARCS:
+            raise ArcOverflowError(f"exceeded {_MAX_ARCS} arcs before reaching t_end")
         # the probe half the last arc ahead, and once more half the law's
         # arc ahead when the law moves the arc length by more than a factor
         # of two: the Keplerian prediction of the state there, whose

@@ -76,11 +76,14 @@ class ReferenceIntegrationError(RuntimeError):
     """The Runge-Kutta reference integration did not reach the impact epoch."""
 
 
+# scenario key -> KeplerianElements field
+_ELEMENT_KEYS = {"a_km": "a", "e": "e", "i_rad": "i", "raan_rad": "raan",
+                 "argp_rad": "argp", "theta_rad": "theta"}
+
 _ELEMENTS_SCHEMA = {
     "type": "object",
-    "required": ["a_km", "e", "i_rad", "raan_rad", "argp_rad", "theta_rad"],
-    "properties": {name: {"type": "number"} for name in
-                   ("a_km", "e", "i_rad", "raan_rad", "argp_rad", "theta_rad")},
+    "required": list(_ELEMENT_KEYS),
+    "properties": {name: {"type": "number"} for name in _ELEMENT_KEYS},
     "additionalProperties": False,
 }
 
@@ -231,17 +234,11 @@ class Scenario:
 
 
 def _elements_from_dict(d: dict) -> KeplerianElements:
-    return KeplerianElements(
-        a=d["a_km"], e=d["e"], i=d["i_rad"],
-        raan=d["raan_rad"], argp=d["argp_rad"], theta=d["theta_rad"],
-    )
+    return KeplerianElements(**{attr: d[key] for key, attr in _ELEMENT_KEYS.items()})
 
 
 def _elements_to_dict(k: KeplerianElements) -> dict:
-    return {
-        "a_km": k.a, "e": k.e, "i_rad": k.i,
-        "raan_rad": k.raan, "argp_rad": k.argp, "theta_rad": k.theta,
-    }
+    return {key: getattr(k, attr) for key, attr in _ELEMENT_KEYS.items()}
 
 
 def scenario_from_dict(doc: dict, source_path: Path | None = None) -> Scenario:

@@ -66,15 +66,9 @@ class Individual:
 class ParetoArchive:
     """Nondominated set of individuals with crowding-based truncation."""
 
-    def __init__(self, capacity: int = 200):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self.members: list[Individual] = []
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
 
     def add(self, candidate: Individual) -> bool:
         """Insert if nondominated; evict members the candidate dominates."""
@@ -140,6 +134,9 @@ class SolverConfig:
 # Inner bound search: restart differential evolution on [0, 1]^d
 # ---------------------------------------------------------------------------
 
+_COLLAPSE_TOL = 1e-9
+
+
 @dataclass
 class BoundResult:
     value: float
@@ -155,16 +152,15 @@ def inner_bound_search(
     pop_size: int,
     rng: np.random.Generator,
     seeds: tuple[np.ndarray, ...] = (),
-    collapse_tol: float = 1e-9,
 ) -> BoundResult:
     """Bound f over the unit hypercube by restart DE (rand/1/bin, weight
     0.8, crossover rate 0.9).
 
     ``sense`` is "min" or "max". Optional ``seeds`` are injected into the
     initial population (the paper's nominal point, cached witnesses). On
-    population collapse the population re-inflates from fresh uniform
-    draws with the incumbent best preserved. Deterministic for a fixed
-    generator state.
+    population collapse (every coordinate's spread below ``_COLLAPSE_TOL``)
+    the population re-inflates from fresh uniform draws with the incumbent
+    best preserved. Deterministic for a fixed generator state.
     """
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
@@ -204,7 +200,7 @@ def inner_bound_search(
                     best_u = trial.copy()
         # restart on collapse, keeping the incumbent best
         spread = float(np.max(np.ptp(pop, axis=0))) if pop_size > 1 else 0.0
-        if spread < collapse_tol and evals < budget:
+        if spread < _COLLAPSE_TOL and evals < budget:
             fresh = rng.random((pop_size, dim))
             fresh[0] = best_u
             # re-inflate only the members the budget can evaluate; the rest

@@ -425,14 +425,14 @@ def _flow_at_1au(model, tau):
 def test_contamination_step_zero_density_no_change():
     # exposed station (x > 0) inside the spot radius: the plume misses it
     geom = StationGeometry(x=100.0)
-    model = ThrustModel(DESIGN, TECH, TABLE_AST, geom, contamination_on=True)
+    model = ThrustModel(DESIGN, TECH, TABLE_AST, geom, contamination_on=True, t_reference=0.0)
     thrust, growth = model(AT_1AU, 0.0, 0.0)
     assert thrust.eps > 0.0 and growth == 0.0
     assert [model(AT_1AU, t, 0.0) for t in (1e3, 1e5, 1e7)] == [(thrust, 0.0)] * 3
 
 
 def test_contamination_tau_analytic():
-    model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=True)
+    model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=True, t_reference=0.0)
     r_ell = ellipsoid_radius(TABLE_AST, GEOM.theta_va, 0.0)
     rho = plume_density(_flow_at_1au(model, 1.0), model.vbar, model.a_spot, model.d_spot,
                         GEOM, r_ell)
@@ -451,7 +451,7 @@ def test_contamination_tau_analytic():
 def test_contamination_not_exposed():
     # station on the x < 0 side, yet in the plume of a spot pointed at it
     shadow = StationGeometry(x=-50.0, theta_va=-math.pi / 2)
-    model = ThrustModel(DESIGN, TECH, TABLE_AST, shadow, contamination_on=True)
+    model = ThrustModel(DESIGN, TECH, TABLE_AST, shadow, contamination_on=True, t_reference=0.0)
     assert plume_density(_flow_at_1au(model, 1.0), model.vbar, model.a_spot, model.d_spot,
                          shadow, ellipsoid_radius(TABLE_AST, shadow.theta_va, 0.0)) > 0.0
     for t in np.linspace(0.0, 1e7, 5):
@@ -462,7 +462,7 @@ def test_contamination_not_exposed():
 def test_contamination_monotone():
     """A thicker layer never thrusts or grows more, and a thick enough one
     darkens the spot."""
-    model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=True)
+    model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=True, t_reference=0.0)
     samples = [model(AT_1AU, 0.0, h) for h in np.linspace(0.0, 5.0 / ETA_ABS, 50)]
     eps = [thrust.eps for thrust, _ in samples]
     growth = [g for _, g in samples]
@@ -480,14 +480,17 @@ def test_thrust_model_mass_scaling_exact():
     eq = _state()
     big = AsteroidProperties(m_a=2.7e10)
     bigger = AsteroidProperties(m_a=2.7e11)
-    f1, _ = ThrustModel(DESIGN, TECH, big, GEOM)(eq, 0.0, 0.0)
-    f2, _ = ThrustModel(DESIGN, TECH, bigger, GEOM)(eq, 0.0, 0.0)
+    f1, _ = ThrustModel(DESIGN, TECH, big, GEOM, contamination_on=False,
+                        t_reference=0.0)(eq, 0.0, 0.0)
+    f2, _ = ThrustModel(DESIGN, TECH, bigger, GEOM, contamination_on=False,
+                        t_reference=0.0)(eq, 0.0, 0.0)
     assert f2.eps == pytest.approx(f1.eps / 10, rel=1e-12)
 
 
 def test_thrust_model_reference_magnitude():
     """Full composition at 1 AU lands inside the expected amplitude band."""
-    f, _ = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM)(AT_1AU, 0.0, 0.0)
+    f, _ = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=False,
+                       t_reference=0.0)(AT_1AU, 0.0, 0.0)
     eps_m_s2 = f.eps * 1000.0
     assert 1e-12 <= eps_m_s2 <= 1e-7
 
@@ -496,7 +499,7 @@ def test_thrust_model_contamination_off_keeps_tau_one():
     """With contamination off the layer never grows, so a propagation keeps
     it at 0 and tau at 1."""
     eq = _state()
-    model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=False)
+    model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=False, t_reference=0.0)
     for t in np.linspace(0, 1e7, 5):
         thrust, growth = model(eq, t, 0.0)
         assert thrust.eps > 0.0 and growth == 0.0
@@ -505,7 +508,7 @@ def test_thrust_model_contamination_off_keeps_tau_one():
 def test_thrust_model_contamination_decays_thrust():
     """The layer grown over a year at the clean mirror's rate dims the
     thrust."""
-    model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=True)
+    model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=True, t_reference=0.0)
     thrust0, growth = model(AT_1AU, 0.0, 0.0)
     assert thrust0.eps > 0.0 and growth > 0.0
     thrust, _ = model(AT_1AU, 3e7, growth * 3e7 * 100.0)  # m -> cm
@@ -604,7 +607,8 @@ def test_certify_dark_is_sound(a_au, e, pomega, b1, d_m, n_sc, c_r, t_sub, prehe
     near = keplerian_to_equinoctial(KeplerianElements(0.4 * AU_KM, 0.0, 0.0, 0.0, 0.0, 0.0))
     ast = replace(TABLE_AST, b1=b1, t_subl=t_sub)
     design = DesignVector(d_m=d_m, n_sc=n_sc, t_warn=8.0, c_r=c_r)
-    model = ThrustModel(design, TECH, ast, GEOM, contamination_on=preheat_s is not None)
+    model = ThrustModel(design, TECH, ast, GEOM, contamination_on=preheat_s is not None,
+                        t_reference=0.0)
     t = h = 0.0
     if preheat_s is not None:
         far = keplerian_to_equinoctial(KeplerianElements(6.0 * AU_KM, 0.0, 0.0, 0.0, 0.0, 0.0))
@@ -633,7 +637,8 @@ def test_certify_dark_is_sound_at_its_edge(e, b1):
     """Bisected to the edge of the certified orbits, the nearest certified
     orbit is dark at its perihelion at the slowest spin phase, and an orbit
     1e-7 nearer ablates there: the margin is tight as well as safe."""
-    model = ThrustModel(DESIGN, TECH, replace(TABLE_AST, b1=b1), GEOM)
+    model = ThrustModel(DESIGN, TECH, replace(TABLE_AST, b1=b1), GEOM, contamination_on=False,
+                        t_reference=0.0)
 
     def at_perihelion(a_au):  # true longitude 0; spin phase 0 shows the b1 radius
         return keplerian_to_equinoctial(KeplerianElements(a_au * AU_KM, e, 0.0, 0.0, 0.0, 0.0))
@@ -680,7 +685,8 @@ def test_dark_until_is_tight(scale, e, pomega, radius, d_m, n_sc, c_r, ell0, spi
     radius and the angles round either way, it returns no more than that
     longitude."""
     ast = replace(TABLE_AST, a1=radius, b1=radius)
-    model = ThrustModel(DesignVector(d_m=d_m, n_sc=n_sc, t_warn=8.0, c_r=c_r), TECH, ast, GEOM)
+    model = ThrustModel(DesignVector(d_m=d_m, n_sc=n_sc, t_warn=8.0, c_r=c_r), TECH, ast, GEOM,
+                        contamination_on=False, t_reference=0.0)
     a = scale * _dark_edge_au(model) * AU_KM / (1.0 - e)
     probe = replace(keplerian_to_equinoctial(KeplerianElements(a, e, 0.0, 0.0, pomega, 0.0)),
                     ell=ell0)
@@ -722,7 +728,8 @@ def test_certify_dark_is_sound_over_its_range(scale, e, pomega, b1, d_m, n_sc, c
     to t_end span 1e-3 to 1.6 periods, so that the perihelion often ablates
     while the range leaves it out (about a fifth of the draws)."""
     ast = replace(TABLE_AST, b1=b1)
-    model = ThrustModel(DesignVector(d_m=d_m, n_sc=n_sc, t_warn=8.0, c_r=c_r), TECH, ast, GEOM)
+    model = ThrustModel(DesignVector(d_m=d_m, n_sc=n_sc, t_warn=8.0, c_r=c_r), TECH, ast, GEOM,
+                        contamination_on=False, t_reference=0.0)
     a = scale * _dark_edge_au(model) * AU_KM
     orbit = keplerian_to_equinoctial(KeplerianElements(a, e, 0.0, 0.0, pomega, 0.0))
     probe = replace(orbit, ell=ell0)
@@ -755,7 +762,7 @@ def test_certify_dark_range_at_the_perihelion(start, end, certified):
     side of it are dark: a range of longitudes (offsets from the perihelion,
     several turns along the unwrapped longitude) is certified exactly when
     it leaves the perihelion out."""
-    model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM)
+    model = ThrustModel(DESIGN, TECH, TABLE_AST, GEOM, contamination_on=False, t_reference=0.0)
     e, pomega, turns = 0.3, 2.0, 6 * math.pi
     a = _dark_edge_au(model) * AU_KM * (1.0 - 1e-7) / (1.0 - e)
     orbit = keplerian_to_equinoctial(KeplerianElements(a, e, 0.0, 0.0, pomega, 0.0))

@@ -12,6 +12,7 @@ import time
 import zlib
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from conftest import record_criterion  # puts scripts/ on the path
 from calibration import nominal_miss
 from oracles import complement_bel_pl, duality_check, enumerate_bel_pl
 
+from neodeflect import evidence
 from neodeflect.constants import AU_KM, MU_SUN
 from neodeflect.evidence import (
     FocalStructure,
@@ -208,8 +210,8 @@ def test_criterion_05_evidence_soundness():
         f = separable_objective(rng, structure)
         bounds = lambda box: unit_corner_bounds(f, box)
         start = time.perf_counter()
-        curve = bel_pl_curve(bounds, structure, n_v=11, bpa_floor=0.0,
-                             max_partitions=10**6)
+        with mock.patch.object(evidence, "_BPA_FLOOR", 0.0):
+            curve = bel_pl_curve(bounds, structure, n_v=11, max_partitions=10**6)
         for j, v in enumerate(curve.thresholds):
             bel, pl = enumerate_bel_pl(bounds, structure, v)
             worst_gap = max(worst_gap, abs(curve.bel[j] - bel), abs(curve.pl[j] - pl))
@@ -310,7 +312,7 @@ def test_criterion_07_front_ordering(scenario):
         ok_sandwich &= lo_m.objectives.m_sys >= best_plain * (1 - 1e-12)
 
     b_scales = {
-        mode: max((-m.objectives.neg_b for m in archive), default=0.0)
+        mode: max((-m.objectives.neg_b for m in archive.members), default=0.0)
         for mode, archive in archives.items()
     }
     detail = (

@@ -2,12 +2,14 @@
 import itertools
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neodeflect import evidence
 from neodeflect.evidence import (
     BeliefCurve,
     ExpertOpinion,
@@ -313,8 +315,8 @@ def test_tree_curve_equals_enumeration_randomized():
         structure = random_structure(rng)
         f = separable_objective(rng, structure)
         bounds = lambda box: unit_corner_bounds(f, box)
-        curve = bel_pl_curve(bounds, structure, n_v=9, bpa_floor=0.0,
-                             max_partitions=10**6)
+        with mock.patch.object(evidence, "_BPA_FLOOR", 0.0):
+            curve = bel_pl_curve(bounds, structure, n_v=9, max_partitions=10**6)
         for j, v in enumerate(curve.thresholds):
             bel, pl = enumerate_bel_pl(bounds, structure, v)
             assert curve.bel[j] == pytest.approx(bel, abs=1e-12), trial
@@ -344,8 +346,9 @@ def test_marginal_curve_equals_joint_enumeration():
             assert marginal.names == [n for n in structure.names if n in names]
             assert all(p is q for p in marginal.params for q in structure.params
                        if p.name == q.name)
-            curve = bel_pl_curve(lambda box: unit_corner_bounds(f, box), marginal, n_v=9,
-                                 bpa_floor=0.0, max_partitions=10**6)
+            with mock.patch.object(evidence, "_BPA_FLOOR", 0.0):
+                curve = bel_pl_curve(lambda box: unit_corner_bounds(f, box), marginal, n_v=9,
+                                     max_partitions=10**6)
             assert not curve.partial
             gaps = [0.0]
             for j, v in enumerate(curve.thresholds):
@@ -379,8 +382,9 @@ def test_curve_monotone_and_bounded():
     for _ in range(10):
         structure = random_structure(rng)
         f = separable_objective(rng, structure)
-        curve = bel_pl_curve(lambda box: unit_corner_bounds(f, box), structure,
-                             n_v=15, bpa_floor=0.0, max_partitions=10**6)
+        with mock.patch.object(evidence, "_BPA_FLOOR", 0.0):
+            curve = bel_pl_curve(lambda box: unit_corner_bounds(f, box), structure,
+                                 n_v=15, max_partitions=10**6)
         assert np.all(curve.bel <= curve.pl + 1e-12)
         assert np.all(np.diff(curve.bel) >= -1e-12)
         assert np.all(np.diff(curve.pl) >= -1e-12)
@@ -391,8 +395,9 @@ def test_curve_monotone_and_bounded():
 def test_curve_single_focal_element_step():
     structure = FocalStructure([ParameterBPA("u", (iv(3.0, 4.0, 1.0),))])
     f = lambda u: float(u[0])
-    curve = bel_pl_curve(lambda box: unit_corner_bounds(f, box), structure,
-                         n_v=5, bpa_floor=0.0)
+    with mock.patch.object(evidence, "_BPA_FLOOR", 0.0):
+        curve = bel_pl_curve(lambda box: unit_corner_bounds(f, box), structure,
+                             n_v=5, max_partitions=10**5)
     # both curves step from 0 to 1; the single element is both subset and
     # intersector, so they coincide at the extremes (between them the lone
     # straddling element keeps Pl at 1 while Bel waits for full inclusion)
@@ -403,8 +408,9 @@ def test_curve_single_focal_element_step():
 
     # with an objective constant over the element they coincide everywhere
     const = lambda u: 2.5
-    flat = bel_pl_curve(lambda box: unit_corner_bounds(const, box), structure,
-                        n_v=5, bpa_floor=0.0)
+    with mock.patch.object(evidence, "_BPA_FLOOR", 0.0):
+        flat = bel_pl_curve(lambda box: unit_corner_bounds(const, box), structure,
+                            n_v=5, max_partitions=10**5)
     np.testing.assert_allclose(flat.bel, flat.pl)
     np.testing.assert_allclose(flat.bel, 1.0)
 
@@ -451,8 +457,9 @@ def test_partition_budget_flag():
     rng = np.random.default_rng(1)
     structure = random_structure(rng, max_dim=4, max_intervals=8)
     f = separable_objective(rng, structure)
-    curve = bel_pl_curve(lambda box: unit_corner_bounds(f, box), structure,
-                         n_v=9, bpa_floor=0.0, max_partitions=3)
+    with mock.patch.object(evidence, "_BPA_FLOOR", 0.0):
+        curve = bel_pl_curve(lambda box: unit_corner_bounds(f, box), structure,
+                             n_v=9, max_partitions=3)
     assert curve.partial
 
 
@@ -473,8 +480,8 @@ def test_curve_bounds_each_box_once_and_brackets_enumeration(seed, cap, bpa_floo
         boxes.append(box)
         return exact(box)
 
-    curve = bel_pl_curve(bounds, structure, n_v=9, bpa_floor=bpa_floor,
-                         max_partitions=cap)
+    with mock.patch.object(evidence, "_BPA_FLOOR", bpa_floor):
+        curve = bel_pl_curve(bounds, structure, n_v=9, max_partitions=cap)
     assert len(boxes) == len(set(boxes)) == 1 + 2 * curve.n_partitions
     for j, v in enumerate(curve.thresholds):
         bel, pl = enumerate_bel_pl(exact, structure, v)

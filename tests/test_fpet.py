@@ -478,11 +478,8 @@ def test_trajectory_callback_errors_propagate():
 def test_trajectory_arc_overflow():
     eq0 = keplerian_to_equinoctial(APOPHIS_LIKE)
     ctrl = ArcControl(a_const=1e-4, k_const=2.0, dl_max=1e-4)
-    with pytest.raises(ArcOverflowError):
-        propagate_trajectory(
-            eq0, lambda s, t, h: (ThrustRTN(0.0), 0.0), eq0.t + 3.2e7, ctrl, MU,
-            max_arcs=1000,
-        )
+    with pytest.raises(ArcOverflowError), mock.patch.object(fpet, "_MAX_ARCS", 1000):
+        propagate_trajectory(eq0, lambda s, t, h: (ThrustRTN(0.0), 0.0), eq0.t + 3.2e7, ctrl, MU)
 
 
 def test_trajectory_rejects_past_epoch():
@@ -800,6 +797,45 @@ def test_trajectory_equals_the_reference_stepper(d_m, n_sc, t_warn, c_r, unit, c
     assert _bits(traj) == _bits(want)
 
 
+def _samples_and_arcs(design, unit, contamination, ctrl) -> tuple[int, int]:
+    """Thrust samples and arcs of one evaluation under the arc control ``ctrl``."""
+    scenario, _ = _scenario_and_structure()
+    scenario = dataclasses.replace(scenario, arc_control=ctrl)
+    model = make_model(scenario, "deterministic", contamination)
+    with _counting_thrust_calls() as calls:
+        ev = model.evaluate(design, _uncertain(unit))
+    return len(calls), ev.n_arcs
+
+
+@pytest.mark.parametrize("contamination", [False, True], ids=["off", "on"])
+@settings(max_examples=30, deadline=None)
+@given(
+    d_m=st.floats(2.0, 20.0),
+    n_sc=st.integers(1, 10),
+    t_warn=st.floats(1.0, 8.0),
+    c_r=st.floats(1000.0, 3000.0),
+    unit=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10),
+)
+def test_one_thrust_sample_per_arc_at_the_shipped_arc_control(d_m, n_sc, t_warn, c_r, unit,
+                                                              contamination):
+    """The shipped ``ArcControl`` keeps every arc in [0.0824, 0.1] rad, a
+    ratio below the factor of two that triggers a re-sample: each arc, a
+    jumped dark spell included, samples the thrust once."""
+    scenario, _ = _scenario_and_structure()
+    assert scenario.arc_control == ArcControl()
+    calls, n_arcs = _samples_and_arcs(DesignVector(d_m, n_sc, t_warn, c_r), unit,
+                                      contamination, ArcControl())
+    assert calls == n_arcs
+
+
+def test_resampling_arc_control_samples_more_than_once_per_arc():
+    """The count above can fail: an arc control whose arcs span more than a
+    factor of two re-samples some arcs."""
+    calls, n_arcs = _samples_and_arcs(parse_design("20,10,8,3000"), [0.5] * 10, True,
+                                      RESAMPLING)
+    assert calls > n_arcs
+
+
 @pytest.mark.parametrize("eps, years", [(1e-8, 0.3), (3e-8, 1.0)])
 def test_arc_after_a_cut_equals_the_reference_stepper(eps, years):
     """A thrust strong enough that the cut last arc's first-order time term
@@ -826,10 +862,11 @@ def test_arc_cap_counts_coasting_arcs():
     args = (scenario.t_impact, scenario.arc_control, scenario.mu)
     model = make_model(scenario, "deterministic", False)
     eq0, thrust = model.deflection_start(parse_design("2,1,1,1000"), scenario.fixed_uncertain)
-    with pytest.raises(ArcOverflowError):
-        propagate_trajectory(eq0, lambda state, t, h: thrust(state, t, h), *args, max_arcs=10)
+    with pytest.raises(ArcOverflowError), mock.patch.object(fpet, "_MAX_ARCS", 10):
+        propagate_trajectory(eq0, lambda state, t, h: thrust(state, t, h), *args)
     eq0, thrust = model.deflection_start(parse_design("2,1,1,1000"), scenario.fixed_uncertain)
-    traj = propagate_trajectory(eq0, thrust, *args, max_arcs=1)
+    with mock.patch.object(fpet, "_MAX_ARCS", 1):
+        traj = propagate_trajectory(eq0, thrust, *args)
     assert traj.eps_history == [0.0]
     assert traj.final == propagate_keplerian(eq0, scenario.t_impact, scenario.mu)
 
@@ -837,11 +874,12 @@ def test_arc_cap_counts_coasting_arcs():
     design = parse_design("20,10,1,3000")
     n_arcs = model.evaluate(design, scenario.fixed_uncertain).n_arcs
     eq0, thrust = model.deflection_start(design, scenario.fixed_uncertain)
-    traj = propagate_trajectory(eq0, thrust, *args, max_arcs=n_arcs)
+    with mock.patch.object(fpet, "_MAX_ARCS", n_arcs):
+        traj = propagate_trajectory(eq0, thrust, *args)
     assert traj.eps_history[-2] > 0.0 and traj.eps_history[-1] == 0.0
     eq0, thrust = model.deflection_start(design, scenario.fixed_uncertain)
-    with pytest.raises(ArcOverflowError):
-        propagate_trajectory(eq0, thrust, *args, max_arcs=n_arcs - 1)
+    with pytest.raises(ArcOverflowError), mock.patch.object(fpet, "_MAX_ARCS", n_arcs - 1):
+        propagate_trajectory(eq0, thrust, *args)
 
 
 class _NoNumpy:

@@ -1,8 +1,10 @@
 """The scripts next to the package import without touching ``sys.path``,
 ``cli_digests --compare`` pairs the cells of two CSVs by column name,
-``ab_evaluate`` counts and sizes the evaluations that differ, and
-``bench_pairs`` names a source tree by a digest of its ``src/``."""
+``ab_evaluate`` counts and sizes the evaluations that differ,
+``bench_pairs`` names a source tree by a digest of its ``src/``, and every
+name the benchmark in ``perfbench/`` wraps resolves."""
 import importlib
+import importlib.util
 import math
 import shutil
 import sys
@@ -16,6 +18,18 @@ from bench_pairs import src_digest
 from cli_digests import compare
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+
+# what perfbench/worker.py's Counters patches, and the box-bounder factory
+# perfbench/tracer.py wraps, as (owner path, attribute)
+PATCHED_BY_PERFBENCH = (
+    ("neodeflect.mission.DeflectionModel", "evaluate"),
+    ("neodeflect.mission.DeflectionModel", "mass_only"),
+    ("neodeflect.search.ParetoArchive", "add"),
+    ("neodeflect.mission", "inner_bound_search"),
+    ("neodeflect.cli", "inner_bound_search"),
+    ("neodeflect.cli", "de_box_bounder"),
+)
 
 
 @pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
@@ -127,3 +141,16 @@ def test_bench_pairs_src_digest_names_a_tree_by_its_source(tmp_path):
     text = source.read_bytes()
     source.write_bytes(text[:-1] + b" ")
     assert src_digest(copies[0]) != src_digest(copies[1])
+
+
+def test_every_name_the_benchmark_binds_resolves():
+    """The benchmark's worker wraps these names where their callers bind
+    them, so a cut in ``src/`` that drops or moves one would crash it; the
+    trace points are read from ``perfbench/tracer.py`` itself."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    points = [(path, attr) for _, path, attr in tracer.TRACE_POINTS]
+    assert points
+    for path, attr in points + list(PATCHED_BY_PERFBENCH):
+        assert callable(getattr(tracer.resolve_owner(path), attr, None)), (path, attr)

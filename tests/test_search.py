@@ -1,12 +1,14 @@
 """Dominance, archive behavior, restart-DE bounds and the memetic search."""
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neodeflect import search
 from neodeflect.sizing import DesignVector
 from neodeflect.search import (
     BoundResult,
@@ -29,7 +31,7 @@ def ind(m, nb, d_m=10.0):
 
 
 def objective_array(archive: ParetoArchive) -> np.ndarray:
-    return np.array([m.objectives.as_tuple() for m in archive])
+    return np.array([m.objectives.as_tuple() for m in archive.members])
 
 
 # ---------------------------------------------------------------------------
@@ -52,15 +54,15 @@ def test_objectives_reject_nonfinite():
 
 
 def test_archive_keeps_nondominated_only():
-    archive = ParetoArchive()
+    archive = ParetoArchive(capacity=200)
     archive.add(ind(2, -5))
     archive.add(ind(3, -10))
-    assert len(archive) == 2
+    assert len(archive.members) == 2
     # dominated candidate rejected
     assert not archive.add(ind(3.5, -4))
     # dominating candidate evicts
     archive.add(ind(1.5, -11))
-    assert len(archive) == 1
+    assert len(archive.members) == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -74,7 +76,7 @@ def test_archive_nondominance_invariant(points):
     archive = ParetoArchive(capacity=40)
     for m, nb in points:
         archive.add(ind(m, nb))
-    members = list(archive)
+    members = archive.members
     assert members
     for a, b in itertools.permutations(members, 2):
         assert not dominates(a.objectives, b.objectives)
@@ -84,8 +86,8 @@ def test_archive_truncation_keeps_extremes():
     archive = ParetoArchive(capacity=5)
     for k in range(30):
         archive.add(ind(1.0 + k, -(1.0 + k)))
-    assert len(archive) == 5
-    masses = [m.objectives.m_sys for m in archive]
+    assert len(archive.members) == 5
+    masses = [m.objectives.m_sys for m in archive.members]
     assert min(masses) == 1.0 and max(masses) == 30.0
 
 
@@ -171,8 +173,8 @@ def test_inner_search_restart_escapes_collapse():
             base -= 10.0
         return base
 
-    res = inner_bound_search(f, 2, "min", 12000, 6, np.random.default_rng(8),
-                             collapse_tol=1e-3)
+    with mock.patch.object(search, "_COLLAPSE_TOL", 1e-3):
+        res = inner_bound_search(f, 2, "min", 12000, 6, np.random.default_rng(8))
     # global minimum sits at the needle corner nearest the wide basin:
     # 2*(0.15-0.9)^2 - 10 = -8.875
     assert res.value == pytest.approx(-8.875, abs=0.05)
@@ -191,8 +193,8 @@ def test_inner_search_restart_keeps_the_best_evaluated_point():
                 seen.append(math.sin(7.0 * u[0]) + u[0])
                 return seen[-1]
 
-            res = inner_bound_search(f, 1, sense, 12, 4, np.random.default_rng(seed),
-                                     collapse_tol=2.0)
+            with mock.patch.object(search, "_COLLAPSE_TOL", 2.0):
+                res = inner_bound_search(f, 1, sense, 12, 4, np.random.default_rng(seed))
             assert res.evaluations == 12 == len(seen)
             assert res.value == best(seen)
             assert f(res.point) == res.value
@@ -257,7 +259,7 @@ def test_solve_moo_determinism():
 def test_solve_moo_respects_bounds_and_integrality():
     config = SolverConfig(outer_budget=300, outer_pop=8, explorers=2, seed=3)
     archive = solve_moo(bi_objective_toy, DESIGN_BOUNDS, config)
-    for m in archive:
+    for m in archive.members:
         d = m.design
         assert 2.0 <= d.d_m <= 20.0
         assert 1 <= d.n_sc <= 10 and isinstance(d.n_sc, int)
@@ -342,6 +344,6 @@ def test_inner_search_piecewise_monotone_d5():
         ])
         exact = min(exact, base[idx] + float(np.dot(slope, corner)))
 
-    res = inner_bound_search(f, 5, "min", 9000, 10, np.random.default_rng(7),
-                             collapse_tol=1e-7)
+    with mock.patch.object(search, "_COLLAPSE_TOL", 1e-7):
+        res = inner_bound_search(f, 5, "min", 9000, 10, np.random.default_rng(7))
     assert res.value == pytest.approx(exact, abs=1e-6)
