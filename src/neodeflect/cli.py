@@ -7,11 +7,19 @@ reproduce byte-identical payloads under every BLAS kernel, except the RK
 oracle's b in ``propagate --oracle``: its solver's dot products call BLAS,
 and with contamination on it is not converged at rtol 1e-10 (README).
 
+Each search stops by one rule: the outer design search after
+``outer_budget`` distinct designs or after ``outer_budget`` proposals in a
+row that brought no new design (a box with fewer designs), each inner
+search after ``inner_budget`` evaluations, and a curve refinement at the
+latest at ``--max-partitions`` partitions.
+
 Exit codes: 0 success, 2 scenario/schema errors (solver budgets,
-populations and an archive capacity below 2 included, and design bounds
-that are not pairs of numbers ``[lo, hi]`` with lo <= hi, fixed uncertain
-values that are not numbers or that the asteroid or technology baselines
-refuse, technology values the sizing divides by or that make a mass
+populations and an archive capacity below 2 included, design bounds that
+are not pairs of numbers ``[lo, hi]`` with lo <= hi or whose lower bound
+admits a ``d_m``, ``t_warn`` or ``c_r`` <= 0 or an ``n_sc`` below 1, an
+unknown name among the design bounds or the fixed uncertain values, fixed
+uncertain values that are not numbers or that the asteroid or technology
+baselines refuse, technology values the sizing divides by or that make a mass
 negative (``c_geo``, ``t_rad`` <= 0, ``emiss_rad`` outside (0, 1],
 ``m_bus``, ``mf_c``, ``mf_p`` < 0), an asteroid ``m_a`` <= 0, solver sizes
 that are not integers, and NaN or infinity anywhere in the document, all

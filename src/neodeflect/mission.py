@@ -37,6 +37,7 @@ from .orbits import (
     propagate_keplerian,
 )
 from .search import (
+    GENE_NAMES,
     Individual,
     Objectives,
     SolverConfig,
@@ -109,10 +110,10 @@ SCENARIO_SCHEMA = {
         },
         "design_bounds": {
             "type": "object",
-            "required": ["d_m", "n_sc", "t_warn", "c_r"],
-            "additionalProperties": {
-                "type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2,
-            },
+            "required": list(GENE_NAMES),
+            "properties": {name: {"type": "array", "items": {"type": "number"},
+                                  "minItems": 2, "maxItems": 2} for name in GENE_NAMES},
+            "additionalProperties": False,
         },
         "arc_control": {
             "type": "object",
@@ -123,7 +124,8 @@ SCENARIO_SCHEMA = {
         "fixed_uncertain": {
             "type": "object",
             "required": list(UNCERTAIN_NAMES),
-            "additionalProperties": {"type": "number"},
+            "properties": {name: {"type": "number"} for name in UNCERTAIN_NAMES},
+            "additionalProperties": False,
         },
         "expert_opinions_file": {"type": "string"},
         "solver": {
@@ -245,14 +247,20 @@ def scenario_from_dict(doc: dict, source_path: Path | None = None) -> Scenario:
     """Build a validated scenario from a parsed JSON document.
 
     The document must match ``SCENARIO_SCHEMA`` with only finite numbers, each
-    design bound must be a ``[lo, hi]`` pair with lo <= hi, and every block,
-    the fixed uncertain values applied to the baselines included, must pass
-    its dataclass's checks; anything else raises ScenarioError.
+    design bound must be a ``[lo, hi]`` pair with 0 < lo <= hi (1 <= lo for
+    ``n_sc``), and every block, the fixed uncertain values applied to the
+    baselines included, must pass its dataclass's checks; anything else
+    raises ScenarioError.
     """
     _check(doc, SCENARIO_SCHEMA)
     for name, (lo, hi) in doc["design_bounds"].items():
         if not lo <= hi:
             raise ScenarioError(f"design_bounds {name}: lower bound {lo} exceeds upper {hi}")
+        # the thrust divides by d_m, the spot area by c_r, and the deflection
+        # needs a warning time and a formation of at least one spacecraft
+        if not (lo >= 1 if name == "n_sc" else lo > 0):
+            least = "at least 1" if name == "n_sc" else "positive"
+            raise ScenarioError(f"design_bounds {name}: lower bound {lo} is not {least}")
     # JSON Schema's integers include 3.0; the scenario holds them as ints
     seed = int(doc["seed"])
     solver = {name: int(value) for name, value in doc["solver"].items()}

@@ -7,6 +7,8 @@ agents, and a nondominated archive collecting every evaluation. The inner
 problem bounds an objective over the uncertain unit hypercube with a
 restart differential evolution: when the population collapses it is
 re-inflated around fresh random points while the incumbent best survives.
+Each search stops in one place, where it evaluates: the inner one at its
+budget of evaluations, the outer one at its budget of new designs or of revisits in a row.
 
 Determinism: every random draw flows from seeds derived with SeedSequence
 from the run seed plus stable integer keys (quantized design coordinates,
@@ -14,6 +16,7 @@ objective index), so results do not depend on evaluation order.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,8 +122,8 @@ class SolverConfig:
             raise ValueError("inner population must allow DE moves (>= 4)")
         if self.inner_budget < self.inner_pop:
             raise ValueError("inner budget must cover one inner population (>= inner_pop)")
-        # explorer restarts are what guarantee fresh designs once the
-        # population has collapsed onto cached ones
+        # explorer restarts bring fresh designs once the population has collapsed
+        # onto cached ones, if the box holds any; else solve_moo's revisit bound ends it
         if not 1 <= self.explorers < self.outer_pop:
             raise ValueError("explorer count must lie in [1, outer_pop)")
         # truncation keeps both extremes of the front, so it needs room for them
@@ -160,60 +163,61 @@ def inner_bound_search(
     initial population (the paper's nominal point, cached witnesses). On
     population collapse (every coordinate's spread below ``_COLLAPSE_TOL``)
     the population re-inflates from fresh uniform draws with the incumbent
-    best preserved. Deterministic for a fixed generator state.
+    best preserved. The search ends at its ``budget``-th evaluation.
+    Deterministic for a fixed generator state.
     """
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
     if budget < pop_size:
         raise ValueError("budget must cover at least one population evaluation")
     sign = 1.0 if sense == "min" else -1.0
+    evals = 0
+
+    class Spent(Exception):  # this call's own stop signal: no other search catches it
+        pass
 
     def h(u):
+        nonlocal evals
+        if evals == budget:
+            raise Spent
+        evals += 1
         return sign * f(u)
 
     pop = rng.random((pop_size, dim))
     for k, s in enumerate(seeds[: pop_size - 1]):
         pop[k] = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
     fitness = np.array([h(u) for u in pop])
-    evals = pop_size
     best_idx = int(np.argmin(fitness))
     best_u = pop[best_idx].copy()
     best_f = float(fitness[best_idx])
 
-    while evals < budget:
-        for i in range(pop_size):
-            if evals >= budget:
-                break
-            choices = [k for k in range(pop_size) if k != i]
-            a, b, c = rng.choice(choices, size=3, replace=False)
-            mutant = pop[a] + 0.8 * (pop[b] - pop[c])
-            cross = rng.random(dim) < 0.9
-            cross[rng.integers(dim)] = True
-            trial = np.clip(np.where(cross, mutant, pop[i]), 0.0, 1.0)
-            ft = h(trial)
-            evals += 1
-            if ft <= fitness[i]:
-                pop[i] = trial
-                fitness[i] = ft
-                if ft < best_f:
-                    best_f = float(ft)
-                    best_u = trial.copy()
-        # restart on collapse, keeping the incumbent best
-        spread = float(np.max(np.ptp(pop, axis=0))) if pop_size > 1 else 0.0
-        if spread < _COLLAPSE_TOL and evals < budget:
-            fresh = rng.random((pop_size, dim))
-            fresh[0] = best_u
-            # re-inflate only the members the budget can evaluate; the rest
-            # keep their points and fitness
-            n_new = min(pop_size, budget - evals)
-            pop[:n_new] = fresh[:n_new]
-            for i in range(n_new):
-                fitness[i] = h(pop[i])
-                if fitness[i] < best_f:
-                    best_f = float(fitness[i])
-                    best_u = pop[i].copy()
-            evals += n_new
-
+    try:
+        while True:
+            for i in range(pop_size):
+                choices = [k for k in range(pop_size) if k != i]
+                a, b, c = rng.choice(choices, size=3, replace=False)
+                mutant = pop[a] + 0.8 * (pop[b] - pop[c])
+                cross = rng.random(dim) < 0.9
+                cross[rng.integers(dim)] = True
+                trial = np.clip(np.where(cross, mutant, pop[i]), 0.0, 1.0)
+                ft = h(trial)
+                if ft <= fitness[i]:
+                    pop[i] = trial
+                    fitness[i] = ft
+                    if ft < best_f:
+                        best_f = float(ft)
+                        best_u = trial.copy()
+            # restart on collapse, keeping the incumbent best
+            if float(np.max(np.ptp(pop, axis=0))) < _COLLAPSE_TOL:
+                pop = rng.random((pop_size, dim))
+                pop[0] = best_u
+                for i in range(pop_size):
+                    fitness[i] = h(pop[i])
+                    if fitness[i] < best_f:
+                        best_f = float(fitness[i])
+                        best_u = pop[i].copy()
+    except Spent:
+        pass
     return BoundResult(value=sign * best_f, point=best_u, evaluations=evals)
 
 
@@ -251,15 +255,25 @@ def solve_moo(evaluate, bounds: dict, config: SolverConfig) -> ParetoArchive:
     witnesses in evidence modes); evaluations are cached on the quantized
     design so revisits are free. DE social moves drive most agents;
     ``config.explorers`` agents poll coordinates with a shrinking step.
+    It ends at ``config.outer_budget`` distinct designs, or after as many
+    proposals in a row brought no new one (a small box holds fewer designs).
     """
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xD0]))
     archive = ParetoArchive(capacity=config.archive_capacity)
     cache: dict[tuple[int, ...], Individual] = {}
+    revisits = 0
+
+    class Spent(Exception):  # this call's own stop signal: no other search catches it
+        pass
 
     def run(genes: np.ndarray) -> Individual:
+        nonlocal revisits
+        if len(cache) == config.outer_budget or revisits == config.outer_budget:
+            raise Spent
         design = decode_design(genes, bounds)
         key = quantize_design(design)
         hit = cache.get(key)
+        revisits = 0 if hit is None else revisits + 1
         if hit is None:
             hit = evaluate(design)
             cache[key] = hit
@@ -267,52 +281,38 @@ def solve_moo(evaluate, bounds: dict, config: SolverConfig) -> ParetoArchive:
         return hit
 
     pop = rng.random((config.outer_pop, 4))
-    # a budget below the population size ends the search inside this loop
-    inds = []
-    for genes in pop:
-        if len(cache) >= config.outer_budget:
-            break
-        inds.append(run(genes))
     steps = np.full(config.outer_pop, 0.25)
-
-    while len(cache) < config.outer_budget:
-        for i in range(config.outer_pop):
-            if len(cache) >= config.outer_budget:
-                break
-            if i < config.explorers:
-                improved = False
-                for d in rng.permutation(4):
-                    for direction in (+1.0, -1.0):
-                        if len(cache) >= config.outer_budget:
-                            break
+    try:
+        inds = [run(genes) for genes in pop]
+        while True:
+            for i in range(config.outer_pop):
+                if i < config.explorers:
+                    for d, direction in itertools.product(rng.permutation(4), (+1.0, -1.0)):
                         trial = pop[i].copy()
                         trial[d] = min(max(trial[d] + direction * steps[i], 0.0), 1.0)
                         cand = run(trial)
                         if dominates(cand.objectives, inds[i].objectives):
                             pop[i], inds[i] = trial, cand
-                            improved = True
                             break
-                    if improved:
-                        break
-                if not improved:
-                    steps[i] *= 0.5
-                    if steps[i] < 1e-4 and len(cache) < config.outer_budget:
-                        steps[i] = 0.25
-                        pop[i] = rng.random(4)
-                        inds[i] = run(pop[i])
-            else:
-                choices = [k for k in range(config.outer_pop) if k != i]
-                a, b, c = rng.choice(choices, size=3, replace=False)
-                f_w = rng.uniform(0.4, 1.0)
-                mutant = pop[a] + f_w * (pop[b] - pop[c])
-                cross = rng.random(4) < 0.9
-                cross[rng.integers(4)] = True
-                trial = np.clip(np.where(cross, mutant, pop[i]), 0.0, 1.0)
-                cand = run(trial)
-                if dominates(cand.objectives, inds[i].objectives):
-                    pop[i], inds[i] = trial, cand
-                elif not dominates(inds[i].objectives, cand.objectives):
-                    if rng.random() < 0.5:
+                    else:
+                        steps[i] *= 0.5
+                        if steps[i] < 1e-4:
+                            steps[i] = 0.25
+                            pop[i] = rng.random(4)
+                            inds[i] = run(pop[i])
+                else:
+                    choices = [k for k in range(config.outer_pop) if k != i]
+                    a, b, c = rng.choice(choices, size=3, replace=False)
+                    f_w = rng.uniform(0.4, 1.0)
+                    mutant = pop[a] + f_w * (pop[b] - pop[c])
+                    cross = rng.random(4) < 0.9
+                    cross[rng.integers(4)] = True
+                    trial = np.clip(np.where(cross, mutant, pop[i]), 0.0, 1.0)
+                    cand = run(trial)
+                    if dominates(cand.objectives, inds[i].objectives):
                         pop[i], inds[i] = trial, cand
+                    elif not dominates(inds[i].objectives, cand.objectives) and rng.random() < 0.5:
+                        pop[i], inds[i] = trial, cand
+    except Spent:
+        pass
     return archive
-

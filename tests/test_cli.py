@@ -103,15 +103,24 @@ def test_design_outside_bounds_exit_code(fast_scenario, tmp_path, capsys, mode, 
     ("technology", "mf_p", -0.1),
     ("asteroid_properties", "m_a", 0.0),
     ("asteroid_properties", "m_a", -1.0),
+    ("design_bounds", "d_m", [0, 20]),
+    ("design_bounds", "n_sc", [0, 10]),
+    ("design_bounds", "t_warn", [0, 8]),
+    ("design_bounds", "c_r", [0, 3000]),
+    ("design_bounds", "n_spacecraft", [1, 3]),
+    ("fixed_uncertain", "eta_L", 0.9),
 ], ids=["bound-number", "bound-one", "bound-reversed", "uncertain-string",
         "uncertain-negative", "uncertain-nan", "uncertain-inf", "mu-nan",
         "technology-nan", "station-nan", "arc-control-nan", "solver-budget-inf",
         "solver-pop-fraction", "c-geo-zero", "emiss-rad-zero", "emiss-rad-above-one",
         "t-rad-zero", "m-bus-negative", "mf-c-negative", "mf-p-negative", "m-a-zero",
-        "m-a-negative"])
+        "m-a-negative", "d-m-lower-zero", "n-sc-lower-zero", "t-warn-lower-zero",
+        "c-r-lower-zero", "bound-unknown-name", "uncertain-unknown-name"])
 def test_malformed_scenario_value_exit_code(fast_scenario, tmp_path, capsys, mode, block,
                                             name, value):
     """A design bound that is not a (lo, hi) pair of numbers with lo <= hi,
+    a lower design bound that admits d_m, t_warn or c_r <= 0 or no spacecraft,
+    an unknown name among the design bounds or the fixed uncertain values,
     a fixed uncertain value that is not a number or that its dataclass
     refuses, a technology or asteroid value that the sizing or the thrust
     would divide by or turn negative, a solver size that is not an integer,
@@ -482,6 +491,41 @@ def test_deterministic_mode_and_reproducibility(fast_scenario, tmp_path):
     rows = payload1.decode().splitlines()
     assert rows[0].startswith("d_m,n_sc,t_warn,c_r,m_sys_kg,b_km,mode")
     assert len(rows) > 1
+
+
+# boxes with fewer distinct designs than the outer budget of 14
+_SMALL_BOXES = {
+    "one-point": {"d_m": [20, 20], "n_sc": [10, 10], "t_warn": [2, 2], "c_r": [3000, 3000]},
+    "n-sc-only": {"d_m": [20, 20], "n_sc": [1, 10], "t_warn": [2, 2], "c_r": [3000, 3000]},
+}
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "minmin", "minmin-margins", "minmax"])
+@pytest.mark.parametrize("box", list(_SMALL_BOXES))
+def test_search_ends_on_a_box_with_fewer_designs_than_the_budget(fast_scenario, tmp_path,
+                                                                 mode, box):
+    """The outer search also ends when the box runs out of new designs: each
+    run, in a process of its own with a timeout, exits 0 with an archive of
+    distinct designs of the box."""
+    doc = json.loads(fast_scenario.read_text())
+    doc["design_bounds"] = _SMALL_BOXES[box]
+    doc["solver"].update(outer_budget=14, outer_pop=4)
+    fast_scenario.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    env = dict(os.environ, PYTHONPATH=str(Path(mission.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "neodeflect.cli", "--mode", mode,
+                             "--scenario", str(fast_scenario), "--out", str(out)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    header, *rows = (out / f"archive_{mode}.csv").read_text().splitlines()
+    assert header.startswith("d_m,n_sc,t_warn,c_r,")
+    designs = [tuple(float(c) for c in row.split(",")[:4]) for row in rows]
+    assert designs and len(set(designs)) == len(designs)
+    for design in designs:
+        for value, (lo, hi) in zip(design, _SMALL_BOXES[box].values()):
+            assert lo <= value <= hi
+    if box == "one-point":
+        assert designs == [(20.0, 10.0, 2.0, 3000.0)]
 
 
 def test_minmax_mode_outputs_witnesses(fast_scenario, tmp_path):

@@ -92,13 +92,21 @@ def test_scenario_rejects_invalid_blocks():
     with pytest.raises(ScenarioError):
         scenario_from_dict(doc3)
     # malformed values: a design bound that is not a (lo, hi) pair of
-    # numbers with lo <= hi, an uncertain value that is not a number or that
-    # its dataclass refuses, a solver size that is not an integer, a NaN or
-    # infinity anywhere in the document; the error names the key
+    # numbers with lo <= hi, a lower design bound at or below 0 (below 1
+    # for n_sc), an unknown design or uncertain name, an uncertain value
+    # that is not a number or that its dataclass refuses, a solver size that
+    # is not an integer, a NaN or infinity anywhere in the document; the
+    # error names the key
     for block, name, value in [("design_bounds", "d_m", 5), ("design_bounds", "d_m", [2]),
                                ("design_bounds", "d_m", [20, 2]),
                                ("design_bounds", "n_sc", [1, "10"]),
                                ("design_bounds", "c_r", [1000.0, math.inf]),
+                               ("design_bounds", "d_m", [0.0, 20.0]),
+                               ("design_bounds", "n_sc", [0, 10]),
+                               ("design_bounds", "t_warn", [-1.0, 8.0]),
+                               ("design_bounds", "c_r", [0.0, 3000.0]),
+                               ("design_bounds", "n_spacecraft", [1, 3]),
+                               ("fixed_uncertain", "eta_L", 0.9),
                                ("fixed_uncertain", "c_a", "x"),
                                ("fixed_uncertain", "c_a", -5.0),
                                ("fixed_uncertain", "eta_l", 1.5),

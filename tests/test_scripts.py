@@ -2,9 +2,11 @@
 ``cli_digests --compare`` pairs the cells of two CSVs by column name,
 ``ab_evaluate`` counts and sizes the evaluations that differ,
 ``bench_pairs`` names a source tree by a digest of its ``src/``, and every
-name the benchmark in ``perfbench/`` wraps resolves."""
+name the benchmark in ``perfbench/`` wraps or reads resolves."""
+import ast
 import importlib
 import importlib.util
+import inspect
 import math
 import shutil
 import sys
@@ -16,6 +18,9 @@ import pytest
 from ab_evaluate import Tally, relative_difference, timing_table
 from bench_pairs import src_digest
 from cli_digests import compare
+
+from neodeflect.mission import Scenario
+from neodeflect.search import SolverConfig
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
@@ -154,3 +159,98 @@ def test_every_name_the_benchmark_binds_resolves():
     assert points
     for path, attr in points + list(PATCHED_BY_PERFBENCH):
         assert callable(getattr(tracer.resolve_owner(path), attr, None)), (path, attr)
+
+
+def _resolve(dotted: str):
+    """The module, or the object in a module, named by a dotted path."""
+    parts = dotted.split(".")
+    for k in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:k]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[k:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(dotted)
+
+
+def _benchmark_reads():
+    """What ``perfbench/`` reads from the package and from the test suite,
+    read from its sources without importing them (its scripts edit
+    ``sys.path``): the dotted names it looks up, its calls of them as
+    (dotted name, positional count, keyword names), and the keywords of its
+    ``dataclasses.replace`` calls as (the replaced object's source, names)."""
+    names, calls, replaced = set(), [], []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}  # local name -> dotted path
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update({a.asname or a.name: a.name for a in node.names
+                              if a.name.split(".")[0] == "neodeflect"})
+            elif isinstance(node, ast.ImportFrom) and node.module and (
+                    node.module.split(".")[0] in ("neodeflect", "test_acceptance")):
+                bound.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+
+        def dotted(expr):
+            if isinstance(expr, ast.Name):
+                return bound.get(expr.id)
+            if isinstance(expr, ast.Attribute):
+                owner = dotted(expr.value)
+                return owner and f"{owner}.{expr.attr}"
+            return None
+
+        for node in ast.walk(tree):
+            if dotted(node):
+                names.add(dotted(node))
+            if not isinstance(node, ast.Call):
+                continue
+            keywords = [k.arg for k in node.keywords if k.arg is not None]
+            if isinstance(node.func, ast.Name) and node.func.id == "replace":
+                replaced.append((ast.unparse(node.args[0]), keywords))
+            unpacked = any(isinstance(a, ast.Starred) for a in node.args) or (
+                len(keywords) < len(node.keywords))
+            if dotted(node.func) and not unpacked:
+                calls.append((dotted(node.func), len(node.args), keywords))
+    return names, calls, replaced
+
+
+def _workload_solver_keys() -> set[str]:
+    """The solver fields the workloads of ``perfbench/workloads.py`` set."""
+    keys = set()
+    for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text())):
+        if isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and key.value == "solver":
+                    keys.update(k.value for k in value.keys)
+    return keys
+
+
+def test_every_name_and_parameter_the_benchmark_reads_resolves():
+    """Each name the benchmark imports or looks up exists, each of its calls
+    binds to the callee's signature, and each field it replaces on a
+    scenario or a solver configuration is one of theirs; so a cut in ``src/``
+    or in the test oracles that drops a parameter or a field the benchmark
+    passes fails here, not in a benchmark run."""
+    names, calls, replaced = _benchmark_reads()
+    for name in sorted(names):
+        _resolve(name)
+    for name, n_args, keywords in calls:
+        inspect.signature(_resolve(name)).bind(*range(n_args), **dict.fromkeys(keywords))
+    # the reads this test was written for, so that a scan that finds
+    # nothing cannot pass
+    assert ("neodeflect.mission.rk_impact_parameter", 5, []) in calls  # with rtol
+    assert ("neodeflect.mission.DeflectionModel", 3, []) in calls
+    assert {"neodeflect.cli.run_bpcurve", "neodeflect.cli.run_optimization",
+            "test_acceptance.cartesian_oracle_b"} <= {name for name, _, _ in calls}
+    fields = {"Scenario": set(Scenario.__dataclass_fields__),
+              "SolverConfig": set(SolverConfig.__dataclass_fields__)}
+    found = set()
+    for target, keywords in replaced:
+        owner = "SolverConfig" if target.endswith(".solver") else "Scenario"
+        assert set(keywords) <= fields[owner], (target, keywords)
+        found.update(f"{owner}.{k}" for k in keywords)
+    assert {"Scenario.seed", "Scenario.design_bounds", "Scenario.solver",
+            "SolverConfig.seed"} <= found
+    assert _workload_solver_keys() <= fields["SolverConfig"]

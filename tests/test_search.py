@@ -291,6 +291,89 @@ def test_solve_moo_evaluates_exactly_the_budget():
         assert distinct_evaluations(budget, 2, outer_pop=10) == budget
 
 
+def _bounded_proposals(limit):
+    """A ``decode_design`` that fails the test after ``limit`` proposals, so
+    that a search which never ends fails rather than hangs; returns it with
+    the list of the designs it decoded."""
+    decoded = []
+
+    def decode(genes, bounds):
+        assert len(decoded) < limit, f"the search did not end within {limit} proposals"
+        decoded.append(decode_design(genes, bounds))
+        return decoded[-1]
+
+    return decode, decoded
+
+
+def test_solve_moo_on_a_one_point_box_evaluates_once():
+    """Every proposal on a one-point box revisits its only design: the
+    search evaluates it once and ends after ``outer_budget`` revisits in a
+    row, however large the budget: one proposal and as many revisits as the
+    budget."""
+    point = {"d_m": (20.0, 20.0), "n_sc": (10, 10), "t_warn": (2.0, 2.0), "c_r": (3000.0, 3000.0)}
+    for budget in (2, 14, 300):
+        evaluated = []
+
+        def evaluate(design):
+            evaluated.append(design)
+            return bi_objective_toy(design)
+
+        decode, decoded = _bounded_proposals(100 * budget + 100)
+        config = SolverConfig(outer_budget=budget, outer_pop=4, explorers=1, seed=budget)
+        with mock.patch.object(search, "decode_design", decode):
+            archive = solve_moo(evaluate, point, config)
+        assert evaluated == [DesignVector(20.0, 10, 2.0, 3000.0)]
+        assert len(archive.members) == 1
+        assert len(decoded) == 1 + budget
+
+
+def test_solve_moo_ends_when_the_box_holds_fewer_designs_than_the_budget():
+    """With only the spacecraft count free the box holds 10 designs, fewer
+    than the budget: the search evaluates each design it finds once and
+    ends."""
+    box = dict(DESIGN_BOUNDS, d_m=(20.0, 20.0), t_warn=(2.0, 2.0), c_r=(3000.0, 3000.0))
+    for seed in range(10):
+        evaluated = []
+
+        def evaluate(design):
+            evaluated.append(design)
+            return Individual(design, Objectives(float(design.n_sc), -float(design.n_sc)))
+
+        decode, _ = _bounded_proposals(10000)
+        config = SolverConfig(outer_budget=14, outer_pop=4, explorers=1, seed=seed)
+        with mock.patch.object(search, "decode_design", decode):
+            solve_moo(evaluate, box, config)
+        counts = [d.n_sc for d in evaluated]
+        assert 1 <= len(counts) == len(set(counts)) <= 10
+
+
+def test_an_inner_search_inside_an_outer_evaluation_keeps_both_budgets():
+    """Each search's stop signal ends only that search: inner searches run
+    inside every outer evaluation, and inside each other's evaluations,
+    and every one of them spends exactly its own budget."""
+    inner_evaluations = []
+
+    def nested(u):
+        res = inner_bound_search(lambda v: float(np.sum(v * u)), 2, "max", 5, 4,
+                                 np.random.default_rng(1))
+        inner_evaluations.append(res.evaluations)
+        return res.value
+
+    evaluated = []
+
+    def evaluate(design):
+        evaluated.append(design)
+        res = inner_bound_search(nested, 2, "min", 9, 4, np.random.default_rng(design.n_sc))
+        inner_evaluations.append(res.evaluations)
+        return bi_objective_toy(design)
+
+    config = SolverConfig(outer_budget=20, outer_pop=4, explorers=1, seed=4)
+    solve_moo(evaluate, DESIGN_BOUNDS, config)
+    assert len(evaluated) == len({quantize_design(d) for d in evaluated}) == 20
+    assert inner_evaluations.count(9) == 20
+    assert inner_evaluations.count(5) == 20 * 9 == len(inner_evaluations) - 20
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(outer_budget=0)
