@@ -15,9 +15,9 @@ latest at ``--max-partitions`` partitions.
 
 Exit codes: 0 success, 2 scenario/schema errors (solver budgets,
 populations and an archive capacity below 2 included, design bounds that
-are not pairs of numbers ``[lo, hi]`` with lo <= hi or whose lower bound
-admits a ``d_m``, ``t_warn`` or ``c_r`` <= 0 or an ``n_sc`` below 1, an
-unknown name among the design bounds or the fixed uncertain values, fixed
+are not pairs of numbers ``[lo, hi]`` with 0 < lo <= hi, ``n_sc`` bounds
+that are not integers (``[1.2, 1.4]``; 3.0 counts as 3), an unknown name
+among the design bounds or the fixed uncertain values, fixed
 uncertain values that are not numbers or that the asteroid or technology
 baselines refuse, technology values the sizing divides by or that make a mass
 negative (``c_geo``, ``t_rad`` <= 0, ``emiss_rad`` outside (0, 1],
@@ -75,7 +75,7 @@ from .mission import (
 )
 from .orbits import DegenerateBPlaneError, KeplerConvergenceError
 from .search import NonFiniteObjectivesError, Objectives, inner_bound_search, solve_moo
-from .sizing import DesignVector, MassBudget, check_design_bounds
+from .sizing import GENE_NAMES, DesignVector, MassBudget, check_design_bounds
 
 # failures of the numerics rather than of the inputs or the budgets: exit 4
 _NUMERICAL_ERRORS = (ArcOverflowError, KeplerConvergenceError, ReferenceIntegrationError,
@@ -101,8 +101,8 @@ def config_hash(scenario: Scenario, args_record: dict) -> str:
 
 def parse_design(text: str) -> DesignVector:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("design must be 'd_m,n_sc,t_warn,c_r'")
+    if len(parts) != len(GENE_NAMES):
+        raise ValueError(f"design must be '{','.join(GENE_NAMES)}'")
     return DesignVector(
         d_m=float(parts[0]), n_sc=int(parts[1]),
         t_warn=float(parts[2]), c_r=float(parts[3]),
@@ -111,23 +111,21 @@ def parse_design(text: str) -> DesignVector:
 
 def archive_rows(archive, mode: str, structure=None) -> tuple[list[str], list[list]]:
     """Archive rows by mass, with both witnesses, each over its objective's marginal."""
-    header = ["d_m", "n_sc", "t_warn", "c_r", "m_sys_kg", "b_km", "mode"]
+    header = [*GENE_NAMES, "m_sys_kg", "b_km", "mode"]
     spaces = () if structure is None else (structure.marginal(B_NAMES),
                                            structure.marginal(TECH_NAMES))
     for tag, space in zip("bm", spaces):
         header += [f"witness_{tag}_{n}" for n in space.names]
     rows = []
     for member in archive.sorted_by_mass():
-        d = member.design
-        row = [d.d_m, float(d.n_sc), d.t_warn, d.c_r,
-               member.objectives.m_sys, -member.objectives.neg_b, mode]
+        row = [*astuple(member.design), member.objectives.m_sys, -member.objectives.neg_b, mode]
         for witness, space in zip((member.witness_negb, member.witness_mass), spaces):
             row.extend(space.unit_to_physical(witness))
         rows.append(row)
     return header, rows
 
 
-def de_box_bounder(f, dim: int, budget: int, pop: int, seed: int):
+def de_box_bounder(f, budget: int, pop: int, seed: int):
     """Box-bound estimator for the curves of b: restart DE per box, deterministically
     keyed on the box geometry; both values are attained in the box, so they come sorted."""
 
@@ -143,7 +141,7 @@ def de_box_bounder(f, dim: int, budget: int, pop: int, seed: int):
         key = hashlib.sha256(repr(unit_box).encode()).digest()[:8]
         box_tag = int.from_bytes(key, "big")
         return tuple(sorted(
-            inner_bound_search(g, dim, sense, budget, pop, np.random.default_rng(
+            inner_bound_search(g, len(unit_box), sense, budget, pop, np.random.default_rng(
                 np.random.SeedSequence([seed, box_tag, k]))).value
             for k, sense in enumerate(("min", "max"))
         ))
@@ -155,8 +153,8 @@ def b_box_bounder(model, design: DesignVector, structure):
     """Box bounds of b over the unit boxes of ``structure``, every uncertain
     parameter outside it at the scenario's fixed value."""
     config = model.scenario.solver
-    return de_box_bounder(b_at(model, design, structure), structure.dim,
-                          config.inner_budget, config.inner_pop, model.scenario.seed)
+    return de_box_bounder(b_at(model, design, structure), config.inner_budget,
+                          config.inner_pop, config.seed)
 
 
 def run_optimization(scenario: Scenario, mode: str, contamination: bool, out: Path):
@@ -266,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--contamination", choices=["on", "off"], default=None,
                         help="override the scenario's contamination flag")
     parser.add_argument("--design", type=str, default="20,10,8,3000",
-                        help="'d_m,n_sc,t_warn,c_r' for bpcurve/sensitivity/propagate")
+                        help=f"'{','.join(GENE_NAMES)}' for bpcurve/sensitivity/propagate")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed")
     parser.add_argument("--out", type=Path, default=Path("runs"))

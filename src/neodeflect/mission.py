@@ -37,7 +37,6 @@ from .orbits import (
     propagate_keplerian,
 )
 from .search import (
-    GENE_NAMES,
     Individual,
     Objectives,
     SolverConfig,
@@ -45,6 +44,7 @@ from .search import (
     quantize_design,
 )
 from .sizing import (
+    GENE_NAMES,
     DesignVector,
     Margins,
     TechnologyParams,
@@ -104,21 +104,17 @@ SCENARIO_SCHEMA = {
         "earth": _ELEMENTS_SCHEMA,
         "asteroid_properties": {"type": "object"},
         "technology": {"type": "object"},
-        "margins": {
-            "type": "object",
-            "required": ["k_dry", "k_s", "k_m", "k_l"],
-        },
+        "margins": {"type": "object", "required": [f.name for f in fields(Margins)]},
         "design_bounds": {
             "type": "object",
             "required": list(GENE_NAMES),
-            "properties": {name: {"type": "array", "items": {"type": "number"},
-                                  "minItems": 2, "maxItems": 2} for name in GENE_NAMES},
+            # the spacecraft count's bounds are integers, so its rounding stays inside them
+            "properties": {name: {"type": "array", "minItems": 2, "maxItems": 2,
+                                  "items": {"type": "integer" if name == "n_sc" else "number"}}
+                           for name in GENE_NAMES},
             "additionalProperties": False,
         },
-        "arc_control": {
-            "type": "object",
-            "required": ["a_const", "k_const", "dl_max"],
-        },
+        "arc_control": {"type": "object", "required": [f.name for f in fields(ArcControl)]},
         "station": {"type": "object"},
         "contamination": {"type": "boolean"},
         "fixed_uncertain": {
@@ -247,8 +243,8 @@ def scenario_from_dict(doc: dict, source_path: Path | None = None) -> Scenario:
     """Build a validated scenario from a parsed JSON document.
 
     The document must match ``SCENARIO_SCHEMA`` with only finite numbers, each
-    design bound must be a ``[lo, hi]`` pair with 0 < lo <= hi (1 <= lo for
-    ``n_sc``), and every block, the fixed uncertain values applied to the
+    design bound must be a ``[lo, hi]`` pair with 0 < lo <= hi (of integers
+    for ``n_sc``), and every block, the fixed uncertain values applied to the
     baselines included, must pass its dataclass's checks; anything else
     raises ScenarioError.
     """
@@ -258,9 +254,9 @@ def scenario_from_dict(doc: dict, source_path: Path | None = None) -> Scenario:
             raise ScenarioError(f"design_bounds {name}: lower bound {lo} exceeds upper {hi}")
         # the thrust divides by d_m, the spot area by c_r, and the deflection
         # needs a warning time and a formation of at least one spacecraft
-        if not (lo >= 1 if name == "n_sc" else lo > 0):
-            least = "at least 1" if name == "n_sc" else "positive"
-            raise ScenarioError(f"design_bounds {name}: lower bound {lo} is not {least}")
+        # (n_sc's bounds are integers)
+        if not lo > 0:
+            raise ScenarioError(f"design_bounds {name}: lower bound {lo} is not positive")
     # JSON Schema's integers include 3.0; the scenario holds them as ints
     seed = int(doc["seed"])
     solver = {name: int(value) for name, value in doc["solver"].items()}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sizing import DesignVector
+from .sizing import GENE_NAMES, DesignVector
 
 
 class NonFiniteObjectivesError(ValueError):
@@ -225,16 +225,14 @@ def inner_bound_search(
 # Outer memetic multi-objective search
 # ---------------------------------------------------------------------------
 
-GENE_NAMES = ("d_m", "n_sc", "t_warn", "c_r")
-
-
 def decode_design(genes: np.ndarray, bounds: dict) -> DesignVector:
-    """Map unit genes to a design; the spacecraft count rounds half-up."""
+    """Map unit genes to a design; the spacecraft count rounds half-up,
+    so it stays inside bounds that are integers (the scenario's are)."""
     lows = np.array([bounds[n][0] for n in GENE_NAMES], dtype=float)
     highs = np.array([bounds[n][1] for n in GENE_NAMES], dtype=float)
     x = lows + np.clip(genes, 0.0, 1.0) * (highs - lows)
-    n_sc = int(min(max(math.floor(x[1] + 0.5), int(lows[1])), int(highs[1])))
-    return DesignVector(d_m=float(x[0]), n_sc=n_sc, t_warn=float(x[2]), c_r=float(x[3]))
+    return DesignVector(d_m=float(x[0]), n_sc=math.floor(x[1] + 0.5), t_warn=float(x[2]),
+                        c_r=float(x[3]))
 
 
 def quantize_design(design: DesignVector) -> tuple[int, ...]:
@@ -280,14 +278,15 @@ def solve_moo(evaluate, bounds: dict, config: SolverConfig) -> ParetoArchive:
             archive.add(hit)
         return hit
 
-    pop = rng.random((config.outer_pop, 4))
+    dim = len(GENE_NAMES)
+    pop = rng.random((config.outer_pop, dim))
     steps = np.full(config.outer_pop, 0.25)
     try:
         inds = [run(genes) for genes in pop]
         while True:
             for i in range(config.outer_pop):
                 if i < config.explorers:
-                    for d, direction in itertools.product(rng.permutation(4), (+1.0, -1.0)):
+                    for d, direction in itertools.product(rng.permutation(dim), (+1.0, -1.0)):
                         trial = pop[i].copy()
                         trial[d] = min(max(trial[d] + direction * steps[i], 0.0), 1.0)
                         cand = run(trial)
@@ -298,15 +297,15 @@ def solve_moo(evaluate, bounds: dict, config: SolverConfig) -> ParetoArchive:
                         steps[i] *= 0.5
                         if steps[i] < 1e-4:
                             steps[i] = 0.25
-                            pop[i] = rng.random(4)
+                            pop[i] = rng.random(dim)
                             inds[i] = run(pop[i])
                 else:
                     choices = [k for k in range(config.outer_pop) if k != i]
                     a, b, c = rng.choice(choices, size=3, replace=False)
                     f_w = rng.uniform(0.4, 1.0)
                     mutant = pop[a] + f_w * (pop[b] - pop[c])
-                    cross = rng.random(4) < 0.9
-                    cross[rng.integers(4)] = True
+                    cross = rng.random(dim) < 0.9
+                    cross[rng.integers(dim)] = True
                     trial = np.clip(np.where(cross, mutant, pop[i]), 0.0, 1.0)
                     cand = run(trial)
                     if dominates(cand.objectives, inds[i].objectives):

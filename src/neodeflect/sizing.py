@@ -8,7 +8,7 @@ All masses in kg, areas in m^2, powers in W.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import math
 
 from .constants import STEFAN_BOLTZMANN
@@ -16,14 +16,15 @@ from .constants import STEFAN_BOLTZMANN
 
 @dataclass(frozen=True)
 class DesignVector:
-    """The four optimizable mission parameters.
+    """The four optimizable mission parameters, in the order of
+    ``GENE_NAMES``; a scenario's ``design_bounds`` states their box.
 
     Attributes:
-        d_m: primary mirror diameter [m], within [2, 20].
-        n_sc: number of spacecraft in the formation, integer in [1, 10].
-        t_warn: warning time from deflection start to impact [years], [1, 8].
+        d_m: primary mirror diameter [m].
+        n_sc: number of spacecraft in the formation, an integer.
+        t_warn: warning time from deflection start to impact [years].
         c_r: concentration ratio between collector and ablation spot
-            power densities, within [1000, 3000].
+            power densities.
     """
 
     d_m: float
@@ -36,8 +37,13 @@ class DesignVector:
             raise ValueError("spacecraft count must be an integer")
 
 
+# the design box's dimensions: the search's genes, the scenario's design
+# bounds and the archive's first columns, in this order
+GENE_NAMES = tuple(f.name for f in fields(DesignVector))
+
+
 def check_design_bounds(design: DesignVector, bounds: dict) -> None:
-    for name in ("d_m", "n_sc", "t_warn", "c_r"):
+    for name in GENE_NAMES:
         lo, hi = bounds[name]
         value = getattr(design, name)
         if not lo <= value <= hi:
@@ -111,9 +117,9 @@ class Margins:
     k_l: float = 1.5
 
     def __post_init__(self):
-        for name in ("k_dry", "k_s", "k_m", "k_l"):
-            if getattr(self, name) < 1.0:
-                raise ValueError(f"margin {name} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1.0:
+                raise ValueError(f"margin {f.name} must be >= 1")
 
 
 UNIT_MARGINS = Margins(1.0, 1.0, 1.0, 1.0)

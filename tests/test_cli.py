@@ -109,17 +109,22 @@ def test_design_outside_bounds_exit_code(fast_scenario, tmp_path, capsys, mode, 
     ("design_bounds", "c_r", [0, 3000]),
     ("design_bounds", "n_spacecraft", [1, 3]),
     ("fixed_uncertain", "eta_L", 0.9),
+    ("design_bounds", "n_sc", [1.2, 1.4]),
+    ("design_bounds", "n_sc", [2.4, 3.4]),
 ], ids=["bound-number", "bound-one", "bound-reversed", "uncertain-string",
         "uncertain-negative", "uncertain-nan", "uncertain-inf", "mu-nan",
         "technology-nan", "station-nan", "arc-control-nan", "solver-budget-inf",
         "solver-pop-fraction", "c-geo-zero", "emiss-rad-zero", "emiss-rad-above-one",
         "t-rad-zero", "m-bus-negative", "mf-c-negative", "mf-p-negative", "m-a-zero",
         "m-a-negative", "d-m-lower-zero", "n-sc-lower-zero", "t-warn-lower-zero",
-        "c-r-lower-zero", "bound-unknown-name", "uncertain-unknown-name"])
+        "c-r-lower-zero", "bound-unknown-name", "uncertain-unknown-name",
+        "n-sc-fractional-no-count", "n-sc-fractional"])
 def test_malformed_scenario_value_exit_code(fast_scenario, tmp_path, capsys, mode, block,
                                             name, value):
     """A design bound that is not a (lo, hi) pair of numbers with lo <= hi,
     a lower design bound that admits d_m, t_warn or c_r <= 0 or no spacecraft,
+    spacecraft-count bounds that are not integers (their rounded counts
+    would leave them: [1.2, 1.4] holds no count),
     an unknown name among the design bounds or the fixed uncertain values,
     a fixed uncertain value that is not a number or that its dataclass
     refuses, a technology or asteroid value that the sizing or the thrust
@@ -573,7 +578,7 @@ def test_box_bounder_stays_inside_the_box():
         seen.append(float(structure.unit_to_physical(u)[0]))
         return seen[-1]
 
-    bounds = de_box_bounder(objective, 1, 40, 4, seed=0)
+    bounds = de_box_bounder(objective, 40, 4, seed=0)
     vmin, vmax = bounds(SubBox(((2, 3),)).unit_box(structure))
     assert all(1.47 <= v <= 1.6 for v in seen)
     assert (vmin, vmax) == (pytest.approx(1.47), pytest.approx(1.6))
@@ -584,7 +589,7 @@ def test_box_bounds_are_in_order():
     draw points above all of the maximum search's; both values are
     attained in the box, so they come back in order."""
     for seed in range(300):
-        vmin, vmax = de_box_bounder(lambda u: float(u[0]), 1, 4, 4, seed=seed)(((0.0, 1.0),))
+        vmin, vmax = de_box_bounder(lambda u: float(u[0]), 4, 4, seed=seed)(((0.0, 1.0),))
         assert vmin <= vmax
 
 

@@ -3,7 +3,7 @@ import copy
 import functools
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from functools import reduce
 from operator import getitem
 
@@ -21,6 +21,7 @@ from neodeflect.evidence import (
     UncertainInterval,
     bel_pl_curve,
 )
+from neodeflect.fpet import ArcControl
 from neodeflect.mission import (
     B_NAMES,
     TECH_NAMES,
@@ -41,7 +42,7 @@ from neodeflect.mission import (
 )
 from neodeflect.orbits import propagate_keplerian
 from neodeflect.search import SolverConfig, decode_design
-from neodeflect.sizing import DesignVector, UNIT_MARGINS, size_spacecraft
+from neodeflect.sizing import GENE_NAMES, DesignVector, Margins, UNIT_MARGINS, size_spacecraft
 
 import oracles
 from calibration import CalibrationError, calibrate_scenario, nominal_miss
@@ -145,6 +146,31 @@ def test_scenario_whole_float_solver_sizes_are_integers():
     solver = scenario_from_dict(doc).solver
     assert all(type(value) is int for value in asdict(solver).values())
     assert solver == load_scenario(reference_scenario_path()).solver
+
+
+@pytest.mark.parametrize("bounds", [[1.2, 1.4], [2.4, 3.4]])
+def test_scenario_refuses_fractional_spacecraft_bounds(bounds):
+    """The spacecraft count's bounds are integers, in JSON's sense: a
+    fractional pair is refused by name, a whole-float pair loads."""
+    doc = scenario_to_dict(load_scenario(reference_scenario_path()))
+    doc["design_bounds"]["n_sc"] = bounds
+    with pytest.raises(ScenarioError, match=r"design_bounds\.n_sc"):
+        scenario_from_dict(doc)
+    doc["design_bounds"]["n_sc"] = [2.0, 3.0]
+    assert scenario_from_dict(doc).design_bounds["n_sc"] == (2, 3)
+
+
+def test_schema_key_lists_are_their_owners_fields():
+    """The schema's margins, arc control and design bounds name the fields
+    of the dataclasses that hold them, in order, as the shipped file does."""
+    blocks = SCENARIO_SCHEMA["properties"]
+    doc = json.loads(reference_scenario_path().read_text())
+    for block, owner in (("margins", Margins), ("arc_control", ArcControl),
+                         ("design_bounds", DesignVector)):
+        names = [f.name for f in fields(owner)]
+        assert blocks[block]["required"] == names
+        assert list(doc[block]) == names
+    assert list(blocks["design_bounds"]["properties"]) == list(GENE_NAMES)
 
 
 REFERENCE_DOC = scenario_to_dict(load_scenario(reference_scenario_path()))

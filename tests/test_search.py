@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neodeflect import search
-from neodeflect.sizing import DesignVector
+from neodeflect.sizing import DesignVector, check_design_bounds
 from neodeflect.search import (
     BoundResult,
     Individual,
@@ -212,6 +212,29 @@ def test_decode_design_rounds_count_half_up():
     assert (d.d_m, d.n_sc, d.t_warn, d.c_r) == (20.0, 10, 8.0, 3000.0)
     d = decode_design(np.array([0.0, 0.0, 0.0, 0.0]), bounds)
     assert (d.d_m, d.n_sc, d.t_warn, d.c_r) == (2.0, 1, 1.0, 1000.0)
+
+
+@st.composite
+def integer_boxes(draw):
+    """Design boxes with integer bounds, as the scenario's spacecraft
+    bounds must be (and the reference box's all are), from one-point boxes
+    to wide ones, held as ints or as whole floats."""
+    whole = draw(st.sampled_from([int, float]))
+    box = {}
+    for name in ("d_m", "n_sc", "t_warn", "c_r"):
+        lo = draw(st.integers(1, 10**6))
+        box[name] = (whole(lo), whole(lo + draw(st.integers(0, 10**6))))
+    return box
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-0.5, 1.5), min_size=4, max_size=4), integer_boxes())
+def test_decoded_designs_lie_in_their_box(genes, box):
+    """Every decoded design lies in its box, its spacecraft count an int:
+    with integer bounds the half-up rounding needs no clamp."""
+    design = decode_design(np.array(genes), box)
+    assert type(design.n_sc) is int
+    check_design_bounds(design, box)
 
 
 def test_quantize_design_stable():

@@ -1,5 +1,6 @@
 """Spacecraft sizing chain against an independent straight-line oracle."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,6 +154,18 @@ def test_design_bounds_check():
         check_design_bounds(DesignVector(25.0, 5, 4.0, 2000.0), DESIGN_BOUNDS)
     with pytest.raises(ValueError):
         DesignVector(10.0, 2.5, 4.0, 2000.0)
+
+
+@pytest.mark.parametrize("name", ["d_m", "n_sc", "t_warn", "c_r"])
+def test_design_bounds_check_reads_every_gene(name):
+    """A design outside the box in any one of the four genes is refused by
+    name, just below the box and just above it."""
+    inside = DesignVector(10.0, 5, 4.0, 2000.0)
+    check_design_bounds(inside, DESIGN_BOUNDS)
+    lo, hi = DESIGN_BOUNDS[name]
+    for value in (lo - 1, hi + 1):
+        with pytest.raises(ValueError, match=f"^{name}="):
+            check_design_bounds(replace(inside, **{name: value}), DESIGN_BOUNDS)
 
 
 def test_validation_errors():
