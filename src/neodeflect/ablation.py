@@ -126,6 +126,11 @@ class StationGeometry:
     theta_va: float = math.pi / 2.0
     psi_vf: float = 0.0
 
+    def __post_init__(self):
+        # a negative view factor would thin the mirror's layer below zero
+        if math.cos(self.psi_vf) < 0.0:
+            raise ValueError(f"psi_vf must have cos(psi_vf) >= 0, got {self.psi_vf}")
+
 
 def spot_area(a_m1: float, c_r: float) -> tuple[float, float]:
     """Area [m^2] and diameter [m] of the laser spot for a given collector.

@@ -13,17 +13,15 @@ row that brought no new design (a box with fewer designs), each inner
 search after ``inner_budget`` evaluations, and a curve refinement at the
 latest at ``--max-partitions`` partitions.
 
-Exit codes: 0 success, 2 scenario/schema errors (solver budgets,
-populations and an archive capacity below 2 included, design bounds that
-are not pairs of numbers ``[lo, hi]`` with 0 < lo <= hi, ``n_sc`` bounds
-that are not integers (``[1.2, 1.4]``; 3.0 counts as 3), an unknown name
-among the design bounds or the fixed uncertain values, fixed
-uncertain values that are not numbers or that the asteroid or technology
-baselines refuse, technology values the sizing divides by or that make a mass
-negative (``c_geo``, ``t_rad`` <= 0, ``emiss_rad`` outside (0, 1],
-``m_bus``, ``mf_c``, ``mf_p`` < 0), an asteroid ``m_a`` <= 0, solver sizes
-that are not integers, and NaN or infinity anywhere in the document, all
-checked when the scenario loads), a negative seed
+Exit codes: 0 success, 2 scenario/schema errors, checked when the scenario
+loads by one rule: each block holds exactly its owner's keys (its
+dataclass's fields, or the design or uncertain parameter names), each with
+its JSON type (a bool is no number; 3.0 counts as an integer), design bounds
+are pairs ``[lo, hi]`` with 0 < lo <= hi, no number is NaN or infinite, and
+no value is one its dataclass refuses (solver budgets and populations, an
+archive capacity below 2, fixed uncertain values, ``c_geo``, ``t_rad`` <= 0,
+``emiss_rad`` outside (0, 1], ``m_bus``, ``mf_c``, ``mf_p`` < 0, ``m_a``
+<= 0, a station ``psi_vf`` with cos(psi_vf) < 0); also a negative seed
 (in the scenario or as ``--seed``), a scenario file that cannot be read, an
 ``--out`` directory that cannot be made or written to, a ``--design``
 outside the scenario's design bounds, an expert-opinion file that is

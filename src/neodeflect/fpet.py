@@ -49,8 +49,8 @@ propagation, carried next to the running thrust maximum. A thrust sample
 reads the layer and returns its growth rate; every sample sees the layer of
 the last accepted sample grown at that sample's rate to its own epoch, and
 the layer is committed only when an arc accepts its sample. So a midpoint
-probe that is replaced by a re-sample never moves the layer. The shipped
-arc control (``ArcControl()``: 0.05, 2, 0.1) keeps every arc in
+probe that is replaced by a re-sample never moves the layer. The reference
+scenario's ``arc_control`` (0.05, 2, 0.1) keeps every arc in
 [0.05 e^(1/2), 0.1] = [0.0824, 0.1], a ratio of at most 1.21, below the
 factor of two that triggers a re-sample: there every sample is accepted.
 

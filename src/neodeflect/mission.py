@@ -7,10 +7,11 @@ the two mission objectives (formation mass, impact parameter) for a design
 point and a value of the uncertain parameters, either fixed or supplied by
 the evidence-space searches.
 
-``SCENARIO_SCHEMA`` states the document's shape in JSON Schema terms; a
-small checker of the keywords it uses reads it at load, as jsonschema
+``SCENARIO_SCHEMA`` alone states the document's shape in JSON Schema
+terms, each block's keys and types those of the dataclass that holds it;
+a small checker of the keywords it uses reads it at load, as jsonschema
 would, except that it also rejects NaN and infinities anywhere in the
-document.
+document. The dataclasses check only physical ranges.
 """
 from __future__ import annotations
 
@@ -81,12 +82,18 @@ class ReferenceIntegrationError(RuntimeError):
 _ELEMENT_KEYS = {"a_km": "a", "e": "e", "i_rad": "i", "raan_rad": "raan",
                  "argp_rad": "argp", "theta_rad": "theta"}
 
-_ELEMENTS_SCHEMA = {
-    "type": "object",
-    "required": list(_ELEMENT_KEYS),
-    "properties": {name: {"type": "number"} for name in _ELEMENT_KEYS},
-    "additionalProperties": False,
-}
+# JSON type of a dataclass field by its annotation (the modules postpone
+# annotations, so each is its source text)
+_JSON_TYPES = {"float": "number", "int": "integer", "float | None": ["number", "null"]}
+
+
+def _block(types: dict) -> dict:
+    """Schema of a block that holds exactly the keys of ``types``, each of
+    its JSON type."""
+    return {"type": "object", "required": list(types),
+            "properties": {key: {"type": kind} for key, kind in types.items()},
+            "additionalProperties": False}
+
 
 SCENARIO_SCHEMA = {
     "type": "object",
@@ -100,41 +107,34 @@ SCENARIO_SCHEMA = {
         "schema_version": {"const": 1},
         "mu_sun_km3s2": {"type": "number", "exclusiveMinimum": 0},
         "t_impact_s": {"type": "number", "exclusiveMinimum": 0},
-        "asteroid": _ELEMENTS_SCHEMA,
-        "earth": _ELEMENTS_SCHEMA,
-        "asteroid_properties": {"type": "object"},
-        "technology": {"type": "object"},
-        "margins": {"type": "object", "required": [f.name for f in fields(Margins)]},
+        "asteroid": _block(dict.fromkeys(_ELEMENT_KEYS, "number")),
+        "earth": _block(dict.fromkeys(_ELEMENT_KEYS, "number")),
+        **{block: _block({f.name: _JSON_TYPES[f.type] for f in fields(owner)
+                          if f.name != "seed"})  # the solver's seed is a top-level key
+           for block, owner in (("asteroid_properties", AsteroidProperties),
+                                ("technology", TechnologyParams), ("margins", Margins),
+                                ("arc_control", ArcControl), ("station", StationGeometry),
+                                ("solver", SolverConfig))},
         "design_bounds": {
             "type": "object",
             "required": list(GENE_NAMES),
-            # the spacecraft count's bounds are integers, so its rounding stays inside them
+            # positive: the thrust divides by d_m, the spot area by c_r, and the
+            # deflection needs a warning time and a spacecraft; n_sc's bounds are
+            # integers, so its rounding stays inside them
             "properties": {name: {"type": "array", "minItems": 2, "maxItems": 2,
-                                  "items": {"type": "integer" if name == "n_sc" else "number"}}
+                                  "items": {"type": "integer" if name == "n_sc" else "number",
+                                            "exclusiveMinimum": 0}}
                            for name in GENE_NAMES},
             "additionalProperties": False,
         },
-        "arc_control": {"type": "object", "required": [f.name for f in fields(ArcControl)]},
-        "station": {"type": "object"},
         "contamination": {"type": "boolean"},
-        "fixed_uncertain": {
-            "type": "object",
-            "required": list(UNCERTAIN_NAMES),
-            "properties": {name: {"type": "number"} for name in UNCERTAIN_NAMES},
-            "additionalProperties": False,
-        },
+        "fixed_uncertain": _block(dict.fromkeys(UNCERTAIN_NAMES, "number")),
         "expert_opinions_file": {"type": "string"},
-        "solver": {
-            "type": "object",
-            "properties": {f.name: {"type": "integer"} for f in fields(SolverConfig)
-                           if f.name != "seed"},  # a top-level key of the document
-            "additionalProperties": False,
-        },
         "seed": {"type": "integer"},
     },
 }
 
-_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
 _KEYWORDS = frozenset({"type", "const", "required", "properties", "additionalProperties",
                        "items", "minItems", "maxItems", "exclusiveMinimum"})
 
@@ -161,9 +161,10 @@ def _check(value, schema: dict, path: str = "") -> None:
 
     if isinstance(value, float) and not math.isfinite(value):
         fail(f"{value!r} is not a finite number")
-    kind = schema.get("type")
-    if kind is not None and not _is_type(value, kind):
-        fail(f"{value!r} is not of type {kind!r}")
+    kinds = schema.get("type", [])
+    if kinds and not any(_is_type(value, kind) for kind in
+                         ([kinds] if isinstance(kinds, str) else kinds)):
+        fail(f"{value!r} is not of type {kinds!r}")
     if "const" in schema:
         const = schema["const"]
         if isinstance(value, bool) != isinstance(const, bool) or value != const:
@@ -242,21 +243,15 @@ def _elements_to_dict(k: KeplerianElements) -> dict:
 def scenario_from_dict(doc: dict, source_path: Path | None = None) -> Scenario:
     """Build a validated scenario from a parsed JSON document.
 
-    The document must match ``SCENARIO_SCHEMA`` with only finite numbers, each
-    design bound must be a ``[lo, hi]`` pair with 0 < lo <= hi (of integers
-    for ``n_sc``), and every block, the fixed uncertain values applied to the
-    baselines included, must pass its dataclass's checks; anything else
-    raises ScenarioError.
+    The document must match ``SCENARIO_SCHEMA`` with only finite numbers,
+    each design bound ``[lo, hi]`` must have lo <= hi, and every block, the
+    fixed uncertain values applied to the baselines included, must pass its
+    dataclass's checks; anything else raises ScenarioError.
     """
     _check(doc, SCENARIO_SCHEMA)
     for name, (lo, hi) in doc["design_bounds"].items():
         if not lo <= hi:
             raise ScenarioError(f"design_bounds {name}: lower bound {lo} exceeds upper {hi}")
-        # the thrust divides by d_m, the spot area by c_r, and the deflection
-        # needs a warning time and a formation of at least one spacecraft
-        # (n_sc's bounds are integers)
-        if not lo > 0:
-            raise ScenarioError(f"design_bounds {name}: lower bound {lo} is not positive")
     # JSON Schema's integers include 3.0; the scenario holds them as ints
     seed = int(doc["seed"])
     solver = {name: int(value) for name, value in doc["solver"].items()}
@@ -280,7 +275,7 @@ def scenario_from_dict(doc: dict, source_path: Path | None = None) -> Scenario:
             source_path=source_path,
         )
         apply_uncertain(scenario, scenario.fixed_uncertain)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"invalid scenario block: {exc}") from exc
     return scenario
 

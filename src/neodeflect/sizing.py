@@ -54,8 +54,9 @@ def check_design_bounds(design: DesignVector, bounds: dict) -> None:
 class TechnologyParams:
     """Efficiencies and specific masses of the laser spacecraft bus.
 
-    The first five entries are the technologically uncertain quantities;
-    the remainder are baseline assumptions exposed as scenario knobs.
+    Five entries are the technologically uncertain quantities
+    (``mission.TECH_NAMES``: eta_l, eta_sa, rho_m, rho_l, rho_r); the
+    remainder are baseline assumptions exposed as scenario knobs.
 
     Attributes:
         eta_l: laser conversion efficiency.

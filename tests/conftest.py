@@ -1,10 +1,15 @@
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 # Make the shared oracle helpers, and the scenario calibration next to the
 # script that builds the shipped scenario, importable from every test module.
 sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).parent.parent / "scripts"))
+
+from neodeflect.mission import load_scenario, reference_scenario_path, scenario_to_dict
 
 # One summary line per acceptance criterion, printed after the run.
 ACCEPTANCE_LINES: list[str] = []
@@ -20,3 +25,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture()
+def tiny_scenario(tmp_path):
+    """Reference scenario file with solver budgets small enough for CLI
+    smoke runs, its expert opinions named by absolute path."""
+    doc = scenario_to_dict(load_scenario(reference_scenario_path()))
+    doc["solver"] = {
+        "outer_budget": 24, "outer_pop": 6, "explorers": 1,
+        "inner_budget": 8, "inner_pop": 4, "archive_capacity": 50,
+    }
+    doc["expert_opinions_file"] = str(
+        reference_scenario_path().parent / "expert_opinions.json"
+    )
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return path

@@ -13,7 +13,6 @@ Both depend on the floating-point results of the platform they were
 pinned on (x86-64, CPython 3, numpy).
 """
 import hashlib
-import json
 
 import pytest
 
@@ -22,7 +21,6 @@ from neodeflect.mission import (
     load_scenario,
     make_model,
     reference_scenario_path,
-    scenario_to_dict,
 )
 
 REL = 1e-12
@@ -69,21 +67,6 @@ TRAJECTORY_SHA256 = {
 @pytest.fixture(scope="module")
 def scenario():
     return load_scenario(reference_scenario_path())
-
-
-@pytest.fixture()
-def tiny_scenario(scenario, tmp_path):
-    doc = scenario_to_dict(scenario)
-    doc["solver"] = {
-        "outer_budget": 24, "outer_pop": 6, "explorers": 1,
-        "inner_budget": 8, "inner_pop": 4, "archive_capacity": 50,
-    }
-    doc["expert_opinions_file"] = str(
-        reference_scenario_path().parent / "expert_opinions.json"
-    )
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
-    return path
 
 
 def sha256(path) -> str:

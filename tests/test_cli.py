@@ -20,25 +20,8 @@ from neodeflect.mission import (
     evidence_structure,
     load_scenario,
     reference_scenario_path,
-    scenario_to_dict,
 )
 from neodeflect.orbits import KeplerConvergenceError
-
-
-@pytest.fixture()
-def fast_scenario(tmp_path):
-    """Reference scenario with budgets small enough for CLI smoke runs."""
-    doc = scenario_to_dict(load_scenario(reference_scenario_path()))
-    doc["solver"] = {
-        "outer_budget": 24, "outer_pop": 6, "explorers": 1,
-        "inner_budget": 8, "inner_pop": 4, "archive_capacity": 50,
-    }
-    doc["expert_opinions_file"] = str(
-        reference_scenario_path().parent / "expert_opinions.json"
-    )
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
-    return path
 
 
 def test_parse_design():
@@ -69,9 +52,9 @@ def test_schema_error_exit_code(tmp_path):
     ("bpcurve", "20,10,0,3000"),
     ("sensitivity", "20,10,0,3000"),
 ])
-def test_design_outside_bounds_exit_code(fast_scenario, tmp_path, capsys, mode, design):
+def test_design_outside_bounds_exit_code(tiny_scenario, tmp_path, capsys, mode, design):
     """A --design outside the scenario's design bounds is an input error."""
-    code = main(["--mode", mode, "--scenario", str(fast_scenario),
+    code = main(["--mode", mode, "--scenario", str(tiny_scenario),
                  "--design", design, "--out", str(tmp_path / "run")])
     assert code == 2
     err = capsys.readouterr().err
@@ -111,6 +94,11 @@ def test_design_outside_bounds_exit_code(fast_scenario, tmp_path, capsys, mode, 
     ("fixed_uncertain", "eta_L", 0.9),
     ("design_bounds", "n_sc", [1.2, 1.4]),
     ("design_bounds", "n_sc", [2.4, 3.4]),
+    ("technology", "emiss_m", True),
+    ("margins", "k_dry", True),
+    ("station", "theta_va", "x"),
+    ("station", "x", [1.0]),
+    ("station", "psi_vf", 2.0),
 ], ids=["bound-number", "bound-one", "bound-reversed", "uncertain-string",
         "uncertain-negative", "uncertain-nan", "uncertain-inf", "mu-nan",
         "technology-nan", "station-nan", "arc-control-nan", "solver-budget-inf",
@@ -118,8 +106,9 @@ def test_design_outside_bounds_exit_code(fast_scenario, tmp_path, capsys, mode, 
         "t-rad-zero", "m-bus-negative", "mf-c-negative", "mf-p-negative", "m-a-zero",
         "m-a-negative", "d-m-lower-zero", "n-sc-lower-zero", "t-warn-lower-zero",
         "c-r-lower-zero", "bound-unknown-name", "uncertain-unknown-name",
-        "n-sc-fractional-no-count", "n-sc-fractional"])
-def test_malformed_scenario_value_exit_code(fast_scenario, tmp_path, capsys, mode, block,
+        "n-sc-fractional-no-count", "n-sc-fractional", "emiss-m-bool", "k-dry-bool",
+        "theta-va-string", "station-x-array", "psi-vf-past-right-angle"])
+def test_malformed_scenario_value_exit_code(tiny_scenario, tmp_path, capsys, mode, block,
                                             name, value):
     """A design bound that is not a (lo, hi) pair of numbers with lo <= hi,
     a lower design bound that admits d_m, t_warn or c_r <= 0 or no spacecraft,
@@ -129,23 +118,46 @@ def test_malformed_scenario_value_exit_code(fast_scenario, tmp_path, capsys, mod
     a fixed uncertain value that is not a number or that its dataclass
     refuses, a technology or asteroid value that the sizing or the thrust
     would divide by or turn negative, a solver size that is not an integer,
-    or a NaN or infinity anywhere in the document, is a scenario error:
-    exit 2 with one line on stderr, nothing written."""
-    doc = json.loads(fast_scenario.read_text())
+    a value not of its field's type (a bool for a number), a station view
+    angle whose cosine is negative, or a NaN or infinity anywhere in the
+    document, is a scenario error: exit 2 with one line on stderr that names
+    the key, nothing written."""
+    doc = json.loads(tiny_scenario.read_text())
     (doc[block] if block else doc)[name] = value
-    fast_scenario.write_text(json.dumps(doc))
+    tiny_scenario.write_text(json.dumps(doc))
     out = tmp_path / "run"
-    code = main(["--mode", mode, "--scenario", str(fast_scenario), "--design", "10,5,2,2000",
+    code = main(["--mode", mode, "--scenario", str(tiny_scenario), "--design", "10,5,2,2000",
                  "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and name in err
     assert not out.exists()
 
 
+@pytest.mark.parametrize("block, name", [
+    ("station", "x"), ("asteroid_properties", "mol_mass"), ("solver", None),
+])
+def test_missing_scenario_key_exit_code(tiny_scenario, tmp_path, capsys, block, name):
+    """A block without one of its owner's keys is a scenario error, not a
+    run at the dataclass's default: exit 2 with one line naming the key."""
+    doc = json.loads(tiny_scenario.read_text())
+    if name is None:  # an empty block lacks its first key
+        name = next(iter(doc[block]))
+        doc[block] = {}
+    else:
+        del doc[block][name]
+    tiny_scenario.write_text(json.dumps(doc))
+    code = main(["--mode", "propagate", "--scenario", str(tiny_scenario),
+                 "--design", "20,10,2,3000", "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"{block}: missing required key {name!r}" in err
+
+
 @pytest.mark.parametrize("design", ["25,10,2,3000", "20,10"])
-def test_optimization_modes_ignore_design(fast_scenario, tmp_path, design):
-    code = main(["--mode", "deterministic", "--scenario", str(fast_scenario),
+def test_optimization_modes_ignore_design(tiny_scenario, tmp_path, design):
+    code = main(["--mode", "deterministic", "--scenario", str(tiny_scenario),
                  "--design", design, "--out", str(tmp_path / "run")])
     assert code == 0
 
@@ -171,7 +183,7 @@ _OPINION_DOCS = {
                                       *_OPINION_DOCS])
 @pytest.mark.parametrize("mode", ["minmin", "minmin-margins", "minmax", "bpcurve",
                                   "sensitivity"])
-def test_expert_opinion_failure_exit_code(fast_scenario, tmp_path, capsys, mode, opinions):
+def test_expert_opinion_failure_exit_code(tiny_scenario, tmp_path, capsys, mode, opinions):
     """An opinion file that is missing, is not JSON, leaves out a parameter,
     has an interval bound that is not finite or a bool, an expert weight
     that is not a finite number >= 0, or an expert or parameter block that
@@ -192,10 +204,10 @@ def test_expert_opinion_failure_exit_code(fast_scenario, tmp_path, capsys, mode,
         path.write_text(json.dumps(doc))
     elif opinions in _OPINION_DOCS:
         path.write_text(json.dumps(_OPINION_DOCS[opinions]))
-    scenario = json.loads(fast_scenario.read_text())
+    scenario = json.loads(tiny_scenario.read_text())
     scenario["expert_opinions_file"] = str(path)
-    fast_scenario.write_text(json.dumps(scenario))
-    code = main(["--mode", mode, "--scenario", str(fast_scenario),
+    tiny_scenario.write_text(json.dumps(scenario))
+    code = main(["--mode", mode, "--scenario", str(tiny_scenario),
                  "--design", "20,10,2,3000", "--out", str(tmp_path / "run")])
     assert code == 2
     err = capsys.readouterr().err
@@ -207,13 +219,13 @@ def test_expert_opinion_failure_exit_code(fast_scenario, tmp_path, capsys, mode,
         assert "not an object" in err
 
 
-def test_degenerate_bplane_exit_code(fast_scenario, tmp_path, capsys):
+def test_degenerate_bplane_exit_code(tiny_scenario, tmp_path, capsys):
     """Reference orbits with no encounter velocity are a scenario error,
     not a solver-budget one: the earth block repeats the asteroid's."""
-    doc = json.loads(fast_scenario.read_text())
+    doc = json.loads(tiny_scenario.read_text())
     doc["earth"] = doc["asteroid"]
-    fast_scenario.write_text(json.dumps(doc))
-    code = main(["--mode", "propagate", "--scenario", str(fast_scenario),
+    tiny_scenario.write_text(json.dumps(doc))
+    code = main(["--mode", "propagate", "--scenario", str(tiny_scenario),
                  "--design", "2,1,1,1000", "--out", str(tmp_path / "run")])
     assert code == 2
     err = capsys.readouterr().err
@@ -221,22 +233,22 @@ def test_degenerate_bplane_exit_code(fast_scenario, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
-def _config_hash(fast_scenario, out, *args):
-    assert main(["--scenario", str(fast_scenario), "--out", str(out), *args]) == 0
+def _config_hash(tiny_scenario, out, *args):
+    assert main(["--scenario", str(tiny_scenario), "--out", str(out), *args]) == 0
     return json.loads((out / "manifest.json").read_text())["config_hash"]
 
 
-def test_config_hash_covers_what_the_mode_reads(fast_scenario, tmp_path):
+def test_config_hash_covers_what_the_mode_reads(tiny_scenario, tmp_path):
     """Arguments a mode ignores, or spell the same design, leave the hash
     alone; one that changes the payload changes it."""
     det = ["--mode", "deterministic", "--seed", "5"]
-    assert _config_hash(fast_scenario, tmp_path / "d1", *det, "--design", "20,10,8,3000") == (
-        _config_hash(fast_scenario, tmp_path / "d2", *det, "--design", "5,3,2,2000")
+    assert _config_hash(tiny_scenario, tmp_path / "d1", *det, "--design", "20,10,8,3000") == (
+        _config_hash(tiny_scenario, tmp_path / "d2", *det, "--design", "5,3,2,2000")
     )
     prop = ["--mode", "propagate", "--design", "20,10,1,3000"]
-    plain = _config_hash(fast_scenario, tmp_path / "p1", *prop)
-    assert plain != _config_hash(fast_scenario, tmp_path / "p2", *prop, "--oracle")
-    assert plain == _config_hash(fast_scenario, tmp_path / "p3", "--mode", "propagate",
+    plain = _config_hash(tiny_scenario, tmp_path / "p1", *prop)
+    assert plain != _config_hash(tiny_scenario, tmp_path / "p2", *prop, "--oracle")
+    assert plain == _config_hash(tiny_scenario, tmp_path / "p3", "--mode", "propagate",
                                  "--design", "20.0,10,1.0,3e3")
 
 
@@ -254,13 +266,13 @@ def _raise(exc):
     ("scipy.integrate.solve_ivp",
      lambda *a, **k: SimpleNamespace(success=False, message="step size too small")),
 ], ids=["arc_overflow", "kepler_convergence", "reference_integration"])
-def test_numerical_failure_exit_code(fast_scenario, tmp_path, capsys, monkeypatch,
+def test_numerical_failure_exit_code(tiny_scenario, tmp_path, capsys, monkeypatch,
                                      target, replacement):
     """The arc cap, a Kepler solve and the reference integration fail as
     exit 4 with one line on stderr, not as a traceback."""
     monkeypatch.setattr(target, replacement)
     code = main([
-        "--mode", "propagate", "--scenario", str(fast_scenario), "--oracle",
+        "--mode", "propagate", "--scenario", str(tiny_scenario), "--oracle",
         "--design", "20,10,1,3000", "--out", str(tmp_path / "run"),
     ])
     assert code == 4
@@ -269,15 +281,15 @@ def test_numerical_failure_exit_code(fast_scenario, tmp_path, capsys, monkeypatc
     assert len(err.splitlines()) == 1
 
 
-def test_inner_budget_below_population_exit_code(fast_scenario, tmp_path, capsys):
+def test_inner_budget_below_population_exit_code(tiny_scenario, tmp_path, capsys):
     """An inner budget that cannot evaluate one inner population is rejected
     when the scenario loads, exit 2 like the other budget checks, before any
     search starts."""
-    doc = json.loads(fast_scenario.read_text())
+    doc = json.loads(tiny_scenario.read_text())
     doc["solver"].update(inner_budget=3, inner_pop=4)
-    fast_scenario.write_text(json.dumps(doc))
+    tiny_scenario.write_text(json.dumps(doc))
     out = tmp_path / "run"
-    code = main(["--mode", "minmax", "--scenario", str(fast_scenario), "--out", str(out)])
+    code = main(["--mode", "minmax", "--scenario", str(tiny_scenario), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid scenario block: inner budget must cover")
@@ -286,15 +298,15 @@ def test_inner_budget_below_population_exit_code(fast_scenario, tmp_path, capsys
 
 
 @pytest.mark.parametrize("capacity", [0, 1])
-def test_archive_capacity_below_two_exit_code(fast_scenario, tmp_path, capsys, capacity):
+def test_archive_capacity_below_two_exit_code(tiny_scenario, tmp_path, capsys, capacity):
     """An archive that cannot hold both extremes of the front is rejected
     when the scenario loads, exit 2, before an empty or extreme-less
     archive is written."""
-    doc = json.loads(fast_scenario.read_text())
+    doc = json.loads(tiny_scenario.read_text())
     doc["solver"]["archive_capacity"] = capacity
-    fast_scenario.write_text(json.dumps(doc))
+    tiny_scenario.write_text(json.dumps(doc))
     out = tmp_path / "run"
-    code = main(["--mode", "deterministic", "--scenario", str(fast_scenario),
+    code = main(["--mode", "deterministic", "--scenario", str(tiny_scenario),
                  "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
@@ -303,13 +315,13 @@ def test_archive_capacity_below_two_exit_code(fast_scenario, tmp_path, capsys, c
     assert not out.exists()
 
 
-def test_nonfinite_objective_exit_code(fast_scenario, tmp_path, capsys, monkeypatch):
+def test_nonfinite_objective_exit_code(tiny_scenario, tmp_path, capsys, monkeypatch):
     """A NaN objective is a numerical failure, in a search as in a single
     propagation: exit 4, not the exit 3 of an invalid value."""
     monkeypatch.setattr(mission.DeflectionModel, "evaluate",
                         lambda self, design, u: SimpleNamespace(m_sys=math.nan, b=1.0))
     for mode in ("deterministic", "propagate"):
-        code = main(["--mode", mode, "--scenario", str(fast_scenario),
+        code = main(["--mode", mode, "--scenario", str(tiny_scenario),
                      "--out", str(tmp_path / mode)])
         assert code == 4, mode
         err = capsys.readouterr().err
@@ -317,14 +329,14 @@ def test_nonfinite_objective_exit_code(fast_scenario, tmp_path, capsys, monkeypa
         assert len(err.splitlines()) == 1, mode
 
 
-def test_propagate_mass_overflow_exit_code(fast_scenario, tmp_path, capsys):
+def test_propagate_mass_overflow_exit_code(tiny_scenario, tmp_path, capsys):
     """A finite bus mass whose formation mass overflows to infinity is a
     numerical failure of ``propagate``: exit 4, no payload written."""
-    doc = json.loads(fast_scenario.read_text())
+    doc = json.loads(tiny_scenario.read_text())
     doc["technology"]["m_bus"] = 1e308
-    fast_scenario.write_text(json.dumps(doc))
+    tiny_scenario.write_text(json.dumps(doc))
     out = tmp_path / "run"
-    code = main(["--mode", "propagate", "--scenario", str(fast_scenario),
+    code = main(["--mode", "propagate", "--scenario", str(tiny_scenario),
                  "--design", "20,10,1,3000", "--out", str(out)])
     assert code == 4
     err = capsys.readouterr().err
@@ -333,13 +345,13 @@ def test_propagate_mass_overflow_exit_code(fast_scenario, tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_invalid_value_during_run_exit_code(fast_scenario, tmp_path, capsys, monkeypatch):
+def test_invalid_value_during_run_exit_code(tiny_scenario, tmp_path, capsys, monkeypatch):
     """An invalid value that only the run meets exits 3."""
     def reject(self, design, u):
         raise ValueError("semi-major axis must be positive, got -1.0")
 
     monkeypatch.setattr(mission.DeflectionModel, "evaluate", reject)
-    code = main(["--mode", "deterministic", "--scenario", str(fast_scenario),
+    code = main(["--mode", "deterministic", "--scenario", str(tiny_scenario),
                  "--out", str(tmp_path / "run")])
     assert code == 3
     err = capsys.readouterr().err
@@ -347,11 +359,11 @@ def test_invalid_value_during_run_exit_code(fast_scenario, tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize("mode", ["bpcurve", "sensitivity"])
-def test_nv_below_two_exit_code(fast_scenario, tmp_path, capsys, mode):
+def test_nv_below_two_exit_code(tiny_scenario, tmp_path, capsys, mode):
     """A curve needs two thresholds: ``--nv 1`` is an argument error, exit 2
     before anything is written."""
     out = tmp_path / "run"
-    code = main(["--mode", mode, "--scenario", str(fast_scenario), "--nv", "1",
+    code = main(["--mode", mode, "--scenario", str(tiny_scenario), "--nv", "1",
                  "--design", "20,10,2,3000", "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
@@ -361,11 +373,11 @@ def test_nv_below_two_exit_code(fast_scenario, tmp_path, capsys, mode):
 
 @pytest.mark.parametrize("mode", ["bpcurve", "sensitivity"])
 @pytest.mark.parametrize("cap", [0, -3])
-def test_max_partitions_below_one_exit_code(fast_scenario, tmp_path, capsys, mode, cap):
+def test_max_partitions_below_one_exit_code(tiny_scenario, tmp_path, capsys, mode, cap):
     """A curve needs at least its first partition: ``--max-partitions``
     below 1 is an argument error, exit 2 before anything is written."""
     out = tmp_path / "run"
-    code = main(["--mode", mode, "--scenario", str(fast_scenario), "--nv", "3",
+    code = main(["--mode", mode, "--scenario", str(tiny_scenario), "--nv", "3",
                  "--max-partitions", str(cap), "--design", "20,10,2,3000",
                  "--out", str(out)])
     assert code == 2
@@ -374,18 +386,18 @@ def test_max_partitions_below_one_exit_code(fast_scenario, tmp_path, capsys, mod
 
 
 @pytest.mark.parametrize("where", ["flag", "scenario"])
-def test_negative_seed_exit_code(fast_scenario, tmp_path, capsys, where):
+def test_negative_seed_exit_code(tiny_scenario, tmp_path, capsys, where):
     """The searches draw from numpy seed sequences, which take no negative
     seed: ``--seed -1``, or a scenario seed of -1, exits 2 with one line on
     stderr before anything is written."""
     flags = ["--seed", "-1"]
     if where == "scenario":
-        doc = json.loads(fast_scenario.read_text())
+        doc = json.loads(tiny_scenario.read_text())
         doc["seed"] = -1
-        fast_scenario.write_text(json.dumps(doc))
+        tiny_scenario.write_text(json.dumps(doc))
         flags = []
     out = tmp_path / "run"
-    code = main(["--mode", "deterministic", "--scenario", str(fast_scenario), *flags,
+    code = main(["--mode", "deterministic", "--scenario", str(tiny_scenario), *flags,
                  "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
@@ -437,7 +449,7 @@ def test_unreadable_scenario_exit_code(tmp_path, capsys, monkeypatch, scenario):
     assert not (tmp_path / "run").exists()
 
 
-def test_unwritable_out_exit_code(fast_scenario, tmp_path, capsys):
+def test_unwritable_out_exit_code(tiny_scenario, tmp_path, capsys):
     """An ``--out`` that is an existing file, or an output that cannot be
     written, exits 2 with one line on stderr and leaves the file as it
     was."""
@@ -446,7 +458,7 @@ def test_unwritable_out_exit_code(fast_scenario, tmp_path, capsys):
     blocked = tmp_path / "blocked"
     (blocked / "trajectory.csv").mkdir(parents=True)
     for target, name in ((out, out), (blocked, blocked / "trajectory.csv")):
-        code = main(["--mode", "propagate", "--scenario", str(fast_scenario),
+        code = main(["--mode", "propagate", "--scenario", str(tiny_scenario),
                      "--design", "20,10,1,3000", "--out", str(target)])
         assert code == 2
         err = capsys.readouterr().err
@@ -455,10 +467,10 @@ def test_unwritable_out_exit_code(fast_scenario, tmp_path, capsys):
     assert out.read_text() == "kept\n"
 
 
-def test_propagate_mode_outputs(fast_scenario, tmp_path):
+def test_propagate_mode_outputs(tiny_scenario, tmp_path):
     out = tmp_path / "run"
     code = main([
-        "--mode", "propagate", "--scenario", str(fast_scenario),
+        "--mode", "propagate", "--scenario", str(tiny_scenario),
         "--design", "20,10,2,3000", "--out", str(out),
     ])
     assert code == 0
@@ -471,10 +483,10 @@ def test_propagate_mode_outputs(fast_scenario, tmp_path):
     assert "config_hash" in manifest
 
 
-def test_propagate_with_oracle(fast_scenario, tmp_path):
+def test_propagate_with_oracle(tiny_scenario, tmp_path):
     out = tmp_path / "run"
     code = main([
-        "--mode", "propagate", "--scenario", str(fast_scenario),
+        "--mode", "propagate", "--scenario", str(tiny_scenario),
         "--design", "20,10,1,3000", "--out", str(out), "--oracle",
     ])
     assert code == 0
@@ -482,11 +494,11 @@ def test_propagate_with_oracle(fast_scenario, tmp_path):
     assert summary["b_rel_diff_vs_oracle"] < 1e-2
 
 
-def test_deterministic_mode_and_reproducibility(fast_scenario, tmp_path):
+def test_deterministic_mode_and_reproducibility(tiny_scenario, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):
         code = main([
-            "--mode", "deterministic", "--scenario", str(fast_scenario),
+            "--mode", "deterministic", "--scenario", str(tiny_scenario),
             "--out", str(out), "--seed", "77",
         ])
         assert code == 0
@@ -507,19 +519,19 @@ _SMALL_BOXES = {
 
 @pytest.mark.parametrize("mode", ["deterministic", "minmin", "minmin-margins", "minmax"])
 @pytest.mark.parametrize("box", list(_SMALL_BOXES))
-def test_search_ends_on_a_box_with_fewer_designs_than_the_budget(fast_scenario, tmp_path,
+def test_search_ends_on_a_box_with_fewer_designs_than_the_budget(tiny_scenario, tmp_path,
                                                                  mode, box):
     """The outer search also ends when the box runs out of new designs: each
     run, in a process of its own with a timeout, exits 0 with an archive of
     distinct designs of the box."""
-    doc = json.loads(fast_scenario.read_text())
+    doc = json.loads(tiny_scenario.read_text())
     doc["design_bounds"] = _SMALL_BOXES[box]
     doc["solver"].update(outer_budget=14, outer_pop=4)
-    fast_scenario.write_text(json.dumps(doc))
+    tiny_scenario.write_text(json.dumps(doc))
     out = tmp_path / "run"
     env = dict(os.environ, PYTHONPATH=str(Path(mission.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-m", "neodeflect.cli", "--mode", mode,
-                             "--scenario", str(fast_scenario), "--out", str(out)],
+                             "--scenario", str(tiny_scenario), "--out", str(out)],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     header, *rows = (out / f"archive_{mode}.csv").read_text().splitlines()
@@ -533,10 +545,10 @@ def test_search_ends_on_a_box_with_fewer_designs_than_the_budget(fast_scenario, 
         assert designs == [(20.0, 10.0, 2.0, 3000.0)]
 
 
-def test_minmax_mode_outputs_witnesses(fast_scenario, tmp_path):
+def test_minmax_mode_outputs_witnesses(tiny_scenario, tmp_path):
     out = tmp_path / "run"
     code = main([
-        "--mode", "minmax", "--scenario", str(fast_scenario),
+        "--mode", "minmax", "--scenario", str(tiny_scenario),
         "--out", str(out), "--seed", "3",
     ])
     assert code == 0
@@ -550,12 +562,12 @@ def test_minmax_mode_outputs_witnesses(fast_scenario, tmp_path):
     assert all(",belief,1" in row for row in extremes[1:])
 
 
-def test_extremes_csv_labels(fast_scenario, tmp_path):
+def test_extremes_csv_labels(tiny_scenario, tmp_path):
     """The worst-case front carries Belief 1 and the best-case front
     Plausibility 0, one row per archive member in the archive's order."""
     for mode, label in (("minmax", ["belief", "1"]), ("minmin", ["plausibility", "0"])):
         out = tmp_path / mode
-        code = main(["--mode", mode, "--scenario", str(fast_scenario),
+        code = main(["--mode", mode, "--scenario", str(tiny_scenario),
                      "--out", str(out), "--seed", "3"])
         assert code == 0
         archive = (out / f"archive_{mode}.csv").read_text().splitlines()
@@ -593,10 +605,10 @@ def test_box_bounds_are_in_order():
         assert vmin <= vmax
 
 
-def test_bpcurve_mode(fast_scenario, tmp_path):
+def test_bpcurve_mode(tiny_scenario, tmp_path):
     out = tmp_path / "run"
     code = main([
-        "--mode", "bpcurve", "--scenario", str(fast_scenario),
+        "--mode", "bpcurve", "--scenario", str(tiny_scenario),
         "--design", "10,5,1,2000", "--out", str(out), "--nv", "5",
         "--max-partitions", "24",
     ])
@@ -613,10 +625,10 @@ def test_bpcurve_mode(fast_scenario, tmp_path):
         assert all(p2 >= p1 - 1e-12 for p1, p2 in zip(pl, pl[1:]))
 
 
-def test_sensitivity_mode(fast_scenario, tmp_path):
+def test_sensitivity_mode(tiny_scenario, tmp_path):
     out = tmp_path / "run"
     code = main([
-        "--mode", "sensitivity", "--scenario", str(fast_scenario),
+        "--mode", "sensitivity", "--scenario", str(tiny_scenario),
         "--design", "10,5,1,2000", "--out", str(out), "--nv", "5",
     ])
     assert code == 0

@@ -3,9 +3,10 @@ import copy
 import functools
 import json
 import math
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from functools import reduce
 from operator import getitem
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neodeflect import mission
+from neodeflect.ablation import AsteroidProperties, StationGeometry
 from neodeflect.constants import AU_KM, S0, YEAR_S
 from neodeflect.evidence import (
     FocalStructure,
@@ -42,7 +44,14 @@ from neodeflect.mission import (
 )
 from neodeflect.orbits import propagate_keplerian
 from neodeflect.search import SolverConfig, decode_design
-from neodeflect.sizing import GENE_NAMES, DesignVector, Margins, UNIT_MARGINS, size_spacecraft
+from neodeflect.sizing import (
+    GENE_NAMES,
+    DesignVector,
+    Margins,
+    TechnologyParams,
+    UNIT_MARGINS,
+    size_spacecraft,
+)
 
 import oracles
 from calibration import CalibrationError, calibrate_scenario, nominal_miss
@@ -123,11 +132,28 @@ def test_scenario_rejects_invalid_blocks():
                                ("station", "x", math.nan),
                                ("solver", "outer_budget", math.inf),
                                ("solver", "inner_pop", 4.5),
-                               ("solver", "outer_pop", "10")]:
+                               ("solver", "outer_pop", "10"),
+                               ("technology", "emiss_m", True),
+                               ("margins", "k_dry", True),
+                               ("station", "theta_va", "x"),
+                               ("station", "x", [1.0]),
+                               ("station", "psi_vf", 2.0),
+                               ("asteroid_properties", "m_a", "x")]:
         bad = scenario_to_dict(load_scenario(reference_scenario_path()))
         (bad[block] if block else bad)[name] = value
         with pytest.raises(ScenarioError, match=name):
             scenario_from_dict(bad)
+
+
+@pytest.mark.parametrize("block", ["asteroid_properties", "technology", "station", "solver"])
+def test_scenario_refuses_a_missing_block_key(block):
+    """Every key of a dataclass block is required: none falls back to the
+    dataclass's default."""
+    for name in scenario_to_dict(load_scenario(reference_scenario_path()))[block]:
+        doc = scenario_to_dict(load_scenario(reference_scenario_path()))
+        del doc[block][name]
+        with pytest.raises(ScenarioError, match=f"{block}: missing required key {name!r}"):
+            scenario_from_dict(doc)
 
 
 def test_scenario_whole_float_seed_is_an_integer():
@@ -161,16 +187,34 @@ def test_scenario_refuses_fractional_spacecraft_bounds(bounds):
 
 
 def test_schema_key_lists_are_their_owners_fields():
-    """The schema's margins, arc control and design bounds name the fields
-    of the dataclasses that hold them, in order, as the shipped file does."""
+    """The schema's dataclass blocks and design bounds name the fields of
+    the dataclasses that hold them, in order, as the shipped file does (the
+    solver's seed is a top-level key), each typed by its annotation."""
     blocks = SCENARIO_SCHEMA["properties"]
     doc = json.loads(reference_scenario_path().read_text())
-    for block, owner in (("margins", Margins), ("arc_control", ArcControl),
-                         ("design_bounds", DesignVector)):
-        names = [f.name for f in fields(owner)]
-        assert blocks[block]["required"] == names
-        assert list(doc[block]) == names
+    json_types = {float: "number", int: "integer", float | None: ["number", "null"]}
+    for block, owner in (("asteroid_properties", AsteroidProperties),
+                         ("technology", TechnologyParams), ("margins", Margins),
+                         ("arc_control", ArcControl), ("station", StationGeometry),
+                         ("solver", SolverConfig), ("design_bounds", DesignVector)):
+        hints = {name: hint for name, hint in get_type_hints(owner).items() if name != "seed"}
+        assert blocks[block]["required"] == list(hints)
+        assert list(doc[block]) == list(hints)
+        if block != "design_bounds":
+            assert blocks[block]["properties"] == {
+                name: {"type": json_types[hint]} for name, hint in hints.items()}
     assert list(blocks["design_bounds"]["properties"]) == list(GENE_NAMES)
+
+
+def test_every_schema_block_holds_exactly_its_keys():
+    """No block of the document is a bare object: each requires every key
+    it names and refuses any other."""
+    blocks = [sub for sub in SCENARIO_SCHEMA["properties"].values()
+              if sub.get("type") == "object"]
+    assert len(blocks) == 10
+    for sub in blocks:
+        assert sub["required"] == list(sub["properties"])
+        assert sub["additionalProperties"] is False
 
 
 REFERENCE_DOC = scenario_to_dict(load_scenario(reference_scenario_path()))
