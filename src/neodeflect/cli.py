@@ -7,6 +7,19 @@ reproduce byte-identical payloads under every BLAS kernel, except the RK
 oracle's b in ``propagate --oracle``: its solver's dot products call BLAS,
 and with contamination on it is not converged at rtol 1e-10 (README).
 
+Each box of a Bel/Pl curve of b (``bpcurve``, ``sensitivity``) is bounded
+by one FPET evaluation at its dark corner (``mission.dark_corner``) and
+restart DE. Where b is exactly 0.0 there, the box's minimum is certified
+0.0 and only the maximum is searched; elsewhere both are searched and the
+corner's value joins them, one evaluation more per box. Each
+``sensitivity`` box varies one asteroid parameter, which never darkens the
+spot alone at 20,10,2,3000, so there every box pays that evaluation (957
+evaluations against 928 at inner budget 16 and ``--nv 21``, contamination
+off or on). ``belpl_meta.json`` labels each curve's ends: both ``m_sys``
+ends are certified, being exact at the technology corners, and the lower
+b end exactly when it is 0.0, an evaluated value at the floor of a norm;
+the upper b end is a search's estimate.
+
 Each search stops by one rule: the outer design search after
 ``outer_budget`` distinct designs or after ``outer_budget`` proposals in a
 row that brought no new design (a box with fewer designs), each inner
@@ -14,14 +27,17 @@ search after ``inner_budget`` evaluations, and a curve refinement at the
 latest at ``--max-partitions`` partitions.
 
 Exit codes: 0 success, 2 scenario/schema errors, checked when the scenario
-loads by one rule: each block holds exactly its owner's keys (its
-dataclass's fields, or the design or uncertain parameter names), each with
-its JSON type (a bool is no number; 3.0 counts as an integer), design bounds
-are pairs ``[lo, hi]`` with 0 < lo <= hi, no number is NaN or infinite, and
-no value is one its dataclass refuses (solver budgets and populations, an
-archive capacity below 2, fixed uncertain values, ``c_geo``, ``t_rad`` <= 0,
-``emiss_rad`` outside (0, 1], ``m_bus``, ``mf_c``, ``mf_p`` < 0, ``m_a``
-<= 0, a station ``psi_vf`` with cos(psi_vf) < 0); also a negative seed
+loads by one rule: the document holds exactly ``schema_version`` and one
+key per field of ``Scenario`` but ``source_path`` (``mu_sun_km3s2`` and
+``t_impact_s`` for ``mu`` and ``t_impact``), and each block exactly its
+owner's keys (its dataclass's fields, or the design or uncertain parameter
+names), each with its JSON type (a bool is no number; 3.0 counts as an
+integer), design bounds are pairs ``[lo, hi]`` with 0 < lo <= hi, no
+number is NaN or infinite, and no value is one its dataclass refuses
+(solver budgets and populations, an archive capacity below 2, fixed
+uncertain values, ``c_geo``, ``t_rad`` <= 0, ``emiss_rad`` outside (0, 1],
+``m_bus``, ``mf_c``, ``mf_p`` < 0, ``m_a`` <= 0, a station ``psi_vf`` with
+cos(psi_vf) < 0); also a negative seed
 (in the scenario or as ``--seed``), a scenario file that cannot be read, an
 ``--out`` directory that cannot be made or written to, a ``--design``
 outside the scenario's design bounds, an expert-opinion file that is
@@ -61,6 +77,7 @@ from .mission import (
     ScenarioError,
     Scenario,
     b_at,
+    dark_corner,
     deterministic_evaluator,
     evidence_evaluator,
     evidence_structure,
@@ -123,9 +140,15 @@ def archive_rows(archive, mode: str, structure=None) -> tuple[list[str], list[li
     return header, rows
 
 
-def de_box_bounder(f, budget: int, pop: int, seed: int):
-    """Box-bound estimator for the curves of b: restart DE per box, deterministically
-    keyed on the box geometry; both values are attained in the box, so they come sorted."""
+def de_box_bounder(f, budget: int, pop: int, seed: int, corner):
+    """Box bounds of a function that is never negative, such as b, a norm:
+    one evaluation at ``corner(unit_box)``, a point of the box, then
+    restart DE per box, keyed on the box geometry (``k`` 0 for the minimum,
+    1 for the maximum). A corner value of exactly 0.0 is the box's
+    minimum, certified, and only the maximum search runs; otherwise both
+    searches run, and the corner's value joins theirs. Every value is
+    attained in the box, so the bounds come in order; the maximum, and a
+    minimum above 0.0, are estimates."""
 
     def bounds(unit_box):
         lo, hi = np.array(unit_box).T
@@ -138,21 +161,31 @@ def de_box_bounder(f, budget: int, pop: int, seed: int):
 
         key = hashlib.sha256(repr(unit_box).encode()).digest()[:8]
         box_tag = int.from_bytes(key, "big")
-        return tuple(sorted(
-            inner_bound_search(g, len(unit_box), sense, budget, pop, np.random.default_rng(
-                np.random.SeedSequence([seed, box_tag, k]))).value
-            for k, sense in enumerate(("min", "max"))
-        ))
+
+        def search(k, sense):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, box_tag, k]))
+            return inner_bound_search(g, len(unit_box), sense, budget, pop, rng).value
+
+        values = [f(corner(unit_box))]
+        if values[0] != 0.0:
+            values.append(search(0, "min"))
+        values.append(search(1, "max"))
+        return min(values), max(values)
 
     return bounds
 
 
 def b_box_bounder(model, design: DesignVector, structure):
     """Box bounds of b over the unit boxes of ``structure``, every uncertain
-    parameter outside it at the scenario's fixed value."""
+    parameter outside it at the scenario's fixed value, each box tried
+    first at its dark corner (``mission.dark_corner``): where the spot
+    never ablates there, the minimum is a certified 0.0 for one evaluation
+    instead of a search; elsewhere the box costs one evaluation more than
+    its two searches, as every ``sensitivity`` box does at 20,10,2,3000."""
     config = model.scenario.solver
     return de_box_bounder(b_at(model, design, structure), config.inner_budget,
-                          config.inner_pop, config.seed)
+                          config.inner_pop, config.seed,
+                          lambda unit_box: dark_corner(structure, unit_box))
 
 
 def run_optimization(scenario: Scenario, mode: str, contamination: bool, out: Path):
@@ -198,7 +231,11 @@ def run_bpcurve(scenario: Scenario, design: DesignVector, contamination: bool,
         name = f"belpl_{tag}.csv"
         write_csv(out / name, ["v", "bel", "pl"], list(zip(curve.thresholds, curve.bel, curve.pl)))
         files.append(name)
+        # the m_sys bounds are exact at their corners; a b of 0.0 is an
+        # evaluated value at the floor of a norm, every other b end an estimate
+        certified = (True, True) if tag == "m_sys" else (curve.v_min == 0.0, False)
         meta[tag] = {"v_min": curve.v_min, "v_max": curve.v_max,
+                     "v_min_certified": certified[0], "v_max_certified": certified[1],
                      "n_partitions": curve.n_partitions, "partial": curve.partial}
     (out / "belpl_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return files + ["belpl_meta.json"]

@@ -251,10 +251,10 @@ class FocalStructure:
                 )
         return out
 
-    def corners(self, unit_box) -> list[np.ndarray]:
-        """Unit points at the 2**dim corners of a box's hull: each dimension
-        at the smallest ``lo`` or the largest ``hi`` of the intervals of the
-        cells the box spans, at a point of the box."""
+    def hull_ends(self, unit_box) -> list[tuple[float, float]]:
+        """Per dimension, the unit coordinates of a box's hull ends: the
+        smallest ``lo`` and the largest ``hi`` of the intervals of the cells
+        the box spans, each at a point of the box."""
         ends = []
         for d, (lo, hi) in enumerate(unit_box):
             edges, intervals = self.cum[d], self.params[d].intervals
@@ -262,7 +262,11 @@ class FocalStructure:
             low = min(cells, key=lambda j: intervals[j].lo)
             high = max(cells, key=lambda j: intervals[j].hi)
             ends.append((first_inside(edges[low]), edges[high + 1]))
-        return [np.array(point) for point in itertools.product(*ends)]
+        return ends
+
+    def corners(self, unit_box) -> list[np.ndarray]:
+        """Unit points at the 2**dim corners of a box's hull (``hull_ends``)."""
+        return [np.array(point) for point in itertools.product(*self.hull_ends(unit_box))]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ point and a value of the uncertain parameters, either fixed or supplied by
 the evidence-space searches.
 
 ``SCENARIO_SCHEMA`` alone states the document's shape in JSON Schema
-terms, each block's keys and types those of the dataclass that holds it;
+terms: its keys are ``schema_version`` and the fields of ``Scenario`` but
+``source_path``, and each block's keys and types those of the dataclass
+that holds it; no other key is allowed;
 a small checker of the keywords it uses reads it at load, as jsonschema
 would, except that it also rejects NaN and infinities anywhere in the
 document. The dataclasses check only physical ranges.
@@ -87,52 +89,95 @@ _ELEMENT_KEYS = {"a_km": "a", "e": "e", "i_rad": "i", "raan_rad": "raan",
 _JSON_TYPES = {"float": "number", "int": "integer", "float | None": ["number", "null"]}
 
 
-def _block(types: dict) -> dict:
-    """Schema of a block that holds exactly the keys of ``types``, each of
-    its JSON type."""
-    return {"type": "object", "required": list(types),
-            "properties": {key: {"type": kind} for key, kind in types.items()},
+@dataclass(frozen=True)
+class Scenario:
+    """Complete description of one deflection campaign study."""
+
+    mu: float
+    t_impact: float
+    asteroid: KeplerianElements
+    earth: KeplerianElements
+    asteroid_properties: AsteroidProperties
+    technology: TechnologyParams
+    margins: Margins
+    design_bounds: dict
+    arc_control: ArcControl
+    station: StationGeometry
+    contamination: bool
+    fixed_uncertain: dict
+    expert_opinions_file: str
+    solver: SolverConfig
+    seed: int
+    source_path: Path | None = None
+
+    @cached_property
+    def asteroid_fields(self) -> dict:
+        """The asteroid baseline's fields by name, the base of its copies
+        with uncertain values (``apply_uncertain``)."""
+        return {f.name: getattr(self.asteroid_properties, f.name)
+                for f in fields(AsteroidProperties)}
+
+    @cached_property
+    def technology_fields(self) -> dict:
+        """The technology baseline's fields by name, the base of its copies
+        with uncertain values (``apply_uncertain``)."""
+        return {f.name: getattr(self.technology, f.name) for f in fields(TechnologyParams)}
+
+    def expert_opinions_path(self) -> Path:
+        p = Path(self.expert_opinions_file)
+        if not p.is_absolute() and self.source_path is not None:
+            p = self.source_path.parent / p
+        return p
+
+
+def _object(properties: dict) -> dict:
+    """Schema of an object that holds exactly the keys of ``properties``,
+    each matching its schema."""
+    return {"type": "object", "required": list(properties), "properties": properties,
             "additionalProperties": False}
 
 
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "required": [
-        "schema_version", "mu_sun_km3s2", "t_impact_s", "asteroid", "earth",
-        "asteroid_properties", "technology", "margins", "design_bounds",
-        "arc_control", "station", "contamination", "fixed_uncertain",
-        "expert_opinions_file", "solver", "seed",
-    ],
-    "properties": {
-        "schema_version": {"const": 1},
-        "mu_sun_km3s2": {"type": "number", "exclusiveMinimum": 0},
-        "t_impact_s": {"type": "number", "exclusiveMinimum": 0},
-        "asteroid": _block(dict.fromkeys(_ELEMENT_KEYS, "number")),
-        "earth": _block(dict.fromkeys(_ELEMENT_KEYS, "number")),
-        **{block: _block({f.name: _JSON_TYPES[f.type] for f in fields(owner)
-                          if f.name != "seed"})  # the solver's seed is a top-level key
-           for block, owner in (("asteroid_properties", AsteroidProperties),
-                                ("technology", TechnologyParams), ("margins", Margins),
-                                ("arc_control", ArcControl), ("station", StationGeometry),
-                                ("solver", SolverConfig))},
-        "design_bounds": {
-            "type": "object",
-            "required": list(GENE_NAMES),
-            # positive: the thrust divides by d_m, the spot area by c_r, and the
-            # deflection needs a warning time and a spacecraft; n_sc's bounds are
-            # integers, so its rounding stays inside them
-            "properties": {name: {"type": "array", "minItems": 2, "maxItems": 2,
-                                  "items": {"type": "integer" if name == "n_sc" else "number",
-                                            "exclusiveMinimum": 0}}
-                           for name in GENE_NAMES},
-            "additionalProperties": False,
-        },
-        "contamination": {"type": "boolean"},
-        "fixed_uncertain": _block(dict.fromkeys(UNCERTAIN_NAMES, "number")),
-        "expert_opinions_file": {"type": "string"},
-        "seed": {"type": "integer"},
-    },
+def _block(types: dict) -> dict:
+    """Schema of a block that holds exactly the keys of ``types``, each of
+    its JSON type."""
+    return _object({key: {"type": kind} for key, kind in types.items()})
+
+
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_ELEMENTS = _block(dict.fromkeys(_ELEMENT_KEYS, "number"))
+# the schema of each Scenario field the document holds, by field name
+_FIELD_SCHEMAS = {
+    "mu": _POSITIVE,
+    "t_impact": _POSITIVE,
+    "asteroid": _ELEMENTS,
+    "earth": _ELEMENTS,
+    **{block: _block({f.name: _JSON_TYPES[f.type] for f in fields(owner)
+                      if f.name != "seed"})  # the solver's seed is a top-level key
+       for block, owner in (("asteroid_properties", AsteroidProperties),
+                            ("technology", TechnologyParams), ("margins", Margins),
+                            ("arc_control", ArcControl), ("station", StationGeometry),
+                            ("solver", SolverConfig))},
+    # positive: the thrust divides by d_m, the spot area by c_r, and the
+    # deflection needs a warning time and a spacecraft; n_sc's bounds are
+    # integers, so its rounding stays inside them
+    "design_bounds": _object({name: {"type": "array", "minItems": 2, "maxItems": 2,
+                                     "items": {"type": "integer" if name == "n_sc" else "number",
+                                               "exclusiveMinimum": 0}}
+                              for name in GENE_NAMES}),
+    "contamination": {"type": "boolean"},
+    "fixed_uncertain": _block(dict.fromkeys(UNCERTAIN_NAMES, "number")),
+    "expert_opinions_file": {"type": "string"},
+    "seed": {"type": "integer"},
 }
+# the document's key of a Scenario field where the two names differ
+_DOCUMENT_KEYS = {"mu": "mu_sun_km3s2", "t_impact": "t_impact_s"}
+
+# source_path, where the document was read from, is none of its keys
+SCENARIO_SCHEMA = _object({
+    "schema_version": {"const": 1},
+    **{_DOCUMENT_KEYS.get(f.name, f.name): _FIELD_SCHEMAS[f.name]
+       for f in fields(Scenario) if f.name != "source_path"},
+})
 
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
 _KEYWORDS = frozenset({"type", "const", "required", "properties", "additionalProperties",
@@ -189,47 +234,6 @@ def _check(value, schema: dict, path: str = "") -> None:
             fail(f"has {len(value)} items, not {lo} to {hi}")
         for i, item in enumerate(value):
             _check(item, schema.get("items", {}), f"{path}[{i}]")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Complete description of one deflection campaign study."""
-
-    mu: float
-    t_impact: float
-    asteroid: KeplerianElements
-    earth: KeplerianElements
-    asteroid_properties: AsteroidProperties
-    technology: TechnologyParams
-    margins: Margins
-    design_bounds: dict
-    arc_control: ArcControl
-    station: StationGeometry
-    contamination: bool
-    fixed_uncertain: dict
-    expert_opinions_file: str
-    solver: SolverConfig
-    seed: int
-    source_path: Path | None = None
-
-    @cached_property
-    def asteroid_fields(self) -> dict:
-        """The asteroid baseline's fields by name, the base of its copies
-        with uncertain values (``apply_uncertain``)."""
-        return {f.name: getattr(self.asteroid_properties, f.name)
-                for f in fields(AsteroidProperties)}
-
-    @cached_property
-    def technology_fields(self) -> dict:
-        """The technology baseline's fields by name, the base of its copies
-        with uncertain values (``apply_uncertain``)."""
-        return {f.name: getattr(self.technology, f.name) for f in fields(TechnologyParams)}
-
-    def expert_opinions_path(self) -> Path:
-        p = Path(self.expert_opinions_file)
-        if not p.is_absolute() and self.source_path is not None:
-            p = self.source_path.parent / p
-        return p
 
 
 def _elements_from_dict(d: dict) -> KeplerianElements:
@@ -489,6 +493,16 @@ def b_at(model: DeflectionModel, design: DesignVector, structure: FocalStructure
     every uncertain parameter outside it at the scenario's fixed value."""
     fixed = model.scenario.fixed_uncertain
     return lambda u: model.evaluate(design, {**fixed, **uncertain_dict(structure, u)}).b
+
+
+def dark_corner(structure: FocalStructure, unit_box) -> np.ndarray:
+    """The hull corner of a unit box of a ``B_NAMES`` marginal where the
+    spot is dimmest: each asteroid parameter at the upper end of its hull
+    over the box's cells, ``eta_l`` and ``eta_sa`` at the lower end
+    (``FocalStructure.hull_ends``), a point of the box."""
+    ends = structure.hull_ends(unit_box)
+    return np.array([high if name in PHYSICAL_NAMES else low
+                     for name, (low, high) in zip(structure.names, ends)])
 
 
 def mass_box_bounder(model: DeflectionModel, design: DesignVector, structure: FocalStructure):

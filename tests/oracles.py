@@ -16,10 +16,12 @@ is the bit-level reference of ``fpet.propagate_trajectory`` driven by
 ``ablation.ThrustModel``.
 ``impact_parameter`` projects three states at the impact epoch afresh, the
 reference of the encounter frame that ``mission.DeflectionModel`` fixes
-once per model.
+once per model. ``box_search`` is one restart-DE search of a b box written
+out, the reference of the searches the box bounds of b keep.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -37,7 +39,7 @@ from neodeflect.ablation import (
     spot_area,
 )
 from neodeflect.constants import ETA_ABS, LAMBDA_SCATTER, RHO_LAYER
-from neodeflect.evidence import FocalStructure, ParameterBPA
+from neodeflect.evidence import FocalStructure, ParameterBPA, first_inside
 from neodeflect.fpet import (
     _CHEB_CUM,
     _CHEB_MAP,
@@ -56,6 +58,7 @@ from neodeflect.orbits import (
     kepler_time_of_flight,
     propagate_keplerian,
 )
+from neodeflect.search import inner_bound_search
 from neodeflect.sizing import system_efficiency
 
 
@@ -623,3 +626,16 @@ def complement_bel_pl(f_bounds, structure: FocalStructure, v: float) -> tuple[fl
         if vmax >= v:
             pl_terms.append(el.bpa)
     return math.fsum(bel_terms), math.fsum(pl_terms)
+
+
+def box_search(f, unit_box, sense: str, budget: int, pop: int, seed: int) -> float:
+    """The value of the restart-DE search of f over a unit box that the box
+    bounds of b run for ``sense``, under the generator key each sense has
+    always had (k 0 for the minimum, 1 for the maximum), a lower face at
+    the first point of the box's cells."""
+    lo, hi = np.array(unit_box).T
+    floor = np.array([first_inside(edge) for edge in lo])
+    tag = int.from_bytes(hashlib.sha256(repr(unit_box).encode()).digest()[:8], "big")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, tag, ("min", "max").index(sense)]))
+    return inner_bound_search(lambda u: f(np.maximum(lo + u * (hi - lo), floor)),
+                              len(unit_box), sense, budget, pop, rng).value

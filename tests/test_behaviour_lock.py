@@ -53,9 +53,10 @@ MINMAX_ARCHIVE_SHA256 = (
 )
 # the curves of one bpcurve run at design 20,10,1,3000, --nv 5,
 # --max-partitions 12, each over the parameters its objective reads; the
-# m_sys curve is bounded exactly, box by box
+# m_sys curve is bounded exactly, box by box, and each box of the b curve
+# is tried first at its dark corner
 BPCURVE_SHA256 = {
-    "belpl_b.csv": "033bc81d1af561d20f35ba05190c0efb04eb99d21472c0567d5cbaff8c74fda9",
+    "belpl_b.csv": "6172e4b2a04eb30ed123bd571a7ed02be4dc07b2ec2d05326f8ee87ce9b8bda5",
     "belpl_m_sys.csv": "fe910860b65047aa4e8887b7fceedd9110b5e2605884ea475e546e7bebcb4f7a",
 }
 TRAJECTORY_SHA256 = {

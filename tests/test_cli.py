@@ -1,4 +1,6 @@
 """CLI orchestration: exit codes, outputs, provenance reproducibility."""
+import contextlib
+import functools
 import json
 import math
 import os
@@ -8,9 +10,13 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import box_search
 
-from neodeflect import mission
+from neodeflect import cli, mission
 from neodeflect.cli import de_box_bounder, main, parse_design
 from neodeflect.evidence import FocalStructure, SubBox
 from neodeflect.fpet import ArcOverflowError
@@ -22,6 +28,7 @@ from neodeflect.mission import (
     reference_scenario_path,
 )
 from neodeflect.orbits import KeplerConvergenceError
+from neodeflect.search import decode_design, inner_bound_search
 
 
 def test_parse_design():
@@ -99,6 +106,7 @@ def test_design_outside_bounds_exit_code(tiny_scenario, tmp_path, capsys, mode, 
     ("station", "theta_va", "x"),
     ("station", "x", [1.0]),
     ("station", "psi_vf", 2.0),
+    (None, "contamination_on", True),
 ], ids=["bound-number", "bound-one", "bound-reversed", "uncertain-string",
         "uncertain-negative", "uncertain-nan", "uncertain-inf", "mu-nan",
         "technology-nan", "station-nan", "arc-control-nan", "solver-budget-inf",
@@ -107,14 +115,16 @@ def test_design_outside_bounds_exit_code(tiny_scenario, tmp_path, capsys, mode, 
         "m-a-negative", "d-m-lower-zero", "n-sc-lower-zero", "t-warn-lower-zero",
         "c-r-lower-zero", "bound-unknown-name", "uncertain-unknown-name",
         "n-sc-fractional-no-count", "n-sc-fractional", "emiss-m-bool", "k-dry-bool",
-        "theta-va-string", "station-x-array", "psi-vf-past-right-angle"])
+        "theta-va-string", "station-x-array", "psi-vf-past-right-angle",
+        "top-level-unknown-name"])
 def test_malformed_scenario_value_exit_code(tiny_scenario, tmp_path, capsys, mode, block,
                                             name, value):
     """A design bound that is not a (lo, hi) pair of numbers with lo <= hi,
     a lower design bound that admits d_m, t_warn or c_r <= 0 or no spacecraft,
     spacecraft-count bounds that are not integers (their rounded counts
     would leave them: [1.2, 1.4] holds no count),
-    an unknown name among the design bounds or the fixed uncertain values,
+    an unknown name among the design bounds, the fixed uncertain values or
+    the document's own keys (``contamination_on`` would be read as nothing),
     a fixed uncertain value that is not a number or that its dataclass
     refuses, a technology or asteroid value that the sizing or the thrust
     would divide by or turn negative, a solver size that is not an integer,
@@ -590,7 +600,7 @@ def test_box_bounder_stays_inside_the_box():
         seen.append(float(structure.unit_to_physical(u)[0]))
         return seen[-1]
 
-    bounds = de_box_bounder(objective, 40, 4, seed=0)
+    bounds = de_box_bounder(objective, 40, 4, 0, lambda box: mission.dark_corner(structure, box))
     vmin, vmax = bounds(SubBox(((2, 3),)).unit_box(structure))
     assert all(1.47 <= v <= 1.6 for v in seen)
     assert (vmin, vmax) == (pytest.approx(1.47), pytest.approx(1.6))
@@ -598,11 +608,134 @@ def test_box_bounder_stays_inside_the_box():
 
 def test_box_bounds_are_in_order():
     """At a budget of one population per search, the minimum search can
-    draw points above all of the maximum search's; both values are
+    draw points above all of the maximum search's; every value is
     attained in the box, so they come back in order."""
     for seed in range(300):
-        vmin, vmax = de_box_bounder(lambda u: float(u[0]), 4, 4, seed=seed)(((0.0, 1.0),))
+        bounds = de_box_bounder(lambda u: float(u[0]), 4, 4, seed, lambda box: np.array([0.5]))
+        vmin, vmax = bounds(((0.0, 1.0),))
         assert vmin <= vmax
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return load_scenario(reference_scenario_path())
+
+
+@contextlib.contextmanager
+def box_searches(**patches):
+    """The (sense, value) of every inner search the box bounds run, with
+    the other ``cli`` names of ``patches`` replaced meanwhile."""
+    seen = []
+
+    def spy(f, dim, sense, *args):
+        result = inner_bound_search(f, dim, sense, *args)
+        seen.append((sense, result.value))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in {"inner_bound_search": spy, **patches}.items():
+            mp.setattr(cli, name, value)
+        yield seen
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(genes=st.lists(UNIT, min_size=4, max_size=4), contamination=st.booleans(),
+       cells=st.lists(st.tuples(UNIT, UNIT), min_size=len(B_NAMES), max_size=len(B_NAMES)))
+# the brightest cell: the asteroid parameters' first, eta_l's and eta_sa's last
+@example(genes=[1.0, 1.0, 0.15, 1.0], contamination=False,
+         cells=[(0.0, 0.0)] * 5 + [(1.0, 0.0)] * 2)
+def test_a_dark_corner_certifies_the_b_box_minimum(reference, genes, contamination, cells):
+    """Each box of the b marginal is tried first at its dark corner, a point
+    of the box. Where the bounder skips the minimum search, the spot never
+    ablates there (one arc, b exactly 0.0) and the minimum is 0.0; the
+    maximum search keeps its generator key, so the maximum is that search's
+    value bit for bit. Elsewhere both searches run and the corner's value
+    joins them. ``cells`` places each dimension's range of cells: its first
+    cell, then its length, as fractions of what is left."""
+    scenario = replace(reference, solver=replace(reference.solver, inner_budget=4, inner_pop=4))
+    space = evidence_structure(scenario).marginal(B_NAMES)
+    ranges = []
+    for n, (at, length) in zip(space.counts(), cells):
+        first = min(int(at * n), n - 1)
+        ranges.append((first, first + 1 + min(int(length * (n - first)), n - first - 1)))
+    box = SubBox(tuple(ranges))
+    unit_box = box.unit_box(space)
+    corner = mission.dark_corner(space, unit_box)
+    for d, (u, (lo_u, hi_u), (first, end)) in enumerate(zip(corner, unit_box, box.ranges)):
+        assert lo_u <= u <= hi_u and first <= space.cell_of(d, u) < end
+
+    design = decode_design(np.array(genes), scenario.design_bounds)
+    model = mission.make_model(scenario, "bpcurve", contamination)
+    b = functools.cache(mission.b_at(model, design, space))  # shared with the oracle
+
+    def f(u):
+        return b(tuple(u))
+
+    with box_searches(b_at=lambda *args: f) as searches:
+        lo, hi = cli.b_box_bounder(model, design, space)(unit_box)
+    max_search = box_search(f, unit_box, "max", 4, 4, scenario.seed)
+    b_c = f(corner)
+    if [sense for sense, _ in searches] == ["max"]:
+        ev = model.evaluate(design, {**scenario.fixed_uncertain,
+                                     **mission.uncertain_dict(space, corner)})
+        assert (ev.b, ev.n_arcs) == (0.0, 1)
+        assert (lo, hi) == (0.0, max_search)
+    else:
+        assert [sense for sense, _ in searches] == ["min", "max"] and b_c > 0.0
+        values = [b_c, box_search(f, unit_box, "min", 4, 4, scenario.seed), max_search]
+        assert (lo, hi) == (min(values), max(values))
+
+
+@pytest.mark.parametrize("contamination", [False, True])
+def test_the_reference_design_certifies_the_root_b_box(reference, contamination):
+    """At the reference design the spot never ablates at the dark corner of
+    the whole b marginal, so its box runs the maximum search alone."""
+    scenario = replace(reference, solver=replace(reference.solver, inner_budget=4, inner_pop=4))
+    space = evidence_structure(scenario).marginal(B_NAMES)
+    model = mission.make_model(scenario, "bpcurve", contamination)
+    with box_searches() as searches:
+        lo, hi = cli.b_box_bounder(model, parse_design("20,10,8,3000"), space)(
+            SubBox(tuple((0, n) for n in space.counts())).unit_box(space))
+    assert [sense for sense, _ in searches] == ["max"]
+    assert (lo, hi) == (0.0, searches[0][1])
+
+
+def test_the_dark_corner_is_the_dimmest_corner_of_the_brightest_b_cell(reference):
+    """On the cell of the asteroid parameters' first intervals and eta_l's
+    and eta_sa's last, the spot ablates at every hull corner at
+    20,10,2,3000, and least at the dark corner: taking any dimension's
+    other end raises b."""
+    space = evidence_structure(reference).marginal(B_NAMES)
+    cell = SubBox(tuple((0, 1) if name in mission.PHYSICAL_NAMES else (n - 1, n)
+                        for name, n in zip(space.names, space.counts())))
+    unit_box = cell.unit_box(space)
+    b = mission.b_at(mission.make_model(reference, "bpcurve", False),
+                     parse_design("20,10,2,3000"), space)
+    dark = mission.dark_corner(space, unit_box)
+    others = [u for u in space.corners(unit_box) if not np.array_equal(u, dark)]
+    assert len(others) == 2 ** space.dim - 1
+    assert 0.0 < b(dark) < min(b(u) for u in others)
+
+
+def test_a_box_without_a_dark_corner_keeps_both_searches(reference):
+    """k_a alone, every other parameter at its fixed value, never darkens
+    the spot at 20,10,2,3000: both searches run, and the corner's b,
+    1610.7 km, below the minimum search's 1737.0 km, is the box's minimum."""
+    scenario = replace(reference, solver=replace(reference.solver, inner_budget=16))
+    space = evidence_structure(scenario).marginal(["k_a"])
+    unit_box = SubBox(((0, space.counts()[0]),)).unit_box(space)
+    model = mission.make_model(scenario, "sensitivity", False)
+    design = parse_design("20,10,2,3000")
+    with box_searches() as searches:
+        lo, hi = cli.b_box_bounder(model, design, space)(unit_box)
+    b_c = mission.b_at(model, design, space)(mission.dark_corner(space, unit_box))
+    assert [sense for sense, _ in searches] == ["min", "max"]
+    (_, min_search), (_, max_search) = searches
+    assert lo == b_c < min_search and hi == max_search
+    assert (b_c, min_search) == (pytest.approx(1610.7, abs=0.05), pytest.approx(1737.0, abs=0.05))
 
 
 def test_bpcurve_mode(tiny_scenario, tmp_path):
@@ -623,6 +756,12 @@ def test_bpcurve_mode(tiny_scenario, tmp_path):
         assert all(b <= p + 1e-12 for b, p in zip(bel, pl))
         assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(bel, bel[1:]))
         assert all(p2 >= p1 - 1e-12 for p1, p2 in zip(pl, pl[1:]))
+    # the mass ends are exact; b's lower end is 0.0, evaluated at the dark
+    # corner, and its upper end a search's estimate
+    meta = json.loads((out / "belpl_meta.json").read_text())
+    assert meta["m_sys"]["v_min_certified"] and meta["m_sys"]["v_max_certified"]
+    assert meta["b"]["v_min"] == 0.0 and meta["b"]["v_min_certified"]
+    assert not meta["b"]["v_max_certified"]
 
 
 def test_sensitivity_mode(tiny_scenario, tmp_path):
