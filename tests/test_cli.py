@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import box_search
 
 from neodeflect import cli, mission
 from neodeflect.cli import de_box_bounder, main, parse_design
@@ -29,6 +28,8 @@ from neodeflect.mission import (
 )
 from neodeflect.orbits import KeplerConvergenceError
 from neodeflect.search import decode_design, inner_bound_search
+
+from oracles import box_search
 
 
 def test_parse_design():
