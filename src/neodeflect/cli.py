@@ -233,9 +233,9 @@ def run_bpcurve(scenario: Scenario, design: DesignVector, contamination: bool,
         files.append(name)
         # the m_sys bounds are exact at their corners; a b of 0.0 is an
         # evaluated value at the floor of a norm, every other b end an estimate
-        certified = (True, True) if tag == "m_sys" else (curve.v_min == 0.0, False)
         meta[tag] = {"v_min": curve.v_min, "v_max": curve.v_max,
-                     "v_min_certified": certified[0], "v_max_certified": certified[1],
+                     "v_min_certified": tag == "m_sys" or curve.v_min == 0.0,
+                     "v_max_certified": tag == "m_sys",
                      "n_partitions": curve.n_partitions, "partial": curve.partial}
     (out / "belpl_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return files + ["belpl_meta.json"]
