@@ -20,6 +20,16 @@ ends are certified, being exact at the technology corners, and the lower
 b end exactly when it is 0.0, an evaluated value at the floor of a norm;
 the upper b end is a search's estimate.
 
+The worst case of b of a ``minmax`` design is certified by the same rule
+(``search.zero_or_search``): one FPET evaluation at the dark corner of the
+whole b marginal, and where b is exactly 0.0 there, that is the design's
+b, with the corner as its witness, and no search runs; otherwise restart
+DE runs at ``inner_budget``, the corner one of its evaluations.
+``extremes_minmax.csv`` labels a row ``belief,1`` where its b is a
+certified 0.0 (its mass is exact at the technology corners) and
+``estimate,`` with an empty value where its b came from the search;
+``minmin`` and ``minmin-margins`` rows read ``plausibility,0``.
+
 Each search stops by one rule: the outer design search after
 ``outer_budget`` distinct designs or after ``outer_budget`` proposals in a
 row that brought no new design (a box with fewer designs), each inner
@@ -89,7 +99,13 @@ from .mission import (
     scenario_to_dict,
 )
 from .orbits import DegenerateBPlaneError, KeplerConvergenceError
-from .search import NonFiniteObjectivesError, Objectives, inner_bound_search, solve_moo
+from .search import (
+    NonFiniteObjectivesError,
+    Objectives,
+    inner_bound_search,
+    solve_moo,
+    zero_or_search,
+)
 from .sizing import GENE_NAMES, DesignVector, MassBudget, check_design_bounds
 
 # failures of the numerics rather than of the inputs or the budgets: exit 4
@@ -146,9 +162,10 @@ def de_box_bounder(f, budget: int, pop: int, seed: int, corner):
     restart DE per box, keyed on the box geometry (``k`` 0 for the minimum,
     1 for the maximum). A corner value of exactly 0.0 is the box's
     minimum, certified, and only the maximum search runs; otherwise both
-    searches run, and the corner's value joins theirs. Every value is
-    attained in the box, so the bounds come in order; the maximum, and a
-    minimum above 0.0, are estimates."""
+    searches run, and the corner's value joins theirs
+    (``search.zero_or_search``, the rule ``minmax``'s b shares). Every
+    value is attained in the box, so the bounds come in order; the
+    maximum, and a minimum above 0.0, are estimates."""
 
     def bounds(unit_box):
         lo, hi = np.array(unit_box).T
@@ -164,12 +181,10 @@ def de_box_bounder(f, budget: int, pop: int, seed: int, corner):
 
         def search(k, sense):
             rng = np.random.default_rng(np.random.SeedSequence([seed, box_tag, k]))
-            return inner_bound_search(g, len(unit_box), sense, budget, pop, rng).value
+            return inner_bound_search(g, len(unit_box), sense, budget, pop, rng)
 
-        values = [f(corner(unit_box))]
-        if values[0] != 0.0:
-            values.append(search(0, "min"))
-        values.append(search(1, "max"))
+        found = zero_or_search(f, corner(unit_box), lambda _: search(0, "min"))
+        values = [result.value for result in found] + [search(1, "max").value]
         return min(values), max(values)
 
     return bounds
@@ -203,12 +218,19 @@ def run_optimization(scenario: Scenario, mode: str, contamination: bool, out: Pa
     write_csv(out / f"archive_{mode}.csv", header, rows)
     if mode == "deterministic":
         return [f"archive_{mode}.csv"]
-    # the worst-case front carries Belief 1 (thresholds at or above these
-    # objective values are certain), the best-case fronts Plausibility 0
-    # (below these the mission is infeasible on the current knowledge)
-    label = ["belief", 1.0] if mode == "minmax" else ["plausibility", 0.0]
+    # a worst-case row carries Belief 1 (thresholds at or above these
+    # objective values are certain) where both are certified: the mass,
+    # exact at its corners, and a b of 0.0, an evaluated value at the floor
+    # of a norm; any other worst-case b is a search's estimate. The
+    # best-case fronts carry Plausibility 0 (below these the mission is
+    # infeasible on the current knowledge)
+    def label(b):
+        if mode != "minmax":
+            return ["plausibility", 0.0]
+        return ["belief", 1.0] if b == 0.0 else ["estimate", ""]
+
     write_csv(out / f"extremes_{mode}.csv", header[:6] + ["label", "value"],
-              [row[:6] + label for row in rows])
+              [row[:6] + label(row[5]) for row in rows])
     return [f"archive_{mode}.csv", f"extremes_{mode}.csv"]
 
 

@@ -45,6 +45,7 @@ from .search import (
     SolverConfig,
     inner_bound_search,
     quantize_design,
+    zero_or_search,
 )
 from .sizing import (
     GENE_NAMES,
@@ -353,11 +354,6 @@ class ModelEvaluation:
         return self.trajectory.n_arcs
 
 
-def _solar_flux(eq: EquinoctialState) -> float:
-    """Solar flux [W/m^2] at the heliocentric distance of a state."""
-    return S0 * (AU_KM / eq.radius()) ** 2
-
-
 class DeflectionModel:
     """Objectives (m_sys, b) as functions of the design and uncertain vectors.
 
@@ -388,17 +384,24 @@ class DeflectionModel:
         self._r_nominal, v_nominal = equinoctial_to_cartesian(self.nominal_at_impact, self.mu)
         v_inf = v_nominal - equinoctial_to_cartesian(self.earth_at_impact, self.mu)[1]
         self._v_hat = bplane_normal(v_inf)
-        self._start = (None, None)
+        self._start = (None, None, None)
 
-    def start_state(self, t_warn_years: float) -> EquinoctialState:
-        """Asteroid state at the deflection start, kept for the next call:
-        every mass corner and b evaluation of one design starts there."""
-        warn, state = self._start
+    def _started(self, t_warn_years: float) -> tuple[EquinoctialState, float]:
+        """Asteroid state at the deflection start and the solar flux
+        [W/m^2] at its heliocentric distance, where the formation is sized,
+        kept for the next call: every mass corner and b evaluation of one
+        design starts there."""
+        warn, state, flux = self._start
         if warn != t_warn_years:
             t_start = self.scenario.t_impact - t_warn_years * YEAR_S
             state = propagate_keplerian(self.asteroid_eq, t_start, self.mu)
-            self._start = (t_warn_years, state)
-        return state
+            flux = S0 * (AU_KM / state.radius()) ** 2
+            self._start = (t_warn_years, state, flux)
+        return state, flux
+
+    def start_state(self, t_warn_years: float) -> EquinoctialState:
+        """Asteroid state at the deflection start."""
+        return self._started(t_warn_years)[0]
 
     def deflection_start(
         self, design: DesignVector, u: dict
@@ -423,11 +426,11 @@ class DeflectionModel:
         r_dev, _ = equinoctial_to_cartesian(deviated, self.mu)
         return math.hypot(*bplane_offset(r_dev - self._r_nominal, self._v_hat).tolist())
 
-    def mass_only(self, design: DesignVector, u: dict) -> float:
-        """Formation mass [kg]; no propagation involved."""
-        tech = _uncertain_technology(self.scenario, u)
-        flux = _solar_flux(self.start_state(design.t_warn))
-        return size_spacecraft(design, tech, self.margins, flux).m_sys
+    def mass_only(self, design: DesignVector, u: dict | TechnologyParams) -> float:
+        """Formation mass [kg] at an uncertain point, or with the technology
+        built from one; no propagation involved."""
+        tech = u if isinstance(u, TechnologyParams) else _uncertain_technology(self.scenario, u)
+        return size_spacecraft(design, tech, self.margins, self._started(design.t_warn)[1]).m_sys
 
     def evaluate(self, design: DesignVector, u: dict) -> ModelEvaluation:
         """Both objectives for one design and uncertain point, with the
@@ -444,7 +447,8 @@ class DeflectionModel:
             b = self.impact_b(propagate_keplerian(traj.final, self.scenario.t_impact, self.mu))
         else:
             b = 0.0  # never pushed, the asteroid is on its nominal orbit
-        budget = size_spacecraft(design, thrust.tech, self.margins, _solar_flux(eq_start))
+        budget = size_spacecraft(design, thrust.tech, self.margins,
+                                 self._started(design.t_warn)[1])
         return ModelEvaluation(m_sys=budget.m_sys, b=b, budget=budget, trajectory=traj)
 
 
@@ -528,32 +532,52 @@ def evidence_evaluator(
     sense: str,
 ):
     """J(x), each objective over the marginal of the parameters it reads:
-    the mass exactly, at its 32 technology corners, and b by an inner
-    bound search over the ``B_NAMES`` marginal's unit cube, seeded with
-    the nominal point's image, which pins the b bound on the correct side
-    of the deterministic value by construction. Each witness is a point of
-    its objective's marginal.
+    the mass exactly, at its 32 technology corners, and b over the
+    ``B_NAMES`` marginal's unit cube. Each witness is a point of its
+    objective's marginal.
+
+    The best case of b (sense ``min``) is an inner bound search seeded
+    with the nominal point's image, which pins the bound on the correct
+    side of the deterministic value by construction. The worst case
+    (sense ``max``, the least b) is tried first by one FPET evaluation at
+    the cube's dark corner (``dark_corner``), through the rule the b boxes
+    of the curves share (``search.zero_or_search``): b exactly 0.0 there
+    is the least b, certified, with the corner as its witness, and no
+    search runs; otherwise the search runs, seeded with the nominal point's
+    image and the corner, whose b it knows, so it spends ``inner_budget``
+    evaluations with the corner one of them and reports at most the
+    corner's b, an estimate. The technology corners and the dark corner do
+    not depend on the design: they are built once per evaluator.
     """
     fixed = model.scenario.fixed_uncertain
     b_space, mass_space = structure.marginal(B_NAMES), structure.marginal(TECH_NAMES)
     seed_point = b_space.physical_to_unit([fixed[name] for name in b_space.names])
+    dark = dark_corner(b_space, [(0.0, 1.0)] * b_space.dim)
     corners = mass_space.corners([(0.0, 1.0)] * mass_space.dim)
-    corner_values = [uncertain_dict(mass_space, u) for u in corners]
+    techs = [_uncertain_technology(model.scenario, uncertain_dict(mass_space, u))
+             for u in corners]
     pick = min if sense == "min" else max
+    b_sense = "max" if sense == "min" else "min"  # the sense bounds -b
 
     def evaluate(design: DesignVector) -> Individual:
-        masses = [model.mass_only(design, u) for u in corner_values]
+        masses = [model.mass_only(design, tech) for tech in techs]
         k = masses.index(pick(masses))
         b = b_at(model, design, b_space)
-        negb_res = inner_bound_search(
-            lambda u: -b(u), b_space.dim, sense, config.inner_budget, config.inner_pop,
-            _inner_rng(config.seed, design), seeds=(seed_point,),
-        )
+
+        def search(f, *seeds):
+            return inner_bound_search(f, b_space.dim, b_sense, config.inner_budget,
+                                      config.inner_pop, _inner_rng(config.seed, design),
+                                      seeds=(seed_point, *seeds))
+
+        def search_past(at_dark):  # seeded with the corner, whose b is not evaluated again
+            return search(lambda u: at_dark.value if np.array_equal(u, dark) else b(u), dark)
+
+        found = search(b) if sense == "min" else zero_or_search(b, dark, search_past)[-1]
         return Individual(
             design,
-            Objectives(masses[k], negb_res.value),
+            Objectives(masses[k], -found.value),
             witness_mass=corners[k],
-            witness_negb=negb_res.point,
+            witness_negb=found.point,
         )
 
     return evaluate

@@ -49,7 +49,7 @@ DETERMINISTIC_ARCHIVE_SHA256 = (
     "786999054bbf0eb0d894f56d69a9febd09f1e0f760bac605914e34a962fff162"
 )
 MINMAX_ARCHIVE_SHA256 = (
-    "52064c36e041b18599406926914e767b8dd2e42488ff978a9723bf0ccd940080"
+    "6eaad2320c2c35534a3a2337d4b74e0ab4b48967c15360ac7cbcceb21dcbcbed"
 )
 # the curves of one bpcurve run at design 20,10,1,3000, --nv 5,
 # --max-partitions 12, each over the parameters its objective reads; the

@@ -29,6 +29,7 @@ from neodeflect.mission import (
 from neodeflect.orbits import KeplerConvergenceError
 from neodeflect.search import decode_design, inner_bound_search
 
+import oracles
 from oracles import box_search
 
 
@@ -587,6 +588,46 @@ def test_extremes_csv_labels(tiny_scenario, tmp_path):
         assert len(extremes) == len(archive) > 1
         for arow, erow in zip(archive[1:], extremes[1:]):
             assert erow.split(",") == arow.split(",")[:6] + label
+
+
+def test_a_certified_worst_case_b_reads_zero(tiny_scenario, tmp_path):
+    """On the reference evidence every design is dark at the dark corner,
+    so each ``minmax`` row's b is a certified 0.0, written ``0``, not
+    ``-0``, and carries Belief 1."""
+    out = tmp_path / "run"
+    assert main(["--mode", "minmax", "--scenario", str(tiny_scenario),
+                 "--out", str(out), "--seed", "3"]) == 0
+    for name in ("archive_minmax.csv", "extremes_minmax.csv"):
+        header, *rows = (out / name).read_text().splitlines()
+        b = header.split(",").index("b_km")
+        assert rows and all(row.split(",")[b] == "0" for row in rows)
+    _, *rows = (out / "extremes_minmax.csv").read_text().splitlines()
+    assert all(row.split(",")[6:] == ["belief", "1"] for row in rows)
+
+
+def test_worst_case_rows_are_labelled_certified_or_estimate(tiny_scenario, tmp_path,
+                                                            monkeypatch):
+    """On evidence about b narrowed about the fixed values the dark corner
+    ablates at large designs: their row's b is a search's estimate,
+    labelled ``estimate`` with an empty value, while a row whose b is a
+    certified 0.0 keeps Belief 1."""
+    reference = cli.evidence_structure
+    monkeypatch.setattr(cli, "evidence_structure", lambda scenario: oracles.lit_b_structure(
+        reference(scenario), scenario.fixed_uncertain))
+    out = tmp_path / "run"
+    # seed 0's front holds a dark design (b 0.0) and two lit ones
+    assert main(["--mode", "minmax", "--scenario", str(tiny_scenario),
+                 "--out", str(out), "--seed", "0"]) == 0
+    archive = (out / "archive_minmax.csv").read_text().splitlines()
+    extremes = (out / "extremes_minmax.csv").read_text().splitlines()
+    assert len(extremes) == len(archive)
+    labels = []
+    for arow, erow in zip(archive[1:], extremes[1:]):
+        cells = erow.split(",")
+        assert cells[:6] == arow.split(",")[:6]
+        labels.append(cells[6:])
+        assert cells[6:] == (["belief", "1"] if cells[5] == "0" else ["estimate", ""])
+    assert ["belief", "1"] in labels and ["estimate", ""] in labels
 
 
 def test_box_bounder_stays_inside_the_box():

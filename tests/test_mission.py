@@ -544,6 +544,108 @@ def test_the_dark_corner_of_the_b_marginal_never_ablates(scenario, contamination
         assert ev.n_arcs == 1
 
 
+def worst_case_b(model, structure, config, design):
+    """The sense-max evaluation of a design, the uncertain points of the
+    model evaluations it made, and the dark corner of the b marginal's
+    cube."""
+    seen = []
+    evaluate = model.evaluate
+
+    def spy(design, u):
+        seen.append(dict(u))
+        return evaluate(design, u)
+
+    model.evaluate = spy  # on this instance only
+    try:
+        found = evidence_evaluator(model, structure, config, "max")(design)
+    finally:
+        del model.evaluate
+    b_space = structure.marginal(B_NAMES)
+    return found, seen, mission.dark_corner(b_space, [(0.0, 1.0)] * b_space.dim)
+
+
+def certified_at_the_dark_corner(scenario, structure, model, found, seen, dark) -> bool:
+    """One evaluation, at the dark corner, b exactly 0.0 with that corner as
+    witness, which re-evaluates to b 0.0 in one arc."""
+    b_space = structure.marginal(B_NAMES)
+    u = {**scenario.fixed_uncertain, **uncertain_dict(b_space, dark)}
+    ev = model.evaluate(found.design, {**scenario.fixed_uncertain,
+                                       **uncertain_dict(b_space, found.witness_negb)})
+    return (seen == [u] and found.objectives.neg_b == 0.0
+            and np.array_equal(found.witness_negb, dark) and (ev.b, ev.n_arcs) == (0.0, 1))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(genes=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       contamination=st.booleans())
+def test_the_worst_case_b_is_certified_at_the_dark_corner(scenario, genes, contamination):
+    """Sense max evaluates b once, at the dark corner of the ``B_NAMES``
+    cube, and runs no search: b there is exactly 0.0, the least b, with
+    that corner as witness, and b reads +0.0, not -0.0."""
+    structure = evidence_structure(scenario)
+    config = SolverConfig(outer_budget=10, outer_pop=4, explorers=1,
+                          inner_budget=8, inner_pop=4, seed=3)
+    model = make_model(scenario, "minmax", contamination)
+    design = decode_design(np.array(genes), scenario.design_bounds)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the certified worst case ran a search")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mission, "inner_bound_search", no_search)
+        found, seen, dark = worst_case_b(model, structure, config, design)
+    assert certified_at_the_dark_corner(scenario, structure, model, found, seen, dark)
+    assert math.copysign(1.0, -found.objectives.neg_b) == 1.0
+
+
+def test_a_dark_corner_with_eta_sa_high_certifies_nothing(scenario, monkeypatch):
+    """The certificate rests on each end of the dark corner; a mutant that
+    takes eta_sa's upper end ablates at 20,10,8,3000 with contamination
+    off (b 578.7 km), so the evaluator runs its search there and the
+    certificate's checks fail."""
+    structure = evidence_structure(scenario)
+    config = SolverConfig(outer_budget=10, outer_pop=4, explorers=1,
+                          inner_budget=8, inner_pop=4, seed=3)
+    model = make_model(scenario, "minmax", False)
+    dark_corner = mission.dark_corner
+
+    def mutant(space, unit_box):
+        corner = dark_corner(space, unit_box)
+        d = space.names.index("eta_sa")
+        corner[d] = space.hull_ends(unit_box)[d][1]
+        return corner
+
+    monkeypatch.setattr(mission, "dark_corner", mutant)
+    found, seen, corner = worst_case_b(model, structure, config, DesignVector(20.0, 10, 8.0, 3000.0))
+    b_corner = mission.b_at(model, found.design, structure.marginal(B_NAMES))(corner)
+    assert b_corner == pytest.approx(578.7, abs=0.05)
+    assert len(seen) == config.inner_budget
+    assert not certified_at_the_dark_corner(scenario, structure, model, found, seen, corner)
+
+
+@pytest.mark.parametrize("contamination", [False, True])
+def test_a_lit_dark_corner_keeps_the_worst_case_search(scenario, contamination):
+    """Where the dark corner ablates, the worst case of b is searched: the
+    search spends exactly ``inner_budget`` evaluations, the corner one of
+    them, evaluated once, and reports the least b it saw, at most the
+    corner's, with a witness that attains it."""
+    structure = oracles.lit_b_structure(evidence_structure(scenario), scenario.fixed_uncertain)
+    b_space = structure.marginal(B_NAMES)
+    config = SolverConfig(outer_budget=10, outer_pop=4, explorers=1,
+                          inner_budget=12, inner_pop=4, seed=3)
+    model = make_model(scenario, "minmax", contamination)
+    design = DesignVector(20.0, 10, 2.0, 3000.0)
+    found, seen, dark = worst_case_b(model, structure, config, design)
+    at_dark = {**scenario.fixed_uncertain, **uncertain_dict(b_space, dark)}
+    b = mission.b_at(model, design, b_space)
+    assert len(seen) == config.inner_budget
+    assert seen[0] == at_dark and seen.count(at_dark) == 1
+    assert b(dark) > 0.0
+    bs = [model.evaluate(design, u).b for u in seen]
+    assert -found.objectives.neg_b == min(bs) <= b(dark)
+    assert -b(found.witness_negb) == found.objectives.neg_b
+
+
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_mass_bound_is_exact_at_the_technology_corners(scenario, sense):
     """m_sys is linear in each technology parameter, so no point of a box of
@@ -616,8 +718,12 @@ def test_evidence_evaluator_searches_b_over_what_it_reads(scenario, monkeypatch,
     """Every point the evaluator's b search gives the model holds rho_m,
     rho_l and rho_r at their fixed values; the b witness is a point of the
     ``B_NAMES`` marginal that attains the reported b, and the mass witness
-    one of the ``TECH_NAMES`` marginal."""
+    one of the ``TECH_NAMES`` marginal. The reference structure certifies
+    the worst case of b at its dark corner without a search, so sense max
+    runs on one whose dark corner is lit."""
     structure = evidence_structure(scenario)
+    if sense == "max":
+        structure = oracles.lit_b_structure(structure, scenario.fixed_uncertain)
     model = make_model(scenario, "minmax", contamination=False)
     config = SolverConfig(outer_budget=10, outer_pop=4, explorers=1,
                           inner_budget=12, inner_pop=4, seed=3)
