@@ -30,7 +30,6 @@ from .constants import (
     J_C,
     KAPPA,
     LAMBDA_SCATTER,
-    MOL_MASS_FORSTERITE_KG,
     PHI_MAX,
     RHO_LAYER,
     S0,
@@ -48,7 +47,9 @@ _CHORD_NODES = tuple((node * node, weight) for node, weight in zip(
 
 @dataclass(frozen=True)
 class AsteroidProperties:
-    """Physical properties of the target asteroid.
+    """Physical properties of the target asteroid, each read from the
+    scenario's ``asteroid_properties`` block; the five uncertain ones
+    (``mission.PHYSICAL_NAMES``) restate its ``fixed_uncertain`` values.
 
     Attributes:
         c_a: specific heat [J/(kg K)].
@@ -61,24 +62,24 @@ class AsteroidProperties:
         emiss_bb: black-body emissivity of the hot spot.
         a1, b1: semi-axes of the rotation ellipsoid [m].
         omega_a: spin rate [rad/s].
-        m_a: asteroid mass [kg]; derived from the ellipsoid volume and
-            density when not supplied.
+        m_a: asteroid mass [kg], or None (the scenario's ``null``) to
+            derive it from the ellipsoid volume and density.
         mol_mass: molecular mass of the ablated species [kg].
     """
 
-    c_a: float = 750.0
-    k_a: float = 2.0
-    rho_a: float = 2600.0
-    t_subl: float = 1800.0
-    e_sub: float = 5.0e6
-    t_0: float = 278.0
-    albedo: float = 0.1
-    emiss_bb: float = 0.9
-    a1: float = 135.0
-    b1: float = 135.0
-    omega_a: float = 2.0 * math.pi / (30.4 * 3600.0)
-    m_a: float | None = None
-    mol_mass: float = MOL_MASS_FORSTERITE_KG
+    c_a: float
+    k_a: float
+    rho_a: float
+    t_subl: float
+    e_sub: float
+    t_0: float
+    albedo: float
+    emiss_bb: float
+    a1: float
+    b1: float
+    omega_a: float
+    m_a: float | None
+    mol_mass: float
 
     def __post_init__(self):
         for name in ("c_a", "k_a", "rho_a", "t_subl", "e_sub", "a1", "b1",
@@ -120,11 +121,11 @@ class StationGeometry:
     normal and the incident plume flow.
     """
 
-    x: float = 2000.0
-    y: float = 0.0
-    z: float = 0.0
-    theta_va: float = math.pi / 2.0
-    psi_vf: float = 0.0
+    x: float
+    y: float
+    z: float
+    theta_va: float
+    psi_vf: float
 
     def __post_init__(self):
         # a negative view factor would thin the mirror's layer below zero

@@ -47,7 +47,9 @@ number is NaN or infinite, and no value is one its dataclass refuses
 (solver budgets and populations, an archive capacity below 2, fixed
 uncertain values, ``c_geo``, ``t_rad`` <= 0, ``emiss_rad`` outside (0, 1],
 ``m_bus``, ``mf_c``, ``mf_p`` < 0, ``m_a`` <= 0, a station ``psi_vf`` with
-cos(psi_vf) < 0); also a negative seed
+cos(psi_vf) < 0), and no uncertain parameter of ``asteroid_properties`` or
+``technology`` differs from its ``fixed_uncertain`` value (``t_subl``
+against ``t_sub``; the message names the key); also a negative seed
 (in the scenario or as ``--seed``), a scenario file that cannot be read, an
 ``--out`` directory that cannot be made or written to, a ``--design``
 outside the scenario's design bounds, an expert-opinion file that is

@@ -12,9 +12,6 @@ MU_SUN = 1.32712440018e11   # km^3/s^2
 AU_KM = 1.495978707e8       # km
 YEAR_S = 365.25 * 86400.0   # Julian year, s
 
-# Forsterite Mg2SiO4 molecular mass
-MOL_MASS_FORSTERITE_KG = (2 * 24.305 + 28.085 + 4 * 15.999) * 1e-3 / 6.02214076e23
-
 STEFAN_BOLTZMANN = 5.670374419e-8   # W/(m^2 K^4)
 BOLTZMANN = 1.380649e-23            # J/K
 

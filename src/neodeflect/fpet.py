@@ -128,9 +128,9 @@ class ArcControl:
     so far, capped arcs when it has decayed.
     """
 
-    a_const: float = 0.05
-    k_const: float = 2.0
-    dl_max: float = 0.1
+    a_const: float
+    k_const: float
+    dl_max: float
 
     def __post_init__(self):
         if self.a_const <= 0.0 or self.k_const <= 0.0:

@@ -249,9 +249,10 @@ def scenario_from_dict(doc: dict, source_path: Path | None = None) -> Scenario:
     """Build a validated scenario from a parsed JSON document.
 
     The document must match ``SCENARIO_SCHEMA`` with only finite numbers,
-    each design bound ``[lo, hi]`` must have lo <= hi, and every block, the
+    each design bound ``[lo, hi]`` must have lo <= hi, every block, the
     fixed uncertain values applied to the baselines included, must pass its
-    dataclass's checks; anything else raises ScenarioError.
+    dataclass's checks, and the baselines' ten uncertain entries must equal
+    their ``fixed_uncertain`` values; anything else raises ScenarioError.
     """
     _check(doc, SCENARIO_SCHEMA)
     for name, (lo, hi) in doc["design_bounds"].items():
@@ -282,6 +283,14 @@ def scenario_from_dict(doc: dict, source_path: Path | None = None) -> Scenario:
         apply_uncertain(scenario, scenario.fixed_uncertain)
     except ValueError as exc:
         raise ScenarioError(f"invalid scenario block: {exc}") from exc
+    # every evaluation reads the uncertain values from fixed_uncertain or
+    # from the evidence, so the blocks' copies must restate them
+    for name in UNCERTAIN_NAMES:
+        block, key = (("asteroid_properties", _AST_FIELD[name]) if name in _AST_FIELD
+                      else ("technology", name))
+        if doc[block][key] != doc["fixed_uncertain"][name]:
+            raise ScenarioError(f"{block}.{key} {doc[block][key]!r} differs from "
+                                f"fixed_uncertain.{name} {doc['fixed_uncertain'][name]!r}")
     return scenario
 
 

@@ -105,13 +105,13 @@ class ParetoArchive:
 class SolverConfig:
     """Budgets and population sizes of the outer and inner searches."""
 
-    outer_budget: int = 30000
-    outer_pop: int = 10
-    explorers: int = 2
-    inner_budget: int = 250
-    inner_pop: int = 5
-    seed: int = 0
-    archive_capacity: int = 200
+    outer_budget: int
+    outer_pop: int
+    explorers: int
+    inner_budget: int
+    inner_pop: int
+    seed: int
+    archive_capacity: int
 
     def __post_init__(self):
         if self.outer_budget <= 0 or self.inner_budget <= 0:

@@ -52,11 +52,13 @@ def check_design_bounds(design: DesignVector, bounds: dict) -> None:
 
 @dataclass(frozen=True)
 class TechnologyParams:
-    """Efficiencies and specific masses of the laser spacecraft bus.
+    """Efficiencies and specific masses of the laser spacecraft bus, each
+    read from the scenario's ``technology`` block.
 
     Five entries are the technologically uncertain quantities
-    (``mission.TECH_NAMES``: eta_l, eta_sa, rho_m, rho_l, rho_r); the
-    remainder are baseline assumptions exposed as scenario knobs.
+    (``mission.TECH_NAMES``: eta_l, eta_sa, rho_m, rho_l, rho_r), whose
+    nominal values are the scenario's ``fixed_uncertain`` ones (the block
+    must restate them); the remainder are fixed baseline assumptions.
 
     Attributes:
         eta_l: laser conversion efficiency.
@@ -76,20 +78,20 @@ class TechnologyParams:
         emiss_rad: radiator emissivity.
     """
 
-    eta_l: float = 0.6
-    eta_sa: float = 0.41
-    eta_p: float = 0.95
-    emiss_m: float = 0.95
-    rho_r: float = 1.4
-    rho_l: float = 0.005
-    rho_m: float = 0.1
-    rho_s: float = 1.0
-    mf_c: float = 0.1
-    mf_p: float = 0.05
-    m_bus: float = 50.0
-    c_geo: float = 25.0
-    t_rad: float = 350.0
-    emiss_rad: float = 0.9
+    eta_l: float
+    eta_sa: float
+    eta_p: float
+    emiss_m: float
+    rho_r: float
+    rho_l: float
+    rho_m: float
+    rho_s: float
+    mf_c: float
+    mf_p: float
+    m_bus: float
+    c_geo: float
+    t_rad: float
+    emiss_rad: float
 
     def __post_init__(self):
         for name in ("eta_l", "eta_sa", "eta_p", "emiss_m", "emiss_rad"):
@@ -112,10 +114,10 @@ class Margins:
     quantified explicitly instead of being absorbed by engineering margin.
     """
 
-    k_dry: float = 1.2
-    k_s: float = 1.15
-    k_m: float = 1.25
-    k_l: float = 1.5
+    k_dry: float
+    k_s: float
+    k_m: float
+    k_l: float
 
     def __post_init__(self):
         for f in fields(self):

@@ -11,6 +11,10 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "scripts"))
 
 from neodeflect.mission import load_scenario, reference_scenario_path, scenario_to_dict
 
+# The shipped reference scenario, loaded once: the one source of the
+# baseline blocks the tests build on, each varied by dataclasses.replace.
+REFERENCE = load_scenario(reference_scenario_path())
+
 # One summary line per acceptance criterion, printed after the run.
 ACCEPTANCE_LINES: list[str] = []
 
@@ -31,7 +35,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def tiny_scenario(tmp_path):
     """Reference scenario file with solver budgets small enough for CLI
     smoke runs, its expert opinions named by absolute path."""
-    doc = scenario_to_dict(load_scenario(reference_scenario_path()))
+    doc = scenario_to_dict(REFERENCE)
     doc["solver"] = {
         "outer_budget": 24, "outer_pop": 6, "explorers": 1,
         "inner_budget": 8, "inner_pop": 4, "archive_capacity": 50,

@@ -12,7 +12,6 @@ from neodeflect.constants import (
     AU_KM, ETA_ABS, J_C, KAPPA, MU_SUN, PHI_MAX, RHO_LAYER, STEFAN_BOLTZMANN,
 )
 from neodeflect.ablation import (
-    AsteroidProperties,
     StationGeometry,
     ThrustModel,
     absorbed_flux_1au,
@@ -23,12 +22,9 @@ from neodeflect.ablation import (
     radiation_loss,
     spot_area,
 )
-from neodeflect.fpet import ArcControl
 from neodeflect.mission import (
     apply_uncertain,
     evidence_structure,
-    load_scenario,
-    reference_scenario_path,
     uncertain_dict,
 )
 from neodeflect.orbits import (
@@ -38,13 +34,19 @@ from neodeflect.orbits import (
     keplerian_to_equinoctial,
     propagate_keplerian,
 )
-from neodeflect.sizing import DesignVector, TechnologyParams
+from neodeflect.sizing import DesignVector
 
 import oracles
+from conftest import REFERENCE
 from oracles import ablation_acceleration, ellipsoid_radius
 
-TABLE_AST = AsteroidProperties()  # reference physical values
-GEOM = StationGeometry()
+# forsterite's (Mg2SiO4) molecular mass from standard atomic weights [kg];
+# the reference scenario rounds it to 2.3363374e-25
+FORSTERITE_MOL_MASS = (2 * 24.305 + 28.085 + 4 * 15.999) * 1e-3 / 6.02214076e23
+# reference physical values
+TABLE_AST = replace(REFERENCE.asteroid_properties, mol_mass=FORSTERITE_MOL_MASS)
+# a station nearer than the reference scenario's (x 3000 m)
+GEOM = replace(REFERENCE.station, x=2000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -52,19 +54,19 @@ GEOM = StationGeometry()
 # ---------------------------------------------------------------------------
 
 def test_input_power_density_solar_constant():
-    ast = AsteroidProperties(albedo=0.0)
+    ast = replace(TABLE_AST, albedo=0.0)
     p = input_power_density(absorbed_flux_1au(1.0, 1.0, ast, tau=1.0), AU_KM)
     assert p == pytest.approx(1367.0)
 
 
 def test_input_power_density_total_reflection():
-    ast = AsteroidProperties(albedo=0.999999)
+    ast = replace(TABLE_AST, albedo=0.999999)
     p = input_power_density(absorbed_flux_1au(1.0, 1.0, ast), AU_KM)
     assert p == pytest.approx(0.0, abs=1e-2)
 
 
 def test_input_power_density_inverse_square():
-    ast = AsteroidProperties(albedo=0.0)
+    ast = replace(TABLE_AST, albedo=0.0)
     p1 = input_power_density(absorbed_flux_1au(0.25, 2000.0, ast), AU_KM)
     p2 = input_power_density(absorbed_flux_1au(0.25, 2000.0, ast), 2 * AU_KM)
     assert p2 == pytest.approx(p1 / 4)
@@ -146,7 +148,7 @@ def test_mass_flow_inverse_in_enthalpy():
     a_m1 = math.pi * 100.0
     p_in = reference_flux()
     base = flow(p_in, TABLE_AST, 5, 3000.0, a_m1)
-    doubled = AsteroidProperties(e_sub=2 * TABLE_AST.e_sub)
+    doubled = replace(TABLE_AST, e_sub=2 * TABLE_AST.e_sub)
     assert flow(p_in, doubled, 5, 3000.0, a_m1) == pytest.approx(
         base / 2, rel=1e-12
     )
@@ -161,7 +163,7 @@ def test_mass_flow_monotone_in_input_and_enthalpy():
     ]
     assert all(b >= a for a, b in zip(flows_p, flows_p[1:]))
     flows_e = [
-        flow(flux, AsteroidProperties(e_sub=e), 5, 3000.0, a_m1)
+        flow(flux, replace(TABLE_AST, e_sub=e), 5, 3000.0, a_m1)
         for e in np.linspace(1e6, 2e7, 10)
     ]
     assert all(b <= a for a, b in zip(flows_e, flows_e[1:]))
@@ -262,13 +264,13 @@ def test_mass_flow_strip_rule_against_adaptive_quadrature_at_drawn_inputs(
 # ---------------------------------------------------------------------------
 
 def test_ejecta_velocity_forsterite():
-    assert ejecta_velocity(AsteroidProperties(t_subl=1800.0)) == pytest.approx(520.0, rel=2e-3)
+    assert ejecta_velocity(replace(TABLE_AST, t_subl=1800.0)) == pytest.approx(520.0, rel=2e-3)
 
 
 def test_ejecta_velocity_scalings():
     v0 = ejecta_velocity(TABLE_AST)
-    assert ejecta_velocity(AsteroidProperties(t_subl=4 * 1800.0)) == pytest.approx(2 * v0)
-    half_mol = AsteroidProperties(mol_mass=TABLE_AST.mol_mass / 2)
+    assert ejecta_velocity(replace(TABLE_AST, t_subl=4 * 1800.0)) == pytest.approx(2 * v0)
+    half_mol = replace(TABLE_AST, mol_mass=TABLE_AST.mol_mass / 2)
     assert ejecta_velocity(half_mol) == pytest.approx(math.sqrt(2) * v0)
 
 
@@ -285,7 +287,7 @@ def _heading(eq):
 
 
 def test_ablation_acceleration_hand_value():
-    ast = AsteroidProperties(m_a=2.7e10)
+    ast = replace(TABLE_AST, m_a=2.7e10)
     thr = ablation_acceleration(1e-3, 520.0, ast, *_heading(_state()))
     assert thr.eps * 1000.0 == pytest.approx(1.23e-11, rel=5e-3)  # m/s^2
 
@@ -296,10 +298,10 @@ def test_ablation_acceleration_zero_flow():
 
 def test_ablation_acceleration_linearities():
     heading = _heading(_state())
-    base = ablation_acceleration(1e-3, 520.0, AsteroidProperties(m_a=2.7e10), *heading).eps
-    tenx = ablation_acceleration(1e-3, 520.0, AsteroidProperties(m_a=2.7e11), *heading).eps
+    base = ablation_acceleration(1e-3, 520.0, replace(TABLE_AST, m_a=2.7e10), *heading).eps
+    tenx = ablation_acceleration(1e-3, 520.0, replace(TABLE_AST, m_a=2.7e11), *heading).eps
     assert tenx == pytest.approx(base / 10, rel=1e-12)
-    twice = ablation_acceleration(2e-3, 520.0, AsteroidProperties(m_a=2.7e10), *heading).eps
+    twice = ablation_acceleration(2e-3, 520.0, replace(TABLE_AST, m_a=2.7e10), *heading).eps
     assert twice == pytest.approx(2 * base, rel=1e-12)
 
 
@@ -319,10 +321,10 @@ def test_ablation_acceleration_tangent_to_orbit():
 # ---------------------------------------------------------------------------
 
 def test_ellipsoid_radius_sphere_and_phase():
-    sphere = AsteroidProperties(a1=100.0, b1=100.0)
+    sphere = replace(TABLE_AST, a1=100.0, b1=100.0)
     for t in np.linspace(0, 1e5, 7):
         assert ellipsoid_radius(sphere, 0.3, t) == pytest.approx(100.0)
-    ell = AsteroidProperties(a1=200.0, b1=100.0)
+    ell = replace(TABLE_AST, a1=200.0, b1=100.0)
     assert ellipsoid_radius(ell, 0.0, 0.0) == pytest.approx(200.0)  # angle 0 -> a1
 
 
@@ -330,9 +332,9 @@ def test_ellipsoid_radius_sphere_and_phase():
     "geom, spot_to_station",
     [
         # spot on the x axis, under a station out of the orbit plane
-        (StationGeometry(x=2000.0, z=700.0, theta_va=math.pi / 2), (1865.0, 0.0, 700.0)),
+        (replace(GEOM, x=2000.0, z=700.0, theta_va=math.pi / 2), (1865.0, 0.0, 700.0)),
         # spot on the y axis: the station sees it 135 m along -y
-        (StationGeometry(x=2000.0, y=0.0, z=0.0, theta_va=0.0), (2000.0, -135.0, 0.0)),
+        (replace(GEOM, x=2000.0, y=0.0, z=0.0, theta_va=0.0), (2000.0, -135.0, 0.0)),
     ],
     ids=["spot-on-x", "spot-on-y"],
 )
@@ -349,7 +351,7 @@ def test_plume_density_of_the_spot_to_station_vector(geom, spot_to_station):
 
 
 def test_plume_density_matches_the_numpy_norm_at_the_reference_stations():
-    """At the default station (x 2000 m) and the reference scenario's (x
+    """At the test station GEOM (x 2000 m) and the reference scenario's (x
     3000 m), both with y = z = 0 and theta_va pi/2, dy**2 is below half an
     ulp of dx**2, so the plain-float norm equals the former numpy 3-vector
     and BLAS dot bit for bit."""
@@ -368,7 +370,7 @@ def test_plume_density_matches_the_numpy_norm_at_the_reference_stations():
 
     a_spot, d_spot = spot_area(math.pi * 100.0, 3000.0)
     rng = np.random.default_rng(23)
-    for geom in (GEOM, load_scenario(reference_scenario_path()).station):
+    for geom in (GEOM, REFERENCE.station):
         for r_ell, mdot in zip(rng.uniform(10.0, 1000.0, 1000), rng.uniform(1e-6, 1e-2, 1000)):
             args = (float(mdot), 520.0, a_spot, d_spot, geom, float(r_ell))
             assert plume_density(*args) == numpy_plume_density(*args)
@@ -378,10 +380,10 @@ def test_plume_density_edge_and_axis():
     a_spot, d_spot = spot_area(math.pi * 100.0, 3000.0)
     r_ell = 135.0
     # station at the hemisphere edge (y axis, phi = pi/2): zero density
-    edge = StationGeometry(x=0.0, y=2000.0, z=0.0, theta_va=0.0)
+    edge = replace(GEOM, x=0.0, y=2000.0, z=0.0, theta_va=0.0)
     assert plume_density(1e-3, 520.0, a_spot, d_spot, edge, r_ell) == 0.0
     # on axis at range d_spot/2 from the spot: quarter of the throat density
-    onaxis = StationGeometry(x=r_ell + d_spot / 2, y=0.0, z=0.0, theta_va=math.pi / 2)
+    onaxis = replace(GEOM, x=r_ell + d_spot / 2, y=0.0, z=0.0, theta_va=math.pi / 2)
     rho = plume_density(1e-3, 520.0, a_spot, d_spot, onaxis, r_ell)
     assert rho == pytest.approx(J_C * 1e-3 / (4 * 520.0 * a_spot), rel=1e-9)
 
@@ -390,15 +392,15 @@ def test_plume_density_far_field_quadratic():
     a_spot, d_spot = spot_area(math.pi * 100.0, 3000.0)
     rhos = []
     for x in (1e5, 2e5):
-        geom = StationGeometry(x=x, theta_va=math.pi / 2)
+        geom = replace(GEOM, x=x, theta_va=math.pi / 2)
         rhos.append(plume_density(1e-3, 520.0, a_spot, d_spot, geom, 135.0))
     assert rhos[0] / rhos[1] == pytest.approx(4.0, rel=1e-2)
 
 
 def test_plume_density_even_in_offset():
     a_spot, d_spot = spot_area(math.pi * 100.0, 3000.0)
-    up = StationGeometry(x=2000.0, z=700.0, theta_va=math.pi / 2)
-    down = StationGeometry(x=2000.0, z=-700.0, theta_va=math.pi / 2)
+    up = replace(GEOM, x=2000.0, z=700.0, theta_va=math.pi / 2)
+    down = replace(GEOM, x=2000.0, z=-700.0, theta_va=math.pi / 2)
     assert plume_density(1e-3, 520.0, a_spot, d_spot, up, 135.0) == pytest.approx(
         plume_density(1e-3, 520.0, a_spot, d_spot, down, 135.0)
     )
@@ -409,7 +411,7 @@ def test_plume_density_even_in_offset():
 # ---------------------------------------------------------------------------
 
 DESIGN = DesignVector(d_m=20.0, n_sc=10, t_warn=8.0, c_r=3000.0)
-TECH = TechnologyParams()
+TECH = REFERENCE.technology
 AT_1AU = keplerian_to_equinoctial(KeplerianElements(AU_KM, 0.0, 0.0, 0.0, 0.0, 0.0))
 
 
@@ -424,7 +426,7 @@ def _flow_at_1au(model, tau):
 
 def test_contamination_step_zero_density_no_change():
     # exposed station (x > 0) inside the spot radius: the plume misses it
-    geom = StationGeometry(x=100.0)
+    geom = replace(GEOM, x=100.0)
     model = ThrustModel(DESIGN, TECH, TABLE_AST, geom, contamination_on=True, t_reference=0.0)
     thrust, growth = model(AT_1AU, 0.0, 0.0)
     assert thrust.eps > 0.0 and growth == 0.0
@@ -450,7 +452,7 @@ def test_contamination_tau_analytic():
 
 def test_contamination_not_exposed():
     # station on the x < 0 side, yet in the plume of a spot pointed at it
-    shadow = StationGeometry(x=-50.0, theta_va=-math.pi / 2)
+    shadow = replace(GEOM, x=-50.0, theta_va=-math.pi / 2)
     model = ThrustModel(DESIGN, TECH, TABLE_AST, shadow, contamination_on=True, t_reference=0.0)
     assert plume_density(_flow_at_1au(model, 1.0), model.vbar, model.a_spot, model.d_spot,
                          shadow, ellipsoid_radius(TABLE_AST, shadow.theta_va, 0.0)) > 0.0
@@ -478,8 +480,8 @@ def test_contamination_monotone():
 
 def test_thrust_model_mass_scaling_exact():
     eq = _state()
-    big = AsteroidProperties(m_a=2.7e10)
-    bigger = AsteroidProperties(m_a=2.7e11)
+    big = replace(TABLE_AST, m_a=2.7e10)
+    bigger = replace(TABLE_AST, m_a=2.7e11)
     f1, _ = ThrustModel(DESIGN, TECH, big, GEOM, contamination_on=False,
                         t_reference=0.0)(eq, 0.0, 0.0)
     f2, _ = ThrustModel(DESIGN, TECH, bigger, GEOM, contamination_on=False,
@@ -515,7 +517,7 @@ def test_thrust_model_contamination_decays_thrust():
     assert thrust.eps < thrust0.eps
 
 
-SCENARIO = load_scenario(reference_scenario_path())
+SCENARIO = REFERENCE
 STRUCTURE = evidence_structure(SCENARIO)
 
 
@@ -702,7 +704,7 @@ def test_dark_until_is_tight(scale, e, pomega, radius, d_m, n_sc, c_r, ell0, spi
         ell = math.nextafter(ell, math.inf)
 
 
-DL_MAX = ArcControl().dl_max
+DL_MAX = REFERENCE.arc_control.dl_max
 
 
 @settings(max_examples=200, deadline=None)

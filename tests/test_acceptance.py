@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import record_criterion  # puts scripts/ on the path
+from conftest import REFERENCE, record_criterion  # puts scripts/ on the path
 from calibration import nominal_miss
 from oracles import complement_bel_pl, duality_check, enumerate_bel_pl
 
@@ -51,7 +51,6 @@ from neodeflect.orbits import ThrustRTN, kepler_start, keplerian_to_equinoctial
 from neodeflect.search import SolverConfig, inner_bound_search, solve_moo
 from neodeflect.sizing import (
     DesignVector,
-    TechnologyParams,
     UNIT_MARGINS,
     size_spacecraft,
 )
@@ -363,7 +362,7 @@ def test_criterion_09_sizing_oracle():
         budget = size_spacecraft(design, tech, margins, flux)
         want = sizing_oracle(design, tech, margins, flux)
         worst = max(worst, abs(budget.m_sys - want) / want)
-    tech = TechnologyParams()
+    tech = REFERENCE.technology
     one = size_spacecraft(DesignVector(14.0, 1, 5.0, 2400.0), tech, TABLE_MARGINS, 1367.0)
     seven = size_spacecraft(DesignVector(14.0, 7, 5.0, 2400.0), tech, TABLE_MARGINS, 1367.0)
     linear = seven.m_sys == 7.0 * one.m_sys

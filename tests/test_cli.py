@@ -109,6 +109,9 @@ def test_design_outside_bounds_exit_code(tiny_scenario, tmp_path, capsys, mode, 
     ("station", "x", [1.0]),
     ("station", "psi_vf", 2.0),
     (None, "contamination_on", True),
+    ("asteroid_properties", "c_a", 1500.0),
+    ("technology", "rho_m", 0.5),
+    ("fixed_uncertain", "t_sub", 1700.0),
 ], ids=["bound-number", "bound-one", "bound-reversed", "uncertain-string",
         "uncertain-negative", "uncertain-nan", "uncertain-inf", "mu-nan",
         "technology-nan", "station-nan", "arc-control-nan", "solver-budget-inf",
@@ -118,7 +121,8 @@ def test_design_outside_bounds_exit_code(tiny_scenario, tmp_path, capsys, mode, 
         "c-r-lower-zero", "bound-unknown-name", "uncertain-unknown-name",
         "n-sc-fractional-no-count", "n-sc-fractional", "emiss-m-bool", "k-dry-bool",
         "theta-va-string", "station-x-array", "psi-vf-past-right-angle",
-        "top-level-unknown-name"])
+        "top-level-unknown-name", "c-a-copy-differs", "rho-m-copy-differs",
+        "t-sub-copy-differs"])
 def test_malformed_scenario_value_exit_code(tiny_scenario, tmp_path, capsys, mode, block,
                                             name, value):
     """A design bound that is not a (lo, hi) pair of numbers with lo <= hi,
@@ -131,8 +135,9 @@ def test_malformed_scenario_value_exit_code(tiny_scenario, tmp_path, capsys, mod
     refuses, a technology or asteroid value that the sizing or the thrust
     would divide by or turn negative, a solver size that is not an integer,
     a value not of its field's type (a bool for a number), a station view
-    angle whose cosine is negative, or a NaN or infinity anywhere in the
-    document, is a scenario error: exit 2 with one line on stderr that names
+    angle whose cosine is negative, a baseline's copy of an uncertain
+    parameter that differs from its fixed value (no evaluation reads the
+    copy), or a NaN or infinity anywhere in the document, is a scenario error: exit 2 with one line on stderr that names
     the key, nothing written."""
     doc = json.loads(tiny_scenario.read_text())
     (doc[block] if block else doc)[name] = value
@@ -150,8 +155,9 @@ def test_malformed_scenario_value_exit_code(tiny_scenario, tmp_path, capsys, mod
     ("station", "x"), ("asteroid_properties", "mol_mass"), ("solver", None),
 ])
 def test_missing_scenario_key_exit_code(tiny_scenario, tmp_path, capsys, block, name):
-    """A block without one of its owner's keys is a scenario error, not a
-    run at the dataclass's default: exit 2 with one line naming the key."""
+    """A block without one of its owner's keys is a scenario error (its
+    dataclass has no default to run at): exit 2 with one line naming the
+    key."""
     doc = json.loads(tiny_scenario.read_text())
     if name is None:  # an empty block lacks its first key
         name = next(iter(doc[block]))

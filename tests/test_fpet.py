@@ -41,9 +41,11 @@ from neodeflect.mission import (
 from neodeflect.sizing import DesignVector
 
 import oracles
+from conftest import REFERENCE
 from test_behaviour_lock import LOCKED_EVALUATIONS
 
 MU = MU_SUN
+ARC_CONTROL = REFERENCE.arc_control  # the shipped arc-length law
 
 APOPHIS_LIKE = KeplerianElements(
     a=0.9224 * AU_KM, e=0.191, i=0.0581, raan=3.568, argp=2.206, theta=0.8
@@ -330,7 +332,7 @@ QUADRATURE_ABS_FLOOR = 16 * math.ulp(0.0)
     i=st.floats(0.0, 1.0),
     pomega=angles, raan=angles,
     ell=st.floats(-50.0, 50.0),
-    dl=st.floats(1e-6, ArcControl().dl_max),
+    dl=st.floats(1e-6, ARC_CONTROL.dl_max),
     alpha=st.floats(-math.pi, math.pi),
 )
 def test_first_order_terms_match_a_finer_quadrature(a_au, e, i, pomega, raan, ell, dl,
@@ -403,11 +405,11 @@ def test_arc_law_updates_running_max():
 
 def test_arc_control_validation():
     with pytest.raises(ValueError):
-        ArcControl(a_const=0.0)
+        dataclasses.replace(ARC_CONTROL, a_const=0.0)
     with pytest.raises(ValueError):
-        ArcControl(dl_max=7.0)
+        dataclasses.replace(ARC_CONTROL, dl_max=7.0)
     # configuration only: no per-run state to carry between trajectories
-    ctrl = ArcControl()
+    ctrl = ARC_CONTROL
     assert [f.name for f in dataclasses.fields(ctrl)] == ["a_const", "k_const", "dl_max"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         ctrl.dl_max = 0.2
@@ -470,7 +472,7 @@ def test_trajectory_callback_errors_propagate():
     def bad_callback(state, t, h_cond):
         raise RuntimeError("ablation model exploded")
 
-    ctrl = ArcControl()
+    ctrl = ARC_CONTROL
     with pytest.raises(RuntimeError, match="ablation model exploded"):
         propagate_trajectory(eq0, bad_callback, eq0.t + 1e6, ctrl, MU)
 
@@ -486,7 +488,7 @@ def test_trajectory_rejects_past_epoch():
     eq0 = keplerian_to_equinoctial(APOPHIS_LIKE)
     with pytest.raises(ValueError):
         propagate_trajectory(eq0, lambda s, t, h: (ThrustRTN(0.0), 0.0), eq0.t - 1.0,
-                             ArcControl(), MU)
+                             ARC_CONTROL, MU)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +696,7 @@ def test_probe_at_the_end_of_the_dark_range_is_stepped():
     ``<=`` in place of ``<`` the first would be one jumped arc, the second
     would be skipped."""
     eq0 = EquinoctialState(AU_KM, 0.1, 0.05, 0.0, 0.0, 0.3)
-    ctrl = ArcControl()
+    ctrl = ARC_CONTROL
     args = (0.5 * 365.25 * 86400.0, ctrl, MU)
 
     def stepped(model):
@@ -822,9 +824,9 @@ def test_one_thrust_sample_per_arc_at_the_shipped_arc_control(d_m, n_sc, t_warn,
     ratio below the factor of two that triggers a re-sample: each arc, a
     jumped dark spell included, samples the thrust once."""
     scenario, _ = _scenario_and_structure()
-    assert scenario.arc_control == ArcControl()
+    assert scenario.arc_control == ARC_CONTROL
     calls, n_arcs = _samples_and_arcs(DesignVector(d_m, n_sc, t_warn, c_r), unit,
-                                      contamination, ArcControl())
+                                      contamination, ARC_CONTROL)
     assert calls == n_arcs
 
 
@@ -848,9 +850,9 @@ def test_arc_after_a_cut_equals_the_reference_stepper(eps, years):
         return ThrustRTN(eps * (1.0 + 0.5 * math.sin(state.ell)), 0.5 * math.pi), 0.0
 
     t_end = years * 365.25 * 86400.0
-    traj = propagate_trajectory(eq0, thrust, t_end, ArcControl(), MU)
+    traj = propagate_trajectory(eq0, thrust, t_end, ARC_CONTROL, MU)
     assert 1.0 < t_end - traj.states[-2].t < 100.0  # the cut arc, then one more
-    want = oracles.propagate_reference(eq0, thrust, None, t_end, ArcControl(), MU)
+    want = oracles.propagate_reference(eq0, thrust, None, t_end, ARC_CONTROL, MU)
     assert _bits(traj) == _bits(want)
 
 
@@ -895,7 +897,7 @@ def test_an_arc_runs_on_plain_floats(monkeypatch):
     by ``ThrustModel`` run with the bits they have with numpy, and the
     first-order terms are Python floats."""
     eq = _arc_state(1.0, 0.191, 0.0581, 2.206, 3.568, 0.8, 0.0)
-    dl = ArcControl().dl_max
+    dl = ARC_CONTROL.dl_max
     thrusts = [ThrustRTN(1e-9, 0.3), ThrustRTN(1e-9, 0.5 * math.pi)]
     scenario = load_scenario(reference_scenario_path())
     model = make_model(scenario, "deterministic", False)

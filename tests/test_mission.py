@@ -3,7 +3,7 @@ import copy
 import functools
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import MISSING, asdict, fields, replace
 from functools import reduce
 from operator import getitem
 from typing import get_type_hints
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import REFERENCE
 from neodeflect import mission
 from neodeflect.ablation import AsteroidProperties, StationGeometry
 from neodeflect.constants import AU_KM, S0, YEAR_S
@@ -189,7 +190,8 @@ def test_scenario_refuses_fractional_spacecraft_bounds(bounds):
 def test_schema_key_lists_are_their_owners_fields():
     """The schema's dataclass blocks and design bounds name the fields of
     the dataclasses that hold them, in order, as the shipped file does (the
-    solver's seed is a top-level key), each typed by its annotation."""
+    solver's seed is a top-level key), each typed by its annotation; no
+    field has a default, so the document is the one source of every value."""
     blocks = SCENARIO_SCHEMA["properties"]
     doc = json.loads(reference_scenario_path().read_text())
     json_types = {float: "number", int: "integer", float | None: ["number", "null"]}
@@ -200,6 +202,8 @@ def test_schema_key_lists_are_their_owners_fields():
         hints = {name: hint for name, hint in get_type_hints(owner).items() if name != "seed"}
         assert blocks[block]["required"] == list(hints)
         assert list(doc[block]) == list(hints)
+        assert [f.name for f in fields(owner)
+                if f.default is not MISSING or f.default_factory is not MISSING] == []
         if block != "design_bounds":
             assert blocks[block]["properties"] == {
                 name: {"type": json_types[hint]} for name, hint in hints.items()}
@@ -396,8 +400,8 @@ def test_start_state_is_solved_once_per_design(scenario, monkeypatch):
     """The 32 mass corners and the b evaluations of one design share one
     Kepler solve of the start state, and keep the bits of a fresh model's."""
     structure = evidence_structure(scenario)
-    config = SolverConfig(outer_budget=10, outer_pop=4, explorers=1,
-                          inner_budget=4, inner_pop=4, seed=3)
+    config = replace(REFERENCE.solver, outer_budget=10, outer_pop=4, explorers=1,
+                     inner_budget=4, inner_pop=4, seed=3)
     designs = (DESIGN, DesignVector(2.0, 1, 1.07, 3000.0))
     fresh = [evidence_evaluator(make_model(scenario, "minmax", False), structure,
                                 config, "max")(design) for design in designs]
@@ -439,8 +443,8 @@ def test_uncertain_structure_and_nominal_image(scenario):
 
 def test_evidence_evaluator_sandwich(scenario):
     """Seeded inner searches keep min <= nominal <= max at any budget."""
-    config = SolverConfig(
-        outer_budget=10, outer_pop=4, explorers=1,
+    config = replace(
+        REFERENCE.solver, outer_budget=10, outer_pop=4, explorers=1,
         inner_budget=12, inner_pop=4, seed=5,
     )
     structure = evidence_structure(scenario)
@@ -460,8 +464,8 @@ def test_evidence_evaluator_sandwich(scenario):
 
 
 def test_evidence_evaluator_deterministic_under_seed(scenario):
-    config = SolverConfig(
-        outer_budget=10, outer_pop=4, explorers=1,
+    config = replace(
+        REFERENCE.solver, outer_budget=10, outer_pop=4, explorers=1,
         inner_budget=10, inner_pop=4, seed=9,
     )
     structure = evidence_structure(scenario)
@@ -501,8 +505,8 @@ def test_mass_witness_rails_at_heavy_technology(scenario):
     must sit high in the rho_r, rho_l, rho_m hulls."""
     structure = evidence_structure(scenario)
     model = make_model(scenario, "minmax", contamination=False)
-    config = SolverConfig(
-        outer_budget=10, outer_pop=4, explorers=1,
+    config = replace(
+        REFERENCE.solver, outer_budget=10, outer_pop=4, explorers=1,
         inner_budget=150, inner_pop=6, seed=31,
     )
     hi = evidence_evaluator(model, structure, config, "max")(DESIGN)
@@ -583,8 +587,8 @@ def test_the_worst_case_b_is_certified_at_the_dark_corner(scenario, genes, conta
     cube, and runs no search: b there is exactly 0.0, the least b, with
     that corner as witness, and b reads +0.0, not -0.0."""
     structure = evidence_structure(scenario)
-    config = SolverConfig(outer_budget=10, outer_pop=4, explorers=1,
-                          inner_budget=8, inner_pop=4, seed=3)
+    config = replace(REFERENCE.solver, outer_budget=10, outer_pop=4, explorers=1,
+                     inner_budget=8, inner_pop=4, seed=3)
     model = make_model(scenario, "minmax", contamination)
     design = decode_design(np.array(genes), scenario.design_bounds)
 
@@ -604,8 +608,8 @@ def test_a_dark_corner_with_eta_sa_high_certifies_nothing(scenario, monkeypatch)
     off (b 578.7 km), so the evaluator runs its search there and the
     certificate's checks fail."""
     structure = evidence_structure(scenario)
-    config = SolverConfig(outer_budget=10, outer_pop=4, explorers=1,
-                          inner_budget=8, inner_pop=4, seed=3)
+    config = replace(REFERENCE.solver, outer_budget=10, outer_pop=4, explorers=1,
+                     inner_budget=8, inner_pop=4, seed=3)
     model = make_model(scenario, "minmax", False)
     dark_corner = mission.dark_corner
 
@@ -631,8 +635,8 @@ def test_a_lit_dark_corner_keeps_the_worst_case_search(scenario, contamination):
     corner's, with a witness that attains it."""
     structure = oracles.lit_b_structure(evidence_structure(scenario), scenario.fixed_uncertain)
     b_space = structure.marginal(B_NAMES)
-    config = SolverConfig(outer_budget=10, outer_pop=4, explorers=1,
-                          inner_budget=12, inner_pop=4, seed=3)
+    config = replace(REFERENCE.solver, outer_budget=10, outer_pop=4, explorers=1,
+                     inner_budget=12, inner_pop=4, seed=3)
     model = make_model(scenario, "minmax", contamination)
     design = DesignVector(20.0, 10, 2.0, 3000.0)
     found, seen, dark = worst_case_b(model, structure, config, design)
@@ -658,8 +662,8 @@ def test_mass_bound_is_exact_at_the_technology_corners(scenario, sense):
     structure = evidence_structure(scenario)
     tech = structure.marginal(TECH_NAMES)
     model = make_model(scenario, "minmax", contamination=False)
-    config = SolverConfig(outer_budget=10, outer_pop=4, explorers=1,
-                          inner_budget=4, inner_pop=4, seed=3)
+    config = replace(REFERENCE.solver, outer_budget=10, outer_pop=4, explorers=1,
+                     inner_budget=4, inner_pop=4, seed=3)
     rng = np.random.default_rng(3)
     counts = tech.counts()
     eta_l = tech.names.index("eta_l")
@@ -725,8 +729,8 @@ def test_evidence_evaluator_searches_b_over_what_it_reads(scenario, monkeypatch,
     if sense == "max":
         structure = oracles.lit_b_structure(structure, scenario.fixed_uncertain)
     model = make_model(scenario, "minmax", contamination=False)
-    config = SolverConfig(outer_budget=10, outer_pop=4, explorers=1,
-                          inner_budget=12, inner_pop=4, seed=3)
+    config = replace(REFERENCE.solver, outer_budget=10, outer_pop=4, explorers=1,
+                     inner_budget=12, inner_pop=4, seed=3)
     fixed = scenario.fixed_uncertain
     seen = []
     evaluate = model.evaluate

@@ -1,7 +1,8 @@
 """The scripts next to the package import without touching ``sys.path``,
 ``cli_digests --compare`` pairs the cells of two CSVs by column name,
 ``ab_evaluate`` counts and sizes the evaluations that differ,
-``bench_pairs`` names a source tree by a digest of its ``src/``, and every
+``bench_pairs`` names a source tree by a digest of its ``src/``,
+``api_counts`` counts a tree's lines, public names and defaults, and every
 name the benchmark in ``perfbench/`` wraps or reads resolves."""
 import ast
 import importlib
@@ -16,6 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from ab_evaluate import Tally, relative_difference, timing_table
+from api_counts import main as api_counts
 from bench_pairs import src_digest
 from cli_digests import compare
 
@@ -146,6 +148,68 @@ def test_bench_pairs_src_digest_names_a_tree_by_its_source(tmp_path):
     text = source.read_bytes()
     source.write_bytes(text[:-1] + b" ")
     assert src_digest(copies[0]) != src_digest(copies[1])
+
+
+# a module whose counts are known: 6 public module-level names (imports and
+# underscored names are none), 2 public methods (__len__ and method), 4
+# public annotated class fields, 4 defaulted parameters (y, z, q and the
+# private function's x) and 3 defaulted dataclass fields (b, c and _d)
+COUNTED_MODULE = """\
+from dataclasses import dataclass, field
+import math
+
+PUBLIC = 1
+_PRIVATE = 2
+A, B = 3, 4
+
+
+def public(x, y=1, *, z=2, w):
+    return lambda q=0: q
+
+
+def _private(x=1):
+    return math.pi
+
+
+@dataclass(frozen=True)
+class Block:
+    a: float
+    b: float = 1.0
+    c: list = field(default_factory=list)
+    _d: int = 0
+
+    def __post_init__(self):
+        pass
+
+    def __len__(self):
+        return 0
+
+    def method(self):
+        pass
+
+    def _helper(self):
+        pass
+
+
+class Plain:
+    e: int = 3
+
+    def __init__(self):
+        pass
+"""
+
+
+def test_api_counts_of_a_module_with_known_counts(tmp_path, capsys):
+    """Lines, public names, defaulted parameters and defaulted dataclass
+    fields, summed over every module under the tree's ``src/``."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "counted.py").write_text(COUNTED_MODULE)
+    assert api_counts([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"lines {len(COUNTED_MODULE.splitlines())}", "public_names 12",
+        "defaulted_parameters 4", "defaulted_fields 3"]
 
 
 def test_every_name_the_benchmark_binds_resolves():

@@ -1,6 +1,7 @@
 """Dominance, archive behavior, restart-DE bounds and the memetic search."""
 import itertools
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import REFERENCE
 from neodeflect import search
 from neodeflect.sizing import DesignVector, check_design_bounds
 from neodeflect.search import (
@@ -15,7 +17,6 @@ from neodeflect.search import (
     Individual,
     Objectives,
     ParetoArchive,
-    SolverConfig,
     decode_design,
     dominates,
     inner_bound_search,
@@ -24,6 +25,9 @@ from neodeflect.search import (
 )
 
 from test_sizing import DESIGN_BOUNDS
+
+# the reference scenario's budgets and populations, at seed 0
+SOLVER = replace(REFERENCE.solver, seed=0)
 
 
 def ind(m, nb, d_m=10.0):
@@ -249,7 +253,7 @@ def bi_objective_toy(design: DesignVector) -> Individual:
 
 
 def test_solve_moo_known_front():
-    config = SolverConfig(outer_budget=800, outer_pop=10, explorers=2, seed=7)
+    config = replace(SOLVER, outer_budget=800, outer_pop=10, explorers=2, seed=7)
     archive = solve_moo(bi_objective_toy, DESIGN_BOUNDS, config)
     pts = objective_array(archive)
     # whole front lies on m + (1 - m): every member is exactly on the line
@@ -271,7 +275,7 @@ def test_solve_moo_known_front():
 
 
 def test_solve_moo_determinism():
-    config = SolverConfig(outer_budget=400, outer_pop=8, explorers=2, seed=11)
+    config = replace(SOLVER, outer_budget=400, outer_pop=8, explorers=2, seed=11)
     a1 = solve_moo(bi_objective_toy, DESIGN_BOUNDS, config)
     a2 = solve_moo(bi_objective_toy, DESIGN_BOUNDS, config)
     p1, p2 = objective_array(a1), objective_array(a2)
@@ -280,7 +284,7 @@ def test_solve_moo_determinism():
 
 
 def test_solve_moo_respects_bounds_and_integrality():
-    config = SolverConfig(outer_budget=300, outer_pop=8, explorers=2, seed=3)
+    config = replace(SOLVER, outer_budget=300, outer_pop=8, explorers=2, seed=3)
     archive = solve_moo(bi_objective_toy, DESIGN_BOUNDS, config)
     for m in archive.members:
         d = m.design
@@ -303,8 +307,8 @@ def test_solve_moo_evaluates_exactly_the_budget():
             evaluated.append(design)
             return Individual(design, Objectives(design.d_m, -design.d_m))
 
-        config = SolverConfig(outer_budget=budget, outer_pop=outer_pop,
-                              explorers=explorers, seed=budget)
+        config = replace(SOLVER, outer_budget=budget, outer_pop=outer_pop,
+                         explorers=explorers, seed=budget)
         solve_moo(one_front, DESIGN_BOUNDS, config)
         return len(evaluated)
 
@@ -342,7 +346,7 @@ def test_solve_moo_on_a_one_point_box_evaluates_once():
             return bi_objective_toy(design)
 
         decode, decoded = _bounded_proposals(100 * budget + 100)
-        config = SolverConfig(outer_budget=budget, outer_pop=4, explorers=1, seed=budget)
+        config = replace(SOLVER, outer_budget=budget, outer_pop=4, explorers=1, seed=budget)
         with mock.patch.object(search, "decode_design", decode):
             archive = solve_moo(evaluate, point, config)
         assert evaluated == [DesignVector(20.0, 10, 2.0, 3000.0)]
@@ -363,7 +367,7 @@ def test_solve_moo_ends_when_the_box_holds_fewer_designs_than_the_budget():
             return Individual(design, Objectives(float(design.n_sc), -float(design.n_sc)))
 
         decode, _ = _bounded_proposals(10000)
-        config = SolverConfig(outer_budget=14, outer_pop=4, explorers=1, seed=seed)
+        config = replace(SOLVER, outer_budget=14, outer_pop=4, explorers=1, seed=seed)
         with mock.patch.object(search, "decode_design", decode):
             solve_moo(evaluate, box, config)
         counts = [d.n_sc for d in evaluated]
@@ -390,7 +394,7 @@ def test_an_inner_search_inside_an_outer_evaluation_keeps_both_budgets():
         inner_evaluations.append(res.evaluations)
         return bi_objective_toy(design)
 
-    config = SolverConfig(outer_budget=20, outer_pop=4, explorers=1, seed=4)
+    config = replace(SOLVER, outer_budget=20, outer_pop=4, explorers=1, seed=4)
     solve_moo(evaluate, DESIGN_BOUNDS, config)
     assert len(evaluated) == len({quantize_design(d) for d in evaluated}) == 20
     assert inner_evaluations.count(9) == 20
@@ -399,20 +403,20 @@ def test_an_inner_search_inside_an_outer_evaluation_keeps_both_budgets():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(outer_budget=0)
+        replace(SOLVER, outer_budget=0)
     with pytest.raises(ValueError):
-        SolverConfig(outer_pop=2)
+        replace(SOLVER, outer_pop=2)
     with pytest.raises(ValueError):
-        SolverConfig(explorers=10, outer_pop=10)
+        replace(SOLVER, explorers=10, outer_pop=10)
     with pytest.raises(ValueError):
-        SolverConfig(explorers=0)
+        replace(SOLVER, explorers=0)
     with pytest.raises(ValueError, match="inner budget must cover"):
-        SolverConfig(inner_budget=3, inner_pop=4)
+        replace(SOLVER, inner_budget=3, inner_pop=4)
     for capacity in (0, 1):
         with pytest.raises(ValueError, match="archive capacity"):
-            SolverConfig(archive_capacity=capacity)
-    SolverConfig(inner_budget=4, inner_pop=4)
-    SolverConfig(archive_capacity=2)
+            replace(SOLVER, archive_capacity=capacity)
+    replace(SOLVER, inner_budget=4, inner_pop=4)
+    replace(SOLVER, archive_capacity=2)
 
 
 def test_inner_search_quadratic_endpoint_max():

@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import REFERENCE
 from neodeflect.constants import STEFAN_BOLTZMANN
 from neodeflect.sizing import (
     DesignVector,
     Margins,
     MassBudget,
-    TechnologyParams,
     UNIT_MARGINS,
     check_design_bounds,
     radiator_area,
@@ -25,7 +25,8 @@ DESIGN_BOUNDS = {
     "t_warn": (1.0, 8.0),
     "c_r": (1000.0, 3000.0),
 }
-TABLE_MARGINS = Margins()
+TABLE_MARGINS = REFERENCE.margins
+TECH = REFERENCE.technology
 
 
 def sizing_oracle(design, tech, margins, flux):
@@ -55,7 +56,8 @@ def random_inputs(rng):
         t_warn=rng.uniform(1, 8),
         c_r=rng.uniform(1000, 3000),
     )
-    tech = TechnologyParams(
+    tech = replace(
+        TECH,
         eta_l=rng.uniform(0.4, 0.664),
         eta_sa=rng.uniform(0.2, 0.5),
         eta_p=rng.uniform(0.9, 1.0),
@@ -90,7 +92,7 @@ def test_oracle_equivalence_1000_samples():
 
 
 def test_mass_linear_in_spacecraft_count():
-    tech = TechnologyParams()
+    tech = TECH
     one = size_spacecraft(DesignVector(12.0, 1, 4.0, 2000.0), tech, TABLE_MARGINS, 1367.0)
     two = size_spacecraft(DesignVector(12.0, 2, 4.0, 2000.0), tech, TABLE_MARGINS, 1367.0)
     ten = size_spacecraft(DesignVector(12.0, 10, 4.0, 2000.0), tech, TABLE_MARGINS, 1367.0)
@@ -99,7 +101,7 @@ def test_mass_linear_in_spacecraft_count():
 
 
 def test_margins_inflate_every_component():
-    tech = TechnologyParams()
+    tech = TECH
     design = DesignVector(20.0, 10, 8.0, 3000.0)
     margined = size_spacecraft(design, tech, TABLE_MARGINS, 1367.0)
     plain = size_spacecraft(design, tech, UNIT_MARGINS, 1367.0)
@@ -109,7 +111,7 @@ def test_margins_inflate_every_component():
 
 
 def test_mass_increasing_in_mirror_diameter():
-    tech = TechnologyParams()
+    tech = TECH
     masses = [
         size_spacecraft(DesignVector(d, 5, 4.0, 2500.0), tech, TABLE_MARGINS, 1367.0).m_sys
         for d in np.linspace(2, 20, 12)
@@ -129,17 +131,17 @@ def test_budget_internal_consistency():
 
 
 def test_system_efficiency():
-    assert system_efficiency(TechnologyParams(eta_l=1, eta_sa=1, eta_p=1, emiss_m=1)) == 1.0
+    assert system_efficiency(replace(TECH, eta_l=1, eta_sa=1, eta_p=1, emiss_m=1)) == 1.0
     assert system_efficiency(
-        TechnologyParams(eta_l=0.6, eta_sa=0.41, eta_p=1.0, emiss_m=1.0)
+        replace(TECH, eta_l=0.6, eta_sa=0.41, eta_p=1.0, emiss_m=1.0)
     ) == pytest.approx(0.246)
-    base = system_efficiency(TechnologyParams())
-    assert system_efficiency(TechnologyParams(eta_l=0.5)) < base
+    base = system_efficiency(TECH)
+    assert system_efficiency(replace(TECH, eta_l=0.5)) < base
 
 
 def test_radiator_balance_hand_value():
     # pick eta so that the waste power is exactly 10 kW
-    tech = TechnologyParams(eta_l=0.5, eta_sa=0.5, t_rad=350.0, emiss_rad=0.9)
+    tech = replace(TECH, eta_l=0.5, eta_sa=0.5, t_rad=350.0, emiss_rad=0.9)
     p_l = 10e3 * tech.eta_sa / (1 - tech.eta_sa * tech.eta_l)
     a_r = radiator_area(p_l, tech)
     assert a_r == pytest.approx(13.05, rel=2e-3)
@@ -170,8 +172,8 @@ def test_design_bounds_check_reads_every_gene(name):
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        TechnologyParams(eta_l=0.0)
+        replace(TECH, eta_l=0.0)
     with pytest.raises(ValueError):
-        TechnologyParams(rho_l=-1.0)
+        replace(TECH, rho_l=-1.0)
     with pytest.raises(ValueError):
-        Margins(k_dry=0.9)
+        replace(TABLE_MARGINS, k_dry=0.9)
