@@ -7,28 +7,36 @@ reproduce byte-identical payloads under every BLAS kernel, except the RK
 oracle's b in ``propagate --oracle``: its solver's dot products call BLAS,
 and with contamination on it is not converged at rtol 1e-10 (README).
 
-Each box of a Bel/Pl curve of b (``bpcurve``, ``sensitivity``) is bounded
-by one FPET evaluation at its dark corner (``mission.dark_corner``) and
-restart DE. Where b is exactly 0.0 there, the box's minimum is certified
-0.0 and only the maximum is searched; elsewhere both are searched and the
-corner's value joins them, one evaluation more per box. Each
-``sensitivity`` box varies one asteroid parameter, which never darkens the
-spot alone at 20,10,2,3000, so there every box pays that evaluation (957
-evaluations against 928 at inner budget 16 and ``--nv 21``, contamination
-off or on). ``belpl_meta.json`` labels each curve's ends: both ``m_sys``
-ends are certified, being exact at the technology corners, and the lower
-b end exactly when it is 0.0, an evaluated value at the floor of a norm;
-the upper b end is a search's estimate.
+Each box of a Bel/Pl curve of b (``bpcurve``, ``sensitivity``) with
+contamination off is bounded exactly by one FPET evaluation at each of two
+corners (``mission.b_corners``): b is least at the dark corner and
+greatest at the bright one, because it cannot rise with an asteroid
+parameter nor fall with the flux, up to its rounding (measured at most
+2.8e-5 km). A box thus costs 2 evaluations, where its two searches cost
+2 x ``inner_budget``. With
+contamination on b can rise with ``e_sub``, and each box is bounded by
+one FPET evaluation at its dark corner and restart DE: where b is exactly
+0.0 there, the box's minimum is certified 0.0 and only the maximum is
+searched; elsewhere both are searched and the corner's value joins them.
+``belpl_meta.json`` labels each curve's ends: both ``m_sys`` ends are
+certified, being exact at the technology corners, and so are both b ends
+with contamination off; with it on the lower b end is certified exactly
+when it is 0.0, an evaluated value at the floor of a norm, and the upper
+b end is a search's estimate.
 
-The worst case of b of a ``minmax`` design is certified by the same rule
-(``search.zero_or_search``): one FPET evaluation at the dark corner of the
-whole b marginal, and where b is exactly 0.0 there, that is the design's
-b, with the corner as its witness, and no search runs; otherwise restart
-DE runs at ``inner_budget``, the corner one of its evaluations.
-``extremes_minmax.csv`` labels a row ``belief,1`` where its b is a
-certified 0.0 (its mass is exact at the technology corners) and
-``estimate,`` with an empty value where its b came from the search;
-``minmin`` and ``minmin-margins`` rows read ``plausibility,0``.
+The b of a ``minmin``, ``minmin-margins`` or ``minmax`` design follows the
+same rules over the whole b marginal. With contamination off it is one
+FPET evaluation, at the bright corner for the best case and at the dark
+corner for the worst case, with the corner as its witness. With
+contamination on the best case is a restart DE at ``inner_budget``, and
+the worst case is b at the dark corner where that is exactly 0.0
+(``search.zero_or_search``), with no search; otherwise restart DE runs at
+``inner_budget``, the corner one of its evaluations. ``extremes_*.csv``
+labels a row ``belief,1`` (``minmax``) or ``plausibility,0`` (``minmin``,
+``minmin-margins``) where its b is certified: always with contamination
+off, and with it on where a worst-case b is 0.0 (its mass is exact at the
+technology corners); every other row reads ``estimate,`` with an empty
+value, its b a search's estimate.
 
 Each search stops by one rule: the outer design search after
 ``outer_budget`` distinct designs or after ``outer_budget`` proposals in a
@@ -89,7 +97,7 @@ from .mission import (
     ScenarioError,
     Scenario,
     b_at,
-    dark_corner,
+    b_corners,
     deterministic_evaluator,
     evidence_evaluator,
     evidence_structure,
@@ -165,9 +173,10 @@ def de_box_bounder(f, budget: int, pop: int, seed: int, corner):
     1 for the maximum). A corner value of exactly 0.0 is the box's
     minimum, certified, and only the maximum search runs; otherwise both
     searches run, and the corner's value joins theirs
-    (``search.zero_or_search``, the rule ``minmax``'s b shares). Every
-    value is attained in the box, so the bounds come in order; the
-    maximum, and a minimum above 0.0, are estimates."""
+    (``search.zero_or_search``, the rule ``minmax``'s b shares with
+    contamination on). Every value is attained in the box, so the bounds
+    come in order; the maximum, and a minimum above 0.0, are estimates.
+    ``b_box_bounder`` uses it with contamination on only."""
 
     def bounds(unit_box):
         lo, hi = np.array(unit_box).T
@@ -194,15 +203,24 @@ def de_box_bounder(f, budget: int, pop: int, seed: int, corner):
 
 def b_box_bounder(model, design: DesignVector, structure):
     """Box bounds of b over the unit boxes of ``structure``, every uncertain
-    parameter outside it at the scenario's fixed value, each box tried
-    first at its dark corner (``mission.dark_corner``): where the spot
+    parameter outside it at the scenario's fixed value. With contamination
+    off they are exact, b at the box's dark and bright corners
+    (``mission.b_corners``), two evaluations a box, as ``mass_box_bounder``
+    bounds the mass at its corners. With contamination on each box is
+    tried first at its dark corner (``de_box_bounder``): where the spot
     never ablates there, the minimum is a certified 0.0 for one evaluation
     instead of a search; elsewhere the box costs one evaluation more than
-    its two searches, as every ``sensitivity`` box does at 20,10,2,3000."""
+    its two searches."""
+    b = b_at(model, design, structure)
+    if not model.contamination:
+        def bounds(unit_box):
+            dark, bright = b_corners(structure, unit_box)
+            return b(dark), b(bright)
+
+        return bounds
     config = model.scenario.solver
-    return de_box_bounder(b_at(model, design, structure), config.inner_budget,
-                          config.inner_pop, config.seed,
-                          lambda unit_box: dark_corner(structure, unit_box))
+    return de_box_bounder(b, config.inner_budget, config.inner_pop, config.seed,
+                          lambda unit_box: b_corners(structure, unit_box)[0])
 
 
 def run_optimization(scenario: Scenario, mode: str, contamination: bool, out: Path):
@@ -220,16 +238,17 @@ def run_optimization(scenario: Scenario, mode: str, contamination: bool, out: Pa
     write_csv(out / f"archive_{mode}.csv", header, rows)
     if mode == "deterministic":
         return [f"archive_{mode}.csv"]
-    # a worst-case row carries Belief 1 (thresholds at or above these
-    # objective values are certain) where both are certified: the mass,
-    # exact at its corners, and a b of 0.0, an evaluated value at the floor
-    # of a norm; any other worst-case b is a search's estimate. The
-    # best-case fronts carry Plausibility 0 (below these the mission is
-    # infeasible on the current knowledge)
+    # where both objectives are certified, a worst-case row carries Belief 1
+    # (thresholds at or above these objective values are certain) and a
+    # best-case row Plausibility 0 (below these the mission is infeasible on
+    # the current knowledge). The mass is exact at its corners, and so is b
+    # with contamination off, at the corner of its sense; with contamination
+    # on only a worst-case b of 0.0 is, an evaluated value at the floor of a
+    # norm, and any other b is a search's estimate
     def label(b):
-        if mode != "minmax":
-            return ["plausibility", 0.0]
-        return ["belief", 1.0] if b == 0.0 else ["estimate", ""]
+        if contamination and not (mode == "minmax" and b == 0.0):
+            return ["estimate", ""]
+        return ["belief", 1.0] if mode == "minmax" else ["plausibility", 0.0]
 
     write_csv(out / f"extremes_{mode}.csv", header[:6] + ["label", "value"],
               [row[:6] + label(row[5]) for row in rows])
@@ -255,11 +274,13 @@ def run_bpcurve(scenario: Scenario, design: DesignVector, contamination: bool,
         name = f"belpl_{tag}.csv"
         write_csv(out / name, ["v", "bel", "pl"], list(zip(curve.thresholds, curve.bel, curve.pl)))
         files.append(name)
-        # the m_sys bounds are exact at their corners; a b of 0.0 is an
+        # the m_sys bounds are exact at their corners, and so are the b
+        # bounds with contamination off; with it on a b of 0.0 is an
         # evaluated value at the floor of a norm, every other b end an estimate
+        exact = tag == "m_sys" or not contamination
         meta[tag] = {"v_min": curve.v_min, "v_max": curve.v_max,
-                     "v_min_certified": tag == "m_sys" or curve.v_min == 0.0,
-                     "v_max_certified": tag == "m_sys",
+                     "v_min_certified": exact or curve.v_min == 0.0,
+                     "v_max_certified": exact,
                      "n_partitions": curve.n_partitions, "partial": curve.partial}
     (out / "belpl_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return files + ["belpl_meta.json"]

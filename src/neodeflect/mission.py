@@ -508,14 +508,29 @@ def b_at(model: DeflectionModel, design: DesignVector, structure: FocalStructure
     return lambda u: model.evaluate(design, {**fixed, **uncertain_dict(structure, u)}).b
 
 
-def dark_corner(structure: FocalStructure, unit_box) -> np.ndarray:
-    """The hull corner of a unit box of a ``B_NAMES`` marginal where the
-    spot is dimmest: each asteroid parameter at the upper end of its hull
-    over the box's cells, ``eta_l`` and ``eta_sa`` at the lower end
-    (``FocalStructure.hull_ends``), a point of the box."""
+def b_corners(structure: FocalStructure, unit_box) -> tuple[np.ndarray, np.ndarray]:
+    """The dark and the bright corner of a unit box of a ``B_NAMES``
+    marginal's hull over the box's cells (``FocalStructure.hull_ends``),
+    both points of the box. The dark corner takes each asteroid parameter
+    at its upper end and ``eta_l`` and ``eta_sa`` at their lower ends, where
+    the spot is dimmest; the bright corner takes the other end of each.
+
+    b cannot rise with an asteroid parameter nor fall with the flux:
+    ``mass_flow_rate`` cannot rise with ``c_a``, ``k_a``, ``rho_a``,
+    ``t_sub`` or ``e_sub`` and cannot fall with ``eta_l`` or ``eta_sa``,
+    ``rho_a`` also weighs the asteroid, and the thrust sample does not rise
+    with ``t_sub`` over its hull (measured, as the ejecta speed rises with
+    it; ``tests/test_mission.py`` gates it). So with contamination off b's
+    least and greatest values over the box are b at these two corners, up
+    to b's rounding (lines in each parameter fell against its direction by
+    at most 2.8e-5 km).
+    With contamination on b can rise with ``e_sub``, and only the dark
+    corner's certificate of a 0.0 holds (``search.zero_or_search``)."""
     ends = structure.hull_ends(unit_box)
-    return np.array([high if name in PHYSICAL_NAMES else low
-                     for name, (low, high) in zip(structure.names, ends)])
+    # b falls as an asteroid parameter rises: its dark end is its upper one
+    dark_ends = [int(name in PHYSICAL_NAMES) for name in structure.names]
+    return (np.array([pair[end] for pair, end in zip(ends, dark_ends)]),
+            np.array([pair[1 - end] for pair, end in zip(ends, dark_ends)]))
 
 
 def mass_box_bounder(model: DeflectionModel, design: DesignVector, structure: FocalStructure):
@@ -545,23 +560,29 @@ def evidence_evaluator(
     ``B_NAMES`` marginal's unit cube. Each witness is a point of its
     objective's marginal.
 
-    The best case of b (sense ``min``) is an inner bound search seeded
+    With contamination off b is exact at one FPET evaluation: its best case
+    (sense ``min``) is b at the cube's bright corner and its worst case
+    (sense ``max``, the least b) b at the dark corner (``b_corners``), lit
+    or not, each corner its witness.
+
+    With contamination on the best case is an inner bound search seeded
     with the nominal point's image, which pins the bound on the correct
-    side of the deterministic value by construction. The worst case
-    (sense ``max``, the least b) is tried first by one FPET evaluation at
-    the cube's dark corner (``dark_corner``), through the rule the b boxes
-    of the curves share (``search.zero_or_search``): b exactly 0.0 there
-    is the least b, certified, with the corner as its witness, and no
-    search runs; otherwise the search runs, seeded with the nominal point's
-    image and the corner, whose b it knows, so it spends ``inner_budget``
-    evaluations with the corner one of them and reports at most the
-    corner's b, an estimate. The technology corners and the dark corner do
-    not depend on the design: they are built once per evaluator.
+    side of the deterministic value by construction, an estimate. The
+    worst case is tried first by one FPET evaluation at the dark corner,
+    through the rule the b boxes of the curves share
+    (``search.zero_or_search``): b exactly 0.0 there is the least b,
+    certified, with the corner as its witness, and no search runs;
+    otherwise the search runs, seeded with the nominal point's image and
+    the corner, whose b it knows, so it spends ``inner_budget`` evaluations
+    with the corner one of them and reports at most the corner's b, an
+    estimate. The technology corners and the two b corners do not depend
+    on the design: they are built once per evaluator.
     """
     fixed = model.scenario.fixed_uncertain
     b_space, mass_space = structure.marginal(B_NAMES), structure.marginal(TECH_NAMES)
     seed_point = b_space.physical_to_unit([fixed[name] for name in b_space.names])
-    dark = dark_corner(b_space, [(0.0, 1.0)] * b_space.dim)
+    dark, bright = b_corners(b_space, [(0.0, 1.0)] * b_space.dim)
+    exact = bright if sense == "min" else dark  # b's extreme with contamination off
     corners = mass_space.corners([(0.0, 1.0)] * mass_space.dim)
     techs = [_uncertain_technology(model.scenario, uncertain_dict(mass_space, u))
              for u in corners]
@@ -581,12 +602,16 @@ def evidence_evaluator(
         def search_past(at_dark):  # seeded with the corner, whose b is not evaluated again
             return search(lambda u: at_dark.value if np.array_equal(u, dark) else b(u), dark)
 
-        found = search(b) if sense == "min" else zero_or_search(b, dark, search_past)[-1]
+        if not model.contamination:
+            b_value, witness = b(exact), exact
+        else:
+            found = search(b) if sense == "min" else zero_or_search(b, dark, search_past)[-1]
+            b_value, witness = found.value, found.point
         return Individual(
             design,
-            Objectives(masses[k], -found.value),
+            Objectives(masses[k], -b_value),
             witness_mass=corners[k],
-            witness_negb=found.point,
+            witness_negb=witness,
         )
 
     return evaluate

@@ -52,11 +52,11 @@ MINMAX_ARCHIVE_SHA256 = (
     "6eaad2320c2c35534a3a2337d4b74e0ab4b48967c15360ac7cbcceb21dcbcbed"
 )
 # the curves of one bpcurve run at design 20,10,1,3000, --nv 5,
-# --max-partitions 12, each over the parameters its objective reads; the
-# m_sys curve is bounded exactly, box by box, and each box of the b curve
-# is tried first at its dark corner
+# --max-partitions 12, each over the parameters its objective reads; both
+# curves are bounded exactly, box by box: the m_sys curve at its corners and
+# the b curve, contamination off, at each box's dark and bright corners
 BPCURVE_SHA256 = {
-    "belpl_b.csv": "6172e4b2a04eb30ed123bd571a7ed02be4dc07b2ec2d05326f8ee87ce9b8bda5",
+    "belpl_b.csv": "925c2e34c98c1b4353266dab016ef79a0c98a136373ff893b484726e86282cd1",
     "belpl_m_sys.csv": "fe910860b65047aa4e8887b7fceedd9110b5e2605884ea475e546e7bebcb4f7a",
 }
 TRAJECTORY_SHA256 = {

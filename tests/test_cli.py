@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from neodeflect import cli, mission
 from neodeflect.cli import de_box_bounder, main, parse_design
-from neodeflect.evidence import FocalStructure, SubBox
+from neodeflect.evidence import FocalStructure, SubBox, first_inside
 from neodeflect.fpet import ArcOverflowError
 from neodeflect.mission import (
     B_NAMES,
@@ -614,16 +614,16 @@ def test_a_certified_worst_case_b_reads_zero(tiny_scenario, tmp_path):
 def test_worst_case_rows_are_labelled_certified_or_estimate(tiny_scenario, tmp_path,
                                                             monkeypatch):
     """On evidence about b narrowed about the fixed values the dark corner
-    ablates at large designs: their row's b is a search's estimate,
-    labelled ``estimate`` with an empty value, while a row whose b is a
-    certified 0.0 keeps Belief 1."""
+    ablates at large designs: with contamination on, their row's b is a
+    search's estimate, labelled ``estimate`` with an empty value, while a
+    row whose b is a certified 0.0 keeps Belief 1."""
     reference = cli.evidence_structure
     monkeypatch.setattr(cli, "evidence_structure", lambda scenario: oracles.lit_b_structure(
         reference(scenario), scenario.fixed_uncertain))
     out = tmp_path / "run"
     # seed 0's front holds a dark design (b 0.0) and two lit ones
     assert main(["--mode", "minmax", "--scenario", str(tiny_scenario),
-                 "--out", str(out), "--seed", "0"]) == 0
+                 "--out", str(out), "--seed", "0", "--contamination", "on"]) == 0
     archive = (out / "archive_minmax.csv").read_text().splitlines()
     extremes = (out / "extremes_minmax.csv").read_text().splitlines()
     assert len(extremes) == len(archive)
@@ -634,6 +634,48 @@ def test_worst_case_rows_are_labelled_certified_or_estimate(tiny_scenario, tmp_p
         labels.append(cells[6:])
         assert cells[6:] == (["belief", "1"] if cells[5] == "0" else ["estimate", ""])
     assert ["belief", "1"] in labels and ["estimate", ""] in labels
+
+
+def test_extremes_labels_follow_the_contamination(tiny_scenario, tmp_path, monkeypatch):
+    """With contamination off every b is exact at a corner: a best-case row
+    keeps Plausibility 0 and a worst-case row Belief 1 even where its b is
+    lit (on evidence narrowed about the fixed values). With contamination on
+    a best-case b is a search's estimate: ``estimate`` with an empty value."""
+    reference = cli.evidence_structure
+    monkeypatch.setattr(cli, "evidence_structure", lambda scenario: oracles.lit_b_structure(
+        reference(scenario), scenario.fixed_uncertain))
+    for mode, contamination, label in (("minmax", "off", ["belief", "1"]),
+                                       ("minmin", "off", ["plausibility", "0"]),
+                                       ("minmin", "on", ["estimate", ""]),
+                                       ("minmin-margins", "on", ["estimate", ""])):
+        out = tmp_path / f"{mode}-{contamination}"
+        assert main(["--mode", mode, "--scenario", str(tiny_scenario), "--out", str(out),
+                     "--seed", "0", "--contamination", contamination]) == 0
+        archive = (out / f"archive_{mode}.csv").read_text().splitlines()
+        extremes = (out / f"extremes_{mode}.csv").read_text().splitlines()
+        assert len(extremes) == len(archive) > 1
+        for arow, erow in zip(archive[1:], extremes[1:]):
+            assert erow.split(",") == arow.split(",")[:6] + label
+        if mode == "minmax":
+            assert any(float(row.split(",")[5]) > 0.0 for row in extremes[1:])
+
+
+def test_contamination_off_b_curve_ends_are_certified(tiny_scenario, tmp_path):
+    """With contamination off both ends of the b curve are certified: b at
+    the whole marginal's dark corner, 0.0, and at its bright corner."""
+    out = tmp_path / "run"
+    assert main(["--mode", "bpcurve", "--scenario", str(tiny_scenario), "--design",
+                 "10,5,1,2000", "--out", str(out), "--nv", "5", "--max-partitions", "24",
+                 "--contamination", "off"]) == 0
+    meta = json.loads((out / "belpl_meta.json").read_text())["b"]
+    assert meta["v_min_certified"] and meta["v_max_certified"]
+    scenario = load_scenario(tiny_scenario)
+    space = evidence_structure(scenario).marginal(B_NAMES)
+    b = mission.b_at(mission.make_model(scenario, "bpcurve", False), parse_design("10,5,1,2000"),
+                     space)
+    dark, bright = mission.b_corners(space, [(0.0, 1.0)] * space.dim)
+    assert (meta["v_min"], meta["v_max"]) == (b(dark), b(bright))
+    assert meta["v_min"] == 0.0 < meta["v_max"]
 
 
 def test_box_bounder_stays_inside_the_box():
@@ -648,7 +690,7 @@ def test_box_bounder_stays_inside_the_box():
         seen.append(float(structure.unit_to_physical(u)[0]))
         return seen[-1]
 
-    bounds = de_box_bounder(objective, 40, 4, 0, lambda box: mission.dark_corner(structure, box))
+    bounds = de_box_bounder(objective, 40, 4, 0, lambda box: mission.b_corners(structure, box)[0])
     vmin, vmax = bounds(SubBox(((2, 3),)).unit_box(structure))
     assert all(1.47 <= v <= 1.6 for v in seen)
     assert (vmin, vmax) == (pytest.approx(1.47), pytest.approx(1.6))
@@ -690,14 +732,14 @@ UNIT = st.floats(0.0, 1.0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(genes=st.lists(UNIT, min_size=4, max_size=4), contamination=st.booleans(),
+@given(genes=st.lists(UNIT, min_size=4, max_size=4),
        cells=st.lists(st.tuples(UNIT, UNIT), min_size=len(B_NAMES), max_size=len(B_NAMES)))
 # the brightest cell: the asteroid parameters' first, eta_l's and eta_sa's last
-@example(genes=[1.0, 1.0, 0.15, 1.0], contamination=False,
-         cells=[(0.0, 0.0)] * 5 + [(1.0, 0.0)] * 2)
-def test_a_dark_corner_certifies_the_b_box_minimum(reference, genes, contamination, cells):
-    """Each box of the b marginal is tried first at its dark corner, a point
-    of the box. Where the bounder skips the minimum search, the spot never
+@example(genes=[1.0, 1.0, 0.15, 1.0], cells=[(0.0, 0.0)] * 5 + [(1.0, 0.0)] * 2)
+def test_a_dark_corner_certifies_the_b_box_minimum(reference, genes, cells):
+    """With contamination on each box of the b marginal is tried first at
+    its dark corner, a point of the box. Where the bounder skips the minimum
+    search, the spot never
     ablates there (one arc, b exactly 0.0) and the minimum is 0.0; the
     maximum search keeps its generator key, so the maximum is that search's
     value bit for bit. Elsewhere both searches run and the corner's value
@@ -711,12 +753,12 @@ def test_a_dark_corner_certifies_the_b_box_minimum(reference, genes, contaminati
         ranges.append((first, first + 1 + min(int(length * (n - first)), n - first - 1)))
     box = SubBox(tuple(ranges))
     unit_box = box.unit_box(space)
-    corner = mission.dark_corner(space, unit_box)
+    corner = mission.b_corners(space, unit_box)[0]
     for d, (u, (lo_u, hi_u), (first, end)) in enumerate(zip(corner, unit_box, box.ranges)):
         assert lo_u <= u <= hi_u and first <= space.cell_of(d, u) < end
 
     design = decode_design(np.array(genes), scenario.design_bounds)
-    model = mission.make_model(scenario, "bpcurve", contamination)
+    model = mission.make_model(scenario, "bpcurve", True)
     b = functools.cache(mission.b_at(model, design, space))  # shared with the oracle
 
     def f(u):
@@ -737,10 +779,12 @@ def test_a_dark_corner_certifies_the_b_box_minimum(reference, genes, contaminati
         assert (lo, hi) == (min(values), max(values))
 
 
-@pytest.mark.parametrize("contamination", [False, True])
+# with contamination off the box is bounded at its two corners, no search
+@pytest.mark.parametrize("contamination", [True])
 def test_the_reference_design_certifies_the_root_b_box(reference, contamination):
     """At the reference design the spot never ablates at the dark corner of
-    the whole b marginal, so its box runs the maximum search alone."""
+    the whole b marginal, so with contamination on its box runs the maximum
+    search alone."""
     scenario = replace(reference, solver=replace(reference.solver, inner_budget=4, inner_pop=4))
     space = evidence_structure(scenario).marginal(B_NAMES)
     model = mission.make_model(scenario, "bpcurve", contamination)
@@ -762,7 +806,7 @@ def test_the_dark_corner_is_the_dimmest_corner_of_the_brightest_b_cell(reference
     unit_box = cell.unit_box(space)
     b = mission.b_at(mission.make_model(reference, "bpcurve", False),
                      parse_design("20,10,2,3000"), space)
-    dark = mission.dark_corner(space, unit_box)
+    dark = mission.b_corners(space, unit_box)[0]
     others = [u for u in space.corners(unit_box) if not np.array_equal(u, dark)]
     assert len(others) == 2 ** space.dim - 1
     assert 0.0 < b(dark) < min(b(u) for u in others)
@@ -770,20 +814,101 @@ def test_the_dark_corner_is_the_dimmest_corner_of_the_brightest_b_cell(reference
 
 def test_a_box_without_a_dark_corner_keeps_both_searches(reference):
     """k_a alone, every other parameter at its fixed value, never darkens
-    the spot at 20,10,2,3000: both searches run, and the corner's b,
-    1610.7 km, below the minimum search's 1737.0 km, is the box's minimum."""
+    the spot at 20,10,2,3000: with contamination on both searches run, and
+    the corner's b, 18.588 km, below the minimum search's 19.126 km, is the
+    box's minimum."""
     scenario = replace(reference, solver=replace(reference.solver, inner_budget=16))
     space = evidence_structure(scenario).marginal(["k_a"])
     unit_box = SubBox(((0, space.counts()[0]),)).unit_box(space)
-    model = mission.make_model(scenario, "sensitivity", False)
+    model = mission.make_model(scenario, "sensitivity", True)
     design = parse_design("20,10,2,3000")
     with box_searches() as searches:
         lo, hi = cli.b_box_bounder(model, design, space)(unit_box)
-    b_c = mission.b_at(model, design, space)(mission.dark_corner(space, unit_box))
+    b_c = mission.b_at(model, design, space)(mission.b_corners(space, unit_box)[0])
     assert [sense for sense, _ in searches] == ["min", "max"]
     (_, min_search), (_, max_search) = searches
     assert lo == b_c < min_search and hi == max_search
-    assert (b_c, min_search) == (pytest.approx(1610.7, abs=0.05), pytest.approx(1737.0, abs=0.05))
+    assert (b_c, min_search) == (pytest.approx(18.588, abs=5e-4), pytest.approx(19.126, abs=5e-4))
+
+
+def b_box_panel(reference):
+    """A fixed-seed soundness panel of the contamination-off b boxes. For
+    each of 4 designs (20,10,2,3000 and 3 drawn) and 9 boxes (the root of
+    the ``B_NAMES`` marginal, 3 drawn blocks of its cells, and the 5
+    ``sensitivity`` roots of one asteroid parameter each), it yields
+    ``(design, names, lo, hi, b)``: the box's bounds from
+    ``cli.b_box_bounder`` and a b evaluated in the box, at 12 interior
+    samples per box and, at 20,10,2,3000, at every point of a minimum and a
+    maximum search at the shipped inner budget over the root box and the
+    k_a box."""
+    rng = np.random.default_rng(35)
+    structure = evidence_structure(reference)
+    config = reference.solver
+    model = mission.make_model(reference, "bpcurve", False)
+    designs = [parse_design("20,10,2,3000"),
+               *(decode_design(rng.random(4), reference.design_bounds) for _ in range(3))]
+    for k, design in enumerate(designs):
+        boxes = [(B_NAMES, None), *((B_NAMES, rng) for _ in range(3)),
+                 *(([name], None) for name in mission.PHYSICAL_NAMES)]
+        for names, draw in boxes:
+            space = structure.marginal(names)
+            ranges = [(0, n) for n in space.counts()]
+            if draw is not None:
+                ranges = [(first, last + 1) for first, last in
+                          (sorted(draw.integers(0, n, 2).tolist()) for n in space.counts())]
+            unit_box = SubBox(tuple(ranges)).unit_box(space)
+            lo, hi = cli.b_box_bounder(model, design, space)(unit_box)
+            b = mission.b_at(model, design, space)
+            lo_u, hi_u = np.array(unit_box).T
+            floor = np.array([first_inside(edge) for edge in lo_u])
+            for u in rng.random((12, space.dim)):
+                yield design, names, lo, hi, b(np.maximum(lo_u + u * (hi_u - lo_u), floor))
+            if k == 0 and draw is None and names in (B_NAMES, ["k_a"]):
+                for sense in ("min", "max"):
+                    seen = []
+
+                    def f(u):
+                        seen.append(b(u))
+                        return seen[-1]
+
+                    box_search(f, unit_box, sense, config.inner_budget, config.inner_pop,
+                               config.seed)
+                    assert len(seen) == config.inner_budget
+                    yield from ((design, names, lo, hi, value) for value in seen)
+
+
+def outside(item) -> bool:
+    """A b of the panel outside its box's bounds by more than b's rounding."""
+    _, _, lo, hi, value = item
+    return not lo - oracles.B_ROUNDING_KM <= value <= hi + oracles.B_ROUNDING_KM
+
+
+def test_no_b_of_a_box_leaves_its_corner_bounds(reference):
+    """With contamination off each b box is bounded at its dark and bright
+    corners, and no b the panel evaluates in a box leaves those bounds. The
+    panel is not vacuous: 1-D boxes whose dark corner ablates are in it, and
+    boxes with a range of hundreds of thousands of km."""
+    items = list(b_box_panel(reference))
+    assert len(items) == 4 * 9 * 12 + 4 * reference.solver.inner_budget
+    assert not [item for item in items if outside(item)]
+    assert any(len(names) == 1 and lo > 0.0 for _, names, lo, _, _ in items)
+    assert max(hi - lo for _, _, lo, hi, _ in items) > 1e5
+
+
+def test_a_bright_corner_with_eta_sa_low_fails_the_panel(reference, monkeypatch):
+    """The upper bound rests on each end of the bright corner; a mutant that
+    takes eta_sa's lower end there bounds a box below b at its points."""
+    b_corners = mission.b_corners
+
+    def mutant(space, unit_box):
+        dark, bright = b_corners(space, unit_box)
+        if "eta_sa" in space.names:
+            d = space.names.index("eta_sa")
+            bright[d] = space.hull_ends(unit_box)[d][0]
+        return dark, bright
+
+    monkeypatch.setattr(cli, "b_corners", mutant)
+    assert any(outside(item) for item in b_box_panel(reference))
 
 
 def test_bpcurve_mode(tiny_scenario, tmp_path):
@@ -791,7 +916,7 @@ def test_bpcurve_mode(tiny_scenario, tmp_path):
     code = main([
         "--mode", "bpcurve", "--scenario", str(tiny_scenario),
         "--design", "10,5,1,2000", "--out", str(out), "--nv", "5",
-        "--max-partitions", "24",
+        "--max-partitions", "24", "--contamination", "on",
     ])
     assert code == 0
     for tag in ("b", "m_sys"):
@@ -804,8 +929,8 @@ def test_bpcurve_mode(tiny_scenario, tmp_path):
         assert all(b <= p + 1e-12 for b, p in zip(bel, pl))
         assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(bel, bel[1:]))
         assert all(p2 >= p1 - 1e-12 for p1, p2 in zip(pl, pl[1:]))
-    # the mass ends are exact; b's lower end is 0.0, evaluated at the dark
-    # corner, and its upper end a search's estimate
+    # the mass ends are exact; with contamination on b's lower end is 0.0,
+    # evaluated at the dark corner, and its upper end a search's estimate
     meta = json.loads((out / "belpl_meta.json").read_text())
     assert meta["m_sys"]["v_min_certified"] and meta["m_sys"]["v_max_certified"]
     assert meta["b"]["v_min"] == 0.0 and meta["b"]["v_min_certified"]

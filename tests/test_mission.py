@@ -1,6 +1,7 @@
 """Scenario handling, calibration and the composed mission model."""
 import copy
 import functools
+import itertools
 import json
 import math
 from dataclasses import MISSING, asdict, fields, replace
@@ -10,12 +11,12 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE
 from neodeflect import mission
-from neodeflect.ablation import AsteroidProperties, StationGeometry
+from neodeflect.ablation import AsteroidProperties, StationGeometry, ThrustModel
 from neodeflect.constants import AU_KM, S0, YEAR_S
 from neodeflect.evidence import (
     FocalStructure,
@@ -565,7 +566,7 @@ def worst_case_b(model, structure, config, design):
     finally:
         del model.evaluate
     b_space = structure.marginal(B_NAMES)
-    return found, seen, mission.dark_corner(b_space, [(0.0, 1.0)] * b_space.dim)
+    return found, seen, mission.b_corners(b_space, [(0.0, 1.0)] * b_space.dim)[0]
 
 
 def certified_at_the_dark_corner(scenario, structure, model, found, seen, dark) -> bool:
@@ -605,34 +606,35 @@ def test_the_worst_case_b_is_certified_at_the_dark_corner(scenario, genes, conta
 def test_a_dark_corner_with_eta_sa_high_certifies_nothing(scenario, monkeypatch):
     """The certificate rests on each end of the dark corner; a mutant that
     takes eta_sa's upper end ablates at 20,10,8,3000 with contamination
-    off (b 578.7 km), so the evaluator runs its search there and the
-    certificate's checks fail."""
+    on (b 24.480 km; 578.7 km off), so the evaluator runs its search there
+    and the certificate's checks fail."""
     structure = evidence_structure(scenario)
     config = replace(REFERENCE.solver, outer_budget=10, outer_pop=4, explorers=1,
                      inner_budget=8, inner_pop=4, seed=3)
-    model = make_model(scenario, "minmax", False)
-    dark_corner = mission.dark_corner
+    model = make_model(scenario, "minmax", True)
+    b_corners = mission.b_corners
 
     def mutant(space, unit_box):
-        corner = dark_corner(space, unit_box)
+        corner, bright = b_corners(space, unit_box)
         d = space.names.index("eta_sa")
         corner[d] = space.hull_ends(unit_box)[d][1]
-        return corner
+        return corner, bright
 
-    monkeypatch.setattr(mission, "dark_corner", mutant)
+    monkeypatch.setattr(mission, "b_corners", mutant)
     found, seen, corner = worst_case_b(model, structure, config, DesignVector(20.0, 10, 8.0, 3000.0))
     b_corner = mission.b_at(model, found.design, structure.marginal(B_NAMES))(corner)
-    assert b_corner == pytest.approx(578.7, abs=0.05)
+    assert b_corner == pytest.approx(24.480, abs=5e-4)
     assert len(seen) == config.inner_budget
     assert not certified_at_the_dark_corner(scenario, structure, model, found, seen, corner)
 
 
-@pytest.mark.parametrize("contamination", [False, True])
+# with contamination off the worst case is b at the dark corner, no search
+@pytest.mark.parametrize("contamination", [True])
 def test_a_lit_dark_corner_keeps_the_worst_case_search(scenario, contamination):
-    """Where the dark corner ablates, the worst case of b is searched: the
-    search spends exactly ``inner_budget`` evaluations, the corner one of
-    them, evaluated once, and reports the least b it saw, at most the
-    corner's, with a witness that attains it."""
+    """Where the dark corner ablates with contamination on, the worst case
+    of b is searched: the search spends exactly ``inner_budget``
+    evaluations, the corner one of them, evaluated once, and reports the
+    least b it saw, at most the corner's, with a witness that attains it."""
     structure = oracles.lit_b_structure(evidence_structure(scenario), scenario.fixed_uncertain)
     b_space = structure.marginal(B_NAMES)
     config = replace(REFERENCE.solver, outer_budget=10, outer_pop=4, explorers=1,
@@ -722,13 +724,14 @@ def test_evidence_evaluator_searches_b_over_what_it_reads(scenario, monkeypatch,
     """Every point the evaluator's b search gives the model holds rho_m,
     rho_l and rho_r at their fixed values; the b witness is a point of the
     ``B_NAMES`` marginal that attains the reported b, and the mass witness
-    one of the ``TECH_NAMES`` marginal. The reference structure certifies
-    the worst case of b at its dark corner without a search, so sense max
-    runs on one whose dark corner is lit."""
+    one of the ``TECH_NAMES`` marginal. Only with contamination on is b
+    searched, and the reference structure certifies the worst case of b at
+    its dark corner without a search, so sense max runs on one whose dark
+    corner is lit."""
     structure = evidence_structure(scenario)
     if sense == "max":
         structure = oracles.lit_b_structure(structure, scenario.fixed_uncertain)
-    model = make_model(scenario, "minmax", contamination=False)
+    model = make_model(scenario, "minmax", contamination=True)
     config = replace(REFERENCE.solver, outer_budget=10, outer_pop=4, explorers=1,
                      inner_budget=12, inner_pop=4, seed=3)
     fixed = scenario.fixed_uncertain
@@ -752,6 +755,117 @@ def test_evidence_evaluator_searches_b_over_what_it_reads(scenario, monkeypatch,
     assert found.witness_mass.shape == (len(TECH_NAMES),)
     b = mission.b_at(model, design, structure.marginal(B_NAMES))
     assert -b(found.witness_negb) == found.objectives.neg_b
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+@pytest.mark.parametrize("lit", [False, True])
+def test_without_contamination_b_is_read_at_one_corner(scenario, monkeypatch, sense, lit):
+    """With contamination off the evaluator's b is one FPET evaluation, at
+    the ``B_NAMES`` cube's bright corner for the best case (sense min) and
+    at its dark corner for the worst case (sense max), lit or not, with that
+    corner as witness; no search runs. On the lit structure the dark corner
+    ablates (b 1489.4 km at 20,10,2,3000)."""
+    structure = evidence_structure(scenario)
+    if lit:
+        structure = oracles.lit_b_structure(structure, scenario.fixed_uncertain)
+    b_space = structure.marginal(B_NAMES)
+    dark, bright = mission.b_corners(b_space, [(0.0, 1.0)] * b_space.dim)
+    corner = bright if sense == "min" else dark
+    config = replace(REFERENCE.solver, outer_budget=10, outer_pop=4, explorers=1,
+                     inner_budget=12, inner_pop=4, seed=3)
+    model = make_model(scenario, "minmin" if sense == "min" else "minmax", False)
+    design = DesignVector(20.0, 10, 2.0, 3000.0)
+    b = mission.b_at(model, design, b_space)
+    b_corner = b(corner)
+    seen = []
+    evaluate = model.evaluate
+
+    def spy(design, u):
+        seen.append(dict(u))
+        return evaluate(design, u)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("b was searched with contamination off")
+
+    monkeypatch.setattr(model, "evaluate", spy)
+    monkeypatch.setattr(mission, "inner_bound_search", no_search)
+    found = evidence_evaluator(model, structure, config, sense)(design)
+    assert seen == [{**scenario.fixed_uncertain, **uncertain_dict(b_space, corner)}]
+    assert np.array_equal(found.witness_negb, corner)
+    assert -found.objectives.neg_b == b_corner
+    if sense == "min":
+        assert b_corner > 0.0
+    else:
+        assert b_corner == (pytest.approx(1489.4, abs=0.05) if lit else 0.0)
+
+
+def b_hull(space: FocalStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Per parameter of ``space``, the least and the greatest end of its
+    intervals."""
+    return (np.array([min(iv.lo for iv in p.intervals) for p in space.params]),
+            np.array([max(iv.hi for iv in p.intervals) for p in space.params]))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(genes=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       base=st.lists(st.floats(0.0, 1.0), min_size=len(B_NAMES), max_size=len(B_NAMES)),
+       at=st.floats(0.0, 1.0))
+# the bright corner of the hull at 20,10,2,3000, where every line ablates
+@example(genes=[1.0, 1.0, 0.15, 1.0], base=[0.0] * 5 + [1.0] * 2, at=0.5)
+def test_b_is_monotone_in_each_parameter_it_reads(scenario, genes, base, at):
+    """With contamination off b cannot rise with c_a, k_a, rho_a, t_sub or
+    e_sub and cannot fall with eta_l or eta_sa, up to its rounding
+    (``oracles.B_ROUNDING_KM``), the rule ``mission.b_corners`` rests on.
+    Each parameter walks 6 points across its whole hull and 6 points across
+    1e-6 of it from ``at``, the other six at ``base`` in their hulls, at a
+    drawn design."""
+    space = evidence_structure(scenario).marginal(B_NAMES)
+    lo, hi = b_hull(space)
+    point = lo + np.array(base) * (hi - lo)
+    design = decode_design(np.array(genes), scenario.design_bounds)
+    model = make_model(scenario, "bpcurve", False)
+    for d, name in enumerate(space.names):
+        falls = name in mission.PHYSICAL_NAMES
+        start = lo[d] + at * (1.0 - 1e-6) * (hi[d] - lo[d])
+        for line in (np.linspace(lo[d], hi[d], 6), start + np.linspace(0.0, 1e-6, 6) * (hi[d] - lo[d])):
+            bs = []
+            for x in line:
+                point[d] = x
+                bs.append(model.evaluate(design, {**scenario.fixed_uncertain,
+                                                  **dict(zip(space.names, point.tolist()))}).b)
+            steps = np.diff(bs) * (-1.0 if falls else 1.0)
+            assert steps.min() >= -oracles.B_ROUNDING_KM, (name, design, line, bs)
+        point[d] = lo[d] + base[d] * (hi[d] - lo[d])
+
+
+@pytest.mark.parametrize("d_m", [2.0, 20.0])
+def test_the_thrust_sample_does_not_rise_with_t_sub(scenario, d_m):
+    """The ejecta speed rises with t_sub, but the mass flow falls faster:
+    the thrust sample falls or holds on 201 points across t_sub's hull,
+    1700-1812 K, at the greatest flux of the design box (c_r at its upper
+    bound, eta_l and eta_sa at their upper ends, the asteroid at its
+    perihelion), with c_a, k_a, rho_a and e_sub at each of their 16 hull
+    corners. Lower flux only adds weight to the re-radiation, which rises
+    with t_sub. This is the one direction of ``mission.b_corners`` that
+    does not follow from the form of ``mass_flow_rate``."""
+    space = evidence_structure(scenario).marginal(B_NAMES)
+    lo, hi = (dict(zip(space.names, ends.tolist())) for ends in b_hull(space))
+    model = make_model(scenario, "bpcurve", False)
+    start = model.asteroid_eq
+    perihelion = replace(start, ell=math.atan2(start.p1, start.p2))
+    design = DesignVector(d_m, 1, 1.0, scenario.design_bounds["c_r"][1])
+    t_subs = np.linspace(lo["t_sub"], hi["t_sub"], 201).tolist()
+    for ends in itertools.product((lo, hi), repeat=4):
+        u = {**scenario.fixed_uncertain, "eta_l": hi["eta_l"], "eta_sa": hi["eta_sa"],
+             **{name: end[name] for name, end in zip(("c_a", "k_a", "rho_a", "e_sub"), ends)}}
+        thrusts = []
+        for t_sub in t_subs:
+            ast, tech = apply_uncertain(scenario, {**u, "t_sub": t_sub})
+            sample = ThrustModel(design, tech, ast, scenario.station, contamination_on=False,
+                                 t_reference=perihelion.t)
+            thrusts.append(sample(perihelion, perihelion.t, 0.0)[0].eps)
+        assert thrusts[0] > 0.0
+        assert all(b <= a for a, b in zip(thrusts, thrusts[1:])), ends
 
 
 @pytest.mark.parametrize("contamination", [False, True])
