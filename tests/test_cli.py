@@ -739,12 +739,12 @@ UNIT = st.floats(0.0, 1.0)
 def test_a_dark_corner_certifies_the_b_box_minimum(reference, genes, cells):
     """With contamination on each box of the b marginal is tried first at
     its dark corner, a point of the box. Where the bounder skips the minimum
-    search, the spot never
-    ablates there (one arc, b exactly 0.0) and the minimum is 0.0; the
-    maximum search keeps its generator key, so the maximum is that search's
-    value bit for bit. Elsewhere both searches run and the corner's value
-    joins them. ``cells`` places each dimension's range of cells: its first
-    cell, then its length, as fractions of what is left."""
+    search, the spot never ablates there (one arc, b exactly 0.0) and the
+    minimum is 0.0; the maximum search keeps its generator key, so the
+    maximum is that search's value bit for bit. Elsewhere both searches run
+    and the corner's value joins them. ``cells`` places each dimension's
+    range of cells: its first cell, then its length, as fractions of what
+    is left."""
     scenario = replace(reference, solver=replace(reference.solver, inner_budget=4, inner_pop=4))
     space = evidence_structure(scenario).marginal(B_NAMES)
     ranges = []
