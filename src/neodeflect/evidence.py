@@ -19,7 +19,6 @@ hypercube.
 from __future__ import annotations
 
 import bisect
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -264,9 +263,10 @@ class FocalStructure:
             ends.append((first_inside(edges[low]), edges[high + 1]))
         return ends
 
-    def corners(self, unit_box) -> list[np.ndarray]:
-        """Unit points at the 2**dim corners of a box's hull (``hull_ends``)."""
-        return [np.array(point) for point in itertools.product(*self.hull_ends(unit_box))]
+    def corner(self, unit_box, upper) -> np.ndarray:
+        """Unit point of a box's hull corner (``hull_ends``) at the upper end
+        of each parameter ``upper`` names and the lower end of every other."""
+        return np.array([pair[n in upper] for n, pair in zip(self.names, self.hull_ends(unit_box))])
 
 
 # ---------------------------------------------------------------------------

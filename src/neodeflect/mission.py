@@ -65,6 +65,7 @@ UNCERTAIN_NAMES = (
 PHYSICAL_NAMES = UNCERTAIN_NAMES[:5]
 TECH_NAMES = UNCERTAIN_NAMES[5:]
 B_NAMES = UNCERTAIN_NAMES[:7]  # what b reads; m_sys reads TECH_NAMES
+_EFFICIENCIES = ("eta_l", "eta_sa")  # the spot's flux and the laser's power rise with each
 
 _AST_FIELD = {"c_a": "c_a", "k_a": "k_a", "rho_a": "rho_a",
               "t_sub": "t_subl", "e_sub": "e_sub"}
@@ -408,17 +409,13 @@ class DeflectionModel:
             self._start = (t_warn_years, state, flux)
         return state, flux
 
-    def start_state(self, t_warn_years: float) -> EquinoctialState:
-        """Asteroid state at the deflection start."""
-        return self._started(t_warn_years)[0]
-
     def deflection_start(
         self, design: DesignVector, u: dict
     ) -> tuple[EquinoctialState, ThrustModel]:
         """Asteroid state at the deflection start and the thrust model of
         one trajectory from it."""
         ast, tech = apply_uncertain(self.scenario, u)
-        eq_start = self.start_state(design.t_warn)
+        eq_start = self._started(design.t_warn)[0]
         thrust = ThrustModel(
             design, tech, ast, self.scenario.station,
             contamination_on=self.contamination, t_reference=eq_start.t,
@@ -435,11 +432,10 @@ class DeflectionModel:
         r_dev, _ = equinoctial_to_cartesian(deviated, self.mu)
         return math.hypot(*bplane_offset(r_dev - self._r_nominal, self._v_hat).tolist())
 
-    def mass_only(self, design: DesignVector, u: dict | TechnologyParams) -> float:
-        """Formation mass [kg] at an uncertain point, or with the technology
-        built from one; no propagation involved."""
-        tech = u if isinstance(u, TechnologyParams) else _uncertain_technology(self.scenario, u)
-        return size_spacecraft(design, tech, self.margins, self._started(design.t_warn)[1]).m_sys
+    def mass_only(self, design: DesignVector, u: dict) -> float:
+        """Formation mass [kg] at an uncertain point; no propagation involved."""
+        return size_spacecraft(design, _uncertain_technology(self.scenario, u), self.margins,
+                               self._started(design.t_warn)[1]).m_sys
 
     def evaluate(self, design: DesignVector, u: dict) -> ModelEvaluation:
         """Both objectives for one design and uncertain point, with the
@@ -526,27 +522,38 @@ def b_corners(structure: FocalStructure, unit_box) -> tuple[np.ndarray, np.ndarr
     at most 2.8e-5 km).
     With contamination on b can rise with ``e_sub``, and only the dark
     corner's certificate of a 0.0 holds (``search.zero_or_search``)."""
-    ends = structure.hull_ends(unit_box)
     # b falls as an asteroid parameter rises: its dark end is its upper one
-    dark_ends = [int(name in PHYSICAL_NAMES) for name in structure.names]
-    return (np.array([pair[end] for pair, end in zip(ends, dark_ends)]),
-            np.array([pair[1 - end] for pair, end in zip(ends, dark_ends)]))
+    return structure.corner(unit_box, PHYSICAL_NAMES), structure.corner(unit_box, _EFFICIENCIES)
+
+
+def mass_extreme(model: DeflectionModel, structure: FocalStructure, unit_box, sense: str):
+    """The least (``sense`` ``min``) or greatest (``max``) ``m_sys`` over a
+    unit box of the technology marginal ``structure`` and the hull corner at
+    it, as a function of the design. ``m_sys`` cannot fall as ``rho_m``,
+    ``rho_l`` or ``rho_r`` rises and is linear in P = ``eta_l eta_sa``
+    (``size_spacecraft``: the laser's mass rises with P, the radiator's
+    falls), so each end is at a corner with every specific mass at that end
+    and both efficiencies low or both high, the first on a tie. Where both
+    efficiency hulls end at 1.0 ``rho_r`` cannot move ``m_sys``, and the
+    greatest value's corner takes ``rho_r`` high, not low as the first of
+    the 32 hull corners to attain it does."""
+    ends = ("rho_m", "rho_l", "rho_r") if sense == "max" else ()
+    candidates = [structure.corner(unit_box, ends + effs) for effs in ((), _EFFICIENCIES)]
+
+    def extreme(design: DesignVector) -> tuple[float, np.ndarray]:
+        masses = [model.mass_only(design, uncertain_dict(structure, u)) for u in candidates]
+        k = masses.index((min if sense == "min" else max)(masses))
+        return masses[k], candidates[k]
+
+    return extreme
 
 
 def mass_box_bounder(model: DeflectionModel, design: DesignVector, structure: FocalStructure):
     """Exact (min, max) of ``m_sys`` over a unit box of the technology
-    marginal, at the 32 corners of its hull (``FocalStructure.corners``):
-    the box bounder of the formation-mass Bel/Pl curve. ``m_sys`` is linear
-    in each technology parameter (every term of ``size_spacecraft`` has
-    degree at most one in each), so its extremes over the box lie at those
-    corners, which are points of the box."""
-
-    def bounds(unit_box):
-        masses = [model.mass_only(design, uncertain_dict(structure, u))
-                  for u in structure.corners(unit_box)]
-        return min(masses), max(masses)
-
-    return bounds
+    marginal, each at one of two hull corners (``mass_extreme``), which are
+    points of the box: the box bounder of the formation-mass Bel/Pl curve."""
+    return lambda unit_box: tuple(mass_extreme(model, structure, unit_box, sense)(design)[0]
+                                  for sense in ("min", "max"))
 
 
 def evidence_evaluator(
@@ -556,9 +563,9 @@ def evidence_evaluator(
     sense: str,
 ):
     """J(x), each objective over the marginal of the parameters it reads:
-    the mass exactly, at its 32 technology corners, and b over the
-    ``B_NAMES`` marginal's unit cube. Each witness is a point of its
-    objective's marginal.
+    the mass exactly, at one of two technology corners (``mass_extreme``),
+    and b over the ``B_NAMES`` marginal's unit cube. Each witness is a point
+    of its objective's marginal.
 
     With contamination off b is exact at one FPET evaluation: its best case
     (sense ``min``) is b at the cube's bright corner and its worst case
@@ -575,7 +582,7 @@ def evidence_evaluator(
     otherwise the search runs, seeded with the nominal point's image and
     the corner, whose b it knows, so it spends ``inner_budget`` evaluations
     with the corner one of them and reports at most the corner's b, an
-    estimate. The technology corners and the two b corners do not depend
+    estimate. The two mass corners and the two b corners do not depend
     on the design: they are built once per evaluator.
     """
     fixed = model.scenario.fixed_uncertain
@@ -583,15 +590,11 @@ def evidence_evaluator(
     seed_point = b_space.physical_to_unit([fixed[name] for name in b_space.names])
     dark, bright = b_corners(b_space, [(0.0, 1.0)] * b_space.dim)
     exact = bright if sense == "min" else dark  # b's extreme with contamination off
-    corners = mass_space.corners([(0.0, 1.0)] * mass_space.dim)
-    techs = [_uncertain_technology(model.scenario, uncertain_dict(mass_space, u))
-             for u in corners]
-    pick = min if sense == "min" else max
+    mass = mass_extreme(model, mass_space, [(0.0, 1.0)] * mass_space.dim, sense)
     b_sense = "max" if sense == "min" else "min"  # the sense bounds -b
 
     def evaluate(design: DesignVector) -> Individual:
-        masses = [model.mass_only(design, tech) for tech in techs]
-        k = masses.index(pick(masses))
+        m_sys, witness_mass = mass(design)
         b = b_at(model, design, b_space)
 
         def search(f, *seeds):
@@ -607,12 +610,8 @@ def evidence_evaluator(
         else:
             found = search(b) if sense == "min" else zero_or_search(b, dark, search_past)[-1]
             b_value, witness = found.value, found.point
-        return Individual(
-            design,
-            Objectives(masses[k], -b_value),
-            witness_mass=corners[k],
-            witness_negb=witness,
-        )
+        return Individual(design, Objectives(m_sys, -b_value),
+                          witness_mass=witness_mass, witness_negb=witness)
 
     return evaluate
 

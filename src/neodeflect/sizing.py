@@ -132,10 +132,10 @@ UNIT_MARGINS = Margins(1.0, 1.0, 1.0, 1.0)
 class MassBudget:
     """Itemized mass and power budget of one spacecraft and the formation.
 
-    Built 32 times per design in the evidence modes, so slotted rather than
-    frozen (a frozen dataclass writes each field through
-    ``object.__setattr__``), but a value: no code assigns to a field of a
-    budget once built."""
+    Built at every mass evaluation, twice per design in the evidence modes,
+    so slotted rather than frozen (a frozen dataclass writes each field
+    through ``object.__setattr__``), but a value: no code assigns to a
+    field of a budget once built."""
 
     m_c: float
     m_s: float

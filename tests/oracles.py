@@ -21,7 +21,9 @@ out, the reference of the searches the box bounds of b keep.
 ``lit_b_structure`` narrows the evidence on b about the fixed values, so
 that the dark corner of its marginal ablates at large designs and the
 worst case of b keeps its search. ``B_ROUNDING_KM`` is the slack of the
-checks that b is monotone in each parameter it reads.
+checks that b is monotone in each parameter it reads. ``mass_extreme``
+evaluates all 32 corners of a technology box's hull, the brute-force
+referee of ``mission.mass_extreme``'s two.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ from neodeflect.fpet import (
     Trajectory,
     fpet_step,
 )
-from neodeflect.mission import B_NAMES
+from neodeflect.mission import B_NAMES, uncertain_dict
 from neodeflect.orbits import (
     EquinoctialState,
     KeplerianElements,
@@ -670,3 +672,21 @@ def lit_b_structure(structure: FocalStructure, fixed: dict, scale: float = 0.01)
 # across the whole hull fell. The RK referee resolves about 0.01 km, so
 # below this slack FPET's b is not known to be wrong.
 B_ROUNDING_KM = 1e-4
+
+
+def hull_corners(structure: FocalStructure, unit_box) -> list[np.ndarray]:
+    """Unit points at the 2**dim corners of a box's hull
+    (``FocalStructure.hull_ends``), in ``itertools.product`` order: the
+    first dimension varies slowest, and each takes its lower end first."""
+    return [np.array(point) for point in itertools.product(*structure.hull_ends(unit_box))]
+
+
+def mass_extreme(model, design, structure: FocalStructure, unit_box, sense: str):
+    """The least (``sense`` ``min``) or greatest (``max``) ``m_sys`` over a
+    unit box of the technology marginal ``structure`` and the first of its
+    ``hull_corners`` that attains it, by evaluating every one: m_sys is
+    linear in each technology parameter, so its extremes lie at them."""
+    corners = hull_corners(structure, unit_box)
+    masses = [model.mass_only(design, uncertain_dict(structure, u)) for u in corners]
+    k = masses.index((min if sense == "min" else max)(masses))
+    return masses[k], corners[k]

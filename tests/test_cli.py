@@ -807,7 +807,7 @@ def test_the_dark_corner_is_the_dimmest_corner_of_the_brightest_b_cell(reference
     b = mission.b_at(mission.make_model(reference, "bpcurve", False),
                      parse_design("20,10,2,3000"), space)
     dark = mission.b_corners(space, unit_box)[0]
-    others = [u for u in space.corners(unit_box) if not np.array_equal(u, dark)]
+    others = [u for u in oracles.hull_corners(space, unit_box) if not np.array_equal(u, dark)]
     assert len(others) == 2 ** space.dim - 1
     assert 0.0 < b(dark) < min(b(u) for u in others)
 

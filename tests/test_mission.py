@@ -372,7 +372,7 @@ def test_model_deterministic_reference(scenario):
     assert ev.b > 100.0
     # mass agrees with a direct sizing call at the same flux
     _, tech = apply_uncertain(scenario, scenario.fixed_uncertain)
-    flux = S0 * (AU_KM / model.start_state(DESIGN.t_warn).radius()) ** 2
+    flux = S0 * (AU_KM / model.deflection_start(DESIGN, scenario.fixed_uncertain)[0].radius()) ** 2
     assert ev.m_sys == size_spacecraft(DESIGN, tech, scenario.margins, flux).m_sys
 
 
@@ -398,7 +398,7 @@ def test_model_mass_only_matches_evaluate(scenario):
 
 
 def test_start_state_is_solved_once_per_design(scenario, monkeypatch):
-    """The 32 mass corners and the b evaluations of one design share one
+    """The two mass corners and the b evaluations of one design share one
     Kepler solve of the start state, and keep the bits of a fresh model's."""
     structure = evidence_structure(scenario)
     config = replace(REFERENCE.solver, outer_budget=10, outer_pop=4, explorers=1,
@@ -531,7 +531,7 @@ def test_the_dark_corner_of_the_b_marginal_never_ablates(scenario, contamination
     ends, the spot is dark on the whole orbit from the start of every
     design drawn: one coasted arc, b exactly 0.0, the worst case of b."""
     b_space = evidence_structure(scenario).marginal(B_NAMES)
-    corners = b_space.corners([(0.0, 1.0)] * b_space.dim)
+    corners = oracles.hull_corners(b_space, [(0.0, 1.0)] * b_space.dim)
     values = [b_space.unit_to_physical(u) for u in corners]
     high, low = np.max(values, axis=0), np.min(values, axis=0)
     target = [high[d] if name in mission.PHYSICAL_NAMES else low[d]
@@ -655,12 +655,12 @@ def test_a_lit_dark_corner_keeps_the_worst_case_search(scenario, contamination):
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_mass_bound_is_exact_at_the_technology_corners(scenario, sense):
     """m_sys is linear in each technology parameter, so no point of a box of
-    the technology marginal leaves the range of its 32 corners, which are
-    points of the box themselves and sit at each dimension's interval hull
-    over the box's cells, not at the box's unit ends. Over the whole cube the
-    evaluator reports that range's end exactly, the matching end of
-    ``mass_box_bounder``, with its corner as the witness, whatever the inner
-    budget."""
+    the technology marginal leaves the range of its 32 hull corners
+    (``oracles.hull_corners``), which are points of the box themselves and
+    sit at each dimension's interval hull over the box's cells, not at the
+    box's unit ends, and ``mass_box_bounder`` reports that range. Over the
+    whole cube the evaluator reports that range's end exactly, with its
+    corner as the witness, whatever the inner budget."""
     structure = evidence_structure(scenario)
     tech = structure.marginal(TECH_NAMES)
     model = make_model(scenario, "minmax", contamination=False)
@@ -694,7 +694,7 @@ def test_mass_bound_is_exact_at_the_technology_corners(scenario, sense):
                 return all(first <= struct.cell_of(d, u[d]) < end
                            for d, (first, end) in enumerate(box.ranges))
 
-            corners = struct.corners(unit_box)
+            corners = oracles.hull_corners(struct, unit_box)
             assert len(corners) == 32 and all(in_box(u) for u in corners)
             # a lower face inside the cube is taken one step inside the box,
             # so its value may sit one rounding above the interval's lo
@@ -717,6 +717,132 @@ def test_mass_bound_is_exact_at_the_technology_corners(scenario, sense):
         assert found.objectives.m_sys == ends[sense == "max"]
         assert model.mass_only(design, uncertain_dict(tech, found.witness_mass)) == (
             found.objectives.m_sys)
+
+
+def with_intervals(structure: FocalStructure, **intervals) -> FocalStructure:
+    """``structure`` with the named parameters' evidence replaced by
+    intervals ``(lo, hi)`` of equal mass."""
+    def evidence(p):
+        ivs = intervals.get(p.name)
+        return p if ivs is None else ParameterBPA(
+            p.name, tuple(UncertainInterval(lo, hi, 1.0 / len(ivs)) for lo, hi in ivs))
+
+    return FocalStructure([evidence(p) for p in structure.params])
+
+
+def mass_extreme_mismatches(scenario, wins: set | None = None) -> tuple[int, int]:
+    """(pairs, mismatches) of ``mission.mass_extreme`` against the brute
+    force over all 32 hull corners (``oracles.mass_extreme``), value and
+    witness bit for bit, at 15 drawn designs x 15 drawn boxes, both senses,
+    under unit and the scenario margins, on the technology marginal and on
+    one whose rho_r evidence is raised to (3, 4.5) and (40, 60), where
+    m_sys falls as eta_l eta_sa rises. Each winning candidate is added to
+    ``wins`` as (sense, efficiencies high)."""
+    tech = evidence_structure(scenario).marginal(TECH_NAMES)
+    raised = with_intervals(tech, rho_r=[(3.0, 4.5), (40.0, 60.0)])
+    rng = np.random.default_rng(37)
+    designs = [decode_design(rng.random(4), scenario.design_bounds) for _ in range(15)]
+    pairs = mismatches = 0
+    for struct in (tech, raised):
+        eta_l = struct.names.index("eta_l")
+        boxes = []
+        for _ in range(15):
+            lo = [int(rng.integers(n)) for n in struct.counts()]
+            boxes.append(SubBox(tuple((a, int(rng.integers(a + 1, n + 1)))
+                                      for a, n in zip(lo, struct.counts()))).unit_box(struct))
+        for margins in (UNIT_MARGINS, scenario.margins):
+            model = DeflectionModel(scenario, False, margins)
+            for unit_box in boxes:
+                high = struct.hull_ends(unit_box)[eta_l][1]
+                for sense in ("min", "max"):
+                    extreme = mission.mass_extreme(model, struct, unit_box, sense)
+                    for design in designs:
+                        value, witness = extreme(design)
+                        ref_value, ref_witness = oracles.mass_extreme(model, design, struct,
+                                                                      unit_box, sense)
+                        pairs += 1
+                        mismatches += not (value == ref_value
+                                           and np.array_equal(witness, ref_witness))
+                        if wins is not None:
+                            wins.add((sense, bool(witness[eta_l] == high)))
+    return pairs, mismatches
+
+
+def test_mass_extreme_matches_the_32_corner_brute_force(scenario):
+    """m_sys cannot fall as a specific mass rises and is linear in
+    eta_l eta_sa, so its least and greatest values over a box of the
+    technology marginal are at two candidate corners each: the value and
+    the witness of the brute force over all 32, bit for bit, in 1800
+    pairs, and each of the four candidates wins somewhere."""
+    wins = set()
+    assert mass_extreme_mismatches(scenario, wins) == (1800, 0)
+    assert wins == {(sense, high) for sense in ("min", "max") for high in (False, True)}
+
+
+def test_a_heavy_end_without_its_low_efficiency_corner_misses(scenario, monkeypatch):
+    """A mutant whose greatest value reads only the corner with both
+    efficiencies high misses the brute force wherever the radiator
+    outweighs the laser."""
+    corner = FocalStructure.corner
+
+    def mutant(self, unit_box, upper):
+        if tuple(upper) == ("rho_m", "rho_l", "rho_r"):  # the efficiencies-low candidate
+            upper = TECH_NAMES
+        return corner(self, unit_box, upper)
+
+    monkeypatch.setattr(FocalStructure, "corner", mutant)
+    assert mass_extreme_mismatches(scenario)[1] > 0
+
+
+def test_mass_extreme_witness_where_both_efficiencies_reach_one(scenario):
+    """Where both efficiency hulls end at 1.0 no heat is rejected and rho_r
+    cannot move m_sys at the greatest value: the candidate takes rho_r high
+    (corner 31), the brute force's first corner low (corner 30), with the
+    same value. The least value keeps the brute force's witness."""
+    tech = with_intervals(evidence_structure(scenario).marginal(TECH_NAMES),
+                          eta_l=[(0.5, 1.0)], eta_sa=[(0.3, 1.0)])
+    cube = [(0.0, 1.0)] * tech.dim
+    corners = oracles.hull_corners(tech, cube)
+    model = make_model(scenario, "minmax", False)
+    value, witness = mission.mass_extreme(model, tech, cube, "max")(DESIGN)
+    ref_value, ref_witness = oracles.mass_extreme(model, DESIGN, tech, cube, "max")
+    assert value == ref_value
+    assert np.array_equal(witness, corners[31]) and np.array_equal(ref_witness, corners[30])
+    value, witness = mission.mass_extreme(model, tech, cube, "min")(DESIGN)
+    ref_value, ref_witness = oracles.mass_extreme(model, DESIGN, tech, cube, "min")
+    assert value == ref_value and np.array_equal(witness, ref_witness)
+
+
+@pytest.mark.parametrize("contamination", [False, True])
+def test_mass_is_evaluated_twice_per_design_and_four_times_per_box(scenario, monkeypatch,
+                                                                   contamination):
+    """A robust design reads m_sys at its two candidate corners and a box of
+    the m_sys curve at four, never at all 32."""
+    calls = []
+    mass_only = DeflectionModel.mass_only
+
+    def counted(self, design, u):
+        calls.append(u)
+        return mass_only(self, design, u)
+
+    monkeypatch.setattr(DeflectionModel, "mass_only", counted)
+    structure = evidence_structure(scenario)
+    config = replace(REFERENCE.solver, outer_budget=10, outer_pop=4, explorers=1,
+                     inner_budget=4, inner_pop=4, seed=3)
+    for mode in ("minmin", "minmin-margins", "minmax"):
+        sense = "max" if mode == "minmax" else "min"
+        evaluate = evidence_evaluator(make_model(scenario, mode, contamination), structure,
+                                      config, sense)
+        calls.clear()
+        evaluate(DESIGN)
+        assert len(calls) == 2, mode
+    tech = structure.marginal(TECH_NAMES)
+    bounds = mission.mass_box_bounder(make_model(scenario, "bpcurve", contamination), DESIGN,
+                                      tech)
+    for box in (SubBox(tuple((0, n) for n in tech.counts())), SubBox(((1, 2),) * tech.dim)):
+        calls.clear()
+        bounds(box.unit_box(tech))
+        assert len(calls) == 4
 
 
 @pytest.mark.parametrize("sense", ["min", "max"])
