@@ -23,13 +23,15 @@ Where payloads differ on purpose, size the difference numerically:
 
     python3 scripts/cli_digests.py --compare /tmp/digests-old /tmp/digests-new
 
-prints one line for every CSV whose bytes differ between the two
-directories, or that only one of them holds. Cells are paired by column
-name, so a reordered column is no difference; the line names the columns
-only one side has, then gives a change in the number of data rows, or
-else, over the rows paired in order and the columns both sides have, the
-largest absolute and relative difference of a numeric cell and the number
-of other cells that differ.
+prints one line for every file whose bytes differ between the two
+directories, or that only one of them holds. For a CSV, cells are paired
+by column name, so a reordered column is no difference; the line names the
+columns only one side has, then gives a change in the number of data rows,
+or else, over the rows paired in order and the columns both sides have,
+the largest absolute and relative difference of a numeric cell and the
+number of other cells that differ. For a JSON object, the line names the
+leaf keys, dotted through nested objects, whose values differ or that only
+one side has. Any other file is named with "bytes differ".
 """
 import csv
 import hashlib
@@ -70,49 +72,69 @@ def _table(path: Path) -> tuple[list[str], list[list[str]]]:
     return (rows[0], rows[1:]) if rows else ([], [])
 
 
+def _csv_notes(path: Path, other: Path) -> str:
+    (head_old, rows_old), (head_new, rows_new) = _table(path), _table(other)
+    notes = []
+    dropped = [c for c in head_old if c not in head_new]
+    added = [c for c in head_new if c not in head_old]
+    if dropped:
+        notes.append(f"dropped columns {' '.join(dropped)}")
+    if added:
+        notes.append(f"added columns {' '.join(added)}")
+    if len(rows_old) != len(rows_new):
+        notes.append(f"rows {len(rows_old)} -> {len(rows_new)}")
+        return ", ".join(notes)
+    pairs = [(head_old.index(c), head_new.index(c)) for c in head_old if c in head_new]
+    max_abs = max_rel = 0.0
+    other_cells = 0
+    for row_old, row_new in zip(rows_old, rows_new):
+        for i, j in pairs:
+            a, b = row_old[i], row_new[j]
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                other_cells += a != b
+                continue
+            diff = abs(x - y)
+            max_abs = max(max_abs, diff)
+            if diff:
+                max_rel = max(max_rel, diff / max(abs(x), abs(y)))
+    notes.append(f"{len(rows_old)} rows, max abs {max_abs:.3g}, "
+                 f"max rel {max_rel:.3g}, other cells {other_cells}")
+    return ", ".join(notes)
+
+
+def _leaves(value, prefix: str = "") -> dict:
+    """Every leaf of a JSON value by its dotted key; a list is one leaf."""
+    if not isinstance(value, dict):
+        return {prefix: value}
+    leaves = {}
+    for key, item in value.items():
+        leaves.update(_leaves(item, f"{prefix}.{key}" if prefix else key))
+    return leaves
+
+
+def _json_notes(path: Path, other: Path) -> str:
+    old, new = json.loads(path.read_text()), json.loads(other.read_text())
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return "bytes differ"
+    a, b = _leaves(old), _leaves(new)
+    keys = [k for k in sorted(a.keys() | b.keys()) if k not in a or k not in b or a[k] != b[k]]
+    return f"keys differ: {' '.join(keys)}" if keys else "bytes differ, every value equal"
+
+
 def compare(old: Path, new: Path) -> None:
-    names = {p.relative_to(old) for p in old.rglob("*.csv")}
-    names |= {p.relative_to(new) for p in new.rglob("*.csv")}
+    names = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
+    names |= {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
     for name in sorted(names):
         path, other = old / name, new / name
         if not other.exists():
             print(f"{name}: missing under {new}")
-            continue
-        if not path.exists():
+        elif not path.exists():
             print(f"{name}: only under {new}")
-            continue
-        if path.read_bytes() == other.read_bytes():
-            continue
-        (head_old, rows_old), (head_new, rows_new) = _table(path), _table(other)
-        notes = []
-        dropped = [c for c in head_old if c not in head_new]
-        added = [c for c in head_new if c not in head_old]
-        if dropped:
-            notes.append(f"dropped columns {' '.join(dropped)}")
-        if added:
-            notes.append(f"added columns {' '.join(added)}")
-        if len(rows_old) != len(rows_new):
-            notes.append(f"rows {len(rows_old)} -> {len(rows_new)}")
-            print(f"{name}: {', '.join(notes)}")
-            continue
-        pairs = [(head_old.index(c), head_new.index(c)) for c in head_old if c in head_new]
-        max_abs = max_rel = 0.0
-        other_cells = 0
-        for row_old, row_new in zip(rows_old, rows_new):
-            for i, j in pairs:
-                a, b = row_old[i], row_new[j]
-                try:
-                    x, y = float(a), float(b)
-                except ValueError:
-                    other_cells += a != b
-                    continue
-                diff = abs(x - y)
-                max_abs = max(max_abs, diff)
-                if diff:
-                    max_rel = max(max_rel, diff / max(abs(x), abs(y)))
-        notes.append(f"{len(rows_old)} rows, max abs {max_abs:.3g}, "
-                     f"max rel {max_rel:.3g}, other cells {other_cells}")
-        print(f"{name}: {', '.join(notes)}")
+        elif path.read_bytes() != other.read_bytes():
+            notes = {".csv": _csv_notes, ".json": _json_notes}.get(name.suffix)
+            print(f"{name}: {notes(path, other) if notes else 'bytes differ'}")
 
 
 def main(argv: list[str]) -> int:

@@ -61,17 +61,17 @@ against ``t_sub``; the message names the key); also a negative seed
 (in the scenario or as ``--seed``), a scenario file that cannot be read, an
 ``--out`` directory that cannot be made or written to, a ``--design``
 outside the scenario's design bounds, an expert-opinion file that is
-missing, malformed (an expert or its parameters not an object, a bool
-for a number), leaves out a parameter, or holds a non-finite bound or a
-weight that is not a finite number >= 0 (the modes that load it:
-``minmin``, ``minmin-margins``, ``minmax``, ``bpcurve``, ``sensitivity``),
-``--nv`` below 2 or ``--max-partitions`` below 1 (``bpcurve``,
-``sensitivity``), or reference orbits of the asteroid and the Earth whose
-encounter velocity is too small to define a b-plane, 3 any other invalid
-value met during a run, 4 numerical failure (the arc-count cap of a
-propagation, a Kepler solve that does not converge, a failed reference
-integration, or a NaN or infinite objective in any mode, ``propagate``
-included).
+missing, malformed (an expert or its parameters not an object, a bool for
+a number, an unknown key or parameter name), leaves out a parameter, or
+holds a non-finite bound or a weight that is not a finite number >= 0 (the
+modes that load it: ``minmin``, ``minmin-margins``, ``minmax``,
+``bpcurve``, ``sensitivity``), ``--nv`` below 2 or ``--max-partitions``
+below 1 (``bpcurve``, ``sensitivity``), or reference orbits of the
+asteroid and the Earth whose encounter velocity is too small to define a
+b-plane, 3 any other invalid value met during a run, 4 numerical failure
+(the arc-count cap of a propagation, a Kepler solve that does not
+converge, a failed reference integration, or a NaN or infinite objective
+in any mode, ``propagate`` included).
 """
 from __future__ import annotations
 

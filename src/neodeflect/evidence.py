@@ -128,19 +128,26 @@ def load_expert_opinions(path: str | Path) -> list[ExpertOpinion]:
 
     Format: {"experts": [{"id": ..., "weight": ..., "parameters":
     {name: [{"lo": ..., "hi": ..., "bpa": ...}, ...], ...}}, ...]}.
-    A parameter an expert has no opinion on is simply absent. A document
-    of another shape, or a bool where a number belongs, is a TypeError.
+    A parameter an expert has no opinion on is absent. Another shape, or a
+    bool for a number, is a TypeError; a key the format lacks, a ValueError.
     """
     def number(value):
         if isinstance(value, bool):
             raise TypeError(f"{value!r} is not a number")
         return value
 
-    doc = json.loads(Path(path).read_text())
+    def known(block, keys: set, where: str):
+        if unknown := sorted(set(block) - keys):
+            raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+        return block
+
+    doc = known(json.loads(Path(path).read_text()),
+                {"schema_version", "description", "experts"}, "the document")
     opinions = []
     for k, entry in enumerate(doc["experts"]):
         if not isinstance(entry, dict):
             raise TypeError(f"expert {k} is not an object: {entry!r}")
+        known(entry, {"id", "weight", "parameters"}, f"expert {k}")
         parameters = entry.get("parameters", {})
         if not isinstance(parameters, dict):
             raise TypeError(f"parameters of expert {k} are not an object: {parameters!r}")
@@ -148,7 +155,8 @@ def load_expert_opinions(path: str | Path) -> list[ExpertOpinion]:
             name: tuple(
                 UncertainInterval(lo=number(iv["lo"]), hi=number(iv["hi"]),
                                   bpa=number(iv["bpa"]))
-                for iv in intervals
+                for iv in (known(iv, {"lo", "hi", "bpa"}, f"a {name} interval of expert {k}")
+                           for iv in intervals)
             )
             for name, intervals in parameters.items()
         }

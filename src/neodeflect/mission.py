@@ -464,6 +464,8 @@ def evidence_structure(scenario: Scenario) -> FocalStructure:
     path = scenario.expert_opinions_path()
     try:
         opinions = load_expert_opinions(path)
+        if unknown := sorted({n for op in opinions for n in op.parameters} - set(UNCERTAIN_NAMES)):
+            raise ValueError(f"unknown parameter {unknown[0]!r}")
         params = [fuse_experts(opinions, name) for name in UNCERTAIN_NAMES]
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"expert opinions {path}: {type(exc).__name__}: {exc}") from exc

@@ -6,18 +6,34 @@ values in the same commit and records why in CHANGES.md.
 
 The model values are (m_sys [kg], b [km], arcs) of one deterministic
 evaluation at the reference uncertain values, with the scenario margins,
-compared at a relative tolerance of 1e-12. The digests are sha256 of CLI
-payloads at tiny solver budgets: the deterministic and minmax archives,
-the two Bel/Pl curves of one bpcurve run and both propagate trajectories.
-Both depend on the floating-point results of the platform they were
-pinned on (x86-64, CPython 3, numpy).
+compared at a relative tolerance of 1e-12.
+
+The digests are the listing of ``scripts/cli_digests.py``: the sha256 of
+every file that every CLI mode writes, contamination off and on, at the
+script's tiny budgets (its ``RUNS``, ``SOLVER``, ``SEED`` and ``DESIGN``).
+``tests/data/cli_digests.txt`` pins all of them but the two
+``propagate_summary.json`` files, whose RK oracle b moves with the BLAS
+kernel. A deliberate change regenerates the listing from the repository
+root with
+
+    python scripts/cli_digests.py . /tmp/d | grep -v '/propagate_summary.json$' > tests/data/cli_digests.txt
+
+sizes the move with ``cli_digests.py --compare`` against the parent's
+payloads, and records why in CHANGES.md.
+
+Both kinds of value depend on the floating-point results of the platform
+they were pinned on (x86-64, CPython 3, numpy).
 """
-import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from neodeflect.cli import main, parse_design
+import cli_digests
+from neodeflect.cli import parse_design
 from neodeflect.mission import (
+    MODES,
     load_scenario,
     make_model,
     reference_scenario_path,
@@ -45,33 +61,10 @@ LOCKED_EVALUATIONS = {
     ("14,7,5.25,2200", True): (9302.329003099374, 16.85299496913483, 68),
 }
 
-DETERMINISTIC_ARCHIVE_SHA256 = (
-    "786999054bbf0eb0d894f56d69a9febd09f1e0f760bac605914e34a962fff162"
-)
-MINMAX_ARCHIVE_SHA256 = (
-    "6eaad2320c2c35534a3a2337d4b74e0ab4b48967c15360ac7cbcceb21dcbcbed"
-)
-# the curves of one bpcurve run at design 20,10,1,3000, --nv 5,
-# --max-partitions 12, each over the parameters its objective reads; both
-# curves are bounded exactly, box by box: the m_sys curve at its corners and
-# the b curve, contamination off, at each box's dark and bright corners
-BPCURVE_SHA256 = {
-    "belpl_b.csv": "925c2e34c98c1b4353266dab016ef79a0c98a136373ff893b484726e86282cd1",
-    "belpl_m_sys.csv": "fe910860b65047aa4e8887b7fceedd9110b5e2605884ea475e546e7bebcb4f7a",
-}
-TRAJECTORY_SHA256 = {
-    "off": "871ef20545927077a1d0dbf6d3b9e81a3d57fe36cbd8aafaa2211bb233b2a837",
-    "on": "624669b325e99250ec808ce5246d34cad45d343c2f873059dece7acb90c4cb69",
-}
-
 
 @pytest.fixture(scope="module")
 def scenario():
     return load_scenario(reference_scenario_path())
-
-
-def sha256(path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("contamination", [False, True])
@@ -86,36 +79,44 @@ def test_locked_model_evaluations(scenario, contamination):
         assert ev.n_arcs == n_arcs, text
 
 
-def test_locked_deterministic_archive(tiny_scenario, tmp_path):
-    out = tmp_path / "det"
-    code = main(["--mode", "deterministic", "--scenario", str(tiny_scenario),
-                 "--out", str(out), "--seed", "77"])
-    assert code == 0
-    assert sha256(out / "archive_deterministic.csv") == DETERMINISTIC_ARCHIVE_SHA256
+ROOT = Path(__file__).resolve().parent.parent
+LISTING = ROOT / "tests" / "data" / "cli_digests.txt"
+# written by every run but not pinned: the RK b moves with the BLAS kernel
+SUMMARIES = {f"propagate-{c}/propagate_summary.json" for c in ("off", "on")}
 
 
-def test_locked_minmax_archive(tiny_scenario, tmp_path):
-    out = tmp_path / "minmax"
-    code = main(["--mode", "minmax", "--scenario", str(tiny_scenario),
-                 "--out", str(out), "--seed", "77"])
-    assert code == 0
-    assert sha256(out / "archive_minmax.csv") == MINMAX_ARCHIVE_SHA256
+def read_listing(text: str) -> dict[str, str]:
+    """file -> sha256 of a ``cli_digests.py`` listing."""
+    return {name: digest for digest, name in (line.split("  ") for line in text.splitlines())}
 
 
-def test_locked_bpcurve_curves(tiny_scenario, tmp_path):
-    out = tmp_path / "bpcurve"
-    code = main(["--mode", "bpcurve", "--scenario", str(tiny_scenario),
-                 "--out", str(out), "--seed", "77", "--design", "20,10,1,3000",
-                 "--nv", "5", "--max-partitions", "12"])
-    assert code == 0
-    assert {name: sha256(out / name) for name in BPCURVE_SHA256} == BPCURVE_SHA256
+PINNED = read_listing(LISTING.read_text())
 
 
-@pytest.mark.parametrize("contamination", ["off", "on"])
-def test_locked_propagate_trajectory(tiny_scenario, tmp_path, contamination):
-    out = tmp_path / contamination
-    code = main(["--mode", "propagate", "--scenario", str(tiny_scenario),
-                 "--out", str(out), "--design", "20,10,1,3000",
-                 "--contamination", contamination])
-    assert code == 0
-    assert sha256(out / "trajectory.csv") == TRAJECTORY_SHA256[contamination]
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    """The listing of one ``cli_digests.py`` run of this tree, and its OUT."""
+    out = tmp_path_factory.mktemp("cli_digests")
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "cli_digests.py"),
+                           str(ROOT), str(out)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return read_listing(done.stdout), out
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_cli_payload_is_pinned(cli_run, name):
+    digests, out = cli_run
+    assert digests.get(name) == PINNED[name], (
+        f"{name} differs from {LISTING.name}: size the move with "
+        f"python scripts/cli_digests.py PARENT_TREE OLD, then "
+        f"python scripts/cli_digests.py --compare OLD {out}"
+    )
+
+
+def test_cli_run_writes_exactly_the_pinned_files(cli_run):
+    digests, _ = cli_run
+    assert sorted(digests) == sorted(PINNED.keys() | SUMMARIES)
+
+
+def test_every_mode_is_pinned():
+    assert sorted(mode for mode, _ in cli_digests.RUNS) == sorted(MODES)

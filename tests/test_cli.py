@@ -189,6 +189,14 @@ _OPINION_EDITS = {
     "negative-weight": ("weight", -1.0, "weight"),
     "bool-lo": ("lo", True, "not a number"),
 }
+# a key of the shipped opinions renamed, or added where the old key is
+# None: (block of expert a, old key, new key, which the error message names)
+_OPINION_KEYS = {
+    "unknown-document-key": ("document", None, "comment"),
+    "misspelt-weight": ("expert", "weight", "wieght"),
+    "misspelt-parameter": ("parameters", "c_a", "c_A"),
+    "unknown-interval-key": ("interval", None, "mode"),
+}
 # opinion documents of the wrong shape
 _OPINION_DOCS = {
     "string-expert": {"experts": ["x"]},
@@ -198,14 +206,15 @@ _OPINION_DOCS = {
 
 
 @pytest.mark.parametrize("opinions", ["missing", "malformed", "incomplete", *_OPINION_EDITS,
-                                      *_OPINION_DOCS])
+                                      *_OPINION_KEYS, *_OPINION_DOCS])
 @pytest.mark.parametrize("mode", ["minmin", "minmin-margins", "minmax", "bpcurve",
                                   "sensitivity"])
 def test_expert_opinion_failure_exit_code(tiny_scenario, tmp_path, capsys, mode, opinions):
     """An opinion file that is missing, is not JSON, leaves out a parameter,
     has an interval bound that is not finite or a bool, an expert weight
-    that is not a finite number >= 0, or an expert or parameter block that
-    is not an object is a scenario error: exit 2 with one line on stderr."""
+    that is not a finite number >= 0, a key or a parameter name the format
+    does not know, or an expert or parameter block that is not an object
+    is a scenario error: exit 2 with one line on stderr."""
     path = tmp_path / "opinions.json"
     shipped = reference_scenario_path().parent / "expert_opinions.json"
     doc = json.loads(shipped.read_text())
@@ -220,6 +229,13 @@ def test_expert_opinion_failure_exit_code(tiny_scenario, tmp_path, capsys, mode,
         expert = next(e for e in doc["experts"] if e["parameters"].get("c_a"))
         (expert if key == "weight" else expert["parameters"]["c_a"][0])[key] = value
         path.write_text(json.dumps(doc))
+    elif opinions in _OPINION_KEYS:
+        block, old, new = _OPINION_KEYS[opinions]
+        expert = doc["experts"][0]
+        target = {"document": doc, "expert": expert, "parameters": expert["parameters"],
+                  "interval": expert["parameters"]["c_a"][0]}[block]
+        target[new] = target.pop(old) if old else 1.0
+        path.write_text(json.dumps(doc))
     elif opinions in _OPINION_DOCS:
         path.write_text(json.dumps(_OPINION_DOCS[opinions]))
     scenario = json.loads(tiny_scenario.read_text())
@@ -233,6 +249,8 @@ def test_expert_opinion_failure_exit_code(tiny_scenario, tmp_path, capsys, mode,
     assert len(err.splitlines()) == 1
     if opinions in _OPINION_EDITS:
         assert _OPINION_EDITS[opinions][2] in err
+    if opinions in _OPINION_KEYS:
+        assert repr(_OPINION_KEYS[opinions][2]) in err
     if opinions in _OPINION_DOCS:
         assert "not an object" in err
 

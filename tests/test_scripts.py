@@ -82,6 +82,35 @@ def test_compare_pairs_cells_by_column_name(tmp_path, capsys):
     ]
 
 
+def test_compare_names_every_file_and_the_json_keys_that_differ(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for tree in (old, new):
+        (tree / "run").mkdir(parents=True)
+    (old / "run" / "meta.json").write_text(
+        '{"b": {"v_max": 1.0, "partial": true}, "n": [1, 2], "gone": 0}')
+    (new / "run" / "meta.json").write_text(
+        '{"b": {"v_max": 1.5, "partial": true}, "n": [1, 3], "new": 0}')
+    (old / "run" / "layout.json").write_text('{"a": 1}')
+    (new / "run" / "layout.json").write_text('{\n  "a": 1\n}\n')
+    (old / "run" / "list.json").write_text("[1]")
+    (new / "run" / "list.json").write_text("[2]")
+    (old / "run" / "notes.txt").write_text("x")
+    (new / "run" / "notes.txt").write_text("y")
+    (old / "run" / "same.json").write_text('{"a": 1}')
+    (new / "run" / "same.json").write_text('{"a": 1}')
+    (old / "manifest.json").write_text("{}")
+    (new / "run" / "summary.json").write_text("{}")
+    compare(old, new)
+    assert capsys.readouterr().out.splitlines() == [
+        f"manifest.json: missing under {new}",
+        "run/layout.json: bytes differ, every value equal",
+        "run/list.json: bytes differ",
+        "run/meta.json: keys differ: b.v_max gone n new",
+        "run/notes.txt: bytes differ",
+        f"run/summary.json: only under {new}",
+    ]
+
+
 def _evaluation(b: float, m_sys: float = 1500.0):
     state = SimpleNamespace(a=1.0, p1=0.1, p2=0.2, q1=0.0, q2=0.0, ell=3.0, t=1e8)
     trajectory = SimpleNamespace(eps_history=[1e-10], states=[state, state])
