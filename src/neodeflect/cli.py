@@ -51,7 +51,9 @@ key per field of ``Scenario`` but ``source_path`` (``mu_sun_km3s2`` and
 owner's keys (its dataclass's fields, or the design or uncertain parameter
 names), each with its JSON type (a bool is no number; 3.0 counts as an
 integer), design bounds are pairs ``[lo, hi]`` with 0 < lo <= hi, no
-number is NaN or infinite, and no value is one its dataclass refuses
+number is NaN or infinite, no key is given twice in one object (in this
+document and in the expert-opinion file), and no value is one its
+dataclass refuses
 (solver budgets and populations, an archive capacity below 2, fixed
 uncertain values, ``c_geo``, ``t_rad`` <= 0, ``emiss_rad`` outside (0, 1],
 ``m_bus``, ``mf_c``, ``mf_p`` < 0, ``m_a`` <= 0, a station ``psi_vf`` with
@@ -61,17 +63,18 @@ against ``t_sub``; the message names the key); also a negative seed
 (in the scenario or as ``--seed``), a scenario file that cannot be read, an
 ``--out`` directory that cannot be made or written to, a ``--design``
 outside the scenario's design bounds, an expert-opinion file that is
-missing, malformed (an expert or its parameters not an object, a bool for
-a number, an unknown key or parameter name), leaves out a parameter, or
-holds a non-finite bound or a weight that is not a finite number >= 0 (the
+missing, does not match ``mission.OPINIONS_SCHEMA``, with no NaN or
+infinity and no key given twice, leaves out a parameter, or holds an
+interval with lo > hi or a bpa outside (0, 1] or a negative weight (the
 modes that load it: ``minmin``, ``minmin-margins``, ``minmax``,
 ``bpcurve``, ``sensitivity``), ``--nv`` below 2 or ``--max-partitions``
 below 1 (``bpcurve``, ``sensitivity``), or reference orbits of the
 asteroid and the Earth whose encounter velocity is too small to define a
 b-plane, 3 any other invalid value met during a run, 4 numerical failure
 (the arc-count cap of a propagation, a Kepler solve that does not
-converge, a failed reference integration, or a NaN or infinite objective
-in any mode, ``propagate`` included).
+converge, a failed reference integration, a solver stage that left the
+elliptic domain included, or a NaN or infinite objective in any mode,
+``propagate`` included).
 """
 from __future__ import annotations
 

@@ -19,14 +19,12 @@ hypercube.
 from __future__ import annotations
 
 import bisect
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-BPA_SUM_TOL = 1e-9
+_BPA_SUM_TOL = 1e-9
 _BPA_FLOOR = 1e-4
 
 
@@ -62,7 +60,7 @@ class ParameterBPA:
         if not self.intervals:
             raise ValueError(f"parameter {self.name} has no intervals")
         total = math.fsum(iv.bpa for iv in self.intervals)
-        if abs(total - 1.0) > BPA_SUM_TOL:
+        if abs(total - 1.0) > _BPA_SUM_TOL:
             raise ValueError(
                 f"BPAs of parameter {self.name} sum to {total}, expected 1"
             )
@@ -73,8 +71,8 @@ class ExpertOpinion:
     """One expert's interval estimates; parameters not addressed are absent."""
 
     expert_id: str
-    weight: float = 1.0
-    parameters: dict[str, tuple[UncertainInterval, ...]] = field(default_factory=dict)
+    weight: float
+    parameters: dict[str, tuple[UncertainInterval, ...]]
 
     def __post_init__(self):
         if not (math.isfinite(self.weight) and self.weight >= 0.0):
@@ -121,53 +119,6 @@ def fuse_experts(opinions: list[ExpertOpinion], parameter: str) -> ParameterBPA:
     ]
     intervals.sort(key=lambda iv: (iv.lo, iv.hi))
     return ParameterBPA(name=parameter, intervals=tuple(intervals))
-
-
-def load_expert_opinions(path: str | Path) -> list[ExpertOpinion]:
-    """Read expert opinions from JSON.
-
-    Format: {"experts": [{"id": ..., "weight": ..., "parameters":
-    {name: [{"lo": ..., "hi": ..., "bpa": ...}, ...], ...}}, ...]}.
-    A parameter an expert has no opinion on is absent. Another shape, or a
-    bool for a number, is a TypeError; a key the format lacks, a ValueError.
-    """
-    def number(value):
-        if isinstance(value, bool):
-            raise TypeError(f"{value!r} is not a number")
-        return value
-
-    def known(block, keys: set, where: str):
-        if unknown := sorted(set(block) - keys):
-            raise ValueError(f"unknown key {unknown[0]!r} in {where}")
-        return block
-
-    doc = known(json.loads(Path(path).read_text()),
-                {"schema_version", "description", "experts"}, "the document")
-    opinions = []
-    for k, entry in enumerate(doc["experts"]):
-        if not isinstance(entry, dict):
-            raise TypeError(f"expert {k} is not an object: {entry!r}")
-        known(entry, {"id", "weight", "parameters"}, f"expert {k}")
-        parameters = entry.get("parameters", {})
-        if not isinstance(parameters, dict):
-            raise TypeError(f"parameters of expert {k} are not an object: {parameters!r}")
-        params = {
-            name: tuple(
-                UncertainInterval(lo=number(iv["lo"]), hi=number(iv["hi"]),
-                                  bpa=number(iv["bpa"]))
-                for iv in (known(iv, {"lo", "hi", "bpa"}, f"a {name} interval of expert {k}")
-                           for iv in intervals)
-            )
-            for name, intervals in parameters.items()
-        }
-        opinions.append(
-            ExpertOpinion(
-                expert_id=entry["id"],
-                weight=number(entry.get("weight", 1.0)),
-                parameters=params,
-            )
-        )
-    return opinions
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ the two mission objectives (formation mass, impact parameter) for a design
 point and a value of the uncertain parameters, either fixed or supplied by
 the evidence-space searches.
 
-``SCENARIO_SCHEMA`` alone states the document's shape in JSON Schema
+``SCENARIO_SCHEMA`` alone states the scenario's shape in JSON Schema
 terms: its keys are ``schema_version`` and the fields of ``Scenario`` but
 ``source_path``, and each block's keys and types those of the dataclass
-that holds it; no other key is allowed;
-a small checker of the keywords it uses reads it at load, as jsonschema
-would, except that it also rejects NaN and infinities anywhere in the
-document. The dataclasses check only physical ranges.
+that holds it; no other key is allowed. ``OPINIONS_SCHEMA`` states the
+expert-opinion file's. Both are read by one JSON reader that refuses a key
+given twice, and checked by a small checker of the keywords the schemas
+use, as jsonschema would, except that it also rejects NaN and infinities
+anywhere. The dataclasses check only physical ranges.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .ablation import AsteroidProperties, StationGeometry, ThrustModel
 from .constants import AU_KM, S0, YEAR_S
-from .evidence import FocalStructure, fuse_experts, load_expert_opinions
+from .evidence import ExpertOpinion, FocalStructure, UncertainInterval, fuse_experts
 from .fpet import ArcControl, Trajectory, propagate_trajectory
 from .orbits import (
     EquinoctialState,
@@ -181,6 +182,17 @@ SCENARIO_SCHEMA = _object({
        for f in fields(Scenario) if f.name != "source_path"},
 })
 
+# an expert leaves out each parameter it has no opinion on; of the other
+# keys, only the experts and an expert's id are required
+_INTERVALS = {"type": "array", "items": _block(dict.fromkeys(("lo", "hi", "bpa"), "number"))}
+_EXPERT = {**_object({"id": {"type": "string"}, "weight": {"type": "number"},
+                      "parameters": {**_object(dict.fromkeys(UNCERTAIN_NAMES, _INTERVALS)),
+                                     "required": []}}),
+           "required": ["id"]}
+OPINIONS_SCHEMA = {**_object({"schema_version": {"const": 1}, "description": {"type": "string"},
+                              "experts": {"type": "array", "items": _EXPERT}}),
+                   "required": ["experts"]}
+
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
 _KEYWORDS = frozenset({"type", "const", "required", "properties", "additionalProperties",
                        "items", "minItems", "maxItems", "exclusiveMinimum"})
@@ -204,7 +216,7 @@ def _check(value, schema: dict, path: str = "") -> None:
     where = path or "the document"
 
     def fail(problem: str):
-        raise ScenarioError(f"scenario failed schema validation: {where}: {problem}")
+        raise ScenarioError(f"failed schema validation: {where}: {problem}")
 
     if isinstance(value, float) and not math.isfinite(value):
         fail(f"{value!r} is not a finite number")
@@ -236,6 +248,19 @@ def _check(value, schema: dict, path: str = "") -> None:
             fail(f"has {len(value)} items, not {lo} to {hi}")
         for i, item in enumerate(value):
             _check(item, schema.get("items", {}), f"{path}[{i}]")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key it gives twice, which ``json.loads``
+    would read as its last value, is a ScenarioError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(key for k, (key, _) in enumerate(pairs) if key in dict(pairs[:k]))
+        raise ScenarioError(f"key {key!r} is given twice in one object")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # reads both documents
 
 
 def _elements_from_dict(d: dict) -> KeplerianElements:
@@ -321,10 +346,23 @@ def scenario_to_dict(s: Scenario) -> dict:
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = _DECODER.decode(path.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     return scenario_from_dict(doc, source_path=path)
+
+
+def load_expert_opinions(path: str | Path) -> list[ExpertOpinion]:
+    """The opinions of the file at ``path``, which must match
+    ``OPINIONS_SCHEMA`` with only finite numbers and no key given twice (a
+    ScenarioError) and pass the dataclasses' range checks (a ValueError).
+    An expert without a weight weighs 1.0."""
+    doc = _DECODER.decode(Path(path).read_text())
+    _check(doc, OPINIONS_SCHEMA)
+    return [ExpertOpinion(expert_id=entry["id"], weight=entry.get("weight", 1.0),
+                          parameters={name: tuple(UncertainInterval(**iv) for iv in intervals)
+                                      for name, intervals in entry.get("parameters", {}).items()})
+            for entry in doc["experts"]]
 
 
 def reference_scenario_path() -> Path:
@@ -464,10 +502,8 @@ def evidence_structure(scenario: Scenario) -> FocalStructure:
     path = scenario.expert_opinions_path()
     try:
         opinions = load_expert_opinions(path)
-        if unknown := sorted({n for op in opinions for n in op.parameters} - set(UNCERTAIN_NAMES)):
-            raise ValueError(f"unknown parameter {unknown[0]!r}")
         params = [fuse_experts(opinions, name) for name in UNCERTAIN_NAMES]
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise ScenarioError(f"expert opinions {path}: {type(exc).__name__}: {exc}") from exc
     return FocalStructure(params)
 
@@ -653,9 +689,10 @@ def rk_impact_parameter(
     mu = scenario.mu
 
     def rhs(t, y):
-        state = EquinoctialState(
-            a=y[0], p1=y[1], p2=y[2], q1=y[3], q2=y[4], ell=y[5], t=t
-        )
+        try:
+            state = EquinoctialState(a=y[0], p1=y[1], p2=y[2], q1=y[3], q2=y[4], ell=y[5], t=t)
+        except ValueError as exc:  # a solver stage left the elliptic domain
+            raise ReferenceIntegrationError(f"reference integration failed: {exc}") from exc
         thrust, growth = thrust_model(state, t, y[6])
         return [*gauss_rhs(state, thrust, mu), growth * 100.0]  # m -> cm
 

@@ -30,7 +30,6 @@ from neodeflect.evidence import (
     UncertainInterval,
     bel_pl_curve,
     fuse_experts,
-    load_expert_opinions,
 )
 from neodeflect.fpet import ArcControl, fpet_step, propagate_trajectory
 from neodeflect.mission import (
@@ -41,6 +40,7 @@ from neodeflect.mission import (
     deterministic_evaluator,
     evidence_evaluator,
     evidence_structure,
+    load_expert_opinions,
     load_scenario,
     make_model,
     reference_scenario_path,

@@ -112,6 +112,7 @@ def test_design_outside_bounds_exit_code(tiny_scenario, tmp_path, capsys, mode, 
     ("asteroid_properties", "c_a", 1500.0),
     ("technology", "rho_m", 0.5),
     ("fixed_uncertain", "t_sub", 1700.0),
+    ("repeated", "seed", 9),
 ], ids=["bound-number", "bound-one", "bound-reversed", "uncertain-string",
         "uncertain-negative", "uncertain-nan", "uncertain-inf", "mu-nan",
         "technology-nan", "station-nan", "arc-control-nan", "solver-budget-inf",
@@ -122,7 +123,7 @@ def test_design_outside_bounds_exit_code(tiny_scenario, tmp_path, capsys, mode, 
         "n-sc-fractional-no-count", "n-sc-fractional", "emiss-m-bool", "k-dry-bool",
         "theta-va-string", "station-x-array", "psi-vf-past-right-angle",
         "top-level-unknown-name", "c-a-copy-differs", "rho-m-copy-differs",
-        "t-sub-copy-differs"])
+        "t-sub-copy-differs", "seed-repeated"])
 def test_malformed_scenario_value_exit_code(tiny_scenario, tmp_path, capsys, mode, block,
                                             name, value):
     """A design bound that is not a (lo, hi) pair of numbers with lo <= hi,
@@ -137,11 +138,17 @@ def test_malformed_scenario_value_exit_code(tiny_scenario, tmp_path, capsys, mod
     a value not of its field's type (a bool for a number), a station view
     angle whose cosine is negative, a baseline's copy of an uncertain
     parameter that differs from its fixed value (no evaluation reads the
-    copy), or a NaN or infinity anywhere in the document, is a scenario error: exit 2 with one line on stderr that names
+    copy), a NaN or infinity anywhere in the document, or a key given twice
+    in one object (block ``repeated``: first with ``value``, then with its
+    own), is a scenario error: exit 2 with one line on stderr that names
     the key, nothing written."""
     doc = json.loads(tiny_scenario.read_text())
-    (doc[block] if block else doc)[name] = value
-    tiny_scenario.write_text(json.dumps(doc))
+    if block == "repeated":  # raw text, as json.dumps cannot repeat a key
+        text = json.dumps(doc).replace(f'"{name}": ', f'"{name}": {value}, "{name}": ', 1)
+    else:
+        (doc[block] if block else doc)[name] = value
+        text = json.dumps(doc)
+    tiny_scenario.write_text(text)
     out = tmp_path / "run"
     code = main(["--mode", mode, "--scenario", str(tiny_scenario), "--design", "10,5,2,2000",
                  "--out", str(out)])
@@ -187,7 +194,7 @@ _OPINION_EDITS = {
     "inf-hi": ("hi", math.inf, "finite"),
     "nan-weight": ("weight", math.nan, "weight"),
     "negative-weight": ("weight", -1.0, "weight"),
-    "bool-lo": ("lo", True, "not a number"),
+    "bool-lo": ("lo", True, "not of type 'number'"),
 }
 # a key of the shipped opinions renamed, or added where the old key is
 # None: (block of expert a, old key, new key, which the error message names)
@@ -205,16 +212,17 @@ _OPINION_DOCS = {
 }
 
 
-@pytest.mark.parametrize("opinions", ["missing", "malformed", "incomplete", *_OPINION_EDITS,
-                                      *_OPINION_KEYS, *_OPINION_DOCS])
+@pytest.mark.parametrize("opinions", ["missing", "malformed", "incomplete", "repeated-weight",
+                                      *_OPINION_EDITS, *_OPINION_KEYS, *_OPINION_DOCS])
 @pytest.mark.parametrize("mode", ["minmin", "minmin-margins", "minmax", "bpcurve",
                                   "sensitivity"])
 def test_expert_opinion_failure_exit_code(tiny_scenario, tmp_path, capsys, mode, opinions):
     """An opinion file that is missing, is not JSON, leaves out a parameter,
-    has an interval bound that is not finite or a bool, an expert weight
-    that is not a finite number >= 0, a key or a parameter name the format
-    does not know, or an expert or parameter block that is not an object
-    is a scenario error: exit 2 with one line on stderr."""
+    gives a key twice in one object, has an interval bound that is not
+    finite or a bool, an expert weight that is not a finite number >= 0, a
+    key or a parameter name the format does not know, or an expert or
+    parameter block that is not an object is a scenario error: exit 2 with
+    one line on stderr."""
     path = tmp_path / "opinions.json"
     shipped = reference_scenario_path().parent / "expert_opinions.json"
     doc = json.loads(shipped.read_text())
@@ -224,6 +232,8 @@ def test_expert_opinion_failure_exit_code(tiny_scenario, tmp_path, capsys, mode,
         for expert in doc["experts"]:
             expert["parameters"].pop("c_a", None)
         path.write_text(json.dumps(doc))
+    elif opinions == "repeated-weight":  # raw text, as json.dumps cannot repeat a key
+        path.write_text(json.dumps(doc).replace('"weight": 1.0', '"weight": 1.0, "weight": 5.0', 1))
     elif opinions in _OPINION_EDITS:
         key, value, _ = _OPINION_EDITS[opinions]
         expert = next(e for e in doc["experts"] if e["parameters"].get("c_a"))
@@ -252,7 +262,9 @@ def test_expert_opinion_failure_exit_code(tiny_scenario, tmp_path, capsys, mode,
     if opinions in _OPINION_KEYS:
         assert repr(_OPINION_KEYS[opinions][2]) in err
     if opinions in _OPINION_DOCS:
-        assert "not an object" in err
+        assert "is not of type 'object'" in err
+    if opinions == "repeated-weight":
+        assert "key 'weight' is given twice" in err
 
 
 def test_degenerate_bplane_exit_code(tiny_scenario, tmp_path, capsys):
@@ -315,6 +327,30 @@ def test_numerical_failure_exit_code(tiny_scenario, tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert err.startswith("error: numerical failure: ")
     assert len(err.splitlines()) == 1
+
+
+def test_reference_stage_outside_elliptic_domain_exit_code(tiny_scenario, tmp_path, capsys):
+    """A stage of the reference integration that leaves the elliptic domain
+    is a failed reference integration: exit 4 with one line on stderr. At
+    the ``B_NAMES`` bright corner with contamination on, the oracle's
+    solver tries such a stage at this design."""
+    doc = json.loads(tiny_scenario.read_text())
+    bright = {"c_a": 375.0, "k_a": 0.2, "rho_a": 1100.0, "t_sub": 1700.0, "e_sub": 2.7e5,
+              "eta_l": 0.664, "eta_sa": 0.5}
+    doc["fixed_uncertain"].update(bright)
+    for name, value in bright.items():
+        if name in TECH_NAMES:
+            doc["technology"][name] = value
+        else:
+            doc["asteroid_properties"]["t_subl" if name == "t_sub" else name] = value
+    tiny_scenario.write_text(json.dumps(doc))
+    code = main(["--mode", "propagate", "--scenario", str(tiny_scenario), "--oracle",
+                 "--contamination", "on", "--design", "14.5,10,3.05,1003",
+                 "--out", str(tmp_path / "run")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure: reference integration failed: ")
+    assert "elliptic" in err and len(err.splitlines()) == 1
 
 
 def test_inner_budget_below_population_exit_code(tiny_scenario, tmp_path, capsys):

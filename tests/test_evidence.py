@@ -19,8 +19,8 @@ from neodeflect.evidence import (
     UncertainInterval,
     bel_pl_curve,
     fuse_experts,
-    load_expert_opinions,
 )
+from neodeflect.mission import load_expert_opinions
 
 from oracles import (
     build_focal_elements,
@@ -99,14 +99,14 @@ def test_fusion_reproduces_all_ten_parameters():
 
 
 def test_fusion_single_expert_identity():
-    op = ExpertOpinion("solo", parameters={"x": (iv(0, 1, 0.4), iv(1, 3, 0.6))})
+    op = ExpertOpinion("solo", weight=1.0, parameters={"x": (iv(0, 1, 0.4), iv(1, 3, 0.6))})
     fused = fuse_experts([op], "x")
     assert {(i.lo, i.hi): i.bpa for i in fused.intervals} == {(0, 1): 0.4, (1, 3): 0.6}
 
 
 def test_fusion_identical_opinions_idempotent():
     table = {"x": (iv(0, 1, 0.25), iv(0.5, 2, 0.75))}
-    ops = [ExpertOpinion(c, parameters=dict(table)) for c in "abc"]
+    ops = [ExpertOpinion(c, weight=1.0, parameters=dict(table)) for c in "abc"]
     fused = fuse_experts(ops, "x")
     got = {(i.lo, i.hi): i.bpa for i in fused.intervals}
     assert got[(0, 1)] == pytest.approx(0.25)
@@ -115,8 +115,8 @@ def test_fusion_identical_opinions_idempotent():
 
 def test_fusion_excludes_non_addressing_experts():
     ops = [
-        ExpertOpinion("a", parameters={"x": (iv(0, 1, 1.0),)}),
-        ExpertOpinion("b", parameters={"y": (iv(5, 6, 1.0),)}),
+        ExpertOpinion("a", weight=1.0, parameters={"x": (iv(0, 1, 1.0),)}),
+        ExpertOpinion("b", weight=1.0, parameters={"y": (iv(5, 6, 1.0),)}),
     ]
     fused = fuse_experts(ops, "x")
     assert fused.intervals[0].bpa == pytest.approx(1.0)

@@ -30,6 +30,7 @@ from neodeflect.mission import (
     B_NAMES,
     TECH_NAMES,
     DeflectionModel,
+    OPINIONS_SCHEMA,
     SCENARIO_SCHEMA,
     ScenarioError,
     UNCERTAIN_NAMES,
@@ -37,6 +38,7 @@ from neodeflect.mission import (
     deterministic_evaluator,
     evidence_evaluator,
     evidence_structure,
+    load_expert_opinions,
     load_scenario,
     make_model,
     reference_scenario_path,
@@ -223,6 +225,14 @@ def test_every_schema_block_holds_exactly_its_keys():
 
 
 REFERENCE_DOC = scenario_to_dict(load_scenario(reference_scenario_path()))
+# each schema with the shipped document it describes and the loader of a
+# document at a path
+SCHEMA_CASES = {
+    "scenario": (SCENARIO_SCHEMA, REFERENCE_DOC, load_scenario),
+    "opinions": (OPINIONS_SCHEMA, json.loads(
+        (reference_scenario_path().parent / "expert_opinions.json").read_text()),
+        load_expert_opinions),
+}
 
 
 def _schema_sites(schema, value, path=()):
@@ -236,9 +246,6 @@ def _schema_sites(schema, value, path=()):
     elif isinstance(value, list) and "items" in schema:
         for i, item in enumerate(value):
             yield from _schema_sites(schema["items"], item, path + (i,))
-
-
-SCHEMA_SITES = list(_schema_sites(SCENARIO_SCHEMA, REFERENCE_DOC))
 
 
 def _replacements(schema, value):
@@ -260,12 +267,13 @@ def _replacements(schema, value):
 
 
 @st.composite
-def mutated_documents(draw):
-    """The reference document with one finite mutation at a site of the
-    schema: a value replaced, a required key dropped, a key added where the
-    schema speaks of additional keys, or an array one item short or long."""
-    doc = copy.deepcopy(REFERENCE_DOC)
-    path, schema = draw(st.sampled_from(SCHEMA_SITES))
+def mutated_documents(draw, root, document):
+    """``document`` with one finite mutation at a site of its schema
+    ``root``: a value replaced, a required key dropped, a key added where
+    the schema speaks of additional keys, or an array one item short or
+    long."""
+    doc = copy.deepcopy(document)
+    path, schema = draw(st.sampled_from(list(_schema_sites(root, document))))
     value = reduce(getitem, path, doc)
     moves = ["replace"]
     if schema.get("required"):
@@ -291,16 +299,27 @@ def mutated_documents(draw):
     return doc
 
 
+@pytest.fixture(scope="module")
+def document_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents") / "document.json"
+
+
+@pytest.mark.parametrize("case", SCHEMA_CASES)
 @settings(max_examples=300, deadline=None)
-@given(mutated_documents())
-def test_scenario_checker_agrees_with_jsonschema(doc):
-    """On finite documents the scenario loads exactly when jsonschema
-    accepts it. jsonschema is a declared test extra: without it this
-    oracle fails rather than skips."""
+@given(data=st.data())
+def test_scenario_checker_agrees_with_jsonschema(case, data, document_path):
+    """On finite documents a scenario and an expert-opinion file load
+    exactly when jsonschema accepts them: the mutations keep every number
+    one the dataclasses accept, so the schema alone decides. jsonschema is
+    a declared test extra: without it this oracle fails rather than
+    skips."""
     import jsonschema
-    accepted = jsonschema.Draft202012Validator(SCENARIO_SCHEMA).is_valid(doc)
+    schema, document, load = SCHEMA_CASES[case]
+    doc = data.draw(mutated_documents(schema, document))
+    accepted = jsonschema.Draft202012Validator(schema).is_valid(doc)
+    document_path.write_text(json.dumps(doc))
     try:
-        scenario_from_dict(doc)
+        load(document_path)
         loaded = True
     except ScenarioError:
         loaded = False
