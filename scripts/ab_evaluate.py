@@ -23,13 +23,19 @@ spell in mid-flight; the evidence searches meet them mostly at drawn
 points. So before the timed repetitions both trees evaluate, once and
 untimed, a fixed draw (seed ``DRAW_SEED``) of ``DRAW_PAIRS`` designs within
 the scenario's design bounds, each with a unit point of the evidence
-structure, per contamination setting, compared in the same sense.
+structure, per contamination setting, compared in the same sense. At each
+drawn design both trees also bound the formation mass with
+``mission.mass_extreme``, both senses, over two regions of the technology
+marginal: its whole unit cube, as the evidence evaluator does, and one box
+of its cells drawn once (seed ``[DRAW_SEED, 1]``), as a box of the
+``m_sys`` curve does; each bound's value and witness are compared bit for
+bit, one pair per drawn design.
 
 A difference does not stop the run: the script finishes the draw and the
 panel, then prints per contamination setting how many of the compared
-pairs (drawn pairs and panel designs) differ in any bit, the first
-difference, and the largest relative differences of b and m_sys, which
-size a deliberate change. Since a near-zero b moves by a large relative
+pairs (drawn pairs, mass-corner pairs and panel designs) differ in any
+bit, the first difference, and the largest relative differences of b and
+m_sys, which size a deliberate change. Since a near-zero b moves by a large relative
 amount for a tiny absolute one, it also prints the largest absolute b
 difference [km] and the largest relative b difference among the pairs
 whose b is at least ``B_KM_FLOOR`` km. It exits 1 when any pair differs,
@@ -95,6 +101,17 @@ def difference(old, new) -> str | None:
     return None
 
 
+def mass_difference(old, new) -> str | None:
+    """The first place where two ``mass_extreme`` results, (m_sys, witness
+    unit point), differ in any bit; None when they are bit-equal."""
+    (m_old, w_old), (m_new, w_new) = old, new
+    if m_old.hex() != m_new.hex():
+        return f"m_sys old {m_old!r} new {m_new!r}"
+    if [x.hex() for x in w_old.tolist()] != [x.hex() for x in w_new.tolist()]:
+        return f"witness old {w_old.tolist()} new {w_new.tolist()}"
+    return None
+
+
 def relative_difference(old: float, new: float) -> float:
     """|new - old| over the larger magnitude of the two; 0 when both are
     zero."""
@@ -124,6 +141,15 @@ class Tally:
         if max(abs(old.b), abs(new.b)) >= B_KM_FLOOR:
             self.b_rel_floor = max(self.b_rel_floor, b_rel)
         self.m_sys_rel = max(self.m_sys_rel, relative_difference(old.m_sys, new.m_sys))
+
+    def add_mass(self, key: str, old, new) -> None:
+        """Like ``add``, for two ``mass_extreme`` results."""
+        self.pairs.add(key)
+        where = mass_difference(old, new)
+        if where is None:
+            return
+        self.differ.setdefault(key, where)
+        self.m_sys_rel = max(self.m_sys_rel, relative_difference(old[0], new[0]))
 
     def summary(self, setting: str) -> str:
         line = (f"# contamination {setting}: {len(self.differ)} of {len(self.pairs)} pairs "
@@ -157,11 +183,29 @@ def timing_table(times: dict, arcs: dict, reps: int) -> list[str]:
     return lines
 
 
+def mass_bounders(trees, sides, structures) -> list[list]:
+    """Per tree, its ``mass_extreme`` of each sense over the technology
+    marginal's unit cube and over one drawn box of its cells, in one
+    order."""
+    techs = [structure.marginal(mission.TECH_NAMES)
+             for (mission, _), structure in zip(trees, structures)]
+    rng = np.random.default_rng([DRAW_SEED, 1])
+    first = [int(rng.integers(n)) for n in techs[0].counts()]
+    cells = [(a, int(rng.integers(a + 1, n + 1))) for a, n in zip(first, techs[0].counts())]
+    return [[mission.mass_extreme(model, tech, region, sense)
+             for region in ([(0.0, 1.0)] * tech.dim,
+                            [(tech.cum[d][a], tech.cum[d][b]) for d, (a, b) in enumerate(cells)])
+             for sense in ("min", "max")]
+            for (mission, _), (model, _, _), tech in zip(trees, sides, techs)]
+
+
 def compare_draw(trees, sides, tally: Tally) -> None:
     """Evaluate the fixed draw of design and unit-point pairs in both
-    trees, each pair into ``tally``."""
+    trees, each pair into ``tally``, and bound the mass at each drawn
+    design, one more pair."""
     structures = [mission.evidence_structure(model.scenario)
                   for (mission, _), (model, _, _) in zip(trees, sides)]
+    bounders = mass_bounders(trees, sides, structures)
     bounds = sides[0][0].scenario.design_bounds
     rng = np.random.default_rng(DRAW_SEED)
     for k in range(DRAW_PAIRS):
@@ -169,9 +213,14 @@ def compare_draw(trees, sides, tally: Tally) -> None:
         n_sc = int(rng.integers(int(bounds["n_sc"][0]), int(bounds["n_sc"][1]), endpoint=True))
         text = f"{d_m!r},{n_sc},{t_warn!r},{c_r!r}"
         u_vec = rng.random(structures[0].dim)
-        got = [model.evaluate(cli.parse_design(text), mission.uncertain_dict(structure, u_vec))
-               for (mission, _), (model, _, cli), structure in zip(trees, sides, structures)]
+        designs = [cli.parse_design(text) for _, _, cli in sides]
+        got = [model.evaluate(design, mission.uncertain_dict(structure, u_vec))
+               for (mission, _), (model, _, _), design, structure
+               in zip(trees, sides, designs, structures)]
         tally.add(f"drawn pair {k} ({text})", *got)
+        for old, new in zip(*([extreme(design) for extreme in extremes]
+                              for extremes, design in zip(bounders, designs))):
+            tally.add_mass(f"mass corners {k} ({text})", old, new)
 
 
 def main(argv=None) -> int:
@@ -218,7 +267,8 @@ def main(argv=None) -> int:
         print(line)
     print(f"# {args.reps} evaluations per tree, design and setting, and {DRAW_PAIRS} drawn "
           f"design and unit-point pairs per setting (seed {DRAW_SEED}), each compared bit for "
-          "bit (b, m_sys, eps_history, every state)")
+          "bit (b, m_sys, eps_history, every state), and the mass corners of each drawn "
+          "design (value and witness)")
     for setting, tally in tallies.items():
         print(tally.summary(setting))
     return 1 if any(tally.differ for tally in tallies.values()) else 0

@@ -135,11 +135,13 @@ def write_csv(path: Path, header: list[str], rows: list) -> None:
             writer.writerow([c if isinstance(c, str) else format(float(c), ".17g") for c in row])
 
 
-def config_hash(scenario: Scenario, args_record: dict) -> str:
-    payload = json.dumps(
-        {"scenario": scenario_to_dict(scenario), "args": args_record},
-        sort_keys=True,
-    )
+def config_hash(scenario: Scenario, args_record: dict, opinions: dict | None) -> str:
+    """sha256 of the scenario, the arguments the mode read and, for a mode
+    that reads it, the parsed expert-opinion document ``opinions``."""
+    record = {"scenario": scenario_to_dict(scenario), "args": args_record}
+    if opinions is not None:
+        record["expert_opinions"] = opinions
+    payload = json.dumps(record, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -402,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
                                     args.max_partitions)
         else:
             files = run_propagate(scenario, design, contamination, out, args.oracle)
+        opinions = None
+        if args.mode not in ("deterministic", "propagate"):  # the modes that read the file
+            opinions = json.loads(scenario.expert_opinions_path().read_text())
     except (ScenarioError, DegenerateBPlaneError, OSError) as exc:
         # v_inf depends only on the two reference orbits of the scenario
         print(f"error: {exc}", file=sys.stderr)
@@ -417,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         "package_version": __version__,
         "mode": args.mode,
         "seed": scenario.seed,
-        "config_hash": config_hash(scenario, args_record),
+        "config_hash": config_hash(scenario, args_record, opinions),
         "scenario_file": str(scenario_path),
         "outputs": files,
     }

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -113,19 +112,6 @@ class Scenario:
     seed: int
     source_path: Path | None = None
 
-    @cached_property
-    def asteroid_fields(self) -> dict:
-        """The asteroid baseline's fields by name, the base of its copies
-        with uncertain values (``apply_uncertain``)."""
-        return {f.name: getattr(self.asteroid_properties, f.name)
-                for f in fields(AsteroidProperties)}
-
-    @cached_property
-    def technology_fields(self) -> dict:
-        """The technology baseline's fields by name, the base of its copies
-        with uncertain values (``apply_uncertain``)."""
-        return {f.name: getattr(self.technology, f.name) for f in fields(TechnologyParams)}
-
     def expert_opinions_path(self) -> Path:
         p = Path(self.expert_opinions_file)
         if not p.is_absolute() and self.source_path is not None:
@@ -194,8 +180,6 @@ OPINIONS_SCHEMA = {**_object({"schema_version": {"const": 1}, "description": {"t
                    "required": ["experts"]}
 
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
-_KEYWORDS = frozenset({"type", "const", "required", "properties", "additionalProperties",
-                       "items", "minItems", "maxItems", "exclusiveMinimum"})
 
 
 def _is_type(value, name: str) -> bool:
@@ -208,44 +192,44 @@ def _is_type(value, name: str) -> bool:
     return isinstance(value, _TYPES[name])
 
 
+def _invalid(path: str, problem: str) -> ScenarioError:
+    return ScenarioError(f"failed schema validation: {path or 'the document'}: {problem}")
+
+
 def _check(value, schema: dict, path: str = "") -> None:
     """Raise ScenarioError naming the first part of ``value`` that breaks
-    ``schema``; reads only the keywords of ``_KEYWORDS``."""
-    if not schema.keys() <= _KEYWORDS:
-        raise NotImplementedError(f"schema keywords {sorted(schema.keys() - _KEYWORDS)}")
-    where = path or "the document"
-
-    def fail(problem: str):
-        raise ScenarioError(f"failed schema validation: {where}: {problem}")
-
+    ``schema``. Reads only the keywords ``type``, ``const``, ``required``,
+    ``properties``, ``additionalProperties``, ``items``, ``minItems``,
+    ``maxItems`` and ``exclusiveMinimum``, the only ones the two schemas
+    use (``tests/test_mission.py`` walks them)."""
     if isinstance(value, float) and not math.isfinite(value):
-        fail(f"{value!r} is not a finite number")
-    kinds = schema.get("type", [])
-    if kinds and not any(_is_type(value, kind) for kind in
-                         ([kinds] if isinstance(kinds, str) else kinds)):
-        fail(f"{value!r} is not of type {kinds!r}")
+        raise _invalid(path, f"{value!r} is not a finite number")
+    kinds = schema.get("type")
+    if kinds is not None and not (_is_type(value, kinds) if isinstance(kinds, str)
+                                  else any(_is_type(value, kind) for kind in kinds)):
+        raise _invalid(path, f"{value!r} is not of type {kinds!r}")
     if "const" in schema:
         const = schema["const"]
         if isinstance(value, bool) != isinstance(const, bool) or value != const:
-            fail(f"{value!r} is not {const!r}")
+            raise _invalid(path, f"{value!r} is not {const!r}")
     if "exclusiveMinimum" in schema and _is_type(value, "number"):
         if not value > schema["exclusiveMinimum"]:
-            fail(f"{value!r} is not greater than {schema['exclusiveMinimum']!r}")
+            raise _invalid(path, f"{value!r} is not greater than {schema['exclusiveMinimum']!r}")
     if isinstance(value, dict):
         for key in schema.get("required", ()):
             if key not in value:
-                fail(f"missing required key {key!r}")
+                raise _invalid(path, f"missing required key {key!r}")
         properties = schema.get("properties", {})
         additional = schema.get("additionalProperties", {})
         for key, item in value.items():
             sub = properties.get(key, additional)
             if sub is False:
-                fail(f"unexpected key {key!r}")
+                raise _invalid(path, f"unexpected key {key!r}")
             _check(item, {} if sub is True else sub, f"{path}.{key}" if path else key)
     if isinstance(value, list):
         lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
         if not lo <= len(value) <= hi:
-            fail(f"has {len(value)} items, not {lo} to {hi}")
+            raise _invalid(path, f"has {len(value)} items, not {lo} to {hi}")
         for i, item in enumerate(value):
             _check(item, schema.get("items", {}), f"{path}[{i}]")
 
@@ -376,16 +360,12 @@ def reference_scenario_path() -> Path:
 def apply_uncertain(
     scenario: Scenario, u: dict
 ) -> tuple[AsteroidProperties, TechnologyParams]:
-    """Override the ten uncertain fields of the scenario baselines."""
-    ast_over = {_AST_FIELD[k]: u[k] for k in PHYSICAL_NAMES if k in u}
-    ast = AsteroidProperties(**(scenario.asteroid_fields | ast_over))
-    return ast, _uncertain_technology(scenario, u)
-
-
-def _uncertain_technology(scenario: Scenario, u: dict) -> TechnologyParams:
-    """Override the five uncertain fields of the technology baseline."""
-    tech_over = {k: u[k] for k in TECH_NAMES if k in u}
-    return TechnologyParams(**(scenario.technology_fields | tech_over))
+    """The scenario's asteroid and technology baselines with their ten
+    uncertain fields taken from ``u``, which must name all ten; each copy
+    passes its dataclass's range checks."""
+    return (replace(scenario.asteroid_properties,
+                    **{_AST_FIELD[k]: u[k] for k in PHYSICAL_NAMES}),
+            replace(scenario.technology, **{k: u[k] for k in TECH_NAMES}))
 
 
 @dataclass
@@ -470,10 +450,10 @@ class DeflectionModel:
         r_dev, _ = equinoctial_to_cartesian(deviated, self.mu)
         return math.hypot(*bplane_offset(r_dev - self._r_nominal, self._v_hat).tolist())
 
-    def mass_only(self, design: DesignVector, u: dict) -> float:
-        """Formation mass [kg] at an uncertain point; no propagation involved."""
-        return size_spacecraft(design, _uncertain_technology(self.scenario, u), self.margins,
-                               self._started(design.t_warn)[1]).m_sys
+    def mass_only(self, design: DesignVector, tech: TechnologyParams) -> float:
+        """Formation mass [kg] of a design built with ``tech``; no
+        propagation involved."""
+        return size_spacecraft(design, tech, self.margins, self._started(design.t_warn)[1]).m_sys
 
     def evaluate(self, design: DesignVector, u: dict) -> ModelEvaluation:
         """Both objectives for one design and uncertain point, with the
@@ -574,12 +554,17 @@ def mass_extreme(model: DeflectionModel, structure: FocalStructure, unit_box, se
     and both efficiencies low or both high, the first on a tie. Where both
     efficiency hulls end at 1.0 ``rho_r`` cannot move ``m_sys``, and the
     greatest value's corner takes ``rho_r`` high, not low as the first of
-    the 32 hull corners to attain it does."""
+    the 32 hull corners to attain it does.
+
+    The technology does not depend on the design, so both candidates'
+    ``TechnologyParams`` are built here, once, and each call sizes them."""
     ends = ("rho_m", "rho_l", "rho_r") if sense == "max" else ()
     candidates = [structure.corner(unit_box, ends + effs) for effs in ((), _EFFICIENCIES)]
+    techs = [replace(model.scenario.technology, **uncertain_dict(structure, u))
+             for u in candidates]
 
     def extreme(design: DesignVector) -> tuple[float, np.ndarray]:
-        masses = [model.mass_only(design, uncertain_dict(structure, u)) for u in candidates]
+        masses = [model.mass_only(design, tech) for tech in techs]
         k = masses.index((min if sense == "min" else max)(masses))
         return masses[k], candidates[k]
 

@@ -23,7 +23,8 @@ that the dark corner of its marginal ablates at large designs and the
 worst case of b keeps its search. ``B_ROUNDING_KM`` is the slack of the
 checks that b is monotone in each parameter it reads. ``mass_extreme``
 evaluates all 32 corners of a technology box's hull, the brute-force
-referee of ``mission.mass_extreme``'s two.
+referee of ``mission.mass_extreme``'s two, each corner's technology built
+by ``technology_at``, the conversion ``mission.mass_extreme`` makes.
 """
 from __future__ import annotations
 
@@ -681,12 +682,19 @@ def hull_corners(structure: FocalStructure, unit_box) -> list[np.ndarray]:
     return [np.array(point) for point in itertools.product(*structure.hull_ends(unit_box))]
 
 
+def technology_at(scenario, structure: FocalStructure, u: np.ndarray):
+    """The scenario's technology baseline with the values of the unit point
+    ``u`` of the technology marginal ``structure``."""
+    return replace(scenario.technology, **uncertain_dict(structure, u))
+
+
 def mass_extreme(model, design, structure: FocalStructure, unit_box, sense: str):
     """The least (``sense`` ``min``) or greatest (``max``) ``m_sys`` over a
     unit box of the technology marginal ``structure`` and the first of its
     ``hull_corners`` that attains it, by evaluating every one: m_sys is
     linear in each technology parameter, so its extremes lie at them."""
     corners = hull_corners(structure, unit_box)
-    masses = [model.mass_only(design, uncertain_dict(structure, u)) for u in corners]
+    masses = [model.mass_only(design, technology_at(model.scenario, structure, u))
+              for u in corners]
     k = masses.index((min if sense == "min" else max)(masses))
     return masses[k], corners[k]

@@ -45,7 +45,6 @@ from neodeflect.mission import (
     make_model,
     reference_scenario_path,
     rk_impact_parameter,
-    uncertain_dict,
 )
 from neodeflect.orbits import ThrustRTN, kepler_start, keplerian_to_equinoctial
 from neodeflect.search import SolverConfig, inner_bound_search, solve_moo
@@ -306,8 +305,9 @@ def test_criterion_07_front_ordering(scenario):
         ok_sandwich &= leq(det.objectives.m_sys, hi.objectives.m_sys)
         # margins only inflate mass: the margined best case cannot undercut
         # the best known margin-free value (cross-evaluated witness included)
-        witness_u = uncertain_dict(structure.marginal(TECH_NAMES), lo_m.witness_mass)
-        best_plain = min(lo.objectives.m_sys, plain_model.mass_only(x, witness_u))
+        witness = oracles.technology_at(scenario, structure.marginal(TECH_NAMES),
+                                        lo_m.witness_mass)
+        best_plain = min(lo.objectives.m_sys, plain_model.mass_only(x, witness))
         ok_sandwich &= lo_m.objectives.m_sys >= best_plain * (1 - 1e-12)
 
     b_scales = {

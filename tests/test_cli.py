@@ -298,6 +298,24 @@ def test_config_hash_covers_what_the_mode_reads(tiny_scenario, tmp_path):
     assert plain != _config_hash(tiny_scenario, tmp_path / "p2", *prop, "--oracle")
     assert plain == _config_hash(tiny_scenario, tmp_path / "p3", "--mode", "propagate",
                                  "--design", "20.0,10,1.0,3e3")
+    # the evidence modes read the expert-opinion file, named alike in both
+    # runs: a weight that moves the fused structure moves the hash
+    doc = json.loads(tiny_scenario.read_text())
+    opinions = json.loads(Path(doc["expert_opinions_file"]).read_text())
+    path = tmp_path / "opinions.json"
+    doc["expert_opinions_file"] = str(path)
+    tiny_scenario.write_text(json.dumps(doc))
+    curve = ["--mode", "bpcurve", "--design", "20,10,2,3000", "--nv", "3",
+             "--max-partitions", "2"]
+    hashes, structures = [], []
+    for weight in (1.0, 3.0):
+        next(e for e in opinions["experts"] if e["id"] == "a")["weight"] = weight
+        path.write_text(json.dumps(opinions))
+        out = tmp_path / f"w{weight}"
+        hashes.append(_config_hash(tiny_scenario, out, *curve))
+        structures.append((out / "fused_structure.csv").read_text())
+    assert structures[0] != structures[1]
+    assert hashes[0] != hashes[1]
 
 
 def _raise(exc):

@@ -326,6 +326,31 @@ def test_scenario_checker_agrees_with_jsonschema(case, data, document_path):
     assert loaded == accepted
 
 
+# the keywords ``mission._check`` reads
+CHECKED_KEYWORDS = frozenset({"type", "const", "required", "properties", "additionalProperties",
+                              "items", "minItems", "maxItems", "exclusiveMinimum"})
+
+
+def _subschemas(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    for sub in (*schema.get("properties", {}).values(), schema.get("additionalProperties"),
+                schema.get("items")):
+        if isinstance(sub, dict):
+            yield from _subschemas(sub)
+
+
+@pytest.mark.parametrize("case", SCHEMA_CASES)
+def test_schemas_use_only_the_checked_keywords(case):
+    """The checker reads only ``CHECKED_KEYWORDS`` and does not look for
+    others at each node, so a schema that used another would have it
+    ignored: no schema uses one."""
+    schemas = list(_subschemas(SCHEMA_CASES[case][0]))
+    assert len(schemas) > 10
+    for schema in schemas:
+        assert schema.keys() <= CHECKED_KEYWORDS, sorted(schema.keys() - CHECKED_KEYWORDS)
+
+
 def test_reference_scenario_is_calibrated(scenario):
     assert nominal_miss(scenario) < 1.0
 
@@ -413,7 +438,8 @@ def test_impact_b_matches_the_three_state_projection(scenario):
 def test_model_mass_only_matches_evaluate(scenario):
     model = make_model(scenario, "deterministic", contamination=False)
     u = scenario.fixed_uncertain
-    assert model.mass_only(DESIGN, u) == model.evaluate(DESIGN, u).m_sys
+    assert model.mass_only(DESIGN, apply_uncertain(scenario, u)[1]) == (
+        model.evaluate(DESIGN, u).m_sys)
 
 
 def test_start_state_is_solved_once_per_design(scenario, monkeypatch):
@@ -532,11 +558,11 @@ def test_mass_witness_rails_at_heavy_technology(scenario):
     hi = evidence_evaluator(model, structure, config, "max")(DESIGN)
     witness = uncertain_dict(structure.marginal(TECH_NAMES), hi.witness_mass)
     # monotonicity oracle on the sizing chain
-    base = model.mass_only(DESIGN, scenario.fixed_uncertain)
+    base = model.mass_only(DESIGN, apply_uncertain(scenario, scenario.fixed_uncertain)[1])
     for name, bump in (("rho_r", 4.0), ("rho_l", 0.02), ("rho_m", 0.5)):
         u = dict(scenario.fixed_uncertain)
         u[name] = bump
-        assert model.mass_only(DESIGN, u) > base
+        assert model.mass_only(DESIGN, apply_uncertain(scenario, u)[1]) > base
     # witness in the upper half of each monotone parameter's hull
     assert witness["rho_r"] > 2.5
     assert witness["rho_l"] > 0.0125
@@ -721,21 +747,22 @@ def test_mass_bound_is_exact_at_the_technology_corners(scenario, sense):
                 values = sorted({uncertain_dict(struct, u)[name] for u in corners})
                 assert values == pytest.approx(ends, rel=1e-15, abs=0.0)
             # the corners are points of the box, so both ends are attained
-            masses = [model.mass_only(design, uncertain_dict(struct, u)) for u in corners]
+            masses = [model.mass_only(design, oracles.technology_at(scenario, struct, u))
+                      for u in corners]
             lo, hi = min(masses), max(masses)
             assert lo < hi
             inside = np.maximum(lo_u + rng.random((300, struct.dim)) * (hi_u - lo_u),
                                 np.nextafter(lo_u, 1.0))
             for u in inside:
                 assert in_box(u)
-                mass = model.mass_only(design, uncertain_dict(struct, u))
+                mass = model.mass_only(design, oracles.technology_at(scenario, struct, u))
                 assert lo * (1 - 1e-12) <= mass <= hi * (1 + 1e-12)
             assert mission.mass_box_bounder(model, design, struct)(unit_box) == (lo, hi)
         found = evidence_evaluator(model, structure, config, sense)(design)
         ends = mission.mass_box_bounder(model, design, tech)(cube.unit_box(tech))
         assert found.objectives.m_sys == ends[sense == "max"]
-        assert model.mass_only(design, uncertain_dict(tech, found.witness_mass)) == (
-            found.objectives.m_sys)
+        witness = oracles.technology_at(scenario, tech, found.witness_mass)
+        assert model.mass_only(design, witness) == found.objectives.m_sys
 
 
 def with_intervals(structure: FocalStructure, **intervals) -> FocalStructure:
@@ -836,13 +863,15 @@ def test_mass_extreme_witness_where_both_efficiencies_reach_one(scenario):
 def test_mass_is_evaluated_twice_per_design_and_four_times_per_box(scenario, monkeypatch,
                                                                    contamination):
     """A robust design reads m_sys at its two candidate corners and a box of
-    the m_sys curve at four, never at all 32."""
+    the m_sys curve at four, never at all 32. The corners' technologies do
+    not depend on the design: each design an evaluator meets sizes the same
+    two ``TechnologyParams`` objects."""
     calls = []
     mass_only = DeflectionModel.mass_only
 
-    def counted(self, design, u):
-        calls.append(u)
-        return mass_only(self, design, u)
+    def counted(self, design, tech):
+        calls.append(tech)
+        return mass_only(self, design, tech)
 
     monkeypatch.setattr(DeflectionModel, "mass_only", counted)
     structure = evidence_structure(scenario)
@@ -855,6 +884,12 @@ def test_mass_is_evaluated_twice_per_design_and_four_times_per_box(scenario, mon
         calls.clear()
         evaluate(DESIGN)
         assert len(calls) == 2, mode
+        first = list(calls)
+        calls.clear()
+        evaluate(DesignVector(2.0, 1, 1.07, 3000.0))
+        assert len(calls) == 2, mode
+        assert all(a is b for a, b in zip(first, calls)), mode
+        assert all(isinstance(tech, TechnologyParams) for tech in first), mode
     tech = structure.marginal(TECH_NAMES)
     bounds = mission.mass_box_bounder(make_model(scenario, "bpcurve", contamination), DESIGN,
                                       tech)
@@ -1034,7 +1069,8 @@ def test_objectives_read_only_their_names(scenario, contamination):
         u = rng.random(structure.dim)
         point = uncertain_dict(structure, u)
         for dims, objective in ((not_b, lambda v: model.evaluate(design, v).b),
-                                (not_mass, lambda v: model.mass_only(design, v))):
+                                (not_mass, lambda v: model.mass_only(
+                                    design, apply_uncertain(scenario, v)[1]))):
             redrawn = u.copy()
             redrawn[dims] = rng.random(len(dims))
             assert objective(uncertain_dict(structure, redrawn)) == objective(point)

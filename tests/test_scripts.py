@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ab_evaluate import Tally, relative_difference, timing_table
@@ -144,6 +145,26 @@ def test_ab_evaluate_counts_and_sizes_a_one_ulp_difference():
         f"{tally.b_rel:.3g}, m_sys 0; largest b difference {tally.b_abs:.3g} km, relative "
         f"{tally.b_rel_floor:.3g} at b >= 1 km; first: panel 20,10,8,3000 off: b old {b!r} "
         f"new {math.nextafter(b, 0.0)!r}")
+
+
+def test_ab_evaluate_counts_a_mass_corner_pair_once_by_value_or_witness():
+    """Two mass bounds differ where their values or their witnesses differ
+    in any bit; the four bounds of one design are one pair, and only m_sys
+    is sized."""
+    tally = Tally()
+    m, witness = 2893.4521, np.array([0.0, 0.25, 1.0])
+    tally.add_mass("mass corners 0", (m, witness), (m, witness.copy()))
+    tally.add_mass("mass corners 0", (m, witness), (m, np.array([0.0, 0.25, 1.0])))
+    assert tally.summary("off") == "# contamination off: 0 of 1 pairs differ"
+    moved = np.array([0.0, math.nextafter(0.25, 1.0), 1.0])
+    tally.add_mass("mass corners 1", (m, witness), (m, moved))
+    tally.add_mass("mass corners 1", (m, witness), (math.nextafter(m, 0.0), witness))
+    tally.add_mass("mass corners 2", (m, witness), (math.nextafter(m, 0.0), witness))
+    assert tally.differ == {
+        "mass corners 1": f"witness old {witness.tolist()} new {moved.tolist()}",
+        "mass corners 2": f"m_sys old {m!r} new {math.nextafter(m, 0.0)!r}"}
+    assert tally.m_sys_rel == relative_difference(m, math.nextafter(m, 0.0))
+    assert tally.b_rel == tally.b_abs == 0.0
 
 
 def test_ab_evaluate_prints_arc_counts_and_time_per_arc():
