@@ -28,16 +28,22 @@ drawn design both trees also bound the formation mass with
 ``mission.mass_extreme``, both senses, over two regions of the technology
 marginal: its whole unit cube, as the evidence evaluator does, and one box
 of its cells drawn once (seed ``[DRAW_SEED, 1]``), as a box of the
-``m_sys`` curve does; each bound's value and witness are compared bit for
-bit, one pair per drawn design.
+``m_sys`` curve does; each bound's value and witness are compared bit
+for bit, one pair per drawn design. With contamination off both trees
+also bound b at each drawn design with one ``cli.b_box_bounder``, as one
+curve's boxes share one, over four boxes of the ``B_NAMES`` marginal: its
+whole unit cube, a curve's root box, the two halves of a curve's first
+split, which meet two of the cube's corners again, and one box of its
+cells drawn once (seed ``[DRAW_SEED, 2]``); both ends of every box are
+compared bit for bit, one more pair per drawn design.
 
 A difference does not stop the run: the script finishes the draw and the
 panel, then prints per contamination setting how many of the compared
-pairs (drawn pairs, mass-corner pairs and panel designs) differ in any
-bit, the first difference, and the largest relative differences of b and
-m_sys, which size a deliberate change. Since a near-zero b moves by a large relative
-amount for a tiny absolute one, it also prints the largest absolute b
-difference [km] and the largest relative b difference among the pairs
+pairs (drawn pairs, mass-corner pairs, b-corner pairs and panel designs)
+differ in any bit, the first difference, and the largest relative
+differences of b and m_sys, which size a deliberate change. Since a
+near-zero b moves by a large relative amount for a tiny absolute one, it
+also prints the largest absolute b difference [km] and the largest relative b difference among the pairs
 whose b is at least ``B_KM_FLOOR`` km. It exits 1 when any pair differs,
 so it stays a bit-equality check.
 
@@ -112,6 +118,15 @@ def mass_difference(old, new) -> str | None:
     return None
 
 
+def bounds_difference(old, new) -> str | None:
+    """The first end where two (min, max) bounds of b over one box differ
+    in any bit; None when they are bit-equal."""
+    for end, b_old, b_new in zip(("min", "max"), old, new):
+        if b_old.hex() != b_new.hex():
+            return f"b {end} old {b_old!r} new {b_new!r}"
+    return None
+
+
 def relative_difference(old: float, new: float) -> float:
     """|new - old| over the larger magnitude of the two; 0 when both are
     zero."""
@@ -121,8 +136,8 @@ def relative_difference(old: float, new: float) -> float:
 
 class Tally:
     """The pairs of evaluations compared in one contamination setting: each
-    key (a drawn pair or a panel design) counts once, and differs when any
-    of its comparisons does."""
+    key (a drawn pair, the mass or b corners of a drawn design, or a panel
+    design) counts once, and differs when any of its comparisons does."""
 
     def __init__(self):
         self.pairs: set[str] = set()
@@ -135,12 +150,15 @@ class Tally:
         if where is None:
             return
         self.differ.setdefault(key, where)
-        b_rel = relative_difference(old.b, new.b)
-        self.b_rel = max(self.b_rel, b_rel)
-        self.b_abs = max(self.b_abs, abs(new.b - old.b))
-        if max(abs(old.b), abs(new.b)) >= B_KM_FLOOR:
-            self.b_rel_floor = max(self.b_rel_floor, b_rel)
+        self.size_b(old.b, new.b)
         self.m_sys_rel = max(self.m_sys_rel, relative_difference(old.m_sys, new.m_sys))
+
+    def size_b(self, old: float, new: float) -> None:
+        b_rel = relative_difference(old, new)
+        self.b_rel = max(self.b_rel, b_rel)
+        self.b_abs = max(self.b_abs, abs(new - old))
+        if max(abs(old), abs(new)) >= B_KM_FLOOR:
+            self.b_rel_floor = max(self.b_rel_floor, b_rel)
 
     def add_mass(self, key: str, old, new) -> None:
         """Like ``add``, for two ``mass_extreme`` results."""
@@ -150,6 +168,16 @@ class Tally:
             return
         self.differ.setdefault(key, where)
         self.m_sys_rel = max(self.m_sys_rel, relative_difference(old[0], new[0]))
+
+    def add_bounds(self, key: str, old, new) -> None:
+        """Like ``add``, for two (min, max) bounds of b over one box."""
+        self.pairs.add(key)
+        where = bounds_difference(old, new)
+        if where is None:
+            return
+        self.differ.setdefault(key, where)
+        for b_old, b_new in zip(old, new):
+            self.size_b(b_old, b_new)
 
     def summary(self, setting: str) -> str:
         line = (f"# contamination {setting}: {len(self.differ)} of {len(self.pairs)} pairs "
@@ -183,29 +211,52 @@ def timing_table(times: dict, arcs: dict, reps: int) -> list[str]:
     return lines
 
 
+def regions(structure, key: int) -> list[list]:
+    """The unit cube of ``structure`` and the unit box of one block of its
+    cells, drawn from seed ``[DRAW_SEED, key]``."""
+    rng = np.random.default_rng([DRAW_SEED, key])
+    first = [int(rng.integers(n)) for n in structure.counts()]
+    cells = [(a, int(rng.integers(a + 1, n + 1))) for a, n in zip(first, structure.counts())]
+    return [[(0.0, 1.0)] * structure.dim,
+            [(structure.cum[d][a], structure.cum[d][b]) for d, (a, b) in enumerate(cells)]]
+
+
 def mass_bounders(trees, sides, structures) -> list[list]:
     """Per tree, its ``mass_extreme`` of each sense over the technology
     marginal's unit cube and over one drawn box of its cells, in one
     order."""
     techs = [structure.marginal(mission.TECH_NAMES)
              for (mission, _), structure in zip(trees, structures)]
-    rng = np.random.default_rng([DRAW_SEED, 1])
-    first = [int(rng.integers(n)) for n in techs[0].counts()]
-    cells = [(a, int(rng.integers(a + 1, n + 1))) for a, n in zip(first, techs[0].counts())]
     return [[mission.mass_extreme(model, tech, region, sense)
-             for region in ([(0.0, 1.0)] * tech.dim,
-                            [(tech.cum[d][a], tech.cum[d][b]) for d, (a, b) in enumerate(cells)])
-             for sense in ("min", "max")]
+             for region in regions(tech, 1) for sense in ("min", "max")]
             for (mission, _), (model, _, _), tech in zip(trees, sides, techs)]
+
+
+def b_bounds(cli, model, design, space) -> list[tuple[float, float]]:
+    """The bounds of b of one ``cli.b_box_bounder`` over the unit cube of
+    the ``B_NAMES`` marginal ``space``, over its two halves at the middle
+    cell edge of its dimension with the most cells, as a curve's first
+    split makes them, and over one drawn box of its cells. Two of the
+    halves' four corners are the cube's, so the bounder meets points it
+    has evaluated."""
+    cube, drawn = regions(space, 2)
+    counts = space.counts()
+    d = counts.index(max(counts))
+    edge = space.cum[d][counts[d] // 2]
+    halves = [[*cube[:d], half, *cube[d + 1:]] for half in ((0.0, edge), (edge, 1.0))]
+    bounds = cli.b_box_bounder(model, design, space)
+    return [bounds(region) for region in (cube, *halves, drawn)]
 
 
 def compare_draw(trees, sides, tally: Tally) -> None:
     """Evaluate the fixed draw of design and unit-point pairs in both
     trees, each pair into ``tally``, and bound the mass at each drawn
-    design, one more pair."""
+    design, one more pair, and with contamination off b, one more."""
     structures = [mission.evidence_structure(model.scenario)
                   for (mission, _), (model, _, _) in zip(trees, sides)]
     bounders = mass_bounders(trees, sides, structures)
+    b_spaces = [structure.marginal(mission.B_NAMES)
+                for (mission, _), structure in zip(trees, structures)]
     bounds = sides[0][0].scenario.design_bounds
     rng = np.random.default_rng(DRAW_SEED)
     for k in range(DRAW_PAIRS):
@@ -221,6 +272,11 @@ def compare_draw(trees, sides, tally: Tally) -> None:
         for old, new in zip(*([extreme(design) for extreme in extremes]
                               for extremes, design in zip(bounders, designs))):
             tally.add_mass(f"mass corners {k} ({text})", old, new)
+        if not sides[0][0].contamination:
+            old, new = (b_bounds(cli, model, design, space)
+                        for (model, _, cli), design, space in zip(sides, designs, b_spaces))
+            for pair in zip(old, new):
+                tally.add_bounds(f"b corners {k} ({text})", *pair)
 
 
 def main(argv=None) -> int:
@@ -267,8 +323,9 @@ def main(argv=None) -> int:
         print(line)
     print(f"# {args.reps} evaluations per tree, design and setting, and {DRAW_PAIRS} drawn "
           f"design and unit-point pairs per setting (seed {DRAW_SEED}), each compared bit for "
-          "bit (b, m_sys, eps_history, every state), and the mass corners of each drawn "
-          "design (value and witness)")
+          "bit (b, m_sys, eps_history, every state), the mass corners of each drawn "
+          "design (value and witness) and, with contamination off, its b corners (both "
+          "bounds of four boxes)")
     for setting, tally in tallies.items():
         print(tally.summary(setting))
     return 1 if any(tally.differ for tally in tallies.values()) else 0

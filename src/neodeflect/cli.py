@@ -12,12 +12,14 @@ contamination off is bounded exactly by one FPET evaluation at each of two
 corners (``mission.b_corners``): b is least at the dark corner and
 greatest at the bright one, because it cannot rise with an asteroid
 parameter nor fall with the flux, up to its rounding (measured at most
-2.8e-5 km). A box thus costs 2 evaluations, where its two searches cost
-2 x ``inner_budget``. With
-contamination on b can rise with ``e_sub``, and each box is bounded by
-one FPET evaluation at its dark corner and restart DE: where b is exactly
-0.0 there, the box's minimum is certified 0.0 and only the maximum is
-searched; elsewhere both are searched and the corner's value joins them.
+2.8e-5 km). A curve evaluates each distinct corner once; after a split,
+two of the children's four corners are their parent's. A box thus costs
+at most 2 evaluations, where its two searches cost 2 x
+``inner_budget``. With contamination on b can rise with ``e_sub``, and
+each box is bounded by one FPET evaluation at its dark corner and restart
+DE: where b is exactly 0.0 there, the box's minimum is certified 0.0 and
+only the maximum is searched; elsewhere both are searched and the
+corner's value joins them.
 ``belpl_meta.json`` labels each curve's ends: both ``m_sys`` ends are
 certified, being exact at the technology corners, and so are both b ends
 with contamination off; with it on the lower b end is certified exactly
@@ -181,7 +183,8 @@ def de_box_bounder(f, budget: int, pop: int, seed: int, corner):
     (``search.zero_or_search``, the rule ``minmax``'s b shares with
     contamination on). Every value is attained in the box, so the bounds
     come in order; the maximum, and a minimum above 0.0, are estimates.
-    ``b_box_bounder`` uses it with contamination on only."""
+    ``b_box_bounder`` uses it with contamination on only, with an ``f``
+    that evaluates a revisited point at no cost (``mission.b_at``)."""
 
     def bounds(unit_box):
         lo, hi = np.array(unit_box).T
@@ -199,7 +202,7 @@ def de_box_bounder(f, budget: int, pop: int, seed: int, corner):
             rng = np.random.default_rng(np.random.SeedSequence([seed, box_tag, k]))
             return inner_bound_search(g, len(unit_box), sense, budget, pop, rng)
 
-        found = zero_or_search(f, corner(unit_box), lambda _: search(0, "min"))
+        found = zero_or_search(f, corner(unit_box), lambda: search(0, "min"))
         values = [result.value for result in found] + [search(1, "max").value]
         return min(values), max(values)
 
@@ -208,14 +211,16 @@ def de_box_bounder(f, budget: int, pop: int, seed: int, corner):
 
 def b_box_bounder(model, design: DesignVector, structure):
     """Box bounds of b over the unit boxes of ``structure``, every uncertain
-    parameter outside it at the scenario's fixed value. With contamination
-    off they are exact, b at the box's dark and bright corners
-    (``mission.b_corners``), two evaluations a box, as ``mass_box_bounder``
-    bounds the mass at its corners. With contamination on each box is
-    tried first at its dark corner (``de_box_bounder``): where the spot
-    never ablates there, the minimum is a certified 0.0 for one evaluation
-    instead of a search; elsewhere the box costs one evaluation more than
-    its two searches."""
+    parameter outside it at the scenario's fixed value, read from one
+    ``mission.b_at``: FPET runs at each distinct point once per curve. With
+    contamination off they are exact, b at the box's dark and bright
+    corners (``mission.b_corners``), as ``mass_box_bounder`` bounds the
+    mass at its corners: at most two evaluations a box, as after a split
+    two of the children's four corners are their parent's. With
+    contamination on each box is tried first at its dark corner
+    (``de_box_bounder``): where the spot never ablates there, the minimum
+    is a certified 0.0 for one evaluation instead of a search; elsewhere
+    the box costs at most one evaluation more than its two searches."""
     b = b_at(model, design, structure)
     if not model.contamination:
         def bounds(unit_box):

@@ -516,10 +516,23 @@ def _inner_rng(seed: int, design: DesignVector) -> np.random.Generator:
 
 
 def b_at(model: DeflectionModel, design: DesignVector, structure: FocalStructure):
-    """b [km] of a design as a function of a unit point of ``structure``,
-    every uncertain parameter outside it at the scenario's fixed value."""
+    """b [km] of a design as a function of a unit point of ``structure``
+    (an array or any sequence), every uncertain parameter outside it at the
+    scenario's fixed value. FPET runs once per point: b is kept by the
+    point's exact float64 bytes (points one ulp apart are two), and
+    ``evaluate`` is deterministic in (design, u), so a repeat returns the
+    same bits. A curve (``cli.b_box_bounder``) and a design
+    (``evidence_evaluator``) each keep one."""
     fixed = model.scenario.fixed_uncertain
-    return lambda u: model.evaluate(design, {**fixed, **uncertain_dict(structure, u)}).b
+    known = {}
+
+    def b(u) -> float:
+        key = np.asarray(u, dtype=float).tobytes()
+        if key not in known:
+            known[key] = model.evaluate(design, {**fixed, **uncertain_dict(structure, u)}).b
+        return known[key]
+
+    return b
 
 
 def b_corners(structure: FocalStructure, unit_box) -> tuple[np.ndarray, np.ndarray]:
@@ -603,10 +616,11 @@ def evidence_evaluator(
     (``search.zero_or_search``): b exactly 0.0 there is the least b,
     certified, with the corner as its witness, and no search runs;
     otherwise the search runs, seeded with the nominal point's image and
-    the corner, whose b it knows, so it spends ``inner_budget`` evaluations
-    with the corner one of them and reports at most the corner's b, an
-    estimate. The two mass corners and the two b corners do not depend
-    on the design: they are built once per evaluator.
+    the corner, whose b ``b_at`` keeps, so it spends ``inner_budget``
+    evaluations with the corner one of them and reports at most the
+    corner's b, an estimate; a revisited point costs no FPET run. The two
+    mass corners and the two b corners do not depend on the design: they
+    are built once per evaluator.
     """
     fixed = model.scenario.fixed_uncertain
     b_space, mass_space = structure.marginal(B_NAMES), structure.marginal(TECH_NAMES)
@@ -620,18 +634,16 @@ def evidence_evaluator(
         m_sys, witness_mass = mass(design)
         b = b_at(model, design, b_space)
 
-        def search(f, *seeds):
-            return inner_bound_search(f, b_space.dim, b_sense, config.inner_budget,
+        def search(*seeds):
+            return inner_bound_search(b, b_space.dim, b_sense, config.inner_budget,
                                       config.inner_pop, _inner_rng(config.seed, design),
                                       seeds=(seed_point, *seeds))
-
-        def search_past(at_dark):  # seeded with the corner, whose b is not evaluated again
-            return search(lambda u: at_dark.value if np.array_equal(u, dark) else b(u), dark)
 
         if not model.contamination:
             b_value, witness = b(exact), exact
         else:
-            found = search(b) if sense == "min" else zero_or_search(b, dark, search_past)[-1]
+            found = (search() if sense == "min"
+                     else zero_or_search(b, dark, lambda: search(dark))[-1])
             b_value, witness = found.value, found.point
         return Individual(design, Objectives(m_sys, -b_value),
                           witness_mass=witness_mass, witness_negb=witness)

@@ -226,14 +226,13 @@ def zero_or_search(f, corner: np.ndarray, search) -> list[BoundResult]:
     a norm), over a region that holds ``corner``: f at ``corner`` first,
     one evaluation. A value of exactly 0.0 there is the least value,
     certified, with ``corner`` as its witness, and ``search`` does not run;
-    otherwise ``search(at_corner)`` runs, given the corner's result so that
-    its value can join the search. Returns the corner's result, then the
+    otherwise ``search()`` runs. Returns the corner's result, then the
     search's if it ran; a 0.0 among them is certified, any other least
     value is an estimate."""
     at_corner = BoundResult(value=f(corner), point=corner, evaluations=1)
     if at_corner.value == 0.0:
         return [at_corner]
-    return [at_corner, search(at_corner)]
+    return [at_corner, search()]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ is the bit-level reference of ``fpet.propagate_trajectory`` driven by
 reference of the encounter frame that ``mission.DeflectionModel`` fixes
 once per model. ``box_search`` is one restart-DE search of a b box written
 out, the reference of the searches the box bounds of b keep.
+``b_at`` runs FPET at every call, the memo-free referee of
+``mission.b_at``.
 ``lit_b_structure`` narrows the evidence on b about the fixed values, so
 that the dark corner of its marginal ablates at large designs and the
 worst case of b keeps its search. ``B_ROUNDING_KM`` is the slack of the
@@ -647,6 +649,14 @@ def box_search(f, unit_box, sense: str, budget: int, pop: int, seed: int) -> flo
     rng = np.random.default_rng(np.random.SeedSequence([seed, tag, ("min", "max").index(sense)]))
     return inner_bound_search(lambda u: f(np.maximum(lo + u * (hi - lo), floor)),
                               len(unit_box), sense, budget, pop, rng).value
+
+
+def b_at(model, design, structure: FocalStructure):
+    """b [km] of a design as a function of a unit point of ``structure``,
+    every uncertain parameter outside it at the scenario's fixed value,
+    evaluated afresh at every call."""
+    fixed = model.scenario.fixed_uncertain
+    return lambda u: model.evaluate(design, {**fixed, **uncertain_dict(structure, u)}).b
 
 
 def lit_b_structure(structure: FocalStructure, fixed: dict, scale: float = 0.01) -> FocalStructure:

@@ -1,6 +1,5 @@
 """CLI orchestration: exit codes, outputs, provenance reproducibility."""
 import contextlib
-import functools
 import json
 import math
 import os
@@ -831,15 +830,12 @@ def test_a_dark_corner_certifies_the_b_box_minimum(reference, genes, cells):
 
     design = decode_design(np.array(genes), scenario.design_bounds)
     model = mission.make_model(scenario, "bpcurve", True)
-    b = functools.cache(mission.b_at(model, design, space))  # shared with the oracle
+    b = mission.b_at(model, design, space)  # shared with the oracle, its values with it
 
-    def f(u):
-        return b(tuple(u))
-
-    with box_searches(b_at=lambda *args: f) as searches:
+    with box_searches(b_at=lambda *args: b) as searches:
         lo, hi = cli.b_box_bounder(model, design, space)(unit_box)
-    max_search = box_search(f, unit_box, "max", 4, 4, scenario.seed)
-    b_c = f(corner)
+    max_search = box_search(b, unit_box, "max", 4, 4, scenario.seed)
+    b_c = b(corner)
     if [sense for sense, _ in searches] == ["max"]:
         ev = model.evaluate(design, {**scenario.fixed_uncertain,
                                      **mission.uncertain_dict(space, corner)})
@@ -847,7 +843,7 @@ def test_a_dark_corner_certifies_the_b_box_minimum(reference, genes, cells):
         assert (lo, hi) == (0.0, max_search)
     else:
         assert [sense for sense, _ in searches] == ["min", "max"] and b_c > 0.0
-        values = [b_c, box_search(f, unit_box, "min", 4, 4, scenario.seed), max_search]
+        values = [b_c, box_search(b, unit_box, "min", 4, 4, scenario.seed), max_search]
         assert (lo, hi) == (min(values), max(values))
 
 
@@ -981,6 +977,64 @@ def test_a_bright_corner_with_eta_sa_low_fails_the_panel(reference, monkeypatch)
 
     monkeypatch.setattr(cli, "b_corners", mutant)
     assert any(outside(item) for item in b_box_panel(reference))
+
+
+def fpet_points(monkeypatch) -> list:
+    """The uncertain point of every ``DeflectionModel.evaluate`` call from
+    now on, as a tuple in ``UNCERTAIN_NAMES`` order."""
+    points = []
+    evaluate = mission.DeflectionModel.evaluate
+
+    def spy(self, design, u):
+        points.append(tuple(u[name] for name in mission.UNCERTAIN_NAMES))
+        return evaluate(self, design, u)
+
+    monkeypatch.setattr(mission.DeflectionModel, "evaluate", spy)
+    return points
+
+
+@pytest.mark.parametrize("run, n_v, max_partitions, distinct", [
+    (cli.run_bpcurve, 11, 6, 14),
+    (cli.run_sensitivity, 21, 10**5, 34),
+])
+def test_a_contamination_off_b_curve_evaluates_each_corner_once(
+        reference, tmp_path, monkeypatch, run, n_v, max_partitions, distinct):
+    """A split leaves two of the children's four corners their parent's,
+    bit for bit, and a curve runs FPET once per distinct corner: at
+    20,10,2,3000 the ``belpl-curve`` benchmark's b curve takes 14
+    evaluations, not two a box (26), and ``sensitivity``'s five curves at
+    its defaults 34, not 58. The ``m_sys`` curve sizes its corners without
+    FPET."""
+    corners = set()
+    b_corners = cli.b_corners
+
+    def spy(space, unit_box):
+        found = b_corners(space, unit_box)
+        corners.update((tuple(space.names), u.tobytes()) for u in found)
+        return found
+
+    monkeypatch.setattr(cli, "b_corners", spy)
+    points = fpet_points(monkeypatch)
+    run(reference, parse_design("20,10,2,3000"), False, tmp_path, n_v, max_partitions)
+    assert len(points) == len(corners) == distinct
+
+
+def test_b_at_keys_a_point_on_its_exact_bits(reference, monkeypatch):
+    """``b_at`` evaluates a point once, given as an array, a tuple or a
+    list, and two points one ulp apart twice: a cell's upper edge and
+    ``first_inside`` it, the first point of the cell above. A key on
+    rounded coordinates would merge the two."""
+    space = evidence_structure(reference).marginal(["k_a"])
+    edge = space.cum[0][1]
+    b = mission.b_at(mission.make_model(reference, "sensitivity", False),
+                     parse_design("20,10,2,3000"), space)
+    points = fpet_points(monkeypatch)
+    values = [b(np.array([edge])), b((edge,)), b([edge])]
+    assert len(points) == 1 and values == [values[0]] * 3
+    b(np.array([first_inside(edge)]))
+    b((first_inside(edge),))
+    assert len(points) == 2
+    assert first_inside(edge) == math.nextafter(edge, 1.0)
 
 
 def test_bpcurve_mode(tiny_scenario, tmp_path):

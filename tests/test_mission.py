@@ -4,7 +4,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import MISSING, asdict, fields, replace
+from dataclasses import MISSING, asdict, astuple, fields, replace
 from functools import reduce
 from operator import getitem
 from typing import get_type_hints
@@ -695,6 +695,58 @@ def test_a_lit_dark_corner_keeps_the_worst_case_search(scenario, contamination):
     bs = [model.evaluate(design, u).b for u in seen]
     assert -found.objectives.neg_b == min(bs) <= b(dark)
     assert -b(found.witness_negb) == found.objectives.neg_b
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_a_contamination_on_design_evaluates_each_point_once(scenario, monkeypatch, sense):
+    """With contamination on, a design's inner DE revisits points, such as
+    a trial clipped onto a face it met before and the worst case's dark
+    corner, evaluated first and then seeded. Its searches read one
+    ``mission.b_at``, which runs FPET once per distinct point, and the
+    evaluator returns, bit for bit, the ``Individual`` it returns with the
+    memo-free referee ``oracles.b_at``. The best case runs at the first
+    design drawn from seed 7 (250 points, 191 distinct); the worst case at
+    20,10,2,3000 over ``oracles.lit_b_structure``, whose dark corner
+    ablates there, so that its search runs (251 points, 230 distinct)."""
+    structure = evidence_structure(scenario)
+    design = decode_design(np.random.default_rng(7).random(4), scenario.design_bounds)
+    if sense == "max":
+        structure = oracles.lit_b_structure(structure, scenario.fixed_uncertain)
+        design = DesignVector(20.0, 10, 2.0, 3000.0)
+    config = scenario.solver
+    assert config.inner_budget == 250
+    model = make_model(scenario, "minmax" if sense == "max" else "minmin", True)
+    points, evaluations = [], []
+    b_at, evaluate = mission.b_at, model.evaluate
+
+    def recorded_b_at(*args):
+        b = b_at(*args)
+
+        def recorded(u):
+            points.append(np.asarray(u, dtype=float).tobytes())
+            return b(u)
+
+        return recorded
+
+    def counted(design, u):
+        evaluations.append(u)
+        return evaluate(design, u)
+
+    monkeypatch.setattr(model, "evaluate", counted)
+    monkeypatch.setattr(mission, "b_at", recorded_b_at)
+    found = evidence_evaluator(model, structure, config, sense)(design)
+    assert len(points) == config.inner_budget + (sense == "max")  # the corner, then the search
+    assert len(evaluations) == len(set(points)) == {"min": 191, "max": 230}[sense]
+
+    evaluations.clear()
+    monkeypatch.setattr(mission, "b_at", oracles.b_at)
+    refereed = evidence_evaluator(model, structure, config, sense)(design)
+    assert len(evaluations) == len(points)
+    assert refereed.design == found.design
+    assert ([x.hex() for x in astuple(refereed.objectives)]
+            == [x.hex() for x in astuple(found.objectives)])
+    for name in ("witness_mass", "witness_negb"):
+        assert getattr(refereed, name).tobytes() == getattr(found, name).tobytes()
 
 
 @pytest.mark.parametrize("sense", ["min", "max"])

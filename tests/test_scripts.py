@@ -1,6 +1,6 @@
 """The scripts next to the package import without touching ``sys.path``,
 ``cli_digests --compare`` pairs the cells of two CSVs by column name,
-``ab_evaluate`` counts and sizes the evaluations that differ,
+``ab_evaluate`` counts and sizes the evaluations and bounds that differ,
 ``bench_pairs`` names a source tree by a digest of its ``src/``,
 ``api_counts`` counts a tree's lines, public names and defaults, and every
 name the benchmark in ``perfbench/`` wraps or reads resolves."""
@@ -165,6 +165,28 @@ def test_ab_evaluate_counts_a_mass_corner_pair_once_by_value_or_witness():
         "mass corners 2": f"m_sys old {m!r} new {math.nextafter(m, 0.0)!r}"}
     assert tally.m_sys_rel == relative_difference(m, math.nextafter(m, 0.0))
     assert tally.b_rel == tally.b_abs == 0.0
+
+
+def test_ab_evaluate_counts_a_b_corner_pair_once_by_either_bound():
+    """Two b bounds of a box differ where either end differs in any bit,
+    signed zeros included; the boxes of one design are one pair, and b is
+    sized."""
+    tally = Tally()
+    b = 684.1844220480575
+    for box in ((0.0, b), (12.5, b)):
+        tally.add_bounds("b corners 0", box, box)
+    assert tally.summary("off") == "# contamination off: 0 of 1 pairs differ"
+    moved = math.nextafter(b, 0.0)
+    tally.add_bounds("b corners 1", (0.0, b), (0.0, b))
+    tally.add_bounds("b corners 1", (12.5, b), (12.5, moved))
+    tally.add_bounds("b corners 1", (0.0, b), (-0.0, b))
+    tally.add_bounds("b corners 2", (0.0, b), (-0.0, b))
+    assert tally.differ == {"b corners 1": f"b max old {b!r} new {moved!r}",
+                            "b corners 2": "b min old 0.0 new -0.0"}
+    assert tally.summary("off").startswith("# contamination off: 2 of 3 pairs differ")
+    assert tally.b_rel == tally.b_rel_floor == math.ulp(b) / b
+    assert tally.b_abs == math.ulp(b)
+    assert tally.m_sys_rel == 0.0
 
 
 def test_ab_evaluate_prints_arc_counts_and_time_per_arc():
