@@ -35,12 +35,19 @@ curve's boxes share one, over four boxes of the ``B_NAMES`` marginal: its
 whole unit cube, a curve's root box, the two halves of a curve's first
 split, which meet two of the cube's corners again, and one box of its
 cells drawn once (seed ``[DRAW_SEED, 2]``); both ends of every box are
-compared bit for bit, one more pair per drawn design.
+compared bit for bit, one more pair per drawn design. At each panel
+design both trees also draw one whole contamination-off Bel/Pl curve of b
+over the ``B_NAMES`` marginal, at the ``belpl-curve`` workload's settings
+(``CURVE_N_V`` thresholds, ``CURVE_MAX_PARTITIONS`` partitions), through
+one ``cli.b_box_bounder`` and ``evidence.bel_pl_curve``, as
+``bpcurve`` does; the thresholds, Bel, Pl, ``n_partitions`` and
+``partial`` are compared bit for bit, one pair per curve. A curve's boxes
+share corners and physical points, so its bounder returns kept values.
 
 A difference does not stop the run: the script finishes the draw and the
 panel, then prints per contamination setting how many of the compared
-pairs (drawn pairs, mass-corner pairs, b-corner pairs and panel designs)
-differ in any bit, the first difference, and the largest relative
+pairs (drawn pairs, mass-corner pairs, b-corner pairs, b curves and panel
+designs) differ in any bit, the first difference, and the largest relative
 differences of b and m_sys, which size a deliberate change. Since a
 near-zero b moves by a large relative amount for a tiny absolute one, it
 also prints the largest absolute b difference [km] and the largest relative b difference among the pairs
@@ -62,6 +69,7 @@ import numpy as np
 PANEL = ("20,10,8,3000", "20,10,1,3000", "12,4,3.5,2000", "8,6,6,2500", "20,10,2,3000")
 DRAW_SEED, DRAW_PAIRS = 2026, 200
 B_KM_FLOOR = 1.0
+CURVE_N_V, CURVE_MAX_PARTITIONS = 11, 6
 STATE_FIELDS = ("a", "p1", "p2", "q1", "q2", "ell", "t")
 
 
@@ -127,6 +135,21 @@ def bounds_difference(old, new) -> str | None:
     return None
 
 
+def curve_difference(old, new) -> str | None:
+    """The first place where two Bel/Pl curves differ in any bit: a
+    threshold, a Bel or Pl value, ``n_partitions`` or ``partial``. None
+    when they are bit-equal."""
+    for name in ("thresholds", "bel", "pl"):
+        for k, (x_old, x_new) in enumerate(zip(getattr(old, name).tolist(),
+                                               getattr(new, name).tolist())):
+            if x_old.hex() != x_new.hex():
+                return f"{name}[{k}] old {x_old!r} new {x_new!r}"
+    for name in ("n_partitions", "partial"):
+        if getattr(old, name) != getattr(new, name):
+            return f"{name} old {getattr(old, name)!r} new {getattr(new, name)!r}"
+    return None
+
+
 def relative_difference(old: float, new: float) -> float:
     """|new - old| over the larger magnitude of the two; 0 when both are
     zero."""
@@ -136,8 +159,9 @@ def relative_difference(old: float, new: float) -> float:
 
 class Tally:
     """The pairs of evaluations compared in one contamination setting: each
-    key (a drawn pair, the mass or b corners of a drawn design, or a panel
-    design) counts once, and differs when any of its comparisons does."""
+    key (a drawn pair, the mass or b corners of a drawn design, a panel
+    design or its b curve) counts once, and differs when any of its
+    comparisons does."""
 
     def __init__(self):
         self.pairs: set[str] = set()
@@ -178,6 +202,17 @@ class Tally:
         self.differ.setdefault(key, where)
         for b_old, b_new in zip(old, new):
             self.size_b(b_old, b_new)
+
+    def add_curve(self, key: str, old, new) -> None:
+        """Like ``add``, for two Bel/Pl curves of b; b is sized at the
+        curves' ends, the first and last thresholds."""
+        self.pairs.add(key)
+        where = curve_difference(old, new)
+        if where is None:
+            return
+        self.differ.setdefault(key, where)
+        for end in (0, -1):
+            self.size_b(float(old.thresholds[end]), float(new.thresholds[end]))
 
     def summary(self, setting: str) -> str:
         line = (f"# contamination {setting}: {len(self.differ)} of {len(self.pairs)} pairs "
@@ -279,6 +314,22 @@ def compare_draw(trees, sides, tally: Tally) -> None:
                 tally.add_bounds(f"b corners {k} ({text})", *pair)
 
 
+def compare_curves(trees, tally: Tally) -> None:
+    """Draw the contamination-off Bel/Pl curve of b at each panel design in
+    both trees, each curve one pair of ``tally``."""
+    curves = {text: [] for text in PANEL}
+    for mission, cli in trees:
+        scenario = mission.load_scenario(mission.reference_scenario_path())
+        model = mission.make_model(scenario, "bpcurve", False)
+        space = mission.evidence_structure(scenario).marginal(mission.B_NAMES)
+        for text in PANEL:
+            bounds = cli.b_box_bounder(model, cli.parse_design(text), space)
+            curves[text].append(cli.bel_pl_curve(bounds, space, n_v=CURVE_N_V,
+                                                 max_partitions=CURVE_MAX_PARTITIONS))
+    for text, (old, new) in curves.items():
+        tally.add_curve(f"b curve {text}", old, new)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
@@ -300,6 +351,8 @@ def main(argv=None) -> int:
             model = mission.DeflectionModel(scenario, contamination, scenario.margins)
             sides.append((model, scenario.fixed_uncertain, cli))
         compare_draw(trees, sides, tallies[setting])
+        if not contamination:
+            compare_curves(trees, tallies[setting])
         for text in PANEL:
             cases.append((f"{text} {setting}", tallies[setting],
                           [(model.evaluate, cli.parse_design(text), u) for model, u, cli in sides]))
@@ -325,7 +378,7 @@ def main(argv=None) -> int:
           f"design and unit-point pairs per setting (seed {DRAW_SEED}), each compared bit for "
           "bit (b, m_sys, eps_history, every state), the mass corners of each drawn "
           "design (value and witness) and, with contamination off, its b corners (both "
-          "bounds of four boxes)")
+          "bounds of four boxes) and the b curve of each panel design")
     for setting, tally in tallies.items():
         print(tally.summary(setting))
     return 1 if any(tally.differ for tally in tallies.values()) else 0

@@ -12,10 +12,14 @@ contamination off is bounded exactly by one FPET evaluation at each of two
 corners (``mission.b_corners``): b is least at the dark corner and
 greatest at the bright one, because it cannot rise with an asteroid
 parameter nor fall with the flux, up to its rounding (measured at most
-2.8e-5 km). A curve evaluates each distinct corner once; after a split,
-two of the children's four corners are their parent's. A box thus costs
-at most 2 evaluations, where its two searches cost 2 x
-``inner_budget``. With contamination on b can rise with ``e_sub``, and
+2.8e-5 km). A curve evaluates each distinct physical point once
+(``mission.b_at``): after a split, two of the children's four corners are
+their parent's, and the intervals of one parameter share ends, so corners
+of different cells are often one physical point. A box thus costs at most
+2 evaluations, where its two searches cost 2 x ``inner_budget``; at
+20,10,2,3000 the ``belpl-curve`` benchmark's curve takes 12, and the
+default curve (``--nv 21``, ``--max-partitions`` 10**5) 1340 for its 4576
+distinct corners. With contamination on b can rise with ``e_sub``, and
 each box is bounded by one FPET evaluation at its dark corner and restart
 DE: where b is exactly 0.0 there, the box's minimum is certified 0.0 and
 only the maximum is searched; elsewhere both are searched and the
@@ -184,7 +188,8 @@ def de_box_bounder(f, budget: int, pop: int, seed: int, corner):
     contamination on). Every value is attained in the box, so the bounds
     come in order; the maximum, and a minimum above 0.0, are estimates.
     ``b_box_bounder`` uses it with contamination on only, with an ``f``
-    that evaluates a revisited point at no cost (``mission.b_at``)."""
+    that evaluates each distinct physical point once per curve
+    (``mission.b_at``), so a revisited point costs no FPET run."""
 
     def bounds(unit_box):
         lo, hi = np.array(unit_box).T
@@ -212,11 +217,13 @@ def de_box_bounder(f, budget: int, pop: int, seed: int, corner):
 def b_box_bounder(model, design: DesignVector, structure):
     """Box bounds of b over the unit boxes of ``structure``, every uncertain
     parameter outside it at the scenario's fixed value, read from one
-    ``mission.b_at``: FPET runs at each distinct point once per curve. With
-    contamination off they are exact, b at the box's dark and bright
-    corners (``mission.b_corners``), as ``mass_box_bounder`` bounds the
-    mass at its corners: at most two evaluations a box, as after a split
-    two of the children's four corners are their parent's. With
+    ``mission.b_at``: FPET runs at each distinct physical point once per
+    curve. With contamination off they are exact, b at the box's dark and
+    bright corners (``mission.b_corners``), as ``mass_box_bounder`` bounds
+    the mass at its corners: at most two evaluations a box, as after a
+    split two of the children's four corners are their parent's, and fewer
+    where corners of different cells are one physical point (12 for the
+    ``belpl-curve`` benchmark's 14 distinct corners). With
     contamination on each box is tried first at its dark corner
     (``de_box_bounder``): where the spot never ablates there, the minimum
     is a certified 0.0 for one evaluation instead of a search; elsewhere

@@ -518,18 +518,23 @@ def _inner_rng(seed: int, design: DesignVector) -> np.random.Generator:
 def b_at(model: DeflectionModel, design: DesignVector, structure: FocalStructure):
     """b [km] of a design as a function of a unit point of ``structure``
     (an array or any sequence), every uncertain parameter outside it at the
-    scenario's fixed value. FPET runs once per point: b is kept by the
-    point's exact float64 bytes (points one ulp apart are two), and
-    ``evaluate`` is deterministic in (design, u), so a repeat returns the
-    same bits. A curve (``cli.b_box_bounder``) and a design
-    (``evidence_evaluator``) each keep one."""
+    scenario's fixed value. FPET runs once per distinct physical point: b
+    is kept by the exact float64 bytes of the point's physical values
+    (values one ulp apart are two), and ``evaluate`` reads only those
+    values, deterministically, so a repeat returns the same bits. The
+    intervals of one parameter share ends, so unit points of different
+    cells are often one physical point, and share its b. A curve
+    (``cli.b_box_bounder``) and a design (``evidence_evaluator``) each keep
+    one."""
     fixed = model.scenario.fixed_uncertain
     known = {}
 
     def b(u) -> float:
-        key = np.asarray(u, dtype=float).tobytes()
+        values = structure.unit_to_physical(u)
+        key = values.tobytes()
         if key not in known:
-            known[key] = model.evaluate(design, {**fixed, **uncertain_dict(structure, u)}).b
+            known[key] = model.evaluate(
+                design, {**fixed, **dict(zip(structure.names, values.tolist()))}).b
         return known[key]
 
     return b
@@ -618,7 +623,8 @@ def evidence_evaluator(
     otherwise the search runs, seeded with the nominal point's image and
     the corner, whose b ``b_at`` keeps, so it spends ``inner_budget``
     evaluations with the corner one of them and reports at most the
-    corner's b, an estimate; a revisited point costs no FPET run. The two
+    corner's b, an estimate; ``b_at`` runs FPET once per distinct
+    physical point, so a revisited point costs no FPET run. The two
     mass corners and the two b corners do not depend on the design: they
     are built once per evaluator.
     """

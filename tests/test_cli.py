@@ -994,47 +994,65 @@ def fpet_points(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("run, n_v, max_partitions, distinct", [
-    (cli.run_bpcurve, 11, 6, 14),
-    (cli.run_sensitivity, 21, 10**5, 34),
+    (cli.run_bpcurve, 11, 6, 12),
+    (cli.run_sensitivity, 21, 10**5, 26),
 ])
-def test_a_contamination_off_b_curve_evaluates_each_corner_once(
+def test_a_contamination_off_b_curve_evaluates_each_physical_point_once(
         reference, tmp_path, monkeypatch, run, n_v, max_partitions, distinct):
     """A split leaves two of the children's four corners their parent's,
-    bit for bit, and a curve runs FPET once per distinct corner: at
-    20,10,2,3000 the ``belpl-curve`` benchmark's b curve takes 14
-    evaluations, not two a box (26), and ``sensitivity``'s five curves at
-    its defaults 34, not 58. The ``m_sys`` curve sizes its corners without
-    FPET."""
-    corners = set()
+    bit for bit, and the intervals of one parameter share ends, so unit
+    corners of different cells are often one physical point. A curve runs
+    FPET once per distinct physical point, and each curve keeps its own:
+    at 20,10,2,3000 the ``belpl-curve`` benchmark's b curve takes 12
+    evaluations, not one per distinct unit corner (14) nor two a box (26),
+    and ``sensitivity``'s five curves at its defaults 26, not 34 nor 58.
+    The ``m_sys`` curve sizes its corners without FPET."""
+    physical = set()
     b_corners = cli.b_corners
 
     def spy(space, unit_box):
         found = b_corners(space, unit_box)
-        corners.update((tuple(space.names), u.tobytes()) for u in found)
+        physical.update((tuple(space.names), space.unit_to_physical(u).tobytes())
+                        for u in found)
         return found
 
     monkeypatch.setattr(cli, "b_corners", spy)
     points = fpet_points(monkeypatch)
     run(reference, parse_design("20,10,2,3000"), False, tmp_path, n_v, max_partitions)
-    assert len(points) == len(corners) == distinct
+    assert len(points) == len(physical) == distinct
 
 
-def test_b_at_keys_a_point_on_its_exact_bits(reference, monkeypatch):
-    """``b_at`` evaluates a point once, given as an array, a tuple or a
-    list, and two points one ulp apart twice: a cell's upper edge and
-    ``first_inside`` it, the first point of the cell above. A key on
-    rounded coordinates would merge the two."""
-    space = evidence_structure(reference).marginal(["k_a"])
-    edge = space.cum[0][1]
+def test_b_at_keys_a_point_on_its_exact_physical_bits(reference, monkeypatch):
+    """``b_at`` evaluates a physical point once, given as an array, a tuple
+    or a list, and also when two unit points of different cells map to it,
+    as cell ends of ``t_sub`` do (1700.0 at unit 0.0 and at the second
+    cell's lower end). Two unit points whose physical values are one ulp
+    apart evaluate twice; a key on rounded values would merge them."""
+    space = evidence_structure(reference).marginal(["t_sub"])
+
+    def t_sub(u):
+        return space.unit_to_physical([u])[0]
+
+    inner = space.cum[0][1:-1]
+    firsts = [first_inside(edge) for edge in inner]  # each cell's first point above 0.0
+    assert firsts == [math.nextafter(edge, 1.0) for edge in inner]
+    ends = [0.0, *firsts, *space.cum[0][1:]]
+    u, v = next((u, v) for u in ends for v in ends
+                if space.cell_of(0, u) < space.cell_of(0, v) and t_sub(u) == t_sub(v))
     b = mission.b_at(mission.make_model(reference, "sensitivity", False),
                      parse_design("20,10,2,3000"), space)
     points = fpet_points(monkeypatch)
-    values = [b(np.array([edge])), b((edge,)), b([edge])]
-    assert len(points) == 1 and values == [values[0]] * 3
-    b(np.array([first_inside(edge)]))
-    b((first_inside(edge),))
-    assert len(points) == 2
-    assert first_inside(edge) == math.nextafter(edge, 1.0)
+    values = [b(np.array([u])), b((u,)), b([u]), b([v])]
+    assert len(points) == 1 and values == [values[0]] * 4
+
+    # step a unit point up until its physical value moves, by one ulp
+    up = 0.5
+    while t_sub(up) == t_sub(0.5):
+        up = math.nextafter(up, 1.0)
+    assert t_sub(up) == math.nextafter(t_sub(0.5), math.inf)
+    b([0.5])
+    b([up])
+    assert len(points) == 3
 
 
 def test_bpcurve_mode(tiny_scenario, tmp_path):

@@ -701,13 +701,15 @@ def test_a_lit_dark_corner_keeps_the_worst_case_search(scenario, contamination):
 def test_a_contamination_on_design_evaluates_each_point_once(scenario, monkeypatch, sense):
     """With contamination on, a design's inner DE revisits points, such as
     a trial clipped onto a face it met before and the worst case's dark
-    corner, evaluated first and then seeded. Its searches read one
-    ``mission.b_at``, which runs FPET once per distinct point, and the
-    evaluator returns, bit for bit, the ``Individual`` it returns with the
-    memo-free referee ``oracles.b_at``. The best case runs at the first
-    design drawn from seed 7 (250 points, 191 distinct); the worst case at
-    20,10,2,3000 over ``oracles.lit_b_structure``, whose dark corner
-    ablates there, so that its search runs (251 points, 230 distinct)."""
+    corner, evaluated first and then seeded, and unit points of different
+    cells can be one physical point. Its searches read one
+    ``mission.b_at``, which runs FPET once per distinct physical point, and
+    the evaluator returns, bit for bit, the ``Individual`` it returns with
+    the memo-free referee ``oracles.b_at``. The best case runs at the first
+    design drawn from seed 7 (250 points, 191 distinct physical points);
+    the worst case at 20,10,2,3000 over ``oracles.lit_b_structure``, whose
+    dark corner ablates there, so that its search runs (251 points, 230
+    distinct unit points, 225 distinct physical points)."""
     structure = evidence_structure(scenario)
     design = decode_design(np.random.default_rng(7).random(4), scenario.design_bounds)
     if sense == "max":
@@ -719,11 +721,11 @@ def test_a_contamination_on_design_evaluates_each_point_once(scenario, monkeypat
     points, evaluations = [], []
     b_at, evaluate = mission.b_at, model.evaluate
 
-    def recorded_b_at(*args):
-        b = b_at(*args)
+    def recorded_b_at(model, design, structure):
+        b = b_at(model, design, structure)
 
         def recorded(u):
-            points.append(np.asarray(u, dtype=float).tobytes())
+            points.append(structure.unit_to_physical(u).tobytes())
             return b(u)
 
         return recorded
@@ -736,7 +738,7 @@ def test_a_contamination_on_design_evaluates_each_point_once(scenario, monkeypat
     monkeypatch.setattr(mission, "b_at", recorded_b_at)
     found = evidence_evaluator(model, structure, config, sense)(design)
     assert len(points) == config.inner_budget + (sense == "max")  # the corner, then the search
-    assert len(evaluations) == len(set(points)) == {"min": 191, "max": 230}[sense]
+    assert len(evaluations) == len(set(points)) == {"min": 191, "max": 225}[sense]
 
     evaluations.clear()
     monkeypatch.setattr(mission, "b_at", oracles.b_at)

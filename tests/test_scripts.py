@@ -189,6 +189,34 @@ def test_ab_evaluate_counts_a_b_corner_pair_once_by_either_bound():
     assert tally.m_sys_rel == 0.0
 
 
+def _curve(thresholds, bel, pl, n_partitions=6, partial=True):
+    return SimpleNamespace(thresholds=np.array(thresholds), bel=np.array(bel),
+                           pl=np.array(pl), n_partitions=n_partitions, partial=partial)
+
+
+def test_ab_evaluate_counts_a_b_curve_once_by_any_of_its_fields():
+    """Two Bel/Pl curves of b differ where a threshold, a Bel or Pl value,
+    ``n_partitions`` or ``partial`` differs, a value in any bit; a curve
+    that differs in several places counts one pair, and b is sized at the
+    curve's ends."""
+    tally = Tally()
+    v = [0.0, 342.09221102402875, 684.1844220480575]
+    bel, pl = [0.0, 0.2, 1.0], [0.1, 0.9, 1.0]
+    tally.add_curve("b curve 20,10,8,3000", _curve(v, bel, pl), _curve(v, bel, pl))
+    assert tally.summary("off") == "# contamination off: 0 of 1 pairs differ"
+    moved = [*v[:2], math.nextafter(v[2], 0.0)]
+    key = "b curve 20,10,2,3000"
+    tally.add_curve(key, _curve(v, bel, pl), _curve(moved, bel, [0.1, 0.8, 1.0], 7))
+    assert tally.differ == {key: f"thresholds[2] old {v[2]!r} new {moved[2]!r}"}
+    assert tally.summary("off").startswith("# contamination off: 1 of 2 pairs differ")
+    assert tally.b_rel == math.ulp(v[2]) / v[2]
+    for changed in (_curve(v, [-0.0, 0.2, 1.0], pl), _curve(v, bel, pl, partial=False),
+                    _curve(v, bel, pl, n_partitions=5)):
+        other = Tally()
+        other.add_curve(key, _curve(v, bel, pl), changed)
+        assert len(other.differ) == len(other.pairs) == 1
+
+
 def test_ab_evaluate_prints_arc_counts_and_time_per_arc():
     """Each tree's arcs of one evaluation and its time per arc, a whole
     evaluation's time over its arc count, next to the new/old ratio; over
